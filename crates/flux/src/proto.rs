@@ -4,7 +4,8 @@
 //! but every handler must guess the concrete type behind each topic
 //! string. A [`Protocol`] binds a *typed* request/response enum to its
 //! topic names: senders call [`Protocol::encode`] (the enum itself is
-//! the payload), receivers call [`Protocol::decode`] and match on
+//! the payload), receivers call [`Protocol::decode`] (or the borrowing
+//! [`Protocol::decode_ref`]) and match on
 //! variants, and the topic/variant consistency check catches a message
 //! addressed to the wrong service. Both power crates define their
 //! protocol enums in their `proto` modules and use them as the *only*
@@ -67,10 +68,16 @@ pub trait Protocol: Clone + 'static {
     /// surface the error via
     /// [`World::respond_error`](crate::World::respond_error).
     fn decode(msg: &Message) -> Result<Self, ProtocolError> {
+        Self::decode_ref(msg).cloned()
+    }
+
+    /// [`Protocol::decode`] without the clone: borrow the typed value
+    /// out of the message (same downcast, same topic check), so a hop
+    /// clones only the parts it keeps.
+    fn decode_ref(msg: &Message) -> Result<&Self, ProtocolError> {
         let Some(value) = msg.payload_as::<Self>() else {
             return Err(ProtocolError::bad_payload(msg));
         };
-        let value = value.clone();
         if value.topic() != msg.topic {
             return Err(ProtocolError::wrong_topic(msg, value.topic()));
         }
@@ -103,6 +110,9 @@ mod tests {
         let req = Ping::A(7);
         let msg = Message::request(Rank(0), Rank(1), req.topic(), req.encode());
         assert_eq!(Ping::decode(&msg), Ok(Ping::A(7)));
+        // The borrowing form hands out the payload itself, not a copy.
+        let borrowed = Ping::decode_ref(&msg).unwrap();
+        assert!(std::ptr::eq(borrowed, msg.payload_as::<Ping>().unwrap()));
     }
 
     #[test]
@@ -118,5 +128,6 @@ mod tests {
         let msg = Message::request(Rank(0), Rank(1), "ping.a", Ping::B("x".into()).encode());
         let err = Ping::decode(&msg).unwrap_err();
         assert!(err.reason.contains("carries"), "{err}");
+        assert_eq!(Ping::decode_ref(&msg), Err(err));
     }
 }

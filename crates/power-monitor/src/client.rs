@@ -199,9 +199,12 @@ impl MonitorQuery {
             rpc = rpc.retry(policy);
         }
         rpc.send(eng, move |_, _, resp| {
-            let result = match (&resp.error, MonitorReply::decode(resp)) {
+            // The payload is shared with the sender, so keeping the
+            // reply clones it — per node for a job-data reply, whose
+            // records stay the node agents' slices.
+            let result = match (&resp.error, MonitorReply::decode_ref(resp)) {
                 (Some(e), _) => Err(e.clone()),
-                (None, Ok(reply)) => Ok(reply),
+                (None, Ok(reply)) => Ok(reply.clone()),
                 (None, Err(e)) => Err(e.reason),
             };
             cb(result);
@@ -225,13 +228,13 @@ pub struct QueryHandle {
 /// mismatch into an error.
 macro_rules! extract {
     ($slot:expr, $what:literal, $pat:pat => $out:expr) => {
-        $slot.borrow().clone().map(|result| match result {
-            Ok($pat) => Ok($out),
+        $slot.borrow().as_ref().map(|result| match result {
+            Ok($pat) => Ok($out.clone()),
             Ok(other) => Err(format!(
                 concat!("expected ", $what, " reply, got {:?}"),
                 other
             )),
-            Err(e) => Err(e),
+            Err(e) => Err(e.clone()),
         })
     };
 }
@@ -311,20 +314,17 @@ pub struct JobRow {
 pub fn job_data_rows(reply: &JobDataReply) -> Vec<JobRow> {
     let mut rows = Vec::with_capacity(reply.sample_count());
     for node in &reply.nodes {
-        for r in &node.records {
-            let s = &r.sample;
+        for r in node.records.iter() {
             rows.push(JobRow {
                 job: reply.job.0,
                 app: reply.name.clone(),
-                hostname: node.hostname.clone(),
-                timestamp_s: s.timestamp_us as f64 / 1e6,
-                node_power_w: s
-                    .power_node_watts
-                    .unwrap_or_else(|| s.node_power_estimate()),
-                node_power_measured: s.power_node_watts.is_some(),
-                cpu_power_w: s.cpu_total(),
-                mem_power_w: s.power_mem_watts,
-                gpu_power_w: s.gpu_total(),
+                hostname: node.hostname.to_string(),
+                timestamp_s: r.timestamp_us() as f64 / 1e6,
+                node_power_w: r.node_power_estimate(),
+                node_power_measured: r.node_power_measured(),
+                cpu_power_w: r.cpu_total(),
+                mem_power_w: r.mem_watts(),
+                gpu_power_w: r.gpu_total(),
                 complete: node.complete,
             });
         }

@@ -21,8 +21,10 @@ use fluxpm_flux::{
 };
 use fluxpm_hw::NodeId;
 use fluxpm_sim::TraceLevel;
+use fluxpm_variorum::NodePowerSample;
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Topic served by every node agent: raw records in a window.
 pub const TOPIC_NODE_DATA: &str = "power-monitor.node-data";
@@ -56,6 +58,12 @@ pub struct NodeAgent {
     last_pushed_us: u64,
     /// Samples pushed to the root agent (diagnostics).
     pushes_sent: u64,
+    /// This node's hostname (set at load), shared by every reply.
+    hostname: Arc<str>,
+    /// The sample each tick refills and encodes. It carries the
+    /// hostname for the JSON writer and keeps its vectors' storage, so a
+    /// tick allocates only the record it retains.
+    scratch: NodePowerSample,
 }
 
 impl NodeAgent {
@@ -71,6 +79,8 @@ impl NodeAgent {
             gaps: Vec::new(),
             last_pushed_us: 0,
             pushes_sent: 0,
+            hostname: Arc::from(""),
+            scratch: NodePowerSample::default(),
         }
     }
 
@@ -98,6 +108,11 @@ impl NodeAgent {
     /// Records currently retained.
     pub fn retained(&self) -> usize {
         self.buffer.len()
+    }
+
+    /// The retained records, oldest first.
+    pub fn records(&self) -> impl Iterator<Item = &PowerRecord> {
+        self.buffer.iter()
     }
 
     /// Records lost to buffer wrap.
@@ -145,15 +160,14 @@ impl NodeAgent {
         let rank = ctx.rank;
         let node_id = NodeId(rank.0);
         let ts = ctx.now().as_micros();
-        let hostname = ctx.world.hostname(rank).to_owned();
         let node = &mut ctx.world.nodes[rank.index()];
-        let (sample, cost) = fluxpm_variorum::get_node_power_json(node, &hostname, ts);
+        let cost = fluxpm_variorum::get_node_power_json_into(node, ts, &mut self.scratch);
         if self.config.charge_overhead {
             ctx.world
                 .charge_overhead(node_id, cost.cpu_time.as_secs_f64());
         }
-        let record = PowerRecord::new(sample);
-        let node_w = record.sample.node_power_estimate();
+        let record = PowerRecord::encode(&self.scratch);
+        let node_w = record.node_power_estimate();
         self.buffer_bytes += record.stored_bytes();
         if let Some(evicted) = self.buffer.push(record) {
             self.buffer_bytes -= evicted.stored_bytes();
@@ -170,19 +184,23 @@ impl NodeAgent {
         );
     }
 
+    /// The retained records inside `start_us..=end_us`, oldest first,
+    /// as the ring's two runs (binary search: ring timestamps only grow).
+    fn window(&self, start_us: u64, end_us: u64) -> (&[PowerRecord], &[PowerRecord]) {
+        self.buffer
+            .range_by_key(start_us, end_us, PowerRecord::timestamp_us)
+    }
+
     /// Summary statistics for a window from this agent's buffer (shared
     /// by the direct stats query and the in-tree reduction).
-    pub(crate) fn local_stats(&self, ctx: &ModuleCtx<'_>, start_us: u64, end_us: u64) -> NodeStats {
+    pub(crate) fn local_stats(&self, start_us: u64, end_us: u64) -> NodeStats {
         let mut samples = 0usize;
         let mut sum = 0.0;
         let mut max = f64::NEG_INFINITY;
         let mut min = f64::INFINITY;
-        for r in self
-            .buffer
-            .iter()
-            .filter(|r| (start_us..=end_us).contains(&r.timestamp_us()))
-        {
-            let p = r.sample.node_power_estimate();
+        let (older, newer) = self.window(start_us, end_us);
+        for r in older.iter().chain(newer) {
+            let p = r.node_power_estimate();
             samples += 1;
             sum += p;
             max = max.max(p);
@@ -190,7 +208,7 @@ impl NodeAgent {
         }
         let complete = self.window_complete(start_us);
         NodeStats {
-            hostname: ctx.world.hostname(ctx.rank).to_owned(),
+            hostname: Arc::clone(&self.hostname),
             samples,
             mean_w: if samples == 0 {
                 0.0
@@ -227,7 +245,7 @@ impl NodeAgent {
         let push = crate::proto::SamplePush {
             node: ctx.rank.0,
             timestamp_us: ts,
-            node_w: newest.sample.node_power_estimate(),
+            node_w: newest.node_power_estimate(),
         };
         let req = MonitorRequest::PushSample(push);
         let root = ctx.world.root();
@@ -246,23 +264,21 @@ impl NodeAgent {
 
     /// Answer a window stats query.
     fn answer_stats(&self, ctx: &mut ModuleCtx<'_>, msg: &Message, req: NodeDataRequest) {
-        let stats = self.local_stats(ctx, req.start_us, req.end_us);
+        let stats = self.local_stats(req.start_us, req.end_us);
         ctx.world
             .respond(ctx.eng, msg, MonitorReply::NodeStats(stats).encode());
     }
 
     fn answer(&self, ctx: &mut ModuleCtx<'_>, msg: &Message, req: NodeDataRequest) {
-        let records: Vec<PowerRecord> = self
-            .buffer
-            .iter()
-            .filter(|r| (req.start_us..=req.end_us).contains(&r.timestamp_us()))
-            .cloned()
-            .collect();
+        // The one place a reply's records are gathered: a reference-count
+        // bump per record into a slice every later hop shares.
+        let (older, newer) = self.window(req.start_us, req.end_us);
+        let records: Arc<[PowerRecord]> = older.iter().chain(newer).cloned().collect();
         // Partial iff data from the window start was lost: overwritten
         // by wrap, or never sampled (the agent loaded after the window
         // start — e.g. on a recovered node).
         let reply = NodeDataReply {
-            hostname: ctx.world.hostname(ctx.rank).to_owned(),
+            hostname: Arc::clone(&self.hostname),
             records,
             complete: self.window_complete(req.start_us),
         };
@@ -293,6 +309,9 @@ impl Module for NodeAgent {
         let now = ctx.now();
         let start = now + interval;
         let name = self.name();
+        let hostname = ctx.world.hostname(rank);
+        self.hostname = Arc::from(hostname);
+        self.scratch.hostname = hostname.to_owned();
         if self.since_us.is_none() {
             let now_us = now.as_micros();
             self.since_us = Some(now_us);
@@ -342,9 +361,9 @@ impl Module for NodeAgent {
         if msg.kind != MsgKind::Request {
             return;
         }
-        match MonitorRequest::decode(msg) {
-            Ok(MonitorRequest::NodeData(req)) => self.answer(ctx, msg, req),
-            Ok(MonitorRequest::NodeStats(req)) => self.answer_stats(ctx, msg, req),
+        match MonitorRequest::decode_ref(msg) {
+            Ok(&MonitorRequest::NodeData(req)) => self.answer(ctx, msg, req),
+            Ok(&MonitorRequest::NodeStats(req)) => self.answer_stats(ctx, msg, req),
             Ok(MonitorRequest::SubtreeStats(req)) => {
                 crate::tree_reduce::handle_subtree_stats(self, ctx, msg, req)
             }
@@ -386,10 +405,10 @@ mod tests {
         let req = MonitorRequest::NodeData(NodeDataRequest { start_us, end_us });
         w.rpc(to, req.topic(), req.encode())
             .send(eng, move |_, _, resp| {
-                let Ok(MonitorReply::NodeData(r)) = MonitorReply::decode(resp) else {
+                let Ok(MonitorReply::NodeData(r)) = MonitorReply::decode_ref(resp) else {
                     panic!("unexpected reply {resp:?}");
                 };
-                *got2.borrow_mut() = Some(r);
+                *got2.borrow_mut() = Some(r.clone());
             });
         eng.run(w);
         let reply = got.borrow().clone().unwrap();
@@ -478,9 +497,9 @@ mod tests {
         let reply = query_window(&mut w, &mut eng2, Rank(0), 3_000_000, 5_000_000);
         assert_eq!(reply.records.len(), 3, "samples at 3,4,5 s");
         assert!(reply.complete);
-        assert_eq!(reply.hostname, "lassen0");
+        assert_eq!(&*reply.hostname, "lassen0");
         // Idle Lassen node: ~400 W.
-        let p = reply.records[0].sample.node_power_estimate();
+        let p = reply.records[0].node_power_estimate();
         assert!((p - 400.0).abs() < 20.0, "idle power {p}");
     }
 

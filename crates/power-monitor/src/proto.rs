@@ -6,43 +6,152 @@
 //! topic). All monitor traffic travels as these two enums — handlers
 //! decode them instead of downcasting raw payloads.
 
-use bytes::Bytes;
 use fluxpm_flux::{JobId, Protocol};
 use fluxpm_variorum::NodePowerSample;
-use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
+use std::fmt;
+use std::sync::Arc;
 
-/// One stored telemetry record: a timestamped Variorum sample plus its
-/// JSON encoding — the node agent stores what the real module stores
-/// ("100,000 instances of the Variorum JSON object ≈ 43.4 MB").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// One stored telemetry record: the Variorum JSON object as the node
+/// agent stores it ("100,000 instances of the Variorum JSON object ≈
+/// 43.4 MB") plus the few numbers queries read, so answering one never
+/// parses.
+///
+/// A record is a handle to one immutable heap block, written once at
+/// sample time. The ring owns the sample; a reply, the root's
+/// aggregation and the client all hold the same block, so cloning a
+/// record is a reference-count bump however large the JSON is. The
+/// per-socket and per-GPU values live only in the JSON:
+/// [`PowerRecord::sample`] decodes them on demand.
+#[derive(Clone, PartialEq)]
 pub struct PowerRecord {
-    /// The Variorum JSON object (typed).
-    pub sample: NodePowerSample,
-    /// The encoded JSON as stored in the ring buffer.
-    #[serde(skip, default)]
-    raw: Bytes,
+    /// `[stored JSON][TRAILER bytes of little-endian numbers]`.
+    block: Arc<[u8]>,
+}
+
+/// Bytes behind the JSON: `timestamp_us`, then the node-power estimate,
+/// CPU total, GPU total and memory power (8 bytes each), then one flags
+/// byte.
+const TRAILER: usize = 41;
+/// Flag: the node power is a direct measurement, not a component sum.
+const NODE_MEASURED: u8 = 1;
+/// Flag: the platform reported memory power.
+const MEM_REPORTED: u8 = 2;
+
+thread_local! {
+    /// Where a record is assembled before its one allocation, so that
+    /// encoding allocates nothing else once the buffer has grown.
+    static ENCODE_BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
 impl PowerRecord {
     /// Build a record, encoding the Variorum JSON once.
     pub fn new(sample: NodePowerSample) -> PowerRecord {
-        let raw = Bytes::from(sample.to_json().into_bytes());
-        PowerRecord { sample, raw }
+        PowerRecord::encode(&sample)
+    }
+
+    /// [`PowerRecord::new`] from a borrowed sample (the node agent refills
+    /// one sample per tick and never gives it away).
+    pub fn encode(sample: &NodePowerSample) -> PowerRecord {
+        ENCODE_BUF.with_borrow_mut(|buf| {
+            // An empty `Vec<u8>` is a valid `String`: the JSON writer gets
+            // the buffer's storage without a UTF-8 scan or a copy.
+            buf.clear();
+            let mut json = String::from_utf8(std::mem::take(buf)).expect("empty buffer");
+            sample.write_json(&mut json);
+            *buf = json.into_bytes();
+            let mut flags = 0;
+            if sample.power_node_watts.is_some() {
+                flags |= NODE_MEASURED;
+            }
+            if sample.power_mem_watts.is_some() {
+                flags |= MEM_REPORTED;
+            }
+            buf.extend_from_slice(&sample.timestamp_us.to_le_bytes());
+            for w in [
+                sample.node_power_estimate(),
+                sample.cpu_total(),
+                sample.gpu_total(),
+                sample.power_mem_watts.unwrap_or(0.0),
+            ] {
+                buf.extend_from_slice(&w.to_le_bytes());
+            }
+            buf.push(flags);
+            PowerRecord {
+                block: Arc::from(&buf[..]),
+            }
+        })
+    }
+
+    /// The 8 trailer bytes of number `index` (0 = timestamp).
+    fn number(&self, index: usize) -> [u8; 8] {
+        let at = self.block.len() - TRAILER + 8 * index;
+        self.block[at..at + 8].try_into().expect("8-byte slice")
+    }
+
+    fn flag(&self, flag: u8) -> bool {
+        self.block[self.block.len() - 1] & flag != 0
     }
 
     /// Timestamp in microseconds.
     pub fn timestamp_us(&self) -> u64 {
-        self.sample.timestamp_us
+        u64::from_le_bytes(self.number(0))
+    }
+
+    /// The node power a client reports: the direct measurement when the
+    /// platform has one, otherwise the CPU + GPU sum
+    /// ([`NodePowerSample::node_power_estimate`], computed at sample
+    /// time).
+    pub fn node_power_estimate(&self) -> f64 {
+        f64::from_le_bytes(self.number(1))
+    }
+
+    /// Whether [`PowerRecord::node_power_estimate`] is a direct
+    /// measurement.
+    pub fn node_power_measured(&self) -> bool {
+        self.flag(NODE_MEASURED)
+    }
+
+    /// Total CPU power in the sample (W).
+    pub fn cpu_total(&self) -> f64 {
+        f64::from_le_bytes(self.number(2))
+    }
+
+    /// Total GPU power in the sample (W).
+    pub fn gpu_total(&self) -> f64 {
+        f64::from_le_bytes(self.number(3))
+    }
+
+    /// Memory power (W), when the platform reports it.
+    pub fn mem_watts(&self) -> Option<f64> {
+        self.flag(MEM_REPORTED)
+            .then(|| f64::from_le_bytes(self.number(4)))
     }
 
     /// Size of the stored JSON encoding in bytes.
     pub fn stored_bytes(&self) -> usize {
-        self.raw.len()
+        self.block.len() - TRAILER
     }
 
     /// The stored JSON encoding.
     pub fn raw_json(&self) -> &[u8] {
-        &self.raw
+        &self.block[..self.stored_bytes()]
+    }
+
+    /// The full typed sample, decoded from the stored JSON (so its
+    /// values carry the JSON's three decimals). `None` only if the
+    /// record was built from a sample the flat format cannot carry, such
+    /// as a hostname containing a quote.
+    pub fn sample(&self) -> Option<NodePowerSample> {
+        NodePowerSample::from_json(std::str::from_utf8(self.raw_json()).ok()?)
+    }
+}
+
+impl fmt::Debug for PowerRecord {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PowerRecord")
+            .field("json", &String::from_utf8_lossy(self.raw_json()))
+            .finish()
     }
 }
 
@@ -55,13 +164,15 @@ pub struct NodeDataRequest {
     pub end_us: u64,
 }
 
-/// Node-agent → root reply.
+/// Node-agent → root reply. Built once by the node agent; every later
+/// hop (the root's aggregation, the client) shares `records` rather than
+/// copying it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeDataReply {
     /// The replying node's hostname.
-    pub hostname: String,
+    pub hostname: Arc<str>,
     /// Records within the window, oldest first.
-    pub records: Vec<PowerRecord>,
+    pub records: Arc<[PowerRecord]>,
     /// False when the buffer wrapped past the window start (the paper's
     /// "partial data" flag).
     pub complete: bool,
@@ -73,7 +184,7 @@ pub struct NodeDataReply {
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeStats {
     /// The replying node's hostname.
-    pub hostname: String,
+    pub hostname: Arc<str>,
     /// Samples in the window.
     pub samples: usize,
     /// Mean node-power estimate over the window (W).
@@ -160,8 +271,8 @@ impl JobDataReply {
         let mut sum = 0.0;
         let mut n = 0usize;
         for node in &self.nodes {
-            for r in &node.records {
-                sum += r.sample.node_power_estimate();
+            for r in node.records.iter() {
+                sum += r.node_power_estimate();
                 n += 1;
             }
         }
@@ -177,7 +288,7 @@ impl JobDataReply {
         self.nodes
             .iter()
             .flat_map(|n| n.records.iter())
-            .map(|r| r.sample.node_power_estimate())
+            .map(|r| r.node_power_estimate())
             .fold(0.0, f64::max)
     }
 
@@ -188,9 +299,8 @@ impl JobDataReply {
         use std::collections::BTreeMap;
         let mut per_instant: BTreeMap<u64, f64> = BTreeMap::new();
         for node in &self.nodes {
-            for r in &node.records {
-                *per_instant.entry(r.timestamp_us()).or_insert(0.0) +=
-                    r.sample.node_power_estimate();
+            for r in node.records.iter() {
+                *per_instant.entry(r.timestamp_us()).or_insert(0.0) += r.node_power_estimate();
             }
         }
         per_instant.values().copied().fold(0.0, f64::max)
@@ -436,7 +546,7 @@ mod tests {
     fn reply(records: Vec<PowerRecord>, complete: bool) -> NodeDataReply {
         NodeDataReply {
             hostname: "h".into(),
-            records,
+            records: records.into(),
             complete,
         }
     }

@@ -567,7 +567,7 @@ impl TelemetryRelay {
         }
     }
 
-    fn on_relay_seed(&mut self, ctx: &mut ModuleCtx<'_>, reply: RelaySeedReply) {
+    fn on_relay_seed(&mut self, ctx: &mut ModuleCtx<'_>, reply: &RelaySeedReply) {
         let Some((request, filter)) = self.pending_subs.remove(&reply.token) else {
             // A duplicate seed (re-issued climb after a topology
             // change) — the first one registered the subscriber.
@@ -621,7 +621,7 @@ impl TelemetryRelay {
         self.maybe_advertise(ctx);
     }
 
-    fn on_relay_deltas(&mut self, ctx: &mut ModuleCtx<'_>, batch: RelayDeltaBatch) {
+    fn on_relay_deltas(&mut self, ctx: &mut ModuleCtx<'_>, batch: &RelayDeltaBatch) {
         let evicted_before = self.hub.evicted();
         for delta in &batch.deltas {
             if delta.seq < self.next_ingest {
@@ -680,26 +680,26 @@ impl Module for TelemetryRelay {
 
     fn handle(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
         match msg.kind {
-            MsgKind::Request => match MonitorRequest::decode(msg) {
-                Ok(MonitorRequest::Subscribe(req)) => self.on_subscribe(ctx, msg, req),
-                Ok(MonitorRequest::Unsubscribe(req)) => self.on_unsubscribe(ctx, msg, req),
-                Ok(MonitorRequest::Poll(req)) => self.on_poll(ctx, msg, req),
+            MsgKind::Request => match MonitorRequest::decode_ref(msg) {
+                Ok(MonitorRequest::Subscribe(req)) => self.on_subscribe(ctx, msg, req.clone()),
+                Ok(&MonitorRequest::Unsubscribe(req)) => self.on_unsubscribe(ctx, msg, req),
+                Ok(&MonitorRequest::Poll(req)) => self.on_poll(ctx, msg, req),
                 Ok(_) => {}
                 Err(e) => ctx.world.respond_error(ctx.eng, msg, e.reason),
             },
             MsgKind::Event => {
                 if msg.topic.as_str() == TOPIC_RELAY_SEED {
-                    if let Ok(MonitorReply::RelaySeed(seed)) = MonitorReply::decode(msg) {
+                    if let Ok(MonitorReply::RelaySeed(seed)) = MonitorReply::decode_ref(msg) {
                         self.on_relay_seed(ctx, seed);
                     }
                     return;
                 }
-                match MonitorRequest::decode(msg) {
+                match MonitorRequest::decode_ref(msg) {
                     Ok(MonitorRequest::RelaySubscribe(req)) => {
-                        self.on_relay_subscribe(ctx, msg, req)
+                        self.on_relay_subscribe(ctx, msg, req.clone())
                     }
                     Ok(MonitorRequest::RelayAdvert(advert)) => {
-                        self.on_relay_advert(ctx, msg, advert)
+                        self.on_relay_advert(ctx, msg, advert.clone())
                     }
                     Ok(MonitorRequest::RelayDeltas(batch)) => self.on_relay_deltas(ctx, batch),
                     _ => {}

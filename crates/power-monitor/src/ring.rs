@@ -120,6 +120,22 @@ impl<T> RingBuffer<T> {
         (front, tail)
     }
 
+    /// The elements whose key lies in `lo..=hi`, as the two contiguous
+    /// runs of [`RingBuffer::as_slices`] narrowed to that range. Keys
+    /// must be non-decreasing oldest → newest (timestamps are), which
+    /// makes each run sorted: two binary searches per run, O(log n) to
+    /// find a window of k elements instead of a scan of everything
+    /// retained.
+    pub fn range_by_key<K: Ord>(&self, lo: K, hi: K, key: impl Fn(&T) -> K) -> (&[T], &[T]) {
+        let narrow = |run: &[T]| {
+            let start = run.partition_point(|x| key(x) < lo);
+            let end = run.partition_point(|x| key(x) <= hi);
+            start..end.max(start)
+        };
+        let (first, second) = self.as_slices();
+        (&first[narrow(first)], &second[narrow(second)])
+    }
+
     /// The oldest retained element.
     pub fn oldest(&self) -> Option<&T> {
         self.iter().next()
@@ -243,6 +259,25 @@ mod tests {
             a.iter().chain(b.iter()).copied().collect::<Vec<_>>(),
             vec![18, 19, 20, 21, 22]
         );
+    }
+
+    #[test]
+    fn range_by_key_spans_the_wrap() {
+        let mut r = RingBuffer::new(5);
+        for ts in (0..16u64).step_by(2) {
+            r.push(ts);
+        }
+        // Retained: 6 8 10 12 14, physically wrapped.
+        assert!(!r.as_slices().1.is_empty(), "expected a wrapped buffer");
+        let range = |lo, hi| {
+            let (a, b) = r.range_by_key(lo, hi, |&ts| ts);
+            a.iter().chain(b).copied().collect::<Vec<u64>>()
+        };
+        assert_eq!(range(0, 100), vec![6, 8, 10, 12, 14]);
+        assert_eq!(range(7, 12), vec![8, 10, 12], "bounds are inclusive");
+        assert_eq!(range(9, 9), Vec::<u64>::new(), "between two keys");
+        assert_eq!(range(12, 7), Vec::<u64>::new(), "inverted window");
+        assert_eq!(range(15, 20), Vec::<u64>::new(), "after the newest");
     }
 
     #[test]

@@ -94,7 +94,9 @@ fn finish_inflight(world: &mut World, eng: &FluxEngine, inflight: &InflightMap, 
 
 /// The `flux-power-monitor` root agent.
 pub struct RootAgent {
-    /// Completed aggregations served (diagnostics).
+    /// Client requests taken up (diagnostics): counted when a request's
+    /// fan-out *starts* (or it is answered on the spot), not when its
+    /// reply goes out — requests still in `inflight` are included.
     served: u64,
     /// Per-attempt deadline for node-agent fan-out RPCs; a node that
     /// never answers (dead, partitioned) contributes an incomplete
@@ -173,7 +175,8 @@ impl RootAgent {
         Rc::new(RefCell::new(RootAgent::new(deadline)))
     }
 
-    /// Requests served so far.
+    /// Client requests taken up so far, including those still in
+    /// [`RootAgent::inflight`].
     pub fn served(&self) -> u64 {
         self.served
     }
@@ -398,25 +401,29 @@ impl RootAgent {
                 .retry(policy)
                 .send(ctx.eng, move |world, eng, resp| {
                     let mut a = agg.borrow_mut();
-                    a.replies[i] = match MonitorReply::decode(resp) {
-                        Ok(MonitorReply::NodeData(r)) => Some(r),
+                    // Keeping a node's reply shares its records with the
+                    // node agent's slice; nothing is copied here or below.
+                    a.replies[i] = match MonitorReply::decode_ref(resp) {
+                        Ok(MonitorReply::NodeData(r)) => Some(r.clone()),
                         _ => None,
                     };
                     a.remaining -= 1;
                     if a.remaining == 0 {
                         finish_inflight(world, eng, &inflight, a.request.matchtag);
+                        // The last callback: move everything out of the
+                        // aggregation, which dies with this closure.
                         let reply = JobDataReply {
                             job: a.job,
-                            name: a.name.clone(),
+                            name: std::mem::take(&mut a.name),
                             start_us: a.start_us,
                             end_us: a.end_us,
                             nodes: a
                                 .replies
-                                .iter()
+                                .iter_mut()
                                 .map(|r| {
-                                    r.clone().unwrap_or(NodeDataReply {
-                                        hostname: String::new(),
-                                        records: Vec::new(),
+                                    r.take().unwrap_or_else(|| NodeDataReply {
+                                        hostname: Arc::from(""),
+                                        records: Arc::from([]),
                                         complete: false,
                                     })
                                 })
@@ -490,8 +497,8 @@ impl RootAgent {
                 .retry(policy)
                 .send(ctx.eng, move |world, eng, resp| {
                     let mut a = agg.borrow_mut();
-                    a.replies[i] = match MonitorReply::decode(resp) {
-                        Ok(MonitorReply::NodeStats(s)) => Some(s),
+                    a.replies[i] = match MonitorReply::decode_ref(resp) {
+                        Ok(MonitorReply::NodeStats(s)) => Some(s.clone()),
                         _ => None,
                     };
                     a.remaining -= 1;
@@ -517,15 +524,15 @@ impl RootAgent {
                         );
                         let reply = JobStatsReply {
                             job: a.job,
-                            name: a.name.clone(),
+                            name: std::mem::take(&mut a.name),
                             start_us: a.start_us,
                             end_us: a.end_us,
                             nodes: a
                                 .replies
-                                .iter()
+                                .iter_mut()
                                 .map(|r| {
-                                    r.clone().unwrap_or(NodeStats {
-                                        hostname: String::new(),
+                                    r.take().unwrap_or_else(|| NodeStats {
+                                        hostname: Arc::from(""),
                                         samples: 0,
                                         mean_w: 0.0,
                                         max_w: 0.0,
@@ -609,10 +616,10 @@ impl Module for RootAgent {
         if msg.kind != MsgKind::Request {
             return;
         }
-        match MonitorRequest::decode(msg) {
-            Ok(MonitorRequest::JobData(req)) => self.start_aggregation(ctx, msg, req),
-            Ok(MonitorRequest::JobStats(req)) => self.start_stats_aggregation(ctx, msg, req),
-            Ok(MonitorRequest::PushSample(push)) => self.on_push(ctx, msg, push),
+        match MonitorRequest::decode_ref(msg) {
+            Ok(&MonitorRequest::JobData(req)) => self.start_aggregation(ctx, msg, req),
+            Ok(&MonitorRequest::JobStats(req)) => self.start_stats_aggregation(ctx, msg, req),
+            Ok(&MonitorRequest::PushSample(push)) => self.on_push(ctx, msg, push),
             Ok(_) => {} // node-agent and relay topics; not served here
             Err(e) => ctx.world.respond_error(ctx.eng, msg, e.reason),
         }
@@ -706,7 +713,7 @@ impl Module for RootAgent {
                 } else {
                     "data"
                 };
-                let job = match MonitorRequest::decode(msg) {
+                let job = match MonitorRequest::decode_ref(msg) {
                     Ok(MonitorRequest::JobData(r)) => r.job.0,
                     Ok(MonitorRequest::JobStats(r)) => r.job.0,
                     _ => u64::MAX,

@@ -181,8 +181,8 @@ fn issue_child(
         .from(self_rank)
         .deadline(deadline)
         .send(eng, move |world, eng, resp| {
-            let contribution = match MonitorReply::decode(resp) {
-                Ok(MonitorReply::SubtreeStats(s)) => Some(s),
+            let contribution = match MonitorReply::decode_ref(resp) {
+                Ok(&MonitorReply::SubtreeStats(s)) => Some(s),
                 _ => None,
             };
             {
@@ -242,11 +242,11 @@ pub fn handle_subtree_stats(
     agent: &NodeAgent,
     ctx: &mut ModuleCtx<'_>,
     msg: &Message,
-    req: SubtreeStatsRequest,
+    req: &SubtreeStatsRequest,
 ) {
     let rank = ctx.rank;
     let mut local = if req.targets.contains(&rank.0) {
-        SubtreeStats::from_node(&agent.local_stats(ctx, req.start_us, req.end_us))
+        SubtreeStats::from_node(&agent.local_stats(req.start_us, req.end_us))
     } else {
         SubtreeStats::empty()
     };

@@ -1,6 +1,7 @@
 //! Property-based tests for the monitor's data structures.
 
-use fluxpm_monitor::{NodeStats, RingBuffer, SubtreeStats};
+use fluxpm_monitor::{NodeStats, PowerRecord, RingBuffer, SubtreeStats};
+use fluxpm_variorum::NodePowerSample;
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -34,6 +35,51 @@ fn sample_op_strategy() -> impl Strategy<Value = SampleOp> {
         2 => (1u64..30).prop_map(SampleOp::NoteLoss),
         1 => Just(SampleOp::FailRecover),
     ]
+}
+
+/// An operation against a ring of timestamps as a node agent's life
+/// drives it: a sample some microseconds after the last one, an outage
+/// gap, or a fail/recover cycle that drops the history.
+#[derive(Debug, Clone)]
+enum ClockOp {
+    Tick(u64),
+    NoteLoss(u64),
+    FailRecover,
+}
+
+fn clock_op_strategy() -> impl Strategy<Value = ClockOp> {
+    prop_oneof![
+        12 => (0u64..5).prop_map(ClockOp::Tick),
+        2 => (1u64..30).prop_map(ClockOp::NoteLoss),
+        1 => Just(ClockOp::FailRecover),
+    ]
+}
+
+/// Watts with exactly the three decimals the Variorum JSON carries.
+fn milliwatts() -> impl Strategy<Value = f64> {
+    (0u64..4_000_000).prop_map(|mw| mw as f64 / 1000.0)
+}
+
+/// A sample of either machine's shape: Lassen reports node and memory
+/// power, two sockets and four GPUs; Tioga one socket, four OAM readings
+/// and neither of the other two.
+fn sample_strategy() -> impl Strategy<Value = NodePowerSample> {
+    (
+        any::<bool>(),
+        0u64..1_000_000_000_000,
+        prop::collection::vec(milliwatts(), 8),
+    )
+        .prop_map(|(lassen, timestamp_us, w)| {
+            let sockets = if lassen { 2 } else { 1 };
+            NodePowerSample {
+                hostname: if lassen { "lassen12" } else { "tioga3" }.into(),
+                timestamp_us,
+                power_node_watts: lassen.then_some(w[0]),
+                power_cpu_watts: w[1..1 + sockets].to_vec(),
+                power_mem_watts: lassen.then_some(w[3]),
+                power_gpu_watts: w[4..8].to_vec(),
+            }
+        })
 }
 
 fn stats_strategy() -> impl Strategy<Value = SubtreeStats> {
@@ -158,6 +204,62 @@ proptest! {
         if r.overwritten() == 0 {
             prop_assert!(complete, "nothing lost implies complete");
         }
+    }
+
+    /// The binary-searched window is exactly what a filter scan of the
+    /// whole ring returns, in the same order — on empty, unwrapped,
+    /// wrapped, gap-noted and restarted buffers, with repeated
+    /// timestamps, at every step.
+    #[test]
+    fn range_by_key_matches_filter_scan(
+        capacity in 1usize..24,
+        ops in prop::collection::vec(clock_op_strategy(), 0..120),
+        start in 0u64..300,
+        width in 0u64..120,
+    ) {
+        let mut r = RingBuffer::new(capacity);
+        let mut now = 0u64;
+        let end = start + width;
+        for op in &ops {
+            match op {
+                ClockOp::Tick(dt) => {
+                    now += dt;
+                    r.push(now);
+                }
+                ClockOp::NoteLoss(n) => r.note_loss(*n),
+                ClockOp::FailRecover => r.clear(),
+            }
+            let scanned: Vec<u64> = r
+                .iter()
+                .copied()
+                .filter(|t| (start..=end).contains(t))
+                .collect();
+            let (older, newer) = r.range_by_key(start, end, |&t| t);
+            let searched: Vec<u64> = older.iter().chain(newer).copied().collect();
+            prop_assert_eq!(searched, scanned);
+        }
+    }
+
+    /// A retained record decodes, on demand, to the sample it was built
+    /// from, and the numbers it keeps beside the JSON are the sample's
+    /// own — bit for bit, since queries sum them.
+    #[test]
+    fn record_decodes_to_the_sample_it_stored(sample in sample_strategy()) {
+        let record = PowerRecord::encode(&sample);
+        let json = sample.to_json();
+        prop_assert_eq!(record.raw_json(), json.as_bytes());
+        prop_assert_eq!(record.stored_bytes(), json.len());
+        prop_assert_eq!(record.timestamp_us(), sample.timestamp_us);
+        prop_assert_eq!(
+            record.node_power_estimate().to_bits(),
+            sample.node_power_estimate().to_bits()
+        );
+        prop_assert_eq!(record.node_power_measured(), sample.power_node_watts.is_some());
+        prop_assert_eq!(record.cpu_total().to_bits(), sample.cpu_total().to_bits());
+        prop_assert_eq!(record.gpu_total().to_bits(), sample.gpu_total().to_bits());
+        prop_assert_eq!(record.mem_watts(), sample.power_mem_watts);
+        prop_assert_eq!(&record, &PowerRecord::new(sample.clone()));
+        prop_assert_eq!(record.sample(), Some(sample));
     }
 
     /// The ring buffer behaves exactly like a capacity-bounded `VecDeque`

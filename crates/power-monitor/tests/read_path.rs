@@ -1,0 +1,221 @@
+//! Guard the read path's ownership rule, don't just benchmark it: a
+//! retained sample is one heap block written at sample time, and a
+//! `job_data` query hands out references to it — so what a query
+//! allocates depends on how many nodes answer, not on how much history
+//! they hold.
+//!
+//! A counting `#[global_allocator]` wraps the system allocator; counters
+//! are thread-local so the measurement is immune to other test threads
+//! allocating concurrently (the `crates/fft/tests/alloc_free.rs` harness).
+
+use fluxpm_flux::{FluxEngine, JobId, JobProgram, JobSpec, Rank, StepCtx, StepOutcome, World};
+use fluxpm_hw::{MachineKind, PowerDemand, Watts};
+use fluxpm_monitor::{
+    JobDataReply, MonitorConfig, MonitorQuery, NodeAgent, PowerRecord, RootAgent,
+};
+use fluxpm_sim::{Engine, SimDuration, SimTime};
+use fluxpm_variorum::NodePowerSample;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
+
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations performed by `f` on this thread.
+fn allocs_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCS.with(|c| c.get());
+    let r = f();
+    let after = ALLOCS.with(|c| c.get());
+    (after - before, r)
+}
+
+/// Holds every node at a steady draw for `secs` simulated seconds.
+struct Burn {
+    secs: f64,
+    done: f64,
+}
+
+impl JobProgram for Burn {
+    fn app_name(&self) -> &str {
+        "burn"
+    }
+
+    fn on_start(&mut self, ctx: &mut StepCtx<'_>) {
+        for n in &mut ctx.nodes {
+            let arch = n.arch.clone();
+            n.set_demand(PowerDemand {
+                cpu: vec![Watts(150.0); arch.sockets],
+                memory: Watts(80.0),
+                gpu: vec![Watts(250.0); arch.gpus],
+                other: arch.other,
+            });
+        }
+    }
+
+    fn step(&mut self, ctx: &mut StepCtx<'_>) -> StepOutcome {
+        self.done += ctx.dt;
+        if self.done >= self.secs {
+            StepOutcome::Done {
+                leftover_seconds: self.done - self.secs,
+            }
+        } else {
+            StepOutcome::Running
+        }
+    }
+}
+
+const NODES: u32 = 16;
+
+/// A 16-node world whose one job ran for `secs` seconds under 1 s
+/// sampling, with the node agents' handles kept so a test can look into
+/// the rings.
+fn world_after_job(secs: f64) -> (World, JobId, Vec<Rc<RefCell<NodeAgent>>>) {
+    let mut w = World::new(MachineKind::Lassen, NODES, 11);
+    w.autostop_after = Some(1);
+    let mut eng: FluxEngine = Engine::new();
+    w.install_executor(&mut eng);
+    let config = MonitorConfig::default().with_sample_interval(SimDuration::from_secs(1));
+    let agents: Vec<_> = (0..NODES)
+        .map(|rank| {
+            let agent = NodeAgent::shared(config.clone());
+            assert!(w.load_module(&mut eng, Rank(rank), agent.clone()));
+            agent
+        })
+        .collect();
+    let root = w.root();
+    assert!(w.load_module(&mut eng, root, RootAgent::shared(config.rpc_deadline)));
+    let job = w.submit(
+        &mut eng,
+        JobSpec::new("burn", NODES),
+        Box::new(Burn { secs, done: 0.0 }),
+    );
+    eng.run(&mut w);
+    (w, job, agents)
+}
+
+/// One `job_data` query on an engine of its own (so nothing but the
+/// query runs), and what it allocated from send to typed reply.
+fn query(w: &mut World, job: JobId) -> (u64, JobDataReply) {
+    allocs_during(|| {
+        let mut eng: FluxEngine = Engine::new();
+        let handle = MonitorQuery::job_data(job).send(w, &mut eng);
+        eng.run(w);
+        handle.job_data().expect("answered").expect("ok")
+    })
+}
+
+#[test]
+fn job_data_allocations_do_not_grow_with_history() {
+    let (mut short, job_short, _) = world_after_job(50.0);
+    let (mut long, job_long, _) = world_after_job(500.0);
+    // A world's first query also fills its route and RPC tables: lazy
+    // one-time set-up is not the claim.
+    query(&mut short, job_short);
+    query(&mut long, job_long);
+    let (a_short, r_short) = query(&mut short, job_short);
+    let (a_long, r_long) = query(&mut long, job_long);
+    assert!(r_short.all_complete() && r_long.all_complete());
+    assert!(
+        r_short.sample_count() >= 45 * NODES as usize
+            && r_long.sample_count() >= 495 * NODES as usize,
+        "windows hold {} and {} samples",
+        r_short.sample_count(),
+        r_long.sample_count()
+    );
+    // Ten times the records; the same messages, one slice per node.
+    assert!(
+        a_long.abs_diff(a_short) <= NODES as u64,
+        "{a_short} allocations for {} samples, {a_long} for {}",
+        r_short.sample_count(),
+        r_long.sample_count()
+    );
+}
+
+#[test]
+fn client_sees_the_ring_s_own_bytes() {
+    let (mut w, job, agents) = world_after_job(20.0);
+    let (_, reply) = query(&mut w, job);
+    assert_eq!(reply.nodes.len(), NODES as usize);
+    for (rank, (node, agent)) in reply.nodes.iter().zip(&agents).enumerate() {
+        assert_eq!(&*node.hostname, w.hostname(Rank(rank as u32)));
+        let agent = agent.borrow();
+        let (start, end) = (reply.start_us, reply.end_us);
+        let retained: Vec<&PowerRecord> = agent
+            .records()
+            .filter(|r| (start..=end).contains(&r.timestamp_us()))
+            .collect();
+        assert_eq!(node.records.len(), retained.len());
+        assert!(!retained.is_empty());
+        for (seen, kept) in node.records.iter().zip(retained) {
+            assert!(
+                std::ptr::eq(seen.raw_json(), kept.raw_json()),
+                "the reply holds the ring's block, not a copy of it"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_sampling_tick_allocates_a_fixed_number_of_blocks() {
+    // Encoding a record: its one block, nothing else (after the
+    // thread's assembly buffer has grown once).
+    let sample = NodePowerSample {
+        hostname: "lassen0".into(),
+        timestamp_us: 2_000_000,
+        power_node_watts: Some(981.2),
+        power_cpu_watts: vec![151.0, 149.7],
+        power_mem_watts: Some(81.3),
+        power_gpu_watts: vec![248.9; 4],
+    };
+    PowerRecord::encode(&sample);
+    let (allocs, record) = allocs_during(|| PowerRecord::encode(&sample));
+    assert_eq!(allocs, 1, "one block per retained record");
+    assert_eq!(record.sample(), Some(sample));
+    let (allocs, copy) = allocs_during(|| record.clone());
+    assert_eq!(allocs, 0, "a copy is a reference-count bump");
+    assert!(std::ptr::eq(copy.raw_json(), record.raw_json()));
+
+    // A whole tick through the engine: the same count every tick,
+    // whatever the ring holds. The sensor scan is `hw-models`' and
+    // allocates the rest; the monitor adds the record and nothing else.
+    let mut w = World::new(MachineKind::Lassen, 1, 3);
+    w.nodes[0].read_sensors();
+    let (sensor_scan, _) = allocs_during(|| w.nodes[0].read_sensors());
+    let per_tick = sensor_scan + 1;
+    let mut eng: FluxEngine = Engine::new();
+    let config = MonitorConfig::default().with_sample_interval(SimDuration::from_secs(1));
+    let agent = NodeAgent::shared(config);
+    w.load_module(&mut eng, Rank(0), agent.clone());
+    // Warm-up: the thread's assembly buffer and the sample's vectors.
+    eng.run_until(&mut w, SimTime::from_millis(4_500));
+    for (until_ms, ticks) in [(5_500, 1), (15_500, 10), (115_500, 100)] {
+        let before = agent.borrow().samples_taken();
+        let until = SimTime::from_millis(until_ms);
+        let (allocs, _) = allocs_during(|| eng.run_until(&mut w, until));
+        assert_eq!(agent.borrow().samples_taken() - before, ticks);
+        assert_eq!(allocs, per_tick * ticks, "over {ticks} tick(s)");
+    }
+}

@@ -53,12 +53,26 @@ pub fn get_node_power_json(
     hostname: &str,
     timestamp_us: u64,
 ) -> (NodePowerSample, SensorReadCost) {
+    let mut sample = NodePowerSample {
+        hostname: hostname.to_owned(),
+        ..NodePowerSample::default()
+    };
+    let cost = get_node_power_json_into(node, timestamp_us, &mut sample);
+    (sample, cost)
+}
+
+/// [`get_node_power_json`] into a sample the caller already owns: the
+/// measurements are overwritten in place ([`NodePowerSample::refill`];
+/// the hostname is the caller's), so a sampler that takes a reading
+/// every tick allocates nothing here.
+pub fn get_node_power_json_into(
+    node: &mut NodeHardware,
+    timestamp_us: u64,
+    sample: &mut NodePowerSample,
+) -> SensorReadCost {
     let cost = node.sensors.read_cost();
-    let reading = node.read_sensors();
-    (
-        NodePowerSample::from_reading(hostname, timestamp_us, &reading),
-        cost,
-    )
+    sample.refill(timestamp_us, &node.read_sensors());
+    cost
 }
 
 /// `variorum_cap_best_effort_node_power_limit` — node-level capping.
@@ -182,6 +196,19 @@ mod tests {
         let expect = n.draw().total().get();
         assert!((sample.node_power_estimate() - expect).abs() < 1e-6);
         assert_eq!(cost.cpu_time.as_micros(), 6_000);
+    }
+
+    #[test]
+    fn refilled_sample_equals_a_fresh_one() {
+        let (mut a, mut b) = (lassen_node(), lassen_node());
+        busy(&mut a);
+        busy(&mut b);
+        let (mut reused, _) = get_node_power_json(&mut a, "lassen0", 2_000_000);
+        get_node_power_json(&mut b, "lassen0", 2_000_000);
+        let cost = get_node_power_json_into(&mut a, 4_000_000, &mut reused);
+        let (fresh, fresh_cost) = get_node_power_json(&mut b, "lassen0", 4_000_000);
+        assert_eq!(reused, fresh);
+        assert_eq!(cost.cpu_time, fresh_cost.cpu_time);
     }
 
     #[test]

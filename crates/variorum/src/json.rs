@@ -20,7 +20,7 @@ use fluxpm_hw::{SensorReading, Watts};
 use serde::{Deserialize, Serialize};
 
 /// A parsed/constructed node power sample (the paper's telemetry record).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct NodePowerSample {
     /// Node hostname, e.g. `"lassen12"`.
     pub hostname: String,
@@ -39,14 +39,26 @@ pub struct NodePowerSample {
 impl NodePowerSample {
     /// Build a sample from a sensor scan.
     pub fn from_reading(hostname: &str, timestamp_us: u64, r: &SensorReading) -> NodePowerSample {
-        NodePowerSample {
+        let mut sample = NodePowerSample {
             hostname: hostname.to_owned(),
-            timestamp_us,
-            power_node_watts: r.node.map(Watts::get),
-            power_cpu_watts: r.cpu.iter().map(|w| w.get()).collect(),
-            power_mem_watts: r.memory.map(Watts::get),
-            power_gpu_watts: r.gpu.iter().map(|w| w.get()).collect(),
-        }
+            ..NodePowerSample::default()
+        };
+        sample.refill(timestamp_us, r);
+        sample
+    }
+
+    /// Overwrite the measurements with a new sensor scan, keeping the
+    /// hostname and the vectors' storage: a sampler that owns one
+    /// `NodePowerSample` per node refills it every tick instead of
+    /// building (and allocating) a fresh one.
+    pub fn refill(&mut self, timestamp_us: u64, r: &SensorReading) {
+        self.timestamp_us = timestamp_us;
+        self.power_node_watts = r.node.map(Watts::get);
+        self.power_cpu_watts.clear();
+        self.power_cpu_watts.extend(r.cpu.iter().map(|w| w.get()));
+        self.power_mem_watts = r.memory.map(Watts::get);
+        self.power_gpu_watts.clear();
+        self.power_gpu_watts.extend(r.gpu.iter().map(|w| w.get()));
     }
 
     /// The node power a client reports: direct when available, otherwise
@@ -77,29 +89,35 @@ impl NodePowerSample {
     /// path).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256);
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Append the flat Variorum JSON object to `out` — [`Self::to_json`]
+    /// into a buffer the caller already owns.
+    pub fn write_json(&self, out: &mut String) {
         out.push('{');
-        push_str_field(&mut out, "hostname", &self.hostname);
+        push_str_field(out, "hostname", &self.hostname);
         out.push_str("\"timestamp_us\":");
-        push_u64(&mut out, self.timestamp_us);
+        push_u64(out, self.timestamp_us);
         out.push(',');
         if let Some(w) = self.power_node_watts {
-            push_num_field(&mut out, "power_node_watts", w);
+            push_num_field(out, "power_node_watts", w);
         }
         for (i, w) in self.power_cpu_watts.iter().enumerate() {
-            push_indexed_num_field(&mut out, "power_cpu_watts_socket_", i, *w);
+            push_indexed_num_field(out, "power_cpu_watts_socket_", i, *w);
         }
         if let Some(w) = self.power_mem_watts {
-            push_num_field(&mut out, "power_mem_watts", w);
+            push_num_field(out, "power_mem_watts", w);
         }
         for (i, w) in self.power_gpu_watts.iter().enumerate() {
-            push_indexed_num_field(&mut out, "power_gpu_watts_", i, *w);
+            push_indexed_num_field(out, "power_gpu_watts_", i, *w);
         }
         // Drop the trailing comma.
         if out.ends_with(',') {
             out.pop();
         }
         out.push('}');
-        out
     }
 
     /// Parse the flat Variorum JSON object produced by [`Self::to_json`].

@@ -24,7 +24,7 @@ pub mod json;
 pub use api::{
     cap_best_effort_node_power_limit, cap_each_gpu_power_limit, cap_each_socket_power_limit,
     cap_gpu_power_limit, cap_memory_power_limit, cap_socket_power_limit,
-    get_node_power_domain_info, get_node_power_json,
+    get_node_power_domain_info, get_node_power_json, get_node_power_json_into,
 };
 pub use error::VariorumError;
 pub use json::NodePowerSample;

@@ -45,7 +45,9 @@ fn run_on(machine: MachineKind) {
     let reply = query.job_data().unwrap().unwrap();
 
     let record = world.jobs.get(job).unwrap();
-    let sample = &reply.nodes[0].records[reply.nodes[0].records.len() / 2].sample;
+    let mid = &reply.nodes[0].records[reply.nodes[0].records.len() / 2];
+    // The per-socket / per-GPU values live in the stored JSON only.
+    let sample = mid.sample().expect("stored JSON decodes");
     println!(
         "   LAMMPS: runtime {:.1} s, avg node power {:.0} W",
         record.runtime_seconds().unwrap(),
@@ -64,7 +66,10 @@ fn run_on(machine: MachineKind) {
             .unwrap_or("ABSENT".into()),
         sample.power_gpu_watts.len(),
     );
-    println!("   raw Variorum JSON: {}\n", sample.to_json());
+    println!(
+        "   raw Variorum JSON: {}\n",
+        String::from_utf8_lossy(mid.raw_json())
+    );
 }
 
 fn main() {

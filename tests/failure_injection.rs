@@ -131,8 +131,10 @@ fn tioga_cap_refusal_does_not_break_management() {
     );
     // No sample carries a direct node reading on Tioga.
     for node in &reply.nodes {
-        for r in &node.records {
-            assert!(r.sample.power_node_watts.is_none());
+        for r in node.records.iter() {
+            assert!(!r.node_power_measured());
+            let decoded = r.sample().expect("stored JSON decodes");
+            assert!(decoded.power_node_watts.is_none());
         }
     }
 }

@@ -60,7 +60,7 @@ fn monitor_and_manager_together() {
         .records
         .iter()
         .filter(|r| (60_000_000..300_000_000).contains(&r.timestamp_us()))
-        .map(|r| r.sample.node_power_estimate())
+        .map(|r| r.node_power_estimate())
         .collect();
     let mean = early.iter().sum::<f64>() / early.len() as f64;
     assert!(
@@ -134,7 +134,7 @@ fn telemetry_matches_injected_demand() {
     let cpu: Vec<f64> = reply.nodes[0]
         .records
         .iter()
-        .map(|r| r.sample.cpu_total())
+        .map(|r| r.cpu_total())
         .collect();
     let min = cpu.iter().copied().fold(f64::INFINITY, f64::min);
     let max = cpu.iter().copied().fold(0.0f64, f64::max);
