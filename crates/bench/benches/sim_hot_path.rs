@@ -8,6 +8,10 @@
 //!   O(pending) on the reference engine),
 //! * `delivery` — one root → leaf echo RPC round trip per iteration at
 //!   two tree depths (per-hop cost = round trip / (2 × hops)),
+//! * `msg_path` — what one message of the telemetry plane costs on a
+//!   warm 256-rank world: a `relay-deltas` event sent and delivered,
+//!   and the three lookups on its way (topic → module, module by name,
+//!   cached route),
 //! * `soak_128_rank` — the full 128-rank monitor + manager chaos storm
 //!   from `fluxpm_experiments::chaos`.
 //!
@@ -17,7 +21,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fluxpm_bench::workload::{
-    churn_baseline, churn_new, sliced_drain_baseline, sliced_drain_new, DeliveryRig,
+    churn_baseline, churn_new, sliced_drain_baseline, sliced_drain_new, DeliveryRig, MsgPathRig,
 };
 use fluxpm_experiments::chaos::{storm, StormConfig};
 use std::hint::black_box;
@@ -61,6 +65,27 @@ fn bench_delivery(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_msg_path(c: &mut Criterion) {
+    use fluxpm_flux::Rank;
+    let mut g = c.benchmark_group("msg_path");
+    let mut rig = MsgPathRig::new();
+    g.bench_function("send_deliver_relay_deltas", |b| {
+        b.iter(|| black_box(rig.send_and_deliver()))
+    });
+    let broker = &rig.world.brokers[1];
+    g.bench_function("broker_route", |b| {
+        b.iter(|| black_box(broker.route(black_box(&rig.topic))))
+    });
+    g.bench_function("broker_module", |b| {
+        b.iter(|| black_box(broker.module(black_box(fluxpm_monitor::RELAY))))
+    });
+    let (from, to) = (Rank(0), Rank(MsgPathRig::RANKS - 1));
+    g.bench_function("tbon_route_hit", |b| {
+        b.iter(|| black_box(rig.world.tbon.route(black_box(from), black_box(to))))
+    });
+    g.finish();
+}
+
 fn bench_soak_128_rank(c: &mut Criterion) {
     let cfg = StormConfig::new(128, 7);
     c.bench_function("soak_128_rank/standard", |b| {
@@ -73,6 +98,7 @@ criterion_group!(
     bench_engine_churn,
     bench_sliced_drain,
     bench_delivery,
+    bench_msg_path,
     bench_soak_128_rank
 );
 criterion_main!(benches);

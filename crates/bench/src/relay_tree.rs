@@ -23,8 +23,8 @@
 //!   anchor the O(log n) scaling claim, not measured wall time.
 
 use fluxpm_monitor::{
-    AggregateFilter, RelayPlane, SubscriptionConfig, SubscriptionFilter, TelemetryDelta,
-    TelemetryHub,
+    AggregateFilter, RelayPlane, SharedDeltas, SubscriptionConfig, SubscriptionFilter,
+    TelemetryDelta, TelemetryHub,
 };
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -133,7 +133,7 @@ impl RelayTree {
             self.next_seq += 1;
             deliveries += self.nodes[0].hub.ingest(&delta) as u64;
             self.nodes[0].plane.offer(&delta);
-            let mut queue: VecDeque<(usize, Vec<Arc<TelemetryDelta>>)> = self.nodes[0]
+            let mut queue: VecDeque<(usize, SharedDeltas)> = self.nodes[0]
                 .plane
                 .flush()
                 .into_iter()

@@ -153,14 +153,16 @@ pub fn shard_fleet_config(ranks: u32, shards: usize, seed: u64) -> ShardStormCon
 
 /// A module that answers `bench.echo` requests with their own payload —
 /// the minimal responder for measuring raw overlay delivery cost.
-struct BenchEcho;
+struct BenchEcho {
+    echo: Topic,
+}
 
 impl Module for BenchEcho {
     fn name(&self) -> &'static str {
         "bench-echo"
     }
     fn topics(&self) -> Vec<Topic> {
-        vec!["bench.echo".into()]
+        vec![self.echo.clone()]
     }
     fn load(&mut self, _ctx: &mut ModuleCtx<'_>) {}
     fn handle(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
@@ -180,6 +182,9 @@ pub struct DeliveryRig {
     pub eng: Engine<World>,
     /// The echo responder's rank (the deepest rank of the tree).
     pub target: Rank,
+    /// The echo topic, interned once like any module's (so a round trip
+    /// prices the overlay, not the intern table).
+    echo: Topic,
 }
 
 impl DeliveryRig {
@@ -188,8 +193,15 @@ impl DeliveryRig {
         let mut world = World::new(MachineKind::Lassen, nnodes, 1);
         let mut eng: Engine<World> = Engine::new();
         let target = Rank(nnodes - 1);
-        assert!(world.load_module(&mut eng, target, Rc::new(RefCell::new(BenchEcho))));
-        DeliveryRig { world, eng, target }
+        let echo = Topic::intern("bench.echo");
+        let responder = Rc::new(RefCell::new(BenchEcho { echo: echo.clone() }));
+        assert!(world.load_module(&mut eng, target, responder));
+        DeliveryRig {
+            world,
+            eng,
+            target,
+            echo,
+        }
     }
 
     /// Hop count of the root → target route.
@@ -230,20 +242,99 @@ impl DeliveryRig {
     pub fn roundtrip(&mut self) {
         let done = Rc::new(RefCell::new(false));
         let done2 = Rc::clone(&done);
-        self.world
-            .rpc(self.target, "bench.echo", payload(7u64))
-            .send(&mut self.eng, move |_w, _e, resp| {
+        self.world.rpc(self.target, &self.echo, payload(7u64)).send(
+            &mut self.eng,
+            move |_w, _e, resp| {
                 assert!(resp.is_ok());
                 *done2.borrow_mut() = true;
-            });
+            },
+        );
         self.eng.run(&mut self.world);
         assert!(*done.borrow(), "echo response lost");
+    }
+}
+
+/// A warm 256-rank world with the monitor stack loaded, for pricing one
+/// message of the telemetry plane: a `relay-deltas` event from the root
+/// to its first child, sent and delivered (route, link model, event
+/// queue, topic dispatch, typed decode, relay ingest). The node agents
+/// are configured never to sample, so nothing else runs.
+pub struct MsgPathRig {
+    /// The Flux instance.
+    pub world: World,
+    /// Its engine.
+    pub eng: Engine<World>,
+    /// The relay-deltas topic, as a sending module holds it.
+    pub topic: Topic,
+    batch: fluxpm_flux::Payload,
+}
+
+impl MsgPathRig {
+    /// Ranks in the rig.
+    pub const RANKS: u32 = 256;
+
+    /// Build the rig and deliver one batch, so the route is cached and
+    /// every buffer on the way has its working size.
+    pub fn new() -> MsgPathRig {
+        use fluxpm_flux::Protocol;
+        use fluxpm_monitor::{MonitorConfig, MonitorRequest, RelayDeltaBatch, TelemetryDelta};
+        let mut world = World::new(MachineKind::Lassen, Self::RANKS, 1);
+        let mut eng: Engine<World> = Engine::new();
+        let config =
+            MonitorConfig::default().with_sample_interval(SimDuration::from_secs(1_000_000_000));
+        assert!(fluxpm_monitor::load(&mut world, &mut eng, config));
+        let delta = TelemetryDelta {
+            seq: 0,
+            node: 0,
+            timestamp_us: 0,
+            node_w: 900.0,
+            job: None,
+            link: None,
+        };
+        let batch = MonitorRequest::RelayDeltas(RelayDeltaBatch {
+            deltas: std::iter::once(std::sync::Arc::new(delta)).collect(),
+            shed: 0,
+        })
+        .encode();
+        let mut rig = MsgPathRig {
+            world,
+            eng,
+            topic: Topic::intern(fluxpm_monitor::relay::TOPIC_RELAY_DELTAS),
+            batch,
+        };
+        rig.send_and_deliver();
+        rig
+    }
+
+    /// Send the batch root → rank 1 and run the engine until it has
+    /// been handled. Returns the engine's executed-event count (one more
+    /// per call), for the caller to black-box.
+    pub fn send_and_deliver(&mut self) -> u64 {
+        let msg = Message::event(Rank(0), Rank(1), &self.topic, Rc::clone(&self.batch));
+        self.world.send(&mut self.eng, msg);
+        let until = self.eng.now() + SimDuration::from_millis(1);
+        self.eng.run_until(&mut self.world, until);
+        self.eng.executed()
+    }
+}
+
+impl Default for MsgPathRig {
+    fn default() -> MsgPathRig {
+        MsgPathRig::new()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn msg_path_rig_delivers_one_event_per_call() {
+        let mut rig = MsgPathRig::new();
+        let before = rig.send_and_deliver();
+        assert_eq!(rig.send_and_deliver(), before + 1);
+        assert!(rig.world.brokers[1].route(&rig.topic).is_some());
+    }
 
     #[test]
     fn churn_workloads_agree() {

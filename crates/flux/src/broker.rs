@@ -5,7 +5,7 @@ use crate::module::SharedModule;
 use crate::tbon::Rank;
 use crate::topic::Topic;
 use fluxpm_sim::SimDuration;
-use std::collections::HashMap;
+use std::rc::Rc;
 
 /// Tuning for the sustained-congestion detector each broker runs on its
 /// *uplink* — the TBON edge to its current parent.
@@ -140,11 +140,14 @@ pub struct Broker {
     pub rank: Rank,
     /// Node hostname (e.g. `"lassen12"`).
     pub hostname: String,
-    /// Loaded modules by name.
-    modules: HashMap<&'static str, SharedModule>,
-    /// Topic → module dispatch table (exact match; keys are interned,
-    /// lookups by `&str` borrow without allocating).
-    routes: HashMap<Topic, SharedModule>,
+    /// Loaded modules by name, in load order. A vector scanned by
+    /// `lookup`: a broker holds a handful of modules.
+    modules: Vec<(&'static str, SharedModule)>,
+    /// Topic → module dispatch table (exact match; one entry per topic,
+    /// the latest registration wins). A vector scanned by `lookup`: a
+    /// broker serves a dozen-odd topics, and a message's interned topic
+    /// resolves on the address pass without touching the text.
+    routes: Vec<(Topic, SharedModule)>,
     /// Liveness: a downed broker neither originates, receives, nor
     /// relays overlay traffic. [`crate::World::fail_node`] takes it
     /// down; [`crate::World::recover_node`] brings it back.
@@ -165,8 +168,8 @@ impl Broker {
         Broker {
             rank,
             hostname,
-            modules: HashMap::new(),
-            routes: HashMap::new(),
+            modules: Vec::new(),
+            routes: Vec::new(),
             up: true,
             incarnation: 0,
             uplink: LinkDetector::default(),
@@ -214,45 +217,61 @@ impl Broker {
             let m = module.borrow();
             (m.name(), m.topics())
         };
-        if !self.up || self.modules.contains_key(name) {
+        if !self.up || lookup(&self.modules, name).is_some() {
             return false;
         }
-        self.modules.insert(name, Rc::clone(&module));
+        self.modules.push((name, Rc::clone(&module)));
         for t in topics {
-            self.routes.insert(t, Rc::clone(&module));
+            match self.routes.iter_mut().find(|(have, _)| *have == t) {
+                Some((_, serving)) => *serving = Rc::clone(&module),
+                None => self.routes.push((t, Rc::clone(&module))),
+            }
         }
         true
     }
 
-    /// Unload a module by name, removing its routes. Returns true if it
-    /// was loaded.
+    /// Unload a module by name, removing the routes it serves. Returns
+    /// true if it was loaded.
     pub fn unregister(&mut self, name: &str) -> bool {
-        if self.modules.remove(name).is_none() {
+        let Some(at) = self.modules.iter().position(|(have, _)| *have == name) else {
             return false;
-        }
-        self.routes.retain(|_, m| m.borrow().name() != name);
+        };
+        let (_, module) = self.modules.remove(at);
+        self.routes.retain(|(_, m)| !Rc::ptr_eq(m, &module));
         true
     }
 
-    /// The module serving `topic`, if any.
+    /// The module serving `topic`, if any. Pass a message's
+    /// [`Topic`] (it dereferences to `str`) and the lookup is a scan of
+    /// addresses; any other string is compared by text and never
+    /// interned.
     pub fn route(&self, topic: &str) -> Option<SharedModule> {
-        self.routes.get(topic).cloned()
+        lookup(&self.routes, topic).cloned()
     }
 
     /// A loaded module by name.
     pub fn module(&self, name: &str) -> Option<SharedModule> {
-        self.modules.get(name).cloned()
+        lookup(&self.modules, name).cloned()
     }
 
     /// Names of loaded modules (sorted, for deterministic iteration).
     pub fn module_names(&self) -> Vec<&'static str> {
-        let mut names: Vec<_> = self.modules.keys().copied().collect();
+        let mut names: Vec<_> = self.modules.iter().map(|(name, _)| *name).collect();
         names.sort_unstable();
         names
     }
 }
 
-use std::rc::Rc;
+/// Find `key` in a small table: by address first — an interned topic or
+/// a `'static` module name is the very string the table holds — and by
+/// text only when no address matches (a handle interned on another
+/// shard thread, a string built at run time).
+fn lookup<'t, K: AsRef<str>, V>(table: &'t [(K, V)], key: &str) -> Option<&'t V> {
+    let by_address = table.iter().find(|(k, _)| std::ptr::eq(k.as_ref(), key));
+    by_address
+        .or_else(|| table.iter().find(|(k, _)| k.as_ref() == key))
+        .map(|(_, v)| v)
+}
 
 #[cfg(test)]
 mod tests {

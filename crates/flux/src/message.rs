@@ -52,7 +52,8 @@ pub struct Message {
     /// Message type.
     pub kind: MsgKind,
     /// Service topic, e.g. `"power-monitor.get-node-data"` (interned;
-    /// cloning a message does not copy the string).
+    /// cloning a message does not copy the string, and the destination
+    /// broker dispatches on the handle's address).
     pub topic: Topic,
     /// Sending rank.
     pub from: Rank,
@@ -81,7 +82,9 @@ impl Message {
         self.size_bytes = size_bytes;
         self
     }
-    /// Build a request message.
+    /// Build a request message. `topic` is a [`Topic`] handle (or a
+    /// reference to one) on any path that sends more than once — a
+    /// refcount bump; a string is interned here, which hashes it.
     pub fn request(from: Rank, to: Rank, topic: impl Into<Topic>, p: Payload) -> Message {
         Message {
             kind: MsgKind::Request,
@@ -140,7 +143,8 @@ impl Message {
         }
     }
 
-    /// Build an event message for one subscriber.
+    /// Build an event message for one subscriber. As with
+    /// [`Message::request`], pass the interned [`Topic`], not its text.
     pub fn event(from: Rank, to: Rank, topic: impl Into<Topic>, p: Payload) -> Message {
         Message {
             kind: MsgKind::Event,

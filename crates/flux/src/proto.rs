@@ -10,6 +10,13 @@
 //! addressed to the wrong service. Both power crates define their
 //! protocol enums in their `proto` modules and use them as the *only*
 //! payload path.
+//!
+//! [`Protocol::topic`] names a variant's topic as text. That is what the
+//! decode check compares against, and what a one-off sender (a client
+//! query, a test) passes to [`World::rpc`](crate::World::rpc), which
+//! interns it. A module that sends on a topic repeatedly interns it once
+//! when it is built (`Topic::intern(TOPIC_X)`) and sends with that
+//! handle, so the per-message path never hashes a string.
 
 use crate::message::{payload, Message, Payload};
 use crate::topic::Topic;
@@ -55,7 +62,8 @@ impl std::error::Error for ProtocolError {}
 /// topics. Implementors get symmetric encode/decode with a built-in
 /// topic-consistency check.
 pub trait Protocol: Clone + 'static {
-    /// The overlay topic this value travels on.
+    /// The overlay topic this value travels on, as text (see the module
+    /// docs for who interns it, and when).
     fn topic(&self) -> &'static str;
 
     /// Encode into an overlay payload (the enum itself is the payload).

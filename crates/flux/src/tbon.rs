@@ -18,7 +18,37 @@ use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
+
+/// Multiply-rotate hasher for the overlay's integer-keyed maps (rank
+/// pairs, matchtags). The keys are the program's own counters, never
+/// outside input, so SipHash's flood resistance buys nothing here and
+/// costs most of a route lookup. Deterministic — and nothing may
+/// iterate these maps in hash order.
+#[derive(Default)]
+pub(crate) struct IntHasher(u64);
+
+impl Hasher for IntHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0 ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+    fn finish(&self) -> u64 {
+        // The multiply mixes upward; the table indexes by the low bits.
+        self.0.rotate_left(26)
+    }
+}
+
+/// A `HashMap` over integer keys hashed by [`IntHasher`].
+pub(crate) type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
 
 /// A broker rank (one per node; rank 0 is the initial root).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -84,7 +114,7 @@ pub struct Tbon {
 }
 
 /// Memoized `(from, to) -> route` table for the current epoch.
-type RouteCache = RefCell<HashMap<(u32, u32), Rc<[Rank]>>>;
+type RouteCache = RefCell<IntMap<(u32, u32), Rc<[Rank]>>>;
 
 impl PartialEq for Tbon {
     fn eq(&self, other: &Tbon) -> bool {
@@ -136,7 +166,7 @@ impl Tbon {
             root: Rank::ROOT,
             epoch: 0,
             hop_latency: SimDuration::from_micros(Self::DEFAULT_HOP_LATENCY_US),
-            cache: RefCell::new(HashMap::new()),
+            cache: RouteCache::default(),
         }
     }
 

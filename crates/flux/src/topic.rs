@@ -9,15 +9,27 @@
 //! keying a stats map, or re-arming a retry costs one refcount bump
 //! instead of a heap copy.
 //!
+//! **A topic is a handle, resolved once.** [`Topic::intern`] hashes the
+//! text and is the slow path: a module interns the topics it sends on
+//! when it is constructed or loaded and passes the handle to
+//! [`Message::event`](crate::Message::event),
+//! [`Message::request`](crate::Message::request) and
+//! [`World::rpc`](crate::World::rpc) from then on, so sending a message
+//! costs a refcount bump and no hashing (DESIGN.md §15). Only strings
+//! that are not known until the call — a topic typed by an operator —
+//! are interned at the send site.
+//!
 //! The intern table is thread-local — each shard worker of the
 //! partitioned simulator interns independently, with no locks on the
 //! hot path — but the handle itself is an `Arc<str>`, so a `Topic` is
 //! `Send + Sync` and may ride inside a cross-shard boundary message.
-//! Equality, hashing, and ordering delegate to the text (never the
-//! pointer), so handles interned on different threads compare
-//! correctly. Topics are never evicted — the topic vocabulary of a
-//! simulation is a small fixed set (one entry per service method), so
-//! each table stays tiny for the lifetime of the process.
+//! Equality compares the pointers first and the text only when they
+//! differ, so two handles from one table compare in one instruction and
+//! handles interned on different threads still compare correctly;
+//! hashing and ordering always go by the text. Topics are never evicted
+//! — the topic vocabulary of a simulation is a small fixed set (one
+//! entry per service method), so each table stays tiny for the lifetime
+//! of the process.
 //!
 //! `Topic` dereferences to `str` and compares against string types in
 //! both directions, so call sites that match on `msg.topic == SOME_STR`
@@ -27,6 +39,7 @@ use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::collections::HashSet;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -39,15 +52,29 @@ thread_local! {
 /// An interned service topic, e.g. `"power-monitor.get-node-data"`.
 ///
 /// Equal topics share one allocation per thread; `Clone` is a refcount
-/// bump and `Eq`/`Hash`/`Ord` delegate to the text (not the pointer),
-/// so maps keyed by `Topic` iterate in the same order as maps keyed by
-/// the underlying strings — and topics interned on different shard
-/// threads interoperate.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// bump. `Eq` tries the pointers before the text; `Hash`/`Ord` delegate
+/// to the text, so maps keyed by `Topic` iterate in the same order as
+/// maps keyed by the underlying strings — and topics interned on
+/// different shard threads interoperate.
+#[derive(Clone, Eq, PartialOrd, Ord)]
 pub struct Topic(Arc<str>);
+
+impl PartialEq for Topic {
+    fn eq(&self, other: &Topic) -> bool {
+        Arc::ptr_eq(&self.0, &other.0) || *self.0 == *other.0
+    }
+}
+
+impl Hash for Topic {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.hash(state);
+    }
+}
 
 impl Topic {
     /// Intern `s`, returning a handle to the canonical allocation.
+    /// Hashes the text: call it where a topic becomes known, not where a
+    /// message is sent.
     pub fn intern(s: &str) -> Topic {
         INTERN.with(|t| {
             let mut table = t.borrow_mut();

@@ -18,11 +18,11 @@ use crate::message::{payload, Message, MsgKind, Payload};
 use crate::module::{ModuleCtx, SharedModule};
 use crate::sched::FcfsScheduler;
 use crate::state::{StateLog, StateValue};
-use crate::tbon::{Rank, Tbon};
+use crate::tbon::{IntMap, Rank, Tbon};
 use crate::topic::Topic;
 use fluxpm_hw::{lassen, tioga, MachineKind, NodeHardware, NodeId, Watts};
 use fluxpm_sim::{Engine, EventId, SimDuration, SimTime, Trace, TraceLevel, Xoshiro256pp};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::ops::ControlFlow;
 use std::rc::Rc;
 
@@ -337,16 +337,16 @@ pub struct FaultPlan {
     /// Profile applied to links without a per-link override.
     pub default_link: LinkProfile,
     /// Per-link overrides, keyed by the normalized (lo, hi) rank pair.
-    per_link: HashMap<(u32, u32), LinkProfile>,
+    per_link: IntMap<(u32, u32), LinkProfile>,
     /// Current burst-channel state per link (`true` = bad). Lazily
-    /// created; only read per-link, never iterated, so the `HashMap`
+    /// created; only read per-link, never iterated, so the map's order
     /// cannot perturb determinism.
-    burst_bad: HashMap<(u32, u32), bool>,
+    burst_bad: IntMap<(u32, u32), bool>,
     /// Seeded congestion windows per link, in insertion order.
-    congestion: HashMap<(u32, u32), Vec<CongestionEvent>>,
+    congestion: IntMap<(u32, u32), Vec<CongestionEvent>>,
     /// Current [`CongestionBurst`] state per (link, event index)
     /// (`true` = congested). Same determinism discipline as `burst_bad`.
-    burst_congested: HashMap<((u32, u32), u32), bool>,
+    burst_congested: IntMap<((u32, u32), u32), bool>,
     rng: Xoshiro256pp,
     dropped: u64,
     /// When set, the plan runs in *deterministic* (partition-invariant)
@@ -363,7 +363,7 @@ pub struct FaultPlan {
     /// `i`'s [`CongestionBurst`]. Each entry holds the per-window state
     /// sequence, extended on demand — a pure function of the window
     /// index, so every shard that asks sees the same answer.
-    det_chains: HashMap<((u32, u32), u32), Vec<bool>>,
+    det_chains: IntMap<((u32, u32), u32), Vec<bool>>,
 }
 
 /// Deterministic-mode burst chains advance once per fixed sub-window
@@ -402,14 +402,14 @@ impl FaultPlan {
     pub fn uniform(drop_prob: f64, jitter_max: SimDuration) -> FaultPlan {
         FaultPlan {
             default_link: LinkProfile::uniform(drop_prob, jitter_max),
-            per_link: HashMap::new(),
-            burst_bad: HashMap::new(),
-            congestion: HashMap::new(),
-            burst_congested: HashMap::new(),
+            per_link: IntMap::default(),
+            burst_bad: IntMap::default(),
+            congestion: IntMap::default(),
+            burst_congested: IntMap::default(),
             rng: Xoshiro256pp::seed_from_u64(0),
             dropped: 0,
             det_seed: None,
-            det_chains: HashMap::new(),
+            det_chains: IntMap::default(),
         }
     }
 
@@ -902,7 +902,7 @@ pub struct World {
     /// Stolen host-CPU seconds per node since the last executor slice.
     overhead: Vec<f64>,
     /// In-flight RPCs by matchtag.
-    pending_rpcs: HashMap<u64, PendingRpc>,
+    pending_rpcs: IntMap<u64, PendingRpc>,
     next_matchtag: u64,
     /// Chaos injection over TBON links, if enabled.
     faults: Option<FaultPlan>,
@@ -990,7 +990,7 @@ impl World {
             halted: false,
             autostop_after: None,
             overhead: vec![0.0; nnodes as usize],
-            pending_rpcs: HashMap::new(),
+            pending_rpcs: IntMap::default(),
             next_matchtag: 1,
             faults: None,
             links: vec![LinkQueue::default(); nnodes as usize],
@@ -1556,7 +1556,9 @@ impl World {
     /// must override it with [`RpcBuilder::from`]`(ctx.rank)`. Arm
     /// [`RpcBuilder::deadline`] and/or [`RpcBuilder::retry`] on paths
     /// that must survive failures, then launch with
-    /// [`RpcBuilder::send`].
+    /// [`RpcBuilder::send`]. `topic` is a [`Topic`] handle (or a
+    /// reference to one) for a module that calls this repeatedly; a
+    /// string is interned on the spot.
     pub fn rpc(&mut self, to: Rank, topic: impl Into<Topic>, p: Payload) -> RpcBuilder<'_> {
         let from = self.root();
         RpcBuilder {
@@ -2103,21 +2105,36 @@ impl World {
         }
     }
 
-    /// Mutable references to a set of nodes, in the order given.
+    /// Mutable references to a set of nodes, in the order given. The
+    /// ids must be distinct (two `&mut` to one node cannot exist); an id
+    /// past the cluster yields nothing. Costs O(k log k) in the size of
+    /// the set, not a walk over the cluster.
     pub fn nodes_mut(&mut self, ids: &[NodeId]) -> Vec<&mut NodeHardware> {
-        let want: HashMap<usize, usize> = ids
+        // Visit the wanted nodes in index order with one cursor over the
+        // node array, dropping each reference into its caller's position.
+        let mut by_index: Vec<(usize, usize)> = ids
             .iter()
             .enumerate()
             .map(|(pos, n)| (n.index(), pos))
             .collect();
-        let mut picked: Vec<(usize, &mut NodeHardware)> = self
-            .nodes
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(i, n)| want.get(&i).map(|&pos| (pos, n)))
-            .collect();
-        picked.sort_by_key(|(pos, _)| *pos);
-        picked.into_iter().map(|(_, n)| n).collect()
+        by_index.sort_unstable();
+        debug_assert!(
+            by_index.windows(2).all(|w| w[0].0 != w[1].0),
+            "nodes_mut: duplicate node id in {ids:?}"
+        );
+        let mut picked: Vec<Option<&mut NodeHardware>> = Vec::new();
+        picked.resize_with(ids.len(), || None);
+        let mut rest = self.nodes.iter_mut();
+        let mut next = 0;
+        for (index, pos) in by_index {
+            // `None`: a repeated id, already handed out.
+            let Some(skip) = index.checked_sub(next) else {
+                continue;
+            };
+            picked[pos] = rest.nth(skip);
+            next = index + 1;
+        }
+        picked.into_iter().flatten().collect()
     }
 
     /// Run one program slice. `starting` selects `on_start` vs `step`.

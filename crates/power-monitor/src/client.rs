@@ -24,7 +24,7 @@ use crate::proto::{
 };
 use crate::subscription::{SubscriberId, SubscriptionFilter};
 use crate::tree_reduce::SubtreeStats;
-use fluxpm_flux::{FluxEngine, JobId, Protocol, Rank, RetryPolicy, World};
+use fluxpm_flux::{FluxEngine, JobId, Payload, Protocol, Rank, RetryPolicy, World};
 use fluxpm_sim::SimDuration;
 use std::cell::RefCell;
 use std::fmt::Write as _;
@@ -155,7 +155,7 @@ impl MonitorQuery {
         self,
         world: &mut World,
         eng: &mut FluxEngine,
-        cb: impl FnOnce(Result<MonitorReply, String>) + 'static,
+        cb: impl FnOnce(Result<SharedReply, String>) + 'static,
     ) {
         let req = match self.kind {
             QueryKind::JobData(job) => MonitorRequest::JobData(JobDataRequest { job }),
@@ -199,12 +199,11 @@ impl MonitorQuery {
             rpc = rpc.retry(policy);
         }
         rpc.send(eng, move |_, _, resp| {
-            // The payload is shared with the sender, so keeping the
-            // reply clones it — per node for a job-data reply, whose
-            // records stay the node agents' slices.
+            // Keeping the reply is keeping the payload it arrived in: one
+            // reference-count bump, whatever the reply holds.
             let result = match (&resp.error, MonitorReply::decode_ref(resp)) {
                 (Some(e), _) => Err(e.clone()),
-                (None, Ok(reply)) => Ok(reply.clone()),
+                (None, Ok(_)) => Ok(SharedReply(Rc::clone(&resp.payload))),
                 (None, Err(e)) => Err(e.reason),
             };
             cb(result);
@@ -212,7 +211,27 @@ impl MonitorQuery {
     }
 }
 
-type QuerySlot = Rc<RefCell<Option<Result<MonitorReply, String>>>>;
+/// A reply as the client keeps it: the payload the responder sent,
+/// checked on arrival to decode as a [`MonitorReply`] on its topic.
+#[derive(Clone)]
+struct SharedReply(Payload);
+
+impl std::ops::Deref for SharedReply {
+    type Target = MonitorReply;
+    fn deref(&self) -> &MonitorReply {
+        self.0
+            .downcast_ref()
+            .expect("decoded as a MonitorReply on arrival")
+    }
+}
+
+impl std::fmt::Debug for SharedReply {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
+type QuerySlot = Rc<RefCell<Option<Result<SharedReply, String>>>>;
 
 /// The eventual result of a [`MonitorQuery`]: empty until the engine
 /// delivers the reply (or a deadline fires), then holds the typed
@@ -228,14 +247,17 @@ pub struct QueryHandle {
 /// mismatch into an error.
 macro_rules! extract {
     ($slot:expr, $what:literal, $pat:pat => $out:expr) => {
-        $slot.borrow().as_ref().map(|result| match result {
-            Ok($pat) => Ok($out.clone()),
-            Ok(other) => Err(format!(
-                concat!("expected ", $what, " reply, got {:?}"),
-                other
-            )),
-            Err(e) => Err(e.clone()),
-        })
+        $slot
+            .borrow()
+            .as_ref()
+            .map(|result| match result.as_deref() {
+                Ok($pat) => Ok($out.clone()),
+                Ok(other) => Err(format!(
+                    concat!("expected ", $what, " reply, got {:?}"),
+                    other
+                )),
+                Err(e) => Err(e.clone()),
+            })
     };
 }
 
@@ -247,7 +269,9 @@ impl QueryHandle {
 
     /// The raw reply, if available.
     pub fn reply(&self) -> Option<Result<MonitorReply, String>> {
-        self.slot.borrow().clone()
+        let slot = self.slot.borrow();
+        let result = slot.as_ref()?.as_deref();
+        Some(result.cloned().map_err(String::clone))
     }
 
     /// The reply to a [`MonitorQuery::job_data`] query.
@@ -275,7 +299,8 @@ impl QueryHandle {
         extract!(self.slot, "unsubscribe", MonitorReply::Unsubscribed(b) => b)
     }
 
-    /// The deltas drained by a [`MonitorQuery::poll`].
+    /// The deltas drained by a [`MonitorQuery::poll`]: the relay's own
+    /// slice, shared (no per-delta work however large the batch).
     pub fn deltas(&self) -> Option<Result<DeltaBatch, String>> {
         extract!(self.slot, "poll", MonitorReply::Deltas(b) => b)
     }

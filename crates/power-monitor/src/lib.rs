@@ -47,7 +47,7 @@ pub use node_agent::NodeAgent;
 pub use proto::{
     DeltaBatch, JobDataReply, JobDataRequest, JobStatsReply, JobStatsRequest, MonitorReply,
     MonitorRequest, NodeDataReply, NodeDataRequest, NodeStats, PowerRecord, RelayAdvert,
-    RelayDeltaBatch, RelaySeedReply, RelaySubscribeRequest, SamplePush,
+    RelayDeltaBatch, RelaySeedReply, RelaySubscribeRequest, SamplePush, SharedDeltas,
 };
 pub use relay::{AggregateFilter, RelayPlane, TelemetryRelay, MAX_AGGREGATE_TERMS, RELAY};
 pub use ring::RingBuffer;

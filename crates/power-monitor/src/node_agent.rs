@@ -32,8 +32,18 @@ pub const TOPIC_NODE_DATA: &str = "power-monitor.node-data";
 /// (computed locally; only a few numbers cross the overlay).
 pub const TOPIC_NODE_STATS: &str = "power-monitor.node-stats";
 
+/// The node agent's topics, interned once when the agent is built: the
+/// three it serves and the one it pushes on.
+struct NodeAgentTopics {
+    node_data: Topic,
+    node_stats: Topic,
+    subtree_stats: Topic,
+    sample_push: Topic,
+}
+
 /// The `flux-power-monitor` node agent.
 pub struct NodeAgent {
+    topics: NodeAgentTopics,
     config: MonitorConfig,
     buffer: RingBuffer<PowerRecord>,
     /// Total sensor reads performed (diagnostics).
@@ -71,6 +81,12 @@ impl NodeAgent {
     pub fn new(config: MonitorConfig) -> NodeAgent {
         let buffer = RingBuffer::new(config.buffer_capacity);
         NodeAgent {
+            topics: NodeAgentTopics {
+                node_data: Topic::intern(TOPIC_NODE_DATA),
+                node_stats: Topic::intern(TOPIC_NODE_STATS),
+                subtree_stats: Topic::intern(crate::tree_reduce::TOPIC_SUBTREE_STATS),
+                sample_push: Topic::intern(crate::subscription::TOPIC_SAMPLE_PUSH),
+            },
             config,
             buffer,
             samples_taken: 0,
@@ -256,7 +272,7 @@ impl NodeAgent {
             ..RetryPolicy::default()
         };
         ctx.world
-            .rpc(root, req.topic(), req.encode())
+            .rpc(root, &self.topics.sample_push, req.encode())
             .from(from)
             .retry(policy)
             .send(ctx.eng, |_, _, _| {});
@@ -293,10 +309,11 @@ impl Module for NodeAgent {
     }
 
     fn topics(&self) -> Vec<Topic> {
+        let t = &self.topics;
         vec![
-            TOPIC_NODE_DATA.into(),
-            TOPIC_NODE_STATS.into(),
-            crate::tree_reduce::TOPIC_SUBTREE_STATS.into(),
+            t.node_data.clone(),
+            t.node_stats.clone(),
+            t.subtree_stats.clone(),
         ]
     }
 

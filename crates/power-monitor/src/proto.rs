@@ -6,6 +6,7 @@
 //! topic). All monitor traffic travels as these two enums — handlers
 //! decode them instead of downcasting raw payloads.
 
+use crate::subscription::TelemetryDelta;
 use fluxpm_flux::{JobId, Protocol};
 use fluxpm_variorum::NodePowerSample;
 use std::cell::RefCell;
@@ -353,13 +354,52 @@ pub struct SamplePush {
     pub node_w: f64,
 }
 
+/// The deltas of one batch: an immutable slice built once by whoever
+/// fills the batch and shared by every later holder — the wire message,
+/// the client's [`QueryHandle`](crate::QueryHandle), each call to
+/// [`QueryHandle::deltas`](crate::QueryHandle::deltas) — so cloning a
+/// batch of 4,096 deltas is one reference-count bump, the same as a
+/// batch of one. Reads like `&[Arc<TelemetryDelta>]`: `len()`,
+/// indexing, `for d in &batch.deltas`.
+#[derive(Clone, PartialEq, Default)]
+pub struct SharedDeltas(Arc<[Arc<TelemetryDelta>]>);
+
+impl std::ops::Deref for SharedDeltas {
+    type Target = [Arc<TelemetryDelta>];
+    fn deref(&self) -> &[Arc<TelemetryDelta>] {
+        &self.0
+    }
+}
+
+impl<'a> IntoIterator for &'a SharedDeltas {
+    type Item = &'a Arc<TelemetryDelta>;
+    type IntoIter = std::slice::Iter<'a, Arc<TelemetryDelta>>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+/// One allocation when the iterator knows its length (`Vec::drain`,
+/// `Vec::into_iter`), the slice itself.
+impl FromIterator<Arc<TelemetryDelta>> for SharedDeltas {
+    fn from_iter<I: IntoIterator<Item = Arc<TelemetryDelta>>>(iter: I) -> SharedDeltas {
+        SharedDeltas(iter.into_iter().collect())
+    }
+}
+
+impl fmt::Debug for SharedDeltas {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.0.iter()).finish()
+    }
+}
+
 /// Root → client reply to a poll: the drained deltas ([`std::sync::Arc`]-shared
 /// with the hub — fan-out never copies sample payloads) plus the
 /// subscriber's cumulative shed count for backpressure visibility.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeltaBatch {
     /// Drained deltas, oldest first.
-    pub deltas: Vec<std::sync::Arc<crate::subscription::TelemetryDelta>>,
+    pub deltas: SharedDeltas,
     /// Deltas this subscriber has lost to its bounded queue so far.
     pub dropped: u64,
 }
@@ -411,7 +451,7 @@ pub struct RelayAdvert {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RelayDeltaBatch {
     /// Deltas matching the edge's aggregate, oldest first.
-    pub deltas: Vec<std::sync::Arc<crate::subscription::TelemetryDelta>>,
+    pub deltas: SharedDeltas,
     /// Deltas this edge has coalesced away under backpressure so far.
     pub shed: u64,
 }

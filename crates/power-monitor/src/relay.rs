@@ -53,7 +53,7 @@ use crate::subscription::{
 };
 use fluxpm_flux::{Message, Module, ModuleCtx, MsgKind, Protocol, Rank, Topic};
 use fluxpm_sim::SimDuration;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 /// Module name of the per-broker relay.
@@ -175,26 +175,67 @@ impl AggregateFilter {
 // Per-edge batching and coalescing
 // ---------------------------------------------------------------------------
 
+/// What a full batch coalesces on: one survivor per (node, is-link).
+type DeltaKey = (u32, bool);
+
+fn delta_key(delta: &TelemetryDelta) -> DeltaKey {
+    (delta.node, delta.link.is_some())
+}
+
 /// One edge's pending downstream batch.
 #[derive(Debug, Default)]
 struct EdgeBatch {
-    deltas: Vec<Arc<TelemetryDelta>>,
+    deltas: VecDeque<Arc<TelemetryDelta>>,
     /// Deltas coalesced or shed on this edge so far (cumulative,
     /// reported in every [`RelayDeltaBatch`]).
     shed: u64,
+    /// The keys of `deltas` while they are known to be pairwise
+    /// distinct: set by a coalesce that found nothing to merge, kept
+    /// current as the oldest is shed and new deltas are staged, dropped
+    /// when a staged delta repeats a key or the batch is flushed. While
+    /// it is `Some`, a full batch has nothing to coalesce, so sustained
+    /// backpressure costs O(1) per delta instead of a pass over the
+    /// batch.
+    distinct: Option<HashSet<DeltaKey>>,
+}
+
+impl EdgeBatch {
+    /// Stage one delta; at `cap` first coalesce, then shed the oldest.
+    fn stage(&mut self, delta: &Arc<TelemetryDelta>, cap: usize) {
+        if self.deltas.len() >= cap && self.distinct.is_none() {
+            let (merged, keys) = coalesce(&mut self.deltas);
+            self.shed += merged;
+            if merged == 0 {
+                self.distinct = Some(keys);
+            }
+        }
+        if self.deltas.len() >= cap {
+            let oldest = self.deltas.pop_front().expect("cap >= 1");
+            if let Some(keys) = &mut self.distinct {
+                keys.remove(&delta_key(&oldest));
+            }
+            self.shed += 1;
+        }
+        if let Some(keys) = &mut self.distinct {
+            if !keys.insert(delta_key(delta)) {
+                self.distinct = None;
+            }
+        }
+        self.deltas.push_back(Arc::clone(delta));
+    }
 }
 
 /// Collapse a full batch to the latest delta per (node, kind), keeping
 /// sequence order among survivors. Returns how many were coalesced
-/// away. This is the edge-level analogue of the hub's latest-per-node
-/// snapshot: under backpressure, consumers get *state updates*, not a
-/// replayed firehose.
-fn coalesce(deltas: &mut Vec<Arc<TelemetryDelta>>) -> u64 {
+/// away, and the survivors' keys. This is the edge-level analogue of
+/// the hub's latest-per-node snapshot: under backpressure, consumers
+/// get *state updates*, not a replayed firehose.
+fn coalesce(deltas: &mut VecDeque<Arc<TelemetryDelta>>) -> (u64, HashSet<DeltaKey>) {
     let before = deltas.len();
-    let mut seen = std::collections::HashSet::with_capacity(before);
+    let mut seen = HashSet::with_capacity(before);
     let mut keep = vec![false; before];
     for (i, d) in deltas.iter().enumerate().rev() {
-        if seen.insert((d.node, d.link.is_some())) {
+        if seen.insert(delta_key(d)) {
             keep[i] = true;
         }
     }
@@ -204,7 +245,7 @@ fn coalesce(deltas: &mut Vec<Arc<TelemetryDelta>>) -> u64 {
         idx += 1;
         k
     });
-    (before - deltas.len()) as u64
+    ((before - deltas.len()) as u64, seen)
 }
 
 /// The downstream fan-out half of a relay: per-child aggregate filters
@@ -215,6 +256,10 @@ fn coalesce(deltas: &mut Vec<Arc<TelemetryDelta>>) -> u64 {
 pub struct RelayPlane {
     children: BTreeMap<u32, AggregateFilter>,
     pending: BTreeMap<u32, EdgeBatch>,
+    /// Where a flushed batch is lined up before its one allocation (a
+    /// `Vec` drain knows its length, so the shared slice is built in
+    /// place); kept so a flush allocates nothing else.
+    lineup: Vec<Arc<TelemetryDelta>>,
     batch_capacity: usize,
     egress_msgs: u64,
     egress_deltas: u64,
@@ -281,37 +326,39 @@ impl RelayPlane {
             if !agg.matches(delta) {
                 continue;
             }
-            let batch = self.pending.entry(child).or_default();
-            if batch.deltas.len() >= cap {
-                batch.shed += coalesce(&mut batch.deltas);
-                if batch.deltas.len() >= cap {
-                    batch.deltas.remove(0);
-                    batch.shed += 1;
-                }
-            }
-            batch.deltas.push(Arc::clone(delta));
+            self.pending.entry(child).or_default().stage(delta, cap);
         }
     }
 
-    /// Drain every non-empty edge batch: one wire message per edge per
-    /// flush, regardless of how many subscribers sit below it.
-    pub fn flush(&mut self) -> Vec<(u32, RelayDeltaBatch)> {
-        let mut out = Vec::new();
+    /// Drain every non-empty edge batch into `send`, in child order: one
+    /// wire message per edge per flush, regardless of how many
+    /// subscribers sit below it. Each batch costs one allocation (its
+    /// shared slice); the edges keep their buffers.
+    pub fn flush_with(&mut self, mut send: impl FnMut(u32, RelayDeltaBatch)) {
         for (&child, batch) in self.pending.iter_mut() {
             if batch.deltas.is_empty() {
                 continue;
             }
-            let deltas = std::mem::take(&mut batch.deltas);
+            batch.distinct = None;
+            self.lineup.extend(batch.deltas.drain(..));
             self.egress_msgs += 1;
-            self.egress_deltas += deltas.len() as u64;
-            out.push((
+            self.egress_deltas += self.lineup.len() as u64;
+            let deltas = self.lineup.drain(..).collect();
+            send(
                 child,
                 RelayDeltaBatch {
                     deltas,
                     shed: batch.shed,
                 },
-            ));
+            );
         }
+    }
+
+    /// [`RelayPlane::flush_with`] collected into a vector, for callers
+    /// that inspect the batches rather than send them.
+    pub fn flush(&mut self) -> Vec<(u32, RelayDeltaBatch)> {
+        let mut out = Vec::new();
+        self.flush_with(|child, batch| out.push((child, batch)));
         out
     }
 
@@ -340,6 +387,7 @@ impl RelayPlane {
 /// fan-out in [`RelayPlane`], and an upward [`AggregateFilter`] advert
 /// kept current across unsubscribes, evictions, and topology changes.
 pub struct TelemetryRelay {
+    topics: RelayTopics,
     hub: TelemetryHub,
     plane: RelayPlane,
     /// Client subscribes parked until the root's seed arrives, by
@@ -359,6 +407,32 @@ pub struct TelemetryRelay {
     next_ingest: u64,
 }
 
+/// The relay's topics, interned once when the relay is built: the seven
+/// it serves, four of which it also sends on.
+struct RelayTopics {
+    subscribe: Topic,
+    unsubscribe: Topic,
+    poll: Topic,
+    relay_subscribe: Topic,
+    relay_seed: Topic,
+    relay_advert: Topic,
+    relay_deltas: Topic,
+}
+
+impl RelayTopics {
+    fn intern() -> RelayTopics {
+        RelayTopics {
+            subscribe: Topic::intern(TOPIC_SUBSCRIBE),
+            unsubscribe: Topic::intern(TOPIC_UNSUBSCRIBE),
+            poll: Topic::intern(TOPIC_POLL),
+            relay_subscribe: Topic::intern(TOPIC_RELAY_SUBSCRIBE),
+            relay_seed: Topic::intern(TOPIC_RELAY_SEED),
+            relay_advert: Topic::intern(TOPIC_RELAY_ADVERT),
+            relay_deltas: Topic::intern(TOPIC_RELAY_DELTAS),
+        }
+    }
+}
+
 impl TelemetryRelay {
     /// A relay with the given subscriber bounds, edge batch capacity,
     /// and flush cadence (`None` flushes synchronously per ingest —
@@ -369,6 +443,7 @@ impl TelemetryRelay {
         flush_every: Option<SimDuration>,
     ) -> TelemetryRelay {
         TelemetryRelay {
+            topics: RelayTopics::intern(),
             hub: TelemetryHub::new(subs),
             plane: RelayPlane::new(batch_capacity),
             pending_subs: BTreeMap::new(),
@@ -432,12 +507,7 @@ impl TelemetryRelay {
         Some(f(agent))
     }
 
-    fn send_event(
-        ctx: &mut ModuleCtx<'_>,
-        to: Rank,
-        topic: &'static str,
-        payload: fluxpm_flux::Payload,
-    ) {
+    fn send_event(ctx: &mut ModuleCtx<'_>, to: Rank, topic: &Topic, payload: fluxpm_flux::Payload) {
         let ev = Message::event(ctx.rank, to, topic, payload);
         ctx.world.send(ctx.eng, ev);
     }
@@ -481,14 +551,15 @@ impl TelemetryRelay {
             return;
         }
         let req = MonitorRequest::RelayAdvert(RelayAdvert { aggregate: agg });
-        Self::send_event(ctx, parent, TOPIC_RELAY_ADVERT, req.encode());
+        Self::send_event(ctx, parent, &self.topics.relay_advert, req.encode());
     }
 
     fn flush_downstream(&mut self, ctx: &mut ModuleCtx<'_>) {
-        for (child, batch) in self.plane.flush() {
+        let topic = &self.topics.relay_deltas;
+        self.plane.flush_with(|child, batch| {
             let req = MonitorRequest::RelayDeltas(batch);
-            Self::send_event(ctx, Rank(child), TOPIC_RELAY_DELTAS, req.encode());
-        }
+            Self::send_event(ctx, Rank(child), topic, req.encode());
+        });
     }
 
     fn on_subscribe(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message, req: SubscribeRequest) {
@@ -528,7 +599,7 @@ impl TelemetryRelay {
             origin: ctx.rank.0,
             filter: req.filter,
         });
-        Self::send_event(ctx, parent, TOPIC_RELAY_SUBSCRIBE, climb.encode());
+        Self::send_event(ctx, parent, &self.topics.relay_subscribe, climb.encode());
     }
 
     fn on_relay_subscribe(
@@ -554,7 +625,12 @@ impl TelemetryRelay {
                 deltas,
                 horizon,
             });
-            Self::send_event(ctx, Rank(req.origin), TOPIC_RELAY_SEED, seed.encode());
+            Self::send_event(
+                ctx,
+                Rank(req.origin),
+                &self.topics.relay_seed,
+                seed.encode(),
+            );
             return;
         }
         // Widen our edge to the child *before* forwarding, so deltas
@@ -563,7 +639,7 @@ impl TelemetryRelay {
         self.plane.merge_child(child, &req.filter);
         if let Some(parent) = ctx.world.tbon.parent(ctx.rank) {
             let climb = MonitorRequest::RelaySubscribe(req);
-            Self::send_event(ctx, parent, TOPIC_RELAY_SUBSCRIBE, climb.encode());
+            Self::send_event(ctx, parent, &self.topics.relay_subscribe, climb.encode());
         }
     }
 
@@ -593,7 +669,10 @@ impl TelemetryRelay {
     fn on_poll(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message, req: PollRequest) {
         match self.hub.poll(req.sub, req.max) {
             Some((deltas, dropped)) => {
-                let batch = DeltaBatch { deltas, dropped };
+                let batch = DeltaBatch {
+                    deltas: deltas.into_iter().collect(),
+                    dropped,
+                };
                 ctx.world
                     .respond(ctx.eng, msg, MonitorReply::Deltas(batch).encode());
             }
@@ -647,14 +726,15 @@ impl Module for TelemetryRelay {
     }
 
     fn topics(&self) -> Vec<Topic> {
+        let t = &self.topics;
         vec![
-            TOPIC_SUBSCRIBE.into(),
-            TOPIC_UNSUBSCRIBE.into(),
-            TOPIC_POLL.into(),
-            TOPIC_RELAY_SUBSCRIBE.into(),
-            TOPIC_RELAY_SEED.into(),
-            TOPIC_RELAY_ADVERT.into(),
-            TOPIC_RELAY_DELTAS.into(),
+            t.subscribe.clone(),
+            t.unsubscribe.clone(),
+            t.poll.clone(),
+            t.relay_subscribe.clone(),
+            t.relay_seed.clone(),
+            t.relay_advert.clone(),
+            t.relay_deltas.clone(),
         ]
     }
 
@@ -688,7 +768,7 @@ impl Module for TelemetryRelay {
                 Err(e) => ctx.world.respond_error(ctx.eng, msg, e.reason),
             },
             MsgKind::Event => {
-                if msg.topic.as_str() == TOPIC_RELAY_SEED {
+                if msg.topic == self.topics.relay_seed {
                     if let Ok(MonitorReply::RelaySeed(seed)) = MonitorReply::decode_ref(msg) {
                         self.on_relay_seed(ctx, seed);
                     }
@@ -744,7 +824,7 @@ impl Module for TelemetryRelay {
                         origin: ctx.rank.0,
                         filter,
                     });
-                    Self::send_event(ctx, parent, TOPIC_RELAY_SUBSCRIBE, climb.encode());
+                    Self::send_event(ctx, parent, &self.topics.relay_subscribe, climb.encode());
                 }
             }
         }
@@ -851,6 +931,36 @@ mod tests {
         let seqs: Vec<u64> = flushed[0].1.deltas.iter().map(|d| d.seq).collect();
         assert_eq!(seqs, vec![1, 2]);
         assert_eq!(flushed[0].1.shed, 1);
+    }
+
+    /// Sustained backpressure over distinct keys: nothing coalesces, so
+    /// every delta past the capacity sheds exactly the oldest — the same
+    /// counts and survivors as coalescing the batch before every shed.
+    #[test]
+    fn sustained_distinct_backpressure_sheds_one_oldest_per_delta() {
+        const CAP: usize = 8;
+        let mut plane = RelayPlane::new(CAP);
+        plane.set_child(1, AggregateFilter::everything());
+        for i in 0..(10 * CAP as u64) {
+            plane.offer(&delta(i, i as u32, i, None));
+        }
+        // A repeated key ends the distinct stretch: the next full batch
+        // coalesces again (node 75's older delta goes) instead of
+        // shedding the oldest.
+        plane.offer(&delta(80, 75, 80, None));
+        plane.offer(&delta(81, 1_000, 81, None));
+        let flushed = plane.flush();
+        let seqs: Vec<u64> = flushed[0].1.deltas.iter().map(|d| d.seq).collect();
+        assert_eq!(seqs, vec![73, 74, 76, 77, 78, 79, 80, 81]);
+        assert_eq!(flushed[0].1.shed, 9 * CAP as u64 + 1 + 1);
+
+        // The flush forgot the stretch: a refilled batch coalesces first.
+        for i in 0..=CAP as u64 {
+            plane.offer(&delta(100 + i, 7, i, None));
+        }
+        let flushed = plane.flush();
+        assert_eq!(flushed[0].1.deltas.len(), 2, "7 merged, then one more");
+        assert_eq!(flushed[0].1.shed, 9 * CAP as u64 + 2 + 7);
     }
 
     #[test]

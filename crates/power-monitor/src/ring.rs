@@ -35,11 +35,13 @@ pub struct RingBuffer<T> {
 }
 
 impl<T> RingBuffer<T> {
-    /// An empty buffer holding at most `capacity` elements.
+    /// An empty buffer holding at most `capacity` elements. Allocates
+    /// nothing: storage grows as elements arrive, never past `capacity`
+    /// (most rings of a large fleet hold a handful of records).
     pub fn new(capacity: usize) -> RingBuffer<T> {
         assert!(capacity > 0, "ring buffer needs capacity >= 1");
         RingBuffer {
-            buf: Vec::with_capacity(capacity.min(4096)),
+            buf: Vec::new(),
             capacity,
             head: 0,
             pushed: 0,
@@ -94,6 +96,11 @@ impl<T> RingBuffer<T> {
     pub fn push(&mut self, value: T) -> Option<T> {
         self.pushed += 1;
         if self.buf.len() < self.capacity {
+            if self.buf.len() == self.buf.capacity() {
+                // Double, but stop at `capacity`.
+                let room = self.capacity - self.buf.len();
+                self.buf.reserve_exact(self.buf.len().max(4).min(room));
+            }
             self.buf.push(value);
             None
         } else {
@@ -180,6 +187,23 @@ mod tests {
         assert_eq!(r.iter().copied().collect::<Vec<_>>(), vec![4, 5, 6]);
         assert_eq!(r.overwritten(), 4);
         assert_eq!(r.total_pushed(), 7);
+    }
+
+    #[test]
+    fn storage_grows_on_demand_and_stops_at_capacity() {
+        let mut r = RingBuffer::new(100_000);
+        assert_eq!(r.buf.capacity(), 0, "an empty ring holds no storage");
+        r.push(0u64);
+        assert_eq!(r.buf.capacity(), 4);
+        let mut r = RingBuffer::new(6);
+        for i in 0..20u64 {
+            r.push(i);
+            assert!(r.buf.capacity() <= 6, "push {i}: {}", r.buf.capacity());
+        }
+        assert_eq!(
+            r.iter().copied().collect::<Vec<_>>(),
+            (14..20).collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -92,8 +92,20 @@ fn finish_inflight(world: &mut World, eng: &FluxEngine, inflight: &InflightMap, 
     }
 }
 
+/// The root agent's topics, interned once when the agent is built: the
+/// three it serves and the three it sends on.
+struct RootAgentTopics {
+    get_job_data: Topic,
+    get_job_stats: Topic,
+    sample_push: Topic,
+    node_data: Topic,
+    node_stats: Topic,
+    relay_deltas: Topic,
+}
+
 /// The `flux-power-monitor` root agent.
 pub struct RootAgent {
+    topics: RootAgentTopics,
     /// Client requests taken up (diagnostics): counted when a request's
     /// fan-out *starts* (or it is answered on the spot), not when its
     /// reply goes out — requests still in `inflight` are included.
@@ -139,6 +151,14 @@ impl RootAgent {
     /// Create an unloaded agent with explicit subscription tuning.
     pub fn with_subscriptions(deadline: SimDuration, subs: SubscriptionConfig) -> RootAgent {
         RootAgent {
+            topics: RootAgentTopics {
+                get_job_data: Topic::intern(TOPIC_GET_JOB_DATA),
+                get_job_stats: Topic::intern(TOPIC_GET_JOB_STATS),
+                sample_push: Topic::intern(TOPIC_SAMPLE_PUSH),
+                node_data: Topic::intern(TOPIC_NODE_DATA),
+                node_stats: Topic::intern(TOPIC_NODE_STATS),
+                relay_deltas: Topic::intern(TOPIC_RELAY_DELTAS),
+            },
             served: 0,
             deadline,
             inflight: Rc::new(RefCell::new(BTreeMap::new())),
@@ -249,11 +269,12 @@ impl RootAgent {
     }
 
     fn flush_downstream(&mut self, ctx: &mut ModuleCtx<'_>) {
-        for (child, batch) in self.plane.flush() {
+        let topic = &self.topics.relay_deltas;
+        self.plane.flush_with(|child, batch| {
             let req = MonitorRequest::RelayDeltas(batch);
-            let ev = Message::event(ctx.rank, Rank(child), TOPIC_RELAY_DELTAS, req.encode());
+            let ev = Message::event(ctx.rank, Rank(child), topic, req.encode());
             ctx.world.send(ctx.eng, ev);
-        }
+        });
     }
 
     /// Arm the periodic downstream flush on the hosting rank (same
@@ -396,7 +417,7 @@ impl RootAgent {
             let inflight = Rc::clone(&self.inflight);
             let req = MonitorRequest::NodeData(NodeDataRequest { start_us, end_us });
             ctx.world
-                .rpc(rank, TOPIC_NODE_DATA, req.encode())
+                .rpc(rank, &self.topics.node_data, req.encode())
                 .from(self_rank)
                 .retry(policy)
                 .send(ctx.eng, move |world, eng, resp| {
@@ -492,7 +513,7 @@ impl RootAgent {
             let inflight = Rc::clone(&self.inflight);
             let req = MonitorRequest::NodeStats(NodeDataRequest { start_us, end_us });
             ctx.world
-                .rpc(rank, TOPIC_NODE_STATS, req.encode())
+                .rpc(rank, &self.topics.node_stats, req.encode())
                 .from(self_rank)
                 .retry(policy)
                 .send(ctx.eng, move |world, eng, resp| {
@@ -570,10 +591,11 @@ impl Module for RootAgent {
     fn topics(&self) -> Vec<Topic> {
         // Subscribe/unsubscribe/poll are served by the per-broker
         // relays (uniformly, including on the root rank).
+        let t = &self.topics;
         vec![
-            TOPIC_GET_JOB_DATA.into(),
-            TOPIC_GET_JOB_STATS.into(),
-            TOPIC_SAMPLE_PUSH.into(),
+            t.get_job_data.clone(),
+            t.get_job_stats.clone(),
+            t.sample_push.clone(),
         ]
     }
 
@@ -708,7 +730,7 @@ impl Module for RootAgent {
             .borrow()
             .values()
             .map(|msg| {
-                let kind = if msg.topic.as_str() == TOPIC_GET_JOB_STATS {
+                let kind = if msg.topic == self.topics.get_job_stats {
                     "stats"
                 } else {
                     "data"

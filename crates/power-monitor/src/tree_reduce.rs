@@ -158,7 +158,9 @@ fn issue_child(
     // Scale the deadline by the child's subtree height so this rank
     // outlives its child's own per-grandchild deadlines: a leaf gets
     // the base deadline, its parent 2x, and so on up the tree.
-    let (deadline, sub_req) = {
+    // The sub-request travels on the topic the request arrived on: the
+    // handle is already in hand.
+    let (deadline, sub_req, topic) = {
         let mut p = pending.borrow_mut();
         p.remaining += 1;
         let deadline = p
@@ -169,15 +171,11 @@ fn issue_child(
             end_us: p.end_us,
             targets: covered.clone(),
         };
-        (deadline, sub_req)
+        (deadline, sub_req, p.request.topic.clone())
     };
     let pending = Rc::clone(pending);
     world
-        .rpc(
-            child,
-            TOPIC_SUBTREE_STATS,
-            MonitorRequest::SubtreeStats(sub_req).encode(),
-        )
+        .rpc(child, topic, MonitorRequest::SubtreeStats(sub_req).encode())
         .from(self_rank)
         .deadline(deadline)
         .send(eng, move |world, eng, resp| {

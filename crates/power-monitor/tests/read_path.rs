@@ -198,18 +198,23 @@ fn a_sampling_tick_allocates_a_fixed_number_of_blocks() {
     assert_eq!(allocs, 0, "a copy is a reference-count bump");
     assert!(std::ptr::eq(copy.raw_json(), record.raw_json()));
 
-    // A whole tick through the engine: the same count every tick,
-    // whatever the ring holds. The sensor scan is `hw-models`' and
-    // allocates the rest; the monitor adds the record and nothing else.
+    // A whole tick through the engine: the same count every tick once
+    // the ring is at capacity (until then its storage doubles with its
+    // contents, a logarithmic number of times). The sensor scan is
+    // `hw-models`' and allocates the rest; the monitor adds the record
+    // and nothing else.
     let mut w = World::new(MachineKind::Lassen, 1, 3);
     w.nodes[0].read_sensors();
     let (sensor_scan, _) = allocs_during(|| w.nodes[0].read_sensors());
     let per_tick = sensor_scan + 1;
     let mut eng: FluxEngine = Engine::new();
-    let config = MonitorConfig::default().with_sample_interval(SimDuration::from_secs(1));
+    let config = MonitorConfig::default()
+        .with_sample_interval(SimDuration::from_secs(1))
+        .with_buffer_capacity(4);
     let agent = NodeAgent::shared(config);
     w.load_module(&mut eng, Rank(0), agent.clone());
-    // Warm-up: the thread's assembly buffer and the sample's vectors.
+    // Warm-up: the thread's assembly buffer, the sample's vectors, and
+    // four ticks to fill the ring.
     eng.run_until(&mut w, SimTime::from_millis(4_500));
     for (until_ms, ticks) in [(5_500, 1), (15_500, 10), (115_500, 100)] {
         let before = agent.borrow().samples_taken();

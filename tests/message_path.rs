@@ -1,0 +1,429 @@
+//! What one message costs, pinned — the message-path rules of DESIGN.md
+//! §15 as tests rather than as a benchmark reading:
+//!
+//! * a topic is a handle resolved once, a broker's tables are small
+//!   vectors, and both keep the dispatch semantics the hash maps had;
+//! * a batch of deltas is built once and shared, so what a relayed delta
+//!   or a poll reply allocates does not depend on how many deltas ride
+//!   in it or on who reads it;
+//! * `World::nodes_mut` and `RingBuffer::new` cost what their arguments
+//!   say, not what the cluster or the configured capacity says.
+//!
+//! A counting `#[global_allocator]` wraps the system allocator; counters
+//! are thread-local so the measurement is immune to other test threads
+//! allocating concurrently (the `crates/fft/tests/alloc_free.rs` harness).
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::{Cell, RefCell};
+use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
+use std::rc::Rc;
+
+use fluxpm::flux::{
+    Broker, Engine, FluxEngine, Message, Module, ModuleCtx, Protocol, Rank, SharedModule, Tbon,
+    Topic, World,
+};
+use fluxpm::hw::{MachineKind, NodeHardware, NodeId};
+use fluxpm::monitor::subscription::TOPIC_SAMPLE_PUSH;
+use fluxpm::monitor::{
+    MonitorConfig, MonitorQuery, MonitorRequest, QueryHandle, RingBuffer, SamplePush, SubscriberId,
+    SubscriptionFilter,
+};
+use fluxpm::sim::SimDuration;
+use proptest::prelude::*;
+
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations performed by `f` on this thread.
+fn allocs_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCS.with(|c| c.get());
+    let r = f();
+    let after = ALLOCS.with(|c| c.get());
+    (after - before, r)
+}
+
+// ---------------------------------------------------------------------
+// (a) What a relayed delta and a poll reply allocate
+// ---------------------------------------------------------------------
+
+/// A quiet monitor world: the node agents neither sample nor push inside
+/// a test's horizon, so the only traffic is what the test injects.
+/// `fanout` shapes the TBON (16 ranks at fanout 4 is three levels:
+/// 0 → 1..=4 → 5..=15).
+struct Rig {
+    w: World,
+    eng: FluxEngine,
+    /// One subscription per entry of the `at` given to [`Rig::new`].
+    subs: Vec<(Rank, SubscriberId)>,
+    pushed: u64,
+}
+
+impl Rig {
+    fn new(ranks: u32, fanout: u32, at: &[u32]) -> Rig {
+        let mut w = World::new(MachineKind::Lassen, ranks, 5);
+        w.tbon = Tbon::new(ranks, fanout);
+        let mut eng: FluxEngine = Engine::new();
+        let config = MonitorConfig::default()
+            .with_sample_interval(SimDuration::from_secs(100_000))
+            .with_subscriber_queue_capacity(8192);
+        assert!(fluxpm::monitor::load(&mut w, &mut eng, config));
+        let mut rig = Rig {
+            w,
+            eng,
+            subs: Vec::new(),
+            pushed: 0,
+        };
+        let handles: Vec<(Rank, QueryHandle)> = at
+            .iter()
+            .map(|&r| {
+                let q = MonitorQuery::subscribe(SubscriptionFilter::all()).at(Rank(r));
+                (Rank(r), q.send(&mut rig.w, &mut rig.eng))
+            })
+            .collect();
+        rig.settle();
+        rig.subs = handles
+            .into_iter()
+            .map(|(r, h)| (r, h.subscription().expect("answered").expect("subscribed")))
+            .collect();
+        rig
+    }
+
+    /// Run everything in flight to completion (10 simulated ms cover
+    /// any route of these small trees many times over).
+    fn settle(&mut self) {
+        let until = self.eng.now() + SimDuration::from_millis(10);
+        self.eng.run_until(&mut self.w, until);
+    }
+
+    /// Inject one node-agent push for `node` at the root, as the node
+    /// agent's push timer would, and run it (and its fan-out) out.
+    fn push(&mut self, node: u32) {
+        self.pushed += 1;
+        let req = MonitorRequest::PushSample(SamplePush {
+            node,
+            timestamp_us: self.pushed * 1_000_000,
+            node_w: 900.0,
+        });
+        let root = self.w.root();
+        self.w
+            .rpc(root, TOPIC_SAMPLE_PUSH, req.encode())
+            .from(Rank(node))
+            .send(&mut self.eng, |_, _, _| {});
+        self.settle();
+    }
+
+    /// Poll every subscription dry.
+    fn drain(&mut self) -> Vec<QueryHandle> {
+        let polls: Vec<QueryHandle> = self
+            .subs
+            .iter()
+            .map(|&(rank, id)| {
+                MonitorQuery::poll(id, 8192)
+                    .at(rank)
+                    .send(&mut self.w, &mut self.eng)
+            })
+            .collect();
+        self.settle();
+        polls
+    }
+
+    /// Allocations of one injected push once every buffer on its way
+    /// (subscriber queues, edge batches, the event heap) has reached
+    /// its working size, and the edge messages it took.
+    fn steady_push_allocs(&mut self) -> (u64, u64) {
+        for _ in 0..3 {
+            self.push(0);
+            self.drain();
+        }
+        let egress_before = self.egress_msgs();
+        let (allocs, ()) = allocs_during(|| self.push(0));
+        let delivered = self.drain();
+        for poll in &delivered {
+            let batch = poll.deltas().expect("answered").expect("ok");
+            assert_eq!(batch.deltas.len(), 1, "the measured delta arrived");
+        }
+        (allocs, self.egress_msgs() - egress_before)
+    }
+
+    /// Edge messages sent so far: the relay planes' egress over every
+    /// rank, read from the modules.
+    fn egress_msgs(&self) -> u64 {
+        use fluxpm::monitor::{RootAgent, TelemetryRelay, RELAY, ROOT_AGENT};
+        let mut total = 0;
+        for broker in &self.w.brokers {
+            if let Some(m) = broker.module(RELAY) {
+                let mut m = m.borrow_mut();
+                let relay = m.as_any_mut().unwrap().downcast_mut::<TelemetryRelay>();
+                total += relay.unwrap().plane().egress_msgs();
+            }
+            if let Some(m) = broker.module(ROOT_AGENT) {
+                let mut m = m.borrow_mut();
+                let agent = m.as_any_mut().unwrap().downcast_mut::<RootAgent>();
+                total += agent.unwrap().plane().egress_msgs();
+            }
+        }
+        total
+    }
+}
+
+/// Heap allocations per relayed edge message: the batch's shared slice,
+/// the payload that wraps it, the `Rc<Message>` and the boxed delivery
+/// event. No per-flush vector, no per-batch staging buffer, no topic.
+const ALLOCS_PER_EDGE_MESSAGE: u64 = 4;
+
+#[test]
+fn a_relayed_delta_costs_a_fixed_number_of_allocations_per_edge() {
+    // Subscribers on every leaf of the 3-level tree: each delta crosses
+    // all 15 edges. With one subscriber on rank 4 it crosses one.
+    let leaves: Vec<u32> = (4..16).collect();
+    let mut all_edges = Rig::new(16, 4, &leaves);
+    let mut one_edge = Rig::new(16, 4, &[4]);
+    let (a15, sent) = all_edges.steady_push_allocs();
+    assert_eq!(sent, 15);
+    let (a1, sent) = one_edge.steady_push_allocs();
+    assert_eq!(sent, 1);
+    assert_eq!(
+        a15 - a1,
+        14 * ALLOCS_PER_EDGE_MESSAGE,
+        "15 edges cost {a15} allocations, 1 edge {a1}"
+    );
+    // And the part that is not edges — push RPC, ack, the delta itself —
+    // does not depend on the tree below it.
+    let mut no_edge = Rig::new(16, 4, &[0]);
+    let (a0, sent) = no_edge.steady_push_allocs();
+    assert_eq!(sent, 0);
+    assert_eq!(a1 - a0, ALLOCS_PER_EDGE_MESSAGE);
+}
+
+#[test]
+fn a_poll_reply_costs_the_client_the_same_for_one_delta_as_for_4096() {
+    let mut rig = Rig::new(4, 2, &[0]);
+    // Reach working size first: 4,096 queued, drained once.
+    for i in 0..4096 {
+        rig.push(i % 4);
+    }
+    rig.drain();
+
+    let poll_of = |rig: &mut Rig, n: u32| {
+        for i in 0..n {
+            rig.push(i % 4);
+        }
+        let (allocs, polls) = allocs_during(|| rig.drain());
+        let poll = polls.into_iter().next().expect("one subscriber");
+        let (reading, batch) = allocs_during(|| poll.deltas().expect("answered").expect("ok"));
+        assert_eq!(batch.deltas.len(), n as usize);
+        assert_eq!(reading, 0, "deltas() of {n} allocated");
+        // Every reader holds the slice the relay built, not a copy.
+        let again = poll.deltas().unwrap().unwrap();
+        assert!(std::ptr::eq(batch.deltas.as_ptr(), again.deltas.as_ptr()));
+        let Some(Ok(fluxpm::monitor::MonitorReply::Deltas(raw))) = poll.reply() else {
+            panic!("poll reply is a delta batch");
+        };
+        assert!(std::ptr::eq(batch.deltas.as_ptr(), raw.deltas.as_ptr()));
+        allocs
+    };
+    let one = poll_of(&mut rig, 1);
+    let many = poll_of(&mut rig, 4096);
+    assert_eq!(one, many, "a poll's allocations grew with its batch");
+}
+
+// ---------------------------------------------------------------------
+// (b) Dispatch semantics of the broker's vector tables
+// ---------------------------------------------------------------------
+
+struct Dummy {
+    name: &'static str,
+    topics: Vec<Topic>,
+}
+
+impl Module for Dummy {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+    fn topics(&self) -> Vec<Topic> {
+        self.topics.clone()
+    }
+    fn load(&mut self, _ctx: &mut ModuleCtx<'_>) {}
+    fn handle(&mut self, _ctx: &mut ModuleCtx<'_>, _msg: &Message) {}
+}
+
+fn dummy(name: &'static str, topics: &[&str]) -> SharedModule {
+    Rc::new(RefCell::new(Dummy {
+        name,
+        topics: topics.iter().map(|s| Topic::intern(s)).collect(),
+    }))
+}
+
+fn served_by(broker: &Broker, topic: &str) -> Option<&'static str> {
+    broker.route(topic).map(|m| m.borrow().name())
+}
+
+#[test]
+fn vector_tables_dispatch_like_the_maps_did() {
+    let mut b = Broker::new(Rank(0), "h".into());
+    assert!(b.register(dummy("first", &["t.shared", "t.first"])));
+    // A duplicate module name is rejected whole: none of its topics land.
+    assert!(!b.register(dummy("first", &["t.intruder"])));
+    assert_eq!(served_by(&b, "t.intruder"), None);
+
+    // A topic registered by two modules goes to the later one.
+    assert!(b.register(dummy("second", &["t.shared", "t.second"])));
+    assert_eq!(served_by(&b, "t.shared"), Some("second"));
+    assert_eq!(served_by(&b, "t.first"), Some("first"));
+    assert_eq!(b.module_names(), vec!["first", "second"]);
+
+    // Unregistering drops exactly that module's routes — including the
+    // one it took over — and nothing of the other's.
+    assert!(b.unregister("second"));
+    assert_eq!(served_by(&b, "t.shared"), None);
+    assert_eq!(served_by(&b, "t.second"), None);
+    assert_eq!(served_by(&b, "t.first"), Some("first"));
+    assert!(b.module("second").is_none());
+    assert!(!b.unregister("second"));
+
+    // A string built at run time finds its route by text...
+    let built = format!("t.{}", "first");
+    assert_eq!(served_by(&b, &built), Some("first"));
+    // ...and one that was never interned misses without being interned
+    // (interning it would allocate its text).
+    let unknown = format!("t.{}", "never-seen");
+    let (allocs, hit) = allocs_during(|| b.route(&unknown).is_some());
+    assert!(!hit);
+    assert_eq!(allocs, 0);
+}
+
+// ---------------------------------------------------------------------
+// (c) A topic interned on another thread
+// ---------------------------------------------------------------------
+
+fn hash_of(t: &Topic) -> u64 {
+    let mut h = DefaultHasher::new();
+    t.hash(&mut h);
+    h.finish()
+}
+
+#[test]
+fn a_topic_interned_on_another_thread_is_the_same_topic() {
+    let local = Topic::intern("svc.cross-thread");
+    let foreign = std::thread::spawn(|| Topic::intern("svc.cross-thread"))
+        .join()
+        .expect("interning thread");
+    // Two allocations, one topic: equality falls back to the text, and
+    // order and hash never looked at the address.
+    assert!(!std::ptr::eq(local.as_str(), foreign.as_str()));
+    assert_eq!(local, foreign);
+    assert_eq!(local.cmp(&foreign), std::cmp::Ordering::Equal);
+    assert_eq!(hash_of(&local), hash_of(&foreign));
+    let later = Topic::intern("svc.cross-thread.z");
+    assert!(foreign < later && local < later);
+
+    // And it routes to the module registered under the local handle.
+    let mut b = Broker::new(Rank(0), "h".into());
+    assert!(b.register(dummy("svc", &["svc.other", "svc.cross-thread"])));
+    assert_eq!(served_by(&b, &foreign), Some("svc"));
+    assert_eq!(served_by(&b, &local), Some("svc"));
+}
+
+// ---------------------------------------------------------------------
+// (d) nodes_mut and RingBuffer::new cost what they are asked for
+// ---------------------------------------------------------------------
+
+/// `World::nodes_mut` as it was: a map of the wanted ids, a walk over
+/// every node, a sort back into the caller's order.
+fn nodes_mut_by_full_walk<'w>(
+    nodes: &'w mut [NodeHardware],
+    ids: &[NodeId],
+) -> Vec<&'w mut NodeHardware> {
+    let want: HashMap<usize, usize> = ids
+        .iter()
+        .enumerate()
+        .map(|(pos, n)| (n.index(), pos))
+        .collect();
+    let mut picked: Vec<(usize, &mut NodeHardware)> = nodes
+        .iter_mut()
+        .enumerate()
+        .filter_map(|(i, n)| want.get(&i).map(|&pos| (pos, n)))
+        .collect();
+    picked.sort_by_key(|(pos, _)| *pos);
+    picked.into_iter().map(|(_, n)| n).collect()
+}
+
+fn addresses(nodes: Vec<&mut NodeHardware>) -> Vec<usize> {
+    nodes
+        .into_iter()
+        .map(|n| n as *mut NodeHardware as usize)
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn nodes_mut_returns_what_the_full_walk_returned(
+        cluster in 1u32..48,
+        draws in prop::collection::vec(0usize..1_000_000, 0..48),
+    ) {
+        // A shuffled set of distinct ids: Fisher–Yates over the cluster,
+        // cut to as many as there are draws.
+        let mut ids: Vec<NodeId> = (0..cluster).map(NodeId).collect();
+        for (i, d) in draws.iter().enumerate().take(ids.len()) {
+            let j = i + d % (ids.len() - i);
+            ids.swap(i, j);
+        }
+        ids.truncate(draws.len());
+
+        let mut w = World::new(MachineKind::Lassen, cluster, 3);
+        let got = addresses(w.nodes_mut(&ids));
+        let want = addresses(nodes_mut_by_full_walk(&mut w.nodes, &ids));
+        prop_assert_eq!(&got, &want);
+        let direct: Vec<usize> = ids
+            .iter()
+            .map(|id| &w.nodes[id.index()] as *const NodeHardware as usize)
+            .collect();
+        prop_assert_eq!(&got, &direct);
+    }
+}
+
+#[test]
+fn a_ring_allocates_when_it_is_pushed_to_not_when_it_is_built() {
+    let (building, mut ring) = allocs_during(|| RingBuffer::<u64>::new(100_000));
+    assert_eq!(building, 0);
+    let (first_push, _) = allocs_during(|| ring.push(1));
+    assert_eq!(first_push, 1);
+    // Storage follows the contents, and stops at the capacity.
+    let mut small = RingBuffer::<u64>::new(6);
+    let (filling, ()) = allocs_during(|| {
+        for i in 0..100 {
+            small.push(i);
+        }
+    });
+    assert_eq!(filling, 2, "4 slots, then 6, then the ring wraps in place");
+    assert_eq!(
+        small.iter().copied().collect::<Vec<_>>(),
+        vec![94, 95, 96, 97, 98, 99]
+    );
+}
