@@ -213,7 +213,7 @@ fn bench_tbon_rpc(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_fpp_controller(c: &mut Criterion) {
+fn bench_controller(c: &mut Criterion) {
     c.bench_function("fpp_controller_epoch", |b| {
         b.iter(|| {
             let mut ctl = FppController::new(FppConfig::default(), Watts(253.5));
@@ -344,7 +344,7 @@ criterion_group!(
     bench_ring_buffer,
     bench_event_engine,
     bench_tbon_rpc,
-    bench_fpp_controller,
+    bench_controller,
     bench_staged_give_back,
     bench_power_resolution,
     bench_subinstance,

@@ -9,10 +9,8 @@
 //!   plus seeded flat and Gilbert–Elliott congestion, link monitor
 //!   routing around sustained congestion) vs the congestion-free storm.
 //!
-//! The committed `BENCH_net.json` trajectory (and its 1.25× per-hop
-//! gate against `BENCH_sim.json`) is produced by the `bench_net`
-//! binary, not by this target; this target is what CI's bench smoke job
-//! runs in `--quick` mode.
+//! Ungated: CI's bench smoke job runs this target in `--quick` mode to
+//! catch bitrot; the gated numbers are stackbench's (`benchmark/`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fluxpm_bench::workload::DeliveryRig;

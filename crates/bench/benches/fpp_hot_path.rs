@@ -11,9 +11,8 @@
 //!   path vs the planned zero-copy ring-view path batched through a
 //!   single shared analyzer.
 //!
-//! The committed `BENCH_fpp.json` trajectory is produced by the
-//! `bench_fpp` binary, not by this target; this target is what CI's
-//! bench smoke job runs in `--quick` mode.
+//! Ungated: CI's bench smoke job runs this target in `--quick` mode to
+//! catch bitrot; the gated numbers are stackbench's (`benchmark/`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fluxpm_bench::fpp::{
@@ -56,7 +55,7 @@ fn bench_welch(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_fpp_epoch(c: &mut Criterion) {
+fn bench_epoch(c: &mut Criterion) {
     let mut g = c.benchmark_group("fpp_epoch");
     let mut rig = FppEpochRig::new(8, 90, 3);
     rig.verify_agreement();
@@ -69,5 +68,5 @@ fn bench_fpp_epoch(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_estimate_period, bench_welch, bench_fpp_epoch);
+criterion_group!(benches, bench_estimate_period, bench_welch, bench_epoch);
 criterion_main!(benches);

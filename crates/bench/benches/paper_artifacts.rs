@@ -3,8 +3,8 @@
 //! Each benchmark executes a (size-reduced where needed) version of the
 //! corresponding experiment scenario end-to-end, so `cargo bench`
 //! regenerates the paper's artifacts' code paths and tracks the
-//! simulator's own performance. The full-size experiment binaries live
-//! in `fluxpm-experiments`.
+//! simulator's own performance. The full-size experiments are
+//! `fluxpm-experiments`' `run_all [NAME…]`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fluxpm_experiments::{JobRequest, PowerSetup, Scenario};

@@ -15,9 +15,8 @@
 //! * `soak_128_rank` — the full 128-rank monitor + manager chaos storm
 //!   from `fluxpm_experiments::chaos`.
 //!
-//! The committed `BENCH_sim.json` trajectory is produced by the
-//! `bench_sim` binary, not by this target; this target is what CI's
-//! bench smoke job runs in `--quick` mode.
+//! Ungated: CI's bench smoke job runs this target in `--quick` mode to
+//! catch bitrot; the gated numbers are stackbench's (`benchmark/`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fluxpm_bench::workload::{

@@ -1,46 +1,16 @@
-//! Shard-scaling benchmarks for the parallel simulation core:
+//! The full-fidelity sharded world (real monitor + manager stack,
+//! replicated control plane, deterministic congestion) on a 64-rank
+//! storm at shards 1/2/4. The merged canonical record stream is
+//! identical at every point, so the curve prices window coordination
+//! and replica overhead, nothing else.
 //!
-//! * `sim_sharded/storm_128` — the 128-rank shard-scaling storm (heavy
-//!   per-tick compute, chaos-soak traffic pattern) at shards 1/2/4/8.
-//!   The merged trace is identical at every point, so the curve prices
-//!   pure coordination + parallel speedup, nothing else.
-//! * `sim_sharded/fleet_10k` — a 10k-rank fleet soak (fanout-16 TBON,
-//!   light ticks) at 8 shards: the coordination-bound end of the
-//!   spectrum.
-//! * `sim_world_sharded/storm_64` — the *full-fidelity* sharded world
-//!   (real monitor + manager stack, replicated control plane,
-//!   deterministic congestion) at shards 1/2/4. The merged canonical
-//!   record stream is identical at every point.
-//!
-//! The committed `BENCH_sim.json` scaling curve is produced by the
-//! `bench_sim` binary; this target is what CI's bench smoke job runs in
-//! `--quick` mode.
+//! Ungated: CI's bench smoke job runs this target in `--quick` mode to
+//! catch bitrot; the one recorded sharding number is stackbench's
+//! `sharded.coord_frac` (`benchmark/`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fluxpm_bench::workload::{shard_fleet_config, shard_scaling_config};
 use fluxpm_experiments::full_shard::{full_shard_run, FullShardConfig};
-use fluxpm_experiments::sharded::sharded_storm;
 use std::hint::black_box;
-
-fn bench_storm_scaling(c: &mut Criterion) {
-    let mut g = c.benchmark_group("sim_sharded");
-    for &shards in &[1usize, 2, 4, 8] {
-        let cfg = shard_scaling_config(128, shards, 42);
-        g.bench_with_input(
-            BenchmarkId::new("storm_128", format!("{shards}shards")),
-            &cfg,
-            |b, cfg| b.iter(|| black_box(sharded_storm(cfg))),
-        );
-    }
-    g.finish();
-}
-
-fn bench_fleet(c: &mut Criterion) {
-    let cfg = shard_fleet_config(10_000, 8, 42);
-    c.bench_function("sim_sharded/fleet_10k/8shards", |b| {
-        b.iter(|| black_box(sharded_storm(&cfg)))
-    });
-}
 
 fn bench_world_scaling(c: &mut Criterion) {
     let mut g = c.benchmark_group("sim_world_sharded");
@@ -56,10 +26,5 @@ fn bench_world_scaling(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_storm_scaling,
-    bench_fleet,
-    bench_world_scaling
-);
+criterion_group!(benches, bench_world_scaling);
 criterion_main!(benches);

@@ -1,7 +1,7 @@
 //! Shared FPP analytics workloads for the `fpp_hot_path` benchmark and
-//! the `bench_fpp` baseline generator.
+//! stackbench (`benchmark/`).
 //!
-//! Both targets compare the same two stacks on the same signals:
+//! The benchmark compares two stacks on the same signals:
 //!
 //! * **unplanned** — the pre-PR reference path: contiguous `Vec<f64>`
 //!   epoch buffers fed to [`fluxpm_fft::estimate_period`] /

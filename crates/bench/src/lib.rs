@@ -1,7 +1,11 @@
-//! # fluxpm-bench — criterion benchmarks
+//! # fluxpm-bench — criterion microbenchmarks and shared workload rigs
 //!
-//! This crate carries the shared benchmark workloads plus three
-//! benchmark targets:
+//! The library half ([`workload`], [`relay_tree`], [`fpp`]) holds the
+//! deterministic rigs the bench targets drive; stackbench
+//! (`benchmark/`) borrows three of them (`DeliveryRig`, `RelayTree`,
+//! `FppEpochRig`) as unit-cost probes.
+//!
+//! Seven ungated criterion targets:
 //!
 //! * `paper_artifacts` — one benchmark per paper table/figure, running a
 //!   size-reduced version of the corresponding experiment scenario,
@@ -13,13 +17,15 @@
 //!   message delivery cost, and the 128-rank chaos storm,
 //! * `fpp_hot_path` — the FPP analytics hot path: planned
 //!   (cached-plan, allocation-free) vs unplanned period estimation and
-//!   Welch PSDs, plus the batched per-GPU epoch analysis.
+//!   Welch PSDs, plus the batched per-GPU epoch analysis,
+//! * `sim_sharded` — the full-fidelity sharded world at 1/2/4 shards,
+//! * `telemetry_fanout` — subscription fan-out through the hub and the
+//!   relay tree,
+//! * `congestion` — echo round trips and the 128-rank storm with and
+//!   without congested links.
 //!
-//! Run with `cargo bench -p fluxpm-bench`. The committed perf baselines
-//! `BENCH_sim.json` and `BENCH_fpp.json` are regenerated by the
-//! `bench_sim` and `bench_fpp` binaries:
-//! `cargo run --release -p fluxpm-bench --bin bench_sim` (resp.
-//! `bench_fpp`).
+//! Run with `cargo bench -p fluxpm-bench`. None of these gate anything;
+//! the gated, noise-modelled perf surface is `benchmark/README.md`.
 
 #![warn(missing_docs)]
 

@@ -12,15 +12,9 @@
 //! breadth-first down the
 //! interested edges, ingesting into every hub along the way.
 //!
-//! Two properties the committed baseline gates ride on:
-//!
-//! * the root's egress is per *edge*, not per subscriber — at most
-//!   `fanout` wire messages per published delta, whether 1 000 or
-//!   50 000 subscribers sit below;
-//! * delivery latency in the simulated overlay is `depth` hops of
-//!   [`fluxpm_flux::Tbon::DEFAULT_HOP_LATENCY_US`] each, so the
-//!   percentiles here are a pure function of tree shape — reported to
-//!   anchor the O(log n) scaling claim, not measured wall time.
+//! The property the unit test below pins: the root's egress is per
+//! *edge*, not per subscriber — at most `fanout` wire messages per
+//! published delta, whether 1 000 or 10 000 subscribers sit below.
 
 use fluxpm_monitor::{
     AggregateFilter, RelayPlane, SharedDeltas, SubscriptionConfig, SubscriptionFilter,
@@ -175,30 +169,6 @@ impl RelayTree {
     pub fn depth(&self) -> u32 {
         self.nodes.iter().map(|n| n.depth).max().unwrap_or(0)
     }
-
-    /// Subscriber-weighted delivery-latency percentile in microseconds
-    /// under the simulated overlay's per-hop latency: a subscriber at
-    /// depth `d` sees every delta `d * hop_latency_us` after the root
-    /// publishes it.
-    pub fn latency_percentile_us(&self, q: f64, hop_latency_us: u64) -> u64 {
-        let mut by_depth: Vec<(u32, u64)> = Vec::new();
-        for n in &self.nodes {
-            if n.subscribers > 0 {
-                by_depth.push((n.depth, n.subscribers as u64));
-            }
-        }
-        by_depth.sort_unstable();
-        let total: u64 = by_depth.iter().map(|&(_, w)| w).sum();
-        let target = ((total as f64) * q).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (depth, w) in by_depth {
-            seen += w;
-            if seen >= target {
-                return u64::from(depth) * hop_latency_us;
-            }
-        }
-        0
-    }
 }
 
 #[cfg(test)]
@@ -207,26 +177,19 @@ mod tests {
 
     #[test]
     fn sweep_reaches_every_subscriber_with_per_edge_egress() {
-        let mut tree = RelayTree::new(64, 8, 1_000, 64);
-        assert_eq!(tree.depth(), 2);
-        let delivered = tree.publish_sweep();
-        assert_eq!(delivered, tree.deliveries_per_sweep());
-        let (msgs, deltas, offered) = tree.root_egress();
-        assert_eq!(offered, 64);
-        assert_eq!(deltas, 64 * tree.fanout() as u64);
-        assert!(
-            msgs <= offered * tree.fanout() as u64,
-            "egress is per edge: {msgs} msgs for {offered} deltas"
-        );
-    }
-
-    #[test]
-    fn latency_percentiles_follow_tree_depth() {
-        let tree = RelayTree::new(256, 8, 10_000, 64);
-        assert_eq!(tree.depth(), 3);
-        let p50 = tree.latency_percentile_us(0.50, 20);
-        let p99 = tree.latency_percentile_us(0.99, 20);
-        assert!(p50 >= 40 && p99 <= 60, "p50={p50} p99={p99}");
-        assert!(p50 <= p99);
+        for (brokers, depth, subscribers) in [(64, 2, 1_000), (64, 2, 10_000), (256, 3, 10_000)] {
+            let mut tree = RelayTree::new(brokers, 8, subscribers, brokers);
+            assert_eq!(tree.depth(), depth);
+            let delivered = tree.publish_sweep();
+            assert_eq!(delivered, tree.deliveries_per_sweep());
+            let (msgs, deltas, offered) = tree.root_egress();
+            assert_eq!(offered, brokers as u64);
+            assert_eq!(deltas, offered * tree.fanout() as u64);
+            assert!(
+                msgs <= offered * tree.fanout() as u64,
+                "{brokers} brokers, {subscribers} subscribers: egress is per edge, \
+                 got {msgs} msgs for {offered} deltas"
+            );
+        }
     }
 }

@@ -1,5 +1,5 @@
-//! Deterministic workloads shared by the `sim_hot_path` bench target
-//! and the `bench_sim` baseline generator.
+//! Deterministic workloads shared by the `sim_hot_path` and
+//! `congestion` bench targets and by stackbench (`benchmark/`).
 //!
 //! The engine churn runs the *same* seeded program through the
 //! optimized slab engine ([`fluxpm_sim::Engine`]) and the in-tree
@@ -7,7 +7,6 @@
 //! measured live against the pre-optimization implementation rather
 //! than trusted from a number recorded once.
 
-use fluxpm_flux::shard::ShardStormConfig;
 use fluxpm_flux::{payload, FaultPlan, Message, Module, ModuleCtx, MsgKind, Rank, Topic, World};
 use fluxpm_hw::MachineKind;
 use fluxpm_sim::{Engine, SimDuration, SimTime, Xoshiro256pp};
@@ -130,26 +129,6 @@ sliced_drain_impl!(
     sliced_drain_baseline,
     fluxpm_sim::BaselineEngine<u64>
 );
-
-/// The 128-rank shard-scaling storm: the chaos-soak traffic pattern
-/// with per-tick compute cranked up so each rank's tick costs what a
-/// real node agent's sampling + windowed analytics costs (tens of
-/// microseconds), making compute — not window coordination — the thing
-/// the shards parallelize. Used by the `sim_sharded` criterion group
-/// and the `bench_sim` baseline generator; the merged trace stays
-/// shard-count-invariant (asserted in tests below), so every point on
-/// the scaling curve computes the identical storm.
-pub fn shard_scaling_config(ranks: u32, shards: usize, seed: u64) -> ShardStormConfig {
-    let mut cfg = ShardStormConfig::new(ranks, shards, seed);
-    cfg.work_per_tick = 16_384;
-    cfg
-}
-
-/// Fleet-scale soak config for benchmarks: 100k+ ranks, wide fanout,
-/// light per-tick work (see [`ShardStormConfig::fleet`]).
-pub fn shard_fleet_config(ranks: u32, shards: usize, seed: u64) -> ShardStormConfig {
-    ShardStormConfig::fleet(ranks, shards, seed)
-}
 
 /// A module that answers `bench.echo` requests with their own payload —
 /// the minimal responder for measuring raw overlay delivery cost.
@@ -350,23 +329,6 @@ mod tests {
                 sliced_drain_new(400, 20, seed),
                 sliced_drain_baseline(400, 20, seed)
             );
-        }
-    }
-
-    #[test]
-    fn shard_scaling_workload_is_shard_count_invariant() {
-        // Shrink the per-tick work so the invariance check stays cheap
-        // in debug builds; the partitioning and traffic are unchanged.
-        let mut one = shard_scaling_config(128, 1, 7);
-        one.work_per_tick = 64;
-        one.periods = 6;
-        let reference = fluxpm_experiments::sharded::sharded_storm(&one);
-        for shards in [2usize, 4] {
-            let mut cfg = one;
-            cfg.shards = shards;
-            let out = fluxpm_experiments::sharded::sharded_storm(&cfg);
-            assert_eq!(reference.trace_hash, out.trace_hash);
-            assert_eq!(reference.records, out.records);
         }
     }
 

@@ -1,13 +1,11 @@
 //! Full-fidelity sharded Worlds — the real monitor + manager stack,
 //! partitioned across threads.
 //!
-//! [`crate::sharded`] scales the *storm traffic pattern* to 100k ranks
-//! by replacing the module stack with a lightweight report/cap loop.
-//! This harness keeps the real stack: every shard builds the complete
-//! [`World`] replica (same seed, same scripted scenario, same TBON)
-//! over [`fluxpm_flux::world_shard`], loads the production node agents
-//! and power managers *only on the ranks it owns*, and exchanges
-//! cross-shard RPC traffic as conservative-window boundary messages.
+//! Every shard builds the complete [`World`] replica (same seed, same
+//! scripted scenario, same TBON) over [`fluxpm_flux::world_shard`],
+//! loads the production node agents and power managers *only on the
+//! ranks it owns*, and exchanges cross-shard RPC traffic as
+//! conservative-window boundary messages.
 //! The canonical record stream (power samples, node/job limits, root
 //! aggregations, job lifecycle) merges byte-identically for any shard
 //! count — see `DESIGN.md` §12 for the replica model and its

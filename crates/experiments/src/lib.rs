@@ -19,7 +19,8 @@
 //! | [`experiments::fig7`] | Fig. 7 — non-MPI (Charm++) proportional capping |
 //! | [`experiments::queue`] | §IV-E — 10-job queue on 16 nodes |
 //!
-//! Run everything: `cargo run -p fluxpm-experiments --bin run_all`.
+//! Run everything: `cargo run -p fluxpm-experiments --bin run_all`;
+//! run some: `… --bin run_all fig1 table4`.
 
 #![warn(missing_docs)]
 pub mod chaos;
@@ -27,7 +28,6 @@ pub mod experiments;
 pub mod full_shard;
 pub mod report;
 pub mod scenario;
-pub mod sharded;
 pub mod stats;
 
 pub use report::{JobResult, RunReport};

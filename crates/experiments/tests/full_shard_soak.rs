@@ -7,7 +7,7 @@
 //! shard counts and congestion windows.
 
 use fluxpm_experiments::full_shard::{full_shard_run, FullShardConfig};
-use fluxpm_flux::{CongestionBurst, Rank};
+use fluxpm_flux::{records_hash, CongestionBurst, Rank};
 use fluxpm_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -34,6 +34,17 @@ fn assert_shard_invariant(base: &FullShardConfig, counts: &[usize]) {
         assert_eq!(
             ref_records, records,
             "seed {}: shards=1 vs shards={shards} records",
+            base.seed
+        );
+        assert_eq!(
+            records_hash(&records),
+            ref_out.trace_hash,
+            "seed {}: shards={shards} stream does not hash to the shards=1 fingerprint",
+            base.seed
+        );
+        assert!(
+            records.windows(2).all(|w| w[0] <= w[1]),
+            "seed {}: shards={shards} merged stream is not time-ordered",
             base.seed
         );
     }

@@ -42,10 +42,7 @@ pub use message::{payload, unit_payload, Message, MsgKind, Payload};
 pub use module::{Module, ModuleCtx, SharedModule};
 pub use proto::{Protocol, ProtocolError};
 pub use sched::FcfsScheduler;
-pub use shard::{
-    merge_records, records_hash, run_storm, FaultScript, ShardPlan, ShardRecord, ShardStormConfig,
-    StormShard, WireMsg,
-};
+pub use shard::{merge_records, records_hash, ShardPlan, ShardRecord};
 pub use state::{Snapshot, StateEvent, StateLog, StateValue};
 pub use subinstance::{InstancePowerPolicy, SubInstance};
 pub use tbon::{Rank, Tbon};

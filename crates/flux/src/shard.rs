@@ -1,6 +1,7 @@
 //! Subtree-sharded execution of the overlay: the partitioner that cuts
-//! the TBON into per-thread shards, the `Send` boundary messages that
-//! cross between them, and a shard-confined storm world driven by
+//! the TBON into per-thread shards, and the canonical record stream the
+//! shards emit and merge. The world that runs on the shards is
+//! [`crate::world_shard`]; the window coordinator underneath is
 //! [`fluxpm_sim::ShardedEngine`].
 //!
 //! # Partitioning
@@ -15,33 +16,15 @@
 //! hop of latency ([`Tbon::DEFAULT_HOP_LATENCY_US`]) — which is exactly
 //! the conservative lookahead the coordinator synchronizes on.
 //!
-//! # Determinism
+//! # Records
 //!
-//! The sharded storm world is built so its merged record stream is
-//! *independent of the shard count* (`shards=1` reproduces any
-//! `shards=N` byte for byte):
-//!
-//! * every send and record emission is **time-driven** (periodic
-//!   per-rank ticks), never triggered by the arrival order of
-//!   same-timestamp messages;
-//! * message receptions only fold into per-rank accumulators with
-//!   **commutative** operations (count, wrapping sum), or relay a
-//!   single message whose content depends on that message alone;
-//! * per-rank RNG streams are derived from `(seed, rank)` and advance
-//!   only on that rank's own ticks;
-//! * the fault script is a pure function of `(seed, rank)`, so every
-//!   shard knows every rank's up/down intervals without communicating.
-//!
-//! Under those rules the *multiset* of emitted records is invariant
-//! under partitioning, and [`merge_records`] sorts the per-shard
-//! streams by their full content key into one canonical trace.
+//! A [`ShardRecord`]'s sort key is its full content, with no per-shard
+//! sequence number, so as long as the *multiset* of records a run emits
+//! is invariant under partitioning (the sharded world's job — see
+//! [`crate::world_shard`]), [`merge_records`] produces one canonical
+//! trace whatever the shard count.
 
 use crate::tbon::{Rank, Tbon};
-use fluxpm_sim::{
-    Engine, Inbound, Outbound, ShardSim, ShardedEngine, ShardedRunStats, SimDuration, SimTime,
-    SplitMix64,
-};
-use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Partitioner
@@ -148,54 +131,12 @@ impl ShardPlan {
 }
 
 // ---------------------------------------------------------------------------
-// Boundary messages
-// ---------------------------------------------------------------------------
-
-/// A message crossing a shard boundary. Plain `Send` data — no `Rc`
-/// payloads ever leave a shard; richer protocols serialize into these
-/// wire forms at the cut.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireMsg {
-    /// A telemetry report riding up the tree toward the root.
-    Report {
-        /// Next rank on the upward path (owned by the receiving shard).
-        to: Rank,
-        /// Leaf that produced the report.
-        origin: Rank,
-        /// Folded sample digest.
-        load: u64,
-    },
-    /// A cap command fanning down the tree from the root.
-    Cap {
-        /// Next rank on the downward path (owned by the receiving shard).
-        to: Rank,
-        /// Cap level to apply and relay.
-        level: u64,
-    },
-}
-
-// ---------------------------------------------------------------------------
 // Records
 // ---------------------------------------------------------------------------
 
-/// Record codes for [`ShardRecord`].
+/// Record codes for [`ShardRecord`]. The values are hashed into every
+/// committed record fingerprint, so they are never renumbered.
 pub mod rec {
-    /// A rank's periodic sample tick (a = tick index, b = digest).
-    pub const TICK: u8 = 1;
-    /// Root aggregation snapshot (a = cumulative count, b = sum).
-    pub const AGG: u8 = 2;
-    /// A rank applied a cap wave (b = level).
-    pub const CAP_APPLY: u8 = 3;
-    /// A down rank dropped an upward report (a = origin, b = load).
-    pub const DROP: u8 = 4;
-    /// An interior rank relayed a report (a = origin, b = load).
-    pub const FWD: u8 = 5;
-    /// Scripted outage start.
-    pub const DOWN: u8 = 6;
-    /// Scripted outage end.
-    pub const UP: u8 = 7;
-    /// A down rank dropped a cap wave (b = level).
-    pub const CAP_DROP: u8 = 8;
     /// Full-fidelity world: a node agent's periodic power sample
     /// (a = buffered record count, b = node draw in milliwatts).
     pub const POWER_SAMPLE: u8 = 9;
@@ -218,7 +159,7 @@ pub mod rec {
     pub const RELAY_DELIVER: u8 = 14;
 }
 
-/// One entry of the sharded storm's event stream. The tuple of all
+/// One entry of a sharded run's event stream. The tuple of all
 /// fields is the record's identity *and* its canonical sort key — no
 /// per-shard sequence numbers, so the merged stream is independent of
 /// how ranks were partitioned.
@@ -234,16 +175,6 @@ pub struct ShardRecord {
     pub a: u64,
     /// Code-specific payload.
     pub b: u64,
-}
-
-impl ShardRecord {
-    /// Render as one stable text line (for goldens and debugging).
-    pub fn to_line(self) -> String {
-        format!(
-            "{:>12} r{:<6} c{} a={} b={}",
-            self.at_us, self.rank, self.code, self.a, self.b
-        )
-    }
 }
 
 /// Merge per-shard record streams into the canonical global trace:
@@ -294,7 +225,7 @@ pub fn merge_records(streams: Vec<Vec<ShardRecord>>) -> Vec<ShardRecord> {
 }
 
 /// FNV-1a over a record stream — the compact fingerprint compared
-/// across shard counts and committed in `BENCH_sim.json`.
+/// across shard counts.
 pub fn records_hash(records: &[ShardRecord]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut fold = |v: u64| {
@@ -311,494 +242,6 @@ pub fn records_hash(records: &[ShardRecord]) -> u64 {
         fold(r.b);
     }
     h
-}
-
-// ---------------------------------------------------------------------------
-// Fault script
-// ---------------------------------------------------------------------------
-
-/// Scripted outages, derived purely from `(seed, rank)` so every shard
-/// can evaluate any rank's availability without communication. Each
-/// selected rank gets one outage window inside the run.
-#[derive(Debug, Clone)]
-pub struct FaultScript {
-    period_us: u64,
-    periods: u32,
-    fault_every: u32,
-    seed: u64,
-}
-
-impl FaultScript {
-    fn new(cfg: &ShardStormConfig) -> FaultScript {
-        FaultScript {
-            period_us: cfg.report_period.as_micros(),
-            periods: cfg.periods,
-            fault_every: cfg.fault_every,
-            seed: cfg.seed,
-        }
-    }
-
-    /// The outage window of `rank`, if the script faults it. The root
-    /// is never faulted (aggregation must survive the storm; root
-    /// failover is the single-threaded storm harness's job).
-    pub fn outage(&self, rank: Rank) -> Option<(SimTime, SimTime)> {
-        if self.fault_every == 0 || rank == Rank::ROOT || self.periods < 4 {
-            return None;
-        }
-        if rank.0 % self.fault_every != self.fault_every - 1 {
-            return None;
-        }
-        let mut mix = SplitMix64::new(self.seed ^ ((rank.0 as u64) << 17) ^ 0x5EED_FA17);
-        let span = (self.periods / 2).max(1) as u64;
-        let start_period = 1 + mix.next_u64() % span;
-        let len_periods = 1 + mix.next_u64() % 3;
-        // Offset by a quarter period so outage edges never collide
-        // with tick or control instants.
-        let start = start_period * self.period_us + self.period_us / 4;
-        let end = start + len_periods * self.period_us;
-        Some((SimTime::from_micros(start), SimTime::from_micros(end)))
-    }
-
-    /// Whether `rank` is up at `t`.
-    pub fn is_up(&self, rank: Rank, t: SimTime) -> bool {
-        match self.outage(rank) {
-            Some((start, end)) => !(t >= start && t < end),
-            None => true,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sharded storm world
-// ---------------------------------------------------------------------------
-
-/// Configuration of the sharded chaos storm: periodic per-rank sample
-/// ticks reporting up a static k-ary TBON, root-issued cap waves
-/// fanning back down, and scripted outages dropping traffic.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardStormConfig {
-    /// Total ranks in the overlay.
-    pub ranks: u32,
-    /// Tree fanout.
-    pub fanout: u32,
-    /// Worker shard count.
-    pub shards: usize,
-    /// Master seed (per-rank streams derive from it).
-    pub seed: u64,
-    /// Period of each rank's sample tick.
-    pub report_period: SimDuration,
-    /// Number of tick periods to run.
-    pub periods: u32,
-    /// Root issues a cap wave every `cap_every`-th control tick
-    /// (0 disables cap waves).
-    pub cap_every: u32,
-    /// RNG draws folded into each tick's digest — the per-rank
-    /// compute weight (sampling + analytics stand-in).
-    pub work_per_tick: u32,
-    /// Every `fault_every`-th rank suffers one scripted outage
-    /// (0 disables faults).
-    pub fault_every: u32,
-    /// Record per-hop relays and drops (full-detail trace). Disable at
-    /// fleet scale to keep the merged stream proportional to ranks,
-    /// not ranks × depth.
-    pub record_forwards: bool,
-}
-
-impl ShardStormConfig {
-    /// A storm sized like the single-threaded 128-rank chaos soak:
-    /// binary tree, 20 periods, moderate per-tick work, sparse faults.
-    pub fn new(ranks: u32, shards: usize, seed: u64) -> ShardStormConfig {
-        ShardStormConfig {
-            ranks,
-            fanout: 2,
-            shards,
-            seed,
-            report_period: SimDuration::from_millis(10),
-            periods: 20,
-            cap_every: 4,
-            work_per_tick: 256,
-            fault_every: 7,
-            record_forwards: true,
-        }
-    }
-
-    /// Fleet-scale soak defaults: wide fanout (realistic TBON), light
-    /// per-tick work, forwards not recorded.
-    pub fn fleet(ranks: u32, shards: usize, seed: u64) -> ShardStormConfig {
-        ShardStormConfig {
-            ranks,
-            fanout: 16,
-            shards,
-            seed,
-            report_period: SimDuration::from_millis(50),
-            periods: 12,
-            cap_every: 3,
-            work_per_tick: 32,
-            fault_every: 97,
-            record_forwards: false,
-        }
-    }
-
-    fn hop_latency(&self) -> SimDuration {
-        SimDuration::from_micros(Tbon::DEFAULT_HOP_LATENCY_US)
-    }
-
-    fn tree_depth(&self) -> u32 {
-        let mut d = 0;
-        let mut r = self.ranks - 1;
-        while r != 0 {
-            r = (r - 1) / self.fanout;
-            d += 1;
-        }
-        d
-    }
-}
-
-#[derive(Debug, Clone, Default)]
-struct RankState {
-    ticks: u64,
-    acc_count: u64,
-    acc_sum: u64,
-    cap_level: u64,
-    rng: Option<SplitMix64>,
-}
-
-/// The per-shard world: state for *owned* ranks only, plus the shared
-/// immutable plan/script. Lives entirely on its worker thread.
-pub struct ShardStormWorld {
-    shard: usize,
-    cfg: ShardStormConfig,
-    plan: Arc<ShardPlan>,
-    script: Arc<FaultScript>,
-    state: Vec<RankState>,
-    records: Vec<ShardRecord>,
-    outbox: Vec<Outbound<WireMsg>>,
-    /// Reports dropped at down ranks (cheap health counter, kept even
-    /// when forwards are not recorded).
-    pub drops: u64,
-}
-
-type StormEngine = Engine<ShardStormWorld>;
-
-impl ShardStormWorld {
-    fn owns(&self, rank: Rank) -> bool {
-        self.plan.owner(rank) == self.shard
-    }
-
-    fn parent(&self, rank: Rank) -> Rank {
-        Rank((rank.0 - 1) / self.cfg.fanout)
-    }
-
-    fn children(&self, rank: Rank) -> impl Iterator<Item = Rank> + '_ {
-        let first = rank.0 * self.cfg.fanout + 1;
-        (first..first.saturating_add(self.cfg.fanout).min(self.cfg.ranks)).map(Rank)
-    }
-
-    fn record(&mut self, at: SimTime, rank: Rank, code: u8, a: u64, b: u64) {
-        self.records.push(ShardRecord {
-            at_us: at.as_micros(),
-            rank: rank.0,
-            code,
-            a,
-            b,
-        });
-    }
-
-    /// Route `msg` to the rank it names: schedule locally when owned,
-    /// otherwise hand it to the boundary mailbox.
-    fn route(&mut self, eng: &mut StormEngine, at: SimTime, msg: WireMsg) {
-        let to = match msg {
-            WireMsg::Report { to, .. } | WireMsg::Cap { to, .. } => to,
-        };
-        if self.owns(to) {
-            eng.schedule(at, move |w: &mut ShardStormWorld, eng| w.dispatch(eng, msg));
-        } else {
-            self.outbox.push(Outbound {
-                at,
-                to_shard: self.plan.owner(to),
-                msg,
-            });
-        }
-    }
-
-    fn dispatch(&mut self, eng: &mut StormEngine, msg: WireMsg) {
-        match msg {
-            WireMsg::Report { to, origin, load } => self.on_report(eng, to, origin, load),
-            WireMsg::Cap { to, level } => self.on_cap(eng, to, level),
-        }
-    }
-
-    fn on_tick(&mut self, eng: &mut StormEngine, rank: Rank) {
-        let now = eng.now();
-        self.state[rank.index()].ticks += 1;
-        let tick = self.state[rank.index()].ticks;
-        if !self.script.is_up(rank, now) {
-            return;
-        }
-        // The per-tick compute weight: fold `work_per_tick` draws of
-        // the rank's own stream into a digest (stand-in for sampling +
-        // windowed analytics on a real node agent).
-        let work = self.cfg.work_per_tick;
-        let rng = self.state[rank.index()]
-            .rng
-            .as_mut()
-            .expect("owned rank has a stream");
-        let mut digest: u64 = 0;
-        for _ in 0..work {
-            digest = digest.wrapping_add(rng.next_u64()).rotate_left(7);
-        }
-        self.record(now, rank, rec::TICK, tick, digest);
-        if rank != Rank::ROOT {
-            let up = self.parent(rank);
-            let at = now + self.cfg.hop_latency();
-            self.route(
-                eng,
-                at,
-                WireMsg::Report {
-                    to: up,
-                    origin: rank,
-                    load: digest,
-                },
-            );
-        } else {
-            let st = &mut self.state[rank.index()];
-            st.acc_count += 1;
-            st.acc_sum = st.acc_sum.wrapping_add(digest);
-        }
-    }
-
-    fn on_report(&mut self, eng: &mut StormEngine, rank: Rank, origin: Rank, load: u64) {
-        let now = eng.now();
-        debug_assert!(self.owns(rank));
-        if !self.script.is_up(rank, now) {
-            self.drops += 1;
-            if self.cfg.record_forwards {
-                self.record(now, rank, rec::DROP, origin.0 as u64, load);
-            }
-            return;
-        }
-        if rank == Rank::ROOT {
-            // Commutative fold only: same-timestamp arrival order (which
-            // differs across shard layouts) must not be observable.
-            let st = &mut self.state[rank.index()];
-            st.acc_count += 1;
-            st.acc_sum = st.acc_sum.wrapping_add(load);
-            return;
-        }
-        if self.cfg.record_forwards {
-            self.record(now, rank, rec::FWD, origin.0 as u64, load);
-        }
-        let up = self.parent(rank);
-        let at = now + self.cfg.hop_latency();
-        self.route(
-            eng,
-            at,
-            WireMsg::Report {
-                to: up,
-                origin,
-                load,
-            },
-        );
-    }
-
-    fn on_control(&mut self, eng: &mut StormEngine, k: u64) {
-        let now = eng.now();
-        let root = Rank::ROOT;
-        let (count, sum) = {
-            let st = &self.state[root.index()];
-            (st.acc_count, st.acc_sum)
-        };
-        self.record(now, root, rec::AGG, count, sum);
-        if self.cfg.cap_every != 0 && k.is_multiple_of(self.cfg.cap_every as u64) {
-            let level = sum % 997;
-            let at = now + self.cfg.hop_latency();
-            let kids: Vec<Rank> = self.children(root).collect();
-            for child in kids {
-                self.route(eng, at, WireMsg::Cap { to: child, level });
-            }
-        }
-    }
-
-    fn on_cap(&mut self, eng: &mut StormEngine, rank: Rank, level: u64) {
-        let now = eng.now();
-        debug_assert!(self.owns(rank));
-        if !self.script.is_up(rank, now) {
-            if self.cfg.record_forwards {
-                self.record(now, rank, rec::CAP_DROP, 0, level);
-            }
-            return;
-        }
-        self.state[rank.index()].cap_level = level;
-        if self.cfg.record_forwards {
-            self.record(now, rank, rec::CAP_APPLY, 0, level);
-        }
-        let at = now + self.cfg.hop_latency();
-        let kids: Vec<Rank> = self.children(rank).collect();
-        for child in kids {
-            self.route(eng, at, WireMsg::Cap { to: child, level });
-        }
-    }
-}
-
-/// One shard of the storm: a local engine over [`ShardStormWorld`],
-/// driven by the window coordinator.
-pub struct StormShard {
-    world: ShardStormWorld,
-    eng: StormEngine,
-}
-
-/// What each shard hands back after the run.
-pub struct StormShardOutput {
-    /// The shard's record stream (time-ordered locally).
-    pub records: Vec<ShardRecord>,
-    /// Reports dropped at this shard's down ranks.
-    pub drops: u64,
-    /// Events the shard executed.
-    pub events: u64,
-}
-
-impl StormShard {
-    /// Build shard `shard` of the configured storm: install tick
-    /// periodics for owned ranks, outage markers, and (on the root
-    /// shard) the control tick.
-    pub fn new(
-        shard: usize,
-        cfg: ShardStormConfig,
-        plan: Arc<ShardPlan>,
-        script: Arc<FaultScript>,
-    ) -> StormShard {
-        let mut world = ShardStormWorld {
-            shard,
-            cfg,
-            plan,
-            script,
-            state: vec![RankState::default(); cfg.ranks as usize],
-            records: Vec::new(),
-            outbox: Vec::new(),
-            drops: 0,
-        };
-        let mut eng: StormEngine = Engine::new();
-        let period = cfg.report_period;
-        let periods = cfg.periods as u64;
-        for r in 0..cfg.ranks {
-            let rank = Rank(r);
-            if !world.owns(rank) {
-                continue;
-            }
-            world.state[rank.index()].rng =
-                Some(SplitMix64::new(cfg.seed ^ ((r as u64) << 21) ^ 0x7AB0_11CE));
-            eng.schedule_every(
-                SimTime::ZERO + period,
-                period,
-                move |w: &mut ShardStormWorld, eng| {
-                    w.on_tick(eng, rank);
-                    if w.state[rank.index()].ticks >= periods {
-                        std::ops::ControlFlow::Break(())
-                    } else {
-                        std::ops::ControlFlow::Continue(())
-                    }
-                },
-            );
-            if let Some((start, end)) = world.script.outage(rank) {
-                eng.schedule(start, move |w: &mut ShardStormWorld, eng| {
-                    w.record(eng.now(), rank, rec::DOWN, 0, 0);
-                });
-                eng.schedule(end, move |w: &mut ShardStormWorld, eng| {
-                    w.record(eng.now(), rank, rec::UP, 0, 0);
-                });
-            }
-        }
-        if world.owns(Rank::ROOT) {
-            // Half a period after each tick wave: the deepest report
-            // cascade must drain first (asserted in `run_storm`).
-            let start = SimTime::ZERO + period + SimDuration::from_micros(period.as_micros() / 2);
-            // Control keeps ticking past the last tick wave so the
-            // final cascades are still aggregated and capped.
-            let extra = 2;
-            let control_ticks = periods + extra;
-            let counter = std::cell::Cell::new(0u64);
-            eng.schedule_every(start, period, move |w: &mut ShardStormWorld, eng| {
-                counter.set(counter.get() + 1);
-                w.on_control(eng, counter.get());
-                if counter.get() >= control_ticks {
-                    std::ops::ControlFlow::Break(())
-                } else {
-                    std::ops::ControlFlow::Continue(())
-                }
-            });
-        }
-        StormShard { world, eng }
-    }
-}
-
-impl ShardSim for StormShard {
-    type Boundary = WireMsg;
-    type Output = StormShardOutput;
-
-    fn next_time(&self) -> Option<SimTime> {
-        self.eng.next_event_time()
-    }
-
-    fn deliver(&mut self, msg: Inbound<WireMsg>) {
-        let wire = msg.msg;
-        self.eng
-            .schedule(msg.at, move |w: &mut ShardStormWorld, eng| {
-                w.dispatch(eng, wire)
-            });
-    }
-
-    fn run_window(&mut self, end: SimTime, out: &mut Vec<Outbound<WireMsg>>) -> u64 {
-        let before = self.eng.executed();
-        // Windows are end-exclusive; the clock is integer micros.
-        self.eng
-            .run_until(&mut self.world, SimTime(end.as_micros().saturating_sub(1)));
-        out.append(&mut self.world.outbox);
-        self.eng.executed() - before
-    }
-
-    fn finish(self) -> StormShardOutput {
-        let mut records = self.world.records;
-        // Runs are emitted in execution order (time-sorted, but
-        // same-instant records land in event order); the canonical
-        // merge wants full-key-sorted runs. Each shard pays for its
-        // own — nearly sorted — run here, in parallel.
-        records.sort_unstable();
-        StormShardOutput {
-            records,
-            drops: self.world.drops,
-            events: self.eng.executed(),
-        }
-    }
-}
-
-/// Run the sharded storm to quiescence and return the canonical merged
-/// record stream, the total report drops, and the coordinator stats.
-pub fn run_storm(cfg: ShardStormConfig) -> (Vec<ShardRecord>, u64, ShardedRunStats) {
-    // Sanity: a full report cascade (and the control tick reading it)
-    // must fit inside one period, or aggregation snapshots would race
-    // the cascade across periods and AGG contents would depend on
-    // timing coincidences rather than design.
-    let cascade_us = cfg.tree_depth() as u64 * cfg.hop_latency().as_micros();
-    assert!(
-        cascade_us < cfg.report_period.as_micros() / 2,
-        "report cascade ({cascade_us} µs) must drain within half a period \
-         ({} µs)",
-        cfg.report_period.as_micros() / 2
-    );
-    let plan = Arc::new(ShardPlan::partition(cfg.ranks, cfg.fanout, cfg.shards));
-    let script = Arc::new(FaultScript::new(&cfg));
-    let coordinator = ShardedEngine::new(cfg.hop_latency());
-    let builders: Vec<_> = (0..plan.shards())
-        .map(|_| {
-            let plan = Arc::clone(&plan);
-            let script = Arc::clone(&script);
-            move |shard: usize| StormShard::new(shard, cfg, plan, script)
-        })
-        .collect();
-    let (outputs, stats) = coordinator.run::<StormShard, _>(builders);
-    let drops = outputs.iter().map(|o| o.drops).sum();
-    let records = merge_records(outputs.into_iter().map(|o| o.records).collect());
-    (records, drops, stats)
 }
 
 #[cfg(test)]
@@ -858,58 +301,11 @@ mod tests {
     }
 
     #[test]
-    fn storm_trace_is_shard_count_invariant() {
-        let mut cfg = ShardStormConfig::new(64, 1, 42);
-        cfg.periods = 8;
-        let (r1, d1, _) = run_storm(cfg);
-        assert!(!r1.is_empty());
-        for shards in [2usize, 3, 4] {
-            let mut c = cfg;
-            c.shards = shards;
-            let (rn, dn, stats) = run_storm(c);
-            assert_eq!(r1, rn, "merged stream differs at {shards} shards");
-            assert_eq!(d1, dn);
-            assert!(stats.boundary_msgs > 0, "cut must carry traffic");
-        }
-    }
-
-    #[test]
-    fn faults_produce_drops_and_outage_markers() {
-        let cfg = ShardStormConfig::new(64, 2, 7);
-        let (records, drops, _) = run_storm(cfg);
-        assert!(drops > 0, "scripted outages must drop reports");
-        assert!(records.iter().any(|r| r.code == rec::DOWN));
-        assert!(records.iter().any(|r| r.code == rec::UP));
-        assert!(records.iter().any(|r| r.code == rec::DROP));
-        // Every DOWN has a matching later UP for the same rank.
-        for d in records.iter().filter(|r| r.code == rec::DOWN) {
-            assert!(records
-                .iter()
-                .any(|u| u.code == rec::UP && u.rank == d.rank && u.at_us > d.at_us));
-        }
-    }
-
-    #[test]
-    fn cap_waves_reach_live_ranks() {
-        let mut cfg = ShardStormConfig::new(32, 2, 9);
-        cfg.fault_every = 0;
-        let (records, drops, _) = run_storm(cfg);
-        assert_eq!(drops, 0);
-        let applied: std::collections::HashSet<u32> = records
-            .iter()
-            .filter(|r| r.code == rec::CAP_APPLY)
-            .map(|r| r.rank)
-            .collect();
-        // Every non-root rank applies at least one cap wave.
-        assert_eq!(applied.len() as u32, cfg.ranks - 1);
-    }
-
-    #[test]
     fn merge_records_matches_full_sort_and_keeps_duplicates() {
         let mk = |at: u64, rank: u32, a: u64| ShardRecord {
             at_us: at,
             rank,
-            code: rec::TICK,
+            code: rec::POWER_SAMPLE,
             a,
             b: 0,
         };
@@ -934,17 +330,10 @@ mod tests {
         let mk = |at: u64| ShardRecord {
             at_us: at,
             rank: 0,
-            code: rec::TICK,
+            code: rec::POWER_SAMPLE,
             a: 0,
             b: 0,
         };
         let _ = merge_records(vec![vec![mk(5), mk(1)], vec![mk(2)]]);
-    }
-
-    #[test]
-    fn merged_stream_is_time_ordered() {
-        let cfg = ShardStormConfig::new(48, 3, 11);
-        let (records, _, _) = run_storm(cfg);
-        assert!(records.windows(2).all(|w| w[0] <= w[1]));
     }
 }

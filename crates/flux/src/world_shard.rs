@@ -238,8 +238,7 @@ pub struct WorldShardRun {
     /// Events the shard executed.
     pub events: u64,
     /// Wall-clock time spent executing windows (compute, excluding
-    /// coordinator waits) — the numerator of `shard_probe`'s
-    /// compute-vs-coordination decomposition.
+    /// coordinator waits).
     pub busy: std::time::Duration,
     /// Boundary messages this shard sent.
     pub boundary_out: u64,

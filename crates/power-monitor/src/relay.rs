@@ -250,8 +250,8 @@ fn coalesce(deltas: &mut VecDeque<Arc<TelemetryDelta>>) -> (u64, HashSet<DeltaKe
 
 /// The downstream fan-out half of a relay: per-child aggregate filters
 /// and per-edge pending batches. Pure (no simulation types beyond rank
-/// numbers), so the root core, the broker relays, and `bench_telemetry`
-/// all drive the same code.
+/// numbers), so the root core, the broker relays, and the
+/// `telemetry_fanout` bench all drive the same code.
 #[derive(Debug, Default)]
 pub struct RelayPlane {
     children: BTreeMap<u32, AggregateFilter>,

@@ -21,8 +21,8 @@
 //!   not a replayed raw firehose.
 //!
 //! The hub is pure (no simulation types beyond ids), which is what lets
-//! `bench_telemetry` drive it at thousands of subscribers and commit
-//! the fan-out numbers as `BENCH_telemetry.json`.
+//! the `telemetry_fanout` bench drive it at thousands of subscribers
+//! without an event engine.
 
 use fluxpm_flux::JobId;
 use std::collections::{BTreeMap, HashMap, VecDeque};

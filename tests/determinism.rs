@@ -61,82 +61,6 @@ fn different_seeds_differ_in_noise_not_shape() {
     }
 }
 
-// ---------------------------------------------------------------------
-// Sharded execution: partitioning the world across worker threads must
-// not change what happened — only how fast it was computed.
-// ---------------------------------------------------------------------
-
-use fluxpm::experiments::sharded::sharded_storm_full;
-use fluxpm::flux::shard::ShardStormConfig;
-use proptest::prelude::*;
-
-/// Render a merged record stream exactly as the trace artifacts do.
-fn trace_bytes(records: &[fluxpm::flux::shard::ShardRecord]) -> String {
-    let mut s = String::with_capacity(records.len() * 32);
-    for r in records {
-        s.push_str(&r.to_line());
-        s.push('\n');
-    }
-    s
-}
-
-#[test]
-fn sharded_trace_is_byte_identical_to_single_shard() {
-    for seed in [7u64, 0xC0FFEE, 9_999_999_999] {
-        let base = ShardStormConfig::new(80, 1, seed);
-        let (one, out1) = sharded_storm_full(&base);
-        let reference = trace_bytes(&one);
-        assert!(!one.is_empty(), "seed {seed}: storm produced a trace");
-        for shards in [2usize, 3, 4, 8] {
-            let mut cfg = base;
-            cfg.shards = shards;
-            let (n, outn) = sharded_storm_full(&cfg);
-            assert_eq!(
-                trace_bytes(&n),
-                reference,
-                "seed {seed}, shards {shards}: merged trace must be \
-                 byte-identical to the single-shard run"
-            );
-            assert_eq!(out1.trace_hash, outn.trace_hash);
-            assert_eq!(out1.drops, outn.drops);
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Conservative-window guarantee, observed from the outside: no
-    /// matter how the tree is cut, boundary messages are delivered in
-    /// timestamp order, so the merged trace is sorted and identical to
-    /// the unsharded one.
-    #[test]
-    fn boundary_messages_never_violate_time_order(
-        ranks in 8u32..120,
-        shards in 2usize..6,
-        seed in 0u64..1_000_000,
-        fault_every in 0u32..9,
-    ) {
-        let mut cfg = ShardStormConfig::new(ranks, shards, seed);
-        cfg.fault_every = fault_every;
-        let (merged, out) = sharded_storm_full(&cfg);
-        // Timestamps never regress in the merged stream.
-        for w in merged.windows(2) {
-            prop_assert!(
-                w[0].at_us <= w[1].at_us,
-                "time went backwards: {} then {}",
-                w[0].to_line(),
-                w[1].to_line()
-            );
-        }
-        // And the sharded run saw exactly what one shard would have.
-        cfg.shards = 1;
-        let (solo, _) = sharded_storm_full(&cfg);
-        prop_assert_eq!(out.trace_hash, fluxpm::flux::shard::records_hash(&solo));
-        prop_assert_eq!(merged, solo);
-    }
-}
-
 #[test]
 fn run_many_equals_sequential_runs() {
     // The parallel sweep driver must not change results.

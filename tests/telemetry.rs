@@ -416,7 +416,7 @@ fn cadence_filter_thins_updates() {
 
 /// The fan-out core holds a thousand concurrent subscribers: every
 /// matching delta lands once in every queue, bounded memory throughout.
-/// (BENCH_telemetry.json benches the same path at scale.)
+/// (The `telemetry_fanout` bench drives the same path at 5 000.)
 #[test]
 fn hub_fans_out_to_a_thousand_subscribers() {
     let mut hub = TelemetryHub::new(SubscriptionConfig::default());
