@@ -13,7 +13,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fluxpm_fft::fft::{fft, naive_dft};
 use fluxpm_fft::period::{autocorr_period, estimate_period};
 use fluxpm_fft::Complex64;
-use fluxpm_hw::{lassen, PowerDemand, Watts};
+use fluxpm_hw::{lassen, Lanes, PowerDemand, Watts};
 use fluxpm_manager::{FppConfig, FppController};
 use fluxpm_monitor::RingBuffer;
 use fluxpm_sim::{Engine, SimDuration, SimTime};
@@ -319,9 +319,9 @@ fn bench_staged_give_back(c: &mut Criterion) {
 fn bench_power_resolution(c: &mut Criterion) {
     let arch = lassen();
     let demand = PowerDemand {
-        cpu: vec![Watts(150.0); arch.sockets],
+        cpu: Lanes::filled(Watts(150.0), arch.sockets),
         memory: Watts(80.0),
-        gpu: vec![Watts(260.0); arch.gpus],
+        gpu: Lanes::filled(Watts(260.0), arch.gpus),
         other: arch.other,
     };
     let caps = vec![Some(Watts(200.0)); arch.gpus];

@@ -80,12 +80,8 @@ pub fn run() -> String {
 /// Run the Table IV mix with a uniform explicit per-GPU cap.
 fn run_with_uniform_gpu_cap(cap: f64) -> crate::RunReport {
     use fluxpm_flux::{FluxEngine, JobSpec, World};
-    use fluxpm_sim::Engine;
-    use fluxpm_variorum::NodePowerSample;
+    use fluxpm_sim::{Engine, SimDuration};
     use fluxpm_workloads::{App, JitterModel};
-    use std::cell::RefCell;
-    use std::ops::ControlFlow;
-    use std::rc::Rc;
 
     let mut w = World::new(MachineKind::Lassen, 8, 77);
     w.autostop_after = Some(2);
@@ -97,26 +93,7 @@ fn run_with_uniform_gpu_cap(cap: f64) -> crate::RunReport {
     }
     w.install_executor(&mut eng);
 
-    let samples: Rc<RefCell<Vec<Vec<NodePowerSample>>>> =
-        Rc::new(RefCell::new(vec![Vec::new(); 8]));
-    let s2 = Rc::clone(&samples);
-    eng.schedule_every(
-        fluxpm_sim::SimTime::from_secs(2),
-        fluxpm_sim::SimDuration::from_secs(2),
-        move |w: &mut World, eng| {
-            if w.halted {
-                return ControlFlow::Break(());
-            }
-            let ts = eng.now().as_micros();
-            let mut buf = s2.borrow_mut();
-            for i in 0..w.nodes.len() {
-                let hostname = w.brokers[i].hostname.clone();
-                let reading = w.nodes[i].read_sensors();
-                buf[i].push(NodePowerSample::from_reading(&hostname, ts, &reading));
-            }
-            ControlFlow::Continue(())
-        },
-    );
+    let timeline = crate::scenario::sample_timeline(&w, &mut eng, SimDuration::from_secs(2));
 
     let gemm = App::with_jitter(
         fluxpm_workloads::gemm(),
@@ -138,8 +115,7 @@ fn run_with_uniform_gpu_cap(cap: f64) -> crate::RunReport {
     w.submit(&mut eng, JobSpec::new("Quicksilver", 2), Box::new(qs));
     eng.run(&mut w);
 
-    let node_series = samples.borrow().clone();
-    crate::RunReport::collect(&w, format!("gpucap-{cap:.0}"), 2.0, node_series)
+    crate::RunReport::collect(&w, format!("gpucap-{cap:.0}"), 2.0, timeline.take())
 }
 
 #[cfg(test)]

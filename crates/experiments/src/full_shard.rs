@@ -27,7 +27,7 @@ use fluxpm_flux::{
     JobSpec, LinkProfile, Rank, ShardPlan, ShardRecord, SharedModule, StepCtx, StepOutcome, World,
     WorldRunStats, WorldShard,
 };
-use fluxpm_hw::{MachineKind, NodeId, PowerDemand, Watts};
+use fluxpm_hw::{Lanes, MachineKind, NodeId, PowerDemand, Watts};
 use fluxpm_manager::ManagerConfig;
 use fluxpm_monitor::{MonitorConfig, MonitorQuery, QueryHandle, SubscriptionFilter};
 use fluxpm_sim::{Engine, SimDuration, SimTime, Xoshiro256pp};
@@ -175,9 +175,9 @@ impl PhaseApp {
         let frac = if hot { 0.9 } else { 0.35 };
         let lerp = |lo: Watts, hi: Watts| Watts(lo.get() + frac * (hi.get() - lo.get()));
         PowerDemand {
-            cpu: vec![lerp(arch.cpu_idle, arch.cpu_peak); arch.sockets],
+            cpu: Lanes::filled(lerp(arch.cpu_idle, arch.cpu_peak), arch.sockets),
             memory: lerp(arch.mem_idle, arch.mem_peak),
-            gpu: vec![lerp(arch.gpu_idle, arch.gpu_peak); arch.gpus],
+            gpu: Lanes::filled(lerp(arch.gpu_idle, arch.gpu_peak), arch.gpus),
             other: arch.other,
         }
         .clamp_to_envelope(arch)

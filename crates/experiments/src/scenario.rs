@@ -20,6 +20,7 @@ use fluxpm_workloads::{App, JitterModel};
 use std::cell::RefCell;
 use std::ops::ControlFlow;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// One job in a scenario.
 #[derive(Debug, Clone, PartialEq)]
@@ -236,24 +237,8 @@ impl Scenario {
         }
         world.install_executor(&mut eng);
 
-        // Timeline sampler: a full sensor scan of every node each period.
-        let samples: Rc<RefCell<Vec<Vec<NodePowerSample>>>> =
-            Rc::new(RefCell::new(vec![Vec::new(); self.nnodes as usize]));
-        let s2 = Rc::clone(&samples);
         let period = SimDuration::from_secs_f64(self.sample_period_s);
-        eng.schedule_every(SimTime::ZERO + period, period, move |w: &mut World, eng| {
-            if w.halted {
-                return ControlFlow::Break(());
-            }
-            let ts = eng.now().as_micros();
-            let mut buf = s2.borrow_mut();
-            for i in 0..w.nodes.len() {
-                let hostname = w.brokers[i].hostname.clone();
-                let reading = w.nodes[i].read_sensors();
-                buf[i].push(NodePowerSample::from_reading(&hostname, ts, &reading));
-            }
-            ControlFlow::Continue(())
-        });
+        let timeline = sample_timeline(&world, &mut eng, period);
 
         // Submissions.
         for (i, req) in self.jobs.iter().enumerate() {
@@ -270,14 +255,50 @@ impl Scenario {
         eng.run(&mut world);
         assert!(world.jobs.all_complete(), "scenario must drain its queue");
 
-        let node_series = samples.borrow().clone();
         RunReport::collect(
             &world,
             self.label.clone(),
             self.sample_period_s,
-            node_series,
+            timeline.take(),
         )
     }
+}
+
+/// Install the timeline sampler — a full sensor scan of every node each
+/// `period`, until the world halts — and return the per-node series it
+/// fills; the caller `take`s them once the engine has run.
+///
+/// The sampler keeps one sample per node (it holds a reference to the
+/// node's hostname), refills it in place each period and pushes a copy,
+/// so a scan costs no allocation beyond the series' own growth.
+pub(crate) fn sample_timeline(
+    world: &World,
+    eng: &mut FluxEngine,
+    period: SimDuration,
+) -> Rc<RefCell<Vec<Vec<NodePowerSample>>>> {
+    let series = Rc::new(RefCell::new(vec![Vec::new(); world.nodes.len()]));
+    let sink = Rc::clone(&series);
+    let mut kept: Vec<NodePowerSample> = world
+        .brokers
+        .iter()
+        .map(|b| NodePowerSample {
+            hostname: Arc::clone(&b.hostname),
+            ..NodePowerSample::default()
+        })
+        .collect();
+    eng.schedule_every(SimTime::ZERO + period, period, move |w: &mut World, eng| {
+        if w.halted {
+            return ControlFlow::Break(());
+        }
+        let ts = eng.now().as_micros();
+        let mut series = sink.borrow_mut();
+        for ((node, sample), out) in w.nodes.iter_mut().zip(&mut kept).zip(series.iter_mut()) {
+            sample.refill(ts, &node.read_sensors());
+            out.push(sample.clone());
+        }
+        ControlFlow::Continue(())
+    });
+    series
 }
 
 /// Run many scenarios in parallel OS threads (one per scenario, bounded

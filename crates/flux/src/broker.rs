@@ -6,6 +6,7 @@ use crate::tbon::Rank;
 use crate::topic::Topic;
 use fluxpm_sim::SimDuration;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Tuning for the sustained-congestion detector each broker runs on its
 /// *uplink* — the TBON edge to its current parent.
@@ -138,8 +139,9 @@ impl LinkDetector {
 pub struct Broker {
     /// This broker's rank.
     pub rank: Rank,
-    /// Node hostname (e.g. `"lassen12"`).
-    pub hostname: String,
+    /// Node hostname (e.g. `"lassen12"`): the node's one copy of the
+    /// string, which samplers and replies hold references to.
+    pub hostname: Arc<str>,
     /// Loaded modules by name, in load order. A vector scanned by
     /// `lookup`: a broker holds a handful of modules.
     modules: Vec<(&'static str, SharedModule)>,
@@ -167,7 +169,7 @@ impl Broker {
     pub fn new(rank: Rank, hostname: String) -> Broker {
         Broker {
             rank,
-            hostname,
+            hostname: hostname.into(),
             modules: Vec::new(),
             routes: Vec::new(),
             up: true,

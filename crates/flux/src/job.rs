@@ -142,10 +142,12 @@ impl Job {
 pub struct JobRegistry {
     jobs: Vec<Job>,
     /// Node → running-job reverse index, rebuilt lazily by
-    /// [`JobRegistry::job_on_node`]. Any mutable access clears it (the
-    /// caller may change a state or placement), so per-node managers —
-    /// which query every rank every tick — pay one O(jobs) rebuild per
-    /// mutation instead of a full job-table scan per query.
+    /// [`JobRegistry::job_on_node`]. It depends on the jobs' `state` and
+    /// `nodes` only; [`JobRegistry::get_mut`] clears it (the caller may
+    /// change either), the executor's take/put of a program does not. So
+    /// per-node managers — which query every rank every tick — pay one
+    /// O(jobs) rebuild per state or placement change instead of a full
+    /// job-table scan per query.
     occupancy: std::cell::RefCell<Option<Vec<Option<JobId>>>>,
 }
 
@@ -184,27 +186,47 @@ impl JobRegistry {
         self.jobs.get_mut(id.index())
     }
 
+    /// Take a running job's program out for one executor step, so the
+    /// step can borrow the node array while it runs. `None`: no such
+    /// job, not running, or no program (taken, or dropped with its
+    /// nodes). Leaves the occupancy index alone.
+    pub fn take_program(&mut self, id: JobId) -> Option<Box<dyn JobProgram>> {
+        let job = self.jobs.get_mut(id.index())?;
+        if job.state != JobState::Running {
+            return None;
+        }
+        job.program.take()
+    }
+
+    /// Put a stepped program back and record the end of its slice; the
+    /// counterpart of [`JobRegistry::take_program`].
+    pub fn put_program(&mut self, id: JobId, program: Box<dyn JobProgram>, now: SimTime) {
+        if let Some(job) = self.jobs.get_mut(id.index()) {
+            job.program = Some(program);
+            job.last_step = now;
+        }
+    }
+
     /// All jobs.
     pub fn all(&self) -> &[Job] {
         &self.jobs
     }
 
     /// Ids of jobs currently in `state`, in id order.
-    pub fn in_state(&self, state: JobState) -> Vec<JobId> {
+    pub fn in_state(&self, state: JobState) -> impl Iterator<Item = JobId> + '_ {
         self.jobs
             .iter()
-            .filter(|j| j.state == state)
+            .filter(move |j| j.state == state)
             .map(|j| j.id)
-            .collect()
     }
 
     /// Ids of running jobs.
-    pub fn running(&self) -> Vec<JobId> {
+    pub fn running(&self) -> impl Iterator<Item = JobId> + '_ {
         self.in_state(JobState::Running)
     }
 
     /// Ids of pending jobs in submission order (the FCFS queue).
-    pub fn pending(&self) -> Vec<JobId> {
+    pub fn pending(&self) -> impl Iterator<Item = JobId> + '_ {
         self.in_state(JobState::Pending)
     }
 
@@ -298,14 +320,43 @@ mod tests {
         let mut reg = JobRegistry::new();
         let a = reg.add(JobSpec::new("a", 1), Box::new(Nop), SimTime::ZERO);
         let b = reg.add(JobSpec::new("b", 2), Box::new(Nop), SimTime::ZERO);
-        assert_eq!(reg.pending(), vec![a, b]);
+        assert_eq!(reg.pending().collect::<Vec<_>>(), vec![a, b]);
         reg.get_mut(a).unwrap().state = JobState::Running;
         reg.get_mut(a).unwrap().nodes = vec![NodeId(0)];
-        assert_eq!(reg.running(), vec![a]);
-        assert_eq!(reg.pending(), vec![b]);
+        assert_eq!(reg.running().collect::<Vec<_>>(), vec![a]);
+        assert_eq!(reg.pending().collect::<Vec<_>>(), vec![b]);
         assert_eq!(reg.job_on_node(NodeId(0)), Some(a));
         assert_eq!(reg.job_on_node(NodeId(3)), None);
         assert!(!reg.all_complete());
+    }
+
+    #[test]
+    fn stepping_a_program_keeps_the_occupancy_index() {
+        let mut reg = JobRegistry::new();
+        let a = reg.add(JobSpec::new("a", 1), Box::new(Nop), SimTime::ZERO);
+        assert!(
+            reg.take_program(a).is_none(),
+            "pending jobs are not stepped"
+        );
+        let job = reg.get_mut(a).unwrap();
+        job.state = JobState::Running;
+        job.nodes = vec![NodeId(2)];
+        assert_eq!(reg.job_on_node(NodeId(2)), Some(a));
+        assert!(reg.occupancy.borrow().is_some(), "index built by the query");
+
+        let program = reg.take_program(a).expect("running job has a program");
+        assert!(reg.take_program(a).is_none(), "already out");
+        reg.put_program(a, program, SimTime::from_secs(1));
+        assert!(reg.occupancy.borrow().is_some(), "take/put left it alone");
+        assert_eq!(reg.get(a).unwrap().last_step, SimTime::from_secs(1));
+        assert!(reg.get(a).unwrap().program.is_some());
+
+        reg.get_mut(a).unwrap().state = JobState::Completed;
+        assert!(
+            reg.occupancy.borrow().is_none(),
+            "get_mut still invalidates"
+        );
+        assert_eq!(reg.job_on_node(NodeId(2)), None);
     }
 
     #[test]

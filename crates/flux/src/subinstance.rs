@@ -293,7 +293,7 @@ mod tests {
     use super::*;
     use crate::job::JobSpec;
     use crate::world::World;
-    use fluxpm_hw::{MachineKind, PowerDemand};
+    use fluxpm_hw::{Lanes, MachineKind, PowerDemand};
     use fluxpm_sim::Engine;
 
     /// Fixed-duration child drawing a constant GPU load.
@@ -315,9 +315,9 @@ mod tests {
             for n in &mut ctx.nodes {
                 let arch = n.arch.clone();
                 n.set_demand(PowerDemand {
-                    cpu: vec![Watts(120.0); arch.sockets],
+                    cpu: Lanes::filled(Watts(120.0), arch.sockets),
                     memory: Watts(70.0),
-                    gpu: vec![Watts(self.gpu_w); arch.gpus],
+                    gpu: Lanes::filled(Watts(self.gpu_w), arch.gpus),
                     other: arch.other,
                 });
             }

@@ -953,6 +953,9 @@ pub struct World {
     /// End of the last executor slice.
     last_exec: SimTime,
     executor_installed: bool,
+    /// The executor slice's snapshot of running job ids, kept between
+    /// slices for its storage.
+    slice_jobs: Vec<JobId>,
     /// Sharded-replica context, when this world is one shard of a
     /// full-fidelity sharded run (see [`crate::world_shard`]). `None`
     /// for classic single-threaded worlds — every sharded branch in the
@@ -1010,6 +1013,7 @@ impl World {
             state: StateLog::new(),
             last_exec: SimTime::ZERO,
             executor_installed: false,
+            slice_jobs: Vec::new(),
             shard_ctx: None,
         }
     }
@@ -2075,7 +2079,10 @@ impl World {
 
     /// Start as many pending jobs as fit, in FCFS order (no backfill).
     fn try_schedule(&mut self, eng: &mut FluxEngine) {
-        while let Some(&head) = self.jobs.pending().first() {
+        loop {
+            let Some(head) = self.jobs.pending().next() else {
+                break;
+            };
             let nnodes = self.jobs.get(head).expect("pending job exists").spec.nnodes;
             let Some(alloc) = self.sched.allocate(nnodes) else {
                 break;
@@ -2110,31 +2117,7 @@ impl World {
     /// past the cluster yields nothing. Costs O(k log k) in the size of
     /// the set, not a walk over the cluster.
     pub fn nodes_mut(&mut self, ids: &[NodeId]) -> Vec<&mut NodeHardware> {
-        // Visit the wanted nodes in index order with one cursor over the
-        // node array, dropping each reference into its caller's position.
-        let mut by_index: Vec<(usize, usize)> = ids
-            .iter()
-            .enumerate()
-            .map(|(pos, n)| (n.index(), pos))
-            .collect();
-        by_index.sort_unstable();
-        debug_assert!(
-            by_index.windows(2).all(|w| w[0].0 != w[1].0),
-            "nodes_mut: duplicate node id in {ids:?}"
-        );
-        let mut picked: Vec<Option<&mut NodeHardware>> = Vec::new();
-        picked.resize_with(ids.len(), || None);
-        let mut rest = self.nodes.iter_mut();
-        let mut next = 0;
-        for (index, pos) in by_index {
-            // `None`: a repeated id, already handed out.
-            let Some(skip) = index.checked_sub(next) else {
-                continue;
-            };
-            picked[pos] = rest.nth(skip);
-            next = index + 1;
-        }
-        picked.into_iter().flatten().collect()
+        pick_nodes(&mut self.nodes, ids)
     }
 
     /// Run one program slice. `starting` selects `on_start` vs `step`.
@@ -2148,20 +2131,15 @@ impl World {
         starting: bool,
     ) -> Option<StepOutcome> {
         // Take the program out to sidestep the aliasing between the job
-        // table and the node array.
-        let (mut program, node_ids) = {
-            let job = self.jobs.get_mut(id)?;
-            if job.state != JobState::Running {
-                return None;
-            }
-            (job.program.take()?, job.nodes.clone())
-        };
+        // table and the node array; the allocation is read in place.
+        let mut program = self.jobs.take_program(id)?;
+        let node_ids = &self.jobs.get(id).expect("program taken from it").nodes;
         let lost: Vec<f64> = node_ids
             .iter()
             .map(|n| std::mem::take(&mut self.overhead[n.index()]))
             .collect();
         let outcome = {
-            let nodes = self.nodes_mut(&node_ids);
+            let nodes = pick_nodes(&mut self.nodes, node_ids);
             let mut ctx = StepCtx {
                 now,
                 dt,
@@ -2175,10 +2153,7 @@ impl World {
                 program.step(&mut ctx)
             }
         };
-        if let Some(job) = self.jobs.get_mut(id) {
-            job.program = Some(program);
-            job.last_step = now;
-        }
+        self.jobs.put_program(id, program, now);
         match &outcome {
             StepOutcome::Done { leftover_seconds } => {
                 let end = SimTime::from_micros(
@@ -2688,10 +2663,16 @@ impl World {
             node.tick(dt);
         }
 
-        // Advance every running job.
-        for id in self.jobs.running() {
+        // Advance every job that is running now: the ids are
+        // snapshotted (into a buffer kept across slices), so a job that
+        // a completion below starts is first stepped next slice.
+        let mut running = std::mem::take(&mut self.slice_jobs);
+        running.clear();
+        running.extend(self.jobs.running());
+        for &id in &running {
             self.step_job(eng, id, now, dt, false);
         }
+        self.slice_jobs = running;
 
         // Drop overhead charged to idle nodes (nothing to slow down).
         for (i, oh) in self.overhead.iter_mut().enumerate() {
@@ -2719,6 +2700,36 @@ impl World {
         }
         total
     }
+}
+
+/// [`World::nodes_mut`] over the node array alone, so a caller can hold
+/// other fields of the world while it has the references.
+fn pick_nodes<'a>(nodes: &'a mut [NodeHardware], ids: &[NodeId]) -> Vec<&'a mut NodeHardware> {
+    // Visit the wanted nodes in index order with one cursor over the
+    // node array, dropping each reference into its caller's position.
+    let mut by_index: Vec<(usize, usize)> = ids
+        .iter()
+        .enumerate()
+        .map(|(pos, n)| (n.index(), pos))
+        .collect();
+    by_index.sort_unstable();
+    debug_assert!(
+        by_index.windows(2).all(|w| w[0].0 != w[1].0),
+        "nodes_mut: duplicate node id in {ids:?}"
+    );
+    let mut picked: Vec<Option<&mut NodeHardware>> = Vec::new();
+    picked.resize_with(ids.len(), || None);
+    let mut rest = nodes.iter_mut();
+    let mut next = 0;
+    for (index, pos) in by_index {
+        // `None`: a repeated id, already handed out.
+        let Some(skip) = index.checked_sub(next) else {
+            continue;
+        };
+        picked[pos] = rest.nth(skip);
+        next = index + 1;
+    }
+    picked.into_iter().flatten().collect()
 }
 
 /// Deliver a message at its destination rank. `route` is the TBON route
@@ -2787,7 +2798,7 @@ mod tests {
     use super::*;
     use crate::message::payload;
     use crate::module::Module;
-    use fluxpm_hw::PowerDemand;
+    use fluxpm_hw::{Lanes, PowerDemand};
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -2811,9 +2822,9 @@ mod tests {
             for node in &mut ctx.nodes {
                 let arch = node.arch.clone();
                 node.set_demand(PowerDemand {
-                    cpu: vec![Watts(120.0); arch.sockets],
+                    cpu: Lanes::filled(Watts(120.0), arch.sockets),
                     memory: Watts(70.0),
-                    gpu: vec![Watts(self.gpu_w); arch.gpus],
+                    gpu: Lanes::filled(Watts(self.gpu_w), arch.gpus),
                     other: arch.other,
                 });
             }

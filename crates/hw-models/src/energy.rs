@@ -70,9 +70,9 @@ mod tests {
     fn draw(cpu: f64, gpu: f64) -> PowerDraw {
         let a = lassen();
         let d = PowerDemand {
-            cpu: vec![Watts(cpu); 2],
+            cpu: [Watts(cpu); 2].into(),
             memory: Watts(80.0),
-            gpu: vec![Watts(gpu); 4],
+            gpu: [Watts(gpu); 4].into(),
             other: a.other,
         };
         resolve(&a, &d, &[None; 4], None)

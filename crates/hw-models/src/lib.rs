@@ -23,6 +23,7 @@
 pub mod arch;
 pub mod capping;
 pub mod energy;
+pub mod lanes;
 pub mod node;
 pub mod power;
 pub mod sensors;
@@ -31,6 +32,7 @@ pub mod units;
 pub use arch::{lassen, tioga, CappingSupport, MachineKind, NodeArch, TelemetrySupport};
 pub use capping::{CapError, CapOutcome, DramCapState, NvmlState, OpalState, RaplState};
 pub use energy::EnergyMeter;
+pub use lanes::Lanes;
 pub use node::{NodeHardware, NodeId};
 pub use power::{resolve_with_sockets, PowerDemand, PowerDraw, Throttle};
 pub use sensors::{SensorReadCost, SensorReading, Sensors};

@@ -7,7 +7,8 @@
 use crate::arch::NodeArch;
 use crate::capping::{CapError, CapOutcome, DramCapState, NvmlState, OpalState, RaplState};
 use crate::energy::EnergyMeter;
-use crate::power::{resolve_with_sockets, PowerDemand, PowerDraw};
+use crate::lanes::Lanes;
+use crate::power::{resolve, resolve_with_sockets, PowerDemand, PowerDraw};
 use crate::sensors::{SensorReading, Sensors};
 use crate::units::Watts;
 use fluxpm_sim::Xoshiro256pp;
@@ -47,17 +48,32 @@ pub struct NodeHardware {
     demand: PowerDemand,
     /// RNG for capping failure injection.
     cap_rng: Xoshiro256pp,
-    /// Cached draw for the current demand/caps (invalidated on change).
-    cached_draw: Option<PowerDraw>,
+    /// The node's one resolved draw: what `demand` draws under the caps
+    /// in force, unless `stale`.
+    resolved: PowerDraw,
+    /// A demand or cap changed since `resolved` was computed.
+    stale: bool,
 }
 
 impl NodeHardware {
     /// Build a node of the given architecture. `seed` decorrelates the
     /// node's stochastic models from its siblings.
+    ///
+    /// Panics on an architecture with more sockets or GPUs than a
+    /// [`Lanes`] holds: per-component values are stored inline.
     pub fn new(id: NodeId, arch: NodeArch, seed: u64) -> NodeHardware {
+        let widest = Lanes::<Watts>::CAPACITY;
+        assert!(
+            arch.sockets <= widest && arch.gpus <= widest,
+            "{} has {} sockets and {} GPUs; a node is modelled with at most {widest} of either",
+            arch.model,
+            arch.sockets,
+            arch.gpus,
+        );
         let mut root = Xoshiro256pp::seed_from_u64(seed);
         let sensors = Sensors::new(&arch, root.next_u64());
         let cap_rng = root.child(id.0 as u64);
+        let demand = PowerDemand::idle(&arch);
         NodeHardware {
             id,
             opal: OpalState::for_arch(&arch),
@@ -66,9 +82,10 @@ impl NodeHardware {
             dram: DramCapState::for_arch(&arch),
             sensors,
             meter: EnergyMeter::new(),
-            demand: PowerDemand::idle(&arch),
+            resolved: resolve(&arch, &demand, &Lanes::filled(None, arch.gpus), None),
+            stale: false,
+            demand,
             cap_rng,
-            cached_draw: None,
             arch,
         }
     }
@@ -79,16 +96,18 @@ impl NodeHardware {
         self
     }
 
-    /// Replace the current workload demand.
+    /// Replace the current workload demand. Resolution is a pure
+    /// function of architecture × demand × caps, so a demand equal to the
+    /// one in force keeps the resolved draw (a flat-phase application
+    /// republishes the same demand every executor slice).
     pub fn set_demand(&mut self, demand: PowerDemand) {
+        self.stale |= demand != self.demand;
         self.demand = demand;
-        self.cached_draw = None;
     }
 
     /// Reset demand to idle (job ended).
     pub fn set_idle(&mut self) {
-        self.demand = PowerDemand::idle(&self.arch);
-        self.cached_draw = None;
+        self.set_demand(PowerDemand::idle(&self.arch));
     }
 
     /// The current demand.
@@ -98,7 +117,7 @@ impl NodeHardware {
 
     /// Effective per-GPU caps: the tighter of the NVML software cap and
     /// the OPAL-derived cap (None = uncapped).
-    pub fn effective_gpu_caps(&self) -> Vec<Option<Watts>> {
+    pub fn effective_gpu_caps(&self) -> Lanes<Option<Watts>> {
         let derived = self.opal.as_ref().and_then(|o| o.derived_gpu_cap());
         self.nvml
             .caps()
@@ -117,37 +136,35 @@ impl NodeHardware {
         self.opal.as_ref().and_then(|o| o.node_cap())
     }
 
-    /// Resolve the current demand into actual draw under the current caps.
-    pub fn draw(&mut self) -> PowerDraw {
-        self.draw_ref().clone()
+    /// The actual draw of the current demand under the current caps: a
+    /// reference to the node's one resolved draw, re-resolved first if a
+    /// demand or cap changed since the last call. Reads between changes
+    /// (the executor ticks every node every slice, samplers scan every
+    /// node every period) cost a flag test.
+    pub fn draw(&mut self) -> &PowerDraw {
+        self.refresh();
+        &self.resolved
     }
 
-    /// Like [`NodeHardware::draw`], but returns a reference into the resolution
-    /// cache instead of cloning it — the read path for per-tick callers
-    /// (the node manager samples every GPU every second; cloning two
-    /// `Vec<Watts>` per tick per node is pure waste). The cache-miss
-    /// path still resolves; steady-state reads between demand/cap
-    /// changes are allocation-free.
-    pub fn draw_ref(&mut self) -> &PowerDraw {
-        if self.cached_draw.is_none() {
-            let caps = self.effective_gpu_caps();
+    /// Bring `resolved` up to date with the demand and caps in force.
+    fn refresh(&mut self) {
+        if self.stale {
             // The DRAM cap clamps memory demand before resolution (no
             // throttle feedback: none of the modelled apps is
             // memory-bound).
-            let mut demand = self.demand.clone();
+            let mut demand = self.demand;
             if let Some(c) = self.dram.cap() {
                 demand.memory = demand.memory.min(c.max(self.arch.mem_idle));
             }
-            let d = resolve_with_sockets(
+            self.resolved = resolve_with_sockets(
                 &self.arch,
                 &demand,
-                &caps,
+                &self.effective_gpu_caps(),
                 self.rapl.caps(),
                 self.node_cap(),
             );
-            self.cached_draw = Some(d);
+            self.stale = false;
         }
-        self.cached_draw.as_ref().expect("cache just filled")
     }
 
     /// Set the OPAL node cap. Errors on architectures without node
@@ -157,7 +174,7 @@ impl NodeHardware {
             return Err(CapError::Disabled);
         }
         let opal = self.opal.as_mut().ok_or(CapError::Unsupported)?;
-        self.cached_draw = None;
+        self.stale = true;
         Ok(opal.set_node_cap(cap))
     }
 
@@ -165,7 +182,7 @@ impl NodeHardware {
     pub fn clear_node_cap(&mut self) -> Result<(), CapError> {
         let opal = self.opal.as_mut().ok_or(CapError::Unsupported)?;
         opal.clear_node_cap();
-        self.cached_draw = None;
+        self.stale = true;
         Ok(())
     }
 
@@ -179,7 +196,7 @@ impl NodeHardware {
             return Err(CapError::Unsupported);
         }
         let node_ctx = self.node_cap();
-        self.cached_draw = None;
+        self.stale = true;
         self.nvml.set_gpu_cap(gpu, cap, node_ctx, &mut self.cap_rng)
     }
 
@@ -188,13 +205,13 @@ impl NodeHardware {
         if !self.arch.capping.user_enabled {
             return Err(CapError::Disabled);
         }
-        self.cached_draw = None;
+        self.stale = true;
         Ok(self.dram.set_cap(cap))
     }
 
     /// Clear the memory-subsystem cap.
     pub fn clear_memory_cap(&mut self) {
-        self.cached_draw = None;
+        self.stale = true;
         self.dram.clear();
     }
 
@@ -207,27 +224,27 @@ impl NodeHardware {
         if !self.arch.capping.socket_cap {
             return Err(CapError::Unsupported);
         }
-        self.cached_draw = None;
+        self.stale = true;
         self.rapl.set_socket_cap(socket, cap)
     }
 
     /// Clear a per-socket CPU cap.
     pub fn clear_socket_cap(&mut self, socket: usize) -> Result<(), CapError> {
-        self.cached_draw = None;
+        self.stale = true;
         self.rapl.clear_socket_cap(socket)
     }
 
     /// Integrate energy assuming the current draw held for `dt_seconds`.
     pub fn tick(&mut self, dt_seconds: f64) -> PowerDraw {
-        let draw = self.draw();
-        self.meter.accumulate(&draw, dt_seconds);
-        draw
+        self.refresh();
+        self.meter.accumulate(&self.resolved, dt_seconds);
+        self.resolved
     }
 
     /// Full sensor scan of the current draw.
     pub fn read_sensors(&mut self) -> SensorReading {
-        let draw = self.draw();
-        self.sensors.read(&self.arch, &draw)
+        self.refresh();
+        self.sensors.read(&self.arch, &self.resolved)
     }
 }
 
@@ -238,9 +255,9 @@ mod tests {
 
     fn busy_demand(arch: &NodeArch) -> PowerDemand {
         PowerDemand {
-            cpu: vec![Watts(150.0); arch.sockets],
+            cpu: Lanes::filled(Watts(150.0), arch.sockets),
             memory: Watts(80.0),
-            gpu: vec![Watts(260.0); arch.gpus],
+            gpu: Lanes::filled(Watts(260.0), arch.gpus),
             other: arch.other,
         }
     }
@@ -355,6 +372,30 @@ mod tests {
         // Tioga refuses, as with every other dial.
         let mut t = NodeHardware::new(NodeId(1), tioga(), 1);
         assert_eq!(t.set_memory_cap(Watts(50.0)), Err(CapError::Disabled));
+    }
+
+    #[test]
+    fn unchanged_demand_keeps_the_resolution_and_a_changed_one_drops_it() {
+        let mut n = NodeHardware::new(NodeId(0), lassen(), 1);
+        let busy = busy_demand(&n.arch);
+        n.set_demand(busy);
+        let first = *n.draw();
+        n.set_demand(busy);
+        assert!(!n.stale, "same demand: nothing to re-resolve");
+        assert_eq!(*n.draw(), first);
+        let mut lighter = busy;
+        lighter.gpu[3] = Watts(120.0);
+        n.set_demand(lighter);
+        assert!(n.stale);
+        assert_eq!(n.draw().gpu[3], Watts(120.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 8 of either")]
+    fn a_node_wider_than_the_inline_lists_is_refused_by_name() {
+        let mut wide = tioga();
+        wide.gpus = 9;
+        NodeHardware::new(NodeId(0), wide, 1);
     }
 
     #[test]

@@ -13,18 +13,19 @@
 //! below idle — firmware cannot stop the silicon from leaking).
 
 use crate::arch::NodeArch;
+use crate::lanes::Lanes;
 use crate::units::Watts;
 use serde::{Deserialize, Serialize};
 
 /// Requested (uncapped) power per component, for one node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PowerDemand {
     /// Per-socket CPU demand.
-    pub cpu: Vec<Watts>,
+    pub cpu: Lanes<Watts>,
     /// Whole-node memory-subsystem demand.
     pub memory: Watts,
     /// Per-GPU demand.
-    pub gpu: Vec<Watts>,
+    pub gpu: Lanes<Watts>,
     /// Constant board/uncore power.
     pub other: Watts,
 }
@@ -33,9 +34,9 @@ impl PowerDemand {
     /// The all-idle demand for an architecture.
     pub fn idle(arch: &NodeArch) -> PowerDemand {
         PowerDemand {
-            cpu: vec![arch.cpu_idle; arch.sockets],
+            cpu: Lanes::filled(arch.cpu_idle, arch.sockets),
             memory: arch.mem_idle,
-            gpu: vec![arch.gpu_idle; arch.gpus],
+            gpu: Lanes::filled(arch.gpu_idle, arch.gpus),
             other: arch.other,
         }
     }
@@ -86,18 +87,18 @@ impl Throttle {
 }
 
 /// Actual power drawn per component after capping.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PowerDraw {
     /// Per-socket CPU draw.
-    pub cpu: Vec<Watts>,
+    pub cpu: Lanes<Watts>,
     /// Memory draw.
     pub memory: Watts,
     /// Per-GPU draw.
-    pub gpu: Vec<Watts>,
+    pub gpu: Lanes<Watts>,
     /// Board/uncore draw.
     pub other: Watts,
     /// Per-GPU throttle factor (granted/demanded dynamic power).
-    pub gpu_throttle: Vec<f64>,
+    pub gpu_throttle: Lanes<f64>,
     /// Summary throttle factors.
     pub throttle: Throttle,
 }
@@ -122,7 +123,8 @@ pub fn resolve(
     gpu_caps: &[Option<Watts>],
     node_cap: Option<Watts>,
 ) -> PowerDraw {
-    resolve_with_sockets(arch, demand, gpu_caps, &vec![None; arch.sockets], node_cap)
+    let socket_caps = Lanes::filled(None, arch.sockets);
+    resolve_with_sockets(arch, demand, gpu_caps, &socket_caps, node_cap)
 }
 
 /// Resolve a demand against effective caps.
@@ -146,11 +148,11 @@ pub fn resolve_with_sockets(
     debug_assert_eq!(demand.gpu.len(), arch.gpus);
     debug_assert_eq!(gpu_caps.len(), arch.gpus);
     debug_assert_eq!(socket_caps.len(), arch.sockets);
-    let demand = demand.clone().clamp_to_envelope(arch);
+    let demand = demand.clamp_to_envelope(arch);
 
     // Pass 1: clamp each GPU to its effective cap.
-    let mut gpu_draw = Vec::with_capacity(arch.gpus);
-    let mut gpu_throttle = Vec::with_capacity(arch.gpus);
+    let mut gpu_draw = Lanes::new();
+    let mut gpu_throttle = Lanes::new();
     for (d, cap) in demand.gpu.iter().zip(gpu_caps.iter()) {
         let granted = match cap {
             Some(c) => d.min(c.max(arch.gpu_idle)),
@@ -165,7 +167,7 @@ pub fn resolve_with_sockets(
     let other = demand.other;
 
     // Pass 2: clamp each socket to its RAPL-style cap.
-    let mut cpu_draw: Vec<Watts> = demand
+    let mut cpu_draw: Lanes<Watts> = demand
         .cpu
         .iter()
         .zip(socket_caps.iter())
@@ -252,9 +254,9 @@ mod tests {
     fn demand(cpu: f64, gpu: f64) -> PowerDemand {
         let a = lassen();
         PowerDemand {
-            cpu: vec![Watts(cpu); a.sockets],
+            cpu: Lanes::filled(Watts(cpu), a.sockets),
             memory: Watts(80.0),
-            gpu: vec![Watts(gpu); a.gpus],
+            gpu: Lanes::filled(Watts(gpu), a.gpus),
             other: a.other,
         }
     }

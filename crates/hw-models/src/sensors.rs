@@ -15,6 +15,7 @@
 //!   than MSR reads on Tioga.
 
 use crate::arch::NodeArch;
+use crate::lanes::Lanes;
 use crate::power::PowerDraw;
 use crate::units::Watts;
 use fluxpm_sim::{SimDuration, Xoshiro256pp};
@@ -45,18 +46,18 @@ impl SensorReadCost {
 }
 
 /// One full sensor scan of a node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SensorReading {
     /// Directly measured node power, if the hardware reports it
     /// (Lassen: yes, includes uncore; Tioga: no).
     pub node: Option<Watts>,
     /// Per-socket CPU power.
-    pub cpu: Vec<Watts>,
+    pub cpu: Lanes<Watts>,
     /// Memory power, if measurable.
     pub memory: Option<Watts>,
     /// GPU power readings. One entry per *reading group*: per GPU on
     /// Lassen, per OAM (sum of 2 GCDs) on Tioga.
-    pub gpu: Vec<Watts>,
+    pub gpu: Lanes<Watts>,
 }
 
 impl SensorReading {
@@ -128,7 +129,7 @@ impl Sensors {
         let cpu = if t.cpu_power {
             draw.cpu.iter().map(|w| self.perturb(*w)).collect()
         } else {
-            Vec::new()
+            Lanes::new()
         };
         let memory = if t.memory_power {
             Some(self.perturb(draw.memory))
@@ -143,7 +144,7 @@ impl Sensors {
                 .map(|chunk| self.perturb(chunk.iter().copied().sum()))
                 .collect()
         } else {
-            Vec::new()
+            Lanes::new()
         };
         SensorReading {
             node,
@@ -170,9 +171,9 @@ mod tests {
 
     fn draw_for(arch: &NodeArch) -> PowerDraw {
         let d = PowerDemand {
-            cpu: vec![Watts(150.0); arch.sockets],
+            cpu: Lanes::filled(Watts(150.0), arch.sockets),
             memory: Watts(80.0),
-            gpu: vec![Watts(200.0); arch.gpus],
+            gpu: Lanes::filled(Watts(200.0), arch.gpus),
             other: arch.other,
         };
         let caps = vec![None; arch.gpus];

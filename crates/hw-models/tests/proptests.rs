@@ -2,7 +2,7 @@
 
 use fluxpm_hw::capping::OpalState;
 use fluxpm_hw::power::{resolve, PowerDemand};
-use fluxpm_hw::{lassen, tioga, Watts};
+use fluxpm_hw::{lassen, tioga, Lanes, Watts};
 use proptest::prelude::*;
 
 prop_compose! {
@@ -13,9 +13,9 @@ prop_compose! {
     ) -> PowerDemand {
         let a = lassen();
         PowerDemand {
-            cpu: vec![Watts(cpu); a.sockets],
+            cpu: Lanes::filled(Watts(cpu), a.sockets),
             memory: Watts(mem),
-            gpu: vec![Watts(gpu); a.gpus],
+            gpu: Lanes::filled(Watts(gpu), a.gpus),
             other: a.other,
         }
     }
@@ -121,13 +121,68 @@ proptest! {
         n.sensors = Sensors::new(&n.arch, 0).with_noise(0.0);
         let arch = n.arch.clone();
         n.set_demand(PowerDemand {
-            cpu: vec![Watts(cpu); arch.sockets],
+            cpu: Lanes::filled(Watts(cpu), arch.sockets),
             memory: arch.mem_idle,
-            gpu: vec![Watts(gpu); arch.gpus],
+            gpu: Lanes::filled(Watts(gpu), arch.gpus),
             other: arch.other,
         });
         let truth = n.draw().total();
         let est = n.read_sensors().node_power_estimate();
         prop_assert!(est.get() <= truth.get() + 1e-9);
+    }
+
+    /// The node's one resolved draw never goes stale: after any sequence
+    /// of demand and cap changes — including a demand equal to the one in
+    /// force, which keeps the resolution — `draw()` is what resolving the
+    /// node's current demand under its current caps from scratch gives.
+    #[test]
+    fn resolved_draw_tracks_demand_and_caps(
+        ops in prop::collection::vec((0u8..12, 0usize..4, 0.0f64..1.0), 1..40),
+    ) {
+        use fluxpm_hw::{resolve_with_sockets, NodeHardware, NodeId};
+        let mut n = NodeHardware::new(NodeId(0), lassen(), 9);
+        let arch = n.arch.clone();
+        // A palette of 27 demands (three levels per component, varied
+        // independently), so consecutive demands are sometimes equal and
+        // often differ in one component only.
+        let palette = |pick: f64| {
+            let k = (pick * 27.0) as usize;
+            let mut d = PowerDemand {
+                cpu: Lanes::filled(Watts([80.0, 150.0, 190.0][k % 3]), arch.sockets),
+                memory: Watts([40.0, 80.0, 120.0][k / 3 % 3]),
+                gpu: Lanes::filled(Watts([60.0, 180.0, 290.0][k / 9]), arch.gpus),
+                other: arch.other,
+            };
+            d.gpu[k % 3] = Watts(250.0);
+            d
+        };
+        for (kind, device, x) in ops {
+            match kind {
+                0..=3 => n.set_demand(palette(x)),
+                4 => n.set_idle(),
+                5 => { n.set_gpu_cap(device, Watts(100.0 + 200.0 * x)).unwrap(); }
+                6 => { n.set_node_cap(Watts(500.0 + 2500.0 * x)).unwrap(); }
+                7 => n.clear_node_cap().unwrap(),
+                8 => { n.set_memory_cap(Watts(40.0 + 80.0 * x)).unwrap(); }
+                9 => n.clear_memory_cap(),
+                10 => { n.set_socket_cap(device % 2, Watts(60.0 + 130.0 * x)).unwrap(); }
+                _ => n.clear_socket_cap(device % 2).unwrap(),
+            }
+            let mut demand = *n.demand();
+            if let Some(cap) = n.dram.cap() {
+                demand.memory = demand.memory.min(cap.max(arch.mem_idle));
+            }
+            let fresh = resolve_with_sockets(
+                &arch,
+                &demand,
+                &n.effective_gpu_caps(),
+                n.rapl.caps(),
+                n.node_cap(),
+            );
+            prop_assert_eq!(*n.draw(), fresh, "after op {} on device {}", kind, device);
+            prop_assert_eq!(n.tick(1.0), fresh);
+            let seen = n.read_sensors().node_power_estimate();
+            prop_assert!(seen.approx_eq(fresh.total(), 0.05 * fresh.total().get()));
+        }
     }
 }

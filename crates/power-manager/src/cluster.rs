@@ -27,6 +27,8 @@ pub struct ClusterLevelManager {
     allocator: Option<ProportionalAllocator>,
     /// Limit updates pushed (diagnostics).
     updates_sent: u64,
+    /// The topic limits are pushed on, interned once.
+    job_limit: Topic,
 }
 
 impl ClusterLevelManager {
@@ -36,6 +38,7 @@ impl ClusterLevelManager {
             config,
             allocator: None,
             updates_sent: 0,
+            job_limit: Topic::intern(TOPIC_JOB_LIMIT),
         }
     }
 
@@ -99,7 +102,7 @@ impl ClusterLevelManager {
             // manager holding a stale allocation.
             let req = ManagerRequest::JobLimit(JobLimitMsg { job, limit });
             ctx.world
-                .rpc(here, TOPIC_JOB_LIMIT, req.encode())
+                .rpc(here, &self.job_limit, req.encode())
                 .from(here)
                 .retry(RetryPolicy::default())
                 .send(ctx.eng, move |world, eng, resp| {

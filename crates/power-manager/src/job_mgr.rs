@@ -22,18 +22,29 @@ use std::rc::Rc;
 pub const JOB_MANAGER: &str = "power-manager-job";
 
 /// The `flux-power-manager` job-level component.
-#[derive(Default)]
 pub struct JobLevelManager {
     /// Last limit applied per job (the mirrored state).
     limits: HashMap<JobId, Watts>,
     /// Node-limit RPCs sent (diagnostics).
     node_updates: u64,
+    /// The topic node limits are pushed on, interned once.
+    set_node_limit: Topic,
+}
+
+impl Default for JobLevelManager {
+    fn default() -> JobLevelManager {
+        JobLevelManager::new()
+    }
 }
 
 impl JobLevelManager {
     /// Create an unloaded manager.
     pub fn new() -> JobLevelManager {
-        JobLevelManager::default()
+        JobLevelManager {
+            limits: HashMap::new(),
+            node_updates: 0,
+            set_node_limit: Topic::intern(TOPIC_SET_NODE_LIMIT),
+        }
     }
 
     /// Create as a shared module handle.
@@ -81,7 +92,7 @@ impl JobLevelManager {
             // surfaces as a final timeout instead of silent divergence.
             let req = ManagerRequest::SetNodeLimit(NodeLimitMsg { limit: per_node });
             ctx.world
-                .rpc(rank, TOPIC_SET_NODE_LIMIT, req.encode())
+                .rpc(rank, &self.set_node_limit, req.encode())
                 .from(here)
                 .retry(RetryPolicy::default())
                 .send(ctx.eng, move |world, eng, resp| {

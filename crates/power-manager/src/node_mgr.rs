@@ -339,10 +339,10 @@ impl NodeLevelManager {
             }
         }
         let t_seconds = ctx.eng.now().as_secs_f64();
-        // Zero-copy read: the resolved draw stays in the node's cache,
-        // the per-device feed is a borrowed slice — no `Vec` clones on
-        // the 1 Hz sampling tick.
-        let draw = ctx.world.nodes[rank.index()].draw_ref();
+        // Read in place: the resolved draw stays in the node and the
+        // per-device feed is a slice of it — nothing is copied on the
+        // 1 Hz sampling tick.
+        let draw = ctx.world.nodes[rank.index()].draw();
         if self.history.len() < Self::HISTORY_CAP {
             self.history.push(TrackedPower {
                 t_seconds,

@@ -122,7 +122,7 @@ fn proportional_sharing_reallocates_on_finish() {
                 return ControlFlow::Break(());
             }
             let cap = w.nodes[0].nvml.gpu_cap(0).map(|c| c.get()).unwrap_or(300.0);
-            c2.borrow_mut().push((w.jobs.running().len(), cap));
+            c2.borrow_mut().push((w.jobs.running().count(), cap));
             ControlFlow::Continue(())
         },
     );
@@ -411,7 +411,7 @@ fn memory_level_fpp_probes_and_restores() {
 #[test]
 fn fpp_allows_non_uniform_per_gpu_caps() {
     use fluxpm_flux::{JobProgram, StepCtx, StepOutcome};
-    use fluxpm_hw::PowerDemand;
+    use fluxpm_hw::{Lanes, PowerDemand};
 
     struct Lopsided {
         secs: f64,
@@ -424,10 +424,10 @@ fn fpp_allows_non_uniform_per_gpu_caps() {
         fn on_start(&mut self, ctx: &mut StepCtx<'_>) {
             for n in &mut ctx.nodes {
                 let arch = n.arch.clone();
-                let mut gpu = vec![fluxpm_hw::Watts(60.0); arch.gpus];
+                let mut gpu = Lanes::filled(fluxpm_hw::Watts(60.0), arch.gpus);
                 gpu[0] = fluxpm_hw::Watts(290.0); // only GPU 0 is hot
                 n.set_demand(PowerDemand {
-                    cpu: vec![fluxpm_hw::Watts(120.0); arch.sockets],
+                    cpu: Lanes::filled(fluxpm_hw::Watts(120.0), arch.sockets),
                     memory: fluxpm_hw::Watts(70.0),
                     gpu,
                     other: arch.other,

@@ -541,9 +541,9 @@ mod tests {
             for n in &mut ctx.nodes {
                 let arch = n.arch.clone();
                 n.set_demand(fluxpm_hw::PowerDemand {
-                    cpu: vec![fluxpm_hw::Watts(150.0); arch.sockets],
+                    cpu: fluxpm_hw::Lanes::filled(fluxpm_hw::Watts(150.0), arch.sockets),
                     memory: fluxpm_hw::Watts(80.0),
-                    gpu: vec![fluxpm_hw::Watts(250.0); arch.gpus],
+                    gpu: fluxpm_hw::Lanes::filled(fluxpm_hw::Watts(250.0), arch.gpus),
                     other: arch.other,
                 });
             }

@@ -68,11 +68,10 @@ pub struct NodeAgent {
     last_pushed_us: u64,
     /// Samples pushed to the root agent (diagnostics).
     pushes_sent: u64,
-    /// This node's hostname (set at load), shared by every reply.
-    hostname: Arc<str>,
-    /// The sample each tick refills and encodes. It carries the
-    /// hostname for the JSON writer and keeps its vectors' storage, so a
-    /// tick allocates only the record it retains.
+    /// The sample each tick refills and encodes, so a tick allocates
+    /// only the record it retains. Its hostname (set at load) is this
+    /// node's one shared string: the JSON writer reads it and every
+    /// reply holds a reference to it.
     scratch: NodePowerSample,
 }
 
@@ -95,7 +94,6 @@ impl NodeAgent {
             gaps: Vec::new(),
             last_pushed_us: 0,
             pushes_sent: 0,
-            hostname: Arc::from(""),
             scratch: NodePowerSample::default(),
         }
     }
@@ -224,7 +222,7 @@ impl NodeAgent {
         }
         let complete = self.window_complete(start_us);
         NodeStats {
-            hostname: Arc::clone(&self.hostname),
+            hostname: Arc::clone(&self.scratch.hostname),
             samples,
             mean_w: if samples == 0 {
                 0.0
@@ -294,7 +292,7 @@ impl NodeAgent {
         // by wrap, or never sampled (the agent loaded after the window
         // start — e.g. on a recovered node).
         let reply = NodeDataReply {
-            hostname: Arc::clone(&self.hostname),
+            hostname: Arc::clone(&self.scratch.hostname),
             records,
             complete: self.window_complete(req.start_us),
         };
@@ -326,9 +324,7 @@ impl Module for NodeAgent {
         let now = ctx.now();
         let start = now + interval;
         let name = self.name();
-        let hostname = ctx.world.hostname(rank);
-        self.hostname = Arc::from(hostname);
-        self.scratch.hostname = hostname.to_owned();
+        self.scratch.hostname = Arc::clone(&ctx.world.brokers[rank.index()].hostname);
         if self.since_us.is_none() {
             let now_us = now.as_micros();
             self.since_us = Some(now_us);

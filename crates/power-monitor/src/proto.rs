@@ -577,9 +577,9 @@ mod tests {
             hostname: "h".into(),
             timestamp_us: ts,
             power_node_watts: Some(node_w),
-            power_cpu_watts: vec![],
+            power_cpu_watts: Default::default(),
             power_mem_watts: None,
-            power_gpu_watts: vec![],
+            power_gpu_watts: Default::default(),
         })
     }
 

@@ -75,9 +75,9 @@ fn sample_strategy() -> impl Strategy<Value = NodePowerSample> {
                 hostname: if lassen { "lassen12" } else { "tioga3" }.into(),
                 timestamp_us,
                 power_node_watts: lassen.then_some(w[0]),
-                power_cpu_watts: w[1..1 + sockets].to_vec(),
+                power_cpu_watts: w[1..1 + sockets].iter().copied().collect(),
                 power_mem_watts: lassen.then_some(w[3]),
-                power_gpu_watts: w[4..8].to_vec(),
+                power_gpu_watts: w[4..8].iter().copied().collect(),
             }
         })
 }

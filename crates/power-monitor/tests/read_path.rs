@@ -9,7 +9,7 @@
 //! allocating concurrently (the `crates/fft/tests/alloc_free.rs` harness).
 
 use fluxpm_flux::{FluxEngine, JobId, JobProgram, JobSpec, Rank, StepCtx, StepOutcome, World};
-use fluxpm_hw::{MachineKind, PowerDemand, Watts};
+use fluxpm_hw::{Lanes, MachineKind, PowerDemand, Watts};
 use fluxpm_monitor::{
     JobDataReply, MonitorConfig, MonitorQuery, NodeAgent, PowerRecord, RootAgent,
 };
@@ -67,9 +67,9 @@ impl JobProgram for Burn {
         for n in &mut ctx.nodes {
             let arch = n.arch.clone();
             n.set_demand(PowerDemand {
-                cpu: vec![Watts(150.0); arch.sockets],
+                cpu: Lanes::filled(Watts(150.0), arch.sockets),
                 memory: Watts(80.0),
-                gpu: vec![Watts(250.0); arch.gpus],
+                gpu: Lanes::filled(Watts(250.0), arch.gpus),
                 other: arch.other,
             });
         }
@@ -186,9 +186,9 @@ fn a_sampling_tick_allocates_a_fixed_number_of_blocks() {
         hostname: "lassen0".into(),
         timestamp_us: 2_000_000,
         power_node_watts: Some(981.2),
-        power_cpu_watts: vec![151.0, 149.7],
+        power_cpu_watts: [151.0, 149.7].into(),
         power_mem_watts: Some(81.3),
-        power_gpu_watts: vec![248.9; 4],
+        power_gpu_watts: [248.9; 4].into(),
     };
     PowerRecord::encode(&sample);
     let (allocs, record) = allocs_during(|| PowerRecord::encode(&sample));
@@ -201,20 +201,20 @@ fn a_sampling_tick_allocates_a_fixed_number_of_blocks() {
     // A whole tick through the engine: the same count every tick once
     // the ring is at capacity (until then its storage doubles with its
     // contents, a logarithmic number of times). The sensor scan is
-    // `hw-models`' and allocates the rest; the monitor adds the record
-    // and nothing else.
+    // `hw-models`' and its reading is inline; the monitor adds the
+    // record and nothing else, so one tick is exactly one block.
     let mut w = World::new(MachineKind::Lassen, 1, 3);
-    w.nodes[0].read_sensors();
     let (sensor_scan, _) = allocs_during(|| w.nodes[0].read_sensors());
-    let per_tick = sensor_scan + 1;
+    assert_eq!(sensor_scan, 0, "a sensor scan owns no heap");
+    let per_tick = 1;
     let mut eng: FluxEngine = Engine::new();
     let config = MonitorConfig::default()
         .with_sample_interval(SimDuration::from_secs(1))
         .with_buffer_capacity(4);
     let agent = NodeAgent::shared(config);
     w.load_module(&mut eng, Rank(0), agent.clone());
-    // Warm-up: the thread's assembly buffer, the sample's vectors, and
-    // four ticks to fill the ring.
+    // Warm-up: the thread's assembly buffer and four ticks to fill the
+    // ring.
     eng.run_until(&mut w, SimTime::from_millis(4_500));
     for (until_ms, ticks) in [(5_500, 1), (15_500, 10), (115_500, 100)] {
         let before = agent.borrow().samples_taken();

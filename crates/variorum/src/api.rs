@@ -54,7 +54,7 @@ pub fn get_node_power_json(
     timestamp_us: u64,
 ) -> (NodePowerSample, SensorReadCost) {
     let mut sample = NodePowerSample {
-        hostname: hostname.to_owned(),
+        hostname: hostname.into(),
         ..NodePowerSample::default()
     };
     let cost = get_node_power_json_into(node, timestamp_us, &mut sample);
@@ -168,7 +168,7 @@ pub fn cap_each_gpu_power_limit(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fluxpm_hw::{lassen, tioga, NodeId, PowerDemand, Sensors};
+    use fluxpm_hw::{lassen, tioga, Lanes, NodeId, PowerDemand, Sensors};
 
     fn lassen_node() -> NodeHardware {
         let mut n = NodeHardware::new(NodeId(0), lassen(), 42);
@@ -179,9 +179,9 @@ mod tests {
     fn busy(node: &mut NodeHardware) {
         let arch = node.arch.clone();
         node.set_demand(PowerDemand {
-            cpu: vec![Watts(150.0); arch.sockets],
+            cpu: Lanes::filled(Watts(150.0), arch.sockets),
             memory: Watts(80.0),
-            gpu: vec![Watts(260.0); arch.gpus],
+            gpu: Lanes::filled(Watts(260.0), arch.gpus),
             other: arch.other,
         });
     }
@@ -191,7 +191,7 @@ mod tests {
         let mut n = lassen_node();
         busy(&mut n);
         let (sample, cost) = get_node_power_json(&mut n, "lassen0", 4_000_000);
-        assert_eq!(sample.hostname, "lassen0");
+        assert_eq!(&*sample.hostname, "lassen0");
         assert_eq!(sample.timestamp_us, 4_000_000);
         let expect = n.draw().total().get();
         assert!((sample.node_power_estimate() - expect).abs() < 1e-6);

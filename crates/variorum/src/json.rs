@@ -16,31 +16,36 @@
 //! carries a small hand-rolled writer/parser pair for exactly this flat
 //! shape (string values for `hostname`, floats for everything else).
 
-use fluxpm_hw::{SensorReading, Watts};
+use fluxpm_hw::{Lanes, SensorReading, Watts};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A parsed/constructed node power sample (the paper's telemetry record).
+///
+/// The sample owns no heap: the measurements are inline and the hostname
+/// is a handle to the node's one shared string, so a clone is a copy plus
+/// a reference count.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct NodePowerSample {
     /// Node hostname, e.g. `"lassen12"`.
-    pub hostname: String,
+    pub hostname: Arc<str>,
     /// Sample timestamp, microseconds on the simulation clock.
     pub timestamp_us: u64,
     /// Direct node power, when the platform measures it.
     pub power_node_watts: Option<f64>,
     /// Per-socket CPU power.
-    pub power_cpu_watts: Vec<f64>,
+    pub power_cpu_watts: Lanes<f64>,
     /// Memory power, when measurable.
     pub power_mem_watts: Option<f64>,
     /// GPU power, one entry per reading group (GPU or OAM).
-    pub power_gpu_watts: Vec<f64>,
+    pub power_gpu_watts: Lanes<f64>,
 }
 
 impl NodePowerSample {
     /// Build a sample from a sensor scan.
     pub fn from_reading(hostname: &str, timestamp_us: u64, r: &SensorReading) -> NodePowerSample {
         let mut sample = NodePowerSample {
-            hostname: hostname.to_owned(),
+            hostname: Arc::from(hostname),
             ..NodePowerSample::default()
         };
         sample.refill(timestamp_us, r);
@@ -48,17 +53,15 @@ impl NodePowerSample {
     }
 
     /// Overwrite the measurements with a new sensor scan, keeping the
-    /// hostname and the vectors' storage: a sampler that owns one
-    /// `NodePowerSample` per node refills it every tick instead of
-    /// building (and allocating) a fresh one.
+    /// hostname: a sampler that owns one `NodePowerSample` per node
+    /// refills it every tick instead of building a fresh one (and a
+    /// fresh hostname) each time.
     pub fn refill(&mut self, timestamp_us: u64, r: &SensorReading) {
         self.timestamp_us = timestamp_us;
         self.power_node_watts = r.node.map(Watts::get);
-        self.power_cpu_watts.clear();
-        self.power_cpu_watts.extend(r.cpu.iter().map(|w| w.get()));
+        self.power_cpu_watts = r.cpu.iter().map(|w| w.get()).collect();
         self.power_mem_watts = r.memory.map(Watts::get);
-        self.power_gpu_watts.clear();
-        self.power_gpu_watts.extend(r.gpu.iter().map(|w| w.get()));
+        self.power_gpu_watts = r.gpu.iter().map(|w| w.get()).collect();
     }
 
     /// The node power a client reports: direct when available, otherwise
@@ -124,22 +127,25 @@ impl NodePowerSample {
     ///
     /// This is a minimal parser for the flat `{"k": v, ...}` shape — not a
     /// general JSON parser. Unknown keys are ignored so the format can
-    /// grow.
+    /// grow. Socket and GPU values come back in index order whatever
+    /// order (and however sparsely) the keys appear; an object with more
+    /// than [`Lanes::CAPACITY`] socket or GPU keys is not a node this
+    /// stack models and parses to `None`.
     pub fn from_json(s: &str) -> Option<NodePowerSample> {
         let body = s.trim().strip_prefix('{')?.strip_suffix('}')?;
-        let mut hostname = String::new();
+        let mut hostname = "";
         let mut timestamp_us = 0u64;
         let mut node = None;
         let mut mem = None;
-        let mut cpu: Vec<(usize, f64)> = Vec::new();
-        let mut gpu: Vec<(usize, f64)> = Vec::new();
+        let mut cpu = IndexedLanes::default();
+        let mut gpu = IndexedLanes::default();
 
         for pair in split_top_level(body) {
             let (k, v) = pair.split_once(':')?;
             let key = k.trim().trim_matches('"');
             let val = v.trim();
             match key {
-                "hostname" => hostname = val.trim_matches('"').to_owned(),
+                "hostname" => hostname = val.trim_matches('"'),
                 "timestamp_us" => {
                     // Accept both integer (current writer) and float
                     // (older encodings) forms.
@@ -152,22 +158,20 @@ impl NodePowerSample {
                 "power_mem_watts" => mem = Some(val.parse().ok()?),
                 _ => {
                     if let Some(idx) = key.strip_prefix("power_cpu_watts_socket_") {
-                        cpu.push((idx.parse().ok()?, val.parse().ok()?));
+                        cpu.insert(idx.parse().ok()?, val.parse().ok()?)?;
                     } else if let Some(idx) = key.strip_prefix("power_gpu_watts_") {
-                        gpu.push((idx.parse().ok()?, val.parse().ok()?));
+                        gpu.insert(idx.parse().ok()?, val.parse().ok()?)?;
                     }
                 }
             }
         }
-        cpu.sort_by_key(|(i, _)| *i);
-        gpu.sort_by_key(|(i, _)| *i);
         Some(NodePowerSample {
-            hostname,
+            hostname: Arc::from(hostname),
             timestamp_us,
             power_node_watts: node,
-            power_cpu_watts: cpu.into_iter().map(|(_, w)| w).collect(),
+            power_cpu_watts: cpu.values,
             power_mem_watts: mem,
-            power_gpu_watts: gpu.into_iter().map(|(_, w)| w).collect(),
+            power_gpu_watts: gpu.values,
         })
     }
 
@@ -176,6 +180,28 @@ impl NodePowerSample {
     /// "100,000 instances of the Variorum JSON object" ≈ 43.4 MB).
     pub fn json_size_bytes(&self) -> usize {
         self.to_json().len()
+    }
+}
+
+/// One family of indexed keys (`…_socket_<i>` or `power_gpu_watts_<i>`)
+/// while it is being parsed: the values seen so far, kept ordered by key
+/// index, equal indices in arrival order.
+#[derive(Default)]
+struct IndexedLanes {
+    indices: Lanes<usize>,
+    values: Lanes<f64>,
+}
+
+impl IndexedLanes {
+    /// File `value` under key index `index`; `None` when the family is
+    /// already full.
+    fn insert(&mut self, index: usize, value: f64) -> Option<()> {
+        let at = self.indices.partition_point(|&i| i <= index);
+        self.indices.try_push(index)?;
+        self.values.try_push(value)?;
+        self.indices[at..].rotate_right(1);
+        self.values[at..].rotate_right(1);
+        Some(())
     }
 }
 
@@ -252,24 +278,15 @@ fn push_fixed3(out: &mut String, val: f64) {
 }
 
 /// Split `a:1,b:"x,y"` on commas not inside strings.
-fn split_top_level(s: &str) -> Vec<&str> {
-    let mut parts = Vec::new();
-    let mut depth_quote = false;
-    let mut start = 0;
-    for (i, c) in s.char_indices() {
-        match c {
-            '"' => depth_quote = !depth_quote,
-            ',' if !depth_quote => {
-                parts.push(&s[start..i]);
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    if start < s.len() {
-        parts.push(&s[start..]);
-    }
-    parts
+fn split_top_level(s: &str) -> impl Iterator<Item = &str> {
+    let mut in_quotes = false;
+    // Like the loop it replaces, a trailing comma (or an empty body)
+    // yields no empty last part; an empty part anywhere else is kept and
+    // fails the parse.
+    s.split_terminator(move |c| {
+        in_quotes ^= c == '"';
+        c == ',' && !in_quotes
+    })
 }
 
 #[cfg(test)]
@@ -282,9 +299,9 @@ mod tests {
         n.sensors = Sensors::new(&n.arch, 0).with_noise(0.0);
         let arch = n.arch.clone();
         n.set_demand(PowerDemand {
-            cpu: vec![Watts(150.0); 2],
+            cpu: [Watts(150.0); 2].into(),
             memory: Watts(80.0),
-            gpu: vec![Watts(250.0); 4],
+            gpu: [Watts(250.0); 4].into(),
             other: arch.other,
         });
         let r = n.read_sensors();
@@ -333,9 +350,9 @@ mod tests {
             hostname: "x".into(),
             timestamp_us: 0,
             power_node_watts: Some(1000.0),
-            power_cpu_watts: vec![100.0],
+            power_cpu_watts: [100.0].into(),
             power_mem_watts: None,
-            power_gpu_watts: vec![200.0],
+            power_gpu_watts: [200.0].into(),
         };
         assert_eq!(s.node_power_estimate(), 1000.0);
         let s2 = NodePowerSample {
@@ -355,7 +372,7 @@ mod tests {
     fn parse_ignores_unknown_keys() {
         let json = "{\"hostname\":\"h\",\"timestamp_us\":5,\"future_key\":1.0}";
         let s = NodePowerSample::from_json(json).unwrap();
-        assert_eq!(s.hostname, "h");
+        assert_eq!(&*s.hostname, "h");
         assert_eq!(s.timestamp_us, 5);
     }
 

@@ -1,5 +1,6 @@
 //! Property-based tests for the Variorum JSON encoding.
 
+use fluxpm_hw::Lanes;
 use fluxpm_variorum::NodePowerSample;
 use proptest::prelude::*;
 
@@ -10,17 +11,142 @@ prop_compose! {
         node in prop::option::of(0.0f64..10_000.0),
         cpu in prop::collection::vec(0.0f64..1_000.0, 0..4),
         mem in prop::option::of(0.0f64..500.0),
-        gpu in prop::collection::vec(0.0f64..600.0, 0..8),
+        gpu in prop::collection::vec(0.0f64..600.0, 0..9),
     ) -> NodePowerSample {
         NodePowerSample {
-            hostname,
+            hostname: hostname.into(),
             timestamp_us,
             power_node_watts: node,
-            power_cpu_watts: cpu,
+            power_cpu_watts: cpu.into_iter().collect(),
             power_mem_watts: mem,
-            power_gpu_watts: gpu,
+            power_gpu_watts: gpu.into_iter().collect(),
         }
     }
+}
+
+/// What `from_json` decodes, as the `Vec`-based parser it replaced
+/// returned it: `(hostname, timestamp, node, cpu, mem, gpu)`.
+type Decoded = (String, u64, Option<f64>, Vec<f64>, Option<f64>, Vec<f64>);
+
+/// The parser `NodePowerSample::from_json` replaced, kept verbatim as the
+/// oracle: collect `(index, value)` pairs per family, stable-sort by
+/// index, keep the values. It has no limit on entries per family.
+fn reference_from_json(s: &str) -> Option<Decoded> {
+    fn split_top_level(s: &str) -> Vec<&str> {
+        let mut parts = Vec::new();
+        let mut depth_quote = false;
+        let mut start = 0;
+        for (i, c) in s.char_indices() {
+            match c {
+                '"' => depth_quote = !depth_quote,
+                ',' if !depth_quote => {
+                    parts.push(&s[start..i]);
+                    start = i + 1;
+                }
+                _ => {}
+            }
+        }
+        if start < s.len() {
+            parts.push(&s[start..]);
+        }
+        parts
+    }
+
+    let body = s.trim().strip_prefix('{')?.strip_suffix('}')?;
+    let mut hostname = String::new();
+    let mut timestamp_us = 0u64;
+    let mut node = None;
+    let mut mem = None;
+    let mut cpu: Vec<(usize, f64)> = Vec::new();
+    let mut gpu: Vec<(usize, f64)> = Vec::new();
+    for pair in split_top_level(body) {
+        let (k, v) = pair.split_once(':')?;
+        let key = k.trim().trim_matches('"');
+        let val = v.trim();
+        match key {
+            "hostname" => hostname = val.trim_matches('"').to_owned(),
+            "timestamp_us" => {
+                timestamp_us = match val.parse::<u64>() {
+                    Ok(t) => t,
+                    Err(_) => val.parse::<f64>().ok()? as u64,
+                }
+            }
+            "power_node_watts" => node = Some(val.parse().ok()?),
+            "power_mem_watts" => mem = Some(val.parse().ok()?),
+            _ => {
+                if let Some(idx) = key.strip_prefix("power_cpu_watts_socket_") {
+                    cpu.push((idx.parse().ok()?, val.parse().ok()?));
+                } else if let Some(idx) = key.strip_prefix("power_gpu_watts_") {
+                    gpu.push((idx.parse().ok()?, val.parse().ok()?));
+                }
+            }
+        }
+    }
+    cpu.sort_by_key(|(i, _)| *i);
+    gpu.sort_by_key(|(i, _)| *i);
+    Some((
+        hostname,
+        timestamp_us,
+        node,
+        cpu.into_iter().map(|(_, w)| w).collect(),
+        mem,
+        gpu.into_iter().map(|(_, w)| w).collect(),
+    ))
+}
+
+/// Bit patterns, so that a decoded `NaN` compares equal to itself.
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+fn assert_same_decode(json: &str) -> Result<(), TestCaseError> {
+    let got = NodePowerSample::from_json(json);
+    let want = reference_from_json(json);
+    match (got, want) {
+        (None, None) => {}
+        (Some(got), Some((hostname, ts, node, cpu, mem, gpu))) => {
+            prop_assert_eq!(&*got.hostname, hostname.as_str(), "{}", json);
+            prop_assert_eq!(got.timestamp_us, ts, "{}", json);
+            prop_assert_eq!(
+                got.power_node_watts.map(f64::to_bits),
+                node.map(f64::to_bits)
+            );
+            prop_assert_eq!(got.power_mem_watts.map(f64::to_bits), mem.map(f64::to_bits));
+            prop_assert_eq!(bits(&got.power_cpu_watts), bits(&cpu), "{}", json);
+            prop_assert_eq!(bits(&got.power_gpu_watts), bits(&gpu), "{}", json);
+        }
+        (got, want) => prop_assert!(false, "{json}: decoded {got:?}, oracle {want:?}"),
+    }
+    Ok(())
+}
+
+/// One `key:value` member of a flat object. Family members carry sparse,
+/// possibly repeated indices; a few values are not numbers at all.
+fn any_member() -> impl Strategy<Value = (u8, String)> {
+    let value = prop_oneof![
+        8 => (0.0f64..5_000.0).prop_map(|v| format!("{v:.3}")),
+        1 => (0u64..1u64 << 40).prop_map(|v| v.to_string()),
+        1 => (0usize..7).prop_map(|i| {
+            ["NaN", "inf", "-1e3", "abc", "\"7\"", " 12.5 ", ""][i].to_owned()
+        }),
+    ];
+    (0u8..8, 0usize..24, value, "[ ]?").prop_map(|(kind, index, value, pad)| {
+        let key = match kind {
+            0 => "\"hostname\"".to_owned(),
+            1 => "\"timestamp_us\"".to_owned(),
+            2 => "\"power_node_watts\"".to_owned(),
+            3 => "\"power_mem_watts\"".to_owned(),
+            4 => "\"some_future_key\"".to_owned(),
+            5 => format!("\"power_cpu_watts_socket_{index}\""),
+            _ => format!("\"power_gpu_watts_{index}\""),
+        };
+        let value = if kind == 0 {
+            format!("\"n,{index}\"")
+        } else {
+            value
+        };
+        (kind, format!("{pad}{key}{pad}:{pad}{value}"))
+    })
 }
 
 proptest! {
@@ -47,6 +173,78 @@ proptest! {
         }
         for (a, b) in parsed.power_gpu_watts.iter().zip(sample.power_gpu_watts.iter()) {
             prop_assert!(close(*a, *b));
+        }
+    }
+
+    /// For every object with at most eight keys per family — in any
+    /// order, with sparse and repeated indices, quoted commas, unknown
+    /// keys, stray blanks and values that are not numbers — the inline
+    /// parser returns what the `Vec`-based one did.
+    #[test]
+    fn from_json_matches_the_parser_it_replaced(
+        members in prop::collection::vec(any_member(), 0..24),
+        trailing_comma in any::<bool>(),
+    ) {
+        let mut per_family = [0usize; 2];
+        let mut body: Vec<String> = Vec::new();
+        for (kind, member) in members {
+            if kind >= 5 {
+                let seen = &mut per_family[usize::from(kind == 5)];
+                if *seen == Lanes::<f64>::CAPACITY {
+                    continue;
+                }
+                *seen += 1;
+            }
+            body.push(member);
+        }
+        let mut json = format!("{{{}", body.join(","));
+        if trailing_comma {
+            json.push(',');
+        }
+        json.push('}');
+        assert_same_decode(&json)?;
+    }
+
+    /// A ninth socket or GPU key is a node this stack does not model:
+    /// the parse fails, it does not index past the inline list.
+    #[test]
+    fn a_ninth_key_of_one_family_parses_to_none(
+        gpu_family in any::<bool>(),
+        start in 0usize..1_000,
+    ) {
+        let prefix = if gpu_family { "power_gpu_watts_" } else { "power_cpu_watts_socket_" };
+        let object = |n: usize| {
+            let members: Vec<String> =
+                (start..start + n).rev().map(|i| format!("\"{prefix}{i}\":1.5")).collect();
+            format!("{{\"hostname\":\"h\",{}}}", members.join(","))
+        };
+        let eight = NodePowerSample::from_json(&object(8)).expect("eight fit");
+        let family = if gpu_family { eight.power_gpu_watts } else { eight.power_cpu_watts };
+        prop_assert_eq!(family.len(), 8);
+        prop_assert!(NodePowerSample::from_json(&object(9)).is_none());
+    }
+
+    /// Arbitrary bytes — raw, and spliced into a valid object — decode to
+    /// something or to `None`, never to a panic, and to what the replaced
+    /// parser decoded whenever no family overflows.
+    #[test]
+    fn from_json_never_panics_on_arbitrary_bytes(
+        noise in prop::collection::vec(any::<u8>(), 0..64),
+        sample in any_sample(),
+        at in any::<prop::sample::Index>(),
+    ) {
+        let noise = String::from_utf8_lossy(&noise).into_owned();
+        let _ = NodePowerSample::from_json(&noise);
+        let _ = NodePowerSample::from_json(&format!("{{{noise}}}"));
+        let mut json = sample.to_json();
+        let mut cut = at.index(json.len());
+        while !json.is_char_boundary(cut) {
+            cut -= 1;
+        }
+        json.insert_str(cut, &noise);
+        if let Some(decoded) = NodePowerSample::from_json(&json) {
+            prop_assert!(decoded.power_gpu_watts.len() <= Lanes::<f64>::CAPACITY);
+            assert_same_decode(&json)?;
         }
     }
 

@@ -15,7 +15,7 @@
 use crate::jitter::JitterModel;
 use crate::model::{AppModel, PhasePattern, Scaling};
 use fluxpm_flux::{JobProgram, StepCtx, StepOutcome};
-use fluxpm_hw::{MachineKind, NodeHardware, PowerDemand, Watts};
+use fluxpm_hw::{Lanes, MachineKind, NodeHardware, PowerDemand, Watts};
 use fluxpm_sim::{SimTime, Xoshiro256pp};
 
 /// A running (or about-to-run) application instance.
@@ -134,9 +134,9 @@ impl App {
             }
         };
         PowerDemand {
-            cpu: vec![Watts(cpu_w); arch.sockets],
+            cpu: Lanes::filled(Watts(cpu_w), arch.sockets),
             memory: Watts(p.mem_w),
-            gpu: vec![Watts(gpu_w); arch.gpus],
+            gpu: Lanes::filled(Watts(gpu_w), arch.gpus),
             other: arch.other,
         }
     }
@@ -147,11 +147,8 @@ impl App {
         let p = self.model.profile(self.machine);
         let mut min_node = f64::INFINITY;
         for (i, node) in ctx.nodes.iter_mut().enumerate() {
-            let draw = node.draw();
-            let s = self
-                .model
-                .app_speed(draw.throttle.mean_gpu, draw.throttle.cpu)
-                * self.node_jitter[i];
+            let throttle = node.draw().throttle;
+            let s = self.model.app_speed(throttle.mean_gpu, throttle.cpu) * self.node_jitter[i];
             // Host CPU stolen by sensor reads delays the application on
             // that node for the stolen wall-time.
             let lost = if ctx.dt > 0.0 {
