@@ -12,7 +12,7 @@
 //!   queues (shed-oldest path hot),
 //! * `telemetry_fanout/relay_tree` — a full publish sweep through the
 //!   TBON-distributed relay plane: 64 brokers, fanout 8, 1 000
-//!   leaf subscribers, per-edge batching and per-hub ingest down the
+//!   leaf subscribers, per-edge batching and per-hub dispatch down the
 //!   tree (the [`fluxpm_bench::relay_tree`] workload).
 //!
 //! Ungated: CI's bench smoke job runs this target in `--quick` mode to
@@ -20,12 +20,17 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fluxpm_bench::relay_tree::RelayTree;
-use fluxpm_monitor::{SubscriberId, SubscriptionConfig, SubscriptionFilter, TelemetryHub};
+use fluxpm_monitor::{
+    SubscriberId, SubscriptionConfig, SubscriptionFilter, TelemetryHub, TelemetrySequencer,
+};
 use std::hint::black_box;
 
 const NODES: u32 = 64;
 
-fn hub_with(subs: usize, pin_nodes: bool, capacity: usize) -> (TelemetryHub, Vec<SubscriberId>) {
+/// The root's sequencer feeding one hub: stamp, then dispatch.
+type Fed = (TelemetrySequencer, TelemetryHub);
+
+fn hub_with(subs: usize, pin_nodes: bool, capacity: usize) -> (Fed, Vec<SubscriberId>) {
     let mut hub = TelemetryHub::new(SubscriptionConfig {
         queue_capacity: capacity,
         evict_after_drops: u64::MAX,
@@ -37,16 +42,17 @@ fn hub_with(subs: usize, pin_nodes: bool, capacity: usize) -> (TelemetryHub, Vec
             } else {
                 SubscriptionFilter::all()
             };
-            hub.subscribe(filter)
+            hub.subscribe(filter, &[], 0)
         })
         .collect();
-    (hub, ids)
+    ((TelemetrySequencer::default(), hub), ids)
 }
 
-fn sweep(hub: &mut TelemetryHub, ts: u64) -> u64 {
+fn sweep((seq, hub): &mut Fed, ts: u64) -> u64 {
     let mut deliveries = 0u64;
     for node in 0..NODES {
-        deliveries += hub.publish(node, ts, 900.0, None) as u64;
+        let delta = seq.publish(node, ts, 900.0, None);
+        deliveries += hub.dispatch(&delta) as u64;
     }
     deliveries
 }
@@ -93,7 +99,7 @@ fn bench_poll_drain(c: &mut Criterion) {
             }
             let mut drained = 0usize;
             for &id in &ids {
-                while let Some((deltas, _)) = hub.poll(id, 128) {
+                while let Some((deltas, _)) = hub.1.poll(id, 128) {
                     if deltas.is_empty() {
                         break;
                     }

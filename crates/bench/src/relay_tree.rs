@@ -10,7 +10,7 @@
 //! publish sweep offers one delta per tree node at the root and
 //! cascades each flushed [`fluxpm_monitor::RelayDeltaBatch`]
 //! breadth-first down the
-//! interested edges, ingesting into every hub along the way.
+//! interested edges, dispatching into every hub along the way.
 //!
 //! The property the unit test below pins: the root's egress is per
 //! *edge*, not per subscriber — at most `fanout` wire messages per
@@ -78,7 +78,7 @@ impl RelayTree {
             .collect();
         for s in 0..subscribers {
             let leaf = leaves[s % leaves.len()];
-            nodes[leaf].hub.subscribe(SubscriptionFilter::all());
+            nodes[leaf].hub.subscribe(SubscriptionFilter::all(), &[], 0);
             nodes[leaf].subscribers += 1;
         }
         // Settle the aggregates bottom-up, as the in-sim advert climb
@@ -125,7 +125,7 @@ impl RelayTree {
                 link: None,
             });
             self.next_seq += 1;
-            deliveries += self.nodes[0].hub.ingest(&delta) as u64;
+            deliveries += self.nodes[0].hub.dispatch(&delta) as u64;
             self.nodes[0].plane.offer(&delta);
             let mut queue: VecDeque<(usize, SharedDeltas)> = self.nodes[0]
                 .plane
@@ -136,7 +136,7 @@ impl RelayTree {
             while let Some((at, batch)) = queue.pop_front() {
                 let n = &mut self.nodes[at];
                 for d in &batch {
-                    deliveries += n.hub.ingest(d) as u64;
+                    deliveries += n.hub.dispatch(d) as u64;
                     n.plane.offer(d);
                 }
                 for (c, b) in n.plane.flush() {

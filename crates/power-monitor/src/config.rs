@@ -36,16 +36,6 @@ pub struct MonitorConfig {
     /// Cumulative shed deltas after which a slow consumer is evicted
     /// outright (it re-subscribes to resume from the latest snapshot).
     pub subscriber_evict_after_drops: u64,
-    /// Per-TBON-edge pending-batch capacity in the relay fan-out plane.
-    /// A full batch coalesces to latest-per-node, then sheds oldest
-    /// (see [`crate::relay`]).
-    pub relay_batch_capacity: usize,
-    /// When set, relays (and the root core) flush pending edge batches
-    /// on this timer cadence instead of synchronously per upstream
-    /// batch. `None` (the default) keeps the per-publish flush: one
-    /// wire message per interested edge per push, which preserves
-    /// delta-for-delta timing parity with the PR 7 root-local hub.
-    pub relay_flush_interval: Option<SimDuration>,
 }
 
 impl Default for MonitorConfig {
@@ -59,8 +49,6 @@ impl Default for MonitorConfig {
             link_export_interval: None,
             subscriber_queue_capacity: 64,
             subscriber_evict_after_drops: 256,
-            relay_batch_capacity: crate::DEFAULT_RELAY_BATCH_CAPACITY,
-            relay_flush_interval: None,
         }
     }
 }
@@ -111,20 +99,6 @@ impl MonitorConfig {
     /// Override the slow-consumer eviction threshold (cumulative drops).
     pub fn with_subscriber_evict_after_drops(mut self, drops: u64) -> Self {
         self.subscriber_evict_after_drops = drops;
-        self
-    }
-
-    /// Override the per-edge pending-batch capacity in the relay plane.
-    pub fn with_relay_batch_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity > 0);
-        self.relay_batch_capacity = capacity;
-        self
-    }
-
-    /// Flush relay edge batches on a timer instead of per publish.
-    pub fn with_relay_flush_interval(mut self, interval: SimDuration) -> Self {
-        assert!(!interval.is_zero());
-        self.relay_flush_interval = Some(interval);
         self
     }
 

@@ -9,7 +9,8 @@
 //!   the design property that keeps its overhead low.
 //! * [`RootAgent`] — runs on rank 0 at the root of the TBON; fields
 //!   external client requests, fans out to the node agents of the ranks a
-//!   job ran on, aggregates, and replies.
+//!   job ran on, aggregates, and replies. It also stamps every pushed
+//!   sample with its sequence number and job for the relay on its rank.
 //! * [`client`] — the external client (a Python script in the paper):
 //!   takes a job id, resolves the job's nodes and time window, requests
 //!   the data, and renders CSV with a completeness flag per node.
@@ -54,7 +55,7 @@ pub use ring::RingBuffer;
 pub use root_agent::{RootAgent, ROOT_AGENT};
 pub use subscription::{
     FilterError, LinkSample, SubscriberId, SubscriberStats, SubscriptionConfig, SubscriptionFilter,
-    TelemetryDelta, TelemetryHub,
+    TelemetryDelta, TelemetryHub, TelemetrySequencer,
 };
 pub use tree_reduce::{SubtreeStats, SubtreeStatsRequest};
 
@@ -79,8 +80,6 @@ pub fn load(world: &mut World, eng: &mut FluxEngine, config: MonitorConfig) -> b
     let build_relay = |config: &MonitorConfig| {
         std::rc::Rc::new(std::cell::RefCell::new(TelemetryRelay::new(
             config.subscription_config(),
-            config.relay_batch_capacity,
-            config.relay_flush_interval,
         )))
     };
     for rank in world.tbon.ranks().collect::<Vec<_>>() {
@@ -90,9 +89,7 @@ pub fn load(world: &mut World, eng: &mut FluxEngine, config: MonitorConfig) -> b
     }
     let root = world.root();
     let build_root_agent = |config: &MonitorConfig| {
-        let mut agent =
-            RootAgent::with_subscriptions(config.rpc_deadline, config.subscription_config())
-                .with_relay_batching(config.relay_batch_capacity, config.relay_flush_interval);
+        let mut agent = RootAgent::new(config.rpc_deadline);
         if let Some(every) = config.link_export_interval {
             agent = agent.with_link_export(every);
         }

@@ -16,9 +16,7 @@ use crate::proto::{
     MonitorReply, MonitorRequest, NodeDataReply, NodeDataRequest, NodeStats, PowerRecord,
 };
 use crate::ring::RingBuffer;
-use fluxpm_flux::{
-    Message, Module, ModuleCtx, MsgKind, Protocol, RetryPolicy, SharedModule, Topic,
-};
+use fluxpm_flux::{Message, Module, ModuleCtx, MsgKind, Protocol, SharedModule, Topic};
 use fluxpm_hw::NodeId;
 use fluxpm_sim::TraceLevel;
 use fluxpm_variorum::NodePowerSample;
@@ -264,15 +262,10 @@ impl NodeAgent {
         let req = MonitorRequest::PushSample(push);
         let root = ctx.world.root();
         let from = ctx.rank;
-        let policy = RetryPolicy {
-            max_attempts: 1,
-            deadline: self.config.rpc_deadline,
-            ..RetryPolicy::default()
-        };
         ctx.world
             .rpc(root, &self.topics.sample_push, req.encode())
             .from(from)
-            .retry(policy)
+            .deadline(self.config.rpc_deadline)
             .send(ctx.eng, |_, _, _| {});
     }
 

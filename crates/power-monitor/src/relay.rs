@@ -1,10 +1,10 @@
 //! TBON-distributed telemetry fan-out: per-broker relays.
 //!
-//! PR 7's [`TelemetryHub`] made the root pay O(subscribers) work *and
-//! egress* per published delta — a scaling wall on the road to millions
-//! of clients. This module distributes the subscription plane down the
-//! TBON, the same way the paper distributes monitoring up it: no single
-//! broker touches every consumer.
+//! A root-local hub pays O(subscribers) work *and egress* per published
+//! delta — a scaling wall on the road to millions of clients. This
+//! module distributes the subscription plane down the TBON, the same
+//! way the paper distributes monitoring up it: no single broker touches
+//! every consumer.
 //!
 //! Every broker hosts a [`TelemetryRelay`] that
 //!
@@ -24,23 +24,32 @@
 //!
 //! The root therefore publishes each delta **once per interested child
 //! edge** — O(TBON fanout) — instead of once per subscriber. The
-//! authoritative hub (sequence assignment, latest-per-node snapshots,
-//! seed source) stays in the [`RootAgent`], which is a root service and
+//! authority (sequence assignment, latest-per-node snapshots, seed
+//! source) is the [`RootAgent`]'s sequencer, which is a root service and
 //! so survives root failover with its state; the relays are per-rank
 //! modules that rebuild the filter lattice after every topology change
 //! via [`Module::on_topology_change`].
+//!
+//! The root rank's relay is a relay like any other: the co-located
+//! agent hands it each stamped delta through the same `ingest` that
+//! takes a batch off the wire. It differs only where the tree ends — it
+//! has no parent to climb to, so it asks the agent for the seed.
 //!
 //! ## Gap-free subscription hand-off
 //!
 //! A subscription registered at a non-root relay climbs to the root as
 //! a [`RelaySubscribeRequest`]: every hop merges the filter into the
 //! child edge's aggregate *before* forwarding, so by the time the root
-//! snapshots its latest maps (at horizon `H` = the hub's next sequence
+//! snapshots its latest maps (at horizon `H` = its next sequence
 //! number), every edge on the path already carries matching deltas.
 //! The origin relay seeds the new subscriber from the returned snapshot
 //! and floors its stream at `H`: a delta covered by the seed is never
 //! also delivered from the stream (no duplicates), and every delta
 //! published after the snapshot flows down the widened edges (no gaps).
+//! Every relay flushes what it ingests before it returns, so everything
+//! below `H` has passed a relay by the time the seed reaches it — which
+//! lets its ingest high-water mark jump to `H` without cutting into an
+//! earlier subscriber's stream.
 
 use crate::proto::{
     DeltaBatch, MonitorReply, MonitorRequest, PollRequest, RelayAdvert, RelayDeltaBatch,
@@ -52,7 +61,6 @@ use crate::subscription::{
     TOPIC_SUBSCRIBE, TOPIC_UNSUBSCRIBE,
 };
 use fluxpm_flux::{Message, Module, ModuleCtx, MsgKind, Protocol, Rank, Topic};
-use fluxpm_sim::SimDuration;
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::Arc;
 
@@ -68,12 +76,6 @@ pub const TOPIC_RELAY_SEED: &str = "power-monitor.relay-seed";
 pub const TOPIC_RELAY_ADVERT: &str = "power-monitor.relay-advert";
 /// Overlay topic: parent relay → child relay, a coalesced delta batch.
 pub const TOPIC_RELAY_DELTAS: &str = "power-monitor.relay-deltas";
-
-/// Module-timer tag for the periodic pending-batch flush (only armed
-/// when [`MonitorConfig::relay_flush_interval`] is set).
-///
-/// [`MonitorConfig::relay_flush_interval`]: crate::MonitorConfig
-const TIMER_RELAY_FLUSH: u64 = 1;
 
 /// Aggregate terms beyond this collapse to match-everything: past a few
 /// dozen distinct subtree interests, evaluating the union per delta
@@ -250,8 +252,8 @@ fn coalesce(deltas: &mut VecDeque<Arc<TelemetryDelta>>) -> (u64, HashSet<DeltaKe
 
 /// The downstream fan-out half of a relay: per-child aggregate filters
 /// and per-edge pending batches. Pure (no simulation types beyond rank
-/// numbers), so the root core, the broker relays, and the
-/// `telemetry_fanout` bench all drive the same code.
+/// numbers), so the broker relays and the `telemetry_fanout` bench
+/// drive the same code.
 #[derive(Debug, Default)]
 pub struct RelayPlane {
     children: BTreeMap<u32, AggregateFilter>,
@@ -397,13 +399,12 @@ pub struct TelemetryRelay {
     /// The aggregate last advertised upward (`None` forces the next
     /// advert, e.g. after a re-parent put a new relay above us).
     advertised: Option<AggregateFilter>,
-    flush_every: Option<SimDuration>,
     /// Monotonic ingest high-water mark: sequence numbers below this
     /// were already ingested here. Normal tree flow is strictly
     /// increasing per edge; the guard only fires when re-parenting
     /// races an in-flight batch from the *old* parent, where
     /// latest-state semantics make dropping the stale copy correct
-    /// (and duplicate-free).
+    /// (and duplicate-free). A seed raises it to its horizon.
     next_ingest: u64,
 }
 
@@ -434,22 +435,15 @@ impl RelayTopics {
 }
 
 impl TelemetryRelay {
-    /// A relay with the given subscriber bounds, edge batch capacity,
-    /// and flush cadence (`None` flushes synchronously per ingest —
-    /// still one wire message per edge per upstream batch).
-    pub fn new(
-        subs: SubscriptionConfig,
-        batch_capacity: usize,
-        flush_every: Option<SimDuration>,
-    ) -> TelemetryRelay {
+    /// A relay with the given subscriber bounds.
+    pub fn new(subs: SubscriptionConfig) -> TelemetryRelay {
         TelemetryRelay {
             topics: RelayTopics::intern(),
             hub: TelemetryHub::new(subs),
-            plane: RelayPlane::new(batch_capacity),
+            plane: RelayPlane::new(crate::DEFAULT_RELAY_BATCH_CAPACITY),
             pending_subs: BTreeMap::new(),
             next_token: 1,
             advertised: None,
-            flush_every,
             next_ingest: 0,
         }
     }
@@ -469,42 +463,46 @@ impl TelemetryRelay {
         self.pending_subs.len()
     }
 
-    /// Absorb a delta handed over synchronously by the co-located root
-    /// agent (the root rank's local dispatch path — no wire hop, no
-    /// plane forwarding: the root core owns the downstream edges).
-    pub fn ingest_direct(&mut self, delta: &Arc<TelemetryDelta>) -> usize {
-        if delta.seq < self.next_ingest {
-            return 0;
+    /// The one way deltas enter a relay, whether as a `RelayDeltas`
+    /// batch off the wire or handed over by the co-located root agent:
+    /// into the local subscribers' queues, onto every interested child
+    /// edge, and out — one wire message per edge per call.
+    pub(crate) fn ingest(&mut self, ctx: &mut ModuleCtx<'_>, deltas: &[Arc<TelemetryDelta>]) {
+        let evicted_before = self.hub.evicted();
+        for delta in deltas {
+            if delta.seq < self.next_ingest {
+                continue;
+            }
+            self.next_ingest = delta.seq + 1;
+            self.hub.dispatch(delta);
+            self.plane.offer(delta);
         }
-        self.next_ingest = delta.seq + 1;
-        self.hub.ingest(delta)
-    }
-
-    /// Drain this relay's downstream edges into the child map of a
-    /// root core absorbing it (the broker just became the root, so the
-    /// core — which migrated here with its state — takes over the
-    /// edges this relay was serving).
-    pub fn take_children(&mut self) -> Vec<(u32, AggregateFilter)> {
-        self.plane.pending.clear();
-        std::mem::take(&mut self.plane.children)
-            .into_iter()
-            .collect()
+        let topic = &self.topics.relay_deltas;
+        self.plane.flush_with(|child, batch| {
+            let req = MonitorRequest::RelayDeltas(batch);
+            Self::send_event(ctx, Rank(child), topic, req.encode());
+        });
+        if self.hub.evicted() != evicted_before {
+            // Evictions may have narrowed what this subtree wants.
+            self.maybe_advertise(ctx);
+        }
     }
 
     fn is_root(ctx: &ModuleCtx<'_>) -> bool {
         ctx.rank == ctx.world.root()
     }
 
-    /// Run `f` against the co-located root agent's concrete type.
-    /// `None` when this rank does not host the root agent.
-    fn with_root_agent<R>(
+    /// The co-located root agent's seed for `filter` — the only call a
+    /// relay makes into the agent. `None` when this rank does not host
+    /// the root agent.
+    fn seed_from_agent(
         ctx: &mut ModuleCtx<'_>,
-        f: impl FnOnce(&mut RootAgent) -> R,
-    ) -> Option<R> {
+        filter: &SubscriptionFilter,
+    ) -> Option<(Vec<Arc<TelemetryDelta>>, u64)> {
         let module = ctx.world.brokers[ctx.rank.index()].module(ROOT_AGENT)?;
         let mut guard = module.borrow_mut();
         let agent = guard.as_any_mut()?.downcast_mut::<RootAgent>()?;
-        Some(f(agent))
+        Some(agent.seed_for(filter))
     }
 
     fn send_event(ctx: &mut ModuleCtx<'_>, to: Rank, topic: &Topic, payload: fluxpm_flux::Payload) {
@@ -535,9 +533,7 @@ impl TelemetryRelay {
     /// (fresh after a re-parent, or at load) needs no announcement, so
     /// subscription-free instances stay wire-silent.
     fn maybe_advertise(&mut self, ctx: &mut ModuleCtx<'_>) {
-        if Self::is_root(ctx) {
-            return;
-        }
+        // The root has no parent: the tree ends there.
         let Some(parent) = ctx.world.tbon.parent(ctx.rank) else {
             return;
         };
@@ -554,14 +550,6 @@ impl TelemetryRelay {
         Self::send_event(ctx, parent, &self.topics.relay_advert, req.encode());
     }
 
-    fn flush_downstream(&mut self, ctx: &mut ModuleCtx<'_>) {
-        let topic = &self.topics.relay_deltas;
-        self.plane.flush_with(|child, batch| {
-            let req = MonitorRequest::RelayDeltas(batch);
-            Self::send_event(ctx, Rank(child), topic, req.encode());
-        });
-    }
-
     fn on_subscribe(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message, req: SubscribeRequest) {
         if let Err(e) = req.filter.validate() {
             ctx.world
@@ -572,15 +560,14 @@ impl TelemetryRelay {
         // topology-change notifications (free until now).
         ctx.world.engage_topology_watch();
         if Self::is_root(ctx) {
-            // Synchronous path: the authoritative hub is co-located.
-            let seeded = Self::with_root_agent(ctx, |agent| agent.seed_for(&req.filter));
-            let Some((seed, horizon)) = seeded else {
+            // The tree ends here: the sequencer is co-located.
+            let Some((seed, horizon)) = Self::seed_from_agent(ctx, &req.filter) else {
                 ctx.world
                     .respond_error(ctx.eng, msg, "monitor root agent not loaded");
                 return;
             };
             self.next_ingest = self.next_ingest.max(horizon);
-            let id = self.hub.subscribe_seeded(req.filter, &seed, horizon);
+            let id = self.hub.subscribe(req.filter, &seed, horizon);
             ctx.world
                 .respond(ctx.eng, msg, MonitorReply::Subscribed(id).encode());
             return;
@@ -608,16 +595,13 @@ impl TelemetryRelay {
         msg: &Message,
         req: RelaySubscribeRequest,
     ) {
-        let child = msg.from.0;
         ctx.world.engage_topology_watch();
+        // Widen our edge to the child *before* forwarding (or, at the
+        // root, before snapshotting), so deltas published after the
+        // snapshot already flow through here on their way to the origin.
+        self.plane.merge_child(msg.from.0, &req.filter);
         if Self::is_root(ctx) {
-            // Widen the child edge in the *core's* plane (it owns the
-            // root's downstream edges), snapshot, and answer the origin.
-            let reply = Self::with_root_agent(ctx, |agent| {
-                agent.merge_child(child, &req.filter);
-                agent.seed_for(&req.filter)
-            });
-            let Some((deltas, horizon)) = reply else {
+            let Some((deltas, horizon)) = Self::seed_from_agent(ctx, &req.filter) else {
                 return;
             };
             let seed = MonitorReply::RelaySeed(RelaySeedReply {
@@ -631,13 +615,7 @@ impl TelemetryRelay {
                 &self.topics.relay_seed,
                 seed.encode(),
             );
-            return;
-        }
-        // Widen our edge to the child *before* forwarding, so deltas
-        // the root publishes after snapshotting already flow through
-        // here on their way to the origin.
-        self.plane.merge_child(child, &req.filter);
-        if let Some(parent) = ctx.world.tbon.parent(ctx.rank) {
+        } else if let Some(parent) = ctx.world.tbon.parent(ctx.rank) {
             let climb = MonitorRequest::RelaySubscribe(req);
             Self::send_event(ctx, parent, &self.topics.relay_subscribe, climb.encode());
         }
@@ -650,9 +628,7 @@ impl TelemetryRelay {
             return;
         };
         self.next_ingest = self.next_ingest.max(reply.horizon);
-        let id = self
-            .hub
-            .subscribe_seeded(filter, &reply.deltas, reply.horizon);
+        let id = self.hub.subscribe(filter, &reply.deltas, reply.horizon);
         ctx.world
             .respond(ctx.eng, &request, MonitorReply::Subscribed(id).encode());
     }
@@ -692,31 +668,8 @@ impl TelemetryRelay {
             return;
         }
         ctx.world.engage_topology_watch();
-        if Self::is_root(ctx) {
-            Self::with_root_agent(ctx, |agent| agent.set_child(child, advert.aggregate));
-            return;
-        }
         self.plane.set_child(child, advert.aggregate);
         self.maybe_advertise(ctx);
-    }
-
-    fn on_relay_deltas(&mut self, ctx: &mut ModuleCtx<'_>, batch: &RelayDeltaBatch) {
-        let evicted_before = self.hub.evicted();
-        for delta in &batch.deltas {
-            if delta.seq < self.next_ingest {
-                continue;
-            }
-            self.next_ingest = delta.seq + 1;
-            self.hub.ingest(delta);
-            self.plane.offer(delta);
-        }
-        if self.flush_every.is_none() {
-            self.flush_downstream(ctx);
-        }
-        if self.hub.evicted() != evicted_before {
-            // Evictions may have narrowed what this subtree wants.
-            self.maybe_advertise(ctx);
-        }
     }
 }
 
@@ -738,25 +691,7 @@ impl Module for TelemetryRelay {
         ]
     }
 
-    fn load(&mut self, ctx: &mut ModuleCtx<'_>) {
-        if let Some(every) = self.flush_every {
-            let start = ctx.eng.now() + every;
-            ctx.world.schedule_module_timer(
-                ctx.eng,
-                ctx.rank,
-                RELAY,
-                start,
-                every,
-                TIMER_RELAY_FLUSH,
-            );
-        }
-    }
-
-    fn timer(&mut self, ctx: &mut ModuleCtx<'_>, tag: u64) {
-        if tag == TIMER_RELAY_FLUSH {
-            self.flush_downstream(ctx);
-        }
-    }
+    fn load(&mut self, _ctx: &mut ModuleCtx<'_>) {}
 
     fn handle(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
         match msg.kind {
@@ -781,7 +716,7 @@ impl Module for TelemetryRelay {
                     Ok(MonitorRequest::RelayAdvert(advert)) => {
                         self.on_relay_advert(ctx, msg, advert.clone())
                     }
-                    Ok(MonitorRequest::RelayDeltas(batch)) => self.on_relay_deltas(ctx, batch),
+                    Ok(MonitorRequest::RelayDeltas(batch)) => self.ingest(ctx, &batch.deltas),
                     _ => {}
                 }
             }
@@ -811,21 +746,19 @@ impl Module for TelemetryRelay {
         // whose original may have died with the old path.
         self.advertised = None;
         self.maybe_advertise(ctx);
-        if !Self::is_root(ctx) {
-            if let Some(parent) = ctx.world.tbon.parent(ctx.rank) {
-                let parked: Vec<(u64, SubscriptionFilter)> = self
-                    .pending_subs
-                    .iter()
-                    .map(|(&t, (_, f))| (t, f.clone()))
-                    .collect();
-                for (token, filter) in parked {
-                    let climb = MonitorRequest::RelaySubscribe(RelaySubscribeRequest {
-                        token,
-                        origin: ctx.rank.0,
-                        filter,
-                    });
-                    Self::send_event(ctx, parent, &self.topics.relay_subscribe, climb.encode());
-                }
+        if let Some(parent) = ctx.world.tbon.parent(ctx.rank) {
+            let parked: Vec<(u64, SubscriptionFilter)> = self
+                .pending_subs
+                .iter()
+                .map(|(&t, (_, f))| (t, f.clone()))
+                .collect();
+            for (token, filter) in parked {
+                let climb = MonitorRequest::RelaySubscribe(RelaySubscribeRequest {
+                    token,
+                    origin: ctx.rank.0,
+                    filter,
+                });
+                Self::send_event(ctx, parent, &self.topics.relay_subscribe, climb.encode());
             }
         }
     }

@@ -12,28 +12,27 @@
 //! the instance [state log](fluxpm_flux::StateLog), so even *full*
 //! instance death replays the in-flight set exactly on resurrection.
 //!
-//! It also hosts the *authoritative* [`TelemetryHub`]: node agents push
-//! samples up ([`crate::subscription::TOPIC_SAMPLE_PUSH`]), the agent
-//! assigns each resulting delta its global sequence number and keeps the
-//! latest-per-node snapshot, then distributes the delta down the TBON —
-//! once per interested child edge via its [`RelayPlane`] — where the
-//! per-broker [`TelemetryRelay`]s fan it out to the subscribers attached
-//! in their subtrees (see [`crate::relay`]). Subscribers attached at the
-//! root rank itself are served by the root rank's co-located relay,
-//! which receives every delta synchronously.
+//! It also owns the push plane's *authority*, a [`TelemetrySequencer`]:
+//! node agents push samples up
+//! ([`crate::subscription::TOPIC_SAMPLE_PUSH`]), the agent attributes
+//! each to its job, assigns it its global sequence number and records it
+//! as the node's latest — then hands the stamped delta to the
+//! [`TelemetryRelay`] on its own rank, the root of the relay tree, which
+//! delivers it like any delta a relay ingests: to the subscribers
+//! attached at this rank and once per interested child edge (see
+//! [`crate::relay`]). The agent holds no subscriber, edge or batch.
 
 use crate::node_agent::{TOPIC_NODE_DATA, TOPIC_NODE_STATS};
 use crate::proto::{
     JobDataReply, JobDataRequest, JobStatsReply, JobStatsRequest, MonitorReply, MonitorRequest,
     NodeDataReply, NodeDataRequest, NodeStats, SamplePush,
 };
-use crate::relay::{AggregateFilter, RelayPlane, TelemetryRelay, RELAY, TOPIC_RELAY_DELTAS};
+use crate::relay::{TelemetryRelay, RELAY};
 use crate::subscription::{
-    LinkSample, SubscriptionConfig, SubscriptionFilter, TelemetryDelta, TelemetryHub,
-    TOPIC_SAMPLE_PUSH,
+    LinkSample, SubscriptionFilter, TelemetryDelta, TelemetrySequencer, TOPIC_SAMPLE_PUSH,
 };
 use fluxpm_flux::{
-    FluxEngine, JobState, Message, Module, ModuleCtx, MsgKind, Protocol, Rank, RetryPolicy,
+    FluxEngine, JobId, JobState, Message, Module, ModuleCtx, MsgKind, Protocol, Rank, RetryPolicy,
     StateEvent, StateValue, Topic, World,
 };
 use fluxpm_hw::NodeId;
@@ -53,20 +52,136 @@ pub const TOPIC_GET_JOB_STATS: &str = "power-monitor.get-job-stats";
 
 /// Module-timer tag for the periodic link-health export.
 const TIMER_LINK_EXPORT: u64 = 1;
-/// Module-timer tag for the periodic downstream-batch flush (only armed
-/// when [`MonitorConfig::relay_flush_interval`] is set).
-///
-/// [`MonitorConfig::relay_flush_interval`]: crate::MonitorConfig
-const TIMER_RELAY_FLUSH: u64 = 2;
+
+/// What one node contributes to a client query, and how the per-node
+/// answers become the client's reply: everything the full-record and
+/// the summary query do *not* share. The fan-out itself
+/// ([`RootAgent::start_aggregation`]) is written once over this.
+trait NodeAnswer: Clone + 'static {
+    /// The `kind` an `agg-begin` or snapshot entry is logged under.
+    const KIND: &'static str;
+    /// The node-agent topic the fan-out calls.
+    fn topic(topics: &RootAgentTopics) -> &Topic;
+    /// The per-node request for a window.
+    fn request(window: NodeDataRequest) -> MonitorRequest;
+    /// This answer out of a node agent's reply, if that is what it holds.
+    fn of(reply: &MonitorReply) -> Option<&Self>;
+    /// Stands in for a node that never answered (dead, partitioned).
+    fn silent() -> Self;
+    /// Runs once the last node has answered or timed out, before the
+    /// client's reply is built.
+    fn on_complete(_world: &mut World, _eng: &FluxEngine, _answers: &[Option<Self>]) {}
+    /// The client's reply, its header moved out of the finished `agg`.
+    fn job_reply(agg: &mut Aggregation<Self>, nodes: Vec<Self>) -> MonitorReply;
+}
+
+impl NodeAnswer for NodeDataReply {
+    const KIND: &'static str = "data";
+
+    fn topic(topics: &RootAgentTopics) -> &Topic {
+        &topics.node_data
+    }
+
+    fn request(window: NodeDataRequest) -> MonitorRequest {
+        MonitorRequest::NodeData(window)
+    }
+
+    fn of(reply: &MonitorReply) -> Option<&Self> {
+        match reply {
+            MonitorReply::NodeData(r) => Some(r),
+            _ => None,
+        }
+    }
+
+    fn silent() -> Self {
+        NodeDataReply {
+            hostname: Arc::from(""),
+            records: Arc::from([]),
+            complete: false,
+        }
+    }
+
+    fn job_reply(agg: &mut Aggregation<Self>, nodes: Vec<Self>) -> MonitorReply {
+        MonitorReply::JobData(JobDataReply {
+            job: agg.job,
+            name: std::mem::take(&mut agg.name),
+            start_us: agg.start_us,
+            end_us: agg.end_us,
+            nodes,
+        })
+    }
+}
+
+/// Same fan-out shape as the full-record query, but each node agent
+/// sends back only a summary.
+impl NodeAnswer for NodeStats {
+    const KIND: &'static str = "stats";
+
+    fn topic(topics: &RootAgentTopics) -> &Topic {
+        &topics.node_stats
+    }
+
+    fn request(window: NodeDataRequest) -> MonitorRequest {
+        MonitorRequest::NodeStats(window)
+    }
+
+    fn of(reply: &MonitorReply) -> Option<&Self> {
+        match reply {
+            MonitorReply::NodeStats(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    fn silent() -> Self {
+        NodeStats {
+            hostname: Arc::from(""),
+            samples: 0,
+            mean_w: 0.0,
+            max_w: 0.0,
+            min_w: 0.0,
+            complete: false,
+        }
+    }
+
+    /// Canonical record for sharded byte-equality checks (no-op on
+    /// classic worlds): reporting nodes + aggregated mean power in
+    /// milliwatts.
+    fn on_complete(world: &mut World, eng: &FluxEngine, answers: &[Option<Self>]) {
+        let reporting = answers.iter().flatten().count() as u64;
+        let total_mw: u64 = answers
+            .iter()
+            .flatten()
+            .map(|s| (s.mean_w * 1000.0).round() as u64)
+            .sum();
+        let root = world.root();
+        world.record(
+            eng.now(),
+            root.0,
+            fluxpm_flux::shard::rec::ROOT_AGG,
+            reporting,
+            total_mw,
+        );
+    }
+
+    fn job_reply(agg: &mut Aggregation<Self>, nodes: Vec<Self>) -> MonitorReply {
+        MonitorReply::JobStats(JobStatsReply {
+            job: agg.job,
+            name: std::mem::take(&mut agg.name),
+            start_us: agg.start_us,
+            end_us: agg.end_us,
+            nodes,
+        })
+    }
+}
 
 /// In-flight aggregation for one client request.
-struct Aggregation {
+struct Aggregation<N> {
     request: Message,
-    job: fluxpm_flux::JobId,
+    job: JobId,
     name: String,
     start_us: u64,
     end_us: u64,
-    replies: Vec<Option<NodeDataReply>>,
+    answers: Vec<Option<N>>,
     remaining: usize,
 }
 
@@ -93,14 +208,13 @@ fn finish_inflight(world: &mut World, eng: &FluxEngine, inflight: &InflightMap, 
 }
 
 /// The root agent's topics, interned once when the agent is built: the
-/// three it serves and the three it sends on.
+/// three it serves and the two it sends on.
 struct RootAgentTopics {
     get_job_data: Topic,
     get_job_stats: Topic,
     sample_push: Topic,
     node_data: Topic,
     node_stats: Topic,
-    relay_deltas: Topic,
 }
 
 /// The `flux-power-monitor` root agent.
@@ -115,20 +229,14 @@ pub struct RootAgent {
     /// reply instead of stalling the aggregation forever.
     deadline: SimDuration,
     inflight: InflightMap,
-    /// The authoritative subscription core: sequence assignment,
-    /// latest-per-node snapshots, and the root rank's own cadence
-    /// bookkeeping. Subscriber queues live in the per-broker relays.
-    hub: TelemetryHub,
-    /// Downstream fan-out: per-child-edge aggregate filters and pending
-    /// coalesced batches. Migrates live with the root service.
-    plane: RelayPlane,
-    /// Timer-driven flush cadence (`None` flushes synchronously after
-    /// every publish — one wire message per interested edge per push).
-    flush_every: Option<SimDuration>,
+    /// The push plane's authority: sequence assignment and the
+    /// latest-per-node snapshot. Migrates live with the root service;
+    /// subscriber queues and child edges live in the per-broker relays.
+    sequencer: TelemetrySequencer,
     /// Samples pushed up by node agents (diagnostics).
     pushes_received: u64,
-    /// When set, publish every active link's queueing health into the
-    /// hub on this cadence (see [`MonitorConfig::link_export_interval`]).
+    /// When set, publish every active link's queueing health on this
+    /// cadence (see [`MonitorConfig::link_export_interval`]).
     ///
     /// [`MonitorConfig::link_export_interval`]: crate::MonitorConfig
     link_export_every: Option<SimDuration>,
@@ -145,11 +253,6 @@ impl Default for RootAgent {
 impl RootAgent {
     /// Create an unloaded agent with the given fan-out RPC deadline.
     pub fn new(deadline: SimDuration) -> RootAgent {
-        RootAgent::with_subscriptions(deadline, SubscriptionConfig::default())
-    }
-
-    /// Create an unloaded agent with explicit subscription tuning.
-    pub fn with_subscriptions(deadline: SimDuration, subs: SubscriptionConfig) -> RootAgent {
         RootAgent {
             topics: RootAgentTopics {
                 get_job_data: Topic::intern(TOPIC_GET_JOB_DATA),
@@ -157,36 +260,21 @@ impl RootAgent {
                 sample_push: Topic::intern(TOPIC_SAMPLE_PUSH),
                 node_data: Topic::intern(TOPIC_NODE_DATA),
                 node_stats: Topic::intern(TOPIC_NODE_STATS),
-                relay_deltas: Topic::intern(TOPIC_RELAY_DELTAS),
             },
             served: 0,
             deadline,
             inflight: Rc::new(RefCell::new(BTreeMap::new())),
-            hub: TelemetryHub::new(subs),
-            plane: RelayPlane::new(crate::DEFAULT_RELAY_BATCH_CAPACITY),
-            flush_every: None,
+            sequencer: TelemetrySequencer::default(),
             pushes_received: 0,
             link_export_every: None,
             link_exports: 0,
         }
     }
 
-    /// Enable periodic link-health export into the hub on this cadence.
+    /// Enable periodic link-health export on this cadence.
     pub fn with_link_export(mut self, every: SimDuration) -> RootAgent {
         assert!(!every.is_zero());
         self.link_export_every = Some(every);
-        self
-    }
-
-    /// Tune the downstream fan-out: edge batch capacity and an optional
-    /// timer-driven flush cadence (`None` flushes per publish).
-    pub fn with_relay_batching(
-        mut self,
-        capacity: usize,
-        flush_every: Option<SimDuration>,
-    ) -> RootAgent {
-        self.plane = RelayPlane::new(capacity);
-        self.flush_every = flush_every;
         self
     }
 
@@ -206,9 +294,10 @@ impl RootAgent {
         self.inflight.borrow().len()
     }
 
-    /// The subscription fan-out core (for diagnostics and tests).
-    pub fn hub(&self) -> &TelemetryHub {
-        &self.hub
+    /// The sequencer and its latest-per-node snapshot (for diagnostics
+    /// and tests).
+    pub fn sequencer(&self) -> &TelemetrySequencer {
+        &self.sequencer
     }
 
     /// Samples pushed up by node agents so far.
@@ -216,81 +305,30 @@ impl RootAgent {
         self.pushes_received
     }
 
-    /// Link-health deltas published into the hub so far.
+    /// Link-health deltas published so far.
     pub fn link_exports(&self) -> u64 {
         self.link_exports
     }
 
-    /// The downstream fan-out plane (diagnostics and tests).
-    pub fn plane(&self) -> &RelayPlane {
-        &self.plane
-    }
-
-    /// Widen one child edge by a climbing subscription's filter
-    /// (called by the co-located relay when a `RelaySubscribe` lands).
-    pub fn merge_child(&mut self, child: u32, filter: &SubscriptionFilter) {
-        self.plane.merge_child(child, filter);
-    }
-
-    /// Authoritatively replace one child edge's aggregate (called by
-    /// the co-located relay when a `RelayAdvert` lands; an empty
-    /// aggregate removes the edge).
-    pub fn set_child(&mut self, child: u32, aggregate: AggregateFilter) {
-        self.plane.set_child(child, aggregate);
-    }
-
-    /// Seed snapshot for a new subscriber: every matching
-    /// latest-per-node delta, plus the horizon sequence number the
-    /// subscriber's live stream is floored at. Deltas below the horizon
-    /// are covered by the seed; deltas at or above it flow down the
-    /// (already-widened) edges. That pairing is what makes relay
-    /// hand-off gap-free and duplicate-free.
+    /// Seed snapshot for a new subscriber, and the horizon its live
+    /// stream is floored at (see [`TelemetrySequencer::seed_for`]). The
+    /// one call the root rank's relay makes into the agent.
     pub fn seed_for(&self, filter: &SubscriptionFilter) -> (Vec<Arc<TelemetryDelta>>, u64) {
-        (self.hub.snapshot_for(filter), self.hub.next_seq())
+        self.sequencer.seed_for(filter)
     }
 
-    /// Distribute one freshly published delta: once per interested
-    /// child edge (coalesced per edge), plus a synchronous hand-off to
-    /// the co-located relay for subscribers attached at the root rank.
-    fn distribute(&mut self, ctx: &mut ModuleCtx<'_>, delta: &Arc<TelemetryDelta>) {
-        self.plane.offer(delta);
+    /// Hand one freshly stamped delta to the relay on this rank —
+    /// synchronously, so its edge batches leave in the same instant the
+    /// push arrived.
+    fn hand_off(ctx: &mut ModuleCtx<'_>, delta: Arc<TelemetryDelta>) {
         if let Some(module) = ctx.world.brokers[ctx.rank.index()].module(RELAY) {
             let mut guard = module.borrow_mut();
             if let Some(relay) = guard
                 .as_any_mut()
                 .and_then(|a| a.downcast_mut::<TelemetryRelay>())
             {
-                relay.ingest_direct(delta);
+                relay.ingest(ctx, std::slice::from_ref(&delta));
             }
-        }
-        if self.flush_every.is_none() {
-            self.flush_downstream(ctx);
-        }
-    }
-
-    fn flush_downstream(&mut self, ctx: &mut ModuleCtx<'_>) {
-        let topic = &self.topics.relay_deltas;
-        self.plane.flush_with(|child, batch| {
-            let req = MonitorRequest::RelayDeltas(batch);
-            let ev = Message::event(ctx.rank, Rank(child), topic, req.encode());
-            ctx.world.send(ctx.eng, ev);
-        });
-    }
-
-    /// Arm the periodic downstream flush on the hosting rank (same
-    /// re-arm discipline as the link export: timers are pinned to a
-    /// broker incarnation).
-    fn arm_relay_flush(&self, ctx: &mut ModuleCtx<'_>) {
-        if let Some(every) = self.flush_every {
-            let start = ctx.eng.now() + every;
-            ctx.world.schedule_module_timer(
-                ctx.eng,
-                ctx.rank,
-                ROOT_AGENT,
-                start,
-                every,
-                TIMER_RELAY_FLUSH,
-            );
         }
     }
 
@@ -312,14 +350,9 @@ impl RootAgent {
         }
     }
 
-    /// The retry schedule used for node-agent fan-outs.
-    fn retry_policy(&self) -> RetryPolicy {
-        RetryPolicy::with_deadline(self.deadline)
-    }
-
     /// Log an aggregation begin: enough to rebuild the client request
     /// (and therefore the whole fan-out) on a resurrected instance.
-    fn log_begin(ctx: &mut ModuleCtx<'_>, msg: &Message, kind: &str, job: fluxpm_flux::JobId) {
+    fn log_begin(ctx: &mut ModuleCtx<'_>, msg: &Message, kind: &str, job: JobId) {
         let ev = StateValue::record([
             ("tag", StateValue::U64(msg.matchtag)),
             ("from", StateValue::U64(msg.from.0 as u64)),
@@ -337,8 +370,8 @@ impl RootAgent {
     fn resolve_job(
         ctx: &mut ModuleCtx<'_>,
         msg: &Message,
-        job: fluxpm_flux::JobId,
-    ) -> Option<(fluxpm_flux::JobId, String, u64, u64, Vec<fluxpm_flux::Rank>)> {
+        job: JobId,
+    ) -> Option<(JobId, String, u64, u64, Vec<Rank>)> {
         let Some(record) = ctx.world.jobs.get(job) else {
             ctx.world
                 .respond_error(ctx.eng, msg, format!("no such job {job:?}"));
@@ -365,205 +398,81 @@ impl RootAgent {
         ))
     }
 
-    /// Guard shared by both aggregation paths: fold duplicate client
-    /// attempts (a retried request re-enters with the same matchtag —
-    /// answering the fan-out already in flight) instead of double
-    /// fanning out and double counting.
+    /// Fold a request that is already being aggregated instead of double
+    /// fanning out and double counting. A client's *retry* is not that
+    /// case — every attempt draws a fresh matchtag
+    /// (`World::rpc_deadline_inner`) and is a request of its own; what
+    /// re-enters under a tag still in flight is a stored request
+    /// delivered again.
     fn already_inflight(&self, msg: &Message) -> bool {
         self.inflight.borrow().contains_key(&msg.matchtag)
     }
 
-    fn start_aggregation(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message, req: JobDataRequest) {
-        if self.already_inflight(msg) {
-            return;
-        }
-        let Some((job, name, start_us, end_us, ranks)) = Self::resolve_job(ctx, msg, req.job)
-        else {
-            return;
-        };
-        let n = ranks.len();
-        if n == 0 {
-            // Nothing to fan out to: answer now rather than parking an
-            // aggregation that no callback will ever finish.
-            let reply = JobDataReply {
-                job,
-                name,
-                start_us,
-                end_us,
-                nodes: Vec::new(),
-            };
-            self.served += 1;
-            ctx.world
-                .respond(ctx.eng, msg, MonitorReply::JobData(reply).encode());
-            return;
-        }
-        let agg = Rc::new(RefCell::new(Aggregation {
-            request: msg.clone(),
-            job,
-            name,
-            start_us,
-            end_us,
-            replies: vec![None; n],
-            remaining: n,
-        }));
-        self.served += 1;
-        self.inflight.borrow_mut().insert(msg.matchtag, msg.clone());
-        Self::log_begin(ctx, msg, "data", job);
-
-        let policy = self.retry_policy();
-        let self_rank = ctx.rank;
-        for (i, rank) in ranks.into_iter().enumerate() {
-            let agg = Rc::clone(&agg);
-            let inflight = Rc::clone(&self.inflight);
-            let req = MonitorRequest::NodeData(NodeDataRequest { start_us, end_us });
-            ctx.world
-                .rpc(rank, &self.topics.node_data, req.encode())
-                .from(self_rank)
-                .retry(policy)
-                .send(ctx.eng, move |world, eng, resp| {
-                    let mut a = agg.borrow_mut();
-                    // Keeping a node's reply shares its records with the
-                    // node agent's slice; nothing is copied here or below.
-                    a.replies[i] = match MonitorReply::decode_ref(resp) {
-                        Ok(MonitorReply::NodeData(r)) => Some(r.clone()),
-                        _ => None,
-                    };
-                    a.remaining -= 1;
-                    if a.remaining == 0 {
-                        finish_inflight(world, eng, &inflight, a.request.matchtag);
-                        // The last callback: move everything out of the
-                        // aggregation, which dies with this closure.
-                        let reply = JobDataReply {
-                            job: a.job,
-                            name: std::mem::take(&mut a.name),
-                            start_us: a.start_us,
-                            end_us: a.end_us,
-                            nodes: a
-                                .replies
-                                .iter_mut()
-                                .map(|r| {
-                                    r.take().unwrap_or_else(|| NodeDataReply {
-                                        hostname: Arc::from(""),
-                                        records: Arc::from([]),
-                                        complete: false,
-                                    })
-                                })
-                                .collect(),
-                        };
-                        world.respond(eng, &a.request, MonitorReply::JobData(reply).encode());
-                    }
-                });
-        }
-    }
-
-    /// Stats-query aggregation: same fan-out shape as the full-record
-    /// path, but each node agent sends back only a summary.
-    fn start_stats_aggregation(
+    /// Answer one client query: fan the job's window out to the node
+    /// agent of every rank it ran on and reply once each has answered
+    /// or timed out. `N` is what differs between the two queries.
+    fn start_aggregation<N: NodeAnswer>(
         &mut self,
         ctx: &mut ModuleCtx<'_>,
         msg: &Message,
-        req: JobStatsRequest,
+        job: JobId,
     ) {
         if self.already_inflight(msg) {
             return;
         }
-        let Some((job, name, start_us, end_us, ranks)) = Self::resolve_job(ctx, msg, req.job)
-        else {
+        let Some((job, name, start_us, end_us, ranks)) = Self::resolve_job(ctx, msg, job) else {
             return;
         };
+        self.served += 1;
         let n = ranks.len();
-        if n == 0 {
-            let reply = JobStatsReply {
-                job,
-                name,
-                start_us,
-                end_us,
-                nodes: Vec::new(),
-            };
-            self.served += 1;
-            ctx.world
-                .respond(ctx.eng, msg, MonitorReply::JobStats(reply).encode());
-            return;
-        }
-        struct StatsAgg {
-            request: Message,
-            job: fluxpm_flux::JobId,
-            name: String,
-            start_us: u64,
-            end_us: u64,
-            replies: Vec<Option<NodeStats>>,
-            remaining: usize,
-        }
-        let agg = Rc::new(RefCell::new(StatsAgg {
+        let mut agg = Aggregation::<N> {
             request: msg.clone(),
             job,
             name,
             start_us,
             end_us,
-            replies: vec![None; n],
+            answers: vec![None; n],
             remaining: n,
-        }));
-        self.served += 1;
+        };
+        if n == 0 {
+            // Nothing to fan out to: answer now rather than parking an
+            // aggregation that no callback will ever finish.
+            let reply = N::job_reply(&mut agg, Vec::new());
+            ctx.world.respond(ctx.eng, msg, reply.encode());
+            return;
+        }
+        let agg = Rc::new(RefCell::new(agg));
         self.inflight.borrow_mut().insert(msg.matchtag, msg.clone());
-        Self::log_begin(ctx, msg, "stats", job);
-        let policy = self.retry_policy();
+        Self::log_begin(ctx, msg, N::KIND, job);
+
+        let policy = RetryPolicy::with_deadline(self.deadline);
         let self_rank = ctx.rank;
         for (i, rank) in ranks.into_iter().enumerate() {
             let agg = Rc::clone(&agg);
             let inflight = Rc::clone(&self.inflight);
-            let req = MonitorRequest::NodeStats(NodeDataRequest { start_us, end_us });
+            let req = N::request(NodeDataRequest { start_us, end_us });
             ctx.world
-                .rpc(rank, &self.topics.node_stats, req.encode())
+                .rpc(rank, N::topic(&self.topics), req.encode())
                 .from(self_rank)
                 .retry(policy)
                 .send(ctx.eng, move |world, eng, resp| {
                     let mut a = agg.borrow_mut();
-                    a.replies[i] = match MonitorReply::decode_ref(resp) {
-                        Ok(MonitorReply::NodeStats(s)) => Some(s.clone()),
-                        _ => None,
-                    };
+                    // Keeping a node's answer shares its records with the
+                    // node agent's slice; nothing is copied here or below.
+                    a.answers[i] = MonitorReply::decode_ref(resp).ok().and_then(N::of).cloned();
                     a.remaining -= 1;
                     if a.remaining == 0 {
                         finish_inflight(world, eng, &inflight, a.request.matchtag);
-                        // Canonical record for sharded byte-equality
-                        // checks (no-op on classic worlds): reporting
-                        // nodes + aggregated mean power in milliwatts.
-                        let reporting = a.replies.iter().flatten().count() as u64;
-                        let total_mw: u64 = a
-                            .replies
-                            .iter()
-                            .flatten()
-                            .map(|s| (s.mean_w * 1000.0).round() as u64)
-                            .sum();
-                        let root = world.root();
-                        world.record(
-                            eng.now(),
-                            root.0,
-                            fluxpm_flux::shard::rec::ROOT_AGG,
-                            reporting,
-                            total_mw,
-                        );
-                        let reply = JobStatsReply {
-                            job: a.job,
-                            name: std::mem::take(&mut a.name),
-                            start_us: a.start_us,
-                            end_us: a.end_us,
-                            nodes: a
-                                .replies
-                                .iter_mut()
-                                .map(|r| {
-                                    r.take().unwrap_or_else(|| NodeStats {
-                                        hostname: Arc::from(""),
-                                        samples: 0,
-                                        mean_w: 0.0,
-                                        max_w: 0.0,
-                                        min_w: 0.0,
-                                        complete: false,
-                                    })
-                                })
-                                .collect(),
-                        };
-                        world.respond(eng, &a.request, MonitorReply::JobStats(reply).encode());
+                        N::on_complete(world, eng, &a.answers);
+                        // The last callback: move everything out of the
+                        // aggregation, which dies with this closure.
+                        let nodes = a
+                            .answers
+                            .iter_mut()
+                            .map(|r| r.take().unwrap_or_else(N::silent))
+                            .collect();
+                        let reply = N::job_reply(&mut a, nodes);
+                        world.respond(eng, &a.request, reply.encode());
                     }
                 });
         }
@@ -574,10 +483,10 @@ impl RootAgent {
         // Job attribution happens here: the node agent stays stateless,
         // and the instance's job registry is authoritative at the root.
         let job = ctx.world.jobs.job_on_node(NodeId(push.node));
-        let (delta, _) = self
-            .hub
-            .publish_delta(push.node, push.timestamp_us, push.node_w, job);
-        self.distribute(ctx, &delta);
+        let delta = self
+            .sequencer
+            .publish(push.node, push.timestamp_us, push.node_w, job);
+        Self::hand_off(ctx, delta);
         ctx.world
             .respond(ctx.eng, msg, MonitorReply::PushAck.encode());
     }
@@ -601,23 +510,18 @@ impl Module for RootAgent {
 
     fn load(&mut self, ctx: &mut ModuleCtx<'_>) {
         self.arm_link_export(ctx);
-        self.arm_relay_flush(ctx);
     }
 
     fn timer(&mut self, ctx: &mut ModuleCtx<'_>, tag: u64) {
-        if tag == TIMER_RELAY_FLUSH {
-            self.flush_downstream(ctx);
-            return;
-        }
         if tag != TIMER_LINK_EXPORT {
             return;
         }
         // Snapshot the overlay's per-link queueing telemetry into the
-        // hub: one delta per active edge, keyed by the child endpoint.
+        // stream: one delta per active edge, keyed by the child endpoint.
         let now_us = ctx.eng.now().as_micros();
         let links: Vec<_> = ctx.world.link_stats();
         for l in links {
-            let (delta, _) = self.hub.publish_link_delta(
+            let delta = self.sequencer.publish_link(
                 l.child,
                 now_us,
                 LinkSample {
@@ -629,7 +533,7 @@ impl Module for RootAgent {
                     reparents: l.reparents,
                 },
             );
-            self.distribute(ctx, &delta);
+            Self::hand_off(ctx, delta);
             self.link_exports += 1;
         }
     }
@@ -639,8 +543,12 @@ impl Module for RootAgent {
             return;
         }
         match MonitorRequest::decode_ref(msg) {
-            Ok(&MonitorRequest::JobData(req)) => self.start_aggregation(ctx, msg, req),
-            Ok(&MonitorRequest::JobStats(req)) => self.start_stats_aggregation(ctx, msg, req),
+            Ok(&MonitorRequest::JobData(req)) => {
+                self.start_aggregation::<NodeDataReply>(ctx, msg, req.job)
+            }
+            Ok(&MonitorRequest::JobStats(req)) => {
+                self.start_aggregation::<NodeStats>(ctx, msg, req.job)
+            }
             Ok(&MonitorRequest::PushSample(push)) => self.on_push(ctx, msg, push),
             Ok(_) => {} // node-agent and relay topics; not served here
             Err(e) => ctx.world.respond_error(ctx.eng, msg, e.reason),
@@ -681,40 +589,11 @@ impl Module for RootAgent {
             msg.to = ctx.rank;
             self.handle(ctx, &msg);
         }
-        // This rank's relay was serving its subtree's downstream edges;
-        // now that the root core landed here, the core owns them.
-        // Absorb them (they are exactly the new root's child edges),
-        // then drop any edge the promotion re-parented elsewhere —
-        // those children re-advertise to their new parents.
-        if let Some(module) = ctx.world.brokers[ctx.rank.index()].module(RELAY) {
-            let mut guard = module.borrow_mut();
-            if let Some(relay) = guard
-                .as_any_mut()
-                .and_then(|a| a.downcast_mut::<TelemetryRelay>())
-            {
-                for (child, agg) in relay.take_children() {
-                    self.plane.set_child(child, agg);
-                }
-            }
-        }
-        let children = ctx.world.tbon.children(ctx.rank);
-        self.plane.retain_children(|c| children.contains(&Rank(c)));
-        // The old root's timers died with its broker incarnation;
-        // re-arm them here.
+        // Nothing of the push plane is absorbed: the sequencer came
+        // along with `self`, and this rank's relay already owns exactly
+        // its child edges. The old root's timer died with its broker
+        // incarnation; re-arm it here.
         self.arm_link_export(ctx);
-        self.arm_relay_flush(ctx);
-    }
-
-    fn on_topology_change(&mut self, ctx: &mut ModuleCtx<'_>) {
-        // A re-parent may have moved a child subtree elsewhere: stop
-        // feeding its old edge. New or re-parented children re-advertise
-        // their aggregates (their relays force an advert on the same
-        // epoch bump). No edges → nothing to repair.
-        if self.plane.children().next().is_none() {
-            return;
-        }
-        let children = ctx.world.tbon.children(ctx.rank);
-        self.plane.retain_children(|c| children.contains(&Rank(c)));
     }
 
     fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
@@ -731,9 +610,9 @@ impl Module for RootAgent {
             .values()
             .map(|msg| {
                 let kind = if msg.topic == self.topics.get_job_stats {
-                    "stats"
+                    NodeStats::KIND
                 } else {
-                    "data"
+                    NodeDataReply::KIND
                 };
                 let job = match MonitorRequest::decode_ref(msg) {
                     Ok(MonitorRequest::JobData(r)) => r.job.0,
@@ -790,9 +669,9 @@ fn rebuild_request(data: &StateValue) -> Option<Message> {
     let tag = data.u64_field("tag")?;
     let from = Rank(data.u64_field("from")? as u32);
     let to = Rank(data.u64_field("to")? as u32);
-    let job = fluxpm_flux::JobId(data.u64_field("job")?);
+    let job = JobId(data.u64_field("job")?);
     let req = match data.get("kind")?.as_str()? {
-        "stats" => MonitorRequest::JobStats(JobStatsRequest { job }),
+        NodeStats::KIND => MonitorRequest::JobStats(JobStatsRequest { job }),
         _ => MonitorRequest::JobData(JobDataRequest { job }),
     };
     let mut msg = Message::request(from, to, req.topic(), req.encode());

@@ -3,32 +3,32 @@
 //! The paper's monitor serves one CSV-polling client. Production wants
 //! "job-specific monitoring for the masses": thousands of concurrent
 //! consumers each watching a filtered slice of the telemetry stream.
-//! This module is the fan-out core — a [`TelemetryHub`] hosted by the
-//! root agent that:
+//! This module holds the two halves of that service, split along the
+//! line their owners draw:
 //!
-//! * registers subscribers with a [`SubscriptionFilter`] (job, node
-//!   set, per-subscriber sample cadence),
-//! * fans each incoming sample out as an [`Arc`]-shared
-//!   [`TelemetryDelta`] (one allocation per event, regardless of the
-//!   subscriber count),
-//! * bounds every subscriber to a fixed-capacity queue — a slow
-//!   consumer loses its *oldest* deltas first (backpressure by
-//!   shedding), and one that falls too far behind is **evicted**
-//!   outright so it cannot pin memory,
-//! * keeps a latest-sample-per-node snapshot, so a (re-)subscriber
-//!   resumes from current state instead of an empty stream — the
-//!   state-engine discipline of consumers receiving *state updates*,
-//!   not a replayed raw firehose.
+//! * [`TelemetrySequencer`], owned by the root agent, stamps each
+//!   incoming sample as an [`Arc`]-shared [`TelemetryDelta`] (one
+//!   allocation per event, regardless of the subscriber count) with its
+//!   global sequence number, and keeps the latest sample per node — the
+//!   one snapshot a (re-)subscriber resumes from instead of an empty
+//!   stream: the state-engine discipline of consumers receiving *state
+//!   updates*, not a replayed raw firehose.
+//! * [`TelemetryHub`], owned by every broker's relay, registers
+//!   subscribers with a [`SubscriptionFilter`] (job, node set,
+//!   per-subscriber sample cadence) and bounds each to a fixed-capacity
+//!   queue — a slow consumer loses its *oldest* deltas first
+//!   (backpressure by shedding), and one that falls too far behind is
+//!   **evicted** outright so it cannot pin memory.
 //!
-//! The hub is pure (no simulation types beyond ids), which is what lets
-//! the `telemetry_fanout` bench drive it at thousands of subscribers
+//! Both are pure (no simulation types beyond ids), which is what lets
+//! the `telemetry_fanout` bench drive them at thousands of subscribers
 //! without an event engine.
 
 use fluxpm_flux::JobId;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
-/// Overlay topic: register a subscription with the root agent.
+/// Overlay topic: register a subscription with the serving rank's relay.
 pub const TOPIC_SUBSCRIBE: &str = "power-monitor.subscribe";
 /// Overlay topic: drop a subscription.
 pub const TOPIC_UNSUBSCRIBE: &str = "power-monitor.unsubscribe";
@@ -155,7 +155,7 @@ impl SubscriptionFilter {
 /// the overlay link whose child endpoint is `node`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryDelta {
-    /// Hub-global publication sequence number.
+    /// Instance-global publication sequence number.
     pub seq: u64,
     /// Originating rank (the child endpoint for a link delta).
     pub node: u32,
@@ -242,11 +242,13 @@ pub struct SubscriberStats {
     pub delivered: u64,
 }
 
-/// The root agent's fan-out core. See the module docs.
-pub struct TelemetryHub {
-    config: SubscriptionConfig,
-    subs: BTreeMap<SubscriberId, Subscriber>,
-    next_id: SubscriberId,
+/// The root agent's half of the plane: assigns every delta its global
+/// sequence number and keeps the latest delta per node (and per link) —
+/// the one authoritative snapshot a (re-)subscriber anywhere in the
+/// tree is seeded from. Holds no subscribers; the stamped delta is
+/// handed to a [`TelemetryHub`] for delivery.
+#[derive(Default)]
+pub struct TelemetrySequencer {
     /// Latest delta per node — the snapshot a (re-)subscriber resumes
     /// from.
     latest: BTreeMap<u32, Arc<TelemetryDelta>>,
@@ -254,7 +256,88 @@ pub struct TelemetryHub {
     /// link report never clobbers the same rank's power snapshot.
     latest_links: BTreeMap<u32, Arc<TelemetryDelta>>,
     next_seq: u64,
-    published: u64,
+}
+
+impl TelemetrySequencer {
+    /// Stamp one power sample and record it as its node's latest.
+    pub fn publish(
+        &mut self,
+        node: u32,
+        timestamp_us: u64,
+        node_w: f64,
+        job: Option<JobId>,
+    ) -> Arc<TelemetryDelta> {
+        let delta = Arc::new(TelemetryDelta {
+            seq: self.next_seq,
+            node,
+            timestamp_us,
+            node_w,
+            job,
+            link: None,
+        });
+        self.next_seq += 1;
+        self.latest.insert(node, Arc::clone(&delta));
+        delta
+    }
+
+    /// Stamp one link-health report for the TBON edge whose child
+    /// endpoint is `child`. The delta carries `job = None`, so
+    /// job-filtered subscribers never receive it, and its snapshot lives
+    /// apart from the power snapshots so either kind of (re-)seed
+    /// survives the other.
+    pub fn publish_link(
+        &mut self,
+        child: u32,
+        timestamp_us: u64,
+        sample: LinkSample,
+    ) -> Arc<TelemetryDelta> {
+        let delta = Arc::new(TelemetryDelta {
+            seq: self.next_seq,
+            node: child,
+            timestamp_us,
+            node_w: 0.0,
+            job: None,
+            link: Some(sample),
+        });
+        self.next_seq += 1;
+        self.latest_links.insert(child, Arc::clone(&delta));
+        delta
+    }
+
+    /// What a subscriber with `filter` starts from: the latest power
+    /// sample per node, then the latest link sample per edge (both in
+    /// node order), and the horizon — the next sequence number, which
+    /// every delta in the seed is strictly below and every later one at
+    /// or above. Flooring the subscriber's stream at the horizon is what
+    /// makes the hand-off gap-free and duplicate-free.
+    pub fn seed_for(&self, filter: &SubscriptionFilter) -> (Vec<Arc<TelemetryDelta>>, u64) {
+        let seed = self
+            .latest
+            .values()
+            .chain(self.latest_links.values())
+            .filter(|d| filter.matches(d))
+            .cloned()
+            .collect();
+        (seed, self.next_seq)
+    }
+
+    /// The latest known sample for a node, if any.
+    pub fn latest(&self, node: u32) -> Option<&Arc<TelemetryDelta>> {
+        self.latest.get(&node)
+    }
+
+    /// The latest link-health delta for the edge under `child`, if any.
+    pub fn latest_link(&self, child: u32) -> Option<&Arc<TelemetryDelta>> {
+        self.latest_links.get(&child)
+    }
+}
+
+/// A relay's half of the plane: the bounded queues of the subscribers
+/// attached at one broker. See the module docs.
+pub struct TelemetryHub {
+    config: SubscriptionConfig,
+    subs: BTreeMap<SubscriberId, Subscriber>,
+    next_id: SubscriberId,
     fanned_out: u64,
     evicted: u64,
 }
@@ -266,45 +349,18 @@ impl TelemetryHub {
             config,
             subs: BTreeMap::new(),
             next_id: 1,
-            latest: BTreeMap::new(),
-            latest_links: BTreeMap::new(),
-            next_seq: 0,
-            published: 0,
             fanned_out: 0,
             evicted: 0,
         }
     }
 
-    /// Register a subscriber. Its queue is seeded with the latest known
-    /// sample of every node its filter matches, so the consumer starts
+    /// Register a subscriber. Its queue is seeded from `seed` (the
+    /// root's [`TelemetrySequencer::seed_for`]), so the consumer starts
     /// from current state — and a consumer evicted for slowness loses
-    /// nothing permanent by re-subscribing.
-    pub fn subscribe(&mut self, filter: SubscriptionFilter) -> SubscriberId {
-        let seed: Vec<Arc<TelemetryDelta>> = self
-            .latest
-            .values()
-            .chain(self.latest_links.values())
-            .filter(|d| filter.matches(d))
-            .cloned()
-            .collect();
-        self.register(filter, &seed, 0)
-    }
-
-    /// Register a subscriber seeded from an *externally supplied*
-    /// snapshot (a relay seeding from the root's authoritative latest
-    /// maps) instead of this hub's own, with dispatch floored at
-    /// `floor_seq`: stream deltas below the floor are skipped because
-    /// the seed already covers them.
-    pub fn subscribe_seeded(
-        &mut self,
-        filter: SubscriptionFilter,
-        seed: &[Arc<TelemetryDelta>],
-        floor_seq: u64,
-    ) -> SubscriberId {
-        self.register(filter, seed, floor_seq)
-    }
-
-    fn register(
+    /// nothing permanent by re-subscribing. Dispatch is floored at
+    /// `floor_seq`: stream deltas below it are skipped because the seed
+    /// already covers them.
+    pub fn subscribe(
         &mut self,
         filter: SubscriptionFilter,
         seed: &[Arc<TelemetryDelta>],
@@ -338,112 +394,16 @@ impl TelemetryHub {
         id
     }
 
-    /// The snapshot a subscriber with `filter` would be seeded from:
-    /// the latest power sample per node, then the latest link sample
-    /// per edge (both in node order). A relay serving a remote
-    /// subscriber fetches this from the root.
-    pub fn snapshot_for(&self, filter: &SubscriptionFilter) -> Vec<Arc<TelemetryDelta>> {
-        self.latest
-            .values()
-            .chain(self.latest_links.values())
-            .filter(|d| filter.matches(d))
-            .cloned()
-            .collect()
-    }
-
     /// Remove a subscriber. Returns whether it existed.
     pub fn unsubscribe(&mut self, id: SubscriberId) -> bool {
         self.subs.remove(&id).is_some()
     }
 
-    /// Publish one sample: updates the per-node snapshot and fans the
-    /// delta out to every matching subscriber. Returns the fan-out count
-    /// (deliveries enqueued). Subscribers whose cumulative shed count
-    /// crosses the eviction threshold are removed.
-    pub fn publish(
-        &mut self,
-        node: u32,
-        timestamp_us: u64,
-        node_w: f64,
-        job: Option<JobId>,
-    ) -> usize {
-        self.publish_delta(node, timestamp_us, node_w, job).1
-    }
-
-    /// [`publish`](TelemetryHub::publish), also returning the shared
-    /// delta so a relay plane can forward the same allocation down the
-    /// tree.
-    pub fn publish_delta(
-        &mut self,
-        node: u32,
-        timestamp_us: u64,
-        node_w: f64,
-        job: Option<JobId>,
-    ) -> (Arc<TelemetryDelta>, usize) {
-        let delta = Arc::new(TelemetryDelta {
-            seq: self.next_seq,
-            node,
-            timestamp_us,
-            node_w,
-            job,
-            link: None,
-        });
-        self.next_seq += 1;
-        self.published += 1;
-        self.latest.insert(node, Arc::clone(&delta));
-        let fanout = self.dispatch(&delta);
-        (delta, fanout)
-    }
-
-    /// Absorb a delta published (and sequence-stamped) elsewhere — the
-    /// ingest half of a relay: update the latest-per-node snapshot of
-    /// the right kind and fan out to local subscribers. Returns the
-    /// fan-out count.
-    pub fn ingest(&mut self, delta: &Arc<TelemetryDelta>) -> usize {
-        if delta.link.is_some() {
-            self.latest_links.insert(delta.node, Arc::clone(delta));
-        } else {
-            self.latest.insert(delta.node, Arc::clone(delta));
-        }
-        self.dispatch(delta)
-    }
-
-    /// Publish one link-health report for the TBON edge whose child
-    /// endpoint is `child`. Same fan-out and eviction semantics as
-    /// [`publish`](TelemetryHub::publish); the delta carries
-    /// `job = None`, so job-filtered subscribers never receive it, and
-    /// its snapshot lives apart from the power snapshots so either kind
-    /// of (re-)seed survives the other.
-    pub fn publish_link(&mut self, child: u32, timestamp_us: u64, sample: LinkSample) -> usize {
-        self.publish_link_delta(child, timestamp_us, sample).1
-    }
-
-    /// [`publish_link`](TelemetryHub::publish_link), also returning the
-    /// shared delta for relay forwarding.
-    pub fn publish_link_delta(
-        &mut self,
-        child: u32,
-        timestamp_us: u64,
-        sample: LinkSample,
-    ) -> (Arc<TelemetryDelta>, usize) {
-        let delta = Arc::new(TelemetryDelta {
-            seq: self.next_seq,
-            node: child,
-            timestamp_us,
-            node_w: 0.0,
-            job: None,
-            link: Some(sample),
-        });
-        self.next_seq += 1;
-        self.published += 1;
-        self.latest_links.insert(child, Arc::clone(&delta));
-        let fanout = self.dispatch(&delta);
-        (delta, fanout)
-    }
-
-    /// Fan one freshly published delta out to every matching subscriber,
-    /// applying the per-kind cadence floor and the eviction threshold.
-    fn dispatch(&mut self, delta: &Arc<TelemetryDelta>) -> usize {
+    /// Fan one stamped delta out to every matching subscriber, applying
+    /// the per-kind cadence floor. Returns the fan-out count (deliveries
+    /// enqueued). Subscribers whose cumulative shed count crosses the
+    /// eviction threshold are removed.
+    pub fn dispatch(&mut self, delta: &Arc<TelemetryDelta>) -> usize {
         let mut fanout = 0usize;
         let mut evict: Vec<SubscriberId> = Vec::new();
         for (&id, sub) in self.subs.iter_mut() {
@@ -506,13 +466,6 @@ impl TelemetryHub {
         self.subs.len()
     }
 
-    /// The next sequence number this hub will assign: the horizon a
-    /// relay subscription is floored at — every existing delta is
-    /// strictly below it, every future one at or above it.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
     /// The live subscribers' filters — what a relay unions (with child
     /// aggregates) into the filter it advertises up its TBON edge.
     pub fn filters(&self) -> impl Iterator<Item = &SubscriptionFilter> {
@@ -528,11 +481,6 @@ impl TelemetryHub {
         })
     }
 
-    /// Samples published into the hub so far.
-    pub fn published(&self) -> u64 {
-        self.published
-    }
-
     /// Total deliveries enqueued across all subscribers.
     pub fn fanned_out(&self) -> u64 {
         self.fanned_out
@@ -541,16 +489,6 @@ impl TelemetryHub {
     /// Subscribers evicted for falling too far behind.
     pub fn evicted(&self) -> u64 {
         self.evicted
-    }
-
-    /// The latest known sample for a node, if any.
-    pub fn latest(&self, node: u32) -> Option<&Arc<TelemetryDelta>> {
-        self.latest.get(&node)
-    }
-
-    /// The latest link-health delta for the edge under `child`, if any.
-    pub fn latest_link(&self, child: u32) -> Option<&Arc<TelemetryDelta>> {
-        self.latest_links.get(&child)
     }
 }
 
@@ -564,16 +502,45 @@ impl Default for TelemetryHub {
 mod tests {
     use super::*;
 
-    fn hub(cap: usize, evict: u64) -> TelemetryHub {
-        TelemetryHub::new(SubscriptionConfig {
-            queue_capacity: cap,
-            evict_after_drops: evict,
-        })
+    /// The root's sequencer feeding one hub, the way the root agent
+    /// feeds its co-located relay: stamp, then dispatch; a subscriber is
+    /// seeded from the sequencer and floored at its horizon.
+    #[derive(Default)]
+    struct Fed {
+        seq: TelemetrySequencer,
+        hub: TelemetryHub,
+    }
+
+    impl Fed {
+        fn subscribe(&mut self, filter: SubscriptionFilter) -> SubscriberId {
+            let (seed, horizon) = self.seq.seed_for(&filter);
+            self.hub.subscribe(filter, &seed, horizon)
+        }
+
+        fn publish(&mut self, node: u32, ts: u64, node_w: f64, job: Option<JobId>) -> usize {
+            let delta = self.seq.publish(node, ts, node_w, job);
+            self.hub.dispatch(&delta)
+        }
+
+        fn publish_link(&mut self, child: u32, ts: u64, sample: LinkSample) -> usize {
+            let delta = self.seq.publish_link(child, ts, sample);
+            self.hub.dispatch(&delta)
+        }
+    }
+
+    fn hub(cap: usize, evict: u64) -> Fed {
+        Fed {
+            seq: TelemetrySequencer::default(),
+            hub: TelemetryHub::new(SubscriptionConfig {
+                queue_capacity: cap,
+                evict_after_drops: evict,
+            }),
+        }
     }
 
     #[test]
     fn filters_route_deltas() {
-        let mut h = TelemetryHub::default();
+        let mut h = Fed::default();
         let all = h.subscribe(SubscriptionFilter::all());
         let job1 = h.subscribe(SubscriptionFilter::all().with_job(JobId(1)));
         let node2 = h.subscribe(SubscriptionFilter::all().with_nodes(vec![2]));
@@ -582,9 +549,9 @@ mod tests {
         assert_eq!(h.publish(2, 2_000, 200.0, Some(JobId(1))), 3); // everyone
         assert_eq!(h.publish(3, 3_000, 300.0, Some(JobId(9))), 1); // all only
 
-        assert_eq!(h.poll(all, usize::MAX).unwrap().0.len(), 3);
-        assert_eq!(h.poll(job1, usize::MAX).unwrap().0.len(), 1);
-        let (d, dropped) = h.poll(node2, usize::MAX).unwrap();
+        assert_eq!(h.hub.poll(all, usize::MAX).unwrap().0.len(), 3);
+        assert_eq!(h.hub.poll(job1, usize::MAX).unwrap().0.len(), 1);
+        let (d, dropped) = h.hub.poll(node2, usize::MAX).unwrap();
         assert_eq!(dropped, 0);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].node, 2);
@@ -593,7 +560,7 @@ mod tests {
 
     #[test]
     fn cadence_floor_downsamples_per_node() {
-        let mut h = TelemetryHub::default();
+        let mut h = Fed::default();
         let slow = h.subscribe(SubscriptionFilter::all().with_min_interval_us(10_000));
         // Node 0 samples every 2 ms: only every 5th delivered.
         for i in 0..10u64 {
@@ -601,7 +568,7 @@ mod tests {
         }
         // Cadence is per node: node 1 gets its own budget.
         h.publish(1, 1_000, 2.0, None);
-        let (d, _) = h.poll(slow, usize::MAX).unwrap();
+        let (d, _) = h.hub.poll(slow, usize::MAX).unwrap();
         let node0: Vec<u64> = d
             .iter()
             .filter(|x| x.node == 0)
@@ -619,14 +586,17 @@ mod tests {
         for i in 0..10u64 {
             h.publish(0, i, 1.0, None);
         }
-        let s = h.stats(lazy).unwrap();
+        let s = h.hub.stats(lazy).unwrap();
         assert_eq!(s.queued, 4);
         assert_eq!(s.dropped, 6, "10 published, 4 retained");
         // Crossing the eviction threshold removes the subscriber.
         h.publish(0, 10, 1.0, None);
-        assert_eq!(h.subscriber_count(), 0);
-        assert_eq!(h.evicted(), 1);
-        assert!(h.poll(lazy, 1).is_none(), "evicted subscriber is unknown");
+        assert_eq!(h.hub.subscriber_count(), 0);
+        assert_eq!(h.hub.evicted(), 1);
+        assert!(
+            h.hub.poll(lazy, 1).is_none(),
+            "evicted subscriber is unknown"
+        );
     }
 
     #[test]
@@ -638,31 +608,31 @@ mod tests {
                 h.publish(node, 100 * node as u64 + t, node as f64, None);
             }
         }
-        assert!(h.poll(lazy, 1).is_none(), "evicted");
+        assert!(h.hub.poll(lazy, 1).is_none(), "evicted");
         // A fresh subscription starts from the latest sample per node,
         // not an empty stream and not the full history.
         let again = h.subscribe(SubscriptionFilter::all().with_nodes(vec![0, 2]));
-        let (d, _) = h.poll(again, usize::MAX).unwrap();
+        let (d, _) = h.hub.poll(again, usize::MAX).unwrap();
         let seen: Vec<(u32, u64)> = d.iter().map(|x| (x.node, x.timestamp_us)).collect();
         assert_eq!(seen, vec![(0, 3), (2, 203)]);
     }
 
     #[test]
     fn poll_drains_in_order_with_max() {
-        let mut h = TelemetryHub::default();
+        let mut h = Fed::default();
         let s = h.subscribe(SubscriptionFilter::all());
         for i in 0..5u64 {
             h.publish(0, i, i as f64, None);
         }
-        let (first, _) = h.poll(s, 2).unwrap();
+        let (first, _) = h.hub.poll(s, 2).unwrap();
         assert_eq!(
             first.iter().map(|d| d.timestamp_us).collect::<Vec<_>>(),
             vec![0, 1]
         );
-        let (rest, _) = h.poll(s, usize::MAX).unwrap();
+        let (rest, _) = h.hub.poll(s, usize::MAX).unwrap();
         assert_eq!(rest.len(), 3);
-        assert_eq!(h.stats(s).unwrap().delivered, 5);
-        assert_eq!(h.fanned_out(), 5);
+        assert_eq!(h.hub.stats(s).unwrap().delivered, 5);
+        assert_eq!(h.hub.fanned_out(), 5);
     }
 
     fn link(parent: u32, delay: f64) -> LinkSample {
@@ -678,7 +648,7 @@ mod tests {
 
     #[test]
     fn link_deltas_fan_out_but_skip_job_filtered_subscribers() {
-        let mut h = TelemetryHub::default();
+        let mut h = Fed::default();
         let all = h.subscribe(SubscriptionFilter::all());
         let job1 = h.subscribe(SubscriptionFilter::all().with_job(JobId(1)));
         let node2 = h.subscribe(SubscriptionFilter::all().with_nodes(vec![2]));
@@ -687,34 +657,34 @@ mod tests {
         // internals — only the unfiltered and node-scoped consumers see
         // link health.
         assert_eq!(h.publish_link(2, 1_000, link(0, 140.0)), 2);
-        let (d, _) = h.poll(all, usize::MAX).unwrap();
+        let (d, _) = h.hub.poll(all, usize::MAX).unwrap();
         assert_eq!(d[0].link.unwrap().parent, 0);
         assert_eq!((d[0].node, d[0].job), (2, None));
-        assert_eq!(h.poll(job1, usize::MAX).unwrap().0.len(), 0);
-        assert_eq!(h.poll(node2, usize::MAX).unwrap().0.len(), 1);
+        assert_eq!(h.hub.poll(job1, usize::MAX).unwrap().0.len(), 0);
+        assert_eq!(h.hub.poll(node2, usize::MAX).unwrap().0.len(), 1);
     }
 
     #[test]
     fn link_snapshot_lives_apart_from_power_snapshot() {
-        let mut h = TelemetryHub::default();
+        let mut h = Fed::default();
         h.publish(1, 1_000, 950.0, Some(JobId(7)));
         h.publish_link(1, 2_000, link(0, 80.0));
 
         // Rank 1 now has both a power and a link snapshot; neither
         // clobbered the other.
-        assert_eq!(h.latest(1).unwrap().node_w, 950.0);
-        assert_eq!(h.latest_link(1).unwrap().link.unwrap().parent, 0);
+        assert_eq!(h.seq.latest(1).unwrap().node_w, 950.0);
+        assert_eq!(h.seq.latest_link(1).unwrap().link.unwrap().parent, 0);
 
         // A fresh subscriber is seeded with both kinds.
         let s = h.subscribe(SubscriptionFilter::all());
-        let (d, _) = h.poll(s, usize::MAX).unwrap();
+        let (d, _) = h.hub.poll(s, usize::MAX).unwrap();
         let kinds: Vec<bool> = d.iter().map(|x| x.link.is_some()).collect();
         assert_eq!(kinds, vec![false, true]);
     }
 
     #[test]
     fn cadence_floor_budgets_power_and_link_streams_separately() {
-        let mut h = TelemetryHub::default();
+        let mut h = Fed::default();
         let slow = h.subscribe(SubscriptionFilter::all().with_min_interval_us(10_000));
         // Interleaved power and link reports for the same rank within
         // one cadence window: one of each is delivered, because a link
@@ -723,7 +693,7 @@ mod tests {
         h.publish_link(3, 1_000, link(0, 5.0));
         h.publish(3, 2_000, 1.0, None);
         h.publish_link(3, 3_000, link(0, 5.0));
-        let (d, _) = h.poll(slow, usize::MAX).unwrap();
+        let (d, _) = h.hub.poll(slow, usize::MAX).unwrap();
         assert_eq!(d.len(), 2);
         assert!(d[0].link.is_none());
         assert!(d[1].link.is_some());
@@ -731,10 +701,10 @@ mod tests {
 
     #[test]
     fn unsubscribe_stops_fanout() {
-        let mut h = TelemetryHub::default();
+        let mut h = Fed::default();
         let s = h.subscribe(SubscriptionFilter::all());
-        assert!(h.unsubscribe(s));
-        assert!(!h.unsubscribe(s));
+        assert!(h.hub.unsubscribe(s));
+        assert!(!h.hub.unsubscribe(s));
         assert_eq!(h.publish(0, 1, 1.0, None), 0);
     }
 
@@ -782,39 +752,36 @@ mod tests {
             h.publish(node, 1_000 + node as u64, 1.0, None);
         }
         let s = h.subscribe(SubscriptionFilter::all());
-        assert_eq!(h.stats(s).unwrap().dropped, 0, "seed sheds are free");
+        assert_eq!(h.hub.stats(s).unwrap().dropped, 0, "seed sheds are free");
         // Two unpolled publishes shed two queued deltas — at the
         // threshold but not over it; the subscriber survives.
         h.publish(0, 2_000, 1.0, None);
         h.publish(1, 2_001, 1.0, None);
-        assert_eq!(h.stats(s).unwrap().dropped, 2);
-        assert_eq!(h.subscriber_count(), 1);
+        assert_eq!(h.hub.stats(s).unwrap().dropped, 2);
+        assert_eq!(h.hub.subscriber_count(), 1);
         // The next shed crosses the threshold for real slowness.
         h.publish(2, 2_002, 1.0, None);
-        assert_eq!(h.subscriber_count(), 0);
+        assert_eq!(h.hub.subscriber_count(), 0);
     }
 
     #[test]
     fn ingest_updates_snapshots_and_respects_floor_seq() {
-        let mut root = TelemetryHub::default();
-        let mut relay = hub(8, 64);
+        let mut root = TelemetrySequencer::default();
+        let mut relay = hub(8, 64).hub;
         // Root publishes two deltas; a relay subscriber seeded at the
         // horizon skips stream copies below it but sees later ones.
-        let (d0, _) = root.publish_delta(0, 1_000, 10.0, None);
-        let (d1, _) = root.publish_delta(1, 1_001, 11.0, None);
-        let horizon = root.next_seq();
-        let seed = root.snapshot_for(&SubscriptionFilter::all());
+        let d0 = root.publish(0, 1_000, 10.0, None);
+        let d1 = root.publish(1, 1_001, 11.0, None);
+        let (seed, horizon) = root.seed_for(&SubscriptionFilter::all());
         assert_eq!(seed.len(), 2);
-        let s = relay.subscribe_seeded(SubscriptionFilter::all(), &seed, horizon);
+        let s = relay.subscribe(SubscriptionFilter::all(), &seed, horizon);
         // In-flight duplicates of the seeded deltas arrive late.
-        relay.ingest(&d0);
-        relay.ingest(&d1);
-        let (d2, _) = root.publish_delta(0, 2_000, 12.0, None);
-        relay.ingest(&d2);
+        relay.dispatch(&d0);
+        relay.dispatch(&d1);
+        let d2 = root.publish(0, 2_000, 12.0, None);
+        relay.dispatch(&d2);
         let (got, _) = relay.poll(s, usize::MAX).unwrap();
         let seqs: Vec<u64> = got.iter().map(|d| d.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2], "seed, then only post-horizon stream");
-        // The relay's own latest maps were maintained by ingest.
-        assert_eq!(relay.latest(0).unwrap().seq, 2);
     }
 }

@@ -172,18 +172,13 @@ impl Rig {
     /// Edge messages sent so far: the relay planes' egress over every
     /// rank, read from the modules.
     fn egress_msgs(&self) -> u64 {
-        use fluxpm::monitor::{RootAgent, TelemetryRelay, RELAY, ROOT_AGENT};
+        use fluxpm::monitor::{TelemetryRelay, RELAY};
         let mut total = 0;
         for broker in &self.w.brokers {
             if let Some(m) = broker.module(RELAY) {
                 let mut m = m.borrow_mut();
                 let relay = m.as_any_mut().unwrap().downcast_mut::<TelemetryRelay>();
                 total += relay.unwrap().plane().egress_msgs();
-            }
-            if let Some(m) = broker.module(ROOT_AGENT) {
-                let mut m = m.borrow_mut();
-                let agent = m.as_any_mut().unwrap().downcast_mut::<RootAgent>();
-                total += agent.unwrap().plane().egress_msgs();
             }
         }
         total

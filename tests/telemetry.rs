@@ -1,7 +1,8 @@
 //! Subscription/push telemetry, end to end — the fan-out tentpole.
 //!
 //! Node agents push their newest sample to the root on a configurable
-//! cadence; the root agent's `TelemetryHub` fans deltas out to bounded
+//! cadence; the root agent's `TelemetrySequencer` stamps each one and
+//! the serving relay's `TelemetryHub` fans the deltas out to bounded
 //! per-subscriber queues. These tests drive the full in-sim lifecycle
 //! over the RPC surface (`MonitorQuery::subscribe/poll/unsubscribe`):
 //! register → receive ordered deltas → fall behind and get evicted →
@@ -15,7 +16,7 @@ use fluxpm::flux::{Engine, FluxEngine, JobSpec, World};
 use fluxpm::hw::MachineKind;
 use fluxpm::monitor::{
     DeltaBatch, MonitorConfig, MonitorQuery, QueryHandle, SubscriberId, SubscriptionConfig,
-    SubscriptionFilter, TelemetryHub,
+    SubscriptionFilter, TelemetryHub, TelemetrySequencer,
 };
 use fluxpm::sim::{SimDuration, SimTime};
 use fluxpm::workloads::{laghos, App, JitterModel};
@@ -400,11 +401,16 @@ fn congested_link_health_reaches_subscribers_and_sheds_slow_consumers() {
 /// the requested rate while a firehose subscriber sees everything.
 #[test]
 fn cadence_filter_thins_updates() {
+    let mut seq = TelemetrySequencer::default();
     let mut hub = TelemetryHub::new(SubscriptionConfig::default());
-    let firehose = hub.subscribe(SubscriptionFilter::all());
-    let slow = hub.subscribe(SubscriptionFilter::all().with_min_interval_us(5_000_000));
+    let firehose = hub.subscribe(SubscriptionFilter::all(), &[], 0);
+    let slow = hub.subscribe(
+        SubscriptionFilter::all().with_min_interval_us(5_000_000),
+        &[],
+        0,
+    );
     for tick in 0u64..10 {
-        hub.publish(0, tick * 2_000_000, 900.0, None);
+        hub.dispatch(&seq.publish(0, tick * 2_000_000, 900.0, None));
     }
     let (all, _) = hub.poll(firehose, 64).expect("firehose alive");
     let (thinned, _) = hub.poll(slow, 64).expect("slow alive");
@@ -419,13 +425,14 @@ fn cadence_filter_thins_updates() {
 /// (The `telemetry_fanout` bench drives the same path at 5 000.)
 #[test]
 fn hub_fans_out_to_a_thousand_subscribers() {
+    let mut seq = TelemetrySequencer::default();
     let mut hub = TelemetryHub::new(SubscriptionConfig::default());
     let subs: Vec<SubscriberId> = (0..1000)
-        .map(|_| hub.subscribe(SubscriptionFilter::all()))
+        .map(|_| hub.subscribe(SubscriptionFilter::all(), &[], 0))
         .collect();
     assert_eq!(hub.subscriber_count(), 1000);
     for node in 0u32..4 {
-        let n = hub.publish(node, 2_000_000, 850.0, None);
+        let n = hub.dispatch(&seq.publish(node, 2_000_000, 850.0, None));
         assert_eq!(n, 1000, "every subscriber matched");
     }
     assert_eq!(hub.fanned_out(), 4000);

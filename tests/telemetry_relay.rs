@@ -7,11 +7,11 @@
 //! O(subscribers). These tests drive the full in-sim lifecycle at leaf
 //! ranks, check the leaf stream is identical to the root-attached
 //! stream (the PR 7 hub semantics, preserved through the tree), watch
-//! filter aggregation narrow the root's egress, and exercise the two
-//! failure modes the design calls out: root failover (subscriptions at
-//! surviving relays resume, gap-checked, duplicate-free) and subscriber
-//! broker death (fresh relay, re-subscribe re-seeds from the latest
-//! snapshot).
+//! filter aggregation narrow the root's egress, join a relay mid-stream,
+//! and exercise the two failure modes the design calls out: root
+//! failover (subscriptions at surviving relays resume, gap-checked,
+//! duplicate-free) and subscriber broker death (fresh relay,
+//! re-subscribe re-seeds from the latest snapshot).
 
 use std::cell::RefCell;
 use std::collections::BTreeSet;
@@ -20,8 +20,8 @@ use std::rc::Rc;
 use fluxpm::flux::{Engine, FluxEngine, JobSpec, Rank, World};
 use fluxpm::hw::{MachineKind, NodeId};
 use fluxpm::monitor::{
-    DeltaBatch, MonitorConfig, MonitorQuery, QueryHandle, RootAgent, SubscriptionFilter,
-    TelemetryDelta, RELAY, ROOT_AGENT,
+    DeltaBatch, MonitorConfig, MonitorQuery, QueryHandle, SubscriptionFilter, TelemetryDelta,
+    TelemetryRelay, RELAY,
 };
 use fluxpm::sim::{SimDuration, SimTime};
 use fluxpm::workloads::{laghos, App, JitterModel};
@@ -104,17 +104,17 @@ fn poll_into(
     });
 }
 
-/// Borrow the root agent on `rank` and run `f` against it.
-fn with_root_agent<R>(w: &mut World, rank: Rank, f: impl FnOnce(&RootAgent) -> R) -> R {
+/// Borrow the relay on `rank` and run `f` against it.
+fn with_relay<R>(w: &mut World, rank: Rank, f: impl FnOnce(&TelemetryRelay) -> R) -> R {
     let module = w.brokers[rank.0 as usize]
-        .module(ROOT_AGENT)
-        .expect("root agent loaded");
+        .module(RELAY)
+        .expect("relay loaded");
     let mut guard = module.borrow_mut();
-    let agent = guard
+    let relay = guard
         .as_any_mut()
-        .and_then(|a| a.downcast_mut::<RootAgent>())
-        .expect("concrete root agent");
-    f(agent)
+        .and_then(|a| a.downcast_mut::<TelemetryRelay>())
+        .expect("concrete relay");
+    f(relay)
 }
 
 /// The full lifecycle served entirely by a *leaf* relay: subscribe,
@@ -317,8 +317,8 @@ fn filter_aggregation_narrows_root_egress() {
 
     eng.run_until(&mut w, SimTime::from_secs(24));
 
-    with_root_agent(&mut w, Rank(0), |agent| {
-        let children: Vec<(u32, bool)> = agent
+    with_relay(&mut w, Rank(0), |root| {
+        let children: Vec<(u32, bool)> = root
             .plane()
             .children()
             .map(|(c, a)| (c, a.is_all()))
@@ -329,8 +329,8 @@ fn filter_aggregation_narrows_root_egress() {
         assert_eq!(children, vec![(1, true)], "{children:?}");
         // Egress is per-edge: one wire message per push round on one
         // edge, regardless of three subscribers sitting below it.
-        let msgs = agent.plane().egress_msgs();
-        let offered = agent.plane().offered();
+        let msgs = root.plane().egress_msgs();
+        let offered = root.plane().offered();
         assert!(msgs > 0 && offered > 0);
         assert!(
             msgs <= offered,
@@ -343,16 +343,70 @@ fn filter_aggregation_narrows_root_egress() {
     assert_eq!(nodes.len(), 4, "the firehose still sees every node");
 }
 
-/// Root failover: the authoritative hub (sequence counter, latest
-/// snapshots) migrates to the promoted successor, the surviving leaf
-/// relay re-advertises its aggregate to the new root, and the leaf
+/// A second subscribe at a relay that is already streaming leaves the
+/// first stream whole. The newcomer's seed raises the relay's ingest
+/// high-water mark to the seed's horizon, which is only safe because
+/// everything below the horizon has already passed through the relay —
+/// every hop flushes what it ingests before it returns. B joins between
+/// the t=6 push round reaching the root and the t=8 one.
+#[test]
+fn a_second_subscribe_mid_stream_leaves_the_first_stream_gap_free() {
+    let (mut w, mut eng) =
+        pushing_world(MonitorConfig::default().with_push_interval(SimDuration::from_secs(2)));
+    let leaf = Rank(3);
+
+    let a: Slot<QueryHandle> = slot();
+    subscribe_at(&mut eng, leaf, 3, &a);
+    let b: Slot<QueryHandle> = slot();
+    {
+        let out = Rc::clone(&b);
+        eng.schedule(
+            SimTime::from_micros(6_100_000),
+            move |w: &mut World, eng| {
+                let q = MonitorQuery::subscribe(SubscriptionFilter::all())
+                    .at(leaf)
+                    .send(w, eng);
+                *out.borrow_mut() = Some(q);
+            },
+        );
+    }
+    let a_stream = Rc::new(RefCell::new(Vec::new()));
+    let b_stream = Rc::new(RefCell::new(Vec::new()));
+    poll_into(&mut eng, leaf, &a, 11_000_000, &a_stream);
+    poll_into(&mut eng, leaf, &b, 11_000_000, &b_stream);
+
+    eng.run_until(&mut w, SimTime::from_secs(12));
+
+    // Five push rounds of four nodes (t = 2, 4, 6, 8, 10): the first is
+    // A's seed, the rest its stream.
+    let seqs: Vec<u64> = a_stream.borrow().iter().map(|d| d.seq).collect();
+    assert_eq!(seqs, (0..20).collect::<Vec<u64>>(), "A's stream has a hole");
+    // B's seed is the t=6 round; its stream picks up at the horizon.
+    let seqs: Vec<u64> = b_stream.borrow().iter().map(|d| d.seq).collect();
+    assert_eq!(seqs, (8..20).collect::<Vec<u64>>(), "B: seed, then stream");
+}
+
+/// Root failover: the sequencer (sequence counter, latest snapshots)
+/// migrates to the promoted successor, the surviving leaf relay
+/// re-advertises its aggregate to the new root, and the leaf
 /// subscriber's stream resumes — strictly ordered, duplicate-free —
 /// without re-subscribing.
 #[test]
 fn leaf_subscription_survives_root_failover() {
+    subscription_survives_root_failover(Rank(3));
+}
+
+/// The same, for a subscriber on the successor itself: the one relay
+/// whose feed switches from wire batches off the old root to the
+/// hand-off of the agent that just landed beside it.
+#[test]
+fn successor_subscription_survives_root_failover() {
+    subscription_survives_root_failover(Rank(1));
+}
+
+fn subscription_survives_root_failover(leaf: Rank) {
     let (mut w, mut eng) =
         pushing_world(MonitorConfig::default().with_push_interval(SimDuration::from_secs(2)));
-    let leaf = Rank(3);
 
     let sub_q: Slot<QueryHandle> = slot();
     subscribe_at(&mut eng, leaf, 5, &sub_q);
@@ -386,7 +440,7 @@ fn leaf_subscription_survives_root_failover() {
     assert_eq!(unique.len(), all.len(), "no duplicates across the failover");
     assert!(
         all.windows(2).all(|p| p[0] < p[1]),
-        "sequence stayed strictly increasing: the hub's counter migrated"
+        "sequence stayed strictly increasing: the sequencer migrated"
     );
     // Node 0 died with the root; the survivors keep reporting.
     let nodes: BTreeSet<u32> = after.iter().map(|d| d.node).collect();
