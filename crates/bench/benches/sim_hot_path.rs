@@ -4,8 +4,13 @@
 //!   optimized slab engine vs the in-tree reference engine (same seed,
 //!   same program, measured live),
 //! * `sliced_drain` — the experiment-driver pattern of polling
-//!   `next_event_time` before every step (O(1) on the slab engine,
-//!   O(pending) on the reference engine),
+//!   `next_event_time` before every step (a constant-size scan on the
+//!   slab engine, O(pending) on the reference engine),
+//! * `timer_mix` — the traffic the stackbench workloads really put on
+//!   the queue: periodic re-arms, constant-latency hops and mostly
+//!   cancelled RPC deadlines, every event at one of three offsets from
+//!   now (the two groups above draw a unique random instant per event:
+//!   they price the engine's heap, this one its lanes),
 //! * `delivery` — one root → leaf echo RPC round trip per iteration at
 //!   two tree depths (per-hop cost = round trip / (2 × hops)),
 //! * `msg_path` — what one message of the telemetry plane costs on a
@@ -20,7 +25,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fluxpm_bench::workload::{
-    churn_baseline, churn_new, sliced_drain_baseline, sliced_drain_new, DeliveryRig, MsgPathRig,
+    churn_baseline, churn_new, sliced_drain_baseline, sliced_drain_new, timer_mix_baseline,
+    timer_mix_new, DeliveryRig, MsgPathRig,
 };
 use fluxpm_experiments::chaos::{storm, StormConfig};
 use std::hint::black_box;
@@ -46,6 +52,18 @@ fn bench_sliced_drain(c: &mut Criterion) {
     });
     g.bench_function("baseline", |b| {
         b.iter(|| black_box(sliced_drain_baseline(n, slices, 42)))
+    });
+    g.finish();
+}
+
+fn bench_timer_mix(c: &mut Criterion) {
+    let mut g = c.benchmark_group("timer_mix");
+    let (nodes, seconds) = (2_048usize, 20u64);
+    g.bench_function("slab", |b| {
+        b.iter(|| black_box(timer_mix_new(nodes, seconds, 42)))
+    });
+    g.bench_function("baseline", |b| {
+        b.iter(|| black_box(timer_mix_baseline(nodes, seconds, 42)))
     });
     g.finish();
 }
@@ -96,6 +114,7 @@ criterion_group!(
     benches,
     bench_engine_churn,
     bench_sliced_drain,
+    bench_timer_mix,
     bench_delivery,
     bench_msg_path,
     bench_soak_128_rank

@@ -85,9 +85,10 @@ churn_impl!(
 
 /// Expand one sliced-drain interpreter: the experiment-driver pattern
 /// of polling [`next_event_time`](Engine::next_event_time) to advance
-/// tick by tick. `next_event_time` is O(1) on the slab engine and an
-/// O(pending) scan on the reference engine — this workload prices that
-/// difference under a realistic cancel load.
+/// tick by tick. `next_event_time` is a constant-size scan (heap root
+/// and lane heads) on the slab engine and an O(pending) scan on the
+/// reference engine — this workload prices that difference under a
+/// realistic cancel load.
 macro_rules! sliced_drain_impl {
     ($(#[$doc:meta])* $name:ident, $engine:ty) => {
         $(#[$doc])*
@@ -120,13 +121,74 @@ macro_rules! sliced_drain_impl {
 }
 
 sliced_drain_impl!(
-    /// Sliced drain on the optimized slab engine (O(1) `next_event_time`).
+    /// Sliced drain on the optimized slab engine (constant-size
+    /// `next_event_time`).
     sliced_drain_new,
     Engine<u64>
 );
 sliced_drain_impl!(
     /// Sliced drain on the reference engine (O(pending) `next_event_time`).
     sliced_drain_baseline,
+    fluxpm_sim::BaselineEngine<u64>
+);
+
+/// Expand one timer-mix interpreter: the traffic the stackbench
+/// workloads were measured to put on the event queue (DESIGN.md §17),
+/// which the two workloads above — a unique random instant per event —
+/// are the opposite of. Every event repeats one of a few offsets from
+/// now: periodic re-arms, constant-latency hops, and RPC deadlines that
+/// mostly never fire.
+macro_rules! timer_mix_impl {
+    ($(#[$doc:meta])* $name:ident, $engine:ty) => {
+        $(#[$doc])*
+        ///
+        /// `nodes` periodic tasks, two thirds on a 1 s period and one
+        /// third on 2 s, all first firing at t = 1 s. Each firing arms
+        /// a deadline at now + 1 s and sends a message over two 20 µs
+        /// hops; 60 % of the time (drawn from `seed`) the message is
+        /// answered and its last hop cancels the deadline. Runs to a
+        /// horizon at `seconds`; returns events executed.
+        pub fn $name(nodes: usize, seconds: u64, seed: u64) -> u64 {
+            const HOP: SimDuration = SimDuration::from_micros(20);
+            const SEC: SimDuration = SimDuration::from_secs(1);
+            let mut eng: $engine = <$engine>::new();
+            eng.set_horizon(SimTime::from_secs(seconds));
+            let mut seeds = Xoshiro256pp::seed_from_u64(seed);
+            for i in 0..nodes {
+                let mut rng = Xoshiro256pp::seed_from_u64(seeds.next_u64());
+                let interval = if i % 3 == 2 { SEC + SEC } else { SEC };
+                eng.schedule_every(SimTime::from_secs(1), interval, move |w: &mut u64, e| {
+                    *w += 1;
+                    let deadline = e.schedule_in(SEC, |w: &mut u64, _e| *w += 1);
+                    let answered = rng.below(10) < 6;
+                    e.schedule_in(HOP, move |w: &mut u64, e| {
+                        *w += 1;
+                        e.schedule_in(HOP, move |w: &mut u64, e| {
+                            *w += 1;
+                            if answered {
+                                e.cancel(deadline);
+                            }
+                        });
+                    });
+                    ControlFlow::Continue(())
+                });
+            }
+            let mut world = 0u64;
+            eng.run(&mut world);
+            eng.executed()
+        }
+    };
+}
+
+timer_mix_impl!(
+    /// Periodic re-arms, constant-offset hops and cancelled deadlines on
+    /// the optimized slab engine (all of it lane traffic).
+    timer_mix_new,
+    Engine<u64>
+);
+timer_mix_impl!(
+    /// The identical timer mix on the reference engine.
+    timer_mix_baseline,
     fluxpm_sim::BaselineEngine<u64>
 );
 
@@ -329,6 +391,18 @@ mod tests {
                 sliced_drain_new(400, 20, seed),
                 sliced_drain_baseline(400, 20, seed)
             );
+        }
+    }
+
+    #[test]
+    fn timer_mix_workloads_agree() {
+        for seed in [7, 41] {
+            let executed = timer_mix_new(96, 12, seed);
+            assert_eq!(executed, timer_mix_baseline(96, 12, seed));
+            // Up to the last instant 64 tasks fire 11 times and 32 fire
+            // 6; a firing and its two hops are three events, and four
+            // deadlines in ten fire too.
+            assert!(executed > 3 * (64 * 11 + 32 * 6));
         }
     }
 

@@ -197,7 +197,8 @@ impl<W> BaselineEngine<W> {
 
     /// Instant of the next pending event, if any. O(n): scans past
     /// lazily-deleted entries — this is one of the costs the optimized
-    /// engine removes.
+    /// engine removes (its queues keep a live head, so it looks at the
+    /// heap root and the lane heads only).
     pub fn next_event_time(&self) -> Option<SimTime> {
         self.queue
             .iter()

@@ -24,19 +24,44 @@
 //! index with the slot's generation so a stale handle can never cancel
 //! the slot's next tenant.
 //!
-//! The queue is an indexed 4-ary min-heap over `(time, seq)` with a
-//! back-pointer from each slot to its heap position. Cancellation
-//! removes the entry *eagerly* in O(log n), so — unlike the lazy-
-//! deletion design this replaces (kept as
-//! [`crate::baseline::BaselineEngine`]) — the heap never carries dead
-//! entries: [`Engine::next_event_time`] is an O(1) root peek instead of
-//! an O(n) scan, and [`Engine::pending`] counts exactly the live
-//! events. A 4-ary layout trades slightly more comparisons per level
-//! for half the depth and better cache behavior than a binary heap;
-//! steady-state operation allocates nothing beyond the boxed closures
-//! themselves.
+//! The queue is an indexed 4-ary min-heap over `(time, key, seq)` with
+//! a back-pointer from each slot to its heap position, behind a small
+//! fixed set of FIFO **lanes**. A 4-ary layout trades slightly more
+//! comparisons per level for half the depth and better cache behavior
+//! than a binary heap; cancelling a heap entry removes it eagerly in
+//! O(log n).
+//!
+//! Lanes exist because most of what a simulated machine schedules is
+//! already sorted when it is produced: `now` never decreases and fresh
+//! sequence numbers only grow, so events scheduled at `now + d` for one
+//! fixed `d` — a periodic re-arm, a hop latency, an RPC deadline —
+//! arrive in `(time, key, seq)` order and need no sifting. A key-0 entry
+//! is appended to the first lane that is keyed by its offset `at − now`
+//! *and* whose tail it does not sort before. An entry no lane admits goes
+//! to the heap, like every entry with a nonzero key; but an offset that
+//! misses twice in short order is one that repeats, and takes over a
+//! lane that holds at most one entry (which moves to the heap, so a lone
+//! far-off timer cannot sit on a lane). The choice is made from what the
+//! engine observes, per entry; nothing configures it. Each lane is
+//! sorted, the next event is the least of the heap root and the lane
+//! heads, and pop order is the total order above whichever queue an
+//! entry sat in.
+//!
+//! Two invariants keep the lanes as exact as the heap. *A lane's head is
+//! always live*: cancelling a laned entry frees its slot at once and
+//! leaves the entry behind as a tombstone (its recorded generation no
+//! longer matches the slot's), and tombstones are trimmed from the head
+//! on every cancel and pop — so [`Engine::next_event_time`] reads the
+//! heap root and one head per lane (the lazy-deletion design this
+//! replaces, kept as [`crate::baseline::BaselineEngine`], scans every
+//! pending entry) and [`Engine::pending`] counts exactly the live
+//! events. *Tombstones are bounded*: a lane more than half dead is
+//! compacted in place, so scheduling and cancelling far-off deadlines in
+//! a loop holds no more memory than eager removal did. Steady-state
+//! operation allocates nothing beyond the boxed closures themselves.
 
 use crate::time::{SimDuration, SimTime};
+use std::collections::VecDeque;
 use std::ops::ControlFlow;
 
 /// Opaque handle to a scheduled event; used for cancellation.
@@ -69,6 +94,10 @@ pub type Periodic<W> = Box<dyn FnMut(&mut W, &mut Engine<W>) -> ControlFlow<()>>
 const D: usize = 4;
 /// Free-list / back-pointer sentinel.
 const NONE: u32 = u32::MAX;
+/// FIFO lanes in front of the heap (DESIGN.md §17: why eight).
+const LANES: usize = 8;
+/// A [`Slot::pos`] of `LANE_BASE + l` says "queued in lane `l`".
+const LANE_BASE: u32 = NONE - LANES as u32;
 
 enum SlotState<W> {
     /// On the free list; `next` is the next free slot (or [`NONE`]).
@@ -95,8 +124,9 @@ struct Slot<W> {
     /// Ordering tie-breaker, fixed at schedule time for the lifetime of
     /// the event (periodic re-arms keep it).
     seq: u64,
-    /// Position in `heap` while queued, [`NONE`] otherwise.
-    heap_pos: u32,
+    /// Index into `heap` while queued there, [`LANE_BASE`]` + l` while
+    /// queued in lane `l`, [`NONE`] otherwise.
+    pos: u32,
     state: SlotState<W>,
 }
 
@@ -106,6 +136,9 @@ struct HeapEntry {
     key: u64,
     seq: u64,
     slot: u32,
+    /// The slot's generation when queued. A lane entry is live while
+    /// the slot still has it; the heap never reads it.
+    generation: u32,
 }
 
 impl HeapEntry {
@@ -115,12 +148,27 @@ impl HeapEntry {
     }
 }
 
+/// A queue of key-0 entries that all had the same `at − now` when they
+/// were queued, in `(at, key, seq)` order.
+struct Lane {
+    offset: SimDuration,
+    q: VecDeque<HeapEntry>,
+    /// Cancelled entries still in `q`; never its head.
+    dead: usize,
+}
+
 /// The discrete-event engine. Generic over the world type `W` that
 /// events mutate.
 pub struct Engine<W> {
     now: SimTime,
     seq: u64,
     heap: Vec<HeapEntry>,
+    lanes: [Lane; LANES],
+    /// Live entries across all lanes.
+    laned: usize,
+    /// The last two offsets no lane admitted (two: at a busy instant
+    /// misses of two periods alternate, and a memory of one starves both).
+    missed: [SimDuration; 2],
     slots: Vec<Slot<W>>,
     free_head: u32,
     /// Total events executed (for diagnostics / ablation benches).
@@ -146,6 +194,13 @@ impl<W> Engine<W> {
             now: SimTime::ZERO,
             seq: 0,
             heap: Vec::new(),
+            lanes: std::array::from_fn(|_| Lane {
+                offset: SimDuration::ZERO,
+                q: VecDeque::new(),
+                dead: 0,
+            }),
+            laned: 0,
+            missed: [SimDuration::ZERO; 2],
             slots: Vec::new(),
             free_head: NONE,
             executed: 0,
@@ -167,7 +222,7 @@ impl<W> Engine<W> {
     /// Number of live pending events. Cancelled events leave the queue
     /// immediately and are never counted.
     pub fn pending(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.laned
     }
 
     /// Set a hard horizon: `run` stops once the next event would fire
@@ -176,10 +231,10 @@ impl<W> Engine<W> {
         self.horizon = Some(t);
     }
 
-    /// Instant of the next pending event, if any. O(1): the heap never
-    /// holds cancelled entries, so the root is always live.
+    /// Instant of the next pending event, if any: the earliest of the
+    /// heap root and the lane heads, all of which are live.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|e| e.at)
+        self.peek().map(|(_, e)| e.at)
     }
 
     /// Schedule `f` to run at the absolute instant `at`. Scheduling in the
@@ -208,7 +263,7 @@ impl<W> Engine<W> {
         let seq = self.seq;
         self.seq += 1;
         let idx = self.alloc(key, seq, SlotState::Once(Box::new(f)));
-        self.heap_push(at, key, seq, idx);
+        self.push(at, key, seq, idx);
         EventId::pack(self.slots[idx as usize].generation, idx)
     }
 
@@ -242,14 +297,13 @@ impl<W> Engine<W> {
                 f: Box::new(f),
             },
         );
-        self.heap_push(at, 0, seq, idx);
+        self.push(at, 0, seq, idx);
         EventId::pack(self.slots[idx as usize].generation, idx)
     }
 
     /// Cancel a pending event. Returns true if the event existed and had
     /// not fired (for periodic tasks: stops all future firings). The
-    /// queue entry is removed eagerly; stale or double cancels are
-    /// no-ops.
+    /// slot is freed at once; stale or double cancels are no-ops.
     pub fn cancel(&mut self, id: EventId) -> bool {
         let (generation, idx) = id.unpack();
         let Some(slot) = self.slots.get(idx as usize) else {
@@ -264,10 +318,16 @@ impl<W> Engine<W> {
             // the table, so the cancel misses and the re-arm stands.
             SlotState::Free { .. } | SlotState::Running => false,
             SlotState::Once(_) | SlotState::Every { .. } => {
-                let pos = slot.heap_pos;
+                let pos = slot.pos;
                 debug_assert!(pos != NONE);
-                self.heap_remove(pos as usize);
+                // For a laned entry the generation bump *is* the
+                // removal: it turns the entry into a tombstone.
                 self.free_slot(idx);
+                if pos < LANE_BASE {
+                    self.heap_remove(pos as usize);
+                } else {
+                    self.lane_bury((pos - LANE_BASE) as usize);
+                }
                 true
             }
         }
@@ -275,7 +335,15 @@ impl<W> Engine<W> {
 
     /// Execute the single next event, if any. Returns the instant it fired.
     pub fn step(&mut self, world: &mut W) -> Option<SimTime> {
-        let &HeapEntry { at, slot: idx, .. } = self.heap.first()?;
+        self.step_until(world, SimTime(u64::MAX))
+    }
+
+    /// [`Engine::step`], unless the next event is later than `until`.
+    fn step_until(&mut self, world: &mut W, until: SimTime) -> Option<SimTime> {
+        let (src, &HeapEntry { at, slot: idx, .. }) = self.peek()?;
+        if at > until {
+            return None;
+        }
         if let Some(h) = self.horizon {
             if at > h {
                 // Past the horizon: drop this and everything later.
@@ -283,7 +351,11 @@ impl<W> Engine<W> {
                 return None;
             }
         }
-        self.heap_remove(0);
+        if src == LANES {
+            self.heap_remove(0);
+        } else {
+            self.lane_pop(src);
+        }
         debug_assert!(at >= self.now, "time must be monotone");
         self.now = at;
         self.executed += 1;
@@ -303,7 +375,7 @@ impl<W> Engine<W> {
                         let slot = &mut self.slots[idx as usize];
                         let (key, seq) = (slot.key, slot.seq);
                         slot.state = SlotState::Every { interval, f };
-                        self.heap_push(at + interval, key, seq, idx);
+                        self.push(at + interval, key, seq, idx);
                     }
                     // Else: a nested run hit the horizon and cleared the
                     // slab; the task is over along with everything else.
@@ -325,9 +397,7 @@ impl<W> Engine<W> {
     /// Run until the given instant (inclusive); later events stay queued
     /// and the clock advances to `until`.
     pub fn run_until(&mut self, world: &mut W, until: SimTime) -> SimTime {
-        while self.next_event_time().is_some_and(|t| t <= until) {
-            self.step(world);
-        }
+        while self.step_until(world, until).is_some() {}
         self.now = self.now.max(until);
         self.now
     }
@@ -353,7 +423,7 @@ impl<W> Engine<W> {
                 generation: 0,
                 key,
                 seq,
-                heap_pos: NONE,
+                pos: NONE,
                 state,
             });
             idx
@@ -364,7 +434,7 @@ impl<W> Engine<W> {
     fn free_slot(&mut self, idx: u32) {
         let slot = &mut self.slots[idx as usize];
         slot.generation = slot.generation.wrapping_add(1);
-        slot.heap_pos = NONE;
+        slot.pos = NONE;
         slot.state = SlotState::Free {
             next: self.free_head,
         };
@@ -374,28 +444,151 @@ impl<W> Engine<W> {
     /// Drop every queued event (horizon reached).
     fn clear_all(&mut self) {
         self.heap.clear();
+        for lane in &mut self.lanes {
+            lane.q.clear();
+            lane.dead = 0;
+        }
+        self.laned = 0;
         self.slots.clear();
         self.free_head = NONE;
         self.clear_epoch += 1;
     }
 
+    // --- Queue: lanes in front of the heap --------------------------
+
+    /// The next entry in `(at, key, seq)` order and where it sits: a
+    /// lane index, or [`LANES`] for the heap root.
+    fn peek(&self) -> Option<(usize, &HeapEntry)> {
+        let mut best = self.heap.first().map(|e| (LANES, e));
+        if self.laned == 0 {
+            return best;
+        }
+        for (l, lane) in self.lanes.iter().enumerate() {
+            if let Some(head) = lane.q.front() {
+                if best.is_none_or(|(_, b)| head.key() < b.key()) {
+                    best = Some((l, head));
+                }
+            }
+        }
+        best
+    }
+
+    /// Queue an entry: on a lane if one admits it, on the heap otherwise.
+    fn push(&mut self, at: SimTime, key: u64, seq: u64, slot: u32) {
+        let generation = self.slots[slot as usize].generation;
+        let entry = HeapEntry {
+            at,
+            key,
+            seq,
+            slot,
+            generation,
+        };
+        match self.lane_for(&entry) {
+            Some(l) => {
+                self.slots[slot as usize].pos = LANE_BASE + l as u32;
+                self.lanes[l].q.push_back(entry);
+                self.laned += 1;
+            }
+            None => self.heap_push(entry),
+        }
+    }
+
+    /// The lane that admits `e`, if one does: the first lane keyed by
+    /// `e`'s offset from now — measured on the entry as queued,
+    /// past-clamped and saturated — whose tail `e` does not sort before.
+    /// Equal offsets nearly always arrive in order; the tail check makes
+    /// every lane sorted unconditionally.
+    ///
+    /// An entry no lane admits (a new offset; a periodic re-arm, old
+    /// `seq`, behind a fresh one-shot for the same instant) goes to the
+    /// heap and leaves its offset in `missed`: most never repeat. One
+    /// that misses while marked takes over a lane holding at most one
+    /// entry, which moves to the heap — a lone far-off timer does not
+    /// keep a lane — preferring the smallest ring, so that a newcomer
+    /// does not inherit the buffer a busy lane grew.
+    fn lane_for(&mut self, e: &HeapEntry) -> Option<usize> {
+        if e.key != 0 {
+            return None;
+        }
+        let offset = e.at - self.now;
+        let admits = |lane: &Lane| {
+            lane.offset == offset && lane.q.back().is_none_or(|tail| tail.key() <= e.key())
+        };
+        if let Some(l) = self.lanes.iter().position(admits) {
+            return Some(l);
+        }
+        if !self.missed.contains(&offset) {
+            self.missed = [offset, self.missed[0]];
+            return None;
+        }
+        let spare = |l: &usize| self.lanes[*l].offset != offset && self.lanes[*l].q.len() <= 1;
+        let l = (0..LANES)
+            .filter(spare)
+            .min_by_key(|&l| self.lanes[l].q.capacity())?;
+        // A lone entry is a lane's head, so it is live.
+        if let Some(lone) = self.lanes[l].q.pop_front() {
+            self.laned -= 1;
+            self.heap_push(lone);
+        }
+        self.lanes[l].offset = offset;
+        Some(l)
+    }
+
+    /// Remove lane `l`'s head (the entry [`Engine::peek`] returned).
+    fn lane_pop(&mut self, l: usize) {
+        let head = self.lanes[l].q.pop_front().expect("peeked lane head");
+        self.slots[head.slot as usize].pos = NONE;
+        self.laned -= 1;
+        self.lane_trim(l);
+    }
+
+    /// Account for one entry of lane `l` whose slot was just freed: a
+    /// tombstone now, unless it is at the head. A lane more than half
+    /// dead is compacted, so tombstones never outnumber live entries.
+    fn lane_bury(&mut self, l: usize) {
+        self.laned -= 1;
+        self.lanes[l].dead += 1;
+        self.lane_trim(l);
+        let (lane, slots) = (&mut self.lanes[l], &self.slots);
+        if lane.dead * 2 > lane.q.len() {
+            lane.q
+                .retain(|e| slots[e.slot as usize].generation == e.generation);
+            lane.dead = 0;
+        }
+    }
+
+    /// Drop tombstones from lane `l`'s head: a lane's head is always
+    /// live, which is what keeps `peek` exact.
+    fn lane_trim(&mut self, l: usize) {
+        let lane = &mut self.lanes[l];
+        while lane.dead > 0 {
+            match lane.q.front() {
+                Some(h) if self.slots[h.slot as usize].generation != h.generation => {
+                    lane.q.pop_front();
+                    lane.dead -= 1;
+                }
+                _ => break,
+            }
+        }
+    }
+
     // --- Indexed d-ary heap ----------------------------------------
 
-    fn heap_push(&mut self, at: SimTime, key: u64, seq: u64, slot: u32) {
+    fn heap_push(&mut self, entry: HeapEntry) {
         let pos = self.heap.len();
-        self.heap.push(HeapEntry { at, key, seq, slot });
-        self.slots[slot as usize].heap_pos = pos as u32;
+        self.slots[entry.slot as usize].pos = pos as u32;
+        self.heap.push(entry);
         self.sift_up(pos);
     }
 
     /// Remove the entry at `pos`, keeping back-pointers consistent.
     fn heap_remove(&mut self, pos: usize) {
         let last = self.heap.len() - 1;
-        self.slots[self.heap[pos].slot as usize].heap_pos = NONE;
+        self.slots[self.heap[pos].slot as usize].pos = NONE;
         if pos != last {
             self.heap.swap(pos, last);
             self.heap.pop();
-            self.slots[self.heap[pos].slot as usize].heap_pos = pos as u32;
+            self.slots[self.heap[pos].slot as usize].pos = pos as u32;
             // The moved element may be smaller than its new parent or
             // larger than its new children; restore whichever way.
             if pos > 0 && self.heap[pos].key() < self.heap[(pos - 1) / D].key() {
@@ -445,8 +638,8 @@ impl<W> Engine<W> {
     #[inline]
     fn heap_swap(&mut self, a: usize, b: usize) {
         self.heap.swap(a, b);
-        self.slots[self.heap[a].slot as usize].heap_pos = a as u32;
-        self.slots[self.heap[b].slot as usize].heap_pos = b as u32;
+        self.slots[self.heap[a].slot as usize].pos = a as u32;
+        self.slots[self.heap[b].slot as usize].pos = b as u32;
     }
 }
 
@@ -894,5 +1087,280 @@ mod slab_tests {
         eng.schedule(t(2), |w, _| w.push(2));
         eng.run(&mut w);
         assert_eq!(w, vec![1, 2]);
+    }
+}
+
+#[cfg(test)]
+mod lane_tests {
+    use super::*;
+
+    fn t(s: u64) -> SimTime {
+        SimTime::from_secs(s)
+    }
+
+    /// Entries (live or dead) held in lanes.
+    fn laned_entries<W>(eng: &Engine<W>) -> usize {
+        eng.lanes.iter().map(|l| l.q.len()).sum()
+    }
+
+    #[test]
+    fn an_offset_earns_a_lane_by_repeating() {
+        let mut eng: Engine<Vec<u64>> = Engine::new();
+        // Offsets that never repeat never see a lane.
+        for i in 0..100 {
+            eng.schedule(t(100 + i), |_, _| {});
+        }
+        assert_eq!((eng.laned, eng.heap.len()), (0, 100));
+        // Two offsets missing in turn are both still remembered.
+        for _ in 0..3 {
+            eng.schedule(t(1), |w, _| w.push(1));
+            eng.schedule(t(2), |w, _| w.push(2));
+        }
+        assert_eq!((eng.laned, eng.heap.len()), (4, 102));
+        let mut w = Vec::new();
+        eng.run(&mut w);
+        assert_eq!(w, vec![1, 1, 1, 2, 2, 2]);
+    }
+
+    #[test]
+    fn mid_lane_cancel_keeps_counts_and_head_exact() {
+        let mut eng: Engine<Vec<u64>> = Engine::new();
+        let ids: Vec<_> = (0..6u64)
+            .map(|i| eng.schedule(t(1), move |w: &mut Vec<u64>, _| w.push(i)))
+            .collect();
+        assert_eq!((eng.heap.len(), eng.laned), (1, 5));
+        assert!(eng.cancel(ids[3]));
+        assert_eq!(eng.pending(), 5);
+        assert_eq!(eng.next_event_time(), Some(t(1)));
+        assert_eq!(laned_entries(&eng), 5, "the tombstone stays mid-lane");
+        assert!(!eng.cancel(ids[3]), "double cancel misses");
+        let mut w = Vec::new();
+        eng.run(&mut w);
+        assert_eq!(w, vec![0, 1, 2, 4, 5]);
+        assert_eq!((eng.pending(), laned_entries(&eng)), (0, 0));
+    }
+
+    #[test]
+    fn cancelling_the_head_exposes_the_next_live_entry() {
+        let mut eng: Engine<Vec<u64>> = Engine::new();
+        let sec = SimDuration::from_secs(1);
+        // One lane of offset 1 s: [a @1 s, b @1 s, c @1.5 s]; the heap
+        // holds 1.2 s.
+        let first = eng.schedule_in(sec, |w, _| w.push(0));
+        let a = eng.schedule_in(sec, |w, _| w.push(0));
+        let b = eng.schedule_in(sec, |w, _| w.push(0));
+        eng.cancel(first);
+        eng.schedule(SimTime::from_millis(500), move |_, e| {
+            e.schedule_in(sec, |w: &mut Vec<u64>, _| w.push(15));
+        });
+        eng.schedule(SimTime::from_millis(1_200), |w, _| w.push(12));
+        let mut w = Vec::new();
+        eng.run_until(&mut w, SimTime::from_millis(500));
+        assert_eq!((eng.laned, eng.heap.len()), (3, 1));
+        assert!(eng.cancel(b), "mid-lane: a tombstone");
+        assert!(eng.cancel(a), "the head: it and the tombstone behind it go");
+        assert_eq!(eng.pending(), 2);
+        assert_eq!(laned_entries(&eng), 1);
+        assert_eq!(eng.next_event_time(), Some(SimTime::from_millis(1_200)));
+        eng.run_until(&mut w, SimTime::from_millis(1_200));
+        assert_eq!(w, vec![12], "run_until stops at the cut-off, not past it");
+        eng.run(&mut w);
+        assert_eq!(w, vec![12, 15]);
+    }
+
+    #[test]
+    fn tombstones_are_bounded_by_the_live_entries() {
+        let mut eng: Engine<Vec<u64>> = Engine::new();
+        let hour = SimDuration::from_secs(3_600);
+        // Live entries at the lane's head keep it from draining by
+        // trimming alone.
+        for _ in 0..5 {
+            eng.schedule_in(hour, |w, _| w.push(1));
+        }
+        assert_eq!(eng.laned, 4);
+        for _ in 0..100_000 {
+            let id = eng.schedule_in(hour, |w, _| w.push(0));
+            assert!(eng.cancel(id));
+            assert!(laned_entries(&eng) <= 2 * eng.laned + 1);
+        }
+        assert_eq!(eng.pending(), 5);
+        assert_eq!(eng.slots.len(), 6, "cancelled slots are reused at once");
+        let mut w = Vec::new();
+        eng.run(&mut w);
+        assert_eq!(w, vec![1; 5]);
+    }
+
+    #[test]
+    fn horizon_clears_populated_lanes_and_the_engine_is_reusable() {
+        let mut eng: Engine<Vec<u64>> = Engine::new();
+        eng.set_horizon(t(2));
+        eng.schedule(t(1), |w, _| w.push(1));
+        let late: Vec<_> = (0..4).map(|_| eng.schedule(t(5), |_, _| {})).collect();
+        eng.cancel(late[2]);
+        eng.schedule_every(t(3), SimDuration::from_secs(1), |_, _| {
+            ControlFlow::Continue(())
+        });
+        assert!(eng.laned == 2 && eng.lanes.iter().any(|l| l.dead == 1));
+        let mut w = Vec::new();
+        eng.run(&mut w);
+        assert_eq!(w, vec![1]);
+        assert_eq!((eng.pending(), eng.next_event_time()), (0, None));
+        assert_eq!(laned_entries(&eng), 0);
+        assert!(eng.lanes.iter().all(|l| l.dead == 0));
+        assert!(!eng.cancel(late[0]), "ids from before the clear are gone");
+        for i in 2..5 {
+            eng.schedule(t(2), move |w: &mut Vec<u64>, _| w.push(i));
+        }
+        assert_eq!(eng.laned, 2);
+        eng.run(&mut w);
+        assert_eq!(w, vec![1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn nested_run_to_the_horizon_drops_the_laned_rearm() {
+        // The periodic is popped from a lane; a nested `run` inside its
+        // callback reaches the horizon and clears the slab under it.
+        let mut eng: Engine<u64> = Engine::new();
+        eng.set_horizon(t(3));
+        eng.schedule_every(t(1), SimDuration::from_secs(1), |w, e| {
+            *w += 1;
+            if *w == 2 {
+                e.schedule(t(10), |_, _| {});
+                e.run(w);
+            }
+            ControlFlow::Continue(())
+        });
+        let mut w = 0;
+        eng.run_until(&mut w, t(1));
+        assert_eq!((w, eng.laned), (1, 1), "re-armed onto a lane");
+        eng.run(&mut w);
+        assert_eq!(w, 2);
+        assert_eq!((eng.pending(), laned_entries(&eng)), (0, 0));
+    }
+
+    #[test]
+    fn stale_id_of_a_laned_entry_misses_the_slots_next_tenant() {
+        let mut eng: Engine<Vec<u64>> = Engine::new();
+        eng.schedule(t(1), |w, _| w.push(1));
+        eng.schedule(t(1), |w, _| w.push(2));
+        let a = eng.schedule(t(1), |w, _| w.push(0));
+        assert!(eng.cancel(a));
+        let b = eng.schedule(t(1), |w, _| w.push(3));
+        assert_eq!(a.unpack().1, b.unpack().1, "the slot was reused");
+        assert_eq!(laned_entries(&eng), 3, "tombstone and tenant share a lane");
+        assert!(!eng.cancel(a), "stale id is generation-checked");
+        assert_eq!(eng.pending(), 3);
+        let mut w = Vec::new();
+        eng.run(&mut w);
+        assert_eq!(w, vec![1, 2, 3], "the tombstone does not fire the tenant");
+    }
+
+    #[test]
+    fn a_rearm_behind_a_fresh_one_shot_opens_a_second_lane() {
+        // Same period, same instant: the deadline scheduled from the
+        // first task's callback has a fresh seq, the second task's
+        // re-arm an old one — it must not queue behind the deadline.
+        let mut eng: Engine<Vec<&'static str>> = Engine::new();
+        let sec = SimDuration::from_secs(1);
+        eng.schedule_every(t(1), sec, move |w, e| {
+            w.push("a");
+            e.schedule_in(sec, |w: &mut Vec<&'static str>, _| w.push("deadline"));
+            ControlFlow::Continue(())
+        });
+        eng.schedule_every(t(1), sec, |w, _| {
+            w.push("b");
+            ControlFlow::Continue(())
+        });
+        let mut w = Vec::new();
+        eng.run_until(&mut w, t(3));
+        assert_eq!(
+            w,
+            ["a", "b", "a", "b", "deadline", "a", "b", "deadline"],
+            "(at, key, seq): both tasks before the deadline at every instant"
+        );
+        assert!(eng.heap.is_empty(), "two lanes of one offset, no heap");
+        assert_eq!(eng.lanes.iter().filter(|l| l.offset == sec).count(), 2);
+    }
+
+    #[test]
+    fn offsets_are_measured_after_clamping() {
+        let mut eng: Engine<Vec<u64>> = Engine::new();
+        eng.schedule(t(10), |w, e| {
+            w.push(0);
+            // In the past and at now: both are offset 0 once clamped.
+            e.schedule(t(1), |w: &mut Vec<u64>, _| w.push(1));
+            e.schedule(t(10), |w: &mut Vec<u64>, _| w.push(2));
+            let zero = e.lanes.iter().find(|l| !l.q.is_empty()).expect("laned");
+            assert_eq!((zero.offset, zero.q.len()), (SimDuration::ZERO, 2));
+            assert_eq!(e.next_event_time(), Some(t(10)));
+        });
+        let mut w = Vec::new();
+        eng.run(&mut w);
+        assert_eq!(w, vec![0, 1, 2]);
+        // A saturated re-arm is keyed by where it landed, not by the
+        // interval that sent it there.
+        let mut eng: Engine<Vec<u64>> = Engine::new();
+        for i in 0..3 {
+            eng.schedule_every(t(1), SimDuration::MAX, move |w, _| {
+                w.push(i);
+                ControlFlow::Continue(())
+            });
+        }
+        eng.run_until(&mut w, t(20));
+        assert_eq!(w, vec![0, 1, 2, 0, 1, 2]);
+        let far = SimTime(u64::MAX);
+        assert_eq!((eng.pending(), eng.next_event_time()), (3, Some(far)));
+        let lane = eng.lanes.iter().find(|l| !l.q.is_empty()).expect("laned");
+        assert_eq!((lane.offset, lane.q.len()), (far - t(1), 2));
+    }
+
+    #[test]
+    fn with_every_lane_queueing_a_new_offset_goes_to_the_heap() {
+        let mut eng: Engine<Vec<u64>> = Engine::new();
+        let n = LANES as u64 + 4;
+        // Three entries per offset — the first on the heap, two queueing
+        // — fill the lanes with the first LANES offsets; the rest find
+        // none to take over.
+        for i in (1..=n).rev() {
+            for _ in 0..3 {
+                eng.schedule(t(i), move |w: &mut Vec<u64>, _| w.push(i));
+            }
+        }
+        assert_eq!((eng.laned, eng.heap.len()), (2 * LANES, LANES + 12));
+        let mut w = Vec::new();
+        eng.run(&mut w);
+        let want: Vec<u64> = (1..=n).flat_map(|i| [i, i, i]).collect();
+        assert_eq!(w, want);
+    }
+
+    #[test]
+    fn a_lone_entry_does_not_hold_a_lane() {
+        // Every lane holds one far-off timer when the hot traffic
+        // starts: it takes a lane over, the displaced timer fires in
+        // order from the heap.
+        let mut eng: Engine<Vec<u64>> = Engine::new();
+        for i in 0..LANES as u64 {
+            for _ in 0..2 {
+                eng.schedule(t(10 + i), move |w: &mut Vec<u64>, _| w.push(10 + i));
+            }
+        }
+        assert_eq!((eng.laned, eng.heap.len()), (LANES, LANES));
+        for i in 0..100u64 {
+            eng.schedule(t(1), move |w: &mut Vec<u64>, _| w.push(i));
+        }
+        assert_eq!((eng.laned, eng.heap.len()), (LANES + 98, LANES + 2));
+        let hot = eng.lanes.iter().find(|l| l.q.len() == 99).expect("laned");
+        assert_eq!(hot.offset, SimDuration::from_secs(1));
+        let mut w = Vec::new();
+        eng.run(&mut w);
+        let want: Vec<u64> = (0..100)
+            .chain((10..10 + LANES as u64).flat_map(|i| [i, i]))
+            .collect();
+        assert_eq!(w, want);
+    }
+
+    #[test]
+    fn an_entry_is_thirty_two_bytes() {
+        assert_eq!(std::mem::size_of::<HeapEntry>(), 32);
     }
 }

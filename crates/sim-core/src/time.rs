@@ -28,14 +28,15 @@ impl SimTime {
     /// The simulation epoch (t = 0).
     pub const ZERO: SimTime = SimTime(0);
 
-    /// Construct from whole seconds.
+    /// Construct from whole seconds, saturating at the top of the clock.
     pub const fn from_secs(secs: u64) -> Self {
-        SimTime(secs * MICROS_PER_SEC)
+        SimTime(secs.saturating_mul(MICROS_PER_SEC))
     }
 
-    /// Construct from whole milliseconds.
+    /// Construct from whole milliseconds, saturating at the top of the
+    /// clock.
     pub const fn from_millis(ms: u64) -> Self {
-        SimTime(ms * 1_000)
+        SimTime(ms.saturating_mul(1_000))
     }
 
     /// Construct from microseconds.
@@ -63,14 +64,15 @@ impl SimDuration {
     /// The zero-length duration.
     pub const ZERO: SimDuration = SimDuration(0);
 
-    /// Construct from whole seconds.
+    /// Construct from whole seconds, saturating at [`SimDuration::MAX`].
     pub const fn from_secs(secs: u64) -> Self {
-        SimDuration(secs * MICROS_PER_SEC)
+        SimDuration(secs.saturating_mul(MICROS_PER_SEC))
     }
 
-    /// Construct from whole milliseconds.
+    /// Construct from whole milliseconds, saturating at
+    /// [`SimDuration::MAX`].
     pub const fn from_millis(ms: u64) -> Self {
-        SimDuration(ms * 1_000)
+        SimDuration(ms.saturating_mul(1_000))
     }
 
     /// Construct from microseconds.
@@ -120,11 +122,12 @@ impl SimDuration {
     }
 }
 
-// Additions saturate at the top of the clock rather than wrapping or
-// panicking: a saturated duration (e.g. a degenerate `from_secs_f64`
-// input) then pins the instant at the far future — which an ordering
-// comparison or horizon check catches — instead of aborting the
-// simulation or wrapping back into valid-looking small times.
+// Additions (and the constructors' unit conversions) saturate at the top
+// of the clock rather than wrapping or panicking: a saturated duration
+// (e.g. a degenerate `from_secs_f64` input) then pins the instant at the
+// far future — which an ordering comparison or horizon check catches —
+// instead of aborting the simulation or wrapping back into valid-looking
+// small times.
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
     fn add(self, rhs: SimDuration) -> SimTime {
@@ -159,15 +162,30 @@ impl Sub<SimDuration> for SimDuration {
     }
 }
 
+/// Write `micros` as seconds with six decimals, byte-for-byte what
+/// `format!("{:.6}s", micros as f64 / 1e6)` prints (the string trace and
+/// its hashes pin that), without the float formatter. Below 2^52 µs the
+/// quotient's rounding error is under half a microsecond, so the float
+/// path prints exactly the integer digits; above, it does not, and the
+/// float path stays.
+fn fmt_micros(micros: u64, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    if micros < 1 << 52 {
+        let (secs, frac) = (micros / MICROS_PER_SEC, micros % MICROS_PER_SEC);
+        write!(f, "{secs}.{frac:06}s")
+    } else {
+        write!(f, "{:.6}s", micros as f64 / MICROS_PER_SEC as f64)
+    }
+}
+
 impl fmt::Display for SimTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.6}s", self.as_secs_f64())
+        fmt_micros(self.0, f)
     }
 }
 
 impl fmt::Display for SimDuration {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.6}s", self.as_secs_f64())
+        fmt_micros(self.0, f)
     }
 }
 
@@ -261,5 +279,54 @@ mod tests {
     #[test]
     fn display_formats_seconds() {
         assert_eq!(SimTime::from_millis(1500).to_string(), "1.500000s");
+        assert_eq!(SimDuration::from_micros(20).to_string(), "0.000020s");
+    }
+
+    #[test]
+    fn constructors_saturate_like_the_additions() {
+        let big = u64::MAX / 1_000;
+        assert_eq!(SimTime::from_secs(big), SimTime(u64::MAX));
+        assert_eq!(SimTime::from_millis(big + 1), SimTime(u64::MAX));
+        assert_eq!(SimDuration::from_secs(big), SimDuration::MAX);
+        assert_eq!(SimDuration::from_millis(big + 1), SimDuration::MAX);
+        // The largest exact conversions are untouched.
+        assert_eq!(SimTime::from_millis(big).as_micros(), big * 1_000);
+        let secs = u64::MAX / MICROS_PER_SEC;
+        assert_eq!(
+            SimDuration::from_secs(secs).as_micros(),
+            secs * MICROS_PER_SEC
+        );
+    }
+
+    /// The integer `Display` path against the float formatter it
+    /// replaced, the way `push_fixed3` is held to `format!("{v:.3}")`.
+    #[test]
+    fn display_matches_the_float_formatter() {
+        let check = |us: u64| {
+            let want = format!("{:.6}s", us as f64 / MICROS_PER_SEC as f64);
+            assert_eq!(SimTime(us).to_string(), want, "SimTime({us})");
+            assert_eq!(SimDuration(us).to_string(), want, "SimDuration({us})");
+        };
+        // Dense low range: every microsecond of the first 2.1 s.
+        (0..2_100_000).for_each(check);
+        // Around every power of two and of ten, including the guard at
+        // 2^52 and the top of the clock.
+        for p in 0..64 {
+            let b = 1u64 << p;
+            (b.saturating_sub(3)..=b.saturating_add(3)).for_each(check);
+        }
+        let mut d = 1u64;
+        while let Some(next) = d.checked_mul(10) {
+            (d - 1..=d + 1).for_each(check);
+            (d * 5 - 1..=d * 5 + 1).for_each(check);
+            d = next;
+        }
+        check(u64::MAX);
+        // Random, uniform in the exponent so every magnitude is drawn.
+        let mut rng = crate::rng::Xoshiro256pp::seed_from_u64(52);
+        for _ in 0..400_000 {
+            let bits = 1 + rng.below(64) as u32;
+            check(rng.next_u64() >> (64 - bits));
+        }
     }
 }
