@@ -17,7 +17,7 @@
 //! published delta, whether 1 000 or 10 000 subscribers sit below.
 
 use fluxpm_monitor::{
-    AggregateFilter, RelayPlane, SharedDeltas, SubscriptionConfig, SubscriptionFilter,
+    AggregateFilter, RelayDeltaBatch, RelayPlane, SubscriptionConfig, SubscriptionFilter,
     TelemetryDelta, TelemetryHub,
 };
 use std::collections::VecDeque;
@@ -115,6 +115,7 @@ impl RelayTree {
     pub fn publish_sweep(&mut self) -> u64 {
         self.now_us += 2_000_000;
         let mut deliveries = 0u64;
+        let mut queue: VecDeque<(usize, RelayDeltaBatch)> = VecDeque::new();
         for node in 0..self.nodes.len() as u32 {
             let delta = Arc::new(TelemetryDelta {
                 seq: self.next_seq,
@@ -127,21 +128,24 @@ impl RelayTree {
             self.next_seq += 1;
             deliveries += self.nodes[0].hub.dispatch(&delta) as u64;
             self.nodes[0].plane.offer(&delta);
-            let mut queue: VecDeque<(usize, SharedDeltas)> = self.nodes[0]
+            // What `TelemetryRelay::ingest` does at every hop: the root
+            // was handed a bare delta, every relay below it the batch
+            // its edge was sent — which it passes on as it is when its
+            // own edges want exactly that.
+            self.nodes[0]
                 .plane
-                .flush()
-                .into_iter()
-                .map(|(c, b)| (c as usize, b.deltas))
-                .collect();
+                .flush_with(None, |b| b, |c, b| queue.push_back((c as usize, b)));
             while let Some((at, batch)) = queue.pop_front() {
                 let n = &mut self.nodes[at];
-                for d in &batch {
+                for d in &batch.deltas {
                     deliveries += n.hub.dispatch(d) as u64;
                     n.plane.offer(d);
                 }
-                for (c, b) in n.plane.flush() {
-                    queue.push_back((c as usize, b.deltas));
-                }
+                n.plane.flush_with(
+                    Some((&batch, &batch)),
+                    |b| b,
+                    |c, b| queue.push_back((c as usize, b)),
+                );
             }
         }
         deliveries

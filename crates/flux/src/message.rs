@@ -127,18 +127,20 @@ impl Message {
     }
 
     /// Build the synthesized error response delivered to a requester
-    /// whose RPC deadline expired before any real response arrived. It
-    /// carries no payload and an error string starting with
+    /// whose RPC deadline expired before any real response arrived, from
+    /// the request's header (its topic, `from`, `to` and matchtag — the
+    /// deadline timer keeps those, not the request). It carries no
+    /// payload and an error string starting with
     /// [`Message::TIMEOUT_ERROR`], so [`Message::is_timeout`] holds.
-    pub fn timeout_response(req: &Message) -> Message {
+    pub fn timeout_response(topic: &Topic, from: Rank, to: Rank, matchtag: u64) -> Message {
         Message {
             kind: MsgKind::Response,
-            topic: req.topic.clone(),
-            from: req.to,
-            to: req.from,
-            matchtag: req.matchtag,
+            topic: topic.clone(),
+            from: to,
+            to: from,
+            matchtag,
             payload: unit_payload(),
-            error: Some(format!("{} on {}", Message::TIMEOUT_ERROR, req.topic)),
+            error: Some(format!("{} on {topic}", Message::TIMEOUT_ERROR)),
             size_bytes: Message::DEFAULT_SIZE_BYTES,
         }
     }
@@ -232,7 +234,7 @@ mod tests {
     fn timeout_response_shape() {
         let mut req = Message::request(Rank(0), Rank(5), "svc.slow", payload(()));
         req.matchtag = 7;
-        let t = Message::timeout_response(&req);
+        let t = Message::timeout_response(&req.topic, req.from, req.to, req.matchtag);
         assert_eq!(t.kind, MsgKind::Response);
         assert_eq!(t.matchtag, 7);
         assert_eq!(t.to, Rank(0));
@@ -254,8 +256,8 @@ mod tests {
     fn error_and_timeout_responses_share_one_unit_payload() {
         let req = Message::request(Rank(0), Rank(1), "svc.op", payload(()));
         let a = Message::respond_error(&req, "boom");
-        let b = Message::timeout_response(&req);
-        let c = Message::timeout_response(&req);
+        let b = Message::timeout_response(&req.topic, req.from, req.to, req.matchtag);
+        let c = Message::timeout_response(&req.topic, req.from, req.to, req.matchtag);
         assert!(Rc::ptr_eq(&a.payload, &b.payload));
         assert!(Rc::ptr_eq(&b.payload, &c.payload));
     }

@@ -1299,12 +1299,10 @@ impl World {
     /// at delivery time instead. Messages sent after the topology heals
     /// take the re-parented route.
     ///
-    /// Accepts either an owned [`Message`] or an `Rc<Message>`: the
-    /// in-flight copy is carried (and later delivered) behind the `Rc`,
-    /// so a caller that needs to keep the request around — e.g. for a
-    /// deadline timer — shares the allocation instead of deep-cloning.
-    pub fn send(&mut self, eng: &mut FluxEngine, msg: impl Into<Rc<Message>>) {
-        let msg: Rc<Message> = msg.into();
+    /// The message is moved, with its route, into the one boxed event
+    /// that delivers it: a message in flight is a single heap block, and
+    /// nothing else holds it (or its payload) once it is delivered.
+    pub fn send(&mut self, eng: &mut FluxEngine, msg: Message) {
         if self.shard_ctx.is_some() {
             return self.send_sharded(eng, msg);
         }
@@ -1453,7 +1451,7 @@ impl World {
     ///    order whether they arrived locally or through the coordinator
     ///    inbox — and after every key-0 (timer/executor) event at that
     ///    instant, in every partition.
-    fn send_sharded(&mut self, eng: &mut FluxEngine, msg: Rc<Message>) {
+    fn send_sharded(&mut self, eng: &mut FluxEngine, msg: Message) {
         let ctx = self.shard_ctx.as_ref().expect("sharded send");
         if ctx.plan.owner(msg.from) != ctx.shard {
             return;
@@ -1620,31 +1618,23 @@ impl World {
         msg.matchtag = self.next_matchtag;
         self.next_matchtag += 1;
         let tag = msg.matchtag;
-        // One allocation serves both the in-flight request and the
-        // deadline timer's copy (for synthesizing the timeout
-        // response) — no deep clone per deadline-armed RPC.
-        let msg = Rc::new(msg);
-        let req = Rc::clone(&msg);
+        // The timer keeps the request's header — what the timeout
+        // response and its trace line read — not the request: an armed
+        // deadline holds no reference to the payload.
+        let topic = msg.topic.clone();
         let ev = eng.schedule_in(deadline, move |world: &mut World, eng| {
             let Some(pending) = world.pending_rpcs.remove(&tag) else {
                 return; // answered in time; lazily-cancelled event
             };
             world.rpc_timeouts += 1;
-            world
-                .topic_stats
-                .entry(req.topic.clone())
-                .or_default()
-                .timeouts += 1;
+            world.topic_stats.entry(topic.clone()).or_default().timeouts += 1;
             world.trace.emit(
                 eng.now(),
                 TraceLevel::Warn,
                 "rpc",
-                format!(
-                    "timeout after {deadline}: {} -> {} topic {} (matchtag {tag})",
-                    req.from, req.to, req.topic
-                ),
+                format!("timeout after {deadline}: {from} -> {to} topic {topic} (matchtag {tag})"),
             );
-            let resp = Message::timeout_response(&req);
+            let resp = Message::timeout_response(&topic, from, to, tag);
             (pending.callback)(world, eng, &resp);
         });
         self.pending_rpcs.insert(
@@ -2735,9 +2725,10 @@ fn pick_nodes<'a>(nodes: &'a mut [NodeHardware], ids: &[NodeId]) -> Vec<&'a mut 
 /// Deliver a message at its destination rank. `route` is the TBON route
 /// the message was launched on (captured at send time — the overlay may
 /// have healed since, but a packet in flight cannot switch wires). The
-/// message arrives behind the `Rc` it was sent with: forwarding never
-/// copies the body.
-pub(crate) fn deliver(world: &mut World, eng: &mut FluxEngine, msg: Rc<Message>, route: &[Rank]) {
+/// message arrives by value, out of the event that carried it, and is
+/// lent to the handler; it is dropped — payload reference included —
+/// when the handler returns.
+pub(crate) fn deliver(world: &mut World, eng: &mut FluxEngine, msg: Message, route: &[Rank]) {
     // A downed rank neither receives nor relays: drop any message whose
     // route transits a dead broker (including the endpoints).
     if let Some(dead) = route

@@ -190,7 +190,7 @@ impl ShardCtx {
     }
 
     /// Decode an inbound envelope back into a deliverable message.
-    pub(crate) fn decode(&self, wire: WireEnvelope) -> (Rc<Message>, Vec<Rank>, u64) {
+    pub(crate) fn decode(&self, wire: WireEnvelope) -> (Message, Vec<Rank>, u64) {
         let codec = &self.codecs[wire.codec as usize];
         let payload = (codec.decode)(wire.body);
         debug_assert_eq!(
@@ -215,7 +215,7 @@ impl ShardCtx {
             size_bytes: wire.size_bytes,
         };
         let route: Vec<Rank> = wire.route.iter().map(|&r| Rank(r)).collect();
-        (Rc::new(msg), route, wire.origin_seq)
+        (msg, route, wire.origin_seq)
     }
 }
 

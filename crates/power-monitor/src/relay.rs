@@ -30,6 +30,14 @@
 //! modules that rebuild the filter lattice after every topology change
 //! via [`Module::on_topology_change`].
 //!
+//! A batch is built once **for the tree**, not once per edge: a relay
+//! whose edge staged exactly the batch it was just handed, under the
+//! same cumulative `shed`, sends the payload that batch arrived in, and
+//! sibling edges share the first batch built — so a delta published
+//! through match-everything edges is one slice and one payload however
+//! many edges it crosses ([`RelayPlane::flush_with`] has the rule and
+//! what falls back to building).
+//!
 //! The root rank's relay is a relay like any other: the co-located
 //! agent hands it each stamped delta through the same `ingest` that
 //! takes a batch off the wire. It differs only where the tree ends — it
@@ -60,7 +68,7 @@ use crate::subscription::{
     SubscriptionConfig, SubscriptionFilter, TelemetryDelta, TelemetryHub, TOPIC_POLL,
     TOPIC_SUBSCRIBE, TOPIC_UNSUBSCRIBE,
 };
-use fluxpm_flux::{Message, Module, ModuleCtx, MsgKind, Protocol, Rank, Topic};
+use fluxpm_flux::{Message, Module, ModuleCtx, MsgKind, Payload, Protocol, Rank, Topic};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::Arc;
 
@@ -225,6 +233,20 @@ impl EdgeBatch {
         }
         self.deltas.push_back(Arc::clone(delta));
     }
+
+    /// Whether what is staged here *is* `sent`: the same deltas — the
+    /// same allocations, one for one, not equal values — under the same
+    /// cumulative `shed`, so that sending `sent` again says exactly what
+    /// a batch built from this edge would.
+    fn is(&self, sent: &RelayDeltaBatch) -> bool {
+        self.shed == sent.shed
+            && self.deltas.len() == sent.deltas.len()
+            && self
+                .deltas
+                .iter()
+                .zip(&sent.deltas)
+                .all(|(a, b)| Arc::ptr_eq(a, b))
+    }
 }
 
 /// Collapse a full batch to the latest delta per (node, kind), keeping
@@ -250,14 +272,20 @@ fn coalesce(deltas: &mut VecDeque<Arc<TelemetryDelta>>) -> (u64, HashSet<DeltaKe
     ((before - deltas.len()) as u64, seen)
 }
 
-/// The downstream fan-out half of a relay: per-child aggregate filters
-/// and per-edge pending batches. Pure (no simulation types beyond rank
+/// One child edge: what its subtree wants, and what is staged for it.
+#[derive(Debug, Default)]
+struct Edge {
+    aggregate: AggregateFilter,
+    batch: EdgeBatch,
+}
+
+/// The downstream fan-out half of a relay: one aggregate filter and one
+/// pending batch per child edge. Pure (no simulation types beyond rank
 /// numbers), so the broker relays and the `telemetry_fanout` bench
 /// drive the same code.
 #[derive(Debug, Default)]
 pub struct RelayPlane {
-    children: BTreeMap<u32, AggregateFilter>,
-    pending: BTreeMap<u32, EdgeBatch>,
+    edges: BTreeMap<u32, Edge>,
     /// Where a flushed batch is lined up before its one allocation (a
     /// `Vec` drain knows its length, so the shared slice is built in
     /// place); kept so a flush allocates nothing else.
@@ -282,38 +310,39 @@ impl RelayPlane {
     /// aggregate removes the edge — and its pending batch — entirely).
     pub fn set_child(&mut self, child: u32, aggregate: AggregateFilter) {
         if aggregate.is_empty() {
-            self.children.remove(&child);
-            self.pending.remove(&child);
+            self.edges.remove(&child);
         } else {
-            self.children.insert(child, aggregate);
+            self.edges.entry(child).or_default().aggregate = aggregate;
         }
     }
 
     /// Widen one child edge by a climbing subscription's filter.
     pub fn merge_child(&mut self, child: u32, filter: &SubscriptionFilter) {
-        self.children.entry(child).or_default().insert(filter);
+        self.edges
+            .entry(child)
+            .or_default()
+            .aggregate
+            .insert(filter);
     }
 
     /// Drop edges whose child rank no longer satisfies `keep` (after a
     /// topology change re-parented them elsewhere). Their pending
     /// batches are dropped too — the child's new parent serves it now.
     pub fn retain_children(&mut self, mut keep: impl FnMut(u32) -> bool) {
-        self.children.retain(|&c, _| keep(c));
-        let live = &self.children;
-        self.pending.retain(|c, _| live.contains_key(c));
+        self.edges.retain(|&c, _| keep(c));
     }
 
     /// The current child edges and their aggregates.
     pub fn children(&self) -> impl Iterator<Item = (u32, &AggregateFilter)> {
-        self.children.iter().map(|(&c, a)| (c, a))
+        self.edges.iter().map(|(&c, e)| (c, &e.aggregate))
     }
 
     /// The union of every child edge's aggregate — what this relay
     /// contributes upward on behalf of its subtree.
     pub fn aggregate(&self) -> AggregateFilter {
         let mut agg = AggregateFilter::empty();
-        for a in self.children.values() {
-            agg.union(a);
+        for e in self.edges.values() {
+            agg.union(&e.aggregate);
         }
         agg
     }
@@ -324,35 +353,62 @@ impl RelayPlane {
     pub fn offer(&mut self, delta: &Arc<TelemetryDelta>) {
         self.offered += 1;
         let cap = self.batch_capacity;
-        for (&child, agg) in &self.children {
-            if !agg.matches(delta) {
-                continue;
+        for edge in self.edges.values_mut() {
+            if edge.aggregate.matches(delta) {
+                edge.batch.stage(delta, cap);
             }
-            self.pending.entry(child).or_default().stage(delta, cap);
         }
     }
 
     /// Drain every non-empty edge batch into `send`, in child order: one
     /// wire message per edge per flush, regardless of how many
-    /// subscribers sit below it. Each batch costs one allocation (its
-    /// shared slice); the edges keep their buffers.
-    pub fn flush_with(&mut self, mut send: impl FnMut(u32, RelayDeltaBatch)) {
-        for (&child, batch) in self.pending.iter_mut() {
-            if batch.deltas.is_empty() {
+    /// subscribers sit below it. `W` is the form a batch travels in (a
+    /// relay's wire payload; the batch itself for a caller that inspects
+    /// it) and `wrap` builds it.
+    ///
+    /// **A batch is built once for the tree.** The flush remembers the
+    /// last batch it sent — to begin with `arrived`, the batch this
+    /// relay was handed and the `W` it came in — and an edge that staged
+    /// exactly that batch (the same deltas, [`Arc::ptr_eq`] one for one,
+    /// and the same cumulative `shed`) is sent that `W` again: a
+    /// reference-count bump. Any other edge — a narrower aggregate, a
+    /// delta skipped or left over, a coalesce or a shed, a different
+    /// `shed` — costs one allocation for its shared slice plus whatever
+    /// `wrap` allocates, and becomes the remembered one, so sibling
+    /// edges share with each other too. The edges keep their buffers.
+    pub fn flush_with<W: Clone>(
+        &mut self,
+        arrived: Option<(&RelayDeltaBatch, &W)>,
+        mut wrap: impl FnMut(RelayDeltaBatch) -> W,
+        mut send: impl FnMut(u32, W),
+    ) {
+        let mut built: Option<(RelayDeltaBatch, W)> = None;
+        for (&child, edge) in self.edges.iter_mut() {
+            let staged = &mut edge.batch;
+            if staged.deltas.is_empty() {
                 continue;
             }
-            batch.distinct = None;
-            self.lineup.extend(batch.deltas.drain(..));
+            staged.distinct = None;
             self.egress_msgs += 1;
-            self.egress_deltas += self.lineup.len() as u64;
-            let deltas = self.lineup.drain(..).collect();
-            send(
-                child,
-                RelayDeltaBatch {
-                    deltas,
-                    shed: batch.shed,
-                },
-            );
+            self.egress_deltas += staged.deltas.len() as u64;
+            let last = built.as_ref().map(|(batch, wire)| (batch, wire));
+            let wire = match last.or(arrived).filter(|(sent, _)| staged.is(sent)) {
+                Some((_, wire)) => {
+                    staged.deltas.clear();
+                    wire.clone()
+                }
+                None => {
+                    self.lineup.extend(staged.deltas.drain(..));
+                    let batch = RelayDeltaBatch {
+                        deltas: self.lineup.drain(..).collect(),
+                        shed: staged.shed,
+                    };
+                    let wire = wrap(batch.clone());
+                    built = Some((batch, wire.clone()));
+                    wire
+                }
+            };
+            send(child, wire);
         }
     }
 
@@ -360,7 +416,7 @@ impl RelayPlane {
     /// that inspect the batches rather than send them.
     pub fn flush(&mut self) -> Vec<(u32, RelayDeltaBatch)> {
         let mut out = Vec::new();
-        self.flush_with(|child, batch| out.push((child, batch)));
+        self.flush_with(None, |batch| batch, |child, batch| out.push((child, batch)));
         out
     }
 
@@ -466,8 +522,16 @@ impl TelemetryRelay {
     /// The one way deltas enter a relay, whether as a `RelayDeltas`
     /// batch off the wire or handed over by the co-located root agent:
     /// into the local subscribers' queues, onto every interested child
-    /// edge, and out — one wire message per edge per call.
-    pub(crate) fn ingest(&mut self, ctx: &mut ModuleCtx<'_>, deltas: &[Arc<TelemetryDelta>]) {
+    /// edge, and out — one wire message per edge per call. `arrived` is
+    /// the batch `deltas` came in and the payload that carried it (none
+    /// at the root agent's hand-off): an edge that wants exactly that
+    /// batch is sent that payload ([`RelayPlane::flush_with`]).
+    pub(crate) fn ingest(
+        &mut self,
+        ctx: &mut ModuleCtx<'_>,
+        deltas: &[Arc<TelemetryDelta>],
+        arrived: Option<(&RelayDeltaBatch, &Payload)>,
+    ) {
         let evicted_before = self.hub.evicted();
         for delta in deltas {
             if delta.seq < self.next_ingest {
@@ -478,10 +542,11 @@ impl TelemetryRelay {
             self.plane.offer(delta);
         }
         let topic = &self.topics.relay_deltas;
-        self.plane.flush_with(|child, batch| {
-            let req = MonitorRequest::RelayDeltas(batch);
-            Self::send_event(ctx, Rank(child), topic, req.encode());
-        });
+        self.plane.flush_with(
+            arrived,
+            |batch| MonitorRequest::RelayDeltas(batch).encode(),
+            |child, payload| Self::send_event(ctx, Rank(child), topic, payload),
+        );
         if self.hub.evicted() != evicted_before {
             // Evictions may have narrowed what this subtree wants.
             self.maybe_advertise(ctx);
@@ -505,7 +570,7 @@ impl TelemetryRelay {
         Some(agent.seed_for(filter))
     }
 
-    fn send_event(ctx: &mut ModuleCtx<'_>, to: Rank, topic: &Topic, payload: fluxpm_flux::Payload) {
+    fn send_event(ctx: &mut ModuleCtx<'_>, to: Rank, topic: &Topic, payload: Payload) {
         let ev = Message::event(ctx.rank, to, topic, payload);
         ctx.world.send(ctx.eng, ev);
     }
@@ -716,7 +781,9 @@ impl Module for TelemetryRelay {
                     Ok(MonitorRequest::RelayAdvert(advert)) => {
                         self.on_relay_advert(ctx, msg, advert.clone())
                     }
-                    Ok(MonitorRequest::RelayDeltas(batch)) => self.ingest(ctx, &batch.deltas),
+                    Ok(MonitorRequest::RelayDeltas(batch)) => {
+                        self.ingest(ctx, &batch.deltas, Some((batch, &msg.payload)))
+                    }
                     _ => {}
                 }
             }
@@ -894,6 +961,199 @@ mod tests {
         let flushed = plane.flush();
         assert_eq!(flushed[0].1.deltas.len(), 2, "7 merged, then one more");
         assert_eq!(flushed[0].1.shed, 9 * CAP as u64 + 2 + 7);
+    }
+
+    /// A batch off the wire, as the parent's edge built it.
+    fn batch(shed: u64, deltas: &[&Arc<TelemetryDelta>]) -> RelayDeltaBatch {
+        RelayDeltaBatch {
+            deltas: deltas.iter().map(|d| Arc::clone(d)).collect(),
+            shed,
+        }
+    }
+
+    /// What `ingest` does with `arrived` once the first `skip` of its
+    /// deltas fell below the high-water mark: offer the rest, flush with
+    /// the batch as the remembered one. Returns what each edge was sent.
+    fn relay(
+        plane: &mut RelayPlane,
+        arrived: &RelayDeltaBatch,
+        skip: usize,
+    ) -> Vec<(u32, RelayDeltaBatch)> {
+        for d in arrived.deltas.iter().skip(skip) {
+            plane.offer(d);
+        }
+        let mut out = Vec::new();
+        plane.flush_with(Some((arrived, arrived)), |b| b, |c, b| out.push((c, b)));
+        out
+    }
+
+    fn same_slice(a: &RelayDeltaBatch, b: &RelayDeltaBatch) -> bool {
+        std::ptr::eq(a.deltas.as_ptr(), b.deltas.as_ptr())
+    }
+
+    fn seqs(b: &RelayDeltaBatch) -> Vec<u64> {
+        b.deltas.iter().map(|d| d.seq).collect()
+    }
+
+    fn everything_plane(cap: usize, children: &[u32]) -> RelayPlane {
+        let mut plane = RelayPlane::new(cap);
+        for &c in children {
+            plane.set_child(c, AggregateFilter::everything());
+        }
+        plane
+    }
+
+    #[test]
+    fn an_edge_that_wants_the_arrived_batch_is_sent_the_arrived_batch() {
+        let mut plane = everything_plane(8, &[1, 2, 3]);
+        let (d0, d1) = (delta(0, 1, 0, None), delta(1, 5, 0, None));
+        let arrived = batch(0, &[&d0, &d1]);
+        let sent = relay(&mut plane, &arrived, 0);
+        assert_eq!(sent.len(), 3);
+        for (_, b) in &sent {
+            assert!(same_slice(b, &arrived), "passed on, not rebuilt");
+            assert_eq!(b, &arrived);
+        }
+        assert_eq!((plane.egress_msgs(), plane.egress_deltas()), (3, 6));
+        assert!(plane.flush().is_empty(), "drained");
+    }
+
+    #[test]
+    fn sibling_edges_share_the_first_batch_built() {
+        // The root's case: a bare delta was handed over, nothing arrived.
+        let mut plane = everything_plane(8, &[1, 2, 3]);
+        plane.offer(&delta(0, 1, 0, None));
+        let sent = plane.flush();
+        assert_eq!(sent.len(), 3);
+        assert!(same_slice(&sent[0].1, &sent[1].1) && same_slice(&sent[1].1, &sent[2].1));
+    }
+
+    #[test]
+    fn a_narrower_edge_builds_its_own_batch() {
+        let mut plane = RelayPlane::new(8);
+        let mut narrow = AggregateFilter::empty();
+        narrow.insert(&SubscriptionFilter::all().with_nodes(vec![1]));
+        plane.set_child(1, AggregateFilter::everything());
+        plane.set_child(2, narrow);
+        let (d0, d1) = (delta(0, 1, 0, None), delta(1, 5, 0, None));
+        let arrived = batch(0, &[&d0, &d1]);
+        let sent = relay(&mut plane, &arrived, 0);
+        assert!(same_slice(&sent[0].1, &arrived));
+        assert!(!same_slice(&sent[1].1, &arrived));
+        assert_eq!(seqs(&sent[1].1), vec![0]);
+    }
+
+    #[test]
+    fn a_skipped_delta_or_a_leftover_means_a_new_batch() {
+        let (d0, d1, d2) = (
+            delta(0, 1, 0, None),
+            delta(1, 5, 0, None),
+            delta(2, 5, 0, None),
+        );
+        // d0 was already ingested here (a seed raised the mark past it).
+        let mut plane = everything_plane(8, &[1]);
+        let arrived = batch(0, &[&d0, &d1]);
+        let sent = relay(&mut plane, &arrived, 1);
+        assert!(!same_slice(&sent[0].1, &arrived));
+        assert_eq!(seqs(&sent[0].1), vec![1]);
+
+        // d0 was staged earlier and never flushed.
+        let mut plane = everything_plane(8, &[1]);
+        plane.offer(&d0);
+        let arrived = batch(0, &[&d2]);
+        let sent = relay(&mut plane, &arrived, 0);
+        assert!(!same_slice(&sent[0].1, &arrived));
+        assert_eq!(seqs(&sent[0].1), vec![0, 2]);
+    }
+
+    #[test]
+    fn a_coalesced_or_shed_batch_is_a_new_batch_with_a_truthful_shed() {
+        // Node 1 twice, then node 2, through a batch of two: the older
+        // node-1 delta is coalesced away.
+        let (a, b, c) = (
+            delta(0, 1, 0, None),
+            delta(1, 1, 1, None),
+            delta(2, 2, 2, None),
+        );
+        let mut plane = everything_plane(2, &[1]);
+        let arrived = batch(0, &[&a, &b, &c]);
+        let sent = relay(&mut plane, &arrived, 0);
+        assert!(!same_slice(&sent[0].1, &arrived));
+        assert_eq!((seqs(&sent[0].1), sent[0].1.shed), (vec![1, 2], 1));
+
+        // Three distinct nodes: the oldest is shed.
+        let (a, b, c) = (
+            delta(0, 1, 0, None),
+            delta(1, 2, 1, None),
+            delta(2, 3, 2, None),
+        );
+        let mut plane = everything_plane(2, &[1]);
+        let arrived = batch(0, &[&a, &b, &c]);
+        let sent = relay(&mut plane, &arrived, 0);
+        assert!(!same_slice(&sent[0].1, &arrived));
+        assert_eq!((seqs(&sent[0].1), sent[0].1.shed), (vec![1, 2], 1));
+    }
+
+    #[test]
+    fn the_same_deltas_under_a_different_shed_are_a_different_batch() {
+        // Edge 1 has shed one delta in its past; edge 2 never has.
+        let mut plane = everything_plane(1, &[1]);
+        plane.offer(&delta(0, 1, 0, None));
+        plane.offer(&delta(1, 2, 1, None));
+        assert_eq!(plane.flush()[0].1.shed, 1);
+        plane.set_child(2, AggregateFilter::everything());
+
+        let d = delta(2, 3, 2, None);
+        let arrived = batch(0, &[&d]);
+        let sent = relay(&mut plane, &arrived, 0);
+        // Both staged exactly the arrived delta. Edge 1 must still say 1
+        // (so it cannot pass on a batch that says 0), and edge 2 must
+        // still say 0 (so it cannot share edge 1's).
+        assert_eq!((sent[0].0, sent[0].1.shed), (1, 1));
+        assert_eq!((sent[1].0, sent[1].1.shed), (2, 0));
+        assert!(!same_slice(&sent[0].1, &arrived));
+        assert!(!same_slice(&sent[1].1, &sent[0].1));
+        assert!(Arc::ptr_eq(&sent[0].1.deltas[0], &sent[1].1.deltas[0]));
+
+        // And an arrived batch that itself says 1 is edge 1's to pass on.
+        let d = delta(3, 3, 3, None);
+        let arrived = batch(1, &[&d]);
+        let sent = relay(&mut plane, &arrived, 0);
+        assert!(same_slice(&sent[0].1, &arrived));
+        assert_eq!(sent[1].1.shed, 0);
+    }
+
+    #[test]
+    fn equal_deltas_in_other_allocations_are_not_the_arrived_batch() {
+        // Same values, different `Arc`s: the rule goes by identity, so
+        // what it passes on is what it was handed and nothing else.
+        let mut plane = everything_plane(8, &[1]);
+        let arrived = batch(0, &[&delta(0, 1, 0, None)]);
+        plane.offer(&delta(0, 1, 0, None));
+        let mut sent = Vec::new();
+        plane.flush_with(Some((&arrived, &arrived)), |b| b, |c, b| sent.push((c, b)));
+        assert!(!same_slice(&sent[0].1, &arrived));
+        assert_eq!(sent[0].1, arrived, "equal by value all the same");
+    }
+
+    #[test]
+    fn an_edge_is_one_entry() {
+        let mut plane = everything_plane(8, &[1, 2]);
+        plane.offer(&delta(0, 1, 0, None));
+        // Replacing an aggregate keeps what the edge had staged...
+        let mut narrow = AggregateFilter::empty();
+        narrow.insert(&SubscriptionFilter::all().with_nodes(vec![9]));
+        plane.set_child(1, narrow.clone());
+        assert_eq!(plane.children().collect::<Vec<_>>()[0], (1, &narrow));
+        // ...widening an unknown child opens its edge...
+        plane.merge_child(3, &SubscriptionFilter::all().with_nodes(vec![7]));
+        assert_eq!(plane.children().count(), 3);
+        // ...and an edge that goes takes its staged batch with it.
+        plane.retain_children(|c| c != 2);
+        let sent = plane.flush();
+        assert_eq!(sent.len(), 1);
+        assert_eq!((sent[0].0, seqs(&sent[0].1)), (1, vec![0]));
+        assert!(!plane.aggregate().is_all());
     }
 
     #[test]

@@ -327,7 +327,7 @@ impl RootAgent {
                 .as_any_mut()
                 .and_then(|a| a.downcast_mut::<TelemetryRelay>())
             {
-                relay.ingest(ctx, std::slice::from_ref(&delta));
+                relay.ingest(ctx, std::slice::from_ref(&delta), None);
             }
         }
     }

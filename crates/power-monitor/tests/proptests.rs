@@ -1,9 +1,15 @@
 //! Property-based tests for the monitor's data structures.
 
-use fluxpm_monitor::{NodeStats, PowerRecord, RingBuffer, SubtreeStats};
+use fluxpm_flux::JobId;
+use fluxpm_monitor::{
+    AggregateFilter, NodeStats, PowerRecord, RelayDeltaBatch, RelayPlane, RingBuffer,
+    SubscriptionFilter, SubtreeStats, TelemetryDelta,
+};
 use fluxpm_variorum::NodePowerSample;
 use proptest::prelude::*;
 use std::collections::VecDeque;
+use std::rc::Rc;
+use std::sync::Arc;
 
 /// An operation against the ring buffer / model pair.
 #[derive(Debug, Clone)]
@@ -419,5 +425,322 @@ proptest! {
             .copied()
             .fold(SubtreeStats::empty(), SubtreeStats::merge);
         assert_stats_close(whole, left.merge(right))?;
+    }
+}
+
+// ---------------------------------------------------------------------
+// The relay's sharing rule against a model (DESIGN.md §13.3, §15)
+// ---------------------------------------------------------------------
+
+/// What one edge's subtree wants.
+#[derive(Debug, Clone)]
+enum Want {
+    Everything,
+    Nodes(Vec<u32>),
+    Job(u64),
+}
+
+impl Want {
+    fn aggregate(&self) -> AggregateFilter {
+        let mut agg = AggregateFilter::empty();
+        agg.insert(&match self {
+            Want::Everything => SubscriptionFilter::all(),
+            Want::Nodes(nodes) => SubscriptionFilter::all().with_nodes(nodes.clone()),
+            Want::Job(job) => SubscriptionFilter::all().with_job(JobId(*job)),
+        });
+        agg
+    }
+
+    fn matches(&self, delta: &TelemetryDelta) -> bool {
+        match self {
+            Want::Everything => true,
+            Want::Nodes(nodes) => nodes.contains(&delta.node),
+            Want::Job(job) => delta.job == Some(JobId(*job)),
+        }
+    }
+}
+
+fn want_strategy() -> impl Strategy<Value = Want> {
+    prop_oneof![
+        3 => Just(Want::Everything),
+        1 => prop::collection::vec(0u32..4, 1..4).prop_map(Want::Nodes),
+        1 => (0u64..2).prop_map(Want::Job),
+    ]
+}
+
+/// A tree of up to six relays: node `i > 0` hangs off `parents[i] % i`
+/// and its parent's edge to it wants `wants[i]`.
+#[derive(Debug, Clone)]
+struct TreeSpec {
+    parents: Vec<usize>,
+    wants: Vec<Want>,
+    cap: usize,
+}
+
+fn tree_strategy(want: impl Strategy<Value = Want>) -> impl Strategy<Value = TreeSpec> {
+    (
+        (2usize..7),
+        prop::collection::vec(0usize..64, 7),
+        prop::collection::vec(want, 7),
+        0usize..4,
+    )
+        .prop_map(|(n, mut parents, mut wants, cap)| {
+            parents.truncate(n);
+            wants.truncate(n);
+            TreeSpec {
+                parents,
+                wants,
+                cap: [1, 2, 3, 8][cap],
+            }
+        })
+}
+
+#[derive(Debug, Clone)]
+enum RelayStep {
+    /// The root is handed `fresh` new deltas — (node, job) each — behind
+    /// the last `stale` it was already handed.
+    Publish {
+        stale: usize,
+        fresh: Vec<(u32, Option<u64>)>,
+    },
+    /// A seed raised one relay's high-water mark past the next `by`
+    /// deltas: they will be skipped there when they arrive.
+    Raise { at: usize, by: u64 },
+    /// A delta for `node` was staged at one relay and not flushed.
+    Leftover { at: usize, node: u32 },
+}
+
+fn relay_step_strategy() -> impl Strategy<Value = RelayStep> {
+    let delta = (0u32..4, prop::option::of(0u64..2));
+    prop_oneof![
+        6 => (0usize..3, prop::collection::vec(delta, 1..4))
+            .prop_map(|(stale, fresh)| RelayStep::Publish { stale, fresh }),
+        1 => (0usize..64, 1u64..3).prop_map(|(at, by)| RelayStep::Raise { at, by }),
+        1 => (0usize..64, 0u32..4).prop_map(|(at, node)| RelayStep::Leftover { at, node }),
+    ]
+}
+
+/// The naive edge: a list, coalesced by rescanning it, no shortcuts.
+#[derive(Debug)]
+struct ModelEdge {
+    child: usize,
+    want: Want,
+    staged: Vec<(u64, u32)>,
+    shed: u64,
+}
+
+impl ModelEdge {
+    fn stage(&mut self, delta: &TelemetryDelta, cap: usize) {
+        if self.staged.len() >= cap {
+            let before = self.staged.len();
+            let all = self.staged.clone();
+            let mut at = 0;
+            self.staged.retain(|&(_, node)| {
+                at += 1;
+                !all[at..].iter().any(|&(_, later)| later == node)
+            });
+            self.shed += (before - self.staged.len()) as u64;
+        }
+        if self.staged.len() >= cap {
+            self.staged.remove(0);
+            self.shed += 1;
+        }
+        self.staged.push((delta.seq, delta.node));
+    }
+}
+
+struct RelayNode {
+    plane: RelayPlane,
+    edges: Vec<ModelEdge>,
+    next_ingest: u64,
+}
+
+/// A batch in the form it travels in: what a payload is to the relay.
+type Wire = Rc<RelayDeltaBatch>;
+
+struct RelayTreeModel {
+    nodes: Vec<RelayNode>,
+    cap: usize,
+    next_seq: u64,
+    handed: Vec<Arc<TelemetryDelta>>,
+    /// Batches built (as opposed to passed on) so far.
+    built: usize,
+}
+
+impl RelayTreeModel {
+    fn new(spec: &TreeSpec) -> RelayTreeModel {
+        let mut nodes: Vec<RelayNode> = (0..spec.parents.len())
+            .map(|_| RelayNode {
+                plane: RelayPlane::new(spec.cap),
+                edges: Vec::new(),
+                next_ingest: 0,
+            })
+            .collect();
+        for child in 1..nodes.len() {
+            let parent = &mut nodes[spec.parents[child] % child];
+            let want = spec.wants[child].clone();
+            parent.plane.set_child(child as u32, want.aggregate());
+            parent.edges.push(ModelEdge {
+                child,
+                want,
+                staged: Vec::new(),
+                shed: 0,
+            });
+        }
+        RelayTreeModel {
+            nodes,
+            cap: spec.cap,
+            next_seq: 0,
+            handed: Vec::new(),
+            built: 0,
+        }
+    }
+
+    fn stamp(&mut self, node: u32, job: Option<u64>) -> Arc<TelemetryDelta> {
+        self.next_seq += 1;
+        Arc::new(TelemetryDelta {
+            seq: self.next_seq - 1,
+            node,
+            timestamp_us: self.next_seq,
+            node_w: 1.0,
+            job: job.map(JobId),
+            link: None,
+        })
+    }
+
+    /// Stage one delta at `at`, on the plane and on the model.
+    fn offer(&mut self, at: usize, delta: &Arc<TelemetryDelta>) {
+        let node = &mut self.nodes[at];
+        node.plane.offer(delta);
+        for edge in &mut node.edges {
+            if edge.want.matches(delta) {
+                edge.stage(delta, self.cap);
+            }
+        }
+    }
+
+    /// `TelemetryRelay::ingest` at relay `at`, checked edge by edge
+    /// against the model. Returns what each child was sent.
+    fn ingest(
+        &mut self,
+        at: usize,
+        deltas: &[Arc<TelemetryDelta>],
+        arrived: Option<&Wire>,
+    ) -> Result<Vec<(usize, Wire)>, TestCaseError> {
+        for delta in deltas {
+            if delta.seq < self.nodes[at].next_ingest {
+                continue;
+            }
+            self.nodes[at].next_ingest = delta.seq + 1;
+            self.offer(at, delta);
+        }
+        let mut sent: Vec<(usize, Wire)> = Vec::new();
+        let mut built = 0;
+        self.nodes[at].plane.flush_with(
+            arrived.map(|wire| (&**wire, wire)),
+            |batch| {
+                built += 1;
+                Rc::new(batch)
+            },
+            |child, wire| sent.push((child as usize, wire)),
+        );
+        self.built += built;
+        // By value, every edge says what the naive edge says (the model
+        // holds a relay's edges in child order, as the plane does).
+        let want: Vec<(usize, Vec<u64>, u64)> = self.nodes[at]
+            .edges
+            .iter_mut()
+            .filter(|e| !e.staged.is_empty())
+            .map(|e| {
+                let seqs = e.staged.drain(..).map(|(seq, _)| seq).collect();
+                (e.child, seqs, e.shed)
+            })
+            .collect();
+        let got: Vec<(usize, Vec<u64>, u64)> = sent
+            .iter()
+            .map(|(c, w)| (*c, w.deltas.iter().map(|d| d.seq).collect(), w.shed))
+            .collect();
+        prop_assert_eq!(&got, &want, "relay {} sent", at);
+        // One allocation, one value — and nothing was built that could
+        // have been passed on.
+        let mut distinct: Vec<&Wire> = arrived.into_iter().collect();
+        for (_, wire) in &sent {
+            if !distinct.iter().any(|w| Rc::ptr_eq(w, wire)) {
+                prop_assert!(!distinct.last().is_some_and(|w| ***w == **wire));
+                distinct.push(wire);
+            }
+        }
+        prop_assert_eq!(distinct.len(), built + arrived.iter().count());
+        Ok(sent)
+    }
+
+    /// Hand `deltas` to the root and run the batches down the tree.
+    fn publish(&mut self, deltas: &[Arc<TelemetryDelta>]) -> Result<Vec<Wire>, TestCaseError> {
+        let mut all = Vec::new();
+        let mut queue: VecDeque<(usize, Wire)> = self.ingest(0, deltas, None)?.into();
+        while let Some((at, wire)) = queue.pop_front() {
+            queue.extend(self.ingest(at, &wire.deltas, Some(&wire))?);
+            all.push(wire);
+        }
+        Ok(all)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Mixed aggregates, tight batches, stale and skipped deltas,
+    /// leftovers: whatever an edge is sent equals what the naive edge
+    /// would have built, `shed` included, and two edges are sent one
+    /// allocation only when that is also one value.
+    #[test]
+    fn relayed_batches_match_the_naive_model(
+        spec in tree_strategy(want_strategy()),
+        steps in prop::collection::vec(relay_step_strategy(), 1..24),
+    ) {
+        let mut tree = RelayTreeModel::new(&spec);
+        for step in steps {
+            match step {
+                RelayStep::Publish { stale, fresh } => {
+                    let keep = tree.handed.len().saturating_sub(stale);
+                    let mut deltas = tree.handed.split_off(keep);
+                    for (node, job) in fresh {
+                        deltas.push(tree.stamp(node, job));
+                    }
+                    tree.publish(&deltas)?;
+                    tree.handed = deltas;
+                }
+                RelayStep::Raise { at, by } => {
+                    let at = at % tree.nodes.len();
+                    let mark = &mut tree.nodes[at].next_ingest;
+                    *mark = (*mark).max(tree.next_seq + by);
+                }
+                RelayStep::Leftover { at, node } => {
+                    let at = at % tree.nodes.len();
+                    let delta = tree.stamp(node, None);
+                    tree.offer(at, &delta);
+                }
+            }
+        }
+    }
+
+    /// Match-everything edges and room in the batch: however the tree is
+    /// shaped and however many deltas are handed over at once, a publish
+    /// builds one batch — at the root — and every relay below passes on
+    /// the one it was handed.
+    #[test]
+    fn a_publish_through_match_everything_edges_builds_one_batch(
+        spec in tree_strategy(Just(Want::Everything)),
+        publishes in prop::collection::vec(1usize..4, 1..8),
+    ) {
+        let mut tree = RelayTreeModel::new(&TreeSpec { cap: 8, ..spec });
+        for (round, fresh) in publishes.into_iter().enumerate() {
+            let deltas: Vec<_> = (0..fresh).map(|i| tree.stamp(i as u32, None)).collect();
+            let sent = tree.publish(&deltas)?;
+            prop_assert_eq!(sent.len(), tree.nodes.len() - 1, "one message per edge");
+            prop_assert!(sent.iter().all(|w| Rc::ptr_eq(w, &sent[0])));
+            prop_assert_eq!(sent[0].deltas.len(), fresh);
+            prop_assert_eq!(tree.built, round + 1);
+        }
     }
 }

@@ -21,8 +21,8 @@ use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
 use fluxpm::flux::{
-    Broker, Engine, FluxEngine, Message, Module, ModuleCtx, Protocol, Rank, SharedModule, Tbon,
-    Topic, World,
+    payload, Broker, Engine, FluxEngine, Message, Module, ModuleCtx, Protocol, Rank, SharedModule,
+    Tbon, Topic, World,
 };
 use fluxpm::hw::{MachineKind, NodeHardware, NodeId};
 use fluxpm::monitor::subscription::TOPIC_SAMPLE_PUSH;
@@ -185,10 +185,16 @@ impl Rig {
     }
 }
 
-/// Heap allocations per relayed edge message: the batch's shared slice,
-/// the payload that wraps it, the `Rc<Message>` and the boxed delivery
-/// event. No per-flush vector, no per-batch staging buffer, no topic.
-const ALLOCS_PER_EDGE_MESSAGE: u64 = 4;
+/// Heap allocations per relayed edge message: the boxed delivery event,
+/// which owns the message and its route. The batch's shared slice and
+/// the payload that wraps it are built once per publish and passed down
+/// the tree, not once per edge; there is no `Rc` around the message, no
+/// per-flush vector, no per-batch staging buffer, no topic.
+const ALLOCS_PER_EDGE_MESSAGE: u64 = 1;
+
+/// Heap allocations per publish that has any edge to cross: the one
+/// shared slice and the one payload around it.
+const ALLOCS_PER_PUBLISHED_BATCH: u64 = 2;
 
 #[test]
 fn a_relayed_delta_costs_a_fixed_number_of_allocations_per_edge() {
@@ -211,7 +217,121 @@ fn a_relayed_delta_costs_a_fixed_number_of_allocations_per_edge() {
     let mut no_edge = Rig::new(16, 4, &[0]);
     let (a0, sent) = no_edge.steady_push_allocs();
     assert_eq!(sent, 0);
-    assert_eq!(a1 - a0, ALLOCS_PER_EDGE_MESSAGE);
+    assert_eq!(
+        a1 - a0,
+        ALLOCS_PER_EDGE_MESSAGE + ALLOCS_PER_PUBLISHED_BATCH
+    );
+}
+
+#[test]
+fn a_publish_builds_one_slice_and_one_payload_for_the_tree() {
+    // The same three rigs, in absolute numbers. A push that crosses no
+    // edge costs 5 allocations (the push request's delivery event and
+    // callback, the stamped delta, the ack's payload and its delivery
+    // event); the first edge adds the batch — slice and payload — and
+    // its own delivery event; each of the other 14 edges, at whatever
+    // depth, adds a delivery event and nothing else. (7, 11 and 67 while
+    // every message sat in an `Rc` and every edge built its own batch.)
+    let leaves: Vec<u32> = (4..16).collect();
+    let (a0, _) = Rig::new(16, 4, &[0]).steady_push_allocs();
+    let (a1, _) = Rig::new(16, 4, &[4]).steady_push_allocs();
+    let (a15, _) = Rig::new(16, 4, &leaves).steady_push_allocs();
+    assert_eq!((a0, a1, a15), (5, 8, 22));
+}
+
+/// A two-rank world with a service on rank 1 that echoes each request
+/// back (`answers`) or does nothing.
+fn service(answers: bool) -> (World, FluxEngine, Topic) {
+    let mut w = World::new(MachineKind::Lassen, 2, 5);
+    let mut eng: FluxEngine = Engine::new();
+    let topic = Topic::intern("svc.op");
+    let module = Rc::new(RefCell::new(Dummy {
+        name: "svc",
+        topics: vec![topic.clone()],
+        answers,
+    }));
+    assert!(w.load_module(&mut eng, Rank(1), module));
+    (w, eng, topic)
+}
+
+fn run_out(w: &mut World, eng: &mut FluxEngine) {
+    let until = eng.now() + SimDuration::from_millis(10);
+    eng.run_until(w, until);
+}
+
+#[test]
+fn a_message_costs_one_allocation_to_send_and_deliver() {
+    let (mut w, mut eng, topic) = service(false);
+    let body = payload(7u64);
+    let send_one = |w: &mut World, eng: &mut FluxEngine| {
+        w.send(
+            eng,
+            Message::event(Rank(0), Rank(1), &topic, Rc::clone(&body)),
+        );
+        run_out(w, eng);
+    };
+    // The first caches the route and sizes the event slab, the second
+    // earns its delay a lane in the event queue.
+    for _ in 0..3 {
+        send_one(&mut w, &mut eng);
+    }
+    let (allocs, ()) = allocs_during(|| send_one(&mut w, &mut eng));
+    assert_eq!(
+        allocs, 1,
+        "the delivery event, which owns message and route"
+    );
+    assert_eq!(Rc::strong_count(&body), 1, "delivered and dropped");
+}
+
+#[test]
+fn a_deadline_rpc_costs_one_block_fewer_than_before() {
+    let (mut w, mut eng, topic) = service(true);
+    let body = payload(7u64);
+    let answered = Rc::new(Cell::new(0u32));
+    let call = |w: &mut World, eng: &mut FluxEngine| {
+        let answered = Rc::clone(&answered);
+        w.rpc(Rank(1), &topic, Rc::clone(&body))
+            .from(Rank(0))
+            .deadline(SimDuration::from_secs(1))
+            .send(eng, move |_, _, resp| {
+                assert!(resp.is_ok());
+                answered.set(answered.get() + 1)
+            });
+        run_out(w, eng);
+    };
+    for _ in 0..3 {
+        call(&mut w, &mut eng);
+    }
+    // A round trip under an armed deadline: the boxed callback, the
+    // deadline timer's event, and one delivery event per message. It
+    // was 6 while each of the two messages also sat in an `Rc` — one
+    // block fewer per message sent.
+    let (allocs, ()) = allocs_during(|| call(&mut w, &mut eng));
+    assert_eq!(allocs, 4);
+    assert_eq!(answered.get(), 4);
+    assert_eq!(Rc::strong_count(&body), 1);
+}
+
+#[test]
+fn an_armed_deadline_does_not_hold_the_request_payload() {
+    let (mut w, mut eng, topic) = service(false);
+    let body = payload(vec![0u8; 4096]);
+    let timed_out = Rc::new(Cell::new(false));
+    let seen = Rc::clone(&timed_out);
+    w.rpc(Rank(1), &topic, Rc::clone(&body))
+        .from(Rank(0))
+        .deadline(SimDuration::from_secs(1))
+        .send(&mut eng, move |_, _, resp| seen.set(resp.is_timeout()));
+    assert_eq!(Rc::strong_count(&body), 2, "in flight");
+    run_out(&mut w, &mut eng);
+    // Delivered; the deadline is still a second away.
+    assert_eq!(w.pending_rpc_count(), 1);
+    assert_eq!(Rc::strong_count(&body), 1, "nothing but this test holds it");
+    // And the timer can still say everything it has to.
+    let until = eng.now() + SimDuration::from_secs(2);
+    eng.run_until(&mut w, until);
+    assert!(timed_out.get());
+    assert_eq!(w.rpc_stats()[&topic].timeouts, 1);
 }
 
 #[test]
@@ -253,6 +373,8 @@ fn a_poll_reply_costs_the_client_the_same_for_one_delta_as_for_4096() {
 struct Dummy {
     name: &'static str,
     topics: Vec<Topic>,
+    /// Answer every request with its own payload.
+    answers: bool,
 }
 
 impl Module for Dummy {
@@ -263,13 +385,18 @@ impl Module for Dummy {
         self.topics.clone()
     }
     fn load(&mut self, _ctx: &mut ModuleCtx<'_>) {}
-    fn handle(&mut self, _ctx: &mut ModuleCtx<'_>, _msg: &Message) {}
+    fn handle(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
+        if self.answers {
+            ctx.world.respond(ctx.eng, msg, Rc::clone(&msg.payload));
+        }
+    }
 }
 
 fn dummy(name: &'static str, topics: &[&str]) -> SharedModule {
     Rc::new(RefCell::new(Dummy {
         name,
         topics: topics.iter().map(|s| Topic::intern(s)).collect(),
+        answers: false,
     }))
 }
 
