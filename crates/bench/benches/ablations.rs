@@ -80,7 +80,7 @@ fn bench_period_estimators(c: &mut Criterion) {
 }
 
 fn bench_subinstance(c: &mut Criterion) {
-    use fluxpm_flux::{JobProgram, JobSpec, StepCtx, StepOutcome, SubInstance, World};
+    use fluxpm_flux::{FluxEngine, JobProgram, JobSpec, StepCtx, StepOutcome, SubInstance, World};
     use fluxpm_hw::MachineKind;
 
     struct Sleep {
@@ -119,7 +119,7 @@ fn bench_subinstance(c: &mut Criterion) {
             }
             let mut w = World::new(MachineKind::Lassen, 8, 1);
             w.autostop_after = Some(1);
-            let mut eng: Engine<World> = Engine::new();
+            let mut eng: FluxEngine = Engine::new();
             w.install_executor(&mut eng);
             w.submit(&mut eng, JobSpec::new("ui", 8), Box::new(inst));
             eng.run(&mut w);

@@ -28,6 +28,7 @@
 //! the gated, noise-modelled perf surface is `benchmark/README.md`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod fpp;
 pub mod relay_tree;

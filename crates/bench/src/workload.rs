@@ -7,7 +7,9 @@
 //! measured live against the pre-optimization implementation rather
 //! than trusted from a number recorded once.
 
-use fluxpm_flux::{payload, FaultPlan, Message, Module, ModuleCtx, MsgKind, Rank, Topic, World};
+use fluxpm_flux::{
+    payload, FaultPlan, FluxEngine, Message, Module, ModuleCtx, MsgKind, Rank, Topic, World,
+};
 use fluxpm_hw::MachineKind;
 use fluxpm_sim::{Engine, SimDuration, SimTime, Xoshiro256pp};
 use std::cell::RefCell;
@@ -220,7 +222,7 @@ pub struct DeliveryRig {
     /// The Flux instance.
     pub world: World,
     /// Its engine.
-    pub eng: Engine<World>,
+    pub eng: FluxEngine,
     /// The echo responder's rank (the deepest rank of the tree).
     pub target: Rank,
     /// The echo topic, interned once like any module's (so a round trip
@@ -232,7 +234,7 @@ impl DeliveryRig {
     /// Build the rig.
     pub fn new(nnodes: u32) -> DeliveryRig {
         let mut world = World::new(MachineKind::Lassen, nnodes, 1);
-        let mut eng: Engine<World> = Engine::new();
+        let mut eng: FluxEngine = Engine::new();
         let target = Rank(nnodes - 1);
         let echo = Topic::intern("bench.echo");
         let responder = Rc::new(RefCell::new(BenchEcho { echo: echo.clone() }));
@@ -304,7 +306,7 @@ pub struct MsgPathRig {
     /// The Flux instance.
     pub world: World,
     /// Its engine.
-    pub eng: Engine<World>,
+    pub eng: FluxEngine,
     /// The relay-deltas topic, as a sending module holds it.
     pub topic: Topic,
     batch: fluxpm_flux::Payload,
@@ -320,7 +322,7 @@ impl MsgPathRig {
         use fluxpm_flux::Protocol;
         use fluxpm_monitor::{MonitorConfig, MonitorRequest, RelayDeltaBatch, TelemetryDelta};
         let mut world = World::new(MachineKind::Lassen, Self::RANKS, 1);
-        let mut eng: Engine<World> = Engine::new();
+        let mut eng: FluxEngine = Engine::new();
         let config =
             MonitorConfig::default().with_sample_interval(SimDuration::from_secs(1_000_000_000));
         assert!(fluxpm_monitor::load(&mut world, &mut eng, config));

@@ -23,6 +23,7 @@
 //! run some: `… --bin run_all fig1 table4`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 pub mod chaos;
 pub mod experiments;
 pub mod full_shard;

@@ -22,6 +22,7 @@
 //! bit-reproducible.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 pub mod broker;
 pub mod job;
 pub mod message;
@@ -48,8 +49,8 @@ pub use subinstance::{InstancePowerPolicy, SubInstance};
 pub use tbon::{Rank, Tbon};
 pub use topic::Topic;
 pub use world::{
-    CongestionBurst, CongestionEvent, FaultPlan, FluxEngine, GilbertElliott, LinkProfile,
-    LinkStats, RetryPolicy, RpcBuilder, TopicStats, World,
+    CongestionBurst, CongestionEvent, FaultPlan, FluxEngine, FluxEvent, GilbertElliott,
+    LinkProfile, LinkStats, RetryPolicy, RpcBuilder, TopicStats, World,
 };
 pub use world_shard::{
     delivery_key, run_world_sharded, WireEnvelope, WorldRunStats, WorldShard, WorldShardRun,

@@ -21,13 +21,74 @@ use crate::state::{StateLog, StateValue};
 use crate::tbon::{IntMap, Rank, Tbon};
 use crate::topic::Topic;
 use fluxpm_hw::{lassen, tioga, MachineKind, NodeHardware, NodeId, Watts};
-use fluxpm_sim::{Engine, EventId, SimDuration, SimTime, Trace, TraceLevel, Xoshiro256pp};
+use fluxpm_sim::{Engine, Event, EventId, SimDuration, SimTime, Trace, TraceLevel, Xoshiro256pp};
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::ControlFlow;
 use std::rc::Rc;
 
 /// The engine type every Flux simulation runs on.
-pub type FluxEngine = Engine<World>;
+pub type FluxEngine = Engine<World, FluxEvent>;
+
+/// The events the overlay schedules by the million, which the engine
+/// stores by value in its slab: a message in flight and an armed RPC
+/// deadline allocate nothing. Everything rarer — module timers, the
+/// executor, retry backoff — is a closure.
+pub enum FluxEvent {
+    /// A message in flight, with the route it was launched on;
+    /// [`World::send`] schedules it for the instant it arrives.
+    Deliver {
+        /// The message, handed to the destination's handler.
+        msg: Message,
+        /// The TBON route captured at send time.
+        route: Rc<[Rank]>,
+    },
+    /// The deadline of the RPC `tag`. It keeps the request's header —
+    /// what the timeout response and its trace line read — not the
+    /// request: an armed deadline holds no reference to the payload.
+    Deadline {
+        /// The request's topic.
+        topic: Topic,
+        /// The requester, which the timeout response goes to.
+        from: Rank,
+        /// The rank that did not answer.
+        to: Rank,
+        /// The request's matchtag.
+        tag: u64,
+        /// How long the requester waited.
+        deadline: SimDuration,
+    },
+}
+
+impl Event<World> for FluxEvent {
+    fn fire(self, world: &mut World, eng: &mut FluxEngine) {
+        match self {
+            FluxEvent::Deliver { msg, route } => deliver(world, eng, msg, &route),
+            FluxEvent::Deadline {
+                topic,
+                from,
+                to,
+                tag,
+                deadline,
+            } => {
+                let Some(pending) = world.pending_rpcs.remove(&tag) else {
+                    return; // answered in time; lazily-cancelled event
+                };
+                world.rpc_timeouts += 1;
+                world.topic_stats.entry(topic.clone()).or_default().timeouts += 1;
+                world.trace.emit(
+                    eng.now(),
+                    TraceLevel::Warn,
+                    "rpc",
+                    format!(
+                        "timeout after {deadline}: {from} -> {to} topic {topic} (matchtag {tag})"
+                    ),
+                );
+                let resp = Message::timeout_response(&topic, from, to, tag);
+                (pending.callback)(world, eng, &resp);
+            }
+        }
+    }
+}
 
 /// Callback invoked when an RPC response arrives.
 type RpcCallback = Box<dyn FnOnce(&mut World, &mut FluxEngine, &Message)>;
@@ -798,6 +859,8 @@ fn retry_attempt(world: &mut World, eng: &mut FluxEngine, st: RetryState) {
                 prev_delay_us: delay_us,
                 callback,
             };
+            // A backoff timer is rare (one per failed attempt): a
+            // closure, not a `FluxEvent`.
             eng.schedule_in(delay, move |world, eng| retry_attempt(world, eng, next));
         }),
     );
@@ -1299,9 +1362,10 @@ impl World {
     /// at delivery time instead. Messages sent after the topology heals
     /// take the re-parented route.
     ///
-    /// The message is moved, with its route, into the one boxed event
-    /// that delivers it: a message in flight is a single heap block, and
-    /// nothing else holds it (or its payload) once it is delivered.
+    /// The message is moved, with its route, into the
+    /// [`FluxEvent::Deliver`] that delivers it: a message in flight is an
+    /// entry of the engine's slab, not a heap block, and nothing else
+    /// holds it (or its payload) once it is delivered.
     pub fn send(&mut self, eng: &mut FluxEngine, msg: Message) {
         if self.shard_ctx.is_some() {
             return self.send_sharded(eng, msg);
@@ -1427,7 +1491,7 @@ impl World {
                 ),
             );
         }
-        eng.schedule_in(delay, move |world, eng| deliver(world, eng, msg, &route));
+        eng.schedule_event(eng.now() + delay, 0, FluxEvent::Deliver { msg, route });
     }
 
     /// The sharded-replica send path. Three differences from the
@@ -1446,7 +1510,7 @@ impl World {
     ///    Every hop costs at least `hop_latency`, which is what lets
     ///    the sharded coordinator use the hop latency as its lookahead.
     /// 3. **Canonical delivery order.** Deliveries are scheduled with
-    ///    [`Engine::schedule_keyed`] under the `(origin, origin seq)`
+    ///    [`Engine::schedule_event`] under the `(origin, origin seq)`
     ///    key, so same-microsecond deliveries execute in one canonical
     ///    order whether they arrived locally or through the coordinator
     ///    inbox — and after every key-0 (timer/executor) event at that
@@ -1536,7 +1600,7 @@ impl World {
         let ctx = self.shard_ctx.as_ref().expect("sharded send");
         let dest_shard = ctx.plan.owner(msg.to);
         if dest_shard == ctx.shard {
-            eng.schedule_keyed(at, key, move |world, eng| deliver(world, eng, msg, &route));
+            eng.schedule_event(at, key, FluxEvent::Deliver { msg, route });
         } else {
             let wire = self
                 .shard_ctx
@@ -1618,25 +1682,17 @@ impl World {
         msg.matchtag = self.next_matchtag;
         self.next_matchtag += 1;
         let tag = msg.matchtag;
-        // The timer keeps the request's header — what the timeout
-        // response and its trace line read — not the request: an armed
-        // deadline holds no reference to the payload.
-        let topic = msg.topic.clone();
-        let ev = eng.schedule_in(deadline, move |world: &mut World, eng| {
-            let Some(pending) = world.pending_rpcs.remove(&tag) else {
-                return; // answered in time; lazily-cancelled event
-            };
-            world.rpc_timeouts += 1;
-            world.topic_stats.entry(topic.clone()).or_default().timeouts += 1;
-            world.trace.emit(
-                eng.now(),
-                TraceLevel::Warn,
-                "rpc",
-                format!("timeout after {deadline}: {from} -> {to} topic {topic} (matchtag {tag})"),
-            );
-            let resp = Message::timeout_response(&topic, from, to, tag);
-            (pending.callback)(world, eng, &resp);
-        });
+        let ev = eng.schedule_event(
+            eng.now() + deadline,
+            0,
+            FluxEvent::Deadline {
+                topic: msg.topic.clone(),
+                from,
+                to,
+                tag,
+                deadline,
+            },
+        );
         self.pending_rpcs.insert(
             tag,
             PendingRpc {
@@ -2728,7 +2784,7 @@ fn pick_nodes<'a>(nodes: &'a mut [NodeHardware], ids: &[NodeId]) -> Vec<&'a mut 
 /// message arrives by value, out of the event that carried it, and is
 /// lent to the handler; it is dropped — payload reference included —
 /// when the handler returns.
-pub(crate) fn deliver(world: &mut World, eng: &mut FluxEngine, msg: Message, route: &[Rank]) {
+fn deliver(world: &mut World, eng: &mut FluxEngine, msg: Message, route: &[Rank]) {
     // A downed rank neither receives nor relays: drop any message whose
     // route transits a dead broker (including the endpoints).
     if let Some(dead) = route
@@ -3245,6 +3301,13 @@ mod failure_tests {
     fn load_slow_echo(w: &mut World, eng: &mut FluxEngine, rank: Rank, delay: SimDuration) {
         let m = std::rc::Rc::new(std::cell::RefCell::new(SlowEcho { delay }));
         assert!(w.load_module(eng, rank, m));
+    }
+
+    #[test]
+    fn a_message_in_flight_is_ninety_six_bytes() {
+        // What one slot of the engine's typed slab holds, beside its
+        // eight-byte header: a wider `Message` widens every delivery.
+        assert_eq!(std::mem::size_of::<FluxEvent>(), 96);
     }
 
     #[test]

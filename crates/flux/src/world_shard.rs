@@ -49,7 +49,7 @@
 use crate::message::{Message, MsgKind, Payload};
 use crate::shard::{merge_records, ShardPlan, ShardRecord};
 use crate::tbon::Rank;
-use crate::world::{deliver, FluxEngine, World};
+use crate::world::{FluxEngine, FluxEvent, World};
 use fluxpm_sim::sharded::{Inbound, Outbound, ShardSim, ShardedEngine, ShardedRunStats};
 use fluxpm_sim::{SimDuration, SimTime};
 use std::any::{Any, TypeId};
@@ -190,7 +190,7 @@ impl ShardCtx {
     }
 
     /// Decode an inbound envelope back into a deliverable message.
-    pub(crate) fn decode(&self, wire: WireEnvelope) -> (Message, Vec<Rank>, u64) {
+    pub(crate) fn decode(&self, wire: WireEnvelope) -> (Message, Rc<[Rank]>, u64) {
         let codec = &self.codecs[wire.codec as usize];
         let payload = (codec.decode)(wire.body);
         debug_assert_eq!(
@@ -214,7 +214,7 @@ impl ShardCtx {
             error: wire.error,
             size_bytes: wire.size_bytes,
         };
-        let route: Vec<Rank> = wire.route.iter().map(|&r| Rank(r)).collect();
+        let route: Rc<[Rank]> = wire.route.iter().map(|&r| Rank(r)).collect();
         (msg, route, wire.origin_seq)
     }
 }
@@ -278,9 +278,7 @@ impl ShardSim for WorldShard {
             .decode(inb.msg);
         let key = delivery_key(msg.from.0, origin_seq);
         self.eng
-            .schedule_keyed(at, key, move |world: &mut World, eng| {
-                deliver(world, eng, msg, &route)
-            });
+            .schedule_event(at, key, FluxEvent::Deliver { msg, route });
     }
 
     fn run_window(&mut self, end: SimTime, out: &mut Vec<Outbound<WireEnvelope>>) -> u64 {

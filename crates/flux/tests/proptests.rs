@@ -185,7 +185,7 @@ proptest! {
 
 mod subinstance_props {
     use super::*;
-    use fluxpm_flux::{JobProgram, JobSpec, StepCtx, StepOutcome, SubInstance, World};
+    use fluxpm_flux::{FluxEngine, JobProgram, JobSpec, StepCtx, StepOutcome, SubInstance, World};
     use fluxpm_hw::MachineKind;
 
     struct Sleep {
@@ -209,9 +209,6 @@ mod subinstance_props {
         }
     }
 
-    use fluxpm_sim::Engine as SimEngine;
-    type Eng = SimEngine<World>;
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -233,7 +230,7 @@ mod subinstance_props {
             }
             let mut w = World::new(MachineKind::Lassen, nnodes, 1);
             w.autostop_after = Some(1);
-            let mut eng: Eng = SimEngine::new();
+            let mut eng = FluxEngine::new();
             w.install_executor(&mut eng);
             let id = w.submit(&mut eng, JobSpec::new("ui", nnodes), Box::new(inst));
             eng.run(&mut w);

@@ -20,6 +20,7 @@
 //! application progress.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 pub mod arch;
 pub mod capping;
 pub mod energy;

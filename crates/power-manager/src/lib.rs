@@ -19,6 +19,7 @@
 //! without a simulation.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 pub mod allocator;
 pub mod cluster;
 pub mod fpp;

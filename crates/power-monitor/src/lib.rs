@@ -26,6 +26,7 @@
 //! 1.2 % / 0.04 % overheads in paper Fig. 3.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 pub mod client;
 pub mod config;
 pub mod node_agent;

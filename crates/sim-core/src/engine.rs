@@ -16,13 +16,30 @@
 //! events never drifts — these properties are what make seeded runs
 //! replay byte-for-byte.
 //!
+//! ## Two kinds of event body
+//!
+//! *An event scheduled by the million is a value in a slab; a closure is
+//! the fallback for everything rare.* A closure is boxed: one `malloc`
+//! when it is scheduled, one `free` when it has run, and a second cache
+//! stream beside the slab. An engine user whose hot events are few in
+//! kind names them in an enum, implements [`Event`] for it and schedules
+//! them with [`Engine::schedule_event`]: the value is stored in the slab
+//! slot itself and moved out to [`Event::fire`]. `Engine<W>` is
+//! `Engine<W, NoEvent>` — closures only — so a user with nothing hot
+//! never sees the parameter. Both kinds share the clock, the sequence
+//! counter and the queue, and pop in the one total order above.
+//!
 //! ## Hot-path layout
 //!
-//! Event bodies live in a generation-tagged slab (a `Vec` of slots
+//! Event bodies live in generation-tagged slabs (a `Vec` of slots
 //! threaded with an intrusive free list): scheduling reuses freed slots
 //! instead of rehashing into a map, and an [`EventId`] packs the slot
 //! index with the slot's generation so a stale handle can never cancel
-//! the slot's next tenant.
+//! the slot's next tenant. There are two slabs, one per kind of body —
+//! closure slots stay 40 bytes however wide the typed event is, and a
+//! typed event is one touched line stream, not a narrow slot plus a side
+//! table — told apart by the top bit of the slot index (DESIGN.md §17.1
+//! has the layouts that were measured and lost).
 //!
 //! The queue is an indexed 4-ary min-heap over `(time, key, seq)` with
 //! a back-pointer from each slot to its heap position, behind a small
@@ -58,7 +75,8 @@
 //! events. *Tombstones are bounded*: a lane more than half dead is
 //! compacted in place, so scheduling and cancelling far-off deadlines in
 //! a loop holds no more memory than eager removal did. Steady-state
-//! operation allocates nothing beyond the boxed closures themselves.
+//! operation allocates nothing beyond the boxed closures themselves; a
+//! typed event allocates nothing at all.
 
 use crate::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
@@ -66,10 +84,10 @@ use std::ops::ControlFlow;
 
 /// Opaque handle to a scheduled event; used for cancellation.
 ///
-/// Packs the slab slot index (low 32 bits) with the slot's generation
-/// (high 32 bits): a handle kept across the event's execution or
-/// cancellation goes stale rather than aliasing whatever event reuses
-/// the slot.
+/// Packs the slab slot index (low 32 bits; the top one says which slab)
+/// with the slot's generation (high 32 bits): a handle kept across the
+/// event's execution or cancellation — or across a horizon clear — goes
+/// stale rather than aliasing whatever event reuses the slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventId(u64);
 
@@ -83,12 +101,31 @@ impl EventId {
     }
 }
 
+/// An event stored by value: what an engine user schedules too often to
+/// box. The engine moves the value out of its slab slot — which is free
+/// again before `fire` runs, so a cancel of its own id from inside
+/// misses, as it does for a one-shot closure — and hands it the world
+/// and the engine.
+pub trait Event<W>: Sized {
+    /// Run the event at `eng.now()`.
+    fn fire(self, world: &mut W, eng: &mut Engine<W, Self>);
+}
+
+/// The typed event of an engine that schedules closures only.
+pub enum NoEvent {}
+
+impl<W> Event<W> for NoEvent {
+    fn fire(self, _: &mut W, _: &mut Engine<W, Self>) {
+        match self {}
+    }
+}
+
 /// A one-shot event body.
-type OnceFn<W> = Box<dyn FnOnce(&mut W, &mut Engine<W>)>;
+type OnceFn<W, E> = Box<dyn FnOnce(&mut W, &mut Engine<W, E>)>;
 
 /// A repeating event body. Return `ControlFlow::Break(())` to stop the
 /// periodic task.
-pub type Periodic<W> = Box<dyn FnMut(&mut W, &mut Engine<W>) -> ControlFlow<()>>;
+pub type Periodic<W, E = NoEvent> = Box<dyn FnMut(&mut W, &mut Engine<W, E>) -> ControlFlow<()>>;
 
 /// Heap arity. Children of `i` are `4i + 1 ..= 4i + 4`.
 const D: usize = 4;
@@ -98,36 +135,173 @@ const NONE: u32 = u32::MAX;
 const LANES: usize = 8;
 /// A [`Slot::pos`] of `LANE_BASE + l` says "queued in lane `l`".
 const LANE_BASE: u32 = NONE - LANES as u32;
+/// Set in a slot index that points into the typed-event slab.
+const TYPED: u32 = 1 << 31;
 
-enum SlotState<W> {
-    /// On the free list; `next` is the next free slot (or [`NONE`]).
-    Free { next: u32 },
-    /// Queued one-shot.
-    Once(OnceFn<W>),
-    /// Queued periodic task.
+/// A boxed event body.
+enum Closure<W, E> {
+    Once(OnceFn<W, E>),
     Every {
         interval: SimDuration,
-        f: Periodic<W>,
+        f: Periodic<W, E>,
     },
+}
+
+enum SlotState<T> {
+    /// On the free list; `next` is the next free slot (or [`NONE`]).
+    Free { next: u32 },
+    /// Queued.
+    Full(T),
     /// Body taken out while its callback runs (periodic tasks only);
     /// the slot stays reserved so events scheduled *by* the callback
     /// cannot reuse it before the re-arm.
     Running,
 }
 
-struct Slot<W> {
+struct Slot<T> {
     /// Bumped every time the slot is freed; part of the [`EventId`].
     generation: u32,
-    /// Primary same-instant tie-breaker (0 for plain schedules), fixed
-    /// at schedule time for the lifetime of the event.
-    key: u64,
-    /// Ordering tie-breaker, fixed at schedule time for the lifetime of
-    /// the event (periodic re-arms keep it).
-    seq: u64,
     /// Index into `heap` while queued there, [`LANE_BASE`]` + l` while
     /// queued in lane `l`, [`NONE`] otherwise.
     pos: u32,
-    state: SlotState<W>,
+    state: SlotState<T>,
+}
+
+/// Generation-tagged slots threaded with an intrusive free list.
+///
+/// A freed slot is the next one reused — it is the warmest — until the
+/// slab *drains*: when the last body leaves, the free list is forgotten
+/// and the slab fills again from index 0. A burst of events scheduled
+/// into a drained slab therefore lies in memory in schedule order, which
+/// is nearly the order it fires in, and the pops walk the slab forwards
+/// instead of chasing a free list that earlier bursts shuffled.
+struct Slab<T> {
+    slots: Vec<Slot<T>>,
+    free_head: u32,
+    /// Slots from here up are free and not on the free list.
+    fresh: u32,
+    /// Slots holding a body or running.
+    live: u32,
+}
+
+impl<T> Slab<T> {
+    fn new() -> Self {
+        Slab {
+            slots: Vec::new(),
+            free_head: NONE,
+            fresh: 0,
+            live: 0,
+        }
+    }
+
+    /// Fill a slot: the head of the free list, else the lowest slot not
+    /// used since the slab drained, else a new one.
+    fn alloc(&mut self, body: T) -> u32 {
+        self.live += 1;
+        if self.free_head != NONE {
+            let idx = self.free_head;
+            let slot = &mut self.slots[idx as usize];
+            let SlotState::Free { next } = slot.state else {
+                unreachable!("free list points at a live slot");
+            };
+            self.free_head = next;
+            slot.state = SlotState::Full(body);
+            return idx;
+        }
+        let idx = self.fresh;
+        if let Some(slot) = self.slots.get_mut(idx as usize) {
+            slot.state = SlotState::Full(body);
+        } else {
+            assert!(idx & TYPED == 0, "slab capacity");
+            self.slots.push(Slot {
+                generation: 0,
+                pos: NONE,
+                state: SlotState::Full(body),
+            });
+        }
+        self.fresh = idx + 1;
+        idx
+    }
+
+    /// Free a slot, invalidating its [`EventId`]s, and hand back the
+    /// body it held (none while it was running).
+    fn free(&mut self, idx: u32) -> Option<T> {
+        let slot = &mut self.slots[idx as usize];
+        slot.generation = slot.generation.wrapping_add(1);
+        slot.pos = NONE;
+        self.live -= 1;
+        let next = if self.live == 0 {
+            // Drained: every slot is free, so none needs the list.
+            self.fresh = 0;
+            self.free_head = NONE;
+            NONE
+        } else {
+            std::mem::replace(&mut self.free_head, idx)
+        };
+        match std::mem::replace(&mut slot.state, SlotState::Free { next }) {
+            SlotState::Full(body) => Some(body),
+            SlotState::Running => None,
+            SlotState::Free { .. } => unreachable!("slot freed twice"),
+        }
+    }
+
+    /// Free every slot still in use: ids from before go stale, and the
+    /// slots are reused rather than the slab regrown.
+    fn free_all(&mut self) {
+        for idx in 0..self.slots.len() as u32 {
+            if !matches!(self.slots[idx as usize].state, SlotState::Free { .. }) {
+                self.free(idx);
+            }
+        }
+    }
+}
+
+/// The two slabs behind one tagged slot index: closure bodies, and typed
+/// events under [`TYPED`].
+struct Slabs<W, E> {
+    closures: Slab<Closure<W, E>>,
+    events: Slab<E>,
+}
+
+impl<W, E> Slabs<W, E> {
+    /// `(generation, pos)` of a slot, if the index names one.
+    fn meta(&self, slot: u32) -> Option<(u32, u32)> {
+        if slot & TYPED == 0 {
+            let s = self.closures.slots.get(slot as usize)?;
+            Some((s.generation, s.pos))
+        } else {
+            let s = self.events.slots.get((slot ^ TYPED) as usize)?;
+            Some((s.generation, s.pos))
+        }
+    }
+
+    /// Generation of a slot the queue holds an entry for.
+    #[inline]
+    fn generation(&self, slot: u32) -> u32 {
+        if slot & TYPED == 0 {
+            self.closures.slots[slot as usize].generation
+        } else {
+            self.events.slots[(slot ^ TYPED) as usize].generation
+        }
+    }
+
+    #[inline]
+    fn set_pos(&mut self, slot: u32, pos: u32) {
+        if slot & TYPED == 0 {
+            self.closures.slots[slot as usize].pos = pos;
+        } else {
+            self.events.slots[(slot ^ TYPED) as usize].pos = pos;
+        }
+    }
+
+    /// Free a slot and drop the body it held.
+    fn discard(&mut self, slot: u32) {
+        if slot & TYPED == 0 {
+            self.closures.free(slot);
+        } else {
+            self.events.free(slot ^ TYPED);
+        }
+    }
 }
 
 #[derive(Clone, Copy)]
@@ -135,6 +309,8 @@ struct HeapEntry {
     at: SimTime,
     key: u64,
     seq: u64,
+    /// Index into the closure slab, or [`TYPED`]` | index` into the
+    /// typed-event slab.
     slot: u32,
     /// The slot's generation when queued. A lane entry is live while
     /// the slot still has it; the heap never reads it.
@@ -158,8 +334,9 @@ struct Lane {
 }
 
 /// The discrete-event engine. Generic over the world type `W` that
-/// events mutate.
-pub struct Engine<W> {
+/// events mutate and the typed event `E` it stores by value
+/// ([`NoEvent`]: none, closures only).
+pub struct Engine<W, E = NoEvent> {
     now: SimTime,
     seq: u64,
     heap: Vec<HeapEntry>,
@@ -169,25 +346,24 @@ pub struct Engine<W> {
     /// The last two offsets no lane admitted (two: at a busy instant
     /// misses of two periods alternate, and a memory of one starves both).
     missed: [SimDuration; 2],
-    slots: Vec<Slot<W>>,
-    free_head: u32,
+    slabs: Slabs<W, E>,
     /// Total events executed (for diagnostics / ablation benches).
     executed: u64,
     /// Hard stop; events scheduled after this instant are dropped at pop.
     horizon: Option<SimTime>,
     /// Bumped when the horizon clears the queue mid-step, so a periodic
-    /// re-arm unwinding through a nested `run` does not write into a
-    /// recycled slab.
+    /// task unwinding through a nested `run` leaves its slot, freed
+    /// under it, alone.
     clear_epoch: u64,
 }
 
-impl<W> Default for Engine<W> {
+impl<W, E: Event<W>> Default for Engine<W, E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<W> Engine<W> {
+impl<W, E: Event<W>> Engine<W, E> {
     /// Create an empty engine with the clock at zero.
     pub fn new() -> Self {
         Engine {
@@ -201,8 +377,10 @@ impl<W> Engine<W> {
             }),
             laned: 0,
             missed: [SimDuration::ZERO; 2],
-            slots: Vec::new(),
-            free_head: NONE,
+            slabs: Slabs {
+                closures: Slab::new(),
+                events: Slab::new(),
+            },
             executed: 0,
             horizon: None,
             clear_epoch: 0,
@@ -242,7 +420,7 @@ impl<W> Engine<W> {
     pub fn schedule(
         &mut self,
         at: SimTime,
-        f: impl FnOnce(&mut W, &mut Engine<W>) + 'static,
+        f: impl FnOnce(&mut W, &mut Engine<W, E>) + 'static,
     ) -> EventId {
         self.schedule_keyed(at, 0, f)
     }
@@ -257,21 +435,27 @@ impl<W> Engine<W> {
         &mut self,
         at: SimTime,
         key: u64,
-        f: impl FnOnce(&mut W, &mut Engine<W>) + 'static,
+        f: impl FnOnce(&mut W, &mut Engine<W, E>) + 'static,
     ) -> EventId {
-        let at = at.max(self.now);
-        let seq = self.seq;
-        self.seq += 1;
-        let idx = self.alloc(key, seq, SlotState::Once(Box::new(f)));
-        self.push(at, key, seq, idx);
-        EventId::pack(self.slots[idx as usize].generation, idx)
+        let slot = self.slabs.closures.alloc(Closure::Once(Box::new(f)));
+        self.enqueue(at, key, slot)
+    }
+
+    /// Schedule the typed event `ev` at `at` under the ordering key
+    /// `key` (0: in schedule order among the plain events of its
+    /// instant). Time, key and cancellation behave exactly as for
+    /// [`Engine::schedule_keyed`]; the difference is that `ev` is stored
+    /// in the engine's slab rather than boxed.
+    pub fn schedule_event(&mut self, at: SimTime, key: u64, ev: E) -> EventId {
+        let slot = TYPED | self.slabs.events.alloc(ev);
+        self.enqueue(at, key, slot)
     }
 
     /// Schedule `f` to run after the given delay.
     pub fn schedule_in(
         &mut self,
         delay: SimDuration,
-        f: impl FnOnce(&mut W, &mut Engine<W>) + 'static,
+        f: impl FnOnce(&mut W, &mut Engine<W, E>) + 'static,
     ) -> EventId {
         self.schedule(self.now + delay, f)
     }
@@ -283,54 +467,46 @@ impl<W> Engine<W> {
         &mut self,
         start: SimTime,
         interval: SimDuration,
-        f: impl FnMut(&mut W, &mut Engine<W>) -> ControlFlow<()> + 'static,
+        f: impl FnMut(&mut W, &mut Engine<W, E>) -> ControlFlow<()> + 'static,
     ) -> EventId {
         assert!(!interval.is_zero(), "periodic interval must be > 0");
-        let at = start.max(self.now);
+        let slot = self.slabs.closures.alloc(Closure::Every {
+            interval,
+            f: Box::new(f),
+        });
+        self.enqueue(start, 0, slot)
+    }
+
+    /// Queue a freshly filled slot under the next sequence number.
+    fn enqueue(&mut self, at: SimTime, key: u64, slot: u32) -> EventId {
         let seq = self.seq;
         self.seq += 1;
-        let idx = self.alloc(
-            0,
-            seq,
-            SlotState::Every {
-                interval,
-                f: Box::new(f),
-            },
-        );
-        self.push(at, 0, seq, idx);
-        EventId::pack(self.slots[idx as usize].generation, idx)
+        self.push(at.max(self.now), key, seq, slot);
+        EventId::pack(self.slabs.generation(slot), slot)
     }
 
     /// Cancel a pending event. Returns true if the event existed and had
     /// not fired (for periodic tasks: stops all future firings). The
     /// slot is freed at once; stale or double cancels are no-ops.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        let (generation, idx) = id.unpack();
-        let Some(slot) = self.slots.get(idx as usize) else {
-            return false;
+        let (generation, slot) = id.unpack();
+        // A live generation on a slot with no queue position is a
+        // periodic task cancelling itself from its own callback, which
+        // matches the map-based engine: the body is already out of the
+        // table, so the cancel misses and the re-arm stands.
+        let pos = match self.slabs.meta(slot) {
+            Some((g, pos)) if g == generation && pos != NONE => pos,
+            _ => return false,
         };
-        if slot.generation != generation {
-            return false;
+        // For a laned entry the generation bump *is* the removal: it
+        // turns the entry into a tombstone.
+        self.slabs.discard(slot);
+        if pos < LANE_BASE {
+            self.heap_remove(pos as usize);
+        } else {
+            self.lane_bury((pos - LANE_BASE) as usize);
         }
-        match slot.state {
-            // A periodic task cancelling itself from its own callback
-            // matches the map-based engine: the body is already out of
-            // the table, so the cancel misses and the re-arm stands.
-            SlotState::Free { .. } | SlotState::Running => false,
-            SlotState::Once(_) | SlotState::Every { .. } => {
-                let pos = slot.pos;
-                debug_assert!(pos != NONE);
-                // For a laned entry the generation bump *is* the
-                // removal: it turns the entry into a tombstone.
-                self.free_slot(idx);
-                if pos < LANE_BASE {
-                    self.heap_remove(pos as usize);
-                } else {
-                    self.lane_bury((pos - LANE_BASE) as usize);
-                }
-                true
-            }
-        }
+        true
     }
 
     /// Execute the single next event, if any. Returns the instant it fired.
@@ -340,7 +516,7 @@ impl<W> Engine<W> {
 
     /// [`Engine::step`], unless the next event is later than `until`.
     fn step_until(&mut self, world: &mut W, until: SimTime) -> Option<SimTime> {
-        let (src, &HeapEntry { at, slot: idx, .. }) = self.peek()?;
+        let (src, &HeapEntry { at, seq, slot, .. }) = self.peek()?;
         if at > until {
             return None;
         }
@@ -359,28 +535,41 @@ impl<W> Engine<W> {
         debug_assert!(at >= self.now, "time must be monotone");
         self.now = at;
         self.executed += 1;
-        let state = std::mem::replace(&mut self.slots[idx as usize].state, SlotState::Running);
-        match state {
-            SlotState::Once(f) => {
-                // Freed before the call, like the map-based engine
-                // removed the body before calling it: a self-cancel
-                // inside `f` misses (the id is stale by then).
-                self.free_slot(idx);
+        // A one-shot's slot is freed before the call, like the map-based
+        // engine removed the body before calling it: a self-cancel
+        // inside misses (the id is stale by then).
+        if slot & TYPED != 0 {
+            let ev = self.slabs.events.free(slot ^ TYPED);
+            ev.expect("queued event has a body").fire(world, self);
+            return Some(at);
+        }
+        let state = &mut self.slabs.closures.slots[slot as usize].state;
+        match std::mem::replace(state, SlotState::Running) {
+            SlotState::Full(Closure::Once(f)) => {
+                self.slabs.closures.free(slot);
                 f(world, self);
             }
-            SlotState::Every { interval, mut f } => {
+            SlotState::Full(Closure::Every { interval, mut f }) => {
                 let epoch = self.clear_epoch;
-                if f(world, self).is_continue() {
-                    if epoch == self.clear_epoch {
-                        let slot = &mut self.slots[idx as usize];
-                        let (key, seq) = (slot.key, slot.seq);
-                        slot.state = SlotState::Every { interval, f };
-                        self.push(at + interval, key, seq, idx);
-                    }
-                    // Else: a nested run hit the horizon and cleared the
-                    // slab; the task is over along with everything else.
+                let again = f(world, self).is_continue();
+                if epoch != self.clear_epoch {
+                    // A nested run hit the horizon and freed the slot;
+                    // the task is over along with everything else.
+                } else if again {
+                    // Swapped in, not assigned: an assignment drops the
+                    // old state first, so the new one is built on the
+                    // stack and copied over — a wide reload of narrow
+                    // stores, which waits for the store buffer to drain
+                    // on every re-arm (DESIGN.md §17.1).
+                    let state = &mut self.slabs.closures.slots[slot as usize].state;
+                    let body = SlotState::Full(Closure::Every { interval, f });
+                    let running = std::mem::replace(state, body);
+                    debug_assert!(matches!(running, SlotState::Running));
+                    // Under the sequence number it was armed with, which
+                    // the popped entry carried.
+                    self.push(at + interval, 0, seq, slot);
                 } else {
-                    self.free_slot(idx);
+                    self.slabs.closures.free(slot);
                 }
             }
             SlotState::Free { .. } | SlotState::Running => unreachable!("queued event has a body"),
@@ -402,45 +591,6 @@ impl<W> Engine<W> {
         self.now
     }
 
-    // --- Slab ------------------------------------------------------
-
-    /// Take a slot off the free list (or grow the slab) and fill it.
-    fn alloc(&mut self, key: u64, seq: u64, state: SlotState<W>) -> u32 {
-        if self.free_head != NONE {
-            let idx = self.free_head;
-            let slot = &mut self.slots[idx as usize];
-            let SlotState::Free { next } = slot.state else {
-                unreachable!("free list points at a live slot");
-            };
-            self.free_head = next;
-            slot.key = key;
-            slot.seq = seq;
-            slot.state = state;
-            idx
-        } else {
-            let idx = u32::try_from(self.slots.len()).expect("slab capacity");
-            self.slots.push(Slot {
-                generation: 0,
-                key,
-                seq,
-                pos: NONE,
-                state,
-            });
-            idx
-        }
-    }
-
-    /// Return a slot to the free list, invalidating its [`EventId`]s.
-    fn free_slot(&mut self, idx: u32) {
-        let slot = &mut self.slots[idx as usize];
-        slot.generation = slot.generation.wrapping_add(1);
-        slot.pos = NONE;
-        slot.state = SlotState::Free {
-            next: self.free_head,
-        };
-        self.free_head = idx;
-    }
-
     /// Drop every queued event (horizon reached).
     fn clear_all(&mut self) {
         self.heap.clear();
@@ -449,8 +599,8 @@ impl<W> Engine<W> {
             lane.dead = 0;
         }
         self.laned = 0;
-        self.slots.clear();
-        self.free_head = NONE;
+        self.slabs.closures.free_all();
+        self.slabs.events.free_all();
         self.clear_epoch += 1;
     }
 
@@ -475,7 +625,7 @@ impl<W> Engine<W> {
 
     /// Queue an entry: on a lane if one admits it, on the heap otherwise.
     fn push(&mut self, at: SimTime, key: u64, seq: u64, slot: u32) {
-        let generation = self.slots[slot as usize].generation;
+        let generation = self.slabs.generation(slot);
         let entry = HeapEntry {
             at,
             key,
@@ -485,7 +635,7 @@ impl<W> Engine<W> {
         };
         match self.lane_for(&entry) {
             Some(l) => {
-                self.slots[slot as usize].pos = LANE_BASE + l as u32;
+                self.slabs.set_pos(slot, LANE_BASE + l as u32);
                 self.lanes[l].q.push_back(entry);
                 self.laned += 1;
             }
@@ -537,7 +687,7 @@ impl<W> Engine<W> {
     /// Remove lane `l`'s head (the entry [`Engine::peek`] returned).
     fn lane_pop(&mut self, l: usize) {
         let head = self.lanes[l].q.pop_front().expect("peeked lane head");
-        self.slots[head.slot as usize].pos = NONE;
+        self.slabs.set_pos(head.slot, NONE);
         self.laned -= 1;
         self.lane_trim(l);
     }
@@ -549,10 +699,9 @@ impl<W> Engine<W> {
         self.laned -= 1;
         self.lanes[l].dead += 1;
         self.lane_trim(l);
-        let (lane, slots) = (&mut self.lanes[l], &self.slots);
+        let (lane, slabs) = (&mut self.lanes[l], &self.slabs);
         if lane.dead * 2 > lane.q.len() {
-            lane.q
-                .retain(|e| slots[e.slot as usize].generation == e.generation);
+            lane.q.retain(|e| slabs.generation(e.slot) == e.generation);
             lane.dead = 0;
         }
     }
@@ -563,7 +712,7 @@ impl<W> Engine<W> {
         let lane = &mut self.lanes[l];
         while lane.dead > 0 {
             match lane.q.front() {
-                Some(h) if self.slots[h.slot as usize].generation != h.generation => {
+                Some(h) if self.slabs.generation(h.slot) != h.generation => {
                     lane.q.pop_front();
                     lane.dead -= 1;
                 }
@@ -576,7 +725,7 @@ impl<W> Engine<W> {
 
     fn heap_push(&mut self, entry: HeapEntry) {
         let pos = self.heap.len();
-        self.slots[entry.slot as usize].pos = pos as u32;
+        self.slabs.set_pos(entry.slot, pos as u32);
         self.heap.push(entry);
         self.sift_up(pos);
     }
@@ -584,11 +733,11 @@ impl<W> Engine<W> {
     /// Remove the entry at `pos`, keeping back-pointers consistent.
     fn heap_remove(&mut self, pos: usize) {
         let last = self.heap.len() - 1;
-        self.slots[self.heap[pos].slot as usize].pos = NONE;
+        self.slabs.set_pos(self.heap[pos].slot, NONE);
         if pos != last {
             self.heap.swap(pos, last);
             self.heap.pop();
-            self.slots[self.heap[pos].slot as usize].pos = pos as u32;
+            self.slabs.set_pos(self.heap[pos].slot, pos as u32);
             // The moved element may be smaller than its new parent or
             // larger than its new children; restore whichever way.
             if pos > 0 && self.heap[pos].key() < self.heap[(pos - 1) / D].key() {
@@ -638,8 +787,8 @@ impl<W> Engine<W> {
     #[inline]
     fn heap_swap(&mut self, a: usize, b: usize) {
         self.heap.swap(a, b);
-        self.slots[self.heap[a].slot as usize].pos = a as u32;
-        self.slots[self.heap[b].slot as usize].pos = b as u32;
+        self.slabs.set_pos(self.heap[a].slot, a as u32);
+        self.slabs.set_pos(self.heap[b].slot, b as u32);
     }
 }
 
@@ -904,6 +1053,32 @@ mod slab_tests {
     }
 
     #[test]
+    fn a_drained_slab_fills_again_from_the_bottom() {
+        let mut eng: Engine<Vec<u64>> = Engine::new();
+        let indices = |ids: &[EventId]| ids.iter().map(|id| id.unpack().1).collect::<Vec<_>>();
+        let first: Vec<_> = (0..4).map(|i| eng.schedule(t(4 - i), |_, _| {})).collect();
+        assert_eq!(indices(&first), [0, 1, 2, 3]);
+        // While anything is pending, the slot freed last is reused first.
+        assert!(eng.cancel(first[1]) && eng.cancel(first[2]));
+        let refill: Vec<_> = (0..3).map(|_| eng.schedule(t(9), |_, _| {})).collect();
+        assert_eq!(indices(&refill), [2, 1, 4]);
+        // Fired in an order unrelated to the indices; once the last one
+        // is gone the next burst lies in schedule order again, and no id
+        // from before it names one of its events.
+        let mut w = Vec::new();
+        eng.run(&mut w);
+        let second: Vec<_> = (0..5)
+            .map(|i| eng.schedule(t(20), move |w: &mut Vec<u64>, _| w.push(i)))
+            .collect();
+        assert_eq!(indices(&second), [0, 1, 2, 3, 4]);
+        for stale in first.iter().chain(&refill) {
+            assert!(!eng.cancel(*stale));
+        }
+        eng.run(&mut w);
+        assert_eq!(w, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
     fn slot_reuse_does_not_perturb_order() {
         // Fill, drain, and refill the slab: ordering is governed by
         // (time, schedule order) alone, never by slot index.
@@ -1088,6 +1263,150 @@ mod slab_tests {
         eng.run(&mut w);
         assert_eq!(w, vec![1, 2]);
     }
+
+    #[test]
+    fn an_id_from_before_the_horizon_cannot_cancel_a_later_event() {
+        let mut eng: Engine<Vec<u64>> = Engine::new();
+        eng.set_horizon(t(2));
+        let early = eng.schedule(t(1), |w, _| w.push(1));
+        let dropped = eng.schedule(t(5), |_, _| {});
+        let mut w = Vec::new();
+        eng.run(&mut w);
+        assert_eq!(eng.pending(), 0, "the horizon cleared the queue");
+        // The slab hands the same two indices out again.
+        let a = eng.schedule(t(2), |w, _| w.push(2));
+        let b = eng.schedule(t(2), |w, _| w.push(3));
+        let reused = [a.unpack().1, b.unpack().1];
+        assert!(reused.contains(&early.unpack().1) && reused.contains(&dropped.unpack().1));
+        assert!(!eng.cancel(early), "fired before the clear");
+        assert!(!eng.cancel(dropped), "dropped by the clear");
+        assert_eq!(eng.pending(), 2);
+        eng.run(&mut w);
+        assert_eq!(w, vec![1, 2, 3]);
+    }
+}
+
+#[cfg(test)]
+mod typed_tests {
+    use super::*;
+
+    fn t(s: u64) -> SimTime {
+        SimTime::from_secs(s)
+    }
+
+    /// Logs its label; a `Chain` schedules its successor a second later.
+    enum Ev {
+        Log(u64),
+        Chain(u64),
+    }
+
+    impl Event<Vec<u64>> for Ev {
+        fn fire(self, w: &mut Vec<u64>, eng: &mut Engine<Vec<u64>, Ev>) {
+            match self {
+                Ev::Log(label) => w.push(label),
+                Ev::Chain(label) => {
+                    w.push(label);
+                    let at = eng.now() + SimDuration::from_secs(1);
+                    eng.schedule_event(at, 0, Ev::Log(label + 1));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn typed_events_and_closures_pop_in_one_total_order() {
+        let mut eng: Engine<Vec<u64>, Ev> = Engine::new();
+        eng.schedule_event(t(2), 9, Ev::Log(5));
+        eng.schedule(t(2), |w, _| w.push(3));
+        eng.schedule_event(t(2), 0, Ev::Log(4));
+        eng.schedule_keyed(t(2), 9, |w, _| w.push(6));
+        eng.schedule_event(t(1), 7, Ev::Chain(1));
+        eng.schedule_every(t(2), SimDuration::from_secs(5), |w, _| {
+            w.push(7);
+            ControlFlow::Break(())
+        });
+        assert_eq!(eng.pending(), 6);
+        let mut w = Vec::new();
+        eng.run(&mut w);
+        // t=1: the chain; t=2: its successor was scheduled last of the
+        // key-0 events, the two key-9 events tie on key and fall back
+        // to schedule order.
+        assert_eq!(w, vec![1, 3, 4, 7, 2, 5, 6]);
+        assert_eq!((eng.executed(), eng.pending()), (7, 0));
+    }
+
+    #[test]
+    fn an_id_from_one_slab_cannot_cancel_the_same_index_in_the_other() {
+        let mut eng: Engine<Vec<u64>, Ev> = Engine::new();
+        let closure = eng.schedule(t(1), |w, _| w.push(1));
+        let typed = eng.schedule_event(t(1), 0, Ev::Log(2));
+        assert_eq!(closure.unpack(), (0, 0));
+        assert_eq!(typed.unpack(), (0, TYPED), "same index, same generation");
+        assert!(eng.cancel(closure));
+        assert!(!eng.cancel(closure), "and only once");
+        assert_eq!(eng.pending(), 1, "the typed event at index 0 stands");
+        let closure = eng.schedule(t(1), |w, _| w.push(3));
+        assert!(eng.cancel(typed));
+        assert!(!eng.cancel(typed));
+        assert_eq!(closure.unpack(), (1, 0), "the closure slot was reused");
+        let mut w = Vec::new();
+        eng.run(&mut w);
+        assert_eq!(w, vec![3]);
+    }
+
+    #[test]
+    fn a_typed_event_is_cancelled_from_a_lane_and_from_the_heap() {
+        let mut eng: Engine<Vec<u64>, Ev> = Engine::new();
+        let ids: Vec<_> = (0..6)
+            .map(|i| eng.schedule_event(t(1), 0, Ev::Log(i)))
+            .collect();
+        let keyed = eng.schedule_event(t(1), 4, Ev::Log(9));
+        assert_eq!((eng.heap.len(), eng.laned), (2, 5));
+        assert!(eng.cancel(ids[0]), "the heap root");
+        assert!(eng.cancel(ids[3]), "mid-lane: a tombstone");
+        assert!(eng.cancel(keyed));
+        // The freed slots go to the next typed events, whose ids differ
+        // from the stale ones by generation alone.
+        let again = eng.schedule_event(t(1), 0, Ev::Log(6));
+        assert_eq!(again.unpack().1, keyed.unpack().1);
+        assert!(!eng.cancel(keyed));
+        let mut w = Vec::new();
+        eng.run(&mut w);
+        assert_eq!(w, vec![1, 2, 4, 5, 6]);
+        assert_eq!(eng.slabs.events.slots.len(), 7);
+        assert!(eng.slabs.closures.slots.is_empty());
+    }
+
+    #[test]
+    fn the_horizon_frees_both_slabs() {
+        let mut eng: Engine<Vec<u64>, Ev> = Engine::new();
+        eng.set_horizon(t(2));
+        eng.schedule_event(t(1), 0, Ev::Chain(1));
+        let late_typed = eng.schedule_event(t(5), 0, Ev::Log(0));
+        let late_closure = eng.schedule(t(5), |w, _| w.push(0));
+        let mut w = Vec::new();
+        eng.run(&mut w);
+        assert_eq!(w, vec![1, 2]);
+        assert_eq!(eng.pending(), 0);
+        // Both slabs hand out the old indices again, under new
+        // generations: the ids from before the clear stay stale.
+        let typed = [3, 4].map(|l| eng.schedule_event(t(2), 0, Ev::Log(l)));
+        let closure = eng.schedule(t(2), |w, _| w.push(5));
+        assert!(typed
+            .iter()
+            .any(|id| id.unpack().1 == late_typed.unpack().1));
+        assert_eq!(closure.unpack().1, late_closure.unpack().1);
+        assert!(!eng.cancel(late_typed) && !eng.cancel(late_closure));
+        assert_eq!(eng.pending(), 3);
+        eng.run(&mut w);
+        assert_eq!(w, vec![1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn a_closure_slot_is_forty_bytes_whatever_the_typed_event() {
+        assert_eq!(std::mem::size_of::<Slot<Closure<u64, NoEvent>>>(), 40);
+        assert_eq!(std::mem::size_of::<Slot<Closure<u64, [u64; 12]>>>(), 40);
+    }
 }
 
 #[cfg(test)]
@@ -1099,7 +1418,7 @@ mod lane_tests {
     }
 
     /// Entries (live or dead) held in lanes.
-    fn laned_entries<W>(eng: &Engine<W>) -> usize {
+    fn laned_entries<W, E>(eng: &Engine<W, E>) -> usize {
         eng.lanes.iter().map(|l| l.q.len()).sum()
     }
 
@@ -1184,7 +1503,11 @@ mod lane_tests {
             assert!(laned_entries(&eng) <= 2 * eng.laned + 1);
         }
         assert_eq!(eng.pending(), 5);
-        assert_eq!(eng.slots.len(), 6, "cancelled slots are reused at once");
+        assert_eq!(
+            eng.slabs.closures.slots.len(),
+            6,
+            "cancelled slots are reused at once"
+        );
         let mut w = Vec::new();
         eng.run(&mut w);
         assert_eq!(w, vec![1; 5]);
@@ -1219,23 +1542,28 @@ mod lane_tests {
     #[test]
     fn nested_run_to_the_horizon_drops_the_laned_rearm() {
         // The periodic is popped from a lane; a nested `run` inside its
-        // callback reaches the horizon and clears the slab under it.
-        let mut eng: Engine<u64> = Engine::new();
-        eng.set_horizon(t(3));
-        eng.schedule_every(t(1), SimDuration::from_secs(1), |w, e| {
-            *w += 1;
-            if *w == 2 {
-                e.schedule(t(10), |_, _| {});
-                e.run(w);
-            }
-            ControlFlow::Continue(())
-        });
-        let mut w = 0;
-        eng.run_until(&mut w, t(1));
-        assert_eq!((w, eng.laned), (1, 1), "re-armed onto a lane");
-        eng.run(&mut w);
-        assert_eq!(w, 2);
-        assert_eq!((eng.pending(), laned_entries(&eng)), (0, 0));
+        // callback reaches the horizon and frees its slot under it —
+        // whichever way the callback then answers, the slot is not its
+        // to re-arm or to free.
+        for answer in [ControlFlow::Continue(()), ControlFlow::Break(())] {
+            let mut eng: Engine<u64> = Engine::new();
+            eng.set_horizon(t(3));
+            eng.schedule_every(t(1), SimDuration::from_secs(1), move |w, e| {
+                *w += 1;
+                if *w == 2 {
+                    e.schedule(t(10), |_, _| {});
+                    e.run(w);
+                    return answer;
+                }
+                ControlFlow::Continue(())
+            });
+            let mut w = 0;
+            eng.run_until(&mut w, t(1));
+            assert_eq!((w, eng.laned), (1, 1), "re-armed onto a lane");
+            eng.run(&mut w);
+            assert_eq!(w, 2);
+            assert_eq!((eng.pending(), laned_entries(&eng)), (0, 0));
+        }
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //!   tasks rather than real OS threads.
 //!
 //! The engine is generic over a world type `W`; events are closures that
-//! receive `&mut W` and the engine itself (to schedule follow-up events).
+//! receive `&mut W` and the engine itself (to schedule follow-up events)
+//! — or, for the few kinds a user schedules by the million, values of a
+//! type implementing [`Event`], which the engine stores without boxing.
 //!
 //! ```
 //! use fluxpm_sim::{Engine, SimTime};
@@ -28,6 +30,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 pub mod baseline;
 pub mod engine;
 pub mod rng;
@@ -36,7 +39,7 @@ pub mod time;
 pub mod trace;
 
 pub use baseline::{BaselineEngine, BaselineEventId};
-pub use engine::{Engine, EventId, Periodic};
+pub use engine::{Engine, Event, EventId, NoEvent, Periodic};
 pub use rng::{SplitMix64, Xoshiro256pp};
 pub use sharded::{Inbound, Outbound, ShardSim, ShardedEngine, ShardedRunStats};
 pub use time::{SimDuration, SimTime};

@@ -2,15 +2,17 @@
 //! slab, the heap and the lanes have their working size, a simulated
 //! second of timer traffic — periodic re-arms, constant-offset
 //! one-shots, cancelled deadlines — touches the allocator zero times. A
-//! re-arm reuses its slot, a lane is a ring that has already grown, and
-//! a zero-sized closure boxes to no block.
+//! re-arm reuses its slot, a lane is a ring that has already grown, a
+//! zero-sized closure boxes to no block, and a typed event — here the
+//! second hop, which carries 96 bytes as a delivery does — is a value in
+//! a slab that has already grown.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; counters
 //! are thread-local so the measurement is immune to other test threads
 //! allocating concurrently (the `crates/hw-models/tests/alloc_free.rs`
 //! harness).
 
-use fluxpm_sim::{Engine, EventId, SimDuration, SimTime};
+use fluxpm_sim::{Engine, Event, EventId, SimDuration, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -65,9 +67,22 @@ struct World {
     deadlines: VecDeque<EventId>,
 }
 
+/// The second hop of a firing's message, as wide as a message in flight.
+struct SecondHop([u64; 12]);
+
+impl Event<World> for SecondHop {
+    fn fire(self, w: &mut World, e: &mut Engine<World, SecondHop>) {
+        w.hops += self.0[11];
+        let deadline = w.deadlines.pop_front().expect("armed by the firing");
+        if w.hops % 5 < 3 {
+            w.cancelled += u64::from(e.cancel(deadline));
+        }
+    }
+}
+
 #[test]
 fn a_simulated_minute_of_timers_allocates_nothing_in_the_queue() {
-    let mut eng: Engine<World> = Engine::new();
+    let mut eng: Engine<World, SecondHop> = Engine::new();
     for i in 0..TASKS {
         // Two periods at one phase. A firing arms a deadline at
         // now + 1 s and sends a message over two constant-latency hops;
@@ -80,13 +95,7 @@ fn a_simulated_minute_of_timers_allocates_nothing_in_the_queue() {
             w.deadlines.push_back(deadline);
             e.schedule_in(HOP, |w: &mut World, e| {
                 w.hops += 1;
-                e.schedule_in(HOP, |w: &mut World, e| {
-                    w.hops += 1;
-                    let deadline = w.deadlines.pop_front().expect("armed by the firing");
-                    if w.hops % 5 < 3 {
-                        w.cancelled += u64::from(e.cancel(deadline));
-                    }
-                });
+                e.schedule_event(e.now() + HOP, 0, SecondHop([1; 12]));
             });
             ControlFlow::Continue(())
         });

@@ -12,8 +12,14 @@
 //! instants, intervals and delays are drawn from a short palette of the
 //! offsets the stack really uses (and small multiples), the other half
 //! uniformly.
+//!
+//! The reference engine knows neither ordering keys nor typed events, so
+//! a second family of programs — `schedule_event` interleaved with keyed
+//! closures, periodics and cancels across the two slabs — is checked
+//! against a sorted `Vec` of `(at, key, seq)` instead (the last section
+//! of this file).
 
-use fluxpm_sim::{BaselineEngine, Engine, SimDuration, SimTime};
+use fluxpm_sim::{BaselineEngine, Engine, Event, EventId, SimDuration, SimTime};
 use proptest::prelude::*;
 use std::ops::ControlFlow;
 
@@ -308,4 +314,415 @@ fn measured_mix_matches_baseline() {
         assert!(hits.count() >= 2 * n_every, "deadlines were cancelled");
         assert_eq!(new.2, 0, "drained, or cleared by the horizon");
     }
+}
+
+// ---------------------------------------------------------------------
+// Typed events: one total order over two slabs, against a sorted `Vec`
+// ---------------------------------------------------------------------
+
+#[derive(Debug, Clone)]
+enum TypedOp {
+    /// `schedule_event(at, key, ..)`; the event can schedule a typed
+    /// child `nested_in_us` later under its own key.
+    Event {
+        at_us: u64,
+        key: u64,
+        nested_in_us: Option<u64>,
+    },
+    /// `schedule_keyed(at, key, closure)`.
+    Closure { at_us: u64, key: u64 },
+    /// A periodic closure; every firing schedules a key-0 typed event
+    /// `hop_us` later.
+    Every {
+        at_us: u64,
+        interval_us: u64,
+        fires: u32,
+        hop_us: u64,
+    },
+    /// Cancels the `target_raw % i`-th created event — from a typed
+    /// event or from a closure, whichever slab the target sits in.
+    Cancel {
+        at_us: u64,
+        key: u64,
+        target_raw: usize,
+        typed: bool,
+    },
+}
+
+/// Few instants and fewer keys, so that most events tie on the instant
+/// and many on the key; `1 << 63` is where a delivery key starts.
+fn typed_op_strategy() -> impl Strategy<Value = TypedOp> {
+    let at = || prop_oneof![(0u64..6).prop_map(|s| s * 1_000_000), micros(0..6_000_000)];
+    let key = || {
+        prop_oneof![
+            3 => 0u64..1,
+            2 => 1u64..4,
+            1 => (0u64..3).prop_map(|k| (1 << 63) | k),
+        ]
+    };
+    prop_oneof![
+        4 => (at(), key(), prop::option::of(micros(0..2_000_000)))
+            .prop_map(|(at_us, key, nested_in_us)| TypedOp::Event { at_us, key, nested_in_us }),
+        2 => (at(), key()).prop_map(|(at_us, key)| TypedOp::Closure { at_us, key }),
+        1 => (at(), micros(1..3_000_000), 1u32..5, micros(0..2_000_000))
+            .prop_map(|(at_us, interval_us, fires, hop_us)| TypedOp::Every {
+                at_us,
+                interval_us: interval_us.max(1),
+                fires,
+                hop_us,
+            }),
+        2 => (at(), key(), 0usize..64, any::<bool>())
+            .prop_map(|(at_us, key, target_raw, typed)| TypedOp::Cancel {
+                at_us,
+                key,
+                target_raw,
+                typed,
+            }),
+    ]
+}
+
+enum Ev {
+    Log {
+        label: u32,
+        key: u64,
+        nested_in_us: Option<u64>,
+    },
+    Cancel {
+        label: u32,
+        target: Option<EventId>,
+    },
+}
+
+fn log_cancel(w: &mut Log, e: &mut Engine<Log, Ev>, label: u32, target: Option<EventId>) {
+    let hit = target.is_some_and(|t| e.cancel(t));
+    let tag = if hit { 30_000 } else { 40_000 };
+    w.push((e.now().as_micros(), tag + label));
+}
+
+impl Event<Log> for Ev {
+    fn fire(self, w: &mut Log, e: &mut Engine<Log, Ev>) {
+        match self {
+            Ev::Log {
+                label,
+                key,
+                nested_in_us,
+            } => {
+                w.push((e.now().as_micros(), label));
+                if let Some(d) = nested_in_us {
+                    let child = Ev::Log {
+                        label: 10_000 + label,
+                        key,
+                        nested_in_us: None,
+                    };
+                    e.schedule_event(e.now() + SimDuration::from_micros(d), key, child);
+                }
+            }
+            Ev::Cancel { label, target } => log_cancel(w, e, label, target),
+        }
+    }
+}
+
+fn run_typed(program: &[TypedOp], horizon_us: Option<u64>) -> (Log, u64, usize) {
+    let mut eng: Engine<Log, Ev> = Engine::new();
+    if let Some(h) = horizon_us {
+        eng.set_horizon(SimTime::from_micros(h));
+    }
+    let mut ids = Vec::new();
+    for (i, op) in program.iter().enumerate() {
+        let label = i as u32;
+        let id = match *op {
+            TypedOp::Event {
+                at_us,
+                key,
+                nested_in_us,
+            } => {
+                let ev = Ev::Log {
+                    label,
+                    key,
+                    nested_in_us,
+                };
+                eng.schedule_event(SimTime::from_micros(at_us), key, ev)
+            }
+            TypedOp::Closure { at_us, key } => {
+                eng.schedule_keyed(SimTime::from_micros(at_us), key, move |w: &mut Log, e| {
+                    w.push((e.now().as_micros(), label));
+                })
+            }
+            TypedOp::Every {
+                at_us,
+                interval_us,
+                fires,
+                hop_us,
+            } => {
+                let mut left = fires;
+                eng.schedule_every(
+                    SimTime::from_micros(at_us),
+                    SimDuration::from_micros(interval_us),
+                    move |w: &mut Log, e| {
+                        w.push((e.now().as_micros(), 20_000 + label));
+                        let hop = Ev::Log {
+                            label: 60_000 + label,
+                            key: 0,
+                            nested_in_us: None,
+                        };
+                        e.schedule_event(e.now() + SimDuration::from_micros(hop_us), 0, hop);
+                        left -= 1;
+                        if left == 0 {
+                            ControlFlow::Break(())
+                        } else {
+                            ControlFlow::Continue(())
+                        }
+                    },
+                )
+            }
+            TypedOp::Cancel {
+                at_us,
+                key,
+                target_raw,
+                typed,
+            } => {
+                let target = ids.get(target_raw % i.max(1)).copied();
+                let at = SimTime::from_micros(at_us);
+                if typed {
+                    eng.schedule_event(at, key, Ev::Cancel { label, target })
+                } else {
+                    eng.schedule_keyed(at, key, move |w: &mut Log, e| {
+                        log_cancel(w, e, label, target)
+                    })
+                }
+            }
+        };
+        ids.push(id);
+    }
+    let mut log = Log::new();
+    eng.run(&mut log);
+    (log, eng.executed(), eng.pending())
+}
+
+/// What a pending entry of the model does when it is popped.
+#[derive(Clone, Copy)]
+enum Action {
+    Log {
+        label: u32,
+        nested_in_us: Option<u64>,
+    },
+    Every {
+        label: u32,
+        interval_us: u64,
+        left: u32,
+        hop_us: u64,
+    },
+    /// `target` is the sequence number the target was created under —
+    /// unique for the life of an event, like its id.
+    Cancel { label: u32, target: Option<u64> },
+}
+
+/// The queue as a `Vec` kept sorted by `(at, key, seq)`: the total order
+/// written down, with nothing of the engine's in it.
+#[derive(Default)]
+struct Model {
+    now_us: u64,
+    seq: u64,
+    pending: Vec<((u64, u64, u64), Action)>,
+}
+
+impl Model {
+    fn schedule(&mut self, at_us: u64, key: u64, action: Action) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        self.insert((at_us.max(self.now_us), key, seq), action);
+        seq
+    }
+
+    fn insert(&mut self, order: (u64, u64, u64), action: Action) {
+        let at = self.pending.partition_point(|(o, _)| *o < order);
+        self.pending.insert(at, (order, action));
+    }
+
+    fn run(&mut self, horizon_us: Option<u64>) -> (Log, u64, usize) {
+        let mut log = Log::new();
+        let mut executed = 0;
+        while !self.pending.is_empty() {
+            let ((at_us, key, seq), action) = self.pending.remove(0);
+            if horizon_us.is_some_and(|h| at_us > h) {
+                self.pending.clear();
+                break;
+            }
+            self.now_us = at_us;
+            executed += 1;
+            match action {
+                Action::Log {
+                    label,
+                    nested_in_us,
+                } => {
+                    log.push((at_us, label));
+                    if let Some(d) = nested_in_us {
+                        let child = Action::Log {
+                            label: 10_000 + label,
+                            nested_in_us: None,
+                        };
+                        self.schedule(at_us + d, key, child);
+                    }
+                }
+                Action::Every {
+                    label,
+                    interval_us,
+                    left,
+                    hop_us,
+                } => {
+                    log.push((at_us, 20_000 + label));
+                    let hop = Action::Log {
+                        label: 60_000 + label,
+                        nested_in_us: None,
+                    };
+                    self.schedule(at_us + hop_us, 0, hop);
+                    if left > 1 {
+                        let again = Action::Every {
+                            label,
+                            interval_us,
+                            left: left - 1,
+                            hop_us,
+                        };
+                        // A re-arm keeps the sequence number it was
+                        // armed with.
+                        self.insert((at_us + interval_us, 0, seq), again);
+                    }
+                }
+                Action::Cancel { label, target } => {
+                    let found =
+                        target.and_then(|t| self.pending.iter().position(|((_, _, s), _)| *s == t));
+                    if let Some(at) = found {
+                        self.pending.remove(at);
+                    }
+                    let tag = if found.is_some() { 30_000 } else { 40_000 };
+                    log.push((at_us, tag + label));
+                }
+            }
+        }
+        (log, executed, self.pending.len())
+    }
+}
+
+fn run_model(program: &[TypedOp], horizon_us: Option<u64>) -> (Log, u64, usize) {
+    let mut model = Model::default();
+    let mut seqs = Vec::new();
+    for (i, op) in program.iter().enumerate() {
+        let label = i as u32;
+        let seq = match *op {
+            TypedOp::Event {
+                at_us,
+                key,
+                nested_in_us,
+            } => model.schedule(
+                at_us,
+                key,
+                Action::Log {
+                    label,
+                    nested_in_us,
+                },
+            ),
+            TypedOp::Closure { at_us, key } => model.schedule(
+                at_us,
+                key,
+                Action::Log {
+                    label,
+                    nested_in_us: None,
+                },
+            ),
+            TypedOp::Every {
+                at_us,
+                interval_us,
+                fires,
+                hop_us,
+            } => model.schedule(
+                at_us,
+                0,
+                Action::Every {
+                    label,
+                    interval_us,
+                    left: fires,
+                    hop_us,
+                },
+            ),
+            TypedOp::Cancel {
+                at_us,
+                key,
+                target_raw,
+                ..
+            } => {
+                let target = seqs.get(target_raw % i.max(1)).copied();
+                model.schedule(at_us, key, Action::Cancel { label, target })
+            }
+        };
+        seqs.push(seq);
+    }
+    model.run(horizon_us)
+}
+
+proptest! {
+    #[test]
+    fn typed_events_interleave_in_the_total_order(
+        program in prop::collection::vec(typed_op_strategy(), 1..48),
+        horizon_us in prop::option::of(1_000_000u64..9_000_000),
+    ) {
+        prop_assert_eq!(run_typed(&program, horizon_us), run_model(&program, horizon_us));
+    }
+}
+
+/// Same-instant ties, spelled out: at one microsecond, key-0 events in
+/// schedule order whichever slab holds them, then keys ascending, equal
+/// keys in schedule order again; a typed cancel takes a closure out of
+/// the pile and a closure cancel a typed event.
+#[test]
+fn same_instant_keyed_ties_match_the_model() {
+    let at_us = 1_000_000;
+    let event = |key| TypedOp::Event {
+        at_us,
+        key,
+        nested_in_us: Some(0),
+    };
+    let closure = |key| TypedOp::Closure { at_us, key };
+    let program = vec![
+        event(1 << 63),
+        closure(2),
+        event(2),
+        closure(0),
+        event(0),
+        TypedOp::Every {
+            at_us,
+            interval_us: 1_000_000,
+            fires: 3,
+            hop_us: 0,
+        },
+        closure(1 << 63),
+        event(2),
+        TypedOp::Cancel {
+            at_us,
+            key: 1,
+            target_raw: 1,
+            typed: true,
+        },
+        TypedOp::Cancel {
+            at_us,
+            key: 1,
+            target_raw: 7,
+            typed: false,
+        },
+        TypedOp::Cancel {
+            at_us: 2_000_000,
+            key: 0,
+            target_raw: 5,
+            typed: true,
+        },
+    ];
+    let got = run_typed(&program, None);
+    assert_eq!(got, run_model(&program, None));
+    let labels: Vec<u32> = got.0.iter().map(|&(_, label)| label).collect();
+    assert_eq!(
+        labels,
+        [
+            3, 4, 20_005, 10_004, 60_005, 30_008, 30_009, 2, 10_002, 0, 6, 10_000, 20_005, 30_010,
+            60_005
+        ]
+    );
 }

@@ -17,6 +17,7 @@
 //! model (paper Fig. 3) has a physical basis.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 pub mod api;
 pub mod error;
 pub mod json;

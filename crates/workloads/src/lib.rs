@@ -20,6 +20,7 @@
 //! EXPERIMENTS.md records how close the reproduction lands.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 pub mod apps;
 pub mod inputs;
 pub mod jitter;

@@ -185,12 +185,13 @@ impl Rig {
     }
 }
 
-/// Heap allocations per relayed edge message: the boxed delivery event,
-/// which owns the message and its route. The batch's shared slice and
-/// the payload that wraps it are built once per publish and passed down
-/// the tree, not once per edge; there is no `Rc` around the message, no
-/// per-flush vector, no per-batch staging buffer, no topic.
-const ALLOCS_PER_EDGE_MESSAGE: u64 = 1;
+/// Heap allocations per relayed edge message: none. The delivery event,
+/// which owns the message and its route, is a value in the engine's
+/// slab. The batch's shared slice and the payload that wraps it are
+/// built once per publish and passed down the tree, not once per edge;
+/// there is no `Rc` around the message, no per-flush vector, no
+/// per-batch staging buffer, no topic.
+const ALLOCS_PER_EDGE_MESSAGE: u64 = 0;
 
 /// Heap allocations per publish that has any edge to cross: the one
 /// shared slice and the one payload around it.
@@ -226,17 +227,17 @@ fn a_relayed_delta_costs_a_fixed_number_of_allocations_per_edge() {
 #[test]
 fn a_publish_builds_one_slice_and_one_payload_for_the_tree() {
     // The same three rigs, in absolute numbers. A push that crosses no
-    // edge costs 5 allocations (the push request's delivery event and
-    // callback, the stamped delta, the ack's payload and its delivery
-    // event); the first edge adds the batch — slice and payload — and
-    // its own delivery event; each of the other 14 edges, at whatever
-    // depth, adds a delivery event and nothing else. (7, 11 and 67 while
-    // every message sat in an `Rc` and every edge built its own batch.)
+    // edge costs 3 allocations (the push request's callback, the stamped
+    // delta, the ack's payload); the first edge adds the batch — slice
+    // and payload; the other 14 edges, at whatever depth, add nothing:
+    // fifteen edges cost what one does. (5, 8 and 22 while each message
+    // in flight was a boxed closure; 7, 11 and 67 while it also sat in
+    // an `Rc` and every edge built its own batch.)
     let leaves: Vec<u32> = (4..16).collect();
     let (a0, _) = Rig::new(16, 4, &[0]).steady_push_allocs();
     let (a1, _) = Rig::new(16, 4, &[4]).steady_push_allocs();
     let (a15, _) = Rig::new(16, 4, &leaves).steady_push_allocs();
-    assert_eq!((a0, a1, a15), (5, 8, 22));
+    assert_eq!((a0, a1, a15), (3, 5, 5));
 }
 
 /// A two-rank world with a service on rank 1 that echoes each request
@@ -260,7 +261,7 @@ fn run_out(w: &mut World, eng: &mut FluxEngine) {
 }
 
 #[test]
-fn a_message_costs_one_allocation_to_send_and_deliver() {
+fn a_message_costs_no_allocation_to_send_and_deliver() {
     let (mut w, mut eng, topic) = service(false);
     let body = payload(7u64);
     let send_one = |w: &mut World, eng: &mut FluxEngine| {
@@ -277,14 +278,14 @@ fn a_message_costs_one_allocation_to_send_and_deliver() {
     }
     let (allocs, ()) = allocs_during(|| send_one(&mut w, &mut eng));
     assert_eq!(
-        allocs, 1,
-        "the delivery event, which owns message and route"
+        allocs, 0,
+        "the delivery event, which owns message and route, is a slab entry"
     );
     assert_eq!(Rc::strong_count(&body), 1, "delivered and dropped");
 }
 
 #[test]
-fn a_deadline_rpc_costs_one_block_fewer_than_before() {
+fn a_deadline_rpc_allocates_only_its_callback() {
     let (mut w, mut eng, topic) = service(true);
     let body = payload(7u64);
     let answered = Rc::new(Cell::new(0u32));
@@ -302,12 +303,12 @@ fn a_deadline_rpc_costs_one_block_fewer_than_before() {
     for _ in 0..3 {
         call(&mut w, &mut eng);
     }
-    // A round trip under an armed deadline: the boxed callback, the
-    // deadline timer's event, and one delivery event per message. It
-    // was 6 while each of the two messages also sat in an `Rc` — one
-    // block fewer per message sent.
+    // A round trip under an armed deadline: the boxed callback and
+    // nothing else — the deadline timer and the two deliveries are slab
+    // entries. (4 while each of the three was a boxed closure, 6 while
+    // each message also sat in an `Rc`.)
     let (allocs, ()) = allocs_during(|| call(&mut w, &mut eng));
-    assert_eq!(allocs, 4);
+    assert_eq!(allocs, 1);
     assert_eq!(answered.get(), 4);
     assert_eq!(Rc::strong_count(&body), 1);
 }
