@@ -10,9 +10,9 @@
 //! * [`JobLevelManager`] (rank 0) — splits a job's limit equally across
 //!   its nodes and RPCs each node's manager,
 //! * [`NodeLevelManager`] (every rank) — enforces node-level limits by
-//!   deriving and setting per-GPU caps through Variorum/NVML, tracks node
-//!   power on its own timer, and optionally runs the **FFT-based dynamic
-//!   policy (FPP)** of Algorithm 1 per GPU.
+//!   deriving and setting per-GPU caps through Variorum/NVML, and
+//!   optionally runs the **FFT-based dynamic policy (FPP)** of
+//!   Algorithm 1 per GPU, sampling device power on its own timer.
 //!
 //! The pure decision logic — the proportional allocator and the FPP
 //! controller — lives in [`allocator`] and [`fpp`], fully unit-testable

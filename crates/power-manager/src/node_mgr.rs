@@ -1,9 +1,9 @@
 //! The node-level manager (paper §III-B).
 //!
 //! Runs on every rank. Enforces the node's power limit by deriving a
-//! per-GPU cap and setting it through Variorum/NVML, tracks node power on
-//! its own timer (the "separate thread" of the paper), and — under the
-//! FPP policy — runs one [`FppController`] per GPU.
+//! per-GPU cap and setting it through Variorum/NVML and — under the FPP
+//! policy only — samples device power on its own timer (the "separate
+//! thread" of the paper) into one [`FppController`] per GPU.
 //!
 //! **Derived GPU cap.** The manager reserves the node's idle power (CPU
 //! idle + memory idle + board) and splits the remaining budget across the
@@ -31,15 +31,6 @@ use std::rc::Rc;
 const TIMER_SAMPLE: u64 = 0;
 const TIMER_EPOCH: u64 = 1;
 
-/// A timestamped node-power track record.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TrackedPower {
-    /// Sample time (seconds on the simulation clock).
-    pub t_seconds: f64,
-    /// Total node draw.
-    pub node: Watts,
-}
-
 /// The `flux-power-manager` node-level component.
 pub struct NodeLevelManager {
     policy: PolicyKind,
@@ -53,8 +44,6 @@ pub struct NodeLevelManager {
     /// node: all 4–8 per-GPU epoch analyses reuse the same cached FFT
     /// plans, window tables, scratch arena, and spectrum buffers.
     analyzer: PeriodAnalyzer,
-    /// Recent node power history (bounded).
-    history: Vec<TrackedPower>,
     /// Cap-set operations that failed (NVML §V failures).
     cap_failures: u64,
     /// The job last seen on this node; FPP controllers reset when a new
@@ -63,9 +52,6 @@ pub struct NodeLevelManager {
 }
 
 impl NodeLevelManager {
-    /// Maximum history records retained.
-    const HISTORY_CAP: usize = 4096;
-
     /// Create an unloaded manager (FPP on GPUs, the paper's evaluation).
     pub fn new(policy: PolicyKind, fpp_config: FppConfig) -> NodeLevelManager {
         NodeLevelManager::with_target(policy, fpp_config, FppTarget::Gpu)
@@ -84,7 +70,6 @@ impl NodeLevelManager {
             node_limit: None,
             controllers: Vec::new(),
             analyzer: PeriodAnalyzer::new(),
-            history: Vec::new(),
             cap_failures: 0,
             current_job: None,
         }
@@ -109,11 +94,6 @@ impl NodeLevelManager {
     /// The node limit currently enforced.
     pub fn node_limit(&self) -> Option<Watts> {
         self.node_limit
-    }
-
-    /// Power history tracked so far.
-    pub fn history(&self) -> &[TrackedPower] {
-        &self.history
     }
 
     /// NVML set failures observed.
@@ -319,9 +299,9 @@ impl NodeLevelManager {
         }
     }
 
-    /// Sampling tick: track node power; feed FPP buffers. Also detects
-    /// job turnover on this node and resets the FPP controllers so every
-    /// job gets a fresh probe/converge cycle.
+    /// Sampling tick (FPP only): feed the controllers' buffers. Also
+    /// detects job turnover on this node and resets the controllers so
+    /// every job gets a fresh probe/converge cycle.
     fn on_sample(&mut self, ctx: &mut ModuleCtx<'_>) {
         let rank = ctx.rank;
         let job_now = ctx.world.jobs.job_on_node(NodeId(rank.0));
@@ -338,17 +318,10 @@ impl NodeLevelManager {
                 }
             }
         }
-        let t_seconds = ctx.eng.now().as_secs_f64();
         // Read in place: the resolved draw stays in the node and the
         // per-device feed is a slice of it — nothing is copied on the
         // 1 Hz sampling tick.
         let draw = ctx.world.nodes[rank.index()].draw();
-        if self.history.len() < Self::HISTORY_CAP {
-            self.history.push(TrackedPower {
-                t_seconds,
-                node: draw.total(),
-            });
-        }
         let feed: &[Watts] = match self.fpp_target {
             FppTarget::Gpu => &draw.gpu,
             FppTarget::Socket => &draw.cpu,
@@ -402,27 +375,25 @@ impl Module for NodeLevelManager {
         vec![TOPIC_SET_NODE_LIMIT.into()]
     }
 
+    /// A periodic event must name its reader: only FPP's controllers
+    /// consume a sample or an epoch, so a proportional or unconstrained
+    /// manager arms no timer at all.
     fn load(&mut self, ctx: &mut ModuleCtx<'_>) {
-        let rank = ctx.rank;
-        let name = self.name();
-        let sample = SimDuration::from_secs_f64(self.fpp_config.sample_period_s);
-        ctx.world.schedule_module_timer(
-            ctx.eng,
-            rank,
-            name,
-            ctx.now() + sample,
-            sample,
-            TIMER_SAMPLE,
-        );
-        if self.policy == PolicyKind::Fpp {
-            let epoch = SimDuration::from_secs_f64(self.fpp_config.powercap_time_s);
+        if self.policy != PolicyKind::Fpp {
+            return;
+        }
+        for (period_s, tag) in [
+            (self.fpp_config.sample_period_s, TIMER_SAMPLE),
+            (self.fpp_config.powercap_time_s, TIMER_EPOCH),
+        ] {
+            let period = SimDuration::from_secs_f64(period_s);
             ctx.world.schedule_module_timer(
                 ctx.eng,
-                rank,
-                name,
-                ctx.now() + epoch,
-                epoch,
-                TIMER_EPOCH,
+                ctx.rank,
+                self.name(),
+                ctx.now() + period,
+                period,
+                tag,
             );
         }
     }

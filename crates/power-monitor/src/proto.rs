@@ -19,21 +19,25 @@ use std::sync::Arc;
 /// parses.
 ///
 /// A record is a handle to one immutable heap block, written once at
-/// sample time. The ring owns the sample; a reply, the root's
-/// aggregation and the client all hold the same block, so cloning a
-/// record is a reference-count bump however large the JSON is. The
+/// sample time, plus the two numbers every query reads — timestamp and
+/// node power — so a window search or a statistic walks the ring's own
+/// storage and touches no block. The ring owns the sample; a reply, the
+/// root's aggregation and the client all hold the same block, so cloning
+/// a record is a reference-count bump however large the JSON is. The
 /// per-socket and per-GPU values live only in the JSON:
 /// [`PowerRecord::sample`] decodes them on demand.
-#[derive(Clone, PartialEq)]
+#[derive(Clone)]
 pub struct PowerRecord {
     /// `[stored JSON][TRAILER bytes of little-endian numbers]`.
     block: Arc<[u8]>,
+    /// Kept beside the pointer, not behind it: see the type's docs.
+    timestamp_us: u64,
+    node_w: f64,
 }
 
-/// Bytes behind the JSON: `timestamp_us`, then the node-power estimate,
-/// CPU total, GPU total and memory power (8 bytes each), then one flags
-/// byte.
-const TRAILER: usize = 41;
+/// Bytes behind the JSON: CPU total, GPU total and memory power (8 bytes
+/// each), then one flags byte.
+const TRAILER: usize = 25;
 /// Flag: the node power is a direct measurement, not a component sum.
 const NODE_MEASURED: u8 = 1;
 /// Flag: the platform reported memory power.
@@ -68,9 +72,7 @@ impl PowerRecord {
             if sample.power_mem_watts.is_some() {
                 flags |= MEM_REPORTED;
             }
-            buf.extend_from_slice(&sample.timestamp_us.to_le_bytes());
             for w in [
-                sample.node_power_estimate(),
                 sample.cpu_total(),
                 sample.gpu_total(),
                 sample.power_mem_watts.unwrap_or(0.0),
@@ -80,14 +82,16 @@ impl PowerRecord {
             buf.push(flags);
             PowerRecord {
                 block: Arc::from(&buf[..]),
+                timestamp_us: sample.timestamp_us,
+                node_w: sample.node_power_estimate(),
             }
         })
     }
 
-    /// The 8 trailer bytes of number `index` (0 = timestamp).
-    fn number(&self, index: usize) -> [u8; 8] {
+    /// Trailer number `index` (0 = CPU total, 1 = GPU total, 2 = memory).
+    fn number(&self, index: usize) -> f64 {
         let at = self.block.len() - TRAILER + 8 * index;
-        self.block[at..at + 8].try_into().expect("8-byte slice")
+        f64::from_le_bytes(self.block[at..at + 8].try_into().expect("8-byte slice"))
     }
 
     fn flag(&self, flag: u8) -> bool {
@@ -96,7 +100,7 @@ impl PowerRecord {
 
     /// Timestamp in microseconds.
     pub fn timestamp_us(&self) -> u64 {
-        u64::from_le_bytes(self.number(0))
+        self.timestamp_us
     }
 
     /// The node power a client reports: the direct measurement when the
@@ -104,7 +108,7 @@ impl PowerRecord {
     /// ([`NodePowerSample::node_power_estimate`], computed at sample
     /// time).
     pub fn node_power_estimate(&self) -> f64 {
-        f64::from_le_bytes(self.number(1))
+        self.node_w
     }
 
     /// Whether [`PowerRecord::node_power_estimate`] is a direct
@@ -115,18 +119,17 @@ impl PowerRecord {
 
     /// Total CPU power in the sample (W).
     pub fn cpu_total(&self) -> f64 {
-        f64::from_le_bytes(self.number(2))
+        self.number(0)
     }
 
     /// Total GPU power in the sample (W).
     pub fn gpu_total(&self) -> f64 {
-        f64::from_le_bytes(self.number(3))
+        self.number(1)
     }
 
     /// Memory power (W), when the platform reports it.
     pub fn mem_watts(&self) -> Option<f64> {
-        self.flag(MEM_REPORTED)
-            .then(|| f64::from_le_bytes(self.number(4)))
+        self.flag(MEM_REPORTED).then(|| self.number(2))
     }
 
     /// Size of the stored JSON encoding in bytes.
@@ -145,6 +148,16 @@ impl PowerRecord {
     /// as a hostname containing a quote.
     pub fn sample(&self) -> Option<NodePowerSample> {
         NodePowerSample::from_json(std::str::from_utf8(self.raw_json()).ok()?)
+    }
+}
+
+/// Equal when every stored bit is: a NaN reading equals itself, as the
+/// block's bytes do.
+impl PartialEq for PowerRecord {
+    fn eq(&self, other: &PowerRecord) -> bool {
+        self.timestamp_us == other.timestamp_us
+            && self.node_w.to_bits() == other.node_w.to_bits()
+            && self.block == other.block
     }
 }
 
@@ -589,6 +602,14 @@ mod tests {
             records: records.into(),
             complete,
         }
+    }
+
+    #[test]
+    fn a_record_is_a_32_byte_handle_to_json_plus_25() {
+        assert_eq!(std::mem::size_of::<PowerRecord>(), 32);
+        let r = record(7, 100.0);
+        assert_eq!(r.block.len(), r.raw_json().len() + 25);
+        assert_eq!(r.stored_bytes(), r.raw_json().len());
     }
 
     #[test]

@@ -136,8 +136,7 @@ impl<T> RingBuffer<T> {
     pub fn range_by_key<K: Ord>(&self, lo: K, hi: K, key: impl Fn(&T) -> K) -> (&[T], &[T]) {
         let narrow = |run: &[T]| {
             let start = run.partition_point(|x| key(x) < lo);
-            let end = run.partition_point(|x| key(x) <= hi);
-            start..end.max(start)
+            start..start + run[start..].partition_point(|x| key(x) <= hi)
         };
         let (first, second) = self.as_slices();
         (&first[narrow(first)], &second[narrow(second)])

@@ -265,7 +265,24 @@ proptest! {
         prop_assert_eq!(record.gpu_total().to_bits(), sample.gpu_total().to_bits());
         prop_assert_eq!(record.mem_watts(), sample.power_mem_watts);
         prop_assert_eq!(&record, &PowerRecord::new(sample.clone()));
-        prop_assert_eq!(record.sample(), Some(sample));
+        prop_assert_eq!(record.sample(), Some(sample.clone()));
+
+        // The node power sits in the handle, not in the JSON's three
+        // decimals: it keeps every bit of a finer value — measured
+        // (Lassen) or summed from the components (Tioga).
+        let mut finer = sample.clone();
+        match &mut finer.power_node_watts {
+            Some(w) => *w += 1e-7,
+            None => finer.power_gpu_watts[0] += 1e-7,
+        }
+        let fine = PowerRecord::encode(&finer);
+        prop_assert_eq!(fine.raw_json(), record.raw_json());
+        prop_assert_eq!(
+            fine.node_power_estimate().to_bits(),
+            finer.node_power_estimate().to_bits()
+        );
+        prop_assert!(fine.node_power_estimate() != record.node_power_estimate());
+        prop_assert!(fine != record, "equal JSON, different node power");
     }
 
     /// The ring buffer behaves exactly like a capacity-bounded `VecDeque`

@@ -2,6 +2,7 @@
 """Turn a sigprof profile (see sampler.c) into self-time and inclusive tables.
 
     python3 scripts/sigprof/symbolize.py queue.prof [--top N] [--keep-yardstick]
+                                         [--callers N [--all]]
 
 Every return address is mapped back to its ELF file (file offset from the
 `r-xp` mapping, virtual address from `readelf -lW`) and symbolised with
@@ -20,7 +21,12 @@ Tables, all in samples and per cent of the samples kept:
   share of each entry spent in libc/libm beside it; and the same summed by
   source file, which is the layer view;
 * inclusive time by project function: samples with the function anywhere on
-  the stack (recursion counted once).
+  the stack (recursion counted once);
+* with --callers N, call chains: the leaf and the first N project frames
+  above it as one entry (`realloc <- on_sample <- timer <- ...`), over the
+  samples whose leaf is outside the program, or over every sample with
+  --all. Self time says which function asked for the `realloc`; the chain
+  says which event it was asked for.
 
 Samples with a frame under `yardstick` (stackbench's calibration laps, not
 the workload) are dropped unless --keep-yardstick is given.
@@ -192,6 +198,10 @@ def main():
     ap.add_argument("profile")
     ap.add_argument("--top", type=int, default=20)
     ap.add_argument("--keep-yardstick", action="store_true")
+    ap.add_argument("--callers", type=int, default=0, metavar="N",
+                    help="also rank call chains: the leaf plus its first N project frames")
+    ap.add_argument("--all", action="store_true",
+                    help="with --callers: chains of every sample, not only of library leaves")
     args = ap.parse_args()
 
     mappings, raw, info, program = parse(args.profile)
@@ -214,7 +224,7 @@ def main():
         return 1
 
     leaf_module, leaf_function = collections.Counter(), collections.Counter()
-    self_by, lib_share, inclusive = (collections.Counter() for _ in range(3))
+    self_by, lib_share, inclusive, chains = (collections.Counter() for _ in range(4))
     for flat in kept:
         leaf, module, _ = flat[0]
         leaf_module[module] += 1
@@ -227,6 +237,16 @@ def main():
         lib_share[owner] += module != program
         for fn in {fn for fn, _, project in flat if project}:
             inclusive[fn] += 1
+        if args.callers and (args.all or module != program):
+            # One entry per function: inlined helpers and closures of the
+            # same `fn` are consecutive frames with one name.
+            chain = [leaf if module == program else f"{leaf} [{module}]"]
+            for fn, _, project in flat[1:]:
+                if len(chain) > args.callers:
+                    break
+                if project and fn != chain[-1]:
+                    chain.append(fn)
+            chains[" <- ".join(chain)] += 1
 
     table("where the leaf frame is", leaf_module.most_common(), total, args.top)
     table("leaves outside the program", leaf_function.most_common(), total, args.top)
@@ -242,6 +262,10 @@ def main():
         by_file[owner.split(": ")[0]] += count
     table("self time by source file of the first project frame", by_file.most_common(), total, args.top)
     table("inclusive time by project function", inclusive.most_common(), total, args.top)
+    if args.callers:
+        scope = "every sample" if args.all else "library leaves"
+        table(f"call chains, {scope}: leaf <- first {args.callers} project frames",
+              chains.most_common(), total, args.top)
     return 0
 
 
