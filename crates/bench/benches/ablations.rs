@@ -1,7 +1,7 @@
 //! Ablation benchmarks for the design choices called out in DESIGN.md:
 //!
-//! * FFT kernel: radix-2 vs Bluestein vs naive DFT,
-//! * period estimation: periodogram vs autocorrelation,
+//! * FFT kernel: radix-2 vs Bluestein,
+//! * period estimation: periodogram vs autocorrelation vs Welch,
 //! * telemetry ring buffer vs `VecDeque`,
 //! * event-engine throughput (one-shot and periodic),
 //! * TBON RPC fan-out across tree sizes,
@@ -10,9 +10,7 @@
 //! * power-resolution hot path.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fluxpm_fft::fft::{fft, naive_dft};
-use fluxpm_fft::period::{autocorr_period, estimate_period};
-use fluxpm_fft::Complex64;
+use fluxpm_fft::{autocorr_period, Complex64, FftPlanner, FftScratch, PeriodAnalyzer, Samples};
 use fluxpm_hw::{lassen, Lanes, PowerDemand, Watts};
 use fluxpm_manager::{FppConfig, FppController};
 use fluxpm_monitor::RingBuffer;
@@ -30,15 +28,15 @@ fn signal(n: usize) -> Vec<Complex64> {
 fn bench_fft_kernels(c: &mut Criterion) {
     let mut g = c.benchmark_group("fft_kernel");
     // 128: power of two (radix-2 path); 90: FPP's actual epoch length
-    // (Bluestein path); naive DFT as the baseline both are verified
-    // against.
+    // (Bluestein path).
+    let (mut planner, mut scratch, mut out) = (FftPlanner::new(), FftScratch::new(), Vec::new());
     for &n in &[90usize, 128] {
         let x = signal(n);
         g.bench_with_input(BenchmarkId::new("fast", n), &x, |b, x| {
-            b.iter(|| black_box(fft(x)))
-        });
-        g.bench_with_input(BenchmarkId::new("naive_dft", n), &x, |b, x| {
-            b.iter(|| black_box(naive_dft(x, false)))
+            b.iter(|| {
+                planner.fft_into(x, &mut out, &mut scratch);
+                black_box(out.len())
+            })
         });
     }
     g.finish();
@@ -64,17 +62,18 @@ fn bench_period_estimators(c: &mut Criterion) {
         })
         .collect();
     let mut g = c.benchmark_group("period_estimation");
+    let mut analyzer = PeriodAnalyzer::new();
     g.bench_function("periodogram", |b| {
-        b.iter(|| black_box(estimate_period(&samples, 1.0)))
+        b.iter(|| black_box(analyzer.estimate_period(Samples::contiguous(&samples), 1.0)))
     });
     g.bench_function("autocorrelation", |b| {
         b.iter(|| black_box(autocorr_period(&samples, 1.0, 0.3)))
     });
     g.bench_function("welch_360", |b| {
-        b.iter(|| black_box(fluxpm_fft::welch_estimate_period(&long, 1.0, 90)))
+        b.iter(|| black_box(analyzer.welch_estimate_period(Samples::contiguous(&long), 1.0, 90)))
     });
     g.bench_function("periodogram_360", |b| {
-        b.iter(|| black_box(estimate_period(&long, 1.0)))
+        b.iter(|| black_box(analyzer.estimate_period(Samples::contiguous(&long), 1.0)))
     });
     g.finish();
 }
@@ -214,6 +213,7 @@ fn bench_tbon_rpc(c: &mut Criterion) {
 }
 
 fn bench_controller(c: &mut Criterion) {
+    let mut analyzer = PeriodAnalyzer::new();
     c.bench_function("fpp_controller_epoch", |b| {
         b.iter(|| {
             let mut ctl = FppController::new(FppConfig::default(), Watts(253.5));
@@ -226,7 +226,7 @@ fn bench_controller(c: &mut Criterion) {
                     };
                     ctl.store_power_sample(Watts(w));
                 }
-                black_box(ctl.on_epoch());
+                black_box(ctl.on_epoch(&mut analyzer));
             }
             black_box(ctl.cap())
         })

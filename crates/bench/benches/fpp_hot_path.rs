@@ -1,23 +1,20 @@
-//! FPP analytics hot-path benchmarks:
+//! FPP analytics hot-path benchmarks, each on a warm
+//! [`fluxpm_fft::PeriodAnalyzer`] (cached plans + scratch arena):
 //!
-//! * `estimate_period` — planned (cached plans + scratch arena, via
-//!   [`fluxpm_fft::PeriodAnalyzer`]) vs unplanned single-window period
-//!   estimation at n = 15 (Bluestein), 64, and 1024 (radix-2),
-//! * `welch` — planned vs unplanned Welch-averaged estimation at the
-//!   production segment shapes: a 180 s double epoch with 90-sample
-//!   segments and a 1024-sample trace with 128-sample segments,
+//! * `estimate_period` — single-window period estimation at n = 15
+//!   (Bluestein), 64, and 1024 (radix-2),
+//! * `welch` — Welch-averaged estimation at the production segment
+//!   shapes: a 180 s double epoch with 90-sample segments and a
+//!   1024-sample trace with 128-sample segments,
 //! * `fpp_epoch` — one node's Welch-mode per-GPU epoch analysis
-//!   (8 GPUs × 90 samples at 1 Hz): the pre-PR contiguous-Vec unplanned
-//!   path vs the planned zero-copy ring-view path batched through a
-//!   single shared analyzer.
+//!   (8 GPUs × 90 samples at 1 Hz) on zero-copy ring views batched
+//!   through a single shared analyzer.
 //!
 //! Ungated: CI's bench smoke job runs this target in `--quick` mode to
 //! catch bitrot; the gated numbers are stackbench's (`benchmark/`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fluxpm_bench::fpp::{
-    epoch_signal, planned_estimate, planned_welch, unplanned_estimate, unplanned_welch, FppEpochRig,
-};
+use fluxpm_bench::fpp::{epoch_signal, planned_estimate, planned_welch, FppEpochRig};
 use fluxpm_fft::PeriodAnalyzer;
 use std::hint::black_box;
 
@@ -30,9 +27,6 @@ fn bench_estimate_period(c: &mut Criterion) {
         planned_estimate(&mut analyzer, &x);
         g.bench_with_input(BenchmarkId::new("planned", n), &x, |b, x| {
             b.iter(|| black_box(planned_estimate(&mut analyzer, x)))
-        });
-        g.bench_with_input(BenchmarkId::new("unplanned", n), &x, |b, x| {
-            b.iter(|| black_box(unplanned_estimate(x)))
         });
     }
     g.finish();
@@ -48,24 +42,16 @@ fn bench_welch(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("planned", &id), &x, |b, x| {
             b.iter(|| black_box(planned_welch(&mut analyzer, x, seg)))
         });
-        g.bench_with_input(BenchmarkId::new("unplanned", &id), &x, |b, x| {
-            b.iter(|| black_box(unplanned_welch(x, seg)))
-        });
     }
     g.finish();
 }
 
 fn bench_epoch(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fpp_epoch");
     let mut rig = FppEpochRig::new(8, 90, 3);
-    rig.verify_agreement();
-    g.bench_function("planned_8gpu_welch", |b| {
+    assert!(rig.planned_epoch() > 0, "rig signals must be detectable");
+    c.bench_function("fpp_epoch/planned_8gpu_welch", |b| {
         b.iter(|| black_box(rig.planned_epoch()))
     });
-    g.bench_function("unplanned_8gpu_welch", |b| {
-        b.iter(|| black_box(rig.unplanned_epoch()))
-    });
-    g.finish();
 }
 
 criterion_group!(benches, bench_estimate_period, bench_welch, bench_epoch);

@@ -1,11 +1,8 @@
 //! Simulator hot-path benchmarks:
 //!
-//! * `engine_churn` — mixed schedule/cancel/periodic throughput on the
-//!   optimized slab engine vs the in-tree reference engine (same seed,
-//!   same program, measured live),
+//! * `engine_churn` — mixed schedule/cancel/periodic throughput,
 //! * `sliced_drain` — the experiment-driver pattern of polling
-//!   `next_event_time` before every step (a constant-size scan on the
-//!   slab engine, O(pending) on the reference engine),
+//!   `next_event_time` before every step,
 //! * `timer_mix` — the traffic the stackbench workloads really put on
 //!   the queue: periodic re-arms, constant-latency hops and mostly
 //!   cancelled RPC deadlines, every event at one of three offsets from
@@ -24,48 +21,32 @@
 //! catch bitrot; the gated numbers are stackbench's (`benchmark/`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fluxpm_bench::workload::{
-    churn_baseline, churn_new, sliced_drain_baseline, sliced_drain_new, timer_mix_baseline,
-    timer_mix_new, DeliveryRig, MsgPathRig,
-};
+use fluxpm_bench::workload::{churn, sliced_drain, timer_mix, DeliveryRig, MsgPathRig};
 use fluxpm_experiments::chaos::{storm, StormConfig};
 use std::hint::black_box;
 
 fn bench_engine_churn(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine_churn");
     for &n in &[2_000usize, 20_000] {
-        g.bench_with_input(BenchmarkId::new("slab", n), &n, |b, &n| {
-            b.iter(|| black_box(churn_new(n, 42)))
-        });
-        g.bench_with_input(BenchmarkId::new("baseline", n), &n, |b, &n| {
-            b.iter(|| black_box(churn_baseline(n, 42)))
+        g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
+            b.iter(|| black_box(churn(n, 42)))
         });
     }
     g.finish();
 }
 
 fn bench_sliced_drain(c: &mut Criterion) {
-    let mut g = c.benchmark_group("sliced_drain");
     let (n, slices) = (5_000usize, 50u64);
-    g.bench_function("slab", |b| {
-        b.iter(|| black_box(sliced_drain_new(n, slices, 42)))
+    c.bench_function("sliced_drain", |b| {
+        b.iter(|| black_box(sliced_drain(n, slices, 42)))
     });
-    g.bench_function("baseline", |b| {
-        b.iter(|| black_box(sliced_drain_baseline(n, slices, 42)))
-    });
-    g.finish();
 }
 
 fn bench_timer_mix(c: &mut Criterion) {
-    let mut g = c.benchmark_group("timer_mix");
     let (nodes, seconds) = (2_048usize, 20u64);
-    g.bench_function("slab", |b| {
-        b.iter(|| black_box(timer_mix_new(nodes, seconds, 42)))
+    c.bench_function("timer_mix", |b| {
+        b.iter(|| black_box(timer_mix(nodes, seconds, 42)))
     });
-    g.bench_function("baseline", |b| {
-        b.iter(|| black_box(timer_mix_baseline(nodes, seconds, 42)))
-    });
-    g.finish();
 }
 
 fn bench_delivery(c: &mut Criterion) {

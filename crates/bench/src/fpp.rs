@@ -1,29 +1,20 @@
 //! Shared FPP analytics workloads for the `fpp_hot_path` benchmark and
-//! stackbench (`benchmark/`).
-//!
-//! The benchmark compares two stacks on the same signals:
-//!
-//! * **unplanned** — the pre-PR reference path: contiguous `Vec<f64>`
-//!   epoch buffers fed to [`fluxpm_fft::estimate_period`] /
-//!   [`fluxpm_fft::welch_estimate_period`], which replan twiddles,
-//!   window coefficients, and Bluestein chirps on every call;
-//! * **planned** — the allocation-free path: ring-backed epoch buffers
-//!   read through a two-slice [`Samples`] view and analyzed by one
-//!   shared [`PeriodAnalyzer`] (cached plans + scratch arena).
+//! stackbench (`benchmark/`): epoch buffers analyzed by one shared
+//! [`PeriodAnalyzer`] (cached plans + scratch arena).
 //!
 //! The per-epoch rig mirrors production shape: one node manager's
 //! per-GPU controllers running Welch-mode period detection over a 90 s
-//! epoch at 1 Hz sampling, batched through a single analyzer.
+//! epoch at 1 Hz sampling, ring-backed buffers read through two-slice
+//! [`Samples`] views, batched through a single analyzer.
 
-use fluxpm_fft::{estimate_period, welch_estimate_period, PeriodAnalyzer, Samples};
+use fluxpm_fft::{PeriodAnalyzer, Samples};
 use fluxpm_monitor::RingBuffer;
 
 /// FPP's production sampling rate: 1 Hz (`sample_period_s = 1.0`).
 pub const SAMPLE_RATE_HZ: f64 = 1.0;
 
 /// Deterministic noisy square wave — the signal class FPP sees from
-/// iteration-periodic GPU workloads. LCG-seeded so both stacks analyze
-/// byte-identical traces.
+/// iteration-periodic GPU workloads, LCG-seeded.
 pub fn epoch_signal(n: usize, period_s: f64, seed: u64) -> Vec<f64> {
     let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
     (0..n)
@@ -40,22 +31,11 @@ pub fn epoch_signal(n: usize, period_s: f64, seed: u64) -> Vec<f64> {
         .collect()
 }
 
-/// One unplanned `estimate_period` call on a contiguous buffer — the
-/// pre-PR per-epoch kernel.
-pub fn unplanned_estimate(samples: &[f64]) -> Option<f64> {
-    estimate_period(samples, SAMPLE_RATE_HZ).map(|e| e.period_seconds)
-}
-
 /// One planned `estimate_period` call through a shared analyzer.
 pub fn planned_estimate(analyzer: &mut PeriodAnalyzer, samples: &[f64]) -> Option<f64> {
     analyzer
         .estimate_period(Samples::from(samples), SAMPLE_RATE_HZ)
         .map(|e| e.period_seconds)
-}
-
-/// One unplanned Welch estimate — the pre-PR Welch-mode kernel.
-pub fn unplanned_welch(samples: &[f64], segment_len: usize) -> Option<f64> {
-    welch_estimate_period(samples, SAMPLE_RATE_HZ, segment_len).map(|e| e.period_seconds)
 }
 
 /// One planned Welch estimate through a shared analyzer.
@@ -70,13 +50,10 @@ pub fn planned_welch(
 }
 
 /// Per-epoch FPP analysis rig: one node's worth of per-GPU epoch
-/// buffers holding the same signals in both layouts — contiguous `Vec`s
-/// for the pre-PR path, wrapped `RingBuffer`s (written past one full
-/// revolution so every read is a genuine two-slice view) for the
-/// planned path.
+/// buffers, wrapped `RingBuffer`s written past one full revolution so
+/// every read is a genuine two-slice view.
 #[derive(Debug)]
 pub struct FppEpochRig {
-    vecs: Vec<Vec<f64>>,
     rings: Vec<RingBuffer<f64>>,
     analyzer: PeriodAnalyzer,
     segment_len: usize,
@@ -86,7 +63,6 @@ impl FppEpochRig {
     /// `gpus` buffers of `n` samples each; `segment_len` follows FPP's
     /// production rule `(n / 2).max(8)`.
     pub fn new(gpus: usize, n: usize, seed: u64) -> FppEpochRig {
-        let mut vecs = Vec::with_capacity(gpus);
         let mut rings = Vec::with_capacity(gpus);
         for gpu in 0..gpus {
             // Distinct period per GPU: plans for several lengths stay
@@ -101,34 +77,19 @@ impl FppEpochRig {
             for &s in &v {
                 ring.push(s);
             }
-            vecs.push(v);
             rings.push(ring);
         }
         FppEpochRig {
-            vecs,
             rings,
             analyzer: PeriodAnalyzer::new(),
             segment_len: (n / 2).max(8),
         }
     }
 
-    /// Pre-PR per-epoch analysis: Welch with single-window fallback on
-    /// each GPU's contiguous buffer, unplanned kernels throughout.
-    /// Returns the number of GPUs with a detected period.
-    pub fn unplanned_epoch(&self) -> usize {
-        self.vecs
-            .iter()
-            .filter(|v| {
-                welch_estimate_period(v, SAMPLE_RATE_HZ, self.segment_len)
-                    .or_else(|| estimate_period(v, SAMPLE_RATE_HZ))
-                    .is_some()
-            })
-            .count()
-    }
-
-    /// Planned per-epoch analysis: the same Welch-plus-fallback
-    /// structure on zero-copy ring views through the one shared
-    /// analyzer. Returns the number of GPUs with a detected period.
+    /// Per-epoch analysis: Welch with single-window fallback, as
+    /// `FppController::on_epoch` runs it, on zero-copy ring views through
+    /// the one shared analyzer. Returns the number of GPUs with a
+    /// detected period.
     pub fn planned_epoch(&mut self) -> usize {
         let analyzer = &mut self.analyzer;
         let segment_len = self.segment_len;
@@ -143,16 +104,5 @@ impl FppEpochRig {
                     .is_some()
             })
             .count()
-    }
-
-    /// Both paths must agree on every GPU before timing means anything.
-    pub fn verify_agreement(&mut self) {
-        let planned = self.planned_epoch();
-        let unplanned = self.unplanned_epoch();
-        assert_eq!(
-            planned, unplanned,
-            "planned and unplanned epoch analysis disagree"
-        );
-        assert!(planned > 0, "rig signals must be detectable");
     }
 }

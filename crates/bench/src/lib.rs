@@ -12,12 +12,12 @@
 //! * `ablations` — the design-choice ablations from DESIGN.md (FFT
 //!   kernels, period estimators, ring buffer, event engine, TBON fan-out,
 //!   FPP controller, power resolution),
-//! * `sim_hot_path` — the simulator hot path: event-engine ops/sec
-//!   (optimized slab engine vs the in-tree reference engine), per-hop
-//!   message delivery cost, and the 128-rank chaos storm,
-//! * `fpp_hot_path` — the FPP analytics hot path: planned
-//!   (cached-plan, allocation-free) vs unplanned period estimation and
-//!   Welch PSDs, plus the batched per-GPU epoch analysis,
+//! * `sim_hot_path` — the simulator hot path: event-engine throughput
+//!   on heap- and lane-shaped traffic, per-hop message delivery cost,
+//!   and the 128-rank chaos storm,
+//! * `fpp_hot_path` — the FPP analytics hot path: period estimation and
+//!   Welch PSDs on a warm analyzer, plus the batched per-GPU epoch
+//!   analysis,
 //! * `sim_sharded` — the full-fidelity sharded world at 1/2/4 shards,
 //! * `telemetry_fanout` — subscription fan-out through the hub and the
 //!   relay tree,

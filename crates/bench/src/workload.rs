@@ -1,11 +1,5 @@
 //! Deterministic workloads shared by the `sim_hot_path` and
 //! `congestion` bench targets and by stackbench (`benchmark/`).
-//!
-//! The engine churn runs the *same* seeded program through the
-//! optimized slab engine ([`fluxpm_sim::Engine`]) and the in-tree
-//! reference engine ([`fluxpm_sim::BaselineEngine`]), so speedups are
-//! measured live against the pre-optimization implementation rather
-//! than trusted from a number recorded once.
 
 use fluxpm_flux::{
     payload, FaultPlan, FluxEngine, Message, Module, ModuleCtx, MsgKind, Rank, Topic, World,
@@ -16,183 +10,120 @@ use std::cell::RefCell;
 use std::ops::ControlFlow;
 use std::rc::Rc;
 
-/// Expand one engine-churn interpreter. The two engines expose
-/// structurally identical APIs but their closure parameters are typed
-/// per-engine, so a macro keeps the workloads textually identical (the
-/// same trick as the `engine_equivalence` cross-check suite).
-macro_rules! churn_impl {
-    ($(#[$doc:meta])* $name:ident, $engine:ty) => {
-        $(#[$doc])*
-        ///
-        /// Returns the number of events executed (identical across both
-        /// engines for the same `(n, seed)` — asserted by
-        /// `churn_workloads_agree`).
-        pub fn $name(n: usize, seed: u64) -> u64 {
-            let mut eng: $engine = <$engine>::new();
-            let mut rng = Xoshiro256pp::seed_from_u64(seed);
-            let mut ids = Vec::with_capacity(n);
-            for i in 0..n {
-                let at = SimTime::from_micros(rng.below(10_000_000));
-                if i % 7 == 6 {
-                    // Periodic task: four firings, then stop.
-                    let interval = SimDuration::from_micros(1 + rng.below(500_000));
-                    let mut left = 4u32;
-                    ids.push(eng.schedule_every(at, interval, move |w: &mut u64, _e| {
-                        *w += 1;
-                        left -= 1;
-                        if left == 0 {
-                            ControlFlow::Break(())
-                        } else {
-                            ControlFlow::Continue(())
-                        }
-                    }));
+/// Mixed schedule/cancel/periodic churn: `n` events at random instants
+/// over 10 simulated seconds, every seventh a periodic task, half the
+/// one-shots scheduling a nested follow-up, and every third op
+/// cancelling a random earlier event. Returns events executed.
+pub fn churn(n: usize, seed: u64) -> u64 {
+    let mut eng: Engine<u64> = Engine::new();
+    let mut rng = Xoshiro256pp::seed_from_u64(seed);
+    let mut ids = Vec::with_capacity(n);
+    for i in 0..n {
+        let at = SimTime::from_micros(rng.below(10_000_000));
+        if i % 7 == 6 {
+            // Periodic task: four firings, then stop.
+            let interval = SimDuration::from_micros(1 + rng.below(500_000));
+            let mut left = 4u32;
+            ids.push(eng.schedule_every(at, interval, move |w: &mut u64, _e| {
+                *w += 1;
+                left -= 1;
+                if left == 0 {
+                    ControlFlow::Break(())
                 } else {
-                    // One-shot; half of them schedule a nested follow-up
-                    // (in-execution scheduling, the module-timer pattern).
-                    let nested = i % 2 == 0;
-                    ids.push(eng.schedule(at, move |w: &mut u64, e| {
-                        *w += 1;
-                        if nested {
-                            e.schedule_in(SimDuration::from_micros(1000), |w: &mut u64, _e| {
-                                *w += 1;
-                            });
-                        }
-                    }));
-                }
-                // Every third op cancels a random earlier event — the
-                // cancel storm is where lazy deletion hurts the
-                // reference engine and eager removal pays off.
-                if i % 3 == 0 {
-                    let victim = ids[rng.below(ids.len() as u64) as usize];
-                    eng.cancel(victim);
-                }
-            }
-            let mut world = 0u64;
-            eng.run(&mut world);
-            eng.executed()
-        }
-    };
-}
-
-churn_impl!(
-    /// Mixed schedule/cancel/periodic churn on the optimized slab engine.
-    churn_new,
-    Engine<u64>
-);
-churn_impl!(
-    /// The identical churn on the reference (map + lazy-deletion) engine.
-    churn_baseline,
-    fluxpm_sim::BaselineEngine<u64>
-);
-
-/// Expand one sliced-drain interpreter: the experiment-driver pattern
-/// of polling [`next_event_time`](Engine::next_event_time) to advance
-/// tick by tick. `next_event_time` is a constant-size scan (heap root
-/// and lane heads) on the slab engine and an O(pending) scan on the
-/// reference engine — this workload prices that difference under a
-/// realistic cancel load.
-macro_rules! sliced_drain_impl {
-    ($(#[$doc:meta])* $name:ident, $engine:ty) => {
-        $(#[$doc])*
-        ///
-        /// Schedules `n` one-shots over 10 simulated seconds, cancels a
-        /// third of them, then drains in `slices` cutoff steps, polling
-        /// `next_event_time` before every event. Returns events executed.
-        pub fn $name(n: usize, slices: u64, seed: u64) -> u64 {
-            let mut eng: $engine = <$engine>::new();
-            let mut rng = Xoshiro256pp::seed_from_u64(seed);
-            let mut ids = Vec::with_capacity(n);
-            for i in 0..n {
-                let at = SimTime::from_micros(rng.below(10_000_000));
-                ids.push(eng.schedule(at, |w: &mut u64, _e| *w += 1));
-                if i % 3 == 0 {
-                    let victim = ids[rng.below(ids.len() as u64) as usize];
-                    eng.cancel(victim);
-                }
-            }
-            let mut world = 0u64;
-            for s in 1..=slices {
-                let cut = SimTime::from_micros(s * 10_000_000 / slices);
-                while eng.next_event_time().is_some_and(|t| t <= cut) {
-                    eng.step(&mut world);
-                }
-            }
-            eng.executed()
-        }
-    };
-}
-
-sliced_drain_impl!(
-    /// Sliced drain on the optimized slab engine (constant-size
-    /// `next_event_time`).
-    sliced_drain_new,
-    Engine<u64>
-);
-sliced_drain_impl!(
-    /// Sliced drain on the reference engine (O(pending) `next_event_time`).
-    sliced_drain_baseline,
-    fluxpm_sim::BaselineEngine<u64>
-);
-
-/// Expand one timer-mix interpreter: the traffic the stackbench
-/// workloads were measured to put on the event queue (DESIGN.md §17),
-/// which the two workloads above — a unique random instant per event —
-/// are the opposite of. Every event repeats one of a few offsets from
-/// now: periodic re-arms, constant-latency hops, and RPC deadlines that
-/// mostly never fire.
-macro_rules! timer_mix_impl {
-    ($(#[$doc:meta])* $name:ident, $engine:ty) => {
-        $(#[$doc])*
-        ///
-        /// `nodes` periodic tasks, two thirds on a 1 s period and one
-        /// third on 2 s, all first firing at t = 1 s. Each firing arms
-        /// a deadline at now + 1 s and sends a message over two 20 µs
-        /// hops; 60 % of the time (drawn from `seed`) the message is
-        /// answered and its last hop cancels the deadline. Runs to a
-        /// horizon at `seconds`; returns events executed.
-        pub fn $name(nodes: usize, seconds: u64, seed: u64) -> u64 {
-            const HOP: SimDuration = SimDuration::from_micros(20);
-            const SEC: SimDuration = SimDuration::from_secs(1);
-            let mut eng: $engine = <$engine>::new();
-            eng.set_horizon(SimTime::from_secs(seconds));
-            let mut seeds = Xoshiro256pp::seed_from_u64(seed);
-            for i in 0..nodes {
-                let mut rng = Xoshiro256pp::seed_from_u64(seeds.next_u64());
-                let interval = if i % 3 == 2 { SEC + SEC } else { SEC };
-                eng.schedule_every(SimTime::from_secs(1), interval, move |w: &mut u64, e| {
-                    *w += 1;
-                    let deadline = e.schedule_in(SEC, |w: &mut u64, _e| *w += 1);
-                    let answered = rng.below(10) < 6;
-                    e.schedule_in(HOP, move |w: &mut u64, e| {
-                        *w += 1;
-                        e.schedule_in(HOP, move |w: &mut u64, e| {
-                            *w += 1;
-                            if answered {
-                                e.cancel(deadline);
-                            }
-                        });
-                    });
                     ControlFlow::Continue(())
-                });
-            }
-            let mut world = 0u64;
-            eng.run(&mut world);
-            eng.executed()
+                }
+            }));
+        } else {
+            // One-shot; half of them schedule a nested follow-up
+            // (in-execution scheduling, the module-timer pattern).
+            let nested = i % 2 == 0;
+            ids.push(eng.schedule(at, move |w: &mut u64, e| {
+                *w += 1;
+                if nested {
+                    e.schedule_in(SimDuration::from_micros(1000), |w: &mut u64, _e| {
+                        *w += 1;
+                    });
+                }
+            }));
         }
-    };
+        if i % 3 == 0 {
+            let victim = ids[rng.below(ids.len() as u64) as usize];
+            eng.cancel(victim);
+        }
+    }
+    let mut world = 0u64;
+    eng.run(&mut world);
+    eng.executed()
 }
 
-timer_mix_impl!(
-    /// Periodic re-arms, constant-offset hops and cancelled deadlines on
-    /// the optimized slab engine (all of it lane traffic).
-    timer_mix_new,
-    Engine<u64>
-);
-timer_mix_impl!(
-    /// The identical timer mix on the reference engine.
-    timer_mix_baseline,
-    fluxpm_sim::BaselineEngine<u64>
-);
+/// The experiment-driver pattern of polling
+/// [`next_event_time`](Engine::next_event_time) to advance tick by
+/// tick: schedules `n` one-shots over 10 simulated seconds, cancels a
+/// third of them, then drains in `slices` cutoff steps, polling
+/// `next_event_time` before every event. Returns events executed.
+pub fn sliced_drain(n: usize, slices: u64, seed: u64) -> u64 {
+    let mut eng: Engine<u64> = Engine::new();
+    let mut rng = Xoshiro256pp::seed_from_u64(seed);
+    let mut ids = Vec::with_capacity(n);
+    for i in 0..n {
+        let at = SimTime::from_micros(rng.below(10_000_000));
+        ids.push(eng.schedule(at, |w: &mut u64, _e| *w += 1));
+        if i % 3 == 0 {
+            let victim = ids[rng.below(ids.len() as u64) as usize];
+            eng.cancel(victim);
+        }
+    }
+    let mut world = 0u64;
+    for s in 1..=slices {
+        let cut = SimTime::from_micros(s * 10_000_000 / slices);
+        while eng.next_event_time().is_some_and(|t| t <= cut) {
+            eng.step(&mut world);
+        }
+    }
+    eng.executed()
+}
+
+/// The traffic the stackbench workloads were measured to put on the
+/// event queue (DESIGN.md §17), which the two workloads above — a unique
+/// random instant per event — are the opposite of. Every event repeats
+/// one of a few offsets from now: periodic re-arms, constant-latency
+/// hops, and RPC deadlines that mostly never fire.
+///
+/// `nodes` periodic tasks, two thirds on a 1 s period and one third on
+/// 2 s, all first firing at t = 1 s. Each firing arms a deadline at
+/// now + 1 s and sends a message over two 20 µs hops; 60 % of the time
+/// (drawn from `seed`) the message is answered and its last hop cancels
+/// the deadline. Runs to a horizon at `seconds`; returns events
+/// executed.
+pub fn timer_mix(nodes: usize, seconds: u64, seed: u64) -> u64 {
+    const HOP: SimDuration = SimDuration::from_micros(20);
+    const SEC: SimDuration = SimDuration::from_secs(1);
+    let mut eng: Engine<u64> = Engine::new();
+    eng.set_horizon(SimTime::from_secs(seconds));
+    let mut seeds = Xoshiro256pp::seed_from_u64(seed);
+    for i in 0..nodes {
+        let mut rng = Xoshiro256pp::seed_from_u64(seeds.next_u64());
+        let interval = if i % 3 == 2 { SEC + SEC } else { SEC };
+        eng.schedule_every(SimTime::from_secs(1), interval, move |w: &mut u64, e| {
+            *w += 1;
+            let deadline = e.schedule_in(SEC, |w: &mut u64, _e| *w += 1);
+            let answered = rng.below(10) < 6;
+            e.schedule_in(HOP, move |w: &mut u64, e| {
+                *w += 1;
+                e.schedule_in(HOP, move |w: &mut u64, e| {
+                    *w += 1;
+                    if answered {
+                        e.cancel(deadline);
+                    }
+                });
+            });
+            ControlFlow::Continue(())
+        });
+    }
+    let mut world = 0u64;
+    eng.run(&mut world);
+    eng.executed()
+}
 
 /// A module that answers `bench.echo` requests with their own payload —
 /// the minimal responder for measuring raw overlay delivery cost.
@@ -377,35 +308,6 @@ mod tests {
         let before = rig.send_and_deliver();
         assert_eq!(rig.send_and_deliver(), before + 1);
         assert!(rig.world.brokers[1].route(&rig.topic).is_some());
-    }
-
-    #[test]
-    fn churn_workloads_agree() {
-        for seed in [3, 17, 99] {
-            assert_eq!(churn_new(400, seed), churn_baseline(400, seed));
-        }
-    }
-
-    #[test]
-    fn sliced_drain_workloads_agree() {
-        for seed in [5, 23] {
-            assert_eq!(
-                sliced_drain_new(400, 20, seed),
-                sliced_drain_baseline(400, 20, seed)
-            );
-        }
-    }
-
-    #[test]
-    fn timer_mix_workloads_agree() {
-        for seed in [7, 41] {
-            let executed = timer_mix_new(96, 12, seed);
-            assert_eq!(executed, timer_mix_baseline(96, 12, seed));
-            // Up to the last instant 64 tasks fire 11 times and 32 fire
-            // 6; a firing and its two hops are three events, and four
-            // deadlines in ten fire too.
-            assert!(executed > 3 * (64 * 11 + 32 * 6));
-        }
     }
 
     #[test]

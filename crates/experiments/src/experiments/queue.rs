@@ -68,6 +68,7 @@ pub fn give_back_reports() -> Vec<RunReport> {
 /// restore takes a single epoch; staged climbs 203.5 → 218.5 → 233.5 →
 /// 248.5 → 253.5 W, i.e. four 90 s epochs of time-to-restore.
 pub fn epochs_to_restore(staged: bool) -> u32 {
+    use fluxpm_fft::PeriodAnalyzer;
     use fluxpm_manager::{FppConfig, FppController};
     let cfg = FppConfig {
         staged_give_back: staged,
@@ -75,11 +76,12 @@ pub fn epochs_to_restore(staged: bool) -> u32 {
     };
     let pre_probe = 253.5;
     let mut c = FppController::new(cfg, Watts(pre_probe));
+    let mut analyzer = PeriodAnalyzer::new();
     // One quiet epoch at the full cap, then the probe drops 50 W.
     for _ in 0..90 {
         c.store_power_sample(Watts(pre_probe));
     }
-    c.on_epoch();
+    c.on_epoch(&mut analyzer);
     // Flat draw pinned at the reduced cap keeps the binding fallback
     // firing until the cap is fully restored.
     let mut epochs = 0;
@@ -88,7 +90,7 @@ pub fn epochs_to_restore(staged: bool) -> u32 {
         for _ in 0..90 {
             c.store_power_sample(Watts(draw));
         }
-        c.on_epoch();
+        c.on_epoch(&mut analyzer);
         epochs += 1;
     }
     epochs

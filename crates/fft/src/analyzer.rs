@@ -1,21 +1,17 @@
-//! The planned FPP analysis front-end: one planner + scratch + spectrum
-//! set, reused across every GPU and every epoch.
+//! `FINDPERIOD`: the FPP analysis front-end, one planner + scratch +
+//! spectrum set reused across every GPU and every epoch.
 //!
 //! [`PeriodAnalyzer`] bundles everything the per-epoch FPP analysis
 //! needs — an [`FftPlanner`] (cached twiddle/bit-reversal/chirp/window
 //! tables), an [`FftScratch`] arena, and two reusable [`Periodogram`]
-//! outputs — behind the same `estimate_period` / `welch_estimate_period`
-//! signatures as the free functions, but reading from a zero-copy
-//! [`Samples`] view. A node-level manager owns exactly one analyzer and
-//! walks its 4–8 GPU controllers through it each epoch, so every GPU
-//! after the first hits warm plan caches and warm buffers: the steady
-//! state performs **zero allocations** (`tests/alloc_free.rs`).
+//! outputs — behind `estimate_period` / `welch_estimate_period`, reading
+//! from a zero-copy [`Samples`] view. A node-level manager owns exactly
+//! one analyzer and walks its 4–8 GPU controllers through it each epoch,
+//! so every GPU after the first hits warm plan caches and warm buffers:
+//! the steady state performs **zero allocations** (`tests/alloc_free.rs`).
 //!
-//! The estimates are produced by the same shared peak extractor as the
-//! unplanned paths; spectra differ from them only by the planned FFT
-//! kernel's tighter twiddles (see [`crate::plan`] for the accuracy
-//! contract). FPP's thresholded decisions are byte-identical across both
-//! paths on every in-tree scenario.
+//! The tests check both estimates against the oracle's
+//! (`tests/oracle/mod.rs`; [`crate::plan`] has the accuracy contract).
 
 use crate::period::{peak_estimate, PeriodEstimate};
 use crate::periodogram::Periodogram;
@@ -58,10 +54,13 @@ impl PeriodAnalyzer {
         }
     }
 
-    /// Planned counterpart of [`crate::estimate_period`]: Hann-windowed
-    /// periodogram peak with parabolic refinement, same gates (≥ 8
-    /// samples, ≥ 5 % peak concentration), reading from `samples`
-    /// without copying it.
+    /// The dominant period of `samples` captured at `sample_rate_hz`:
+    /// Hann-windowed periodogram peak with parabolic refinement, read
+    /// from `samples` without copying it.
+    ///
+    /// Returns `None` when the signal is too short (< 8 samples), has no
+    /// variance, holds a NaN or infinite sample, or the spectral peak is
+    /// too weak to be meaningful (concentration below 5 %).
     pub fn estimate_period(
         &mut self,
         samples: Samples<'_>,
@@ -83,9 +82,10 @@ impl PeriodAnalyzer {
         peak_estimate(&self.psd)
     }
 
-    /// Planned counterpart of [`crate::welch_estimate_period`]: averaged
-    /// periodogram over 50 %-overlapped Hann segments, then the shared
-    /// peak extractor.
+    /// The dominant period over Welch's averaged periodogram
+    /// ([`crate::welch_into`]: 50 %-overlapped Hann segments of
+    /// `segment_len`), with the same peak extraction and gates as
+    /// [`PeriodAnalyzer::estimate_period`].
     pub fn welch_estimate_period(
         &mut self,
         samples: Samples<'_>,
@@ -121,8 +121,7 @@ impl PeriodAnalyzer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::period::estimate_period;
-    use crate::welch::welch_estimate_period;
+    use crate::oracle;
 
     fn noisy_sine(n: usize, rate: f64, period_s: f64, noise: f64, seed: u64) -> Vec<f64> {
         let mut state = seed;
@@ -144,7 +143,7 @@ mod tests {
         let mut a = PeriodAnalyzer::new();
         for (n, rate, period) in [(30usize, 1.0, 10.0), (90, 1.0, 12.0), (120, 2.0, 8.0)] {
             let x = noisy_sine(n, rate, period, 2.0, 42);
-            let old = estimate_period(&x, rate);
+            let old = oracle::estimate_period(&x, rate);
             let new = a.estimate_period(Samples::contiguous(&x), rate);
             match (old, new) {
                 (Some(o), Some(p)) => {
@@ -165,7 +164,7 @@ mod tests {
     fn planned_welch_matches_unplanned_closely() {
         let mut a = PeriodAnalyzer::new();
         let x = noisy_sine(512, 2.0, 10.0, 40.0, 7);
-        let old = welch_estimate_period(&x, 2.0, 128).expect("welch");
+        let old = oracle::welch_estimate_period(&x, 2.0, 128).expect("welch");
         let new = a
             .welch_estimate_period(Samples::contiguous(&x), 2.0, 128)
             .expect("planned welch");
@@ -195,21 +194,45 @@ mod tests {
     #[test]
     fn gates_match_unplanned() {
         let mut a = PeriodAnalyzer::new();
-        // Too short.
-        let short = [1.0; 6];
-        assert!(a
-            .estimate_period(Samples::contiguous(&short), 2.0)
-            .is_none());
-        // Flat.
-        let flat = [300.0; 64];
-        assert!(a.estimate_period(Samples::contiguous(&flat), 2.0).is_none());
-        // Bad rate.
         let x = noisy_sine(64, 2.0, 8.0, 0.0, 1);
-        assert!(a.estimate_period(Samples::contiguous(&x), 0.0).is_none());
-        // Welch needs a full segment.
+        // Too short, flat, bad rate; Welch needs a full segment.
+        for (samples, rate) in [(&[1.0; 6][..], 2.0), (&[300.0; 64], 2.0), (&x, 0.0)] {
+            assert!(oracle::estimate_period(samples, rate).is_none());
+            assert!(a
+                .estimate_period(Samples::contiguous(samples), rate)
+                .is_none());
+        }
+        assert!(oracle::welch_estimate_period(&x, 2.0, 128).is_none());
         assert!(a
             .welch_estimate_period(Samples::contiguous(&x), 2.0, 128)
             .is_none());
+    }
+
+    #[test]
+    fn a_non_finite_sample_has_no_period() {
+        let mut a = PeriodAnalyzer::new();
+        let square: Vec<f64> = (0..90)
+            .map(|t| {
+                if (t as f64 / 10.0).fract() < 0.3 {
+                    140.0
+                } else {
+                    55.0
+                }
+            })
+            .collect();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            // One bad sample in the head and in the tail of a wrapped view.
+            for at in [17, 70] {
+                let mut x = square.clone();
+                x[at] = bad;
+                let view = Samples::new(&x[..45], &x[45..]);
+                assert!(a.estimate_period(view, 1.0).is_none(), "{bad} at {at}");
+                assert!(a.welch_estimate_period(view, 1.0, 45).is_none());
+            }
+        }
+        assert!(a
+            .estimate_period(Samples::contiguous(&square), 1.0)
+            .is_some());
     }
 
     #[test]

@@ -1,189 +1,27 @@
-//! Fast Fourier transforms — the unplanned reference paths.
-//!
-//! * Power-of-two lengths: iterative radix-2 Cooley–Tukey with bit-reversal
-//!   permutation — O(n log n). There is **no** twiddle table here: each
-//!   butterfly stage accumulates its twiddle incrementally (`w *= wlen`),
-//!   which re-derives every factor on every call and drifts by roughly one
-//!   ulp per accumulation step across a stage.
-//! * Arbitrary lengths: Bluestein's chirp-z algorithm, which re-expresses
-//!   the DFT as a convolution of length `>= 2n-1`, evaluated with the
-//!   radix-2 kernel. This path allocates three length-`m` buffers (chirp,
-//!   `a`, `b`) per call and transforms the constant `b` kernel every time.
-//!   FPP's 30-second windows at a 2-second cadence are only 15 samples, so
-//!   the arbitrary-length path is the one actually exercised in production.
-//!
-//! The per-call costs above are deliberate: these functions are the
-//! simple, obviously-correct baseline that the planned kernels in
-//! [`crate::plan`] are cross-checked against (the same role
-//! `BaselineEngine` plays for the simulator core). Hot paths should use
-//! [`crate::FftPlanner`], which caches precomputed twiddle tables,
-//! bit-reversal tables, and Bluestein pre-transforms per length and runs
-//! allocation-free out of an [`crate::FftScratch`] arena.
+//! DFT properties of [`crate::FftPlanner`]'s transforms, on their own
+//! and against the test oracle (`tests/oracle/mod.rs`).
 
-use crate::complex::Complex64;
-
-/// True iff `n` is a power of two (0 is not).
-pub fn is_power_of_two(n: usize) -> bool {
-    n != 0 && n & (n - 1) == 0
-}
-
-/// In-place radix-2 FFT. Panics unless `buf.len()` is a power of two.
-/// `inverse` selects the inverse transform (including the 1/n scaling).
-pub fn fft_inplace(buf: &mut [Complex64], inverse: bool) {
-    let n = buf.len();
-    assert!(
-        is_power_of_two(n),
-        "radix-2 FFT requires power-of-two length, got {n}"
-    );
-    if n <= 1 {
-        return;
-    }
-
-    // Bit-reversal permutation.
-    let bits = n.trailing_zeros();
-    for i in 0..n {
-        let j = i.reverse_bits() >> (usize::BITS - bits);
-        if j > i {
-            buf.swap(i, j);
-        }
-    }
-
-    // Butterfly passes.
-    let sign = if inverse { 1.0 } else { -1.0 };
-    let mut len = 2;
-    while len <= n {
-        let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
-        let wlen = Complex64::cis(ang);
-        for start in (0..n).step_by(len) {
-            let mut w = Complex64::ONE;
-            for k in 0..len / 2 {
-                let u = buf[start + k];
-                let v = buf[start + k + len / 2] * w;
-                buf[start + k] = u + v;
-                buf[start + k + len / 2] = u - v;
-                w *= wlen;
-            }
-        }
-        len <<= 1;
-    }
-
-    if inverse {
-        let inv_n = 1.0 / n as f64;
-        for z in buf.iter_mut() {
-            *z = z.scale(inv_n);
-        }
-    }
-}
-
-/// Forward DFT of arbitrary length. Power-of-two inputs use radix-2
-/// directly; others go through Bluestein.
-pub fn fft(input: &[Complex64]) -> Vec<Complex64> {
-    let mut out = input.to_vec();
-    if is_power_of_two(out.len()) || out.len() <= 1 {
-        if !out.is_empty() {
-            fft_inplace(&mut out, false);
-        }
-        out
-    } else {
-        bluestein(input, false)
-    }
-}
-
-/// Inverse DFT of arbitrary length (with 1/n scaling).
-pub fn ifft(input: &[Complex64]) -> Vec<Complex64> {
-    let n = input.len();
-    if is_power_of_two(n) || n <= 1 {
-        let mut out = input.to_vec();
-        if !out.is_empty() {
-            fft_inplace(&mut out, true);
-        }
-        out
-    } else {
-        let mut out = bluestein(input, true);
-        let inv_n = 1.0 / n as f64;
-        for z in out.iter_mut() {
-            *z = z.scale(inv_n);
-        }
-        out
-    }
-}
-
-/// Forward DFT of a real-valued signal. Returns all `n` bins (the caller
-/// typically only looks at the first `n/2 + 1`, by conjugate symmetry).
-pub fn rfft(input: &[f64]) -> Vec<Complex64> {
-    let buf: Vec<Complex64> = input.iter().map(|&x| Complex64::real(x)).collect();
-    fft(&buf)
-}
-
-/// Bluestein chirp-z transform: DFT of arbitrary length `n` via a circular
-/// convolution of power-of-two length `m >= 2n - 1`.
-fn bluestein(input: &[Complex64], inverse: bool) -> Vec<Complex64> {
-    let n = input.len();
-    debug_assert!(n >= 1);
-    let sign = if inverse { 1.0 } else { -1.0 };
-
-    // Chirp: w[k] = exp(sign * i*pi*k^2/n). Index k^2 mod 2n keeps the
-    // argument bounded for large k.
-    let chirp: Vec<Complex64> = (0..n)
-        .map(|k| {
-            let k2 = (k as u64 * k as u64) % (2 * n as u64);
-            Complex64::cis(sign * std::f64::consts::PI * k2 as f64 / n as f64)
-        })
-        .collect();
-
-    let m = (2 * n - 1).next_power_of_two();
-
-    // a[k] = x[k] * chirp[k], zero-padded to m.
-    let mut a = vec![Complex64::ZERO; m];
-    for k in 0..n {
-        a[k] = input[k] * chirp[k];
-    }
-
-    // b[k] = conj(chirp[|k|]) arranged circularly.
-    let mut b = vec![Complex64::ZERO; m];
-    b[0] = chirp[0].conj();
-    for k in 1..n {
-        let c = chirp[k].conj();
-        b[k] = c;
-        b[m - k] = c;
-    }
-
-    // Circular convolution via the radix-2 kernel.
-    fft_inplace(&mut a, false);
-    fft_inplace(&mut b, false);
-    for (x, y) in a.iter_mut().zip(b.iter()) {
-        *x *= *y;
-    }
-    fft_inplace(&mut a, true);
-
-    // Post-multiply by the chirp.
-    (0..n).map(|k| a[k] * chirp[k]).collect()
-}
-
-/// Textbook O(n^2) DFT. Used only by tests and the ablation bench as the
-/// ground truth the fast paths are verified against.
-pub fn naive_dft(input: &[Complex64], inverse: bool) -> Vec<Complex64> {
-    let n = input.len();
-    let sign = if inverse { 1.0 } else { -1.0 };
-    let mut out = vec![Complex64::ZERO; n];
-    for (k, o) in out.iter_mut().enumerate() {
-        let mut acc = Complex64::ZERO;
-        for (t, &x) in input.iter().enumerate() {
-            let ang = sign * 2.0 * std::f64::consts::PI * (k * t % n) as f64 / n as f64;
-            acc += x * Complex64::cis(ang);
-        }
-        *o = if inverse {
-            acc.scale(1.0 / n as f64)
-        } else {
-            acc
-        };
-    }
-    out
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::oracle;
+    use crate::{Complex64, FftPlanner, FftScratch};
+
+    fn fft(x: &[Complex64]) -> Vec<Complex64> {
+        let mut out = Vec::new();
+        FftPlanner::new().fft_into(x, &mut out, &mut FftScratch::new());
+        out
+    }
+
+    fn ifft(x: &[Complex64]) -> Vec<Complex64> {
+        let mut out = Vec::new();
+        FftPlanner::new().ifft_into(x, &mut out, &mut FftScratch::new());
+        out
+    }
+
+    fn rfft(x: &[f64]) -> Vec<Complex64> {
+        let mut out = Vec::new();
+        FftPlanner::new().rfft_into(x, &mut out, &mut FftScratch::new());
+        out
+    }
 
     fn assert_close(a: &[Complex64], b: &[Complex64], tol: f64) {
         assert_eq!(a.len(), b.len());
@@ -258,14 +96,14 @@ mod tests {
     #[test]
     fn matches_naive_dft_power_of_two() {
         let x = signal(32);
-        assert_close(&fft(&x), &naive_dft(&x, false), 1e-9);
+        assert_close(&fft(&x), &oracle::dft(&x, false), 1e-9);
     }
 
     #[test]
     fn matches_naive_dft_arbitrary() {
         for n in [6usize, 15, 21, 50] {
             let x = signal(n);
-            assert_close(&fft(&x), &naive_dft(&x, false), 1e-8);
+            assert_close(&fft(&x), &oracle::dft(&x, false), 1e-8);
         }
     }
 
@@ -316,16 +154,13 @@ mod tests {
 
     #[test]
     fn tiny_inputs() {
-        assert!(fft(&[]).is_empty());
-        let one = fft(&[Complex64::new(3.0, 1.0)]);
+        assert!(ifft(&[]).is_empty());
+        assert!(rfft(&[]).is_empty());
+        let one = ifft(&[Complex64::new(3.0, 1.0)]);
         assert_eq!(one.len(), 1);
         assert!((one[0] - Complex64::new(3.0, 1.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "power-of-two")]
-    fn fft_inplace_rejects_non_power_of_two() {
-        let mut x = vec![Complex64::ZERO; 3];
-        fft_inplace(&mut x, false);
+        let one = rfft(&[3.0]);
+        assert_eq!(one.len(), 1);
+        assert!((one[0] - Complex64::real(3.0)).abs() < 1e-12);
     }
 }

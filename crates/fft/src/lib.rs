@@ -6,33 +6,33 @@
 //! the whole signal path with no external dependencies:
 //!
 //! * [`Complex64`] — a minimal complex number type,
-//! * [`fft()`]/[`ifft`] — iterative radix-2 FFT for power-of-two lengths and
-//!   a Bluestein chirp-z fallback for arbitrary lengths,
-//! * [`rfft`] — real-input convenience wrapper,
+//! * [`plan`] — the transforms: [`FftPlanner::fft_into`] /
+//!   [`FftPlanner::ifft_into`] / [`FftPlanner::rfft_into`], radix-2 for
+//!   power-of-two lengths and Bluestein chirp-z for the rest, on cached
+//!   per-length plans and an allocation-free [`FftScratch`] arena,
 //! * [`window`] — Hann / Hamming / rectangular tapers,
-//! * [`Periodogram`] — power spectral density estimate,
-//! * [`period`] — dominant-period estimation with parabolic peak
-//!   interpolation, plus an autocorrelation cross-check used by the test
-//!   suite and by FPP's "am I confident?" heuristic,
-//! * [`plan`] — cached per-length FFT plans ([`FftPlanner`]) and the
-//!   [`FftScratch`] arena behind the allocation-free `_into` variants,
+//! * [`Periodogram`] and [`welch_into`] — power spectral density
+//!   estimates,
 //! * [`Samples`] — a two-run zero-copy view so ring-buffered traces are
 //!   analyzed in place,
-//! * [`PeriodAnalyzer`] — the planned, reusable front-end the FPP hot
-//!   path calls per GPU per epoch.
+//! * [`PeriodAnalyzer`] — `FINDPERIOD`: the dominant period with
+//!   parabolic peak interpolation, reused per GPU per epoch,
+//! * [`autocorr_period`] — an autocorrelation estimate, a different
+//!   algorithm kept for policy experiments and cross-checks.
 //!
-//! The free functions above are the simple reference paths; hot paths use
-//! the planned stack, which is cross-checked against them by unit,
-//! property, and accuracy-regression tests.
+//! The tests check the transforms and the estimate against an O(n²) DFT
+//! oracle that lives in `tests/oracle/mod.rs`.
 //!
 //! ```
-//! use fluxpm_fft::period::estimate_period;
+//! use fluxpm_fft::{PeriodAnalyzer, Samples};
 //!
 //! // A 10-second period sampled at 2 Hz for 60 seconds.
 //! let samples: Vec<f64> = (0..120)
 //!     .map(|i| (2.0 * std::f64::consts::PI * (i as f64 * 0.5) / 10.0).sin())
 //!     .collect();
-//! let est = estimate_period(&samples, 2.0).expect("periodic signal");
+//! let est = PeriodAnalyzer::new()
+//!     .estimate_period(Samples::contiguous(&samples), 2.0)
+//!     .expect("periodic signal");
 //! assert!((est.period_seconds - 10.0).abs() < 0.5);
 //! ```
 
@@ -40,7 +40,11 @@
 #![forbid(unsafe_code)]
 pub mod analyzer;
 pub mod complex;
-pub mod fft;
+#[cfg(test)]
+mod fft;
+#[cfg(test)]
+#[path = "../tests/oracle/mod.rs"]
+mod oracle;
 pub mod period;
 pub mod periodogram;
 pub mod plan;
@@ -50,10 +54,9 @@ pub mod window;
 
 pub use analyzer::PeriodAnalyzer;
 pub use complex::Complex64;
-pub use fft::{fft, fft_inplace, ifft, rfft};
-pub use period::{autocorr_period, estimate_period, PeriodEstimate};
+pub use period::{autocorr_period, PeriodEstimate};
 pub use periodogram::Periodogram;
 pub use plan::{BluesteinPlan, FftPlanner, FftScratch, Radix2Plan, WindowTable};
 pub use samples::Samples;
-pub use welch::{welch, welch_estimate_period, welch_into};
+pub use welch::welch_into;
 pub use window::Window;

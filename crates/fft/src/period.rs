@@ -2,8 +2,10 @@
 //!
 //! Two independent estimators:
 //!
-//! * [`estimate_period`] — Hann-windowed periodogram peak with parabolic
-//!   interpolation between bins. This is the production path.
+//! * the periodogram peak with parabolic interpolation between bins,
+//!   extracted here from a spectrum and run by
+//!   [`crate::PeriodAnalyzer::estimate_period`]. This is the production
+//!   path.
 //! * [`autocorr_period`] — first significant autocorrelation peak. Used as
 //!   a cross-check in tests and exposed for policy experiments.
 //!
@@ -11,7 +13,6 @@
 //! as "no detectable phase" and leaves the power cap alone.
 
 use crate::periodogram::Periodogram;
-use crate::window::Window;
 
 /// Result of period estimation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -25,28 +26,11 @@ pub struct PeriodEstimate {
     pub confidence: f64,
 }
 
-/// Estimate the dominant period of `samples` captured at `sample_rate_hz`.
-///
-/// Returns `None` when the signal is too short (< 8 samples), has no
-/// variance, or the spectral peak is too weak to be meaningful
-/// (concentration below 5 %).
-pub fn estimate_period(samples: &[f64], sample_rate_hz: f64) -> Option<PeriodEstimate> {
-    if samples.len() < 8 {
-        return None;
-    }
-    let p = Periodogram::compute(samples, sample_rate_hz, Window::Hann)?;
-    peak_estimate(&p)
-}
-
 /// Extract a [`PeriodEstimate`] from a computed spectrum: dominant bin,
-/// concentration gate, and parabolic interpolation over log-power of the
-/// three bins around the peak to refine the frequency beyond bin
-/// resolution.
-///
-/// This is the single shared peak extractor behind [`estimate_period`],
-/// [`crate::welch_estimate_period`], and the planned
-/// [`crate::PeriodAnalyzer`] — one op sequence, so all three produce
-/// bit-identical estimates from the same spectrum.
+/// concentration gate (`None` below 5 %), and parabolic interpolation
+/// over log-power of the three bins around the peak to refine the
+/// frequency beyond bin resolution. Both of
+/// [`crate::PeriodAnalyzer`]'s estimators end here.
 pub(crate) fn peak_estimate(p: &Periodogram) -> Option<PeriodEstimate> {
     let k = p.dominant_bin()?;
     let confidence = p.peak_concentration(k);
@@ -127,6 +111,11 @@ pub fn autocorr_period(samples: &[f64], sample_rate_hz: f64, threshold: f64) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{PeriodAnalyzer, Samples};
+
+    fn estimate(x: &[f64], rate: f64) -> Option<PeriodEstimate> {
+        PeriodAnalyzer::new().estimate_period(Samples::contiguous(x), rate)
+    }
 
     fn square_wave(n: usize, rate: f64, period_s: f64, hi: f64, lo: f64) -> Vec<f64> {
         (0..n)
@@ -153,7 +142,7 @@ mod tests {
     fn sine_period_recovered() {
         for period in [5.0, 10.0, 15.0] {
             let x = sine(120, 2.0, period);
-            let est = estimate_period(&x, 2.0).expect("periodic");
+            let est = estimate(&x, 2.0).expect("periodic");
             assert!(
                 (est.period_seconds - period).abs() / period < 0.1,
                 "expected {period}, got {}",
@@ -166,7 +155,7 @@ mod tests {
     fn square_wave_period_recovered() {
         // Quicksilver-like: square wave power swings.
         let x = square_wave(120, 2.0, 12.0, 550.0, 420.0);
-        let est = estimate_period(&x, 2.0).expect("periodic");
+        let est = estimate(&x, 2.0).expect("periodic");
         assert!(
             (est.period_seconds - 12.0).abs() < 2.0,
             "got {}",
@@ -180,7 +169,7 @@ mod tests {
         // is too coarse; FPP samples at 1 Hz inside the manager => 30
         // samples. A 10 s period must be detectable.
         let x = sine(30, 1.0, 10.0);
-        let est = estimate_period(&x, 1.0).expect("periodic");
+        let est = estimate(&x, 1.0).expect("periodic");
         assert!(
             (est.period_seconds - 10.0).abs() < 1.5,
             "got {}",
@@ -191,7 +180,7 @@ mod tests {
     #[test]
     fn flat_signal_returns_none() {
         let x = vec![300.0; 64];
-        assert!(estimate_period(&x, 2.0).is_none());
+        assert!(estimate(&x, 2.0).is_none());
     }
 
     #[test]
@@ -203,7 +192,7 @@ mod tests {
             ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
         };
         let x: Vec<f64> = (0..128).map(|_| 300.0 + 2.0 * next()).collect();
-        if let Some(est) = estimate_period(&x, 2.0) {
+        if let Some(est) = estimate(&x, 2.0) {
             assert!(est.confidence < 0.5, "noise should not look confident");
         }
     }
@@ -219,7 +208,7 @@ mod tests {
             .into_iter()
             .map(|v| v + 3.0 * next())
             .collect();
-        let est = estimate_period(&x, 2.0).expect("period survives noise");
+        let est = estimate(&x, 2.0).expect("period survives noise");
         assert!(
             (est.period_seconds - 10.0).abs() < 1.5,
             "got {}",
@@ -230,13 +219,13 @@ mod tests {
     #[test]
     fn too_short_returns_none() {
         let x = sine(6, 2.0, 3.0);
-        assert!(estimate_period(&x, 2.0).is_none());
+        assert!(estimate(&x, 2.0).is_none());
     }
 
     #[test]
     fn autocorr_agrees_with_fft_on_sine() {
         let x = sine(200, 2.0, 10.0);
-        let fft_est = estimate_period(&x, 2.0).unwrap().period_seconds;
+        let fft_est = estimate(&x, 2.0).unwrap().period_seconds;
         let ac_est = autocorr_period(&x, 2.0, 0.3).unwrap();
         assert!((fft_est - ac_est).abs() < 1.5, "fft={fft_est} ac={ac_est}");
     }
@@ -255,10 +244,8 @@ mod tests {
             ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
         };
         let noisy: Vec<f64> = clean.iter().map(|v| v + 20.0 * next()).collect();
-        let c_clean = estimate_period(&clean, 2.0).unwrap().confidence;
-        let c_noisy = estimate_period(&noisy, 2.0)
-            .map(|e| e.confidence)
-            .unwrap_or(0.0);
+        let c_clean = estimate(&clean, 2.0).unwrap().confidence;
+        let c_noisy = estimate(&noisy, 2.0).map(|e| e.confidence).unwrap_or(0.0);
         assert!(c_clean > c_noisy, "clean {c_clean} vs noisy {c_noisy}");
     }
 }

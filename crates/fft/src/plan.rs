@@ -1,24 +1,20 @@
-//! Cached FFT plans and the scratch arena for allocation-free analysis.
+//! The transforms: cached FFT plans and the scratch arena for
+//! allocation-free analysis.
 //!
-//! [`crate::fft_inplace`] and friends are correct but pay per call: the
-//! radix-2 kernel re-derives every twiddle through the numerically
-//! drifting `w *= wlen` accumulation, and the Bluestein chirp-z path
-//! allocates (and transforms) three fresh buffers. At production scale —
-//! thousands of nodes × 4–8 GPUs, Welch averaging over many overlapping
-//! segments per epoch — that per-call work *is* the analytics hot path.
-//!
-//! An [`FftPlanner`] amortizes all of it:
+//! At production scale — thousands of nodes × 4–8 GPUs, Welch averaging
+//! over many overlapping segments per epoch — per-call transform setup
+//! *is* the analytics hot path. An [`FftPlanner`] builds it once per
+//! length:
 //!
 //! * **Radix-2 plans** ([`Radix2Plan`]) carry a bit-reversal permutation
 //!   table and per-stage twiddle tables where each factor is computed
-//!   directly (`cis(-2πk/len)`, ~1 ulp) instead of accumulated (error
-//!   growing with the stage length) — the planned kernel is both faster
-//!   *and* tighter against the exact DFT (see `tests/accuracy.rs`).
+//!   directly (`cis(-2πk/len)`, ~1 ulp) rather than accumulated as
+//!   `w *= wlen`, whose error grows with the stage length
+//!   (`tests/accuracy.rs` pins the difference).
 //! * **Bluestein plans** ([`BluesteinPlan`]) precompute the chirp table
 //!   and the *transformed* convolution kernel `FFT(b)` for both
-//!   directions, so each planned arbitrary-length transform runs two
-//!   table-driven power-of-two FFTs instead of three incremental ones,
-//!   with zero buffer allocation.
+//!   directions, so each arbitrary-length transform runs two
+//!   table-driven power-of-two FFTs with zero buffer allocation.
 //! * **Window tables** cache Hann/Hamming coefficient vectors and their
 //!   coherent gain per `(window, n)` — the periodogram's dominant cost
 //!   at small n was recomputing `cos` per sample per segment.
@@ -30,16 +26,14 @@
 //!
 //! # Accuracy contract
 //!
-//! Planned and unplanned paths are cross-checked against each other and
-//! against an O(n²) reference by unit, property, and regression tests.
-//! They are *not* bit-identical: the planned kernel's direct twiddles
-//! are closer to the exact DFT than the incremental accumulation they
-//! replace, so the two paths differ by no more than their summed
-//! rounding error (observed ≤ 1e-12 relative at the lengths FPP uses;
-//! the planned path is the tighter of the two). Thresholded consumers —
-//! FPP's converge/reduce/give-back decisions — are byte-identical across
-//! both paths on every in-tree scenario (`tests/fpp_equivalence.rs` in
-//! `fluxpm-manager`).
+//! The transforms are checked against an O(n²) DFT oracle — exact phase
+//! indexing, Kahan-compensated sums — that lives in the tests
+//! (`tests/oracle/mod.rs`): within 1e-12 of the largest bin at every
+//! length the unit and property tests draw, within 4e-16 at n = 1024 and
+//! 4096 (`tests/accuracy.rs`). FPP's period estimates agree with the
+//! oracle's to 1e-9, and every threshold its decisions compare them
+//! against is cleared by more than 1e-6 on every in-tree scenario
+//! (`tests/fpp_equivalence.rs` in `fluxpm-manager`).
 
 use crate::complex::Complex64;
 use crate::window::Window;
@@ -64,7 +58,7 @@ impl Radix2Plan {
     /// Build a plan for length `n`. Panics unless `n` is a power of two.
     pub fn new(n: usize) -> Radix2Plan {
         assert!(
-            crate::fft::is_power_of_two(n),
+            n.is_power_of_two(),
             "radix-2 plan requires power-of-two length, got {n}"
         );
         let mut bitrev = Vec::new();
@@ -277,9 +271,8 @@ impl BluesteinPlan {
     }
 }
 
-/// A cached Hann/Hamming/rectangular coefficient table plus its
-/// coherent gain — values identical to [`Window::coefficient`] /
-/// [`Window::coherent_gain`] (same formula, same summation order).
+/// A cached Hann/Hamming/rectangular coefficient table ([`Window::coefficient`]
+/// per sample) plus its coherent gain, the mean coefficient.
 #[derive(Debug)]
 pub struct WindowTable {
     coeffs: Vec<f64>,
@@ -301,7 +294,7 @@ impl WindowTable {
         &self.coeffs
     }
 
-    /// Mean coefficient, as [`Window::coherent_gain`] computes it.
+    /// Mean coefficient: what normalizes a windowed spectrum's amplitude.
     pub fn coherent_gain(&self) -> f64 {
         self.coherent_gain
     }
@@ -347,10 +340,12 @@ struct WindowKey(Window, usize);
 /// let signal: Vec<Complex64> = (0..15)
 ///     .map(|i| Complex64::real((i as f64 * 0.9).sin()))
 ///     .collect();
-/// let mut out = Vec::new();
-/// planner.fft_into(&signal, &mut out, &mut scratch);   // plans cached
-/// let reference = fluxpm_fft::fft(&signal);
-/// for (a, b) in out.iter().zip(reference.iter()) {
+/// let (mut spectrum, mut back) = (Vec::new(), Vec::new());
+/// planner.fft_into(&signal, &mut spectrum, &mut scratch); // plans cached
+/// let sum: f64 = signal.iter().map(|z| z.re).sum();
+/// assert!((spectrum[0].re - sum).abs() < 1e-9, "bin 0 is the sum");
+/// planner.ifft_into(&spectrum, &mut back, &mut scratch);
+/// for (a, b) in back.iter().zip(signal.iter()) {
 ///     assert!((*a - *b).abs() < 1e-9);
 /// }
 /// ```
@@ -425,7 +420,7 @@ impl FftPlanner {
         if n == 0 {
             return;
         }
-        if crate::fft::is_power_of_two(n) {
+        if n.is_power_of_two() {
             out.extend_from_slice(input);
             self.radix2(n).process(out, inverse);
             return;
@@ -439,15 +434,15 @@ impl FftPlanner {
         }
     }
 
-    /// Planned forward DFT of a real signal into `out` — the planned
-    /// counterpart of [`crate::rfft`]. Returns all `n` bins.
+    /// Planned forward DFT of a real signal into `out`. Returns all `n`
+    /// bins (conjugate-symmetric: callers read the first `n/2 + 1`).
     pub fn rfft_into(&mut self, input: &[f64], out: &mut Vec<Complex64>, s: &mut FftScratch) {
         let n = input.len();
         out.clear();
         if n == 0 {
             return;
         }
-        if crate::fft::is_power_of_two(n) {
+        if n.is_power_of_two() {
             out.extend(input.iter().map(|&x| Complex64::real(x)));
             self.radix2(n).process(out, false);
             return;
@@ -466,7 +461,7 @@ impl FftPlanner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fft::{fft, ifft, rfft};
+    use crate::oracle;
 
     fn signal(n: usize) -> Vec<Complex64> {
         (0..n)
@@ -494,9 +489,9 @@ mod tests {
         for n in [1usize, 2, 3, 5, 7, 8, 15, 16, 30, 64, 100, 117, 128] {
             let x = signal(n);
             planner.fft_into(&x, &mut out, &mut s);
-            assert_close(&out, &fft(&x), 1e-12);
+            assert_close(&out, &oracle::dft(&x, false), 1e-12);
             planner.ifft_into(&x, &mut out, &mut s);
-            assert_close(&out, &ifft(&x), 1e-12);
+            assert_close(&out, &oracle::dft(&x, true), 1e-12);
         }
     }
 
@@ -510,7 +505,8 @@ mod tests {
                 .map(|i| 250.0 + 30.0 * (i as f64 * 0.6).sin())
                 .collect();
             planner.rfft_into(&x, &mut out, &mut s);
-            assert_close(&out, &rfft(&x), 1e-12);
+            let complex: Vec<Complex64> = x.iter().map(|&v| Complex64::real(v)).collect();
+            assert_close(&out, &oracle::dft(&complex, false), 1e-12);
         }
     }
 
@@ -555,7 +551,8 @@ mod tests {
                 for (i, &c) in t.coeffs().iter().enumerate() {
                     assert_eq!(c, w.coefficient(i, n), "{w:?} n={n} i={i}");
                 }
-                assert_eq!(t.coherent_gain(), w.coherent_gain(n));
+                let mean = t.coeffs().iter().sum::<f64>() / n as f64;
+                assert_eq!(t.coherent_gain(), mean);
             }
         }
     }

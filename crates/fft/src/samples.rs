@@ -78,9 +78,8 @@ impl<'a> Samples<'a> {
     /// what Welch segmentation uses to walk overlapping windows without
     /// copying. Panics when the range is out of bounds.
     pub fn segment(&self, start: usize, len: usize) -> Samples<'a> {
-        let end = start
-            .checked_add(len)
-            .expect("segment range overflows usize");
+        // Saturated, an overflowing range still fails the bound below.
+        let end = start.saturating_add(len);
         assert!(
             end <= self.len(),
             "segment {start}..{end} out of bounds for {} samples",

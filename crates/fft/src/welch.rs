@@ -3,67 +3,23 @@
 //! FPP's single-window periodogram is exact for clean signals; on noisy
 //! power traces (shared-node jitter, sensor noise) averaging overlapped,
 //! windowed segments trades frequency resolution for variance reduction.
-//! [`welch_estimate_period`] is a drop-in alternative to
-//! [`crate::period::estimate_period`] that the policy layer can select.
+//! [`crate::PeriodAnalyzer::welch_estimate_period`] is the drop-in
+//! alternative to [`crate::PeriodAnalyzer::estimate_period`] that the
+//! policy layer can select.
 
-use crate::period::PeriodEstimate;
 use crate::periodogram::Periodogram;
 use crate::plan::{FftPlanner, FftScratch};
 use crate::samples::Samples;
 use crate::window::Window;
 
-/// Welch PSD estimate: segments of `segment_len` samples with 50 %
-/// overlap, Hann-windowed, periodograms averaged bin-wise.
-///
-/// Returns `None` when fewer than one full segment is available.
-pub fn welch(samples: &[f64], sample_rate_hz: f64, segment_len: usize) -> Option<Periodogram> {
-    if segment_len < 8 || samples.len() < segment_len || sample_rate_hz <= 0.0 {
-        return None;
-    }
-    let hop = (segment_len / 2).max(1);
-    let mut acc: Option<Periodogram> = None;
-    let mut segments = 0usize;
-    let mut start = 0usize;
-    while start + segment_len <= samples.len() {
-        let seg = &samples[start..start + segment_len];
-        let p = Periodogram::compute(seg, sample_rate_hz, Window::Hann)?;
-        match &mut acc {
-            None => acc = Some(p),
-            Some(a) => {
-                for (dst, src) in a.power.iter_mut().zip(p.power.iter()) {
-                    *dst += *src;
-                }
-            }
-        }
-        segments += 1;
-        start += hop;
-    }
-    let mut out = acc?;
-    let k = segments as f64;
-    for p in &mut out.power {
-        *p /= k;
-    }
-    Some(out)
-}
-
-/// Period estimation over the Welch spectrum: peak bin + parabolic
-/// interpolation, mirroring [`crate::period::estimate_period`].
-pub fn welch_estimate_period(
-    samples: &[f64],
-    sample_rate_hz: f64,
-    segment_len: usize,
-) -> Option<PeriodEstimate> {
-    let p = welch(samples, sample_rate_hz, segment_len)?;
-    crate::period::peak_estimate(&p)
-}
-
-/// Planned Welch PSD into a reusable accumulator — the allocation-free
-/// counterpart of [`welch`], with identical segmentation (50 % overlap),
-/// windowing, bin-wise accumulation order, and averaging.
+/// Welch PSD estimate into a reusable accumulator: segments of
+/// `segment_len` samples with 50 % overlap, Hann-windowed, periodograms
+/// averaged bin-wise.
 ///
 /// `out` receives the averaged spectrum; `seg` is a second reusable
 /// periodogram used as the per-segment workspace. Returns `false` (leaving
-/// `out` unspecified) exactly when [`welch`] would return `None`.
+/// `out` unspecified) when fewer than one full segment of at least 8
+/// samples is available or the rate is ≤ 0.
 pub fn welch_into(
     samples: Samples<'_>,
     sample_rate_hz: f64,
@@ -123,7 +79,34 @@ pub fn welch_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::period::estimate_period;
+    use crate::period::PeriodEstimate;
+    use crate::{PeriodAnalyzer, Samples};
+
+    fn estimate(x: &[f64], rate: f64) -> Option<PeriodEstimate> {
+        PeriodAnalyzer::new().estimate_period(Samples::contiguous(x), rate)
+    }
+
+    fn welch_estimate(x: &[f64], rate: f64, seg: usize) -> Option<PeriodEstimate> {
+        PeriodAnalyzer::new().welch_estimate_period(Samples::contiguous(x), rate, seg)
+    }
+
+    /// The averaged spectrum through a fresh planner, `None` where
+    /// `welch_into` declines.
+    fn welch_psd(x: &[f64], rate: f64, segment_len: usize) -> Option<Periodogram> {
+        let (mut planner, mut scratch) = (FftPlanner::new(), FftScratch::new());
+        let (mut seg, mut out) = (Periodogram::empty(), Periodogram::empty());
+        let view = Samples::contiguous(x);
+        welch_into(
+            view,
+            rate,
+            segment_len,
+            &mut planner,
+            &mut scratch,
+            &mut seg,
+            &mut out,
+        )
+        .then_some(out)
+    }
 
     fn noisy_sine(n: usize, rate: f64, period_s: f64, noise: f64, seed: u64) -> Vec<f64> {
         let mut state = seed;
@@ -143,7 +126,7 @@ mod tests {
     #[test]
     fn welch_finds_clean_period() {
         let x = noisy_sine(256, 2.0, 10.0, 0.0, 1);
-        let est = welch_estimate_period(&x, 2.0, 64).expect("periodic");
+        let est = welch_estimate(&x, 2.0, 64).expect("periodic");
         assert!(
             (est.period_seconds - 10.0).abs() < 1.0,
             "{}",
@@ -155,7 +138,7 @@ mod tests {
     fn welch_tracks_noisy_period() {
         // Heavy noise: 40 W on a 30 W swing.
         let x = noisy_sine(512, 2.0, 10.0, 40.0, 7);
-        let est = welch_estimate_period(&x, 2.0, 128).expect("recovered");
+        let est = welch_estimate(&x, 2.0, 128).expect("recovered");
         assert!(
             (est.period_seconds - 10.0).abs() < 1.5,
             "{}",
@@ -168,10 +151,10 @@ mod tests {
         // Averaged segments concentrate the peak relative to a single
         // noisy window.
         let x = noisy_sine(512, 2.0, 10.0, 40.0, 11);
-        let w = welch_estimate_period(&x, 2.0, 128).expect("welch");
+        let w = welch_estimate(&x, 2.0, 128).expect("welch");
         // (A None here means the single window failed outright while
         // Welch succeeded — also a pass.)
-        if let Some(s) = estimate_period(&x, 2.0) {
+        if let Some(s) = estimate(&x, 2.0) {
             assert!(
                 w.confidence >= s.confidence * 0.9,
                 "welch {} vs single {}",
@@ -184,15 +167,15 @@ mod tests {
     #[test]
     fn welch_short_input_rejected() {
         let x = noisy_sine(32, 2.0, 10.0, 0.0, 1);
-        assert!(welch(&x, 2.0, 64).is_none());
-        assert!(welch(&x, 2.0, 4).is_none(), "segment floor");
-        assert!(welch(&x, 0.0, 16).is_none());
+        assert!(welch_psd(&x, 2.0, 64).is_none());
+        assert!(welch_psd(&x, 2.0, 4).is_none(), "segment floor");
+        assert!(welch_psd(&x, 0.0, 16).is_none());
     }
 
     #[test]
     fn welch_flat_signal_no_period() {
         let x = vec![300.0; 256];
-        assert!(welch_estimate_period(&x, 2.0, 64).is_none());
+        assert!(welch_estimate(&x, 2.0, 64).is_none());
     }
 
     #[test]
@@ -207,7 +190,7 @@ mod tests {
         let welch_peaks: Vec<f64> = (0..8u64)
             .map(|seed| {
                 let x = noisy_sine(512, 2.0, 10.0, 30.0, seed + 100);
-                let p = welch(&x, 2.0, 64).unwrap();
+                let p = welch_psd(&x, 2.0, 64).unwrap();
                 let k = p.dominant_bin().unwrap();
                 p.power[k]
             })
@@ -215,7 +198,17 @@ mod tests {
         let single_peaks: Vec<f64> = (0..8u64)
             .map(|seed| {
                 let x = noisy_sine(512, 2.0, 10.0, 30.0, seed + 100);
-                let p = Periodogram::compute(&x, 2.0, Window::Hann).unwrap();
+                let (mut planner, mut scratch) = (FftPlanner::new(), FftScratch::new());
+                let mut p = Periodogram::empty();
+                let view = Samples::contiguous(&x);
+                assert!(Periodogram::compute_into(
+                    view,
+                    2.0,
+                    Window::Hann,
+                    &mut planner,
+                    &mut scratch,
+                    &mut p
+                ));
                 let k = p.dominant_bin().unwrap();
                 p.power[k]
             })

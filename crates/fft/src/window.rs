@@ -29,22 +29,6 @@ impl Window {
             Window::Hamming => 0.54 - 0.46 * x.cos(),
         }
     }
-
-    /// Apply the window in place.
-    pub fn apply(self, samples: &mut [f64]) {
-        let n = samples.len();
-        if matches!(self, Window::Rectangular) {
-            return;
-        }
-        for (i, s) in samples.iter_mut().enumerate() {
-            *s *= self.coefficient(i, n);
-        }
-    }
-
-    /// Sum of coefficients (used to normalize periodogram amplitude).
-    pub fn coherent_gain(self, n: usize) -> f64 {
-        (0..n).map(|i| self.coefficient(i, n)).sum::<f64>() / n.max(1) as f64
-    }
 }
 
 #[cfg(test)]
@@ -53,9 +37,9 @@ mod tests {
 
     #[test]
     fn rectangular_is_identity() {
-        let mut xs = vec![1.0, 2.0, 3.0];
-        Window::Rectangular.apply(&mut xs);
-        assert_eq!(xs, vec![1.0, 2.0, 3.0]);
+        for i in 0..3 {
+            assert_eq!(Window::Rectangular.coefficient(i, 3), 1.0);
+        }
     }
 
     #[test]
@@ -78,11 +62,12 @@ mod tests {
 
     #[test]
     fn coherent_gain_in_unit_interval() {
+        let mut planner = crate::FftPlanner::new();
         for w in [Window::Rectangular, Window::Hann, Window::Hamming] {
-            let g = w.coherent_gain(64);
+            let g = planner.window(w, 64).coherent_gain();
             assert!(g > 0.0 && g <= 1.0, "{w:?}: {g}");
         }
-        assert_eq!(Window::Rectangular.coherent_gain(64), 1.0);
+        assert_eq!(planner.window(Window::Rectangular, 64).coherent_gain(), 1.0);
     }
 
     #[test]

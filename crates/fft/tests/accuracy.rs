@@ -1,54 +1,20 @@
-//! FFT accuracy regression: the planned radix-2 kernel (precomputed
-//! twiddle tables) must be *tighter* against the exact DFT than the
-//! incremental-twiddle kernel it replaces.
+//! FFT accuracy regression: the radix-2 kernel's precomputed twiddle
+//! tables keep it within 4e-16 of the exact DFT (relative to the largest
+//! bin) at n = 1024 and 4096; it measures ~1e-16.
 //!
-//! The unplanned `fft_inplace` accumulates each stage's twiddle as
-//! `w *= wlen`, compounding roughly one ulp per butterfly across a
-//! stage; the planned kernel evaluates every factor directly with
-//! `cis`, so its per-factor error is a fixed ~1 ulp regardless of
-//! stage length. At n = 1024/4096 the difference is measurable, and
-//! this test pins it so a regression back to accumulated twiddles (or a
-//! sloppy table construction) fails loudly.
+//! Accumulating each stage's twiddle as `w *= wlen` instead compounds
+//! roughly one ulp per butterfly across a stage, and at these lengths
+//! that is measurable — 7e-16 at n = 1024, 2e-15 at 4096 — so the pin
+//! below fails if a regression brings the accumulation back (or a table
+//! is built sloppily).
 //!
-//! The reference is a naive O(n²) DFT with two upgrades over
-//! `fluxpm_fft::naive_dft` that matter at these lengths: exact phase
-//! indexing through `k*t mod n` on a precomputed phasor table (no phase
-//! error growth), and Kahan-compensated summation (otherwise the
-//! reference's own rounding error at n = 4096 would swamp the
-//! difference we are trying to measure).
+//! The reference is the test oracle's O(n²) DFT (`oracle/mod.rs`): exact
+//! phase indexing and Kahan-compensated sums, so its own rounding error
+//! at n = 4096 does not swamp what is measured.
 
-use fluxpm_fft::{fft_inplace, Complex64, FftPlanner, FftScratch};
+mod oracle;
 
-/// Naive DFT with a precomputed phasor table and Kahan-compensated
-/// accumulation — accurate enough to serve as ground truth at n = 4096.
-fn reference_dft(input: &[Complex64]) -> Vec<Complex64> {
-    let n = input.len();
-    let table: Vec<Complex64> = (0..n)
-        .map(|j| Complex64::cis(-2.0 * std::f64::consts::PI * j as f64 / n as f64))
-        .collect();
-    let mut out = Vec::with_capacity(n);
-    for k in 0..n {
-        let mut sum_re = 0.0f64;
-        let mut sum_im = 0.0f64;
-        let mut c_re = 0.0f64;
-        let mut c_im = 0.0f64;
-        for (t, &x) in input.iter().enumerate() {
-            let w = table[k * t % n];
-            let z = x * w;
-            // Kahan: y = z - c; t = sum + y; c = (t - sum) - y; sum = t.
-            let y_re = z.re - c_re;
-            let t_re = sum_re + y_re;
-            c_re = (t_re - sum_re) - y_re;
-            sum_re = t_re;
-            let y_im = z.im - c_im;
-            let t_im = sum_im + y_im;
-            c_im = (t_im - sum_im) - y_im;
-            sum_im = t_im;
-        }
-        out.push(Complex64::new(sum_re, sum_im));
-    }
-    out
-}
+use fluxpm_fft::{Complex64, FftPlanner, FftScratch};
 
 fn signal(n: usize) -> Vec<Complex64> {
     // Deterministic, broadband, power-trace-like: DC offset plus several
@@ -86,37 +52,42 @@ fn planned_radix2_is_tighter_than_incremental_twiddles() {
     let mut planned = Vec::new();
     for n in [1024usize, 4096] {
         let x = signal(n);
-        let reference = reference_dft(&x);
-
         planner.fft_into(&x, &mut planned, &mut scratch);
-        let mut incremental = x.clone();
-        fft_inplace(&mut incremental, false);
-
-        let err_planned = max_rel_error(&planned, &reference);
-        let err_incremental = max_rel_error(&incremental, &reference);
-
-        // Absolute regression pin: the planned kernel stays well inside
-        // the documented 1e-12 relative contract.
+        let err_planned = max_rel_error(&planned, &oracle::dft(&x, false));
         assert!(
-            err_planned < 1e-13,
+            err_planned < 4e-16,
             "n={n}: planned error {err_planned:.3e} exceeds pin"
-        );
-        // The headline property: direct twiddles beat accumulation.
-        assert!(
-            err_planned < err_incremental,
-            "n={n}: planned {err_planned:.3e} not tighter than incremental {err_incremental:.3e}"
         );
     }
 }
 
 #[test]
 fn reference_dft_self_check() {
-    // The compensated reference must agree with the in-tree naive DFT at
-    // a small length where both are trustworthy.
-    let x = signal(64);
-    let a = reference_dft(&x);
-    let b = fluxpm_fft::fft::naive_dft(&x, false);
-    for (i, (p, q)) in a.iter().zip(b.iter()).enumerate() {
-        assert!((*p - *q).abs() < 1e-9, "bin {i}");
+    // The oracle against spectra known in closed form: an impulse at t0
+    // is a pure phase ramp, two tones on exact bins are two spikes, and
+    // the inverse undoes the forward.
+    let n = 64;
+    let mut impulse = vec![Complex64::ZERO; n];
+    impulse[3] = Complex64::ONE;
+    for (k, z) in oracle::dft(&impulse, false).iter().enumerate() {
+        let want = Complex64::cis(-2.0 * std::f64::consts::PI * (3 * k) as f64 / n as f64);
+        assert!((*z - want).abs() < 1e-13, "impulse bin {k}");
     }
+    let tones: Vec<Complex64> = (0..n)
+        .map(|t| {
+            let phase = |k: usize| 2.0 * std::f64::consts::PI * (k * t) as f64 / n as f64;
+            Complex64::cis(phase(5)).scale(2.0) + Complex64::cis(phase(40))
+        })
+        .collect();
+    for (k, z) in oracle::dft(&tones, false).iter().enumerate() {
+        let want = match k {
+            5 => 2.0 * n as f64,
+            40 => n as f64,
+            _ => 0.0,
+        };
+        assert!((*z - Complex64::real(want)).abs() < 1e-12, "tone bin {k}");
+    }
+    let x = signal(n);
+    let back = oracle::dft(&oracle::dft(&x, false), true);
+    assert!(max_rel_error(&back, &x) < 1e-14);
 }

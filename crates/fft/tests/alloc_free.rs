@@ -1,12 +1,12 @@
-//! Guard the tentpole property, don't just benchmark it: after warm-up,
-//! the planned `estimate_period` / `welch_estimate_period` paths perform
+//! Guard the property, don't just benchmark it: after warm-up,
+//! `PeriodAnalyzer::estimate_period` / `welch_estimate_period` perform
 //! **zero** steady-state heap allocations.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; counters
 //! are thread-local so the measurement is immune to other test threads
-//! allocating concurrently. As a sanity check, the same harness shows the
-//! unplanned free functions *do* allocate — if that ever reads zero the
-//! harness itself is broken.
+//! allocating concurrently. As a sanity check, the same harness shows a
+//! cold analyzer *does* allocate while it builds its plans — if that
+//! ever reads zero the harness itself is broken.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -118,14 +118,14 @@ fn planned_path_stays_clean_on_wrapped_views() {
 
 #[test]
 fn unplanned_paths_do_allocate_sanity_check() {
-    use fluxpm_fft::{estimate_period, welch_estimate_period};
+    use fluxpm_fft::{PeriodAnalyzer, Samples};
 
+    // A fresh analyzer has no plans yet for either length.
     let trace = power_trace(90, 0xBEEF);
-    let (a1, _) = allocs_during(|| estimate_period(&trace, 1.0));
-    let (a2, _) = allocs_during(|| welch_estimate_period(&trace, 1.0, 45));
-    assert!(
-        a1 > 0,
-        "harness broken: unplanned estimate_period shows 0 allocs"
-    );
-    assert!(a2 > 0, "harness broken: unplanned welch shows 0 allocs");
+    let view = Samples::contiguous(&trace);
+    let mut analyzer = PeriodAnalyzer::new();
+    let (a1, _) = allocs_during(|| analyzer.estimate_period(view, 1.0));
+    let (a2, _) = allocs_during(|| analyzer.welch_estimate_period(view, 1.0, 45));
+    assert!(a1 > 0, "harness broken: a cold estimate shows 0 allocs");
+    assert!(a2 > 0, "harness broken: a cold welch shows 0 allocs");
 }

@@ -1,10 +1,22 @@
-//! Property-based tests for the FFT crate.
+//! Property-based tests for the FFT crate, on its own and against the
+//! test oracle (`oracle/mod.rs`).
 
-use fluxpm_fft::fft::{fft, ifft, naive_dft, rfft};
-use fluxpm_fft::period::estimate_period;
-use fluxpm_fft::welch::welch_estimate_period;
+mod oracle;
+
 use fluxpm_fft::{Complex64, FftPlanner, FftScratch, PeriodAnalyzer, Samples};
 use proptest::prelude::*;
+
+fn fft(x: &[Complex64]) -> Vec<Complex64> {
+    let mut out = Vec::new();
+    FftPlanner::new().fft_into(x, &mut out, &mut FftScratch::new());
+    out
+}
+
+fn ifft(x: &[Complex64]) -> Vec<Complex64> {
+    let mut out = Vec::new();
+    FftPlanner::new().ifft_into(x, &mut out, &mut FftScratch::new());
+    out
+}
 
 fn complex_vec(max_len: usize) -> impl Strategy<Value = Vec<Complex64>> {
     prop::collection::vec(
@@ -26,11 +38,11 @@ proptest! {
         }
     }
 
-    /// The fast paths agree with the O(n^2) DFT.
+    /// The fast path agrees with the O(n^2) DFT.
     #[test]
     fn matches_naive(x in complex_vec(96)) {
         let fast = fft(&x);
-        let slow = naive_dft(&x, false);
+        let slow = oracle::dft(&x, false);
         let scale = x.iter().map(|z| z.abs()).sum::<f64>().max(1.0);
         for (a, b) in fast.iter().zip(slow.iter()) {
             prop_assert!((*a - *b).abs() < 1e-8 * scale, "{a:?} vs {b:?}");
@@ -75,15 +87,16 @@ proptest! {
         let xs: Vec<f64> = (0..n)
             .map(|i| dc + amp * (2.0 * std::f64::consts::PI * i as f64 / period_samples).sin())
             .collect();
-        let est = estimate_period(&xs, rate);
+        let est = PeriodAnalyzer::new().estimate_period(Samples::contiguous(&xs), rate);
         prop_assert!(est.is_some());
         let got = est.unwrap().period_seconds;
         let want = period_samples / rate;
         prop_assert!((got - want).abs() / want < 0.15, "want {want}, got {got}");
     }
 
-    /// Planned transforms agree with the unplanned reference paths to
-    /// within the documented tolerance, for arbitrary lengths and values.
+    /// Both directions agree with the oracle to within the documented
+    /// tolerance, for arbitrary lengths and values, on one planner whose
+    /// caches serve every length.
     #[test]
     fn planned_fft_matches_unplanned(x in complex_vec(160)) {
         let mut planner = FftPlanner::new();
@@ -92,16 +105,16 @@ proptest! {
         let scale = x.iter().map(|z| z.abs()).sum::<f64>().max(1.0);
 
         planner.fft_into(&x, &mut out, &mut scratch);
-        for (a, b) in out.iter().zip(fft(&x).iter()) {
+        for (a, b) in out.iter().zip(oracle::dft(&x, false).iter()) {
             prop_assert!((*a - *b).abs() < 1e-12 * scale, "fwd {a:?} vs {b:?}");
         }
         planner.ifft_into(&x, &mut out, &mut scratch);
-        for (a, b) in out.iter().zip(ifft(&x).iter()) {
+        for (a, b) in out.iter().zip(oracle::dft(&x, true).iter()) {
             prop_assert!((*a - *b).abs() < 1e-12 * scale, "inv {a:?} vs {b:?}");
         }
     }
 
-    /// Planned real FFT agrees with the unplanned `rfft`.
+    /// The real-input transform agrees with the oracle.
     #[test]
     fn planned_rfft_matches_unplanned(xs in prop::collection::vec(-1e3f64..1e3, 1..200)) {
         let mut planner = FftPlanner::new();
@@ -109,15 +122,15 @@ proptest! {
         let mut out = Vec::new();
         let scale = xs.iter().map(|v| v.abs()).sum::<f64>().max(1.0);
         planner.rfft_into(&xs, &mut out, &mut scratch);
-        for (a, b) in out.iter().zip(rfft(&xs).iter()) {
+        let complex: Vec<Complex64> = xs.iter().map(|&v| Complex64::real(v)).collect();
+        for (a, b) in out.iter().zip(oracle::dft(&complex, false).iter()) {
             prop_assert!((*a - *b).abs() < 1e-12 * scale, "{a:?} vs {b:?}");
         }
     }
 
-    /// The planned analyzer and the unplanned free functions agree on the
-    /// period estimate (presence and value) for arbitrary noisy periodic
-    /// signals, with the samples presented through an arbitrarily split
-    /// two-run view.
+    /// The analyzer and the oracle agree on the period estimate
+    /// (presence and value) for arbitrary periodic signals, with the
+    /// samples presented through an arbitrarily split two-run view.
     #[test]
     fn planned_estimator_matches_unplanned(
         period_samples in 4.0f64..20.0,
@@ -134,7 +147,7 @@ proptest! {
         let view = Samples::new(&xs[..split], &xs[split..]);
         let mut analyzer = PeriodAnalyzer::new();
 
-        let old = estimate_period(&xs, rate);
+        let old = oracle::estimate_period(&xs, rate);
         let new = analyzer.estimate_period(view, rate);
         prop_assert_eq!(old.is_some(), new.is_some(), "gate divergence: {:?} vs {:?}", old, new);
         if let (Some(o), Some(p)) = (old, new) {
@@ -143,7 +156,7 @@ proptest! {
         }
 
         let seg = (n / 2).max(8);
-        let old_w = welch_estimate_period(&xs, rate, seg);
+        let old_w = oracle::welch_estimate_period(&xs, rate, seg);
         let new_w = analyzer.welch_estimate_period(view, rate, seg);
         prop_assert_eq!(old_w.is_some(), new_w.is_some(), "welch gate divergence");
         if let (Some(o), Some(p)) = (old_w, new_w) {

@@ -22,7 +22,6 @@
 //! binding and the power is given back — the same outcome the paper
 //! describes via the period-doubling observation.
 
-use fluxpm_fft::period::estimate_period;
 use fluxpm_fft::{PeriodAnalyzer, Samples};
 use fluxpm_hw::Watts;
 use fluxpm_monitor::RingBuffer;
@@ -103,25 +102,27 @@ impl FppDecision {
 /// Per-GPU FPP controller state (Algorithm 1's MAIN loop state).
 ///
 /// ```
+/// use fluxpm_fft::PeriodAnalyzer;
 /// use fluxpm_manager::{FppConfig, FppController, FppDecision};
 /// use fluxpm_hw::Watts;
 ///
 /// // A GPU limited to 253.5 W (the 1950 W node cap derivation).
 /// let mut ctl = FppController::new(FppConfig::default(), Watts(253.5));
+/// let mut analyzer = PeriodAnalyzer::new();
 ///
 /// // Epoch 1: measure the baseline, then probe 50 W down.
 /// for t in 0..90 {
 ///     let w = if (t as f64 / 10.0).fract() < 0.3 { 140.0 } else { 55.0 };
 ///     ctl.store_power_sample(Watts(w));
 /// }
-/// assert_eq!(ctl.on_epoch(), FppDecision::Set(Watts(203.5)));
+/// assert_eq!(ctl.on_epoch(&mut analyzer), FppDecision::Set(Watts(203.5)));
 ///
 /// // Epoch 2: the period is unchanged — converge at the reduced cap.
 /// for t in 0..90 {
 ///     let w = if (t as f64 / 10.0).fract() < 0.3 { 140.0 } else { 55.0 };
 ///     ctl.store_power_sample(Watts(w));
 /// }
-/// ctl.on_epoch();
+/// ctl.on_epoch(&mut analyzer);
 /// assert!(ctl.converged());
 /// ```
 #[derive(Debug, Clone)]
@@ -150,9 +151,8 @@ pub struct FppController {
     ///
     /// A ring, not a `Vec`: per-GPU memory is bounded even if the epoch
     /// timer stalls (the capacity is 4× the expected samples per epoch,
-    /// so a healthy epoch never wraps), and the planned analysis path
-    /// reads it through a two-slice zero-copy view instead of collecting
-    /// the samples into a fresh `Vec` every epoch.
+    /// so a healthy epoch never wraps), and the analysis reads it
+    /// through a two-slice zero-copy view.
     buffer: RingBuffer<f64>,
 }
 
@@ -217,12 +217,16 @@ impl FppController {
     }
 
     /// Record one power sample (called on the node manager's sampling
-    /// timer; line 4 `STOREPOWERDATA`).
+    /// timer; line 4 `STOREPOWERDATA`). A NaN or infinite reading is a
+    /// sensor glitch and is dropped, so it voids neither the epoch's
+    /// period nor its mean.
     pub fn store_power_sample(&mut self, gpu_draw: Watts) {
-        self.buffer.push(gpu_draw.get());
+        if gpu_draw.get().is_finite() {
+            self.buffer.push(gpu_draw.get());
+        }
     }
 
-    /// Samples collected in the current epoch.
+    /// Finite samples collected in the current epoch.
     pub fn buffered(&self) -> usize {
         self.buffer.len()
     }
@@ -252,42 +256,12 @@ impl FppController {
     /// samples, run `GET-GPU-CAP`, reset the buffer, and return the
     /// decision.
     ///
-    /// This is the *reference* path: it copies the buffered samples out
-    /// and analyzes them with the unplanned free functions. Production
-    /// epoch loops use [`FppController::on_epoch_with`], which produces
-    /// byte-identical decisions without the copy or the per-call FFT
-    /// setup (`tests/fpp_equivalence.rs` pins the equivalence).
-    pub fn on_epoch(&mut self) -> FppDecision {
-        if let Some(d) = self.epoch_shortcut() {
-            return d;
-        }
-        let samples: Vec<f64> = self.buffer.iter().copied().collect();
-        self.buffer.clear();
-        let rate = 1.0 / self.config.sample_period_s;
-        let t_cur = if self.config.use_welch {
-            let seg = (samples.len() / 2).max(8);
-            fluxpm_fft::welch_estimate_period(&samples, rate, seg)
-                .or_else(|| estimate_period(&samples, rate))
-                .map(|e| e.period_seconds)
-        } else {
-            estimate_period(&samples, rate).map(|e| e.period_seconds)
-        };
-        let mean = if samples.is_empty() {
-            0.0
-        } else {
-            samples.iter().sum::<f64>() / samples.len() as f64
-        };
-        self.decide(t_cur, mean)
-    }
-
-    /// Epoch boundary through the planned analytics: identical policy to
-    /// [`FppController::on_epoch`], but the samples are read via a
-    /// two-slice zero-copy view of the ring and the period estimate runs
-    /// on the shared planner/scratch in `analyzer` — zero steady-state
-    /// allocation. One analyzer is meant to serve every controller of a
-    /// node (its plan caches are keyed by length, so 4–8 GPUs feeding
-    /// the same epoch geometry share one warm plan set).
-    pub fn on_epoch_with(&mut self, analyzer: &mut PeriodAnalyzer) -> FppDecision {
+    /// The samples are read through a two-slice zero-copy view of the
+    /// ring and the period estimate runs on `analyzer` — zero
+    /// steady-state allocation. One analyzer is meant to serve every
+    /// controller of a node (its plan caches are keyed by length, so 4–8
+    /// GPUs feeding the same epoch geometry share one warm plan set).
+    pub fn on_epoch(&mut self, analyzer: &mut PeriodAnalyzer) -> FppDecision {
         if let Some(d) = self.epoch_shortcut() {
             return d;
         }
@@ -305,15 +279,13 @@ impl FppController {
                 .estimate_period(view, rate)
                 .map(|e| e.period_seconds)
         };
-        // Summed oldest → newest, the same association order as the
-        // copied path — bit-identical mean.
         let mean = view.mean();
         self.buffer.clear();
         self.decide(t_cur, mean)
     }
 
-    /// Shared epoch entry: bump the epoch counter and handle the two
-    /// states that never look at the samples (already converged; staged
+    /// Epoch entry: bump the epoch counter and handle the two states
+    /// that never look at the samples (already converged; staged
     /// give-back in flight). Returns `Some(decision)` on those paths —
     /// with the buffer reset, as every epoch boundary must — and `None`
     /// when the caller should analyze the buffered samples.
@@ -339,10 +311,8 @@ impl FppController {
         None
     }
 
-    /// `GET-GPU-CAP` (Algorithm 1 lines 10–31), shared verbatim by the
-    /// reference and planned epoch paths so their decisions cannot
-    /// drift: given this epoch's period estimate and mean draw, move the
-    /// cap.
+    /// `GET-GPU-CAP` (Algorithm 1 lines 10–31): given this epoch's period
+    /// estimate and mean draw, move the cap.
     fn decide(&mut self, t_cur: Option<f64>, mean: f64) -> FppDecision {
         let binding = mean >= self.cap.get() - self.config.binding_margin.get();
 
@@ -440,6 +410,11 @@ mod tests {
         }
     }
 
+    /// An epoch boundary on a cold analyzer.
+    fn epoch(c: &mut FppController) -> FppDecision {
+        c.on_epoch(&mut PeriodAnalyzer::new())
+    }
+
     #[test]
     fn initial_cap_is_min_of_max_and_limit() {
         let c = FppController::new(FppConfig::default(), Watts(253.5));
@@ -454,7 +429,7 @@ mod tests {
     fn first_epoch_probes_downward() {
         let mut c = FppController::new(FppConfig::default(), Watts(253.5));
         feed_square(&mut c, 10.0, 140.0, 55.0, 90);
-        let d = c.on_epoch();
+        let d = epoch(&mut c);
         assert_eq!(d, FppDecision::Set(Watts(203.5)));
         assert!(!c.converged());
     }
@@ -465,9 +440,9 @@ mod tests {
         // period is unchanged, FPP converges early (paper §IV-D).
         let mut c = FppController::new(FppConfig::default(), Watts(253.5));
         feed_square(&mut c, 10.0, 140.0, 55.0, 90);
-        c.on_epoch(); // probe to 203.5
+        epoch(&mut c); // probe to 203.5
         feed_square(&mut c, 10.0, 140.0, 55.0, 90); // unchanged signal
-        let d = c.on_epoch();
+        let d = epoch(&mut c);
         assert_eq!(d, FppDecision::Keep(Watts(203.5)));
         assert!(c.converged());
     }
@@ -479,10 +454,10 @@ mod tests {
         // back").
         let mut c = FppController::new(FppConfig::default(), Watts(253.5));
         feed_flat(&mut c, 253.5, 90); // clipped at the initial cap
-        let d = c.on_epoch();
+        let d = epoch(&mut c);
         assert_eq!(d, FppDecision::Set(Watts(203.5)), "probe");
         feed_flat(&mut c, 203.5, 90); // clipped at the probe cap
-        let d = c.on_epoch();
+        let d = epoch(&mut c);
         assert_eq!(d, FppDecision::Set(Watts(253.5)), "restored");
         assert!(c.converged());
     }
@@ -492,9 +467,9 @@ mod tests {
         // NQueens-like: GPUs idle far below any cap.
         let mut c = FppController::new(FppConfig::default(), Watts(300.0));
         feed_flat(&mut c, 50.0, 90);
-        c.on_epoch(); // probe to 250
+        epoch(&mut c); // probe to 250
         feed_flat(&mut c, 50.0, 90);
-        let d = c.on_epoch();
+        let d = epoch(&mut c);
         assert_eq!(d, FppDecision::Keep(Watts(250.0)));
         assert!(c.converged());
     }
@@ -505,9 +480,9 @@ mod tests {
         // affected): Δ = +8 s ≥ change_th.
         let mut c = FppController::new(FppConfig::default(), Watts(300.0));
         feed_square(&mut c, 10.0, 290.0, 100.0, 90);
-        c.on_epoch(); // probe to 250
+        epoch(&mut c); // probe to 250
         feed_square(&mut c, 18.0, 250.0, 100.0, 90); // period nearly doubled
-        let d = c.on_epoch();
+        let d = epoch(&mut c);
         assert_eq!(d, FppDecision::Set(Watts(300.0)));
         assert!(c.converged());
     }
@@ -518,9 +493,9 @@ mod tests {
         // reduces power again (line 25-26).
         let mut c = FppController::new(FppConfig::default(), Watts(300.0));
         feed_square(&mut c, 14.0, 200.0, 80.0, 90);
-        c.on_epoch(); // probe to 250
+        epoch(&mut c); // probe to 250
         feed_square(&mut c, 11.0, 200.0, 80.0, 90); // Δ = -3
-        let d = c.on_epoch();
+        let d = epoch(&mut c);
         assert_eq!(d, FppDecision::Set(Watts(200.0)));
         assert!(!c.converged());
     }
@@ -529,14 +504,14 @@ mod tests {
     fn converged_controller_holds() {
         let mut c = FppController::new(FppConfig::default(), Watts(253.5));
         feed_square(&mut c, 10.0, 140.0, 55.0, 90);
-        c.on_epoch();
+        epoch(&mut c);
         feed_square(&mut c, 10.0, 140.0, 55.0, 90);
-        c.on_epoch();
+        epoch(&mut c);
         assert!(c.converged());
         let cap = c.cap();
         for _ in 0..5 {
             feed_square(&mut c, 10.0, 140.0, 55.0, 90);
-            assert_eq!(c.on_epoch(), FppDecision::Keep(cap));
+            assert_eq!(epoch(&mut c), FppDecision::Keep(cap));
         }
     }
 
@@ -545,7 +520,7 @@ mod tests {
         let mut c = FppController::new(FppConfig::default(), Watts(100.0));
         assert_eq!(c.cap(), Watts(100.0));
         feed_flat(&mut c, 100.0, 90);
-        let d = c.on_epoch();
+        let d = epoch(&mut c);
         assert_eq!(
             d,
             FppDecision::Keep(Watts(100.0)),
@@ -560,9 +535,9 @@ mod tests {
         // then Quicksilver finishes and the node limit rises.
         let mut c = FppController::new(FppConfig::default(), Watts(253.5));
         feed_flat(&mut c, 253.5, 90);
-        c.on_epoch();
+        epoch(&mut c);
         feed_flat(&mut c, 203.5, 90);
-        c.on_epoch();
+        epoch(&mut c);
         assert_eq!(c.cap(), Watts(253.5));
         c.rebase(Watts(300.0));
         assert_eq!(c.cap(), Watts(300.0), "follows the raised limit");
@@ -572,9 +547,9 @@ mod tests {
     fn rebase_keeps_probe_savings_when_converged_below_limit() {
         let mut c = FppController::new(FppConfig::default(), Watts(300.0));
         feed_flat(&mut c, 50.0, 90);
-        c.on_epoch(); // probe 250
+        epoch(&mut c); // probe 250
         feed_flat(&mut c, 50.0, 90);
-        c.on_epoch(); // converge at 250
+        epoch(&mut c); // converge at 250
         c.rebase(Watts(280.0));
         assert_eq!(c.cap(), Watts(250.0), "savings kept under the new limit");
     }
@@ -609,7 +584,7 @@ mod tests {
                 };
                 c.store_power_sample(Watts(base + 10.0 * next()));
             }
-            c.on_epoch();
+            epoch(&mut c);
         }
         assert!(c.converged(), "noisy periodic signal converges under Welch");
         assert_eq!(c.cap(), Watts(203.5), "probe kept (cap not binding)");
@@ -627,22 +602,22 @@ mod tests {
         };
         let mut c = FppController::new(cfg, Watts(253.5));
         feed_flat(&mut c, 253.5, 90);
-        assert_eq!(c.on_epoch(), FppDecision::Set(Watts(203.5)), "probe");
+        assert_eq!(epoch(&mut c), FppDecision::Set(Watts(203.5)), "probe");
         feed_flat(&mut c, 203.5, 90);
-        assert_eq!(c.on_epoch(), FppDecision::Set(Watts(218.5)), "step 1");
+        assert_eq!(epoch(&mut c), FppDecision::Set(Watts(218.5)), "step 1");
         assert!(!c.converged(), "still restoring");
         for expect in [233.5, 248.5] {
             feed_flat(&mut c, expect - 15.0, 90);
-            assert_eq!(c.on_epoch(), FppDecision::Set(Watts(expect)));
+            assert_eq!(epoch(&mut c), FppDecision::Set(Watts(expect)));
             assert!(!c.converged());
         }
         feed_flat(&mut c, 248.5, 90);
         // Final step clamps at the pre-probe target.
-        assert_eq!(c.on_epoch(), FppDecision::Set(Watts(253.5)));
+        assert_eq!(epoch(&mut c), FppDecision::Set(Watts(253.5)));
         assert!(c.converged(), "converged on arrival");
         // Converged: further epochs hold.
         feed_flat(&mut c, 253.5, 90);
-        assert_eq!(c.on_epoch(), FppDecision::Keep(Watts(253.5)));
+        assert_eq!(epoch(&mut c), FppDecision::Keep(Watts(253.5)));
     }
 
     #[test]
@@ -657,12 +632,12 @@ mod tests {
         };
         let mut c = FppController::new(cfg, Watts(300.0));
         feed_square(&mut c, 10.0, 290.0, 100.0, 90);
-        assert_eq!(c.on_epoch(), FppDecision::Set(Watts(280.0)), "probe");
+        assert_eq!(epoch(&mut c), FppDecision::Set(Watts(280.0)), "probe");
         // Period more than doubles (both periods sit on exact FFT bins
         // of a 90-sample epoch): delta = 12.5 s -> level 2 -> 25 W step,
         // 280 + 25 >= 300.
         feed_square(&mut c, 22.5, 280.0, 100.0, 90);
-        assert_eq!(c.on_epoch(), FppDecision::Set(Watts(300.0)));
+        assert_eq!(epoch(&mut c), FppDecision::Set(Watts(300.0)));
         assert!(c.converged());
     }
 
@@ -674,10 +649,35 @@ mod tests {
         assert!(!c.staged_give_back);
         let mut c = FppController::new(FppConfig::default(), Watts(253.5));
         feed_flat(&mut c, 253.5, 90);
-        c.on_epoch();
+        epoch(&mut c);
         feed_flat(&mut c, 203.5, 90);
-        assert_eq!(c.on_epoch(), FppDecision::Set(Watts(253.5)), "one jump");
+        assert_eq!(epoch(&mut c), FppDecision::Set(Watts(253.5)), "one jump");
         assert!(c.converged());
+    }
+
+    #[test]
+    fn a_nan_or_infinite_sample_is_dropped() {
+        let mut clean = FppController::new(FppConfig::default(), Watts(253.5));
+        let mut glitched = clean.clone();
+        for _ in 0..2 {
+            feed_square(&mut clean, 10.0, 140.0, 55.0, 90);
+            for t in 0..90 {
+                match t {
+                    17 => glitched.store_power_sample(Watts(f64::NAN)),
+                    60 => glitched.store_power_sample(Watts(f64::INFINITY)),
+                    _ => {}
+                }
+                let w = if (t as f64 / 10.0).fract() < 0.3 {
+                    140.0
+                } else {
+                    55.0
+                };
+                glitched.store_power_sample(Watts(w));
+            }
+            assert_eq!(glitched.buffered(), 90, "only finite samples count");
+            assert_eq!(epoch(&mut glitched), epoch(&mut clean));
+        }
+        assert!(glitched.converged() && clean.converged());
     }
 
     #[test]
@@ -685,7 +685,7 @@ mod tests {
         let mut c = FppController::new(FppConfig::default(), Watts(300.0));
         feed_flat(&mut c, 100.0, 90);
         assert_eq!(c.buffered(), 90);
-        c.on_epoch();
+        epoch(&mut c);
         assert_eq!(c.buffered(), 0);
     }
 }

@@ -340,14 +340,14 @@ impl NodeLevelManager {
         // Only act while a job occupies this node; an idle node's
         // controllers sit on stale buffers.
         let busy = ctx.world.jobs.job_on_node(NodeId(ctx.rank.0)).is_some();
-        // Planned path: every controller's analysis runs through the one
-        // shared analyzer, so the whole per-GPU batch reuses a single
-        // warm plan/scratch set.
+        // Every controller's analysis runs through the one shared
+        // analyzer, so the whole per-GPU batch reuses a single warm
+        // plan/scratch set.
         let analyzer = &mut self.analyzer;
         let decisions: Vec<FppDecision> = self
             .controllers
             .iter_mut()
-            .map(|c| c.on_epoch_with(analyzer))
+            .map(|c| c.on_epoch(analyzer))
             .collect();
         if !busy {
             return;

@@ -1,69 +1,150 @@
-//! FPP decision equivalence: the planned epoch path
-//! (`on_epoch_with` + shared `PeriodAnalyzer`, zero-copy ring view) must
-//! produce **byte-identical** decisions to the reference path
-//! (`on_epoch`, copied `Vec` + unplanned FFT) on every scenario the repo
-//! exercises — chaos-soak-style seeded signals, the §IV-E queue
-//! restore loop, Welch mode, and the whole decision-space battery.
-//!
-//! Why byte-identical is achievable: the two paths share one `decide()`
-//! op sequence and a bit-identical mean; only the FFT kernel differs, by
-//! ~1e-15 relative, and FPP's thresholded comparisons (2 s / 5 s deltas,
-//! 5 % confidence, binding margin) never sit within a ulp of a
-//! boundary on realistic power traces. Every cap a decision carries is
-//! pure `Watts` arithmetic, so the golden traces stay unchanged.
+//! FPP against the test oracle: on every epoch a controller analyzes,
+//! the period estimate it decides on (the shared `PeriodAnalyzer`, over
+//! the same samples) must agree with the oracle's
+//! (`fluxpm-fft/tests/oracle`) to [`AGREE`], and every threshold FPP
+//! compares an estimate against — |Δ| against `converge_th` and
+//! `change_th`, the peak's confidence against the 5 % gate — must be
+//! cleared by more than [`MARGIN`]. Together the two mean a controller
+//! deciding on the oracle's estimates would take every decision it
+//! takes here. Scenarios: chaos-soak-style seeded signals, the §IV-E
+//! queue restore loop, Welch mode, and the decision-space battery.
 
-use fluxpm_fft::PeriodAnalyzer;
+#[path = "../../fft/tests/oracle/mod.rs"]
+mod oracle;
+
+use fluxpm_fft::{Complex64, PeriodAnalyzer, PeriodEstimate, Samples};
 use fluxpm_hw::Watts;
 use fluxpm_manager::{FppConfig, FppController, FppDecision};
 
-/// Drive the same controller state down both paths and assert bitwise
-/// equality of every decision and all observable state, epoch by epoch.
-/// `feed(epoch) -> samples` generates each epoch's trace.
-fn assert_paths_identical(
+/// How close each estimate must be to the oracle's, in seconds (period)
+/// and as a share of energy (confidence).
+const AGREE: f64 = 1e-9;
+/// How far every threshold comparison must sit from its threshold.
+const MARGIN: f64 = 1e-6;
+
+/// One controller on its analyzer, checked against the oracle.
+struct Checked {
+    label: String,
+    config: FppConfig,
+    controller: FppController,
+    analyzer: PeriodAnalyzer,
+    /// The controller's `T_prev`, mirrored from the oracle's estimates.
+    t_prev: Option<f64>,
+}
+
+impl Checked {
+    fn new(label: &str, config: FppConfig, power_lim: Watts) -> Checked {
+        let controller = FppController::new(config.clone(), power_lim);
+        Checked::with(label, config, controller)
+    }
+
+    fn with(label: &str, config: FppConfig, controller: FppController) -> Checked {
+        Checked {
+            label: label.to_owned(),
+            config,
+            controller,
+            analyzer: PeriodAnalyzer::new(),
+            t_prev: None,
+        }
+    }
+
+    /// Feed one epoch's samples, check what the controller will analyze,
+    /// and return its decision.
+    fn epoch(&mut self, samples: &[f64]) -> FppDecision {
+        let epoch = self.controller.epochs();
+        for &s in samples {
+            self.controller.store_power_sample(Watts(s));
+        }
+        // A converged controller keeps its cap without looking.
+        if !self.controller.converged() {
+            let t_cur = self.check_estimate(epoch, samples);
+            if epoch > 0 {
+                if let (Some(prev), Some(cur)) = (self.t_prev, t_cur) {
+                    let abs = (cur - prev).abs();
+                    for th in [self.config.converge_th_s, self.config.change_th_s] {
+                        assert!(
+                            (abs - th).abs() > MARGIN,
+                            "{}: epoch {epoch}: |Δ| = {abs} within {MARGIN} of {th}",
+                            self.label
+                        );
+                    }
+                }
+            }
+            // The first epoch records its estimate as the baseline.
+            self.t_prev = if epoch == 0 {
+                t_cur
+            } else {
+                t_cur.or(self.t_prev)
+            };
+        }
+        let decision = self.controller.on_epoch(&mut self.analyzer);
+        assert_eq!(self.controller.buffered(), 0, "{}: reset", self.label);
+        decision
+    }
+
+    /// The estimate the controller's epoch computes — Welch first in
+    /// Welch mode, the single window when that finds none — against the
+    /// oracle's, step by step. Returns the oracle's period.
+    fn check_estimate(&mut self, epoch: u64, x: &[f64]) -> Option<f64> {
+        let rate = 1.0 / self.config.sample_period_s;
+        let view = Samples::contiguous(x);
+        if self.config.use_welch {
+            let seg = (x.len() / 2).max(8);
+            let planned = self.analyzer.welch_estimate_period(view, rate, seg);
+            let period = self.agree(epoch, planned, oracle::welch_peak(x, rate, seg));
+            if period.is_some() {
+                return period;
+            }
+        }
+        let planned = self.analyzer.estimate_period(view, rate);
+        self.agree(epoch, planned, oracle::period_peak(x, rate))
+    }
+
+    /// One estimate against the oracle's peak: the gate's margin, then
+    /// presence and value. Returns the oracle's period if it passes the
+    /// gate.
+    fn agree(
+        &self,
+        epoch: u64,
+        planned: Option<PeriodEstimate>,
+        peak: Option<oracle::Peak>,
+    ) -> Option<f64> {
+        let label = &self.label;
+        if let Some(p) = peak {
+            assert!(
+                (p.confidence - oracle::MIN_CONFIDENCE).abs() > MARGIN,
+                "{label}: epoch {epoch}: confidence {} within {MARGIN} of the gate",
+                p.confidence
+            );
+        }
+        let truth = peak.filter(|p| p.confidence >= oracle::MIN_CONFIDENCE);
+        match (planned, truth) {
+            (None, None) => None,
+            (Some(p), Some(o)) => {
+                assert!(
+                    (p.period_seconds - o.period_seconds).abs() <= AGREE
+                        && (p.confidence - o.confidence).abs() <= AGREE,
+                    "{label}: epoch {epoch}: {p:?} vs oracle {o:?}"
+                );
+                Some(o.period_seconds)
+            }
+            (p, o) => panic!("{label}: epoch {epoch}: {p:?} vs oracle {o:?}"),
+        }
+    }
+}
+
+/// Drive one controller through `epochs` epochs of `feed(epoch)`.
+fn run_checked(
     label: &str,
     config: FppConfig,
     power_lim: Watts,
     epochs: usize,
     mut feed: impl FnMut(usize) -> Vec<f64>,
 ) {
-    let mut reference = FppController::new(config.clone(), power_lim);
-    let mut planned = FppController::new(config, power_lim);
-    let mut analyzer = PeriodAnalyzer::new();
+    let mut c = Checked::new(label, config, power_lim);
     for epoch in 0..epochs {
-        let samples = feed(epoch);
-        for &s in &samples {
-            reference.store_power_sample(Watts(s));
-            planned.store_power_sample(Watts(s));
-        }
-        let d_ref = reference.on_epoch();
-        let d_new = planned.on_epoch_with(&mut analyzer);
-        assert_decisions_bitwise(label, epoch, d_ref, d_new);
-        assert_eq!(
-            reference.cap().get().to_bits(),
-            planned.cap().get().to_bits(),
-            "{label}: cap diverged at epoch {epoch}"
-        );
-        assert_eq!(
-            reference.converged(),
-            planned.converged(),
-            "{label}: convergence flag diverged at epoch {epoch}"
-        );
-        assert_eq!(reference.epochs(), planned.epochs());
-        assert_eq!(reference.buffered(), 0);
-        assert_eq!(planned.buffered(), 0, "{label}: planned path must reset");
+        c.epoch(&feed(epoch));
     }
-}
-
-fn assert_decisions_bitwise(label: &str, epoch: usize, a: FppDecision, b: FppDecision) {
-    let same = match (a, b) {
-        (FppDecision::Keep(x), FppDecision::Keep(y)) => x.get().to_bits() == y.get().to_bits(),
-        (FppDecision::Set(x), FppDecision::Set(y)) => x.get().to_bits() == y.get().to_bits(),
-        _ => false,
-    };
-    assert!(
-        same,
-        "{label}: epoch {epoch} decisions differ: {a:?} vs {b:?}"
-    );
 }
 
 fn square_wave(n: usize, period_s: f64, hi: f64, lo: f64) -> Vec<f64> {
@@ -88,7 +169,7 @@ fn lcg_noise(seed: u64) -> impl FnMut() -> f64 {
 
 #[test]
 fn quicksilver_like_probe_then_converge() {
-    assert_paths_identical("quicksilver", FppConfig::default(), Watts(253.5), 4, |_| {
+    run_checked("quicksilver", FppConfig::default(), Watts(253.5), 4, |_| {
         square_wave(90, 10.0, 140.0, 55.0)
     });
 }
@@ -98,7 +179,7 @@ fn gemm_like_binding_give_back() {
     // Flat draw pinned at whatever the cap is: probe, binding fallback,
     // instant restore, then hold.
     let caps = std::cell::Cell::new(253.5);
-    assert_paths_identical(
+    run_checked(
         "gemm-binding",
         FppConfig::default(),
         Watts(253.5),
@@ -114,7 +195,7 @@ fn gemm_like_binding_give_back() {
 
 #[test]
 fn period_stretch_give_back() {
-    assert_paths_identical("stretch", FppConfig::default(), Watts(300.0), 3, |epoch| {
+    run_checked("stretch", FppConfig::default(), Watts(300.0), 3, |epoch| {
         let period = if epoch == 0 { 10.0 } else { 18.0 };
         square_wave(90, period, 290.0, 100.0)
     });
@@ -122,7 +203,7 @@ fn period_stretch_give_back() {
 
 #[test]
 fn mild_shrink_reduces_further() {
-    assert_paths_identical("shrink", FppConfig::default(), Watts(300.0), 3, |epoch| {
+    run_checked("shrink", FppConfig::default(), Watts(300.0), 3, |epoch| {
         let period = if epoch == 0 { 14.0 } else { 11.0 };
         square_wave(90, period, 200.0, 80.0)
     });
@@ -140,7 +221,7 @@ fn chaos_seed_style_signals() {
                 ..FppConfig::default()
             };
             let mut noise = lcg_noise(seed);
-            assert_paths_identical(
+            run_checked(
                 &format!("chaos seed {seed} welch={use_welch}"),
                 cfg,
                 Watts(253.5),
@@ -166,7 +247,7 @@ fn welch_mode_long_epochs() {
         ..FppConfig::default()
     };
     let mut noise = lcg_noise(0xD00D);
-    assert_paths_identical("welch-long", cfg, Watts(253.5), 3, move |_| {
+    run_checked("welch-long", cfg, Watts(253.5), 3, move |_| {
         square_wave(180, 10.0, 140.0, 55.0)
             .into_iter()
             .map(|v| v + 10.0 * noise())
@@ -185,28 +266,14 @@ fn staged_give_back_restore_ladder() {
             ..FppConfig::default()
         };
         let pre_probe = 253.5;
-        let mut reference = FppController::new(cfg.clone(), Watts(pre_probe));
-        let mut planned = FppController::new(cfg, Watts(pre_probe));
-        let mut analyzer = PeriodAnalyzer::new();
-        for epoch in 0..8 {
-            // Feed each controller its *own* cap (they must agree, which
-            // the assertion below pins).
-            for c in [&mut reference, &mut planned] {
-                let draw = c.cap().get();
-                for _ in 0..90 {
-                    c.store_power_sample(Watts(draw));
-                }
-            }
-            let d_ref = reference.on_epoch();
-            let d_new = planned.on_epoch_with(&mut analyzer);
-            assert_decisions_bitwise(&format!("queue staged={staged}"), epoch, d_ref, d_new);
-            assert_eq!(
-                reference.cap().get().to_bits(),
-                planned.cap().get().to_bits()
-            );
+        let mut c = Checked::new(&format!("queue staged={staged}"), cfg, Watts(pre_probe));
+        for _ in 0..8 {
+            let draw = c.controller.cap().get();
+            c.epoch(&[draw; 90]);
         }
-        assert!(reference.converged());
-        assert!((reference.cap().get() - pre_probe).abs() < 1e-9, "restored");
+        assert!(c.controller.converged());
+        let cap = c.controller.cap().get();
+        assert!((cap - pre_probe).abs() < 1e-9, "restored");
     }
 }
 
@@ -214,8 +281,8 @@ fn staged_give_back_restore_ladder() {
 fn no_samples_and_short_epochs() {
     // Degenerate feeds: empty epochs, then too-short epochs — the
     // binding fallback and gates must agree.
-    assert_paths_identical("empty", FppConfig::default(), Watts(300.0), 3, |_| vec![]);
-    assert_paths_identical("short", FppConfig::default(), Watts(300.0), 3, |_| {
+    run_checked("empty", FppConfig::default(), Watts(300.0), 3, |_| vec![]);
+    run_checked("short", FppConfig::default(), Watts(300.0), 3, |_| {
         vec![120.0; 5]
     });
 }
@@ -224,42 +291,21 @@ fn no_samples_and_short_epochs() {
 fn socket_bounds_variant() {
     // Device-agnostic form with non-GPU bounds (socket-level FPP).
     let cfg = FppConfig::default();
-    let mut reference =
+    let controller =
         FppController::with_bounds(cfg.clone(), Watts(180.0), Watts(60.0), Watts(200.0));
-    let mut planned = FppController::with_bounds(cfg, Watts(180.0), Watts(60.0), Watts(200.0));
-    let mut analyzer = PeriodAnalyzer::new();
-    for epoch in 0..5 {
-        for s in square_wave(90, 12.0, 170.0, 70.0) {
-            reference.store_power_sample(Watts(s));
-            planned.store_power_sample(Watts(s));
-        }
-        let d_ref = reference.on_epoch();
-        let d_new = planned.on_epoch_with(&mut analyzer);
-        assert_decisions_bitwise("socket", epoch, d_ref, d_new);
+    let mut c = Checked::with("socket", cfg, controller);
+    for _ in 0..5 {
+        c.epoch(&square_wave(90, 12.0, 170.0, 70.0));
     }
 }
 
 #[test]
 fn rebase_mid_flight_stays_identical() {
-    let cfg = FppConfig::default();
-    let mut reference = FppController::new(cfg.clone(), Watts(300.0));
-    let mut planned = FppController::new(cfg, Watts(300.0));
-    let mut analyzer = PeriodAnalyzer::new();
+    let mut c = Checked::new("rebase", FppConfig::default(), Watts(300.0));
     for epoch in 0..6 {
         if epoch == 2 {
-            reference.rebase(Watts(260.0));
-            planned.rebase(Watts(260.0));
+            c.controller.rebase(Watts(260.0));
         }
-        for s in square_wave(90, 10.0, 240.0, 90.0) {
-            reference.store_power_sample(Watts(s));
-            planned.store_power_sample(Watts(s));
-        }
-        let d_ref = reference.on_epoch();
-        let d_new = planned.on_epoch_with(&mut analyzer);
-        assert_decisions_bitwise("rebase", epoch, d_ref, d_new);
-        assert_eq!(
-            reference.cap().get().to_bits(),
-            planned.cap().get().to_bits()
-        );
+        c.epoch(&square_wave(90, 10.0, 240.0, 90.0));
     }
 }

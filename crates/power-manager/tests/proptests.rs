@@ -1,5 +1,6 @@
 //! Property-based tests for the manager's pure decision logic.
 
+use fluxpm_fft::PeriodAnalyzer;
 use fluxpm_flux::JobId;
 use fluxpm_hw::Watts;
 use fluxpm_manager::{FppConfig, FppController, ProportionalAllocator};
@@ -56,11 +57,12 @@ proptest! {
     ) {
         let cfg = FppConfig::default();
         let mut c = FppController::new(cfg, Watts(power_lim));
+        let mut analyzer = PeriodAnalyzer::new();
         for chunk in signals.chunks(90) {
             for &w in chunk {
                 c.store_power_sample(Watts(w));
             }
-            c.on_epoch();
+            c.on_epoch(&mut analyzer);
             let cap = c.cap().get();
             prop_assert!((100.0..=300.0).contains(&cap), "cap {cap}");
         }
@@ -76,13 +78,14 @@ proptest! {
     ) {
         prop_assume!(hi > lo + 30.0);
         let mut c = FppController::new(FppConfig::default(), Watts(253.5));
+        let mut analyzer = PeriodAnalyzer::new();
         let start = c.cap();
         for _ in 0..3 {
             for t in 0..90 {
                 let w = if (t as f64 / period).fract() < 0.3 { hi } else { lo };
                 c.store_power_sample(Watts(w.min(c.cap().get())));
             }
-            c.on_epoch();
+            c.on_epoch(&mut analyzer);
         }
         prop_assert!(c.converged(), "stable signal must converge");
         prop_assert!(c.cap() <= start + Watts(1e-9));

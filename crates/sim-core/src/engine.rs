@@ -69,14 +69,16 @@
 //! leaves the entry behind as a tombstone (its recorded generation no
 //! longer matches the slot's), and tombstones are trimmed from the head
 //! on every cancel and pop — so [`Engine::next_event_time`] reads the
-//! heap root and one head per lane (the lazy-deletion design this
-//! replaces, kept as [`crate::baseline::BaselineEngine`], scans every
-//! pending entry) and [`Engine::pending`] counts exactly the live
-//! events. *Tombstones are bounded*: a lane more than half dead is
+//! heap root and one head per lane and [`Engine::pending`] counts
+//! exactly the live events. *Tombstones are bounded*: a lane more than half dead is
 //! compacted in place, so scheduling and cancelling far-off deadlines in
 //! a loop holds no more memory than eager removal did. Steady-state
 //! operation allocates nothing beyond the boxed closures themselves; a
 //! typed event allocates nothing at all.
+//!
+//! `tests/engine_equivalence.rs` checks every one of these choices
+//! against the total order written down: a `Vec` kept sorted by
+//! `(time, key, sequence)` that runs the same random programs.
 
 use crate::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
@@ -491,9 +493,9 @@ impl<W, E: Event<W>> Engine<W, E> {
     pub fn cancel(&mut self, id: EventId) -> bool {
         let (generation, slot) = id.unpack();
         // A live generation on a slot with no queue position is a
-        // periodic task cancelling itself from its own callback, which
-        // matches the map-based engine: the body is already out of the
-        // table, so the cancel misses and the re-arm stands.
+        // periodic task cancelling itself from its own callback: its
+        // entry is already off the queue, so the cancel misses and the
+        // re-arm stands.
         let pos = match self.slabs.meta(slot) {
             Some((g, pos)) if g == generation && pos != NONE => pos,
             _ => return false,
@@ -535,11 +537,11 @@ impl<W, E: Event<W>> Engine<W, E> {
         debug_assert!(at >= self.now, "time must be monotone");
         self.now = at;
         self.executed += 1;
-        // A one-shot's slot is freed before the call, like the map-based
-        // engine removed the body before calling it: a self-cancel
+        // A one-shot's slot is freed before the call: a self-cancel
         // inside misses (the id is stale by then).
         if slot & TYPED != 0 {
             let ev = self.slabs.events.free(slot ^ TYPED);
+            // invariant: a queued slot is `Full` (peek returns live entries only).
             ev.expect("queued event has a body").fire(world, self);
             return Some(at);
         }
@@ -686,6 +688,7 @@ impl<W, E: Event<W>> Engine<W, E> {
 
     /// Remove lane `l`'s head (the entry [`Engine::peek`] returned).
     fn lane_pop(&mut self, l: usize) {
+        // invariant: `peek` just returned this lane's head.
         let head = self.lanes[l].q.pop_front().expect("peeked lane head");
         self.slabs.set_pos(head.slot, NONE);
         self.laned -= 1;
@@ -1124,9 +1127,9 @@ mod slab_tests {
 
     #[test]
     fn periodic_self_cancel_from_callback_misses() {
-        // Matches the reference engine: the body is out of the table
-        // while it runs, so a self-cancel returns false and the re-arm
-        // stands; Break is the way to stop from inside.
+        // The entry is off the queue while the body runs, so a
+        // self-cancel returns false and the re-arm stands; Break is the
+        // way to stop from inside.
         use std::cell::Cell;
         use std::rc::Rc;
         let mut eng: Engine<Vec<u64>> = Engine::new();

@@ -31,14 +31,12 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-pub mod baseline;
 pub mod engine;
 pub mod rng;
 pub mod sharded;
 pub mod time;
 pub mod trace;
 
-pub use baseline::{BaselineEngine, BaselineEventId};
 pub use engine::{Engine, Event, EventId, NoEvent, Periodic};
 pub use rng::{SplitMix64, Xoshiro256pp};
 pub use sharded::{Inbound, Outbound, ShardSim, ShardedEngine, ShardedRunStats};

@@ -210,6 +210,7 @@ impl ShardedEngine {
                     let mut sim = builder(shard);
                     let mut outbox = Vec::new();
                     loop {
+                        // invariant: `cmd_txs` outlives the thread scope.
                         match cmd_rx.recv().expect("coordinator alive") {
                             Cmd::Window { end, inbox } => {
                                 for m in inbox {
@@ -243,9 +244,11 @@ impl ShardedEngine {
                                     next: sim.next_time(),
                                     events,
                                 };
+                                // invariant: `rep_rxs` outlives the thread scope.
                                 rep_tx.send(report).expect("coordinator alive");
                             }
                             Cmd::Finish => {
+                                // invariant: `out_rx` outlives the thread scope.
                                 out_tx.send((shard, sim.finish())).expect("caller alive");
                                 return;
                             }
@@ -267,13 +270,15 @@ impl ShardedEngine {
             // Bootstrap round: an empty zero-length window makes every
             // shard report its initial next-event time.
             for tx in &cmd_txs {
-                tx.send(Cmd::Window {
+                let probe = Cmd::Window {
                     end: SimTime::ZERO,
                     inbox: Vec::new(),
-                })
-                .expect("worker alive");
+                };
+                // invariant: a worker hangs up only after `Finish` or by panicking.
+                tx.send(probe).expect("worker alive");
             }
             for (i, rx) in rep_rxs.iter().enumerate() {
+                // invariant: a worker hangs up only after `Finish` or by panicking.
                 let r = rx.recv().expect("worker alive");
                 assert!(r.outbox.is_empty(), "no sends before t=0");
                 next[i] = r.next;
@@ -311,9 +316,11 @@ impl ShardedEngine {
                             msg,
                         })
                         .collect();
+                    // invariant: a worker hangs up only after `Finish` or by panicking.
                     tx.send(Cmd::Window { end, inbox }).expect("worker alive");
                 }
                 for (i, rx) in rep_rxs.iter().enumerate() {
+                    // invariant: a worker hangs up only after `Finish` or by panicking.
                     let r = rx.recv().expect("worker alive");
                     next[i] = r.next;
                     stats.events += r.events;
@@ -330,6 +337,7 @@ impl ShardedEngine {
             }
 
             for tx in &cmd_txs {
+                // invariant: a worker hangs up only after `Finish` or by panicking.
                 tx.send(Cmd::Finish).expect("worker alive");
             }
         });

@@ -1,25 +1,25 @@
-//! Dual-engine cross-check: the optimized slab/d-ary-heap engine must
-//! execute any program *identically* to the reference map-based engine
-//! ([`fluxpm_sim::BaselineEngine`]) — same events, same instants, same
-//! order, same cancel outcomes, same counters. Random programs of
-//! one-shots, periodics, nested schedules, mid-run cancels, run-until
-//! chunks, and horizons are interpreted against both and the full
-//! execution logs compared.
+//! The engine against a written-down total order: any program must
+//! execute on [`Engine`] exactly as on `Model`, a `Vec` kept sorted by
+//! `(at, key, seq)` that lives in this file — same events, same instants,
+//! same order, same cancel outcomes, same counters.
 //!
-//! The optimized engine chooses between two queues by what it observes
-//! — FIFO lanes for entries that repeat an offset from now, the heap for
-//! the rest — so the programs must land on both sides: half of all
-//! instants, intervals and delays are drawn from a short palette of the
-//! offsets the stack really uses (and small multiples), the other half
+//! Two program families are interpreted against both and the full
+//! execution logs compared:
+//!
+//! * closures only — one-shots, periodics, nested schedules, mid-run
+//!   cancels, `run_until` chunks with a `next_event_time`/`pending` probe
+//!   after each, and horizons;
+//! * typed events interleaved with keyed closures, periodics and cancels
+//!   across the engine's two slabs (the last section of this file).
+//!
+//! The engine chooses between two queues by what it observes — FIFO
+//! lanes for entries that repeat an offset from now, the heap for the
+//! rest — so the programs must land on both sides: half of all instants,
+//! intervals and delays are drawn from a short palette of the offsets
+//! the stack really uses (and small multiples), the other half
 //! uniformly.
-//!
-//! The reference engine knows neither ordering keys nor typed events, so
-//! a second family of programs — `schedule_event` interleaved with keyed
-//! closures, periodics and cancels across the two slabs — is checked
-//! against a sorted `Vec` of `(at, key, seq)` instead (the last section
-//! of this file).
 
-use fluxpm_sim::{BaselineEngine, Engine, Event, EventId, SimDuration, SimTime};
+use fluxpm_sim::{Engine, Event, EventId, SimDuration, SimTime};
 use proptest::prelude::*;
 use std::ops::ControlFlow;
 
@@ -91,121 +91,149 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Expand an interpreter for one engine type. The two engines have
-/// structurally identical APIs but closures are typed per-engine, so a
-/// generic fn cannot cover both without a unifying trait; a macro keeps
-/// the two interpreters textually identical instead.
-macro_rules! interpreter {
-    ($name:ident, $engine:ty) => {
-        fn $name(program: &[Op], horizon_us: Option<u64>, cuts_us: [u64; 3]) -> (Log, u64, usize) {
-            let mut eng: $engine = <$engine>::new();
-            if let Some(h) = horizon_us {
-                eng.set_horizon(SimTime::from_micros(h));
+/// Interpret `program` on the engine.
+fn run_engine(program: &[Op], horizon_us: Option<u64>, cuts_us: [u64; 3]) -> (Log, u64, usize) {
+    let mut eng: Engine<Log> = Engine::new();
+    if let Some(h) = horizon_us {
+        eng.set_horizon(SimTime::from_micros(h));
+    }
+    let mut ids = Vec::new();
+    for (i, op) in program.iter().enumerate() {
+        let label = i as u32;
+        match *op {
+            Op::Once {
+                at_us,
+                nested_in_us,
+            } => {
+                let id = eng.schedule(SimTime::from_micros(at_us), move |w: &mut Log, e| {
+                    w.push((e.now().as_micros(), label));
+                    if let Some(d) = nested_in_us {
+                        e.schedule_in(SimDuration::from_micros(d), move |w: &mut Log, e| {
+                            w.push((e.now().as_micros(), 10_000 + label));
+                        });
+                    }
+                });
+                ids.push(id);
             }
-            let mut ids = Vec::new();
-            for (i, op) in program.iter().enumerate() {
-                let label = i as u32;
-                match *op {
-                    Op::Once {
-                        at_us,
-                        nested_in_us,
-                    } => {
-                        let id =
-                            eng.schedule(SimTime::from_micros(at_us), move |w: &mut Log, e| {
-                                w.push((e.now().as_micros(), label));
-                                if let Some(d) = nested_in_us {
-                                    e.schedule_in(
-                                        SimDuration::from_micros(d),
-                                        move |w: &mut Log, e| {
-                                            w.push((e.now().as_micros(), 10_000 + label));
-                                        },
-                                    );
-                                }
+            Op::Every {
+                at_us,
+                interval_us,
+                fires,
+                hop_us,
+                cancel_in_us,
+            } => {
+                let mut left = fires;
+                let id = eng.schedule_every(
+                    SimTime::from_micros(at_us),
+                    SimDuration::from_micros(interval_us),
+                    move |w: &mut Log, e| {
+                        w.push((e.now().as_micros(), 20_000 + label));
+                        if let Some(d) = hop_us {
+                            e.schedule_in(SimDuration::from_micros(d), move |w: &mut Log, e| {
+                                w.push((e.now().as_micros(), 60_000 + label));
                             });
-                        ids.push(id);
-                    }
-                    Op::Every {
-                        at_us,
-                        interval_us,
-                        fires,
-                        hop_us,
-                        cancel_in_us,
-                    } => {
-                        let mut left = fires;
-                        let id = eng.schedule_every(
-                            SimTime::from_micros(at_us),
-                            SimDuration::from_micros(interval_us),
-                            move |w: &mut Log, e| {
-                                w.push((e.now().as_micros(), 20_000 + label));
-                                if let Some(d) = hop_us {
-                                    e.schedule_in(
-                                        SimDuration::from_micros(d),
-                                        move |w: &mut Log, e| {
-                                            w.push((e.now().as_micros(), 60_000 + label));
-                                        },
-                                    );
-                                }
-                                if let Some(d) = cancel_in_us {
-                                    let deadline = e.schedule_in(
-                                        SimDuration::from_micros(DEADLINE_US),
-                                        move |w: &mut Log, e| {
-                                            w.push((e.now().as_micros(), 70_000 + label));
-                                        },
-                                    );
-                                    e.schedule_in(
-                                        SimDuration::from_micros(d),
-                                        move |w: &mut Log, e| {
-                                            let tag =
-                                                if e.cancel(deadline) { 80_000 } else { 90_000 };
-                                            w.push((e.now().as_micros(), tag + label));
-                                        },
-                                    );
-                                }
-                                left -= 1;
-                                if left == 0 {
-                                    ControlFlow::Break(())
-                                } else {
-                                    ControlFlow::Continue(())
-                                }
-                            },
-                        );
-                        ids.push(id);
-                    }
-                    Op::Cancel { at_us, target_raw } => {
-                        let target = ids.get(target_raw % i.max(1)).copied();
-                        let id =
-                            eng.schedule(SimTime::from_micros(at_us), move |w: &mut Log, e| {
-                                let hit = target.map(|t| e.cancel(t)).unwrap_or(false);
-                                let tag = if hit { 30_000 } else { 40_000 };
+                        }
+                        if let Some(d) = cancel_in_us {
+                            let deadline = e.schedule_in(
+                                SimDuration::from_micros(DEADLINE_US),
+                                move |w: &mut Log, e| {
+                                    w.push((e.now().as_micros(), 70_000 + label));
+                                },
+                            );
+                            e.schedule_in(SimDuration::from_micros(d), move |w: &mut Log, e| {
+                                let tag = if e.cancel(deadline) { 80_000 } else { 90_000 };
                                 w.push((e.now().as_micros(), tag + label));
                             });
-                        ids.push(id);
-                    }
-                }
+                        }
+                        left -= 1;
+                        if left == 0 {
+                            ControlFlow::Break(())
+                        } else {
+                            ControlFlow::Continue(())
+                        }
+                    },
+                );
+                ids.push(id);
             }
-            let mut log = Log::new();
-            // Run in chunks with a probe after each: run_until
-            // semantics (a cut-off behind the clock included), live
-            // pending counts and next_event_time — a scan of the heap
-            // root and the lane heads on one side, of every pending
-            // event on the other — must all agree.
-            for cut_us in cuts_us {
-                eng.run_until(&mut log, SimTime::from_micros(cut_us));
-                log.push((
-                    eng.next_event_time()
-                        .map(SimTime::as_micros)
-                        .unwrap_or(u64::MAX),
-                    50_000 + eng.pending() as u32,
-                ));
+            Op::Cancel { at_us, target_raw } => {
+                let target = ids.get(target_raw % i.max(1)).copied();
+                let id = eng.schedule(SimTime::from_micros(at_us), move |w: &mut Log, e| {
+                    let hit = target.is_some_and(|t| e.cancel(t));
+                    let tag = if hit { 30_000 } else { 40_000 };
+                    w.push((e.now().as_micros(), tag + label));
+                });
+                ids.push(id);
             }
-            eng.run(&mut log);
-            (log, eng.executed(), eng.pending())
         }
-    };
+    }
+    let mut log = Log::new();
+    // Run in chunks with a probe after each: run_until semantics (a
+    // cut-off behind the clock included), live pending counts and
+    // next_event_time — a read of the heap root and the lane heads on
+    // the engine, of the first entry of a sorted `Vec` on the model —
+    // must all agree.
+    for cut_us in cuts_us {
+        eng.run_until(&mut log, SimTime::from_micros(cut_us));
+        log.push((
+            eng.next_event_time()
+                .map(SimTime::as_micros)
+                .unwrap_or(u64::MAX),
+            50_000 + eng.pending() as u32,
+        ));
+    }
+    eng.run(&mut log);
+    (log, eng.executed(), eng.pending())
 }
 
-interpreter!(run_new, Engine<Log>);
-interpreter!(run_baseline, BaselineEngine<Log>);
+/// Interpret `program` on the model, step for step as [`run_engine`].
+fn run_model(program: &[Op], horizon_us: Option<u64>, cuts_us: [u64; 3]) -> (Log, u64, usize) {
+    let mut model = Model::new(horizon_us);
+    let mut seqs = Vec::new();
+    for (i, op) in program.iter().enumerate() {
+        let label = i as u32;
+        let (at_us, action) = match *op {
+            Op::Once {
+                at_us,
+                nested_in_us,
+            } => (
+                at_us,
+                Action::Log {
+                    label,
+                    nested_in_us,
+                },
+            ),
+            Op::Every {
+                at_us,
+                interval_us,
+                fires,
+                hop_us,
+                cancel_in_us,
+            } => (
+                at_us,
+                Action::Every {
+                    label,
+                    interval_us,
+                    left: fires,
+                    hop_us,
+                    cancel_in_us,
+                },
+            ),
+            Op::Cancel { at_us, target_raw } => (
+                at_us,
+                Action::Cancel {
+                    hit: 30_000 + label,
+                    target: seqs.get(target_raw % i.max(1)).copied(),
+                },
+            ),
+        };
+        seqs.push(model.schedule(at_us, 0, action));
+    }
+    for cut_us in cuts_us {
+        model.run_until(cut_us);
+        model.probe();
+    }
+    model.run()
+}
 
 proptest! {
     #[test]
@@ -215,9 +243,10 @@ proptest! {
         cuts_us in (micros(0..45_000_000), micros(0..45_000_000), micros(0..45_000_000)),
     ) {
         let cuts_us = [cuts_us.0, cuts_us.1, cuts_us.2];
-        let new = run_new(&program, horizon_us, cuts_us);
-        let old = run_baseline(&program, horizon_us, cuts_us);
-        prop_assert_eq!(new, old);
+        prop_assert_eq!(
+            run_engine(&program, horizon_us, cuts_us),
+            run_model(&program, horizon_us, cuts_us)
+        );
     }
 }
 
@@ -245,8 +274,8 @@ fn same_instant_pileup_matches_baseline() {
         .collect();
     let cuts = [1_000_000, 2_500_000, 2_000_000];
     assert_eq!(
-        run_new(&program, None, cuts),
-        run_baseline(&program, None, cuts)
+        run_engine(&program, None, cuts),
+        run_model(&program, None, cuts)
     );
 }
 
@@ -308,16 +337,183 @@ fn measured_mix_matches_baseline() {
     // Cut-offs on a busy instant, between two, and behind the clock.
     let cuts = [2_000_000, 4_500_020, 3_000_000];
     for horizon_us in [None, Some(6_000_119), Some(6_500_000)] {
-        let new = run_new(&program, horizon_us, cuts);
-        assert_eq!(new, run_baseline(&program, horizon_us, cuts));
-        let hits = new.0.iter().filter(|(_, l)| (80_000..90_000).contains(l));
+        let got = run_engine(&program, horizon_us, cuts);
+        assert_eq!(got, run_model(&program, horizon_us, cuts));
+        let hits = got.0.iter().filter(|(_, l)| (80_000..90_000).contains(l));
         assert!(hits.count() >= 2 * n_every, "deadlines were cancelled");
-        assert_eq!(new.2, 0, "drained, or cleared by the horizon");
+        assert_eq!(got.2, 0, "drained, or cleared by the horizon");
     }
 }
 
 // ---------------------------------------------------------------------
-// Typed events: one total order over two slabs, against a sorted `Vec`
+// The model: the total order written down
+// ---------------------------------------------------------------------
+
+/// What a pending entry of the model does when it is popped.
+#[derive(Clone, Copy)]
+enum Action {
+    /// Log `label`; a child `nested_in_us` later logs `10_000 + label`
+    /// under the same key.
+    Log {
+        label: u32,
+        nested_in_us: Option<u64>,
+    },
+    /// Log `20_000 + label`, send the hop and arm the deadline, re-arm
+    /// while firings are `left`.
+    Every {
+        label: u32,
+        interval_us: u64,
+        left: u32,
+        hop_us: Option<u64>,
+        cancel_in_us: Option<u64>,
+    },
+    /// Cancel `target` — the sequence number it was created under,
+    /// unique for the life of an event, like its id — and log `hit`, or
+    /// `hit + 10_000` on a miss.
+    Cancel { hit: u32, target: Option<u64> },
+}
+
+/// The queue as a `Vec` kept sorted by `(at, key, seq)`, with nothing of
+/// the engine's in it.
+struct Model {
+    now_us: u64,
+    seq: u64,
+    pending: Vec<((u64, u64, u64), Action)>,
+    horizon_us: Option<u64>,
+    log: Log,
+    executed: u64,
+}
+
+impl Model {
+    fn new(horizon_us: Option<u64>) -> Model {
+        Model {
+            now_us: 0,
+            seq: 0,
+            pending: Vec::new(),
+            horizon_us,
+            log: Log::new(),
+            executed: 0,
+        }
+    }
+
+    fn schedule(&mut self, at_us: u64, key: u64, action: Action) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        self.insert((at_us.max(self.now_us), key, seq), action);
+        seq
+    }
+
+    fn insert(&mut self, order: (u64, u64, u64), action: Action) {
+        let at = self.pending.partition_point(|(o, _)| *o < order);
+        self.pending.insert(at, (order, action));
+    }
+
+    /// Run the first entry unless it is later than `until_us`; one past
+    /// the horizon clears the queue instead. Returns whether one ran.
+    fn step_until(&mut self, until_us: u64) -> bool {
+        let Some(&((at_us, key, seq), action)) = self.pending.first() else {
+            return false;
+        };
+        if at_us > until_us {
+            return false;
+        }
+        if self.horizon_us.is_some_and(|h| at_us > h) {
+            self.pending.clear();
+            return false;
+        }
+        self.pending.remove(0);
+        self.now_us = at_us;
+        self.executed += 1;
+        match action {
+            Action::Log {
+                label,
+                nested_in_us,
+            } => {
+                self.log.push((at_us, label));
+                if let Some(d) = nested_in_us {
+                    let child = Action::Log {
+                        label: 10_000 + label,
+                        nested_in_us: None,
+                    };
+                    self.schedule(at_us + d, key, child);
+                }
+            }
+            Action::Every {
+                label,
+                interval_us,
+                left,
+                hop_us,
+                cancel_in_us,
+            } => {
+                self.log.push((at_us, 20_000 + label));
+                if let Some(d) = hop_us {
+                    let hop = Action::Log {
+                        label: 60_000 + label,
+                        nested_in_us: None,
+                    };
+                    self.schedule(at_us + d, 0, hop);
+                }
+                if let Some(d) = cancel_in_us {
+                    let deadline = Action::Log {
+                        label: 70_000 + label,
+                        nested_in_us: None,
+                    };
+                    let deadline = self.schedule(at_us + DEADLINE_US, 0, deadline);
+                    let cancel = Action::Cancel {
+                        hit: 80_000 + label,
+                        target: Some(deadline),
+                    };
+                    self.schedule(at_us + d, 0, cancel);
+                }
+                if left > 1 {
+                    let again = Action::Every {
+                        label,
+                        interval_us,
+                        left: left - 1,
+                        hop_us,
+                        cancel_in_us,
+                    };
+                    // A re-arm keeps the sequence number it was armed
+                    // with.
+                    self.insert((at_us + interval_us, 0, seq), again);
+                }
+            }
+            Action::Cancel { hit, target } => {
+                let found =
+                    target.and_then(|t| self.pending.iter().position(|((_, _, s), _)| *s == t));
+                if let Some(at) = found {
+                    self.pending.remove(at);
+                }
+                let tag = if found.is_some() { hit } else { hit + 10_000 };
+                self.log.push((at_us, tag));
+            }
+        }
+        true
+    }
+
+    /// Run every entry up to `until_us` inclusive; the clock advances to
+    /// it.
+    fn run_until(&mut self, until_us: u64) {
+        while self.step_until(until_us) {}
+        self.now_us = self.now_us.max(until_us);
+    }
+
+    /// Log the next instant (`u64::MAX`: none) and `50_000 + pending`.
+    fn probe(&mut self) {
+        let next = self.pending.first().map_or(u64::MAX, |((at, _, _), _)| *at);
+        self.log.push((next, 50_000 + self.pending.len() as u32));
+    }
+
+    /// Run to the end (or the horizon): the log, events executed and
+    /// events left.
+    fn run(mut self) -> (Log, u64, usize) {
+        while self.step_until(u64::MAX) {}
+        (self.log, self.executed, self.pending.len())
+    }
+}
+
+// ---------------------------------------------------------------------
+// Typed events: one total order over two slabs
 // ---------------------------------------------------------------------
 
 #[derive(Debug, Clone)]
@@ -499,112 +695,8 @@ fn run_typed(program: &[TypedOp], horizon_us: Option<u64>) -> (Log, u64, usize) 
     (log, eng.executed(), eng.pending())
 }
 
-/// What a pending entry of the model does when it is popped.
-#[derive(Clone, Copy)]
-enum Action {
-    Log {
-        label: u32,
-        nested_in_us: Option<u64>,
-    },
-    Every {
-        label: u32,
-        interval_us: u64,
-        left: u32,
-        hop_us: u64,
-    },
-    /// `target` is the sequence number the target was created under —
-    /// unique for the life of an event, like its id.
-    Cancel { label: u32, target: Option<u64> },
-}
-
-/// The queue as a `Vec` kept sorted by `(at, key, seq)`: the total order
-/// written down, with nothing of the engine's in it.
-#[derive(Default)]
-struct Model {
-    now_us: u64,
-    seq: u64,
-    pending: Vec<((u64, u64, u64), Action)>,
-}
-
-impl Model {
-    fn schedule(&mut self, at_us: u64, key: u64, action: Action) -> u64 {
-        let seq = self.seq;
-        self.seq += 1;
-        self.insert((at_us.max(self.now_us), key, seq), action);
-        seq
-    }
-
-    fn insert(&mut self, order: (u64, u64, u64), action: Action) {
-        let at = self.pending.partition_point(|(o, _)| *o < order);
-        self.pending.insert(at, (order, action));
-    }
-
-    fn run(&mut self, horizon_us: Option<u64>) -> (Log, u64, usize) {
-        let mut log = Log::new();
-        let mut executed = 0;
-        while !self.pending.is_empty() {
-            let ((at_us, key, seq), action) = self.pending.remove(0);
-            if horizon_us.is_some_and(|h| at_us > h) {
-                self.pending.clear();
-                break;
-            }
-            self.now_us = at_us;
-            executed += 1;
-            match action {
-                Action::Log {
-                    label,
-                    nested_in_us,
-                } => {
-                    log.push((at_us, label));
-                    if let Some(d) = nested_in_us {
-                        let child = Action::Log {
-                            label: 10_000 + label,
-                            nested_in_us: None,
-                        };
-                        self.schedule(at_us + d, key, child);
-                    }
-                }
-                Action::Every {
-                    label,
-                    interval_us,
-                    left,
-                    hop_us,
-                } => {
-                    log.push((at_us, 20_000 + label));
-                    let hop = Action::Log {
-                        label: 60_000 + label,
-                        nested_in_us: None,
-                    };
-                    self.schedule(at_us + hop_us, 0, hop);
-                    if left > 1 {
-                        let again = Action::Every {
-                            label,
-                            interval_us,
-                            left: left - 1,
-                            hop_us,
-                        };
-                        // A re-arm keeps the sequence number it was
-                        // armed with.
-                        self.insert((at_us + interval_us, 0, seq), again);
-                    }
-                }
-                Action::Cancel { label, target } => {
-                    let found =
-                        target.and_then(|t| self.pending.iter().position(|((_, _, s), _)| *s == t));
-                    if let Some(at) = found {
-                        self.pending.remove(at);
-                    }
-                    let tag = if found.is_some() { 30_000 } else { 40_000 };
-                    log.push((at_us, tag + label));
-                }
-            }
-        }
-        (log, executed, self.pending.len())
-    }
-}
-
-fn run_model(program: &[TypedOp], horizon_us: Option<u64>) -> (Log, u64, usize) {
-    let mut model = Model::default();
+fn run_typed_model(program: &[TypedOp], horizon_us: Option<u64>) -> (Log, u64, usize) {
+    let mut model = Model::new(horizon_us);
     let mut seqs = Vec::new();
     for (i, op) in program.iter().enumerate() {
         let label = i as u32;
@@ -641,7 +733,8 @@ fn run_model(program: &[TypedOp], horizon_us: Option<u64>) -> (Log, u64, usize) 
                     label,
                     interval_us,
                     left: fires,
-                    hop_us,
+                    hop_us: Some(hop_us),
+                    cancel_in_us: None,
                 },
             ),
             TypedOp::Cancel {
@@ -651,12 +744,16 @@ fn run_model(program: &[TypedOp], horizon_us: Option<u64>) -> (Log, u64, usize) 
                 ..
             } => {
                 let target = seqs.get(target_raw % i.max(1)).copied();
-                model.schedule(at_us, key, Action::Cancel { label, target })
+                let cancel = Action::Cancel {
+                    hit: 30_000 + label,
+                    target,
+                };
+                model.schedule(at_us, key, cancel)
             }
         };
         seqs.push(seq);
     }
-    model.run(horizon_us)
+    model.run()
 }
 
 proptest! {
@@ -665,7 +762,7 @@ proptest! {
         program in prop::collection::vec(typed_op_strategy(), 1..48),
         horizon_us in prop::option::of(1_000_000u64..9_000_000),
     ) {
-        prop_assert_eq!(run_typed(&program, horizon_us), run_model(&program, horizon_us));
+        prop_assert_eq!(run_typed(&program, horizon_us), run_typed_model(&program, horizon_us));
     }
 }
 
@@ -716,7 +813,7 @@ fn same_instant_keyed_ties_match_the_model() {
         },
     ];
     let got = run_typed(&program, None);
-    assert_eq!(got, run_model(&program, None));
+    assert_eq!(got, run_typed_model(&program, None));
     let labels: Vec<u32> = got.0.iter().map(|&(_, label)| label).collect();
     assert_eq!(
         labels,

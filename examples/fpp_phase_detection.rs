@@ -5,7 +5,7 @@
 //! Run with: `cargo run --example fpp_phase_detection`
 
 use fluxpm::experiments::{JobRequest, PowerSetup, Scenario};
-use fluxpm::fft::period::{autocorr_period, estimate_period};
+use fluxpm::fft::{autocorr_period, PeriodAnalyzer, Samples};
 use fluxpm::hw::{MachineKind, Watts};
 use fluxpm::manager::{FppConfig, FppController, FppDecision, ManagerConfig};
 
@@ -22,7 +22,12 @@ fn main() {
             }
         })
         .collect();
-    let est = estimate_period(&signal, 1.0).expect("periodic signal");
+    // One analyzer serves every estimate: its plans and buffers are
+    // built on first use and reused after that.
+    let mut analyzer = PeriodAnalyzer::new();
+    let est = analyzer
+        .estimate_period(Samples::contiguous(&signal), 1.0)
+        .expect("periodic signal");
     println!(
         "FFT period estimate: {:.1} s (truth 10.0 s), confidence {:.2}",
         est.period_seconds, est.confidence
@@ -37,7 +42,7 @@ fn main() {
         for &w in &signal {
             controller.store_power_sample(Watts(w / 4.0)); // per-GPU share
         }
-        let decision = controller.on_epoch();
+        let decision = controller.on_epoch(&mut analyzer);
         println!(
             "epoch {epoch}: {:?} (converged: {})",
             decision,
