@@ -6,9 +6,9 @@
 //! dying mid-storm, Gilbert–Elliott burst loss on every link, seeded
 //! random fail/recover ticks — with every knob (batch size, random-kill
 //! width, live floor, global power bound) scaled from the node count.
-//! Both the 128-rank soak tests and the `sim_hot_path` benchmark drive
-//! this one code path, so what CI soaks is exactly what the benchmark
-//! times.
+//! Both the 128-rank soak tests and stackbench's
+//! `storm_congested_1024` workload drive this one code path, so what CI
+//! soaks is exactly what the benchmark times.
 //!
 //! The returned [`StormOutcome`] folds the full trace into an FNV-1a
 //! hash instead of keeping the text: at 128 ranks the debug trace runs

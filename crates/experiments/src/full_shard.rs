@@ -24,8 +24,8 @@
 
 use fluxpm_flux::{
     run_world_sharded, CongestionBurst, FaultPlan, FluxEngine, GilbertElliott, JobId, JobProgram,
-    JobSpec, LinkProfile, Rank, ShardPlan, ShardRecord, SharedModule, StepCtx, StepOutcome, World,
-    WorldRunStats, WorldShard,
+    JobSpec, LinkProfile, Rank, ShardPlan, ShardRecord, StepCtx, StepOutcome, World, WorldRunStats,
+    WorldShard,
 };
 use fluxpm_hw::{Lanes, MachineKind, NodeId, PowerDemand, Watts};
 use fluxpm_manager::ManagerConfig;
@@ -244,33 +244,14 @@ fn build_shard(cfg: &FullShardConfig, shard: usize) -> WorldShard {
     w.autostop_after = Some(2 + cfg.filler_jobs);
     let mut eng: FluxEngine = Engine::new();
 
-    // Manager stack: node-level everywhere (the load guard skips
-    // unowned ranks), job- and cluster-level on the root shard.
-    let mgr_cfg = ManagerConfig::proportional(Watts(global_bound_w));
-    for rank in w.tbon.ranks().collect::<Vec<_>>() {
-        let m = fluxpm_manager::NodeLevelManager::shared_with_target(
-            mgr_cfg.policy,
-            mgr_cfg.fpp.clone(),
-            mgr_cfg.fpp_target,
-        );
-        w.load_module(&mut eng, rank, m);
-    }
-    w.load_module(&mut eng, Rank(0), fluxpm_manager::JobLevelManager::shared());
-    w.load_module(
+    // Manager stack: node-level everywhere, job- and cluster-level on
+    // the root. The load guard skips ranks this shard does not own, so
+    // `load` reports `false` whenever there is more than one shard.
+    fluxpm_manager::load(
+        &mut w,
         &mut eng,
-        Rank(0),
-        fluxpm_manager::ClusterLevelManager::shared(mgr_cfg.clone()),
+        ManagerConfig::proportional(Watts(global_bound_w)),
     );
-    {
-        let mgr_cfg = mgr_cfg.clone();
-        w.register_module_factory(move |_rank| -> SharedModule {
-            fluxpm_manager::NodeLevelManager::shared_with_target(
-                mgr_cfg.policy,
-                mgr_cfg.fpp.clone(),
-                mgr_cfg.fpp_target,
-            )
-        });
-    }
 
     // Monitor stack at the configured cadences. Sample pushes are the
     // steady node -> root cross-shard traffic.

@@ -73,7 +73,6 @@ impl Event<World> for FluxEvent {
                 let Some(pending) = world.pending_rpcs.remove(&tag) else {
                     return; // answered in time; lazily-cancelled event
                 };
-                world.rpc_timeouts += 1;
                 world.topic_stats.entry(topic.clone()).or_default().timeouts += 1;
                 world.trace.emit(
                     eng.now(),
@@ -88,6 +87,20 @@ impl Event<World> for FluxEvent {
             }
         }
     }
+}
+
+/// Why the overlay dropped a message; each cause has its own Warn line.
+enum DropCause {
+    /// The sender's broker is down.
+    DownedOrigin,
+    /// An endpoint is detached: no route under this topology epoch.
+    NoRoute(u64),
+    /// Injected loss on a hop.
+    Lost,
+    /// Tail-dropped by the full FIFO of this congested link.
+    TailDrop(Rank, Rank),
+    /// A rank on the in-flight route died.
+    DeadHop(Rank),
 }
 
 /// Callback invoked when an RPC response arrives.
@@ -798,7 +811,6 @@ fn retry_attempt(world: &mut World, eng: &mut FluxEngine, st: RetryState) {
             if !retry {
                 return callback(world, eng, resp);
             }
-            world.rpc_retries += 1;
             world
                 .topic_stats
                 .entry(topic_next.clone())
@@ -994,13 +1006,8 @@ pub struct World {
     /// Dedicated RNG stream for retry-backoff jitter, derived from the
     /// world seed — retries stay decorrelated *and* replayable.
     retry_rng: Xoshiro256pp,
-    /// Messages dropped (severed routes + injected loss).
-    dropped_messages: u64,
-    /// RPC deadlines that expired before a response arrived.
-    rpc_timeouts: u64,
-    /// RPC attempts re-sent by the retry helper.
-    rpc_retries: u64,
-    /// Per-topic timeout/retry/drop counters ([`World::rpc_stats`]).
+    /// Per-topic timeout/retry/drop counters ([`World::rpc_stats`]); the
+    /// world-wide counts are their sums.
     topic_stats: BTreeMap<Topic, TopicStats>,
     /// Factories for per-rank modules, replayed by
     /// [`World::recover_node`] to reload a rejoining broker.
@@ -1067,9 +1074,6 @@ impl World {
             congestion_reparents: 0,
             topology_watch_engaged: false,
             retry_rng,
-            dropped_messages: 0,
-            rpc_timeouts: 0,
-            rpc_retries: 0,
             topic_stats: BTreeMap::new(),
             module_factories: Vec::new(),
             root_service_factories: Vec::new(),
@@ -1370,38 +1374,7 @@ impl World {
         if self.shard_ctx.is_some() {
             return self.send_sharded(eng, msg);
         }
-        if !self.brokers[msg.from.index()].is_up() {
-            self.dropped_messages += 1;
-            self.note_drop(&msg.topic);
-            self.trace.emit(
-                eng.now(),
-                TraceLevel::Warn,
-                "tbon",
-                format!(
-                    "drop from downed {}: {:?} -> {} topic {}",
-                    msg.from, msg.kind, msg.to, msg.topic
-                ),
-            );
-            return;
-        }
-        let Some(route) = self.tbon.route(msg.from, msg.to) else {
-            // One endpoint is detached from the overlay: no route exists
-            // under the current epoch.
-            self.dropped_messages += 1;
-            self.note_drop(&msg.topic);
-            self.trace.emit(
-                eng.now(),
-                TraceLevel::Warn,
-                "tbon",
-                format!(
-                    "sever: no route {:?} {} -> {} topic {} (epoch {})",
-                    msg.kind,
-                    msg.from,
-                    msg.to,
-                    msg.topic,
-                    self.tbon.epoch()
-                ),
-            );
+        let Some(route) = self.launch_route(eng.now(), &msg) else {
             return;
         };
         // Store-and-forward over the route: at each hop the message
@@ -1449,34 +1422,10 @@ impl World {
         }
         match died {
             None => {}
-            Some(Died::Fault) => {
-                self.dropped_messages += 1;
-                self.note_drop(&msg.topic);
-                self.trace.emit(
-                    eng.now(),
-                    TraceLevel::Warn,
-                    "fault",
-                    format!(
-                        "lost {:?} {} -> {} topic {}",
-                        msg.kind, msg.from, msg.to, msg.topic
-                    ),
-                );
-                return;
-            }
+            Some(Died::Fault) => return self.drop_message(eng.now(), &msg, DropCause::Lost),
             Some(Died::Congestion(a, b)) => {
-                self.dropped_messages += 1;
                 self.congestion_drops += 1;
-                self.note_drop(&msg.topic);
-                self.trace.emit(
-                    eng.now(),
-                    TraceLevel::Warn,
-                    "link",
-                    format!(
-                        "congested: tail-drop {:?} {} -> {} topic {} at link {a}-{b}",
-                        msg.kind, msg.from, msg.to, msg.topic
-                    ),
-                );
-                return;
+                return self.drop_message(eng.now(), &msg, DropCause::TailDrop(a, b));
             }
         }
         let delay = SimDuration::from_micros(arrive_us - now_us);
@@ -1520,36 +1469,7 @@ impl World {
         if ctx.plan.owner(msg.from) != ctx.shard {
             return;
         }
-        if !self.brokers[msg.from.index()].is_up() {
-            self.dropped_messages += 1;
-            self.note_drop(&msg.topic);
-            self.trace.emit(
-                eng.now(),
-                TraceLevel::Warn,
-                "tbon",
-                format!(
-                    "drop from downed {}: {:?} -> {} topic {}",
-                    msg.from, msg.kind, msg.to, msg.topic
-                ),
-            );
-            return;
-        }
-        let Some(route) = self.tbon.route(msg.from, msg.to) else {
-            self.dropped_messages += 1;
-            self.note_drop(&msg.topic);
-            self.trace.emit(
-                eng.now(),
-                TraceLevel::Warn,
-                "tbon",
-                format!(
-                    "sever: no route {:?} {} -> {} topic {} (epoch {})",
-                    msg.kind,
-                    msg.from,
-                    msg.to,
-                    msg.topic,
-                    self.tbon.epoch()
-                ),
-            );
+        let Some(route) = self.launch_route(eng.now(), &msg) else {
             return;
         };
         let origin = msg.from.0;
@@ -1571,18 +1491,7 @@ impl World {
                 None => (false, 0, 0.0),
             };
             if lost {
-                self.dropped_messages += 1;
-                self.note_drop(&msg.topic);
-                self.trace.emit(
-                    eng.now(),
-                    TraceLevel::Warn,
-                    "fault",
-                    format!(
-                        "lost {:?} {} -> {} topic {}",
-                        msg.kind, msg.from, msg.to, msg.topic
-                    ),
-                );
-                return;
+                return self.drop_message(eng.now(), &msg, DropCause::Lost);
             }
             let bw = match &self.faults {
                 Some(fp) => fp
@@ -1789,17 +1698,17 @@ impl World {
 
     /// Messages dropped for any reason (downed ranks + injected loss).
     pub fn dropped_message_count(&self) -> u64 {
-        self.dropped_messages
+        self.topic_stats.values().map(|s| s.drops).sum()
     }
 
     /// RPC deadlines that expired before a response arrived.
     pub fn rpc_timeout_count(&self) -> u64 {
-        self.rpc_timeouts
+        self.topic_stats.values().map(|s| s.timeouts).sum()
     }
 
     /// RPC attempts re-sent by the retry machinery.
     pub fn rpc_retry_count(&self) -> u64 {
-        self.rpc_retries
+        self.topic_stats.values().map(|s| s.retries).sum()
     }
 
     /// Snapshot of the per-topic timeout/retry/drop counters, keyed by
@@ -1809,9 +1718,60 @@ impl World {
         self.topic_stats.clone()
     }
 
-    /// Record a drop against a topic's counters.
-    fn note_drop(&mut self, topic: &Topic) {
-        self.topic_stats.entry(topic.clone()).or_default().drops += 1;
+    /// The route `msg` launches on, or `None` after dropping it: its
+    /// origin is down, or one endpoint is detached from the overlay, so
+    /// no route exists under the current epoch.
+    fn launch_route(&mut self, now: SimTime, msg: &Message) -> Option<Rc<[Rank]>> {
+        if !self.brokers[msg.from.index()].is_up() {
+            self.drop_message(now, msg, DropCause::DownedOrigin);
+            return None;
+        }
+        let route = self.tbon.route(msg.from, msg.to);
+        if route.is_none() {
+            let epoch = self.tbon.epoch();
+            self.drop_message(now, msg, DropCause::NoRoute(epoch));
+        }
+        route
+    }
+
+    /// Count a dropped message against its topic and trace why.
+    fn drop_message(&mut self, now: SimTime, msg: &Message, cause: DropCause) {
+        self.topic_stats.entry(msg.topic.clone()).or_default().drops += 1;
+        if !self.trace.accepts(TraceLevel::Warn) {
+            return;
+        }
+        let Message {
+            kind,
+            from,
+            to,
+            topic,
+            ..
+        } = msg;
+        let (subsystem, line) = match cause {
+            DropCause::DownedOrigin => (
+                "tbon",
+                format!("drop from downed {from}: {kind:?} -> {to} topic {topic}"),
+            ),
+            DropCause::NoRoute(epoch) => (
+                "tbon",
+                format!("sever: no route {kind:?} {from} -> {to} topic {topic} (epoch {epoch})"),
+            ),
+            DropCause::Lost => (
+                "fault",
+                format!("lost {kind:?} {from} -> {to} topic {topic}"),
+            ),
+            DropCause::TailDrop(a, b) => (
+                "link",
+                format!(
+                    "congested: tail-drop {kind:?} {from} -> {to} topic {topic} at link {a}-{b}"
+                ),
+            ),
+            DropCause::DeadHop(dead) => (
+                "tbon",
+                format!("sever: {kind:?} {from} -> {to} topic {topic} dropped at {dead}"),
+            ),
+        };
+        self.trace.emit(now, TraceLevel::Warn, subsystem, line);
     }
 
     // ------------------------------------------------------------------
@@ -2792,18 +2752,7 @@ fn deliver(world: &mut World, eng: &mut FluxEngine, msg: Message, route: &[Rank]
         .copied()
         .find(|r| !world.brokers[r.index()].is_up())
     {
-        world.dropped_messages += 1;
-        world.note_drop(&msg.topic);
-        world.trace.emit(
-            eng.now(),
-            TraceLevel::Warn,
-            "tbon",
-            format!(
-                "sever: {:?} {} -> {} topic {} dropped at {dead}",
-                msg.kind, msg.from, msg.to, msg.topic
-            ),
-        );
-        return;
+        return world.drop_message(eng.now(), &msg, DropCause::DeadHop(dead));
     }
     if world.trace.accepts(TraceLevel::Debug) {
         world.trace.emit(

@@ -454,48 +454,9 @@ pub fn rpc_stats_to_csv(world: &World) -> String {
     csv
 }
 
-/// One row of the overlay's per-link health report (see
-/// [`link_stats_rows`]): the `child`–`parent` TBON edge's queueing
-/// telemetry under the bandwidth/bounded-FIFO link model.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LinkRow {
-    /// Child endpoint of the tree edge (the link's key).
-    pub child: u32,
-    /// Parent endpoint under the current topology.
-    pub parent: u32,
-    /// EWMA of per-crossing queueing + serialization delay (µs).
-    pub ewma_delay_us: f64,
-    /// EWMA of queue depth observed at arrival.
-    pub ewma_depth: f64,
-    /// Messages that crossed the link.
-    pub delivered: u64,
-    /// Messages tail-dropped by the link's full FIFO.
-    pub congestion_drops: u64,
-    /// Congestion-triggered re-parents this child's subtree has taken.
-    pub reparents: u64,
-}
-
-/// The overlay's per-link queueing telemetry as typed rows, one per TBON
-/// edge that has carried or dropped traffic, in child-rank order (see
-/// [`fluxpm_flux::World::link_stats`]).
-pub fn link_stats_rows(world: &World) -> Vec<LinkRow> {
-    world
-        .link_stats()
-        .into_iter()
-        .map(|l| LinkRow {
-            child: l.child,
-            parent: l.parent,
-            ewma_delay_us: l.ewma_delay_us,
-            ewma_depth: l.ewma_depth,
-            delivered: l.delivered,
-            congestion_drops: l.congestion_drops,
-            reparents: l.reparents,
-        })
-        .collect()
-}
-
-/// Render the overlay's per-link queueing telemetry as CSV. A thin
-/// serializer over [`link_stats_rows`]. Operators read this next to the
+/// Render the overlay's per-link queueing telemetry as CSV, one row per
+/// TBON edge that has carried or dropped traffic, in child-rank order. A
+/// thin serializer over [`fluxpm_flux::World::link_stats`]. Operators read this next to the
 /// RPC health CSV: a topic timing out *and* its route's links showing
 /// rising EWMA delay or congestion drops is a degraded link, not a dead
 /// service.
@@ -503,7 +464,7 @@ pub fn link_stats_to_csv(world: &World) -> String {
     let mut csv = String::from(
         "child,parent,ewma_delay_us,ewma_depth,delivered,congestion_drops,reparents\n",
     );
-    for row in link_stats_rows(world) {
+    for row in world.link_stats() {
         let _ = writeln!(
             csv,
             "{},{},{:.1},{:.2},{},{},{}",
@@ -750,7 +711,7 @@ mod tests {
         }
         eng.run(&mut w);
 
-        let rows = link_stats_rows(&w);
+        let rows = w.link_stats();
         assert_eq!(rows.len(), 1, "one active edge: {rows:?}");
         let row = &rows[0];
         assert_eq!((row.child, row.parent), (1, 0));
@@ -772,7 +733,7 @@ mod tests {
 
         // A fresh world has no traffic and renders a header-only report.
         let quiet = World::new(MachineKind::Lassen, 2, 11);
-        assert!(link_stats_rows(&quiet).is_empty());
+        assert!(quiet.link_stats().is_empty());
         assert_eq!(
             link_stats_to_csv(&quiet),
             "child,parent,ewma_delay_us,ewma_depth,delivered,congestion_drops,reparents\n"

@@ -41,8 +41,8 @@ pub mod tree_reduce;
 pub const DEFAULT_RELAY_BATCH_CAPACITY: usize = 1024;
 
 pub use client::{
-    job_data_rows, job_data_to_csv, link_stats_rows, link_stats_to_csv, rpc_stats_rows,
-    rpc_stats_to_csv, JobRow, LinkRow, MonitorQuery, QueryHandle, QueryKind, TopicRow,
+    job_data_rows, job_data_to_csv, link_stats_to_csv, rpc_stats_rows, rpc_stats_to_csv, JobRow,
+    MonitorQuery, QueryHandle, QueryKind, TopicRow,
 };
 pub use config::MonitorConfig;
 pub use node_agent::NodeAgent;

@@ -281,7 +281,7 @@ struct Edge {
 
 /// The downstream fan-out half of a relay: one aggregate filter and one
 /// pending batch per child edge. Pure (no simulation types beyond rank
-/// numbers), so the broker relays and the `telemetry_fanout` bench
+/// numbers), so the broker relays and stackbench's `RelayTree` rig
 /// drive the same code.
 #[derive(Debug, Default)]
 pub struct RelayPlane {

@@ -21,8 +21,8 @@
 //!   **evicted** outright so it cannot pin memory.
 //!
 //! Both are pure (no simulation types beyond ids), which is what lets
-//! the `telemetry_fanout` bench drive them at thousands of subscribers
-//! without an event engine.
+//! tests and stackbench's `RelayTree` rig drive them at thousands of
+//! subscribers without an event engine.
 
 use fluxpm_flux::JobId;
 use std::collections::{BTreeMap, HashMap, VecDeque};

@@ -8,7 +8,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CRATES=(crates/fft crates/sim-core)
+CRATES=(crates/fft crates/sim-core crates/hw-models crates/power-manager)
 
 status=0
 while IFS= read -r file; do

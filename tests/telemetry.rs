@@ -422,7 +422,6 @@ fn cadence_filter_thins_updates() {
 
 /// The fan-out core holds a thousand concurrent subscribers: every
 /// matching delta lands once in every queue, bounded memory throughout.
-/// (The `telemetry_fanout` bench drives the same path at 5 000.)
 #[test]
 fn hub_fans_out_to_a_thousand_subscribers() {
     let mut seq = TelemetrySequencer::default();
