@@ -64,12 +64,7 @@ impl DeliveryRig {
 
     /// Hop count of the root → target route.
     pub fn hops(&self) -> u32 {
-        let route = self
-            .world
-            .tbon
-            .route(Rank(0), self.target)
-            .expect("routable");
-        route.len() as u32 - 1
+        self.world.tbon.hops(Rank(0), self.target)
     }
 
     /// Build the rig with the target's uplink congested at `severity`
@@ -77,14 +72,13 @@ impl DeliveryRig {
     /// link's serialization + queueing delay on the last hop both ways,
     /// which prices the congestion-aware delivery path (queue
     /// bookkeeping, severity lookup, EWMA updates) against the clean
-    /// rig's fast path.
+    /// rig's fast path. Panics below two nodes, where the target is the
+    /// root and has no uplink.
     pub fn congested(nnodes: u32, severity: f64) -> DeliveryRig {
         let mut rig = DeliveryRig::new(nnodes);
-        let parent = rig
-            .world
-            .tbon
-            .parent(rig.target)
-            .expect("target has an uplink");
+        let Some(parent) = rig.world.tbon.parent(rig.target) else {
+            panic!("DeliveryRig::congested needs at least two nodes");
+        };
         let plan = FaultPlan::uniform(0.0, SimDuration::ZERO).with_congestion(
             parent,
             rig.target,

@@ -17,7 +17,7 @@
 
 use fluxpm_flux::{
     CongestionBurst, FaultPlan, FluxEngine, GilbertElliott, JobSpec, JobState, LinkHealthConfig,
-    LinkProfile, Rank, SharedModule, World,
+    LinkProfile, Rank, World,
 };
 use fluxpm_hw::{MachineKind, NodeId, Watts};
 use fluxpm_monitor::{MonitorConfig, MonitorQuery};
@@ -151,30 +151,10 @@ pub fn storm(cfg: &StormConfig) -> StormOutcome {
     let last_tick_s = 40 + 5 * cfg.random_ticks.saturating_sub(1);
     eng.set_horizon(SimTime::from_secs(last_tick_s + 300));
 
-    // Manager + monitor stack, with a module factory so recovered
-    // brokers come back with a live node-level manager.
+    // Manager + monitor stack; `load` registers the module factory that
+    // brings recovered brokers back with a live node-level manager.
     let mgr_cfg = fluxpm_manager::ManagerConfig::proportional(Watts(global_bound_w));
-    let cluster = fluxpm_manager::ClusterLevelManager::shared(mgr_cfg.clone());
-    for rank in w.tbon.ranks().collect::<Vec<_>>() {
-        let m = fluxpm_manager::NodeLevelManager::shared_with_target(
-            mgr_cfg.policy,
-            mgr_cfg.fpp.clone(),
-            mgr_cfg.fpp_target,
-        );
-        w.load_module(&mut eng, rank, m);
-    }
-    w.load_module(&mut eng, Rank(0), fluxpm_manager::JobLevelManager::shared());
-    w.load_module(&mut eng, Rank(0), cluster.clone());
-    {
-        let mgr_cfg = mgr_cfg.clone();
-        w.register_module_factory(move |_rank| -> SharedModule {
-            fluxpm_manager::NodeLevelManager::shared_with_target(
-                mgr_cfg.policy,
-                mgr_cfg.fpp.clone(),
-                mgr_cfg.fpp_target,
-            )
-        });
-    }
+    let cluster = fluxpm_manager::load(&mut w, &mut eng, mgr_cfg);
     // In congestion mode, 1 s sample pushes give every interior link a
     // steady upward stream — the traffic the link monitor judges.
     let mon_cfg = if cfg.congestion {

@@ -24,8 +24,8 @@
 
 use fluxpm_flux::{
     run_world_sharded, CongestionBurst, FaultPlan, FluxEngine, GilbertElliott, JobId, JobProgram,
-    JobSpec, LinkProfile, Rank, ShardPlan, ShardRecord, StepCtx, StepOutcome, World, WorldRunStats,
-    WorldShard,
+    JobSpec, LinkProfile, Rank, ShardPlan, ShardRecord, ShardingError, StepCtx, StepOutcome, World,
+    WorldRunStats, WorldShard,
 };
 use fluxpm_hw::{Lanes, MachineKind, NodeId, PowerDemand, Watts};
 use fluxpm_manager::ManagerConfig;
@@ -213,6 +213,24 @@ impl JobProgram for PhaseApp {
     }
 }
 
+/// Make `w` shard `shard` of `plan` and register the payload types that
+/// may cross a shard cut. Registration order is part of the wire
+/// contract: identical on every shard.
+fn enable_sharding(
+    w: &mut World,
+    shard: usize,
+    plan: Arc<ShardPlan>,
+    seed: u64,
+) -> Result<(), ShardingError> {
+    w.enable_sharding(shard, plan, seed)?;
+    w.register_wire_type::<fluxpm_monitor::MonitorRequest>()?;
+    w.register_wire_type::<fluxpm_monitor::MonitorReply>()?;
+    w.register_wire_type::<fluxpm_manager::ManagerRequest>()?;
+    w.register_wire_type::<fluxpm_manager::ManagerReply>()?;
+    w.register_wire_type::<JobId>()?;
+    w.register_wire_type::<()>()
+}
+
 /// Build one shard's replica world: the complete scripted scenario,
 /// with module loads and message sends confined to owned ranks by the
 /// sharding layer.
@@ -231,22 +249,18 @@ fn build_shard(cfg: &FullShardConfig, shard: usize) -> WorldShard {
     // Each shard computes its own plan copy: the plan is a pure
     // function of the fresh k-ary tree, so every replica agrees.
     let plan = Arc::new(ShardPlan::for_tbon(&w.tbon, cfg.shards));
-    w.enable_sharding(shard, plan, seed);
-    // Payload types that may cross a shard cut. Registration order is
-    // part of the wire contract: identical on every shard.
-    w.register_wire_type::<fluxpm_monitor::MonitorRequest>();
-    w.register_wire_type::<fluxpm_monitor::MonitorReply>();
-    w.register_wire_type::<fluxpm_manager::ManagerRequest>();
-    w.register_wire_type::<fluxpm_manager::ManagerReply>();
-    w.register_wire_type::<JobId>();
-    w.register_wire_type::<()>();
+    if let Err(e) = enable_sharding(&mut w, shard, plan, seed) {
+        panic!(
+            "full_shard: cannot build shard {shard} of {}: {e}",
+            cfg.shards
+        );
+    }
 
     w.autostop_after = Some(2 + cfg.filler_jobs);
     let mut eng: FluxEngine = Engine::new();
 
     // Manager stack: node-level everywhere, job- and cluster-level on
-    // the root. The load guard skips ranks this shard does not own, so
-    // `load` reports `false` whenever there is more than one shard.
+    // the root. The load guard skips ranks this shard does not own.
     fluxpm_manager::load(
         &mut w,
         &mut eng,

@@ -106,12 +106,6 @@ impl PeriodAnalyzer {
         peak_estimate(&self.psd)
     }
 
-    /// The most recent spectrum computed by either estimator (empty
-    /// before the first call). Exposed for diagnostics and tests.
-    pub fn last_spectrum(&self) -> &Periodogram {
-        &self.psd
-    }
-
     /// Number of distinct transform plans currently cached.
     pub fn plans_cached(&self) -> usize {
         self.planner.plans_cached()

@@ -53,5 +53,6 @@ pub use world::{
     LinkProfile, LinkStats, RetryPolicy, RpcBuilder, TopicStats, World,
 };
 pub use world_shard::{
-    delivery_key, run_world_sharded, WireEnvelope, WorldRunStats, WorldShard, WorldShardRun,
+    delivery_key, run_world_sharded, ShardingError, WireEnvelope, WorldRunStats, WorldShard,
+    WorldShardRun,
 };

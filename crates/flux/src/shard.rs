@@ -200,10 +200,8 @@ pub fn merge_records(streams: Vec<Vec<ShardRecord>>) -> Vec<ShardRecord> {
         .collect();
     // Trivial shapes skip the heap entirely (the shards=1 baseline
     // pays nothing for the merge machinery).
-    match runs.len() {
-        0 => return Vec::new(),
-        1 => return runs.pop().expect("one run").collect(),
-        _ => {}
+    if runs.len() <= 1 {
+        return runs.pop().map_or_else(Vec::new, Iterator::collect);
     }
     let total: usize = runs.iter().map(ExactSizeIterator::len).sum();
     let mut out = Vec::with_capacity(total);
@@ -213,7 +211,7 @@ pub fn merge_records(streams: Vec<Vec<ShardRecord>>) -> Vec<ShardRecord> {
     let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(ShardRecord, usize)>> = runs
         .iter_mut()
         .enumerate()
-        .map(|(i, run)| std::cmp::Reverse((run.next().expect("non-empty run"), i)))
+        .filter_map(|(i, run)| Some(std::cmp::Reverse((run.next()?, i))))
         .collect();
     while let Some(std::cmp::Reverse((r, i))) = heap.pop() {
         out.push(r);

@@ -172,8 +172,9 @@ impl SubInstance {
             .filter(|(i, _)| wanted.contains(i))
             .map(|(i, n)| (i, &mut **n))
             .collect();
-        // Order by the child's allocation order.
-        picked.sort_by_key(|(i, _)| offsets.iter().position(|o| o == i).expect("picked"));
+        // Order by the child's allocation order (every picked index is
+        // one of the offsets, so no key is `None`).
+        picked.sort_by_key(|(i, _)| offsets.iter().position(|o| o == i));
         let nodes: Vec<&mut NodeHardware> = picked.into_iter().map(|(_, n)| n).collect();
         let mut sub = StepCtx {
             now: ctx.now,

@@ -241,6 +241,7 @@ impl Tbon {
     /// If either endpoint is detached (no route exists); use
     /// [`Tbon::route`] for a fallible lookup.
     pub fn hops(&self, from: Rank, to: Rank) -> u32 {
+        // invariant: the documented `# Panics` precondition above.
         self.route(from, to).expect("no overlay route").len() as u32 - 1
     }
 
@@ -310,6 +311,7 @@ impl Tbon {
     /// # Panics
     /// If either endpoint is detached; use [`Tbon::route`] to probe.
     pub fn path(&self, from: Rank, to: Rank) -> Vec<Rank> {
+        // invariant: the documented `# Panics` precondition above.
         self.route(from, to).expect("no overlay route").to_vec()
     }
 
@@ -352,6 +354,8 @@ impl Tbon {
         if !self.attached[rank.index()] {
             return Vec::new();
         }
+        // invariant: `rank` is attached and not the root (both checked
+        // above), and only the root has no parent.
         let parent = self.parents[rank.index()].expect("attached non-root has a parent");
         self.children[parent.index()].retain(|&c| c != rank);
         self.parents[rank.index()] = None;
@@ -429,7 +433,9 @@ impl Tbon {
         {
             return false;
         }
-        let old = self.parents[child.index()].expect("attached non-root has a parent");
+        let Some(old) = self.parents[child.index()] else {
+            return false;
+        };
         self.children[old.index()].retain(|&c| c != child);
         self.parents[child.index()] = Some(new_parent);
         self.children[new_parent.index()].push(child);

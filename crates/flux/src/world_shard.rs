@@ -54,8 +54,46 @@ use fluxpm_sim::sharded::{Inbound, Outbound, ShardSim, ShardedEngine, ShardedRun
 use fluxpm_sim::{SimDuration, SimTime};
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
+use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
+
+/// Why [`World::enable_sharding`] or [`World::register_wire_type`]
+/// refused; the world is left unchanged.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ShardingError {
+    /// Sharding is already enabled on this world.
+    AlreadyEnabled,
+    /// The shard index is not below the plan's shard count.
+    ShardOutOfRange {
+        /// The requested shard.
+        shard: usize,
+        /// The plan's shard count.
+        shards: usize,
+    },
+    /// The installed [`crate::FaultPlan`] draws from a shared RNG stream,
+    /// whose consumption order would depend on the partition.
+    NondeterministicFaults,
+    /// A wire type was registered before [`World::enable_sharding`].
+    NotEnabled,
+}
+
+impl fmt::Display for ShardingError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ShardingError::AlreadyEnabled => f.write_str("sharding already enabled"),
+            ShardingError::ShardOutOfRange { shard, shards } => {
+                write!(f, "shard index {shard} out of range for {shards} shard(s)")
+            }
+            ShardingError::NondeterministicFaults => {
+                f.write_str("sharded worlds require FaultPlan::deterministic")
+            }
+            ShardingError::NotEnabled => f.write_str("register_wire_type requires enable_sharding"),
+        }
+    }
+}
+
+impl std::error::Error for ShardingError {}
 
 /// The keyed-scheduling key for a message delivery: the high bit marks
 /// it as a delivery (sorting after every key-0 timer/executor event at
@@ -107,10 +145,14 @@ struct WireCodec {
 }
 
 fn encode_as<T: Any + Send + Clone>(p: &Payload) -> Box<dyn Any + Send> {
+    // invariant: `ShardCtx::encode` picks this codec by the payload's
+    // own `TypeId`.
     Box::new(p.downcast_ref::<T>().expect("codec type checked").clone())
 }
 
 fn decode_as<T: Any + Send + Clone>(b: Box<dyn Any + Send>) -> Payload {
+    // invariant: the envelope's codec index names the codec that boxed
+    // this body as a `T`, and every shard registers the same list.
     Rc::new(*b.downcast::<T>().expect("codec index is per-type")) as Payload
 }
 
@@ -194,13 +236,8 @@ impl ShardCtx {
         let codec = &self.codecs[wire.codec as usize];
         let payload = (codec.decode)(wire.body);
         debug_assert_eq!(
-            (*payload).type_id(),
-            *self
-                .codec_index
-                .iter()
-                .find(|(_, &i)| i == wire.codec)
-                .map(|(t, _)| t)
-                .expect("codec registered"),
+            self.codec_index.get(&(*payload).type_id()),
+            Some(&wire.codec),
             "codec {} decoded to a different type",
             codec.type_name
         );
@@ -270,12 +307,10 @@ impl ShardSim for WorldShard {
 
     fn deliver(&mut self, inb: Inbound<WireEnvelope>) {
         let at = inb.at;
-        let (msg, route, origin_seq) = self
-            .world
-            .shard_ctx
-            .as_ref()
-            .expect("sharding enabled")
-            .decode(inb.msg);
+        // invariant: `WorldShard::new` checked `shard_ctx`; only
+        // `finish`, which consumes the shard, takes it.
+        let ctx = self.world.shard_ctx.as_ref().expect("sharding enabled");
+        let (msg, route, origin_seq) = ctx.decode(inb.msg);
         let key = delivery_key(msg.from.0, origin_seq);
         self.eng
             .schedule_event(at, key, FluxEvent::Deliver { msg, route });
@@ -287,6 +322,7 @@ impl ShardSim for WorldShard {
         // Windows are end-exclusive; the clock is integer micros.
         self.eng
             .run_until(&mut self.world, SimTime(end.as_micros().saturating_sub(1)));
+        // invariant: as in `deliver`.
         let ctx = self.world.shard_ctx.as_mut().expect("sharding enabled");
         self.boundary_out += ctx.outbox.len() as u64;
         out.append(&mut ctx.outbox);
@@ -296,6 +332,7 @@ impl ShardSim for WorldShard {
 
     fn finish(self) -> WorldShardRun {
         let mut s = self;
+        // invariant: as in `deliver`.
         let ctx = s.world.shard_ctx.take().expect("sharding enabled");
         let mut records = ctx.records;
         // Runs are emitted in execution order (time-sorted, but

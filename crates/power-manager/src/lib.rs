@@ -36,6 +36,8 @@ pub use proto::{FppTarget, JobLimitMsg, ManagerReply, ManagerRequest, NodeLimitM
 
 use fluxpm_flux::{FluxEngine, World};
 use fluxpm_hw::Watts;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Manager deployment configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -119,19 +121,26 @@ impl ManagerConfig {
 /// [state log](fluxpm_flux::StateLog): if the *whole* instance dies, the
 /// first recovered rank rebuilds them from the registered root-service
 /// factories and replays the log back to the exact pre-crash state.
-pub fn load(world: &mut World, eng: &mut FluxEngine, config: ManagerConfig) -> bool {
-    let mut ok = true;
+///
+/// Returns the cluster-level manager, so a caller can watch the
+/// budgets it holds (the handle follows the module through failovers).
+pub fn load(
+    world: &mut World,
+    eng: &mut FluxEngine,
+    config: ManagerConfig,
+) -> Rc<RefCell<ClusterLevelManager>> {
     for rank in world.tbon.ranks().collect::<Vec<_>>() {
         let m = NodeLevelManager::shared_with_target(
             config.policy,
             config.fpp.clone(),
             config.fpp_target,
         );
-        ok &= world.load_module(eng, rank, m);
+        world.load_module(eng, rank, m);
     }
     let root = world.root();
-    ok &= world.load_module(eng, root, JobLevelManager::shared());
-    ok &= world.load_module(eng, root, ClusterLevelManager::shared(config.clone()));
+    world.load_module(eng, root, JobLevelManager::shared());
+    let cluster = ClusterLevelManager::shared(config.clone());
+    world.load_module(eng, root, cluster.clone());
     {
         let config = config.clone();
         world.register_module_factory(move |_rank| {
@@ -150,5 +159,5 @@ pub fn load(world: &mut World, eng: &mut FluxEngine, config: ManagerConfig) -> b
         let m: fluxpm_flux::SharedModule = ClusterLevelManager::shared(config.clone());
         m
     });
-    ok
+    cluster
 }

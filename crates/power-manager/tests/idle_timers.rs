@@ -25,7 +25,9 @@ fn world_with_node_managers(policy: Option<PolicyKind>) -> (World, FluxEngine) {
         let make = move |_rank: Rank| -> SharedModule {
             NodeLevelManager::shared(policy, FppConfig::default())
         };
-        w.load_module_on_all(&mut eng, make);
+        for rank in w.tbon.ranks().collect::<Vec<_>>() {
+            w.load_module(&mut eng, rank, make(rank));
+        }
         w.register_module_factory(make);
     }
     (w, eng)

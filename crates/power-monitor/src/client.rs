@@ -219,6 +219,7 @@ struct SharedReply(Payload);
 impl std::ops::Deref for SharedReply {
     type Target = MonitorReply;
     fn deref(&self) -> &MonitorReply {
+        // invariant: `MonitorQuery::send` wraps only payloads that decoded.
         self.0
             .downcast_ref()
             .expect("decoded as a MonitorReply on arrival")

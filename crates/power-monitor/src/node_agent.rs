@@ -16,7 +16,7 @@ use crate::proto::{
     MonitorReply, MonitorRequest, NodeDataReply, NodeDataRequest, NodeStats, PowerRecord,
 };
 use crate::ring::RingBuffer;
-use fluxpm_flux::{Message, Module, ModuleCtx, MsgKind, Protocol, SharedModule, Topic};
+use fluxpm_flux::{Message, Module, ModuleCtx, MsgKind, Protocol, Topic};
 use fluxpm_hw::NodeId;
 use fluxpm_sim::TraceLevel;
 use fluxpm_variorum::NodePowerSample;
@@ -100,11 +100,6 @@ impl NodeAgent {
     /// [`fluxpm_flux::World::load_module`].
     pub fn shared(config: MonitorConfig) -> Rc<RefCell<NodeAgent>> {
         Rc::new(RefCell::new(NodeAgent::new(config)))
-    }
-
-    /// Type-erase a shared handle.
-    pub fn as_module(agent: Rc<RefCell<NodeAgent>>) -> SharedModule {
-        agent
     }
 
     /// This agent's configuration.
@@ -390,7 +385,7 @@ impl Module for NodeAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fluxpm_flux::{FluxEngine, Rank, World};
+    use fluxpm_flux::{FluxEngine, Rank, SharedModule, World};
     use fluxpm_hw::MachineKind;
     use fluxpm_sim::{Engine, SimDuration, SimTime};
 

@@ -62,6 +62,7 @@ impl PowerRecord {
             // An empty `Vec<u8>` is a valid `String`: the JSON writer gets
             // the buffer's storage without a UTF-8 scan or a copy.
             buf.clear();
+            // invariant: `buf` was just cleared, and no bytes are valid UTF-8.
             let mut json = String::from_utf8(std::mem::take(buf)).expect("empty buffer");
             sample.write_json(&mut json);
             *buf = json.into_bytes();
@@ -91,6 +92,7 @@ impl PowerRecord {
     /// Trailer number `index` (0 = CPU total, 1 = GPU total, 2 = memory).
     fn number(&self, index: usize) -> f64 {
         let at = self.block.len() - TRAILER + 8 * index;
+        // invariant: a slice `at..at + 8` is eight bytes long.
         f64::from_le_bytes(self.block[at..at + 8].try_into().expect("8-byte slice"))
     }
 

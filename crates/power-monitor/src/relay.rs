@@ -220,6 +220,8 @@ impl EdgeBatch {
             }
         }
         if self.deltas.len() >= cap {
+            // invariant: `RelayPlane::new` clamps `cap` to at least 1, so
+            // a batch at `cap` is non-empty.
             let oldest = self.deltas.pop_front().expect("cap >= 1");
             if let Some(keys) = &mut self.distinct {
                 keys.remove(&delta_key(&oldest));
@@ -512,11 +514,6 @@ impl TelemetryRelay {
     /// The downstream fan-out plane (diagnostics and tests).
     pub fn plane(&self) -> &RelayPlane {
         &self.plane
-    }
-
-    /// Client subscribes still waiting on their root seed.
-    pub fn pending_subscribes(&self) -> usize {
-        self.pending_subs.len()
     }
 
     /// The one way deltas enter a relay, whether as a `RelayDeltas`

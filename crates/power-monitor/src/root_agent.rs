@@ -32,7 +32,7 @@ use crate::subscription::{
     LinkSample, SubscriptionFilter, TelemetryDelta, TelemetrySequencer, TOPIC_SAMPLE_PUSH,
 };
 use fluxpm_flux::{
-    FluxEngine, JobId, JobState, Message, Module, ModuleCtx, MsgKind, Protocol, Rank, RetryPolicy,
+    FluxEngine, JobId, Message, Module, ModuleCtx, MsgKind, Protocol, Rank, RetryPolicy,
     StateEvent, StateValue, Topic, World,
 };
 use fluxpm_hw::NodeId;
@@ -377,14 +377,13 @@ impl RootAgent {
                 .respond_error(ctx.eng, msg, format!("no such job {job:?}"));
             return None;
         };
-        if record.state == JobState::Pending {
+        // A pending job, or one cancelled before it started, has no
+        // window to report.
+        let Some(started_at) = record.started_at else {
             ctx.world.respond_error(ctx.eng, msg, "job has not started");
             return None;
-        }
-        let start_us = record
-            .started_at
-            .expect("non-pending job started")
-            .as_micros();
+        };
+        let start_us = started_at.as_micros();
         let end_us = record
             .finished_at
             .map(|t| t.as_micros())
@@ -400,8 +399,8 @@ impl RootAgent {
 
     /// Fold a request that is already being aggregated instead of double
     /// fanning out and double counting. A client's *retry* is not that
-    /// case — every attempt draws a fresh matchtag
-    /// (`World::rpc_deadline_inner`) and is a request of its own; what
+    /// case — every attempt draws a fresh matchtag (the world's RPC
+    /// launch) and is a request of its own; what
     /// re-enters under a tag still in flight is a stored request
     /// delivered again.
     fn already_inflight(&self, msg: &Message) -> bool {

@@ -244,6 +244,7 @@ fn push_u64(out: &mut String, mut v: u64) {
             break;
         }
     }
+    // invariant: `buf[i..]` holds only the digits written above.
     out.push_str(std::str::from_utf8(&buf[i..]).expect("ascii digits"));
 }
 

@@ -13,7 +13,7 @@
 //! 4. publishes its demand for the *next* interval from its phase signal.
 
 use crate::jitter::JitterModel;
-use crate::model::{AppModel, PhasePattern, Scaling};
+use crate::model::{AppModel, PhasePattern};
 use fluxpm_flux::{JobProgram, StepCtx, StepOutcome};
 use fluxpm_hw::{Lanes, MachineKind, NodeHardware, PowerDemand, Watts};
 use fluxpm_sim::{SimTime, Xoshiro256pp};
@@ -191,6 +191,8 @@ impl JobProgram for App {
                 ),
             };
         }
+        // invariant: the executor runs `on_start`, which sets
+        // `started_at`, before the first `step`.
         let start = self.started_at.expect("step before on_start");
         let t = (ctx.now - start).as_secs_f64();
         let speed = self.speed_now(ctx);
@@ -224,11 +226,6 @@ pub fn app_by_name(name: &str, machine: MachineKind, nnodes: u32, seed: u64) -> 
         _ => return None,
     };
     Some(App::new(model, machine, nnodes, seed))
-}
-
-/// Whether a model's scaling is strong (helper for report labels).
-pub fn is_strong(model: &AppModel) -> bool {
-    model.scaling == Scaling::Strong
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 
 use fluxpm::flux::{
     Engine, FaultPlan, FluxEngine, GilbertElliott, JobId, JobSpec, JobState, LinkProfile, Rank,
-    SharedModule, Tbon, World,
+    Tbon, World,
 };
 use fluxpm::hw::{MachineKind, NodeId, Watts};
 use fluxpm::monitor::{MonitorConfig, MonitorQuery};
@@ -67,34 +67,10 @@ fn soak(seed: u64) -> Outcome {
     let mut eng: FluxEngine = Engine::new();
     eng.set_horizon(SimTime::from_secs(400));
 
-    // Manager stack loaded by hand (the test keeps the cluster handle to
-    // watch budgets; root services migrate as the same shared object).
+    // The test keeps the cluster handle to watch budgets; root services
+    // migrate as the same shared object.
     let cfg = fluxpm::manager::ManagerConfig::proportional(Watts(GLOBAL_BOUND_W));
-    let cluster = fluxpm::manager::ClusterLevelManager::shared(cfg.clone());
-    for rank in w.tbon.ranks().collect::<Vec<_>>() {
-        let m = fluxpm::manager::NodeLevelManager::shared_with_target(
-            cfg.policy,
-            cfg.fpp.clone(),
-            cfg.fpp_target,
-        );
-        w.load_module(&mut eng, rank, m);
-    }
-    w.load_module(
-        &mut eng,
-        Rank(0),
-        fluxpm::manager::JobLevelManager::shared(),
-    );
-    w.load_module(&mut eng, Rank(0), cluster.clone());
-    {
-        let cfg = cfg.clone();
-        w.register_module_factory(move |_rank| -> SharedModule {
-            fluxpm::manager::NodeLevelManager::shared_with_target(
-                cfg.policy,
-                cfg.fpp.clone(),
-                cfg.fpp_target,
-            )
-        });
-    }
+    let cluster = fluxpm::manager::load(&mut w, &mut eng, cfg);
     fluxpm::monitor::load(&mut w, &mut eng, MonitorConfig::default());
     w.install_executor(&mut eng);
 

@@ -1,7 +1,7 @@
 //! Failure-injection integration tests: the production anomalies the
 //! paper reports in §V, reproduced end-to-end.
 
-use fluxpm::flux::{Engine, FluxEngine, JobSpec, JobState, Rank, World};
+use fluxpm::flux::{Engine, FaultPlan, FluxEngine, JobSpec, JobState, Rank, World};
 use fluxpm::hw::{MachineKind, NodeHardware, NodeId, Watts};
 use fluxpm::monitor::{MonitorConfig, MonitorQuery};
 use fluxpm::sim::{SimDuration, SimTime, Trace, TraceLevel};
@@ -282,7 +282,7 @@ fn chaos_faults_are_deterministic_and_aggregation_completes() {
         let mut eng: FluxEngine = Engine::new();
         fluxpm::monitor::load(&mut w, &mut eng, MonitorConfig::default());
         w.install_executor(&mut eng);
-        w.inject_faults(0.25, SimDuration::from_micros(50));
+        w.install_fault_plan(FaultPlan::uniform(0.25, SimDuration::from_micros(50)));
         let app = App::with_jitter(laghos(), MachineKind::Lassen, 8, seed, JitterModel::none())
             .with_work_seconds(60.0);
         let id = w.submit(&mut eng, JobSpec::new("Laghos", 8), Box::new(app));

@@ -372,3 +372,27 @@ fn trace_records_manager_decisions() {
     let job_events = world.trace.for_subsystem("job").count();
     assert!(job_events >= 4, "submit/start/finish events traced");
 }
+
+/// A job cancelled before it started has no window to report: a query
+/// for it is answered with an error, like a query for a pending job.
+#[test]
+fn query_for_a_job_cancelled_before_start_is_an_error() {
+    let mut world = World::new(MachineKind::Lassen, 2, 5);
+    let mut eng: FluxEngine = Engine::new();
+    fluxpm::monitor::load(&mut world, &mut eng, MonitorConfig::default());
+    let app = || {
+        Box::new(
+            App::with_jitter(laghos(), MachineKind::Lassen, 2, 1, JitterModel::none())
+                .with_work_seconds(10.0),
+        )
+    };
+    world.submit(&mut eng, JobSpec::new("Laghos", 2), app());
+    let queued = world.submit(&mut eng, JobSpec::new("Laghos", 2), app());
+    assert!(world.cancel_job(&mut eng, queued));
+    let query = MonitorQuery::job_data(queued).send(&mut world, &mut eng);
+    eng.run_until(&mut world, fluxpm::sim::SimTime::from_secs(1));
+    assert_eq!(
+        query.job_data().map(|r| r.map(|_| ())),
+        Some(Err("job has not started".to_string()))
+    );
+}
