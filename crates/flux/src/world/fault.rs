@@ -141,11 +141,54 @@ pub struct FaultPlan {
     /// which shard sends first, so it cannot replay identically across
     /// shard counts.
     det_seed: Option<u64>,
-    /// Memoized chain states for deterministic mode, keyed like
-    /// `chains`. Each entry holds the per-window state sequence,
-    /// extended on demand — a pure function of the window index, so
-    /// every shard that asks sees the same answer.
-    det_chains: IntMap<((u32, u32), u32), Vec<bool>>,
+    /// Hashed chains for deterministic mode, keyed like `chains`: each
+    /// is a [`ChainMemo`] of 24 bytes, extended on demand. A chain's
+    /// state is a pure function of the window index, so every shard
+    /// that asks sees the same answer.
+    det_chains: IntMap<((u32, u32), u32), ChainMemo>,
+}
+
+/// One hashed chain's memo: the draws' common prefix and the states of
+/// the newest 64 windows computed, with no history on the heap.
+#[derive(Debug)]
+struct ChainMemo {
+    /// `det_hash(&[seed, link, chain])`: window `w`'s draw is
+    /// `det_mix(prefix ^ w)`, which is `det_hash(&[seed, link, chain, w])`.
+    prefix: u64,
+    /// Windows computed so far.
+    len: u64,
+    /// Their states, newest in bit 0: bit `i` is window `len − 1 − i`.
+    recent: u64,
+}
+
+impl ChainMemo {
+    /// Window `w`'s state, given window `w − 1`'s.
+    fn step(&self, prev: bool, w: u64, p_enter: f64, p_exit: f64) -> bool {
+        let u = det_unit(det_mix(self.prefix ^ w));
+        if prev {
+            u >= p_exit
+        } else {
+            u < p_enter
+        }
+    }
+
+    /// Window `w`'s state. Past the newest window, the memo steps
+    /// forward to it; within the last 64 it reads a bit; further back,
+    /// it recomputes from window 0 (a route's hops span well under one
+    /// window, so this is the rare path, kept only to be correct).
+    fn state(&mut self, w: u64, p_enter: f64, p_exit: f64) -> bool {
+        while self.len <= w {
+            let prev = self.recent & 1 == 1;
+            let next = self.step(prev, self.len, p_enter, p_exit);
+            self.recent = self.recent << 1 | next as u64;
+            self.len += 1;
+        }
+        let back = self.len - 1 - w;
+        if back < 64 {
+            return self.recent >> back & 1 == 1;
+        }
+        (0..=w).fold(false, |prev, i| self.step(prev, i, p_enter, p_exit))
+    }
 }
 
 /// Deterministic-mode burst chains advance once per fixed sub-window
@@ -380,7 +423,7 @@ impl FaultPlan {
     /// `(seed, link, chain, window)`: the state at any time is a pure
     /// function of time, so every shard computes the same answer
     /// whichever messages it routes. Hashed states are memoized per
-    /// `(link, chain)` and extended on demand.
+    /// `(link, chain)` in a [`ChainMemo`] and extended on demand.
     fn chain_state(
         &mut self,
         draw: Draw,
@@ -400,19 +443,14 @@ impl FaultPlan {
             *state ^= flip;
             return *state;
         };
-        let window = (elapsed_us / DET_BURST_WINDOW_US) as usize;
-        let states = self.det_chains.entry((key, chain)).or_default();
-        while states.len() <= window {
-            let prev = states.last().copied().unwrap_or(false);
-            let u = det_unit(det_hash(&[
-                seed,
-                (key.0 as u64) << 32 | key.1 as u64,
-                chain as u64,
-                states.len() as u64,
-            ]));
-            states.push(if prev { u >= p_exit } else { u < p_enter });
-        }
-        states[window]
+        self.det_chains
+            .entry((key, chain))
+            .or_insert_with(|| ChainMemo {
+                prefix: det_hash(&[seed, (key.0 as u64) << 32 | key.1 as u64, chain as u64]),
+                len: 0,
+                recent: 0,
+            })
+            .state(elapsed_us / DET_BURST_WINDOW_US, p_enter, p_exit)
     }
 }
 
@@ -436,5 +474,78 @@ impl World {
     /// across plan swaps).
     pub fn fault_drops(&self) -> u64 {
         self.faults.as_ref().map_or(0, |f| f.dropped)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The oracle: every window's state from window 0, kept in a `Vec`,
+    /// each draw hashed from the full word list.
+    fn naive_chain(seed: u64, link: u64, chain: u32, upto: u64, p: (f64, f64)) -> Vec<bool> {
+        let mut states = Vec::new();
+        let mut state = false;
+        for w in 0..=upto {
+            let u = det_unit(det_hash(&[seed, link, chain as u64, w]));
+            state = if state { u >= p.1 } else { u < p.0 };
+            states.push(state);
+        }
+        states
+    }
+
+    #[test]
+    fn a_chain_memo_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<ChainMemo>(), 24);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `chain_state` on a hashed plan answers every query like the
+        /// naive chain: windows in order, out of order within the last
+        /// 64, more than 64 back, window 0, and far ahead — over
+        /// several links, the loss chain (0) and congestion chains.
+        #[test]
+        fn hashed_chains_match_the_naive_chain(
+            seed in any::<u64>(),
+            p_enter in 0.05f64..0.6,
+            p_exit in 0.05f64..0.6,
+            queries in prop::collection::vec((0usize..6, 0u8..5, 0u64..400), 1..80),
+        ) {
+            let keys: [((u32, u32), u32); 6] = [
+                ((0, 1), 0),
+                ((0, 1), 1),
+                ((0, 2), 0),
+                ((3, 9), 0),
+                ((3, 9), 2),
+                ((7, 100), 1),
+            ];
+            let mut plan = FaultPlan::uniform(0.0, SimDuration::ZERO).deterministic(seed);
+            let draw = Draw::Hash { seed, ident: 0 };
+            let mut newest = [0u64; 6];
+            let mut deep = 0;
+            for (k, kind, n) in queries {
+                let w = match kind {
+                    0 => newest[k] + n % 3,
+                    1 => newest[k].saturating_sub(n % 64),
+                    2 => newest[k].saturating_sub(65 + n),
+                    3 => 0,
+                    _ => newest[k] + 65 + n,
+                };
+                newest[k] = newest[k].max(w);
+                deep += usize::from(newest[k] - w >= 64);
+                let (link, chain) = keys[k];
+                let link_word = (link.0 as u64) << 32 | link.1 as u64;
+                let elapsed_us = w * DET_BURST_WINDOW_US + n % DET_BURST_WINDOW_US;
+                let got = plan.chain_state(draw, link, chain, elapsed_us, p_enter, p_exit);
+                let want = naive_chain(seed, link_word, chain, w, (p_enter, p_exit))[w as usize];
+                prop_assert_eq!(got, want, "link {:?} chain {} window {}", link, chain, w);
+            }
+            // Count only the cases that reached back more than 64
+            // windows, so each counted case took the recompute path.
+            prop_assume!(deep > 0);
+        }
     }
 }

@@ -257,8 +257,10 @@ impl ShardCtx {
 }
 
 /// One shard of a full-fidelity sharded run: a complete `World` replica
-/// plus its engine, driven by the window coordinator. Build inside the
-/// worker thread (the world holds `Rc` state and never crosses it).
+/// plus its engine, driven by the window coordinator. The coordinator
+/// builds it on the thread that runs it — the calling thread for shard
+/// 0, a worker thread for every other shard — because the world holds
+/// `Rc` state and never crosses threads.
 pub struct WorldShard {
     /// The shard's world replica (sharding enabled).
     pub world: World,

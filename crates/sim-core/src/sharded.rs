@@ -20,14 +20,16 @@
 //! 2. compute `window_end = min(next) + lookahead`,
 //! 3. hand every shard its inbound boundary messages in a canonical
 //!    order and let all shards run local events strictly before
-//!    `window_end` on their own worker threads,
+//!    `window_end` — shard 0 on the calling thread, which is also the
+//!    coordinator's, and every other shard on a worker thread of its own,
 //! 4. gather outbound boundary messages at the barrier and repeat.
 //!
 //! Shard state is **thread-confined, not `Send`**: each shard sim is
-//! constructed *inside* its worker thread from a `Send` builder, so
+//! constructed on the thread that runs it, from a `Send` builder, so
 //! `Rc`-based hot-path structures (routes, modules, payloads) never
 //! cross threads. Only the boundary messages — plain `Send` envelope
-//! values — travel between shards, and only at window barriers.
+//! values — travel between shards, and only at window barriers. A
+//! one-shard run starts no thread and hands nothing over.
 //!
 //! # Determinism contract
 //!
@@ -47,10 +49,12 @@
 //! The coordinator *verifies* the lookahead contract at runtime: an
 //! outbound message whose delivery time lands inside the window that
 //! produced it would be a causality violation and panics immediately
-//! rather than silently reordering events.
+//! rather than silently reordering events. A panic on any shard ends
+//! the run with that panic, raised on the calling thread.
 
 use crate::time::{SimDuration, SimTime};
 use std::sync::mpsc::{channel, Receiver, Sender};
+use std::thread::ScopedJoinHandle;
 
 /// A boundary message leaving a shard: deliver `msg` to `to_shard` at
 /// virtual time `at`.
@@ -79,8 +83,8 @@ pub struct Inbound<M> {
 /// A shard-local simulation driven by [`ShardedEngine`].
 ///
 /// Implementations typically wrap an [`Engine`](crate::Engine) plus the
-/// shard's slice of world state; they are built inside the worker
-/// thread and never cross it, so they need not be `Send`.
+/// shard's slice of world state; each is built on the thread that runs
+/// it and never leaves it, so they need not be `Send`.
 pub trait ShardSim {
     /// Boundary-message payload exchanged with other shards.
     type Boundary: Send + 'static;
@@ -132,23 +136,166 @@ pub struct ShardedEngine {
     pub horizon: Option<SimTime>,
 }
 
-enum Cmd<M> {
-    Window {
-        end: SimTime,
-        inbox: Vec<Inbound<M>>,
-    },
-    Finish,
+/// One window as a worker receives it: deliver `inbox`, then run every
+/// local event before `end`.
+struct Window<M> {
+    end: SimTime,
+    inbox: Vec<Inbound<M>>,
 }
 
+/// What a shard reports at the barrier that closes a window.
 struct Report<M> {
     outbox: Vec<Outbound<M>>,
     next: Option<SimTime>,
     events: u64,
 }
 
+/// A shard on a worker thread of its own, as the coordinator holds it.
+/// Dropping `windows` hangs the worker up: it finishes its sim and
+/// returns the output through `thread`.
+struct Worker<'scope, M, O> {
+    windows: Sender<Window<M>>,
+    reports: Receiver<Report<M>>,
+    thread: ScopedJoinHandle<'scope, O>,
+}
+
 /// An undelivered boundary message held by the coordinator:
 /// `(delivery time, source shard, per-source sequence, payload)`.
 type PendingMsg<M> = (SimTime, usize, u64, M);
+
+/// What the coordinator knows between windows: each shard's earliest
+/// local event (as of its last report) and the undelivered boundary
+/// messages per destination, tagged `(at, src, seq)` so the delivery
+/// order is canonical.
+struct Ledger<M> {
+    next: Vec<Option<SimTime>>,
+    pending: Vec<Vec<PendingMsg<M>>>,
+    seq_per_src: Vec<u64>,
+}
+
+impl<M> Ledger<M> {
+    fn new(shards: usize) -> Ledger<M> {
+        Ledger {
+            next: vec![None; shards],
+            pending: (0..shards).map(|_| Vec::new()).collect(),
+            seq_per_src: vec![0; shards],
+        }
+    }
+
+    /// Everything bound for `shard`, in canonical order.
+    fn inbox(&mut self, shard: usize) -> Vec<Inbound<M>> {
+        let mut due = std::mem::take(&mut self.pending[shard]);
+        due.sort_by_key(|p| (p.0, p.1, p.2));
+        due.into_iter()
+            .map(|(at, from_shard, _, msg)| Inbound {
+                at,
+                from_shard,
+                msg,
+            })
+            .collect()
+    }
+
+    /// Take in `shard`'s report. Reports are folded in shard order, so
+    /// the per-source sequence numbers do not depend on which shard
+    /// finished first.
+    fn fold(&mut self, shard: usize, report: Report<M>, stats: &mut ShardedRunStats) {
+        self.next[shard] = report.next;
+        stats.events += report.events;
+        for o in report.outbox {
+            assert!(
+                o.to_shard < self.pending.len(),
+                "boundary message to unknown shard"
+            );
+            stats.boundary_msgs += 1;
+            let seq = self.seq_per_src[shard];
+            self.seq_per_src[shard] += 1;
+            self.pending[o.to_shard].push((o.at, shard, seq, o.msg));
+        }
+    }
+
+    /// Earliest actionable virtual time across local queues and
+    /// in-flight boundary messages.
+    fn t_min(&self) -> Option<SimTime> {
+        self.next
+            .iter()
+            .flatten()
+            .copied()
+            .chain(self.pending.iter().flatten().map(|p| p.0))
+            .min()
+    }
+}
+
+/// Execute one window on shard `shard` — shard 0 on the coordinator's
+/// thread, every other shard on its worker: deliver `inbox`, run every
+/// local event before `end`, check what the shard sent against the
+/// lookahead contract, and report.
+fn execute_window<S: ShardSim>(
+    shard: usize,
+    sim: &mut S,
+    end: SimTime,
+    inbox: Vec<Inbound<S::Boundary>>,
+) -> Report<S::Boundary> {
+    for m in inbox {
+        sim.deliver(m);
+    }
+    let mut outbox = Vec::new();
+    // The bootstrap probe (end = 0) only collects next-event times; a
+    // window executes events strictly before its end, so a zero-length
+    // one runs none.
+    let events = if end == SimTime::ZERO {
+        0
+    } else {
+        sim.run_window(end, &mut outbox)
+    };
+    for o in &outbox {
+        assert!(
+            o.at >= end,
+            "lookahead violation: shard {shard} produced a boundary message for \
+             t={} inside its window (end t={})",
+            o.at,
+            end
+        );
+        assert!(
+            o.to_shard != shard,
+            "shard {shard} routed a boundary message to itself"
+        );
+    }
+    Report {
+        outbox,
+        next: sim.next_time(),
+        events,
+    }
+}
+
+/// A worker thread's life: build shard `shard` here, so its `!Send`
+/// internals never leave this thread; execute each window it is sent;
+/// finish once the coordinator hangs up — at the end of the run, or
+/// because the coordinator is unwinding.
+fn work<S, F>(
+    shard: usize,
+    build: F,
+    windows: Receiver<Window<S::Boundary>>,
+    reports: Sender<Report<S::Boundary>>,
+) -> S::Output
+where
+    S: ShardSim,
+    F: FnOnce(usize) -> S,
+{
+    let mut sim = build(shard);
+    for Window { end, inbox } in windows {
+        // A send fails only once the coordinator has hung up, which
+        // also ends this loop.
+        let _ = reports.send(execute_window(shard, &mut sim, end, inbox));
+    }
+    sim.finish()
+}
+
+/// A worker's output, or its panic re-raised on this thread.
+fn join<O>(thread: ScopedJoinHandle<'_, O>) -> O {
+    thread
+        .join()
+        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+}
 
 impl ShardedEngine {
     /// A coordinator with the given lookahead and no horizon.
@@ -170,193 +317,100 @@ impl ShardedEngine {
     }
 
     /// Run one simulation: `builders[i]` constructs shard `i`'s sim on
-    /// its own worker thread; the coordinator synchronizes windows
-    /// until every shard is quiescent (or the horizon is reached), then
-    /// returns the per-shard outputs in shard order plus run stats.
+    /// the thread that runs it — shard 0 on the calling thread, every
+    /// other shard on a worker thread of its own. The coordinator
+    /// synchronizes windows until every shard is quiescent (or the
+    /// horizon is reached), then returns the per-shard outputs in shard
+    /// order plus run stats. A panic in any shard ends the run with
+    /// that shard's own panic, raised on the calling thread.
     pub fn run<S, F>(&self, builders: Vec<F>) -> (Vec<S::Output>, ShardedRunStats)
     where
         S: ShardSim,
         F: FnOnce(usize) -> S + Send,
     {
         let shards = builders.len();
-        assert!(shards > 0, "at least one shard");
-        let lookahead = self.lookahead;
-        let horizon = self.horizon;
-
-        let mut cmd_txs: Vec<Sender<Cmd<S::Boundary>>> = Vec::with_capacity(shards);
-        let mut cmd_rxs: Vec<Receiver<Cmd<S::Boundary>>> = Vec::with_capacity(shards);
-        let mut rep_txs: Vec<Sender<Report<S::Boundary>>> = Vec::with_capacity(shards);
-        let mut rep_rxs: Vec<Receiver<Report<S::Boundary>>> = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let (ct, cr) = channel();
-            let (rt, rr) = channel();
-            cmd_txs.push(ct);
-            cmd_rxs.push(cr);
-            rep_txs.push(rt);
-            rep_rxs.push(rr);
-        }
-        let (out_tx, out_rx) = channel::<(usize, S::Output)>();
-
+        let mut builders = builders.into_iter();
+        let Some(build0) = builders.next() else {
+            panic!("at least one shard");
+        };
         let mut stats = ShardedRunStats::default();
 
-        std::thread::scope(|scope| {
-            for (shard, builder) in builders.into_iter().enumerate() {
-                let cmd_rx = cmd_rxs.remove(0);
-                let rep_tx = rep_txs.remove(0);
-                let out_tx = out_tx.clone();
-                scope.spawn(move || {
-                    // The sim is built *here*, inside the worker: its
-                    // !Send internals never leave this thread.
-                    let mut sim = builder(shard);
-                    let mut outbox = Vec::new();
-                    loop {
-                        // invariant: `cmd_txs` outlives the thread scope.
-                        match cmd_rx.recv().expect("coordinator alive") {
-                            Cmd::Window { end, inbox } => {
-                                for m in inbox {
-                                    sim.deliver(m);
-                                }
-                                // The bootstrap probe (end = 0) only
-                                // collects next-event times; a window
-                                // executes events strictly before its
-                                // end, so a zero-length one runs none.
-                                let events = if end == SimTime::ZERO {
-                                    0
-                                } else {
-                                    sim.run_window(end, &mut outbox)
-                                };
-                                for o in &outbox {
-                                    assert!(
-                                        o.at >= end,
-                                        "lookahead violation: shard {shard} produced a \
-                                         boundary message for t={} inside its window \
-                                         (end t={})",
-                                        o.at,
-                                        end
-                                    );
-                                    assert!(
-                                        o.to_shard != shard,
-                                        "shard {shard} routed a boundary message to itself"
-                                    );
-                                }
-                                let report = Report {
-                                    outbox: std::mem::take(&mut outbox),
-                                    next: sim.next_time(),
-                                    events,
-                                };
-                                // invariant: `rep_rxs` outlives the thread scope.
-                                rep_tx.send(report).expect("coordinator alive");
-                            }
-                            Cmd::Finish => {
-                                // invariant: `out_rx` outlives the thread scope.
-                                out_tx.send((shard, sim.finish())).expect("caller alive");
-                                return;
-                            }
-                        }
+        let outputs = std::thread::scope(|scope| {
+            // The channels are made and owned in here: a coordinator
+            // that unwinds drops them, which hangs every worker up, so
+            // the scope's join never waits on a worker blocked for its
+            // next window.
+            let mut workers: Vec<Worker<'_, S::Boundary, S::Output>> = builders
+                .enumerate()
+                .map(|(i, build)| {
+                    let (windows, window_rx) = channel();
+                    let (report_tx, reports) = channel();
+                    let thread = scope.spawn(move || work(i + 1, build, window_rx, report_tx));
+                    Worker {
+                        windows,
+                        reports,
+                        thread,
                     }
-                });
-            }
-            drop(out_tx);
+                })
+                .collect();
+            let mut sim = build0(0);
+            let mut ledger = Ledger::new(shards);
 
-            // Coordinator state: each shard's earliest local event (as
-            // of its last report) and the undelivered boundary
-            // messages per destination, tagged (at, src, seq) so the
-            // delivery order is canonical.
-            let mut next: Vec<Option<SimTime>> = vec![None; shards];
-            let mut pending: Vec<Vec<PendingMsg<S::Boundary>>> =
-                (0..shards).map(|_| Vec::new()).collect();
-            let mut seq_per_src: Vec<u64> = vec![0; shards];
-
-            // Bootstrap round: an empty zero-length window makes every
-            // shard report its initial next-event time.
-            for tx in &cmd_txs {
-                let probe = Cmd::Window {
-                    end: SimTime::ZERO,
-                    inbox: Vec::new(),
-                };
-                // invariant: a worker hangs up only after `Finish` or by panicking.
-                tx.send(probe).expect("worker alive");
-            }
-            for (i, rx) in rep_rxs.iter().enumerate() {
-                // invariant: a worker hangs up only after `Finish` or by panicking.
-                let r = rx.recv().expect("worker alive");
-                assert!(r.outbox.is_empty(), "no sends before t=0");
-                next[i] = r.next;
-                stats.events += r.events;
-            }
-
+            // The first round is the bootstrap probe: a zero-length
+            // window makes every shard report its first event time.
+            let mut end = SimTime::ZERO;
             loop {
-                // Earliest actionable virtual time across local queues
-                // and in-flight boundary messages.
-                let t_min = next
-                    .iter()
-                    .flatten()
-                    .copied()
-                    .chain(pending.iter().flatten().map(|p| p.0))
-                    .min();
-                let Some(t_min) = t_min else { break };
-                if horizon.is_some_and(|h| t_min >= h) {
-                    stats.end_time = h_clamp(horizon, t_min);
+                for (i, w) in workers.iter().enumerate() {
+                    // A worker that died is re-raised when its report
+                    // is due, below.
+                    let _ = w.windows.send(Window {
+                        end,
+                        inbox: ledger.inbox(i + 1),
+                    });
+                }
+                let own = execute_window(0, &mut sim, end, ledger.inbox(0));
+                ledger.fold(0, own, &mut stats);
+                for i in 1..shards {
+                    let Ok(report) = workers[i - 1].reports.recv() else {
+                        // A worker stops reporting only by panicking.
+                        join(workers.swap_remove(i - 1).thread);
+                        unreachable!("shard {i} hung up without panicking");
+                    };
+                    ledger.fold(i, report, &mut stats);
+                }
+                if end > SimTime::ZERO {
+                    stats.windows += 1;
+                    stats.end_time = end;
+                }
+
+                let Some(t_min) = ledger.t_min() else { break };
+                if let Some(h) = self.horizon.filter(|&h| t_min >= h) {
+                    stats.end_time = h;
                     break;
                 }
-                let mut end = t_min + lookahead;
-                if let Some(h) = horizon {
+                end = t_min + self.lookahead;
+                if let Some(h) = self.horizon {
                     end = end.min(h);
                 }
-
-                // Ship each shard its due messages in canonical order.
-                for (i, tx) in cmd_txs.iter().enumerate() {
-                    let mut inbox_raw = std::mem::take(&mut pending[i]);
-                    inbox_raw.sort_by_key(|a| (a.0, a.1, a.2));
-                    let inbox = inbox_raw
-                        .into_iter()
-                        .map(|(at, src, _, msg)| Inbound {
-                            at,
-                            from_shard: src,
-                            msg,
-                        })
-                        .collect();
-                    // invariant: a worker hangs up only after `Finish` or by panicking.
-                    tx.send(Cmd::Window { end, inbox }).expect("worker alive");
-                }
-                for (i, rx) in rep_rxs.iter().enumerate() {
-                    // invariant: a worker hangs up only after `Finish` or by panicking.
-                    let r = rx.recv().expect("worker alive");
-                    next[i] = r.next;
-                    stats.events += r.events;
-                    for o in r.outbox {
-                        assert!(o.to_shard < shards, "boundary message to unknown shard");
-                        stats.boundary_msgs += 1;
-                        let seq = seq_per_src[i];
-                        seq_per_src[i] += 1;
-                        pending[o.to_shard].push((o.at, i, seq, o.msg));
-                    }
-                }
-                stats.windows += 1;
-                stats.end_time = end;
             }
 
-            for tx in &cmd_txs {
-                // invariant: a worker hangs up only after `Finish` or by panicking.
-                tx.send(Cmd::Finish).expect("worker alive");
-            }
+            // Hanging up tells every worker to finish its shard; they
+            // do so while shard 0 finishes here.
+            let threads: Vec<_> = workers.into_iter().map(|w| w.thread).collect();
+            let mut outputs = Vec::with_capacity(shards);
+            outputs.push(sim.finish());
+            outputs.extend(threads.into_iter().map(join));
+            outputs
         });
-
-        let mut outputs: Vec<(usize, S::Output)> = out_rx.iter().collect();
-        assert_eq!(outputs.len(), shards, "every shard reports an output");
-        outputs.sort_by_key(|(i, _)| *i);
-        (outputs.into_iter().map(|(_, o)| o).collect(), stats)
+        (outputs, stats)
     }
-}
-
-fn h_clamp(horizon: Option<SimTime>, t: SimTime) -> SimTime {
-    horizon.map_or(t, |h| h.min(t))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::Engine;
+    use std::thread::ThreadId;
 
     /// A toy shard: `ranks` counters that ping their peers on other
     /// shards with a fixed latency, recording every execution.
@@ -503,5 +557,149 @@ mod tests {
     #[should_panic(expected = "positive lookahead")]
     fn zero_lookahead_is_rejected() {
         let _ = ShardedEngine::new(SimDuration::ZERO);
+    }
+
+    /// A `Toy` that records the thread it is built on, each thread that
+    /// runs one of its windows, and the thread that finishes it.
+    struct Placed {
+        toy: Toy,
+        threads: Vec<ThreadId>,
+    }
+
+    impl ShardSim for Placed {
+        type Boundary = u64;
+        type Output = Vec<ThreadId>;
+
+        fn next_time(&self) -> Option<SimTime> {
+            self.toy.next_time()
+        }
+
+        fn deliver(&mut self, msg: Inbound<u64>) {
+            self.toy.deliver(msg);
+        }
+
+        fn run_window(&mut self, end: SimTime, out: &mut Vec<Outbound<u64>>) -> u64 {
+            self.threads.push(std::thread::current().id());
+            self.toy.run_window(end, out)
+        }
+
+        fn finish(mut self) -> Vec<ThreadId> {
+            self.threads.push(std::thread::current().id());
+            self.threads
+        }
+    }
+
+    /// Per shard, the one thread its sim saw: the builder's, every
+    /// window's and the finish's.
+    fn placement(shards: usize) -> Vec<ThreadId> {
+        let eng = ShardedEngine::new(SimDuration::from_micros(LAT));
+        let builders: Vec<_> = (0..shards)
+            .map(|_| {
+                move |shard| Placed {
+                    toy: Toy::new(shard, shards),
+                    threads: vec![std::thread::current().id()],
+                }
+            })
+            .collect();
+        let (outs, _) = eng.run::<Placed, _>(builders);
+        for threads in &outs {
+            assert!(threads.len() >= 3, "built, ran a window, finished");
+            assert!(threads.iter().all(|t| *t == threads[0]), "{threads:?}");
+        }
+        outs.iter().map(|t| t[0]).collect()
+    }
+
+    #[test]
+    fn one_shard_runs_on_the_calling_thread() {
+        let me = std::thread::current().id();
+        assert_eq!(placement(1), vec![me]);
+    }
+
+    #[test]
+    fn shard_zero_runs_on_the_caller_and_the_rest_on_threads_of_their_own() {
+        let me = std::thread::current().id();
+        let placed = placement(3);
+        assert_eq!(placed[0], me);
+        assert!(placed[1] != me && placed[2] != me && placed[1] != placed[2]);
+    }
+
+    /// A shard that sends one boundary message in its first window, to
+    /// the next of three shards and at the window's end. Only shard
+    /// `rogue` breaks the contract: into its own window, or to itself.
+    struct Rogue {
+        shard: usize,
+        rogue: usize,
+        to_self: bool,
+        sent: bool,
+    }
+
+    impl ShardSim for Rogue {
+        type Boundary = u64;
+        type Output = ();
+
+        fn next_time(&self) -> Option<SimTime> {
+            (!self.sent).then_some(SimTime::from_micros(10))
+        }
+
+        fn deliver(&mut self, _: Inbound<u64>) {}
+
+        fn run_window(&mut self, end: SimTime, out: &mut Vec<Outbound<u64>>) -> u64 {
+            if std::mem::replace(&mut self.sent, true) {
+                return 0;
+            }
+            let (mut at, mut to_shard) = (end, (self.shard + 1) % 3);
+            if self.shard == self.rogue {
+                if self.to_self {
+                    to_shard = self.shard;
+                } else {
+                    at = SimTime(end.as_micros() - 1);
+                }
+            }
+            out.push(Outbound {
+                at,
+                to_shard,
+                msg: 0,
+            });
+            1
+        }
+
+        fn finish(self) {}
+    }
+
+    fn run_rogue(rogue: usize, to_self: bool) {
+        let eng = ShardedEngine::new(SimDuration::from_micros(LAT));
+        let builders: Vec<_> = (0..3)
+            .map(|_| {
+                move |shard| Rogue {
+                    shard,
+                    rogue,
+                    to_self,
+                    sent: false,
+                }
+            })
+            .collect();
+        eng.run::<Rogue, _>(builders);
+    }
+
+    // Each of these must end with the shard's own panic rather than
+    // hang: a worker's is re-raised on the calling thread, and a
+    // coordinator that unwinds hangs its workers up.
+
+    #[test]
+    #[should_panic(expected = "lookahead violation: shard 1")]
+    fn a_worker_shard_that_breaks_the_lookahead_ends_the_run() {
+        run_rogue(1, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "lookahead violation: shard 0")]
+    fn shard_zero_breaking_the_lookahead_ends_the_run() {
+        run_rogue(0, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "shard 2 routed a boundary message to itself")]
+    fn a_shard_that_routes_to_itself_ends_the_run() {
+        run_rogue(2, true);
     }
 }
