@@ -29,6 +29,7 @@
 #![forbid(unsafe_code)]
 pub mod client;
 pub mod config;
+mod log;
 pub mod node_agent;
 pub mod proto;
 pub mod relay;
@@ -45,6 +46,7 @@ pub use client::{
     MonitorQuery, QueryHandle, QueryKind, TopicRow,
 };
 pub use config::MonitorConfig;
+pub use log::{Records, RecordsIter};
 pub use node_agent::NodeAgent;
 pub use proto::{
     DeltaBatch, JobDataReply, JobDataRequest, JobStatsReply, JobStatsRequest, MonitorReply,

@@ -1,0 +1,696 @@
+//! The node agent's record log, and the window a reply shares out of it.
+//!
+//! The paper's node agent keeps a circular buffer of Variorum JSON
+//! objects (§III-A). Here that buffer is a log of sealed, immutable pages
+//! of [`PAGE`] records plus one open page being filled, so a window query
+//! shares whole pages — one reference-count bump per page — instead of
+//! one per record. Eviction stays exact per record: a logical head counts
+//! the evicted records at the front of the oldest page, and a page is
+//! dropped with its last live record. The log holds at most
+//! `capacity + 2 × PAGE` records: the live ones, an evicted prefix of the
+//! oldest page, and the open page.
+
+use crate::proto::PowerRecord;
+use std::collections::VecDeque;
+use std::fmt;
+use std::ops::{Index, Range};
+use std::sync::Arc;
+
+/// Records per sealed page.
+const PAGE: usize = 16;
+
+/// A sealed page: exactly [`PAGE`] records, never written again.
+type Page = Arc<[PowerRecord]>;
+
+/// No sealed page yet.
+static NO_PAGES: VecDeque<(u64, Page)> = VecDeque::new();
+
+/// A fixed-capacity log of power records with overwrite accounting: the
+/// same contract as a [`crate::RingBuffer`] of records, stored in shared
+/// pages (see the module docs).
+pub(crate) struct PagedLog {
+    /// Sealed pages, oldest first, each beside its newest timestamp so a
+    /// search over pages reads this deque alone. Absent until the first
+    /// seal: most agents of a large fleet never fill one, and an empty
+    /// deque inline would cost each of them 24 bytes more than this
+    /// pointer.
+    #[allow(clippy::box_collection)]
+    sealed: Option<Box<VecDeque<(u64, Page)>>>,
+    /// The page being filled, newest last; it is sealed on reaching
+    /// [`PAGE`] records.
+    open: Vec<PowerRecord>,
+    /// Records evicted from the front of the oldest page: the first
+    /// sealed one, or `open` while nothing is sealed.
+    head: usize,
+    capacity: usize,
+    /// Records ever pushed.
+    pushed: u64,
+    /// Records never captured at all ([`PagedLog::note_loss`]).
+    lost: u64,
+}
+
+impl PagedLog {
+    /// An empty log holding at most `capacity` live records. Allocates
+    /// nothing until the first push.
+    pub(crate) fn new(capacity: usize) -> PagedLog {
+        assert!(capacity > 0, "record log needs capacity >= 1");
+        PagedLog {
+            sealed: None,
+            open: Vec::new(),
+            head: 0,
+            capacity,
+            pushed: 0,
+            lost: 0,
+        }
+    }
+
+    fn pages(&self) -> &VecDeque<(u64, Page)> {
+        self.sealed.as_deref().unwrap_or(&NO_PAGES)
+    }
+
+    /// Live records.
+    pub(crate) fn len(&self) -> usize {
+        self.pages().len() * PAGE + self.open.len() - self.head
+    }
+
+    /// Records ever pushed.
+    pub(crate) fn total_pushed(&self) -> u64 {
+        self.pushed
+    }
+
+    /// Records lost so far: evicted, plus any noted as never captured.
+    pub(crate) fn overwritten(&self) -> u64 {
+        self.pushed - self.len() as u64 + self.lost
+    }
+
+    /// Record `n` samples that were never captured (an outage gap). Only
+    /// the loss accounting moves.
+    pub(crate) fn note_loss(&mut self, n: u64) {
+        self.lost += n;
+    }
+
+    /// Records noted via [`PagedLog::note_loss`] alone.
+    pub(crate) fn noted_lost(&self) -> u64 {
+        self.lost
+    }
+
+    /// Append a record (timestamps must not decrease). When the log was
+    /// full, the oldest record is evicted and its stored JSON size
+    /// returned.
+    pub(crate) fn push(&mut self, record: PowerRecord) -> Option<usize> {
+        self.pushed += 1;
+        self.open.push(record);
+        if self.open.len() == PAGE {
+            self.seal();
+        }
+        if self.len() <= self.capacity {
+            return None;
+        }
+        let bytes = match self.sealed.as_deref_mut().filter(|p| !p.is_empty()) {
+            Some(pages) => {
+                let bytes = pages[0].1[self.head].stored_bytes();
+                self.head += 1;
+                if self.head == PAGE {
+                    pages.pop_front();
+                    self.head = 0;
+                }
+                bytes
+            }
+            None => {
+                self.head += 1;
+                self.open[self.head - 1].stored_bytes()
+            }
+        };
+        Some(bytes)
+    }
+
+    /// Move the full open page into the sealed ones. The first seal hands
+    /// the open page's storage over with it (an agent that seals once
+    /// keeps no second buffer); later ones copy the records out and keep
+    /// the storage, so a long-lived agent does not regrow it every page.
+    fn seal(&mut self) {
+        let page: Page = match &self.sealed {
+            None => Arc::from(std::mem::take(&mut self.open)),
+            Some(_) => self.open.drain(..).collect(),
+        };
+        let newest = page[PAGE - 1].timestamp_us();
+        self.sealed
+            .get_or_insert_default()
+            .push_back((newest, page));
+    }
+
+    /// The live records, oldest first.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &PowerRecord> {
+        self.records(self.head..self.head + self.len())
+    }
+
+    /// The oldest live record.
+    pub(crate) fn oldest(&self) -> Option<&PowerRecord> {
+        self.iter().next()
+    }
+
+    /// The newest record.
+    pub(crate) fn newest(&self) -> Option<&PowerRecord> {
+        self.open
+            .last()
+            .or_else(|| self.pages().back().map(|(_, p)| &p[PAGE - 1]))
+    }
+
+    /// The live records whose timestamp lies in `lo..=hi`, oldest first.
+    pub(crate) fn window(&self, lo: u64, hi: u64) -> impl Iterator<Item = &PowerRecord> {
+        self.records(self.find(lo, hi))
+    }
+
+    /// [`PagedLog::window`] as a value a reply carries: every sealed page
+    /// it touches is shared whole, and only its part of the open page —
+    /// at most `PAGE - 1` records — is cloned, record by record.
+    pub(crate) fn share(&self, lo: u64, hi: u64) -> Records {
+        let window = self.find(lo, hi);
+        let open = self.open_part(&window);
+        let len = window.len();
+        // One allocation: a mapped range chained with a mapped slice
+        // reports its exact length.
+        let runs = self
+            .sealed_runs(window)
+            .map(|(page, range)| Run::Page {
+                page: Arc::clone(page),
+                start: range.start,
+                end: range.end,
+            })
+            .chain(open.iter().cloned().map(Run::One))
+            .collect();
+        Records { runs, len }
+    }
+
+    /// Positions (counted from the first record of the oldest page) of
+    /// the live records whose timestamp lies in `lo..=hi`.
+    fn find(&self, lo: u64, hi: u64) -> Range<usize> {
+        // Evicted records are older than every live one, so a search over
+        // whole pages only needs its result clamped to the head.
+        let start = self.head.max(self.partition_point(|ts| ts < lo));
+        start..start.max(self.partition_point(|ts| ts <= hi))
+    }
+
+    /// The first position whose timestamp fails `pred`, which must hold
+    /// for a prefix (timestamps never decrease): a binary search over the
+    /// pages' newest timestamps, then one within the page it lands in.
+    fn partition_point(&self, pred: impl Fn(u64) -> bool) -> usize {
+        let pages = self.pages();
+        let before = pages.partition_point(|&(newest, _)| pred(newest));
+        let page = pages.get(before).map_or(&self.open[..], |(_, p)| &p[..]);
+        before * PAGE + page.partition_point(|r| pred(r.timestamp_us()))
+    }
+
+    /// The sealed pages the positions `window` touch, oldest first, each
+    /// with the non-empty range of it inside the window.
+    fn sealed_runs(&self, window: Range<usize>) -> impl Iterator<Item = (&Page, Range<usize>)> {
+        let Range { start, end } = window;
+        let pages = self.pages();
+        let paged_end = end.min(pages.len() * PAGE);
+        let touched = if start < paged_end {
+            start / PAGE..paged_end.div_ceil(PAGE)
+        } else {
+            0..0
+        };
+        touched.map(move |i| {
+            let base = i * PAGE;
+            (
+                &pages[i].1,
+                start.max(base) - base..paged_end.min(base + PAGE) - base,
+            )
+        })
+    }
+
+    /// The open page's part of the positions `window`.
+    fn open_part(&self, window: &Range<usize>) -> &[PowerRecord] {
+        let sealed_end = self.pages().len() * PAGE;
+        &self.open
+            [window.start.max(sealed_end) - sealed_end..window.end.max(sealed_end) - sealed_end]
+    }
+
+    fn records(&self, window: Range<usize>) -> impl Iterator<Item = &PowerRecord> {
+        let open = self.open_part(&window);
+        self.sealed_runs(window)
+            .flat_map(|(page, range)| &page[range])
+            .chain(open)
+    }
+}
+
+/// A run of a [`Records`] window, never empty: a shared page's
+/// `page[start..end]`, or one record cloned out of the open page.
+#[derive(Clone)]
+enum Run {
+    Page {
+        page: Page,
+        start: usize,
+        end: usize,
+    },
+    One(PowerRecord),
+}
+
+impl Run {
+    fn records(&self) -> &[PowerRecord] {
+        match self {
+            Run::Page { page, start, end } => &page[*start..*end],
+            Run::One(record) => std::slice::from_ref(record),
+        }
+    }
+}
+
+/// The records of one node's reply window, oldest first, as runs of the
+/// node agent's pages. Built once by the node agent; every later holder —
+/// the root's aggregation, the client, a cross-shard message — shares
+/// the run list, so cloning a window is one reference-count bump however
+/// many records it holds. Reads like the slice it replaces: `len()`,
+/// indexing, `first()`/`last()`, `for r in &records`.
+#[derive(Clone, Default)]
+pub struct Records {
+    runs: Arc<[Run]>,
+    len: usize,
+}
+
+impl Records {
+    /// Records in the window.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True if the window holds no record.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The records, oldest first.
+    pub fn iter(&self) -> RecordsIter<'_> {
+        RecordsIter {
+            runs: self.runs.iter(),
+            run: Default::default(),
+            left: self.len,
+        }
+    }
+
+    /// The oldest record.
+    pub fn first(&self) -> Option<&PowerRecord> {
+        self.runs.first()?.records().first()
+    }
+
+    /// The newest record.
+    pub fn last(&self) -> Option<&PowerRecord> {
+        self.runs.last()?.records().last()
+    }
+
+    /// The record at `index`, oldest first (a walk over the runs).
+    pub fn get(&self, mut index: usize) -> Option<&PowerRecord> {
+        for run in self.runs.iter() {
+            let records = run.records();
+            if index < records.len() {
+                return Some(&records[index]);
+            }
+            index -= records.len();
+        }
+        None
+    }
+
+    /// The pages this window shares, each with how many of its records
+    /// the window holds; and how many records it holds cloned.
+    #[cfg(test)]
+    fn sharing(&self) -> (Vec<(&Page, usize)>, usize) {
+        let mut pages = Vec::new();
+        let mut cloned = 0;
+        for run in self.runs.iter() {
+            match run {
+                Run::Page { page, start, end } => pages.push((page, end - start)),
+                Run::One(_) => cloned += 1,
+            }
+        }
+        (pages, cloned)
+    }
+}
+
+impl Index<usize> for Records {
+    type Output = PowerRecord;
+
+    fn index(&self, index: usize) -> &PowerRecord {
+        match self.get(index) {
+            Some(record) => record,
+            None => panic!("index {index} out of a window of {} records", self.len),
+        }
+    }
+}
+
+/// One run holding the records.
+impl From<Vec<PowerRecord>> for Records {
+    fn from(records: Vec<PowerRecord>) -> Records {
+        if records.is_empty() {
+            return Records::default();
+        }
+        let len = records.len();
+        let run = Run::Page {
+            page: Arc::from(records),
+            start: 0,
+            end: len,
+        };
+        Records {
+            runs: Arc::new([run]),
+            len,
+        }
+    }
+}
+
+impl FromIterator<PowerRecord> for Records {
+    fn from_iter<I: IntoIterator<Item = PowerRecord>>(iter: I) -> Records {
+        Records::from(iter.into_iter().collect::<Vec<_>>())
+    }
+}
+
+impl<'a> IntoIterator for &'a Records {
+    type Item = &'a PowerRecord;
+    type IntoIter = RecordsIter<'a>;
+
+    fn into_iter(self) -> RecordsIter<'a> {
+        self.iter()
+    }
+}
+
+/// Equal when they hold equal records in the same order, however the
+/// records are split into runs.
+impl PartialEq for Records {
+    fn eq(&self, other: &Records) -> bool {
+        self.len == other.len && self.iter().eq(other)
+    }
+}
+
+impl fmt::Debug for Records {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self).finish()
+    }
+}
+
+/// Iterator over a [`Records`] window, oldest first.
+pub struct RecordsIter<'a> {
+    runs: std::slice::Iter<'a, Run>,
+    run: std::slice::Iter<'a, PowerRecord>,
+    left: usize,
+}
+
+impl<'a> Iterator for RecordsIter<'a> {
+    type Item = &'a PowerRecord;
+
+    fn next(&mut self) -> Option<&'a PowerRecord> {
+        loop {
+            if let Some(record) = self.run.next() {
+                self.left -= 1;
+                return Some(record);
+            }
+            self.run = self.runs.next()?.records().iter();
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for RecordsIter<'_> {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ring::RingBuffer;
+    use fluxpm_variorum::NodePowerSample;
+    use proptest::prelude::*;
+
+    fn record(ts: u64) -> PowerRecord {
+        PowerRecord::new(NodePowerSample {
+            hostname: "h".into(),
+            timestamp_us: ts,
+            // A reading that varies the JSON's length, so eviction's byte
+            // count is checked against the right record.
+            power_node_watts: Some((ts % 1000) as f64),
+            power_cpu_watts: Default::default(),
+            power_mem_watts: None,
+            power_gpu_watts: Default::default(),
+        })
+    }
+
+    fn log_of(capacity: usize, timestamps: impl IntoIterator<Item = u64>) -> PagedLog {
+        let mut log = PagedLog::new(capacity);
+        for ts in timestamps {
+            log.push(record(ts));
+        }
+        log
+    }
+
+    fn timestamps<'a>(records: impl IntoIterator<Item = &'a PowerRecord>) -> Vec<u64> {
+        records.into_iter().map(PowerRecord::timestamp_us).collect()
+    }
+
+    /// An operation against the log / ring pair, as a node agent's life
+    /// drives it: a sample some microseconds after the last one (0 repeats
+    /// a timestamp), an outage gap, or a window query.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Tick(u64),
+        NoteLoss(u64),
+        Query(u64, u64),
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            12 => (0u64..5).prop_map(Op::Tick),
+            1 => (1u64..30).prop_map(Op::NoteLoss),
+            3 => (0u64..300, 0u64..120).prop_map(|(lo, width)| Op::Query(lo, lo + width)),
+        ]
+    }
+
+    /// A sample some microseconds after the last one, an outage gap, or a
+    /// fail/recover cycle that drops the history.
+    #[derive(Debug, Clone)]
+    enum ClockOp {
+        Tick(u64),
+        NoteLoss(u64),
+        FailRecover,
+    }
+
+    fn clock_op_strategy() -> impl Strategy<Value = ClockOp> {
+        prop_oneof![
+            12 => (0u64..5).prop_map(ClockOp::Tick),
+            2 => (1u64..30).prop_map(ClockOp::NoteLoss),
+            1 => Just(ClockOp::FailRecover),
+        ]
+    }
+
+    proptest! {
+        /// The log keeps exactly what a ring of the same capacity keeps:
+        /// every count, the oldest and newest record, what each push
+        /// evicts, and every window — by value and by the very block the
+        /// ring holds. Capacities sit below, at and across multiples of
+        /// `PAGE`.
+        #[test]
+        fn log_matches_a_ring_oracle(
+            capacity in 1usize..48,
+            ops in prop::collection::vec(op_strategy(), 0..200),
+        ) {
+            let mut log = PagedLog::new(capacity);
+            let mut ring: RingBuffer<PowerRecord> = RingBuffer::new(capacity);
+            let mut now = 0u64;
+            for op in &ops {
+                match *op {
+                    Op::Tick(dt) => {
+                        now += dt;
+                        let r = record(now);
+                        let expected = ring.push(r.clone()).map(|e| e.stored_bytes());
+                        prop_assert_eq!(log.push(r), expected);
+                    }
+                    Op::NoteLoss(n) => {
+                        log.note_loss(n);
+                        ring.note_loss(n);
+                    }
+                    Op::Query(lo, hi) => {
+                        let scanned: Vec<&PowerRecord> = ring
+                            .iter()
+                            .filter(|r| (lo..=hi).contains(&r.timestamp_us()))
+                            .collect();
+                        let shared = log.share(lo, hi);
+                        let got: Vec<&PowerRecord> = shared.iter().collect();
+                        prop_assert_eq!(&got, &scanned);
+                        prop_assert_eq!(shared.len(), scanned.len());
+                        for (got, want) in got.iter().zip(&scanned) {
+                            prop_assert!(std::ptr::eq(got.raw_json(), want.raw_json()));
+                        }
+                        prop_assert_eq!(log.window(lo, hi).collect::<Vec<_>>(), scanned);
+                    }
+                }
+                prop_assert_eq!(log.len(), ring.len());
+                prop_assert_eq!(log.overwritten(), ring.overwritten());
+                prop_assert_eq!(log.total_pushed(), ring.total_pushed());
+                prop_assert_eq!(log.noted_lost(), ring.noted_lost());
+                prop_assert_eq!(log.oldest(), ring.oldest());
+                prop_assert_eq!(log.newest(), ring.newest());
+            }
+            prop_assert_eq!(log.iter().collect::<Vec<_>>(), ring.iter().collect::<Vec<_>>());
+        }
+
+        /// The binary-searched window is exactly what a filter scan of the
+        /// whole log returns, in the same order — on empty, unwrapped,
+        /// wrapped, gap-noted and restarted logs, with repeated
+        /// timestamps, at every step.
+        #[test]
+        fn range_by_key_matches_filter_scan(
+            capacity in 1usize..24,
+            ops in prop::collection::vec(clock_op_strategy(), 0..120),
+            start in 0u64..300,
+            width in 0u64..120,
+        ) {
+            let mut log = PagedLog::new(capacity);
+            let mut now = 0u64;
+            let end = start + width;
+            for op in &ops {
+                match *op {
+                    ClockOp::Tick(dt) => {
+                        now += dt;
+                        log.push(record(now));
+                    }
+                    ClockOp::NoteLoss(n) => log.note_loss(n),
+                    // A recovered node gets a fresh agent.
+                    ClockOp::FailRecover => log = PagedLog::new(capacity),
+                }
+                let scanned: Vec<u64> = log
+                    .iter()
+                    .map(PowerRecord::timestamp_us)
+                    .filter(|t| (start..=end).contains(t))
+                    .collect();
+                prop_assert_eq!(timestamps(log.window(start, end)), scanned.clone());
+                prop_assert_eq!(timestamps(&log.share(start, end)), scanned);
+            }
+        }
+    }
+
+    #[test]
+    fn range_by_key_spans_the_wrap() {
+        // Retained: 38 40 … 78, the oldest page partly evicted.
+        let log = log_of(21, (0..80u64).step_by(2));
+        assert!(log.head > 0, "expected an evicted prefix");
+        let range = |lo, hi| timestamps(log.window(lo, hi));
+        assert_eq!(range(0, 100), (38..80).step_by(2).collect::<Vec<_>>());
+        assert_eq!(range(41, 46), vec![42, 44, 46], "bounds are inclusive");
+        assert_eq!(range(63, 64), vec![64], "across a page boundary");
+        assert_eq!(range(45, 45), Vec::<u64>::new(), "between two keys");
+        assert_eq!(range(46, 41), Vec::<u64>::new(), "inverted window");
+        assert_eq!(range(79, 90), Vec::<u64>::new(), "after the newest");
+    }
+
+    #[test]
+    fn a_window_over_sealed_pages_shares_them() {
+        // 40 records: pages 0..16 and 16..32 sealed, 32..40 open.
+        let log = log_of(100, 0..40);
+        let pages: Vec<&Page> = log.pages().iter().map(|(_, p)| p).collect();
+        assert_eq!(pages.len(), 2);
+        let shared = log.share(5, 35);
+        assert_eq!(timestamps(&shared), (5..=35).collect::<Vec<_>>());
+        let (held, cloned) = shared.sharing();
+        assert_eq!(held.len(), 2, "both sealed pages");
+        assert!(Arc::ptr_eq(held[0].0, pages[0]) && held[0].1 == 11);
+        assert!(Arc::ptr_eq(held[1].0, pages[1]) && held[1].1 == 16);
+        // Only the open page's records are cloned, never more than a page
+        // short of one.
+        assert_eq!(cloned, 4);
+        assert!(cloned < PAGE);
+        // A clone of the window shares its run list.
+        let copy = shared.clone();
+        assert!(Arc::ptr_eq(&copy.runs, &shared.runs));
+    }
+
+    #[test]
+    fn a_window_inside_the_open_page_copies_only_its_records() {
+        let log = log_of(100, 0..20);
+        let shared = log.share(17, 18);
+        assert_eq!(timestamps(&shared), vec![17, 18]);
+        let (held, cloned) = shared.sharing();
+        assert!(held.is_empty(), "the open page is not shared");
+        assert_eq!(cloned, 2, "just the two records");
+        assert!(std::ptr::eq(shared[0].raw_json(), log.open[1].raw_json()));
+    }
+
+    #[test]
+    fn records_index_and_ends_across_runs() {
+        let log = log_of(100, 0..40);
+        let shared = log.share(10, 37);
+        assert_eq!(shared.len(), 28);
+        assert_eq!(shared.iter().len(), 28);
+        for (i, ts) in (10..=37).enumerate() {
+            assert_eq!(shared[i].timestamp_us(), ts, "index {i}");
+        }
+        assert_eq!(shared.get(28), None);
+        assert_eq!(shared.first().map(PowerRecord::timestamp_us), Some(10));
+        assert_eq!(shared.last().map(PowerRecord::timestamp_us), Some(37));
+        let through_page_end = log.share(10, 31);
+        assert_eq!(
+            through_page_end.last().map(PowerRecord::timestamp_us),
+            Some(31)
+        );
+        assert_eq!(
+            through_page_end.sharing().1,
+            0,
+            "nothing from the open page"
+        );
+        let mut it = shared.iter();
+        it.nth(5);
+        assert_eq!(it.len(), 22);
+    }
+
+    #[test]
+    fn the_empty_window() {
+        let log = log_of(100, 0..40);
+        for (lo, hi) in [(100, 200), (20, 10), (40, 99)] {
+            let shared = log.share(lo, hi);
+            assert!(shared.is_empty());
+            assert_eq!(shared.len(), 0);
+            assert_eq!(shared.first(), None);
+            assert_eq!(shared.last(), None);
+            assert_eq!(shared.iter().next(), None);
+            assert_eq!(shared, Records::default());
+        }
+        assert!(PagedLog::new(3).share(0, u64::MAX).is_empty());
+    }
+
+    #[test]
+    fn records_compare_by_value_not_by_runs() {
+        let log = log_of(100, 0..40);
+        let shared = log.share(3, 33);
+        let copied: Records = shared.iter().cloned().collect();
+        assert_eq!(copied.sharing().0.len(), 1, "one run");
+        assert_eq!(copied, shared);
+        assert_ne!(copied, log.share(3, 32));
+        assert_eq!(format!("{copied:?}"), format!("{shared:?}"));
+    }
+
+    #[test]
+    fn storage_is_bounded_by_capacity_plus_two_pages() {
+        for capacity in [1, 5, PAGE - 1, PAGE, PAGE + 1, 3 * PAGE] {
+            let mut log = PagedLog::new(capacity);
+            for ts in 0..10 * PAGE as u64 {
+                log.push(record(ts));
+                let held = log.pages().len() * PAGE + log.open.len();
+                assert!(held <= capacity + 2 * PAGE, "capacity {capacity}: {held}");
+                assert!(log.open.capacity() <= PAGE);
+            }
+        }
+    }
+
+    #[test]
+    fn the_first_seal_gives_the_open_page_back_and_later_ones_keep_it() {
+        let mut log = log_of(1000, 0..PAGE as u64);
+        assert_eq!(log.open.capacity(), 0, "handed over with the first page");
+        for ts in PAGE as u64..2 * PAGE as u64 {
+            log.push(record(ts));
+        }
+        assert_eq!(log.open.capacity(), PAGE, "kept from the second on");
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity >= 1")]
+    fn zero_capacity_rejected() {
+        PagedLog::new(0);
+    }
+}

@@ -3,7 +3,7 @@
 //! Stateless by design (paper §III-A): it samples power on a fixed cadence
 //! whether or not a job is running, and answers time-window queries from
 //! the root agent. Statelessness is what keeps overhead low — no job
-//! tracking, no subscriptions, just a timer and a ring buffer. When
+//! tracking, no subscriptions, just a timer and a record log. When
 //! [`MonitorConfig::push_interval`] is set it additionally pushes its
 //! newest sample up to the root agent on that cadence (still stateless:
 //! job attribution and sequence assignment happen at the root, and
@@ -12,10 +12,10 @@
 //! sees any of it).
 
 use crate::config::MonitorConfig;
+use crate::log::PagedLog;
 use crate::proto::{
     MonitorReply, MonitorRequest, NodeDataReply, NodeDataRequest, NodeStats, PowerRecord,
 };
-use crate::ring::RingBuffer;
 use fluxpm_flux::{Message, Module, ModuleCtx, MsgKind, Protocol, Topic};
 use fluxpm_hw::NodeId;
 use fluxpm_sim::TraceLevel;
@@ -43,16 +43,16 @@ struct NodeAgentTopics {
 pub struct NodeAgent {
     topics: NodeAgentTopics,
     config: MonitorConfig,
-    buffer: RingBuffer<PowerRecord>,
-    /// Total sensor reads performed (diagnostics).
-    samples_taken: u64,
+    /// The retained samples: the paper's circular buffer, kept in pages a
+    /// reply can share.
+    log: PagedLog,
     /// Bytes of encoded JSON currently retained (the paper sizes the
     /// default buffer at ~43.4 MB for 100k records).
     buffer_bytes: usize,
     /// When this agent started sampling (set at load time). A freshly
     /// reloaded agent on a recovered node starts *here*, not at t=0, so
     /// windows reaching before it are flagged partial — this is how the
-    /// ring buffer "resynchronizes from the gap" after an outage.
+    /// buffer "resynchronizes from the gap" after an outage.
     since_us: Option<u64>,
     /// Outage gaps `[start, end)` in microseconds, recorded when this
     /// *same* agent instance is re-loaded after its node recovered.
@@ -76,7 +76,7 @@ pub struct NodeAgent {
 impl NodeAgent {
     /// Create an unloaded agent.
     pub fn new(config: MonitorConfig) -> NodeAgent {
-        let buffer = RingBuffer::new(config.buffer_capacity);
+        let log = PagedLog::new(config.buffer_capacity);
         NodeAgent {
             topics: NodeAgentTopics {
                 node_data: Topic::intern(TOPIC_NODE_DATA),
@@ -85,8 +85,7 @@ impl NodeAgent {
                 sample_push: Topic::intern(crate::subscription::TOPIC_SAMPLE_PUSH),
             },
             config,
-            buffer,
-            samples_taken: 0,
+            log,
             buffer_bytes: 0,
             since_us: None,
             gaps: Vec::new(),
@@ -107,24 +106,24 @@ impl NodeAgent {
         &self.config
     }
 
-    /// Number of sensor reads performed so far.
+    /// Number of sensor reads performed so far: every read is logged.
     pub fn samples_taken(&self) -> u64 {
-        self.samples_taken
+        self.log.total_pushed()
     }
 
     /// Records currently retained.
     pub fn retained(&self) -> usize {
-        self.buffer.len()
+        self.log.len()
     }
 
     /// The retained records, oldest first.
     pub fn records(&self) -> impl Iterator<Item = &PowerRecord> {
-        self.buffer.iter()
+        self.log.iter()
     }
 
-    /// Records lost to buffer wrap.
+    /// Records lost to buffer wrap or to an outage.
     pub fn overwritten(&self) -> u64 {
-        self.buffer.overwritten()
+        self.log.overwritten()
     }
 
     /// Bytes of encoded Variorum JSON currently retained.
@@ -156,8 +155,8 @@ impl NodeAgent {
         if self.gaps.iter().any(|&(_, end)| end > start_us) {
             return false;
         }
-        match self.buffer.oldest() {
-            Some(oldest) => self.buffer.overwritten() == 0 || oldest.timestamp_us() <= start_us,
+        match self.log.oldest() {
+            Some(oldest) => self.log.overwritten() == 0 || oldest.timestamp_us() <= start_us,
             None => false,
         }
     }
@@ -176,26 +175,18 @@ impl NodeAgent {
         let record = PowerRecord::encode(&self.scratch);
         let node_w = record.node_power_estimate();
         self.buffer_bytes += record.stored_bytes();
-        if let Some(evicted) = self.buffer.push(record) {
-            self.buffer_bytes -= evicted.stored_bytes();
+        if let Some(evicted_bytes) = self.log.push(record) {
+            self.buffer_bytes -= evicted_bytes;
         }
-        self.samples_taken += 1;
         // Canonical record for sharded byte-equality checks (no-op on
         // classic worlds): buffered count + node draw in milliwatts.
         ctx.world.record(
             ctx.eng.now(),
             rank.0,
             fluxpm_flux::shard::rec::POWER_SAMPLE,
-            self.buffer.len() as u64,
+            self.log.len() as u64,
             (node_w * 1000.0).round() as u64,
         );
-    }
-
-    /// The retained records inside `start_us..=end_us`, oldest first,
-    /// as the ring's two runs (binary search: ring timestamps only grow).
-    fn window(&self, start_us: u64, end_us: u64) -> (&[PowerRecord], &[PowerRecord]) {
-        self.buffer
-            .range_by_key(start_us, end_us, PowerRecord::timestamp_us)
     }
 
     /// Summary statistics for a window from this agent's buffer (shared
@@ -205,8 +196,7 @@ impl NodeAgent {
         let mut sum = 0.0;
         let mut max = f64::NEG_INFINITY;
         let mut min = f64::INFINITY;
-        let (older, newer) = self.window(start_us, end_us);
-        for r in older.iter().chain(newer) {
+        for r in self.log.window(start_us, end_us) {
             let p = r.node_power_estimate();
             samples += 1;
             sum += p;
@@ -240,7 +230,7 @@ impl NodeAgent {
     /// single-attempt deadline so a push or ack lost to a faulty or
     /// congested link reaps its matchtag instead of leaking it.
     fn push_newest(&mut self, ctx: &mut ModuleCtx<'_>) {
-        let Some(newest) = self.buffer.newest() else {
+        let Some(newest) = self.log.newest() else {
             return;
         };
         let ts = newest.timestamp_us();
@@ -272,10 +262,11 @@ impl NodeAgent {
     }
 
     fn answer(&self, ctx: &mut ModuleCtx<'_>, msg: &Message, req: NodeDataRequest) {
-        // The one place a reply's records are gathered: a reference-count
-        // bump per record into a slice every later hop shares.
-        let (older, newer) = self.window(req.start_us, req.end_us);
-        let records: Arc<[PowerRecord]> = older.iter().chain(newer).cloned().collect();
+        // The one place a reply's records are gathered: the window's
+        // sealed pages are shared whole (a reference-count bump per page of
+        // 16 samples), only the part in the page still being filled is
+        // cloned, and every later hop shares the result.
+        let records = self.log.share(req.start_us, req.end_us);
         // Partial iff data from the window start was lost: overwritten
         // by wrap, or never sampled (the agent loaded after the window
         // start — e.g. on a recovered node).
@@ -321,7 +312,7 @@ impl Module for NodeAgent {
             // as lost so completeness accounting sees the gap.
             let interval_us = interval.as_micros();
             if now_us > 0 && interval_us > 0 {
-                self.buffer.note_loss(now_us / interval_us);
+                self.log.note_loss(now_us / interval_us);
             }
         } else {
             // The *same* instance re-loaded after an outage (a shared
@@ -332,15 +323,15 @@ impl Module for NodeAgent {
             // repeated cycles instead of double-counting.
             let now_us = now.as_micros();
             let gap_start = self
-                .buffer
+                .log
                 .newest()
                 .map(|r| r.timestamp_us())
                 .unwrap_or_else(|| self.since_us.unwrap_or(0));
             if now_us > gap_start {
                 self.gaps.push((gap_start, now_us));
                 if let Some(expected) = now_us.checked_div(interval.as_micros()) {
-                    let accounted = self.buffer.total_pushed() + self.buffer.noted_lost();
-                    self.buffer.note_loss(expected.saturating_sub(accounted));
+                    let accounted = self.log.total_pushed() + self.log.noted_lost();
+                    self.log.note_loss(expected.saturating_sub(accounted));
                 }
             }
         }

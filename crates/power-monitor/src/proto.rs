@@ -6,6 +6,7 @@
 //! topic). All monitor traffic travels as these two enums — handlers
 //! decode them instead of downcasting raw payloads.
 
+use crate::log::Records;
 use crate::subscription::TelemetryDelta;
 use fluxpm_flux::{JobId, Protocol};
 use fluxpm_variorum::NodePowerSample;
@@ -20,11 +21,12 @@ use std::sync::Arc;
 ///
 /// A record is a handle to one immutable heap block, written once at
 /// sample time, plus the two numbers every query reads — timestamp and
-/// node power — so a window search or a statistic walks the ring's own
-/// storage and touches no block. The ring owns the sample; a reply, the
-/// root's aggregation and the client all hold the same block, so cloning
-/// a record is a reference-count bump however large the JSON is. The
-/// per-socket and per-GPU values live only in the JSON:
+/// node power — so a window search or a statistic walks the node agent's
+/// own pages and touches no block. The agent's log owns the sample; a
+/// reply shares the log's sealed pages whole ([`Records`]) and clones a
+/// record only from the page still being filled, so the root's
+/// aggregation and the client hold the very blocks the node agent wrote.
+/// The per-socket and per-GPU values live only in the JSON:
 /// [`PowerRecord::sample`] decodes them on demand.
 #[derive(Clone)]
 pub struct PowerRecord {
@@ -180,15 +182,16 @@ pub struct NodeDataRequest {
     pub end_us: u64,
 }
 
-/// Node-agent → root reply. Built once by the node agent; every later
-/// hop (the root's aggregation, the client) shares `records` rather than
-/// copying it.
+/// Node-agent → root reply. Built once by the node agent out of its own
+/// pages; every later hop (the root's aggregation, the client, the
+/// cross-shard wire) shares `records` rather than copying it, so cloning
+/// a reply costs the same for one record as for a million.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeDataReply {
     /// The replying node's hostname.
     pub hostname: Arc<str>,
     /// Records within the window, oldest first.
-    pub records: Arc<[PowerRecord]>,
+    pub records: Records,
     /// False when the buffer wrapped past the window start (the paper's
     /// "partial data" flag).
     pub complete: bool,

@@ -1,9 +1,10 @@
 //! Fixed-capacity circular buffer with overwrite accounting.
 //!
-//! The node agent stores the most recent `capacity` power records; when
-//! the buffer wraps, the oldest records are lost and any later query that
-//! reaches before the retained window is flagged *partial* (the paper's
-//! "complete or partial data set" CSV column).
+//! The power manager's FPP keeps its per-GPU sample windows in one. The
+//! node agent's record log keeps the same contract (and is tested against
+//! this buffer): when it wraps, the oldest records are lost and any later
+//! query that reaches before the retained window is flagged *partial* (the
+//! paper's "complete or partial data set" CSV column).
 
 /// A circular buffer of power records (or anything else).
 ///
@@ -125,21 +126,6 @@ impl<T> RingBuffer<T> {
     pub fn as_slices(&self) -> (&[T], &[T]) {
         let (tail, front) = self.buf.split_at(self.head);
         (front, tail)
-    }
-
-    /// The elements whose key lies in `lo..=hi`, as the two contiguous
-    /// runs of [`RingBuffer::as_slices`] narrowed to that range. Keys
-    /// must be non-decreasing oldest → newest (timestamps are), which
-    /// makes each run sorted: two binary searches per run, O(log n) to
-    /// find a window of k elements instead of a scan of everything
-    /// retained.
-    pub fn range_by_key<K: Ord>(&self, lo: K, hi: K, key: impl Fn(&T) -> K) -> (&[T], &[T]) {
-        let narrow = |run: &[T]| {
-            let start = run.partition_point(|x| key(x) < lo);
-            start..start + run[start..].partition_point(|x| key(x) <= hi)
-        };
-        let (first, second) = self.as_slices();
-        (&first[narrow(first)], &second[narrow(second)])
     }
 
     /// The oldest retained element.
@@ -282,25 +268,6 @@ mod tests {
             a.iter().chain(b.iter()).copied().collect::<Vec<_>>(),
             vec![18, 19, 20, 21, 22]
         );
-    }
-
-    #[test]
-    fn range_by_key_spans_the_wrap() {
-        let mut r = RingBuffer::new(5);
-        for ts in (0..16u64).step_by(2) {
-            r.push(ts);
-        }
-        // Retained: 6 8 10 12 14, physically wrapped.
-        assert!(!r.as_slices().1.is_empty(), "expected a wrapped buffer");
-        let range = |lo, hi| {
-            let (a, b) = r.range_by_key(lo, hi, |&ts| ts);
-            a.iter().chain(b).copied().collect::<Vec<u64>>()
-        };
-        assert_eq!(range(0, 100), vec![6, 8, 10, 12, 14]);
-        assert_eq!(range(7, 12), vec![8, 10, 12], "bounds are inclusive");
-        assert_eq!(range(9, 9), Vec::<u64>::new(), "between two keys");
-        assert_eq!(range(12, 7), Vec::<u64>::new(), "inverted window");
-        assert_eq!(range(15, 20), Vec::<u64>::new(), "after the newest");
     }
 
     #[test]

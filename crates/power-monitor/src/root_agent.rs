@@ -22,6 +22,7 @@
 //! attached at this rank and once per interested child edge (see
 //! [`crate::relay`]). The agent holds no subscriber, edge or batch.
 
+use crate::log::Records;
 use crate::node_agent::{TOPIC_NODE_DATA, TOPIC_NODE_STATS};
 use crate::proto::{
     JobDataReply, JobDataRequest, JobStatsReply, JobStatsRequest, MonitorReply, MonitorRequest,
@@ -96,7 +97,7 @@ impl NodeAnswer for NodeDataReply {
     fn silent() -> Self {
         NodeDataReply {
             hostname: Arc::from(""),
-            records: Arc::from([]),
+            records: Records::default(),
             complete: false,
         }
     }

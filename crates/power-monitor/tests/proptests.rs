@@ -43,24 +43,6 @@ fn sample_op_strategy() -> impl Strategy<Value = SampleOp> {
     ]
 }
 
-/// An operation against a ring of timestamps as a node agent's life
-/// drives it: a sample some microseconds after the last one, an outage
-/// gap, or a fail/recover cycle that drops the history.
-#[derive(Debug, Clone)]
-enum ClockOp {
-    Tick(u64),
-    NoteLoss(u64),
-    FailRecover,
-}
-
-fn clock_op_strategy() -> impl Strategy<Value = ClockOp> {
-    prop_oneof![
-        12 => (0u64..5).prop_map(ClockOp::Tick),
-        2 => (1u64..30).prop_map(ClockOp::NoteLoss),
-        1 => Just(ClockOp::FailRecover),
-    ]
-}
-
 /// Watts with exactly the three decimals the Variorum JSON carries.
 fn milliwatts() -> impl Strategy<Value = f64> {
     (0u64..4_000_000).prop_map(|mw| mw as f64 / 1000.0)
@@ -209,40 +191,6 @@ proptest! {
         }
         if r.overwritten() == 0 {
             prop_assert!(complete, "nothing lost implies complete");
-        }
-    }
-
-    /// The binary-searched window is exactly what a filter scan of the
-    /// whole ring returns, in the same order — on empty, unwrapped,
-    /// wrapped, gap-noted and restarted buffers, with repeated
-    /// timestamps, at every step.
-    #[test]
-    fn range_by_key_matches_filter_scan(
-        capacity in 1usize..24,
-        ops in prop::collection::vec(clock_op_strategy(), 0..120),
-        start in 0u64..300,
-        width in 0u64..120,
-    ) {
-        let mut r = RingBuffer::new(capacity);
-        let mut now = 0u64;
-        let end = start + width;
-        for op in &ops {
-            match op {
-                ClockOp::Tick(dt) => {
-                    now += dt;
-                    r.push(now);
-                }
-                ClockOp::NoteLoss(n) => r.note_loss(*n),
-                ClockOp::FailRecover => r.clear(),
-            }
-            let scanned: Vec<u64> = r
-                .iter()
-                .copied()
-                .filter(|t| (start..=end).contains(t))
-                .collect();
-            let (older, newer) = r.range_by_key(start, end, |&t| t);
-            let searched: Vec<u64> = older.iter().chain(newer).copied().collect();
-            prop_assert_eq!(searched, scanned);
         }
     }
 

@@ -198,29 +198,47 @@ fn a_sampling_tick_allocates_a_fixed_number_of_blocks() {
     assert_eq!(allocs, 0, "a copy is a reference-count bump");
     assert!(std::ptr::eq(copy.raw_json(), record.raw_json()));
 
-    // A whole tick through the engine: the same count every tick once
-    // the ring is at capacity (until then its storage doubles with its
-    // contents, a logarithmic number of times). The sensor scan is
-    // `hw-models`' and its reading is inline; the monitor adds the
-    // record and nothing else, so one tick is exactly one block.
+    // A whole tick through the engine. The sensor scan is `hw-models`'
+    // and its reading is inline; the monitor adds the record, and every
+    // sixteenth tick also seals the page it filled (DESIGN.md §14) — the
+    // same count every sixteen ticks once the log is past its second
+    // page (until then its open page grows a logarithmic number of
+    // times) and at capacity.
     let mut w = World::new(MachineKind::Lassen, 1, 3);
     let (sensor_scan, _) = allocs_during(|| w.nodes[0].read_sensors());
     assert_eq!(sensor_scan, 0, "a sensor scan owns no heap");
-    let per_tick = 1;
     let mut eng: FluxEngine = Engine::new();
     let config = MonitorConfig::default()
         .with_sample_interval(SimDuration::from_secs(1))
         .with_buffer_capacity(4);
     let agent = NodeAgent::shared(config);
     w.load_module(&mut eng, Rank(0), agent.clone());
-    // Warm-up: the thread's assembly buffer and four ticks to fill the
-    // ring.
-    eng.run_until(&mut w, SimTime::from_millis(4_500));
-    for (until_ms, ticks) in [(5_500, 1), (15_500, 10), (115_500, 100)] {
+    // Warm-up: the thread's assembly buffer, and 48 ticks to seal three
+    // pages.
+    eng.run_until(&mut w, SimTime::from_millis(48_500));
+    for (until_ms, ticks) in [(49_500, 1), (63_500, 14), (64_500, 1), (224_500, 160)] {
         let before = agent.borrow().samples_taken();
         let until = SimTime::from_millis(until_ms);
         let (allocs, _) = allocs_during(|| eng.run_until(&mut w, until));
-        assert_eq!(agent.borrow().samples_taken() - before, ticks);
-        assert_eq!(allocs, per_tick * ticks, "over {ticks} tick(s)");
+        let after = agent.borrow().samples_taken();
+        assert_eq!(after - before, ticks);
+        let pages = after / 16 - before / 16;
+        assert_eq!(allocs, ticks + pages, "over {ticks} tick(s)");
     }
+}
+
+#[test]
+fn cloning_a_reply_allocates_nothing_per_record() {
+    let (mut w, job, _) = world_after_job(100.0);
+    let (_, reply) = query(&mut w, job);
+    assert!(reply.sample_count() >= 95 * NODES as usize);
+    let (allocs, copy) = allocs_during(|| reply.nodes[0].clone());
+    assert_eq!(allocs, 0, "a node's reply shares its records");
+    assert_eq!(copy, reply.nodes[0]);
+    let (allocs, copy) = allocs_during(|| reply.clone());
+    assert_eq!(
+        allocs, 2,
+        "a job's reply: its name and its node list, whatever they hold"
+    );
+    assert_eq!(copy, reply);
 }

@@ -2,7 +2,7 @@
 """Turn a sigprof profile (see sampler.c) into self-time and inclusive tables.
 
     python3 scripts/sigprof/symbolize.py queue.prof [--top N] [--keep-yardstick]
-                                         [--callers N [--all]]
+                                         [--callers N [--all]] [--under FN]
 
 Every return address is mapped back to its ELF file (file offset from the
 `r-xp` mapping, virtual address from `readelf -lW`) and symbolised with
@@ -27,6 +27,11 @@ Tables, all in samples and per cent of the samples kept:
   samples whose leaf is outside the program, or over every sample with
   --all. Self time says which function asked for the `realloc`; the chain
   says which event it was asked for.
+
+With --under FN every table covers only the samples with FN on the stack
+(`node_agent.rs: answer`, or any suffix of a project frame's name after a
+`/`): the sub-tree view of one function, in per cent of all samples kept,
+so its entries add up to FN's inclusive share.
 
 Samples with a frame under `yardstick` (stackbench's calibration laps, not
 the workload) are dropped unless --keep-yardstick is given.
@@ -202,6 +207,8 @@ def main():
                     help="also rank call chains: the leaf plus its first N project frames")
     ap.add_argument("--all", action="store_true",
                     help="with --callers: chains of every sample, not only of library leaves")
+    ap.add_argument("--under", metavar="FN",
+                    help="only the samples with project function FN on the stack")
     args = ap.parse_args()
 
     mappings, raw, info, program = parse(args.profile)
@@ -222,6 +229,14 @@ def main():
     print(f"{len(raw)} samples, {total} kept ({len(raw) - total} empty or under yardstick)")
     if not total:
         return 1
+    if args.under:
+        suffix = "/" + args.under
+        kept = [flat for flat in kept
+                if any(project and (fn == args.under or fn.endswith(suffix))
+                       for fn, _, project in flat)]
+        print(f"{len(kept)} samples ({100.0 * len(kept) / total:.1f} %) under {args.under}")
+        if not kept:
+            return 1
 
     leaf_module, leaf_function = collections.Counter(), collections.Counter()
     self_by, lib_share, inclusive, chains = (collections.Counter() for _ in range(4))
