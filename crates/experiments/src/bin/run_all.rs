@@ -6,7 +6,7 @@ use fluxpm_experiments::experiments as exp;
 use std::time::Instant;
 
 /// A named experiment entry point.
-type Experiment = (&'static str, fn() -> String);
+type Experiment = (&'static str, fn() -> std::io::Result<String>);
 
 const EXPERIMENTS: [Experiment; 15] = [
     ("fig1", exp::fig1::run),
@@ -48,8 +48,13 @@ fn main() {
             continue;
         }
         let t = Instant::now();
-        let report = run();
-        println!("{report}");
+        match run() {
+            Ok(report) => println!("{report}"),
+            Err(e) => {
+                eprintln!("{name}: cannot write its artifact under results/: {e}");
+                std::process::exit(1);
+            }
+        }
         eprintln!("[{name} done in {:.1}s]\n", t.elapsed().as_secs_f64());
     }
     eprintln!("done in {:.1}s", total.elapsed().as_secs_f64());

@@ -1,11 +1,14 @@
 //! Nodes-parameterized chaos storm harness.
 //!
-//! [`storm`] drives an `n`-node instance through the same scripted
-//! failure storm the chaos-soak suite uses at 16 nodes — an interior
-//! batch kill, a node re-failing 50 µs into its own recovery, the root
-//! dying mid-storm, Gilbert–Elliott burst loss on every link, seeded
-//! random fail/recover ticks — with every knob (batch size, random-kill
-//! width, live floor, global power bound) scaled from the node count.
+//! [`storm`] drives an `n`-node instance through the scripted failure
+//! storm of the 16-node chaos-soak suite — an interior batch kill, a
+//! node re-failing 50 µs into its own recovery, the root dying
+//! mid-storm, Gilbert–Elliott burst loss on every link, seeded random
+//! fail/recover ticks — with every knob (batch size, random-kill width,
+//! live floor, global power bound) scaled from the node count. Its end
+//! differs: the storm recovers every node 15 s after its last random
+//! tick (`t = 100 s` at the standard ten ticks), where the soak
+//! recovers at `t = 95 s`.
 //! Both the 128-rank soak tests and stackbench's
 //! `storm_congested_1024` workload drive this one code path, so what CI
 //! soaks is exactly what the benchmark times.
@@ -15,13 +18,15 @@
 //! to millions of lines, and a hash comparison is just as strict for
 //! the replay-equality gate.
 
+use crate::scenario::{PowerSetup, Scenario};
 use fluxpm_flux::{
-    CongestionBurst, FaultPlan, FluxEngine, GilbertElliott, JobSpec, JobState, LinkHealthConfig,
-    LinkProfile, Rank, World,
+    CongestionBurst, FaultPlan, FluxEngine, GilbertElliott, JobId, JobSpec, JobState,
+    LinkHealthConfig, LinkProfile, Rank, World,
 };
 use fluxpm_hw::{MachineKind, NodeId, Watts};
-use fluxpm_monitor::{MonitorConfig, MonitorQuery};
-use fluxpm_sim::{Engine, SimDuration, SimTime, Trace, TraceLevel, Xoshiro256pp};
+use fluxpm_manager::ManagerConfig;
+use fluxpm_monitor::{MonitorConfig, MonitorQuery, QueryHandle, SubtreeStats};
+use fluxpm_sim::{SimDuration, SimTime, TraceLevel, Xoshiro256pp};
 use fluxpm_workloads::{laghos, App, JitterModel};
 use std::cell::{Cell, RefCell};
 use std::ops::ControlFlow;
@@ -38,7 +43,7 @@ pub struct StormConfig {
     /// Seed for the world RNG and the random storm ticks.
     pub seed: u64,
     /// Random fail/recover ticks, one every 5 s starting at t=40 s.
-    /// The storm-end recovery runs 10 s after the last tick.
+    /// The storm-end recovery runs 15 s after the last tick.
     pub random_ticks: u64,
     /// Trace verbosity. `Debug` records every hop (byte-identical
     /// replay at full strictness); `Info` keeps only state transitions
@@ -53,9 +58,9 @@ pub struct StormConfig {
 }
 
 impl StormConfig {
-    /// Standard storm: 10 random ticks (storm over by `t = 95 s`,
-    /// self-halts once the post-storm probe job completes, ~135 s of
-    /// simulated time).
+    /// Standard storm: 10 random ticks (the last at `t = 85 s`, every
+    /// node recovered at `t = 100 s`; self-halts once the post-storm
+    /// probe job completes, at `t = 140 s`).
     pub fn new(nodes: u32, seed: u64) -> Self {
         Self {
             nodes,
@@ -123,6 +128,63 @@ fn fnv1a(hash: &mut u64, bytes: &[u8]) {
     }
 }
 
+/// The reply of the reduction sent into `slot`, once it has come back.
+fn reduction(slot: &RefCell<Option<QueryHandle>>) -> Option<SubtreeStats> {
+    slot.borrow().as_ref()?.subtree_stats()?.ok()
+}
+
+/// Schedule the per-second topology sweep, from `t = 1 s` until the
+/// world halts, and return the number of sweeps that have run.
+///
+/// Each sweep panics, naming the rank and the instant, when the topology
+/// epoch went backwards, the root is detached or down, or an attached
+/// rank is down, unroutable, or on a parent chain that is detached or
+/// cycles. Both storm harnesses — [`storm`] and the 16-node chaos-soak
+/// suite — schedule it at the same point of their script.
+pub fn topology_invariants(eng: &mut FluxEngine) -> Rc<Cell<u64>> {
+    let checks = Rc::new(Cell::new(0u64));
+    let count = Rc::clone(&checks);
+    let mut last_epoch = 0u64;
+    eng.schedule_every(
+        SimTime::from_secs(1),
+        SimDuration::from_secs(1),
+        move |w: &mut World, eng| {
+            if w.halted {
+                return ControlFlow::Break(());
+            }
+            let now = eng.now();
+            let e = w.tbon.epoch();
+            assert!(
+                e >= last_epoch,
+                "epoch went backwards at {now}: {last_epoch} -> {e}"
+            );
+            last_epoch = e;
+            let root = w.tbon.root();
+            assert!(w.tbon.is_attached(root), "root detached at {now}");
+            assert!(w.broker_up(root), "root down at {now}");
+            let size = w.size();
+            for r in w.tbon.attached_ranks() {
+                assert!(w.broker_up(r), "{r} attached but down at {now}");
+                assert!(w.tbon.route(r, root).is_some(), "{r} unroutable at {now}");
+                let mut probe = r;
+                let mut hops = 0;
+                while probe != root {
+                    probe = w
+                        .tbon
+                        .parent(probe)
+                        .unwrap_or_else(|| panic!("{probe} has no parent at {now}"));
+                    assert!(w.tbon.is_attached(probe), "parent chain of {r} detached");
+                    hops += 1;
+                    assert!(hops <= size, "cycle walking up from {r} at {now}");
+                }
+            }
+            count.set(count.get() + 1);
+            ControlFlow::Continue(())
+        },
+    );
+    checks
+}
+
 /// Run one full storm and return its deterministic outcome.
 ///
 /// Panics if any storm invariant breaks: the topology epoch going
@@ -143,18 +205,6 @@ pub fn storm(cfg: &StormConfig) -> StormOutcome {
     let kill_width = 1 + u64::from(nodes / 16);
     let wide = nodes / 2;
 
-    let mut w = World::new(MachineKind::Lassen, nodes, seed);
-    w.trace = Trace::enabled(cfg.trace_level);
-    // 10 jobs total: A, B, 7 queue fillers, and the post-storm probe.
-    w.autostop_after = Some(10);
-    let mut eng: FluxEngine = Engine::new();
-    let last_tick_s = 40 + 5 * cfg.random_ticks.saturating_sub(1);
-    eng.set_horizon(SimTime::from_secs(last_tick_s + 300));
-
-    // Manager + monitor stack; `load` registers the module factory that
-    // brings recovered brokers back with a live node-level manager.
-    let mgr_cfg = fluxpm_manager::ManagerConfig::proportional(Watts(global_bound_w));
-    let cluster = fluxpm_manager::load(&mut w, &mut eng, mgr_cfg);
     // In congestion mode, 1 s sample pushes give every interior link a
     // steady upward stream — the traffic the link monitor judges.
     let mon_cfg = if cfg.congestion {
@@ -162,8 +212,23 @@ pub fn storm(cfg: &StormConfig) -> StormOutcome {
     } else {
         MonitorConfig::default()
     };
-    fluxpm_monitor::load(&mut w, &mut eng, mon_cfg);
-    w.install_executor(&mut eng);
+    // The manager's `load` registers the module factory that brings
+    // recovered brokers back with a live node-level manager.
+    let (mut w, mut eng, cluster) = Scenario::new(MachineKind::Lassen, nodes)
+        .with_seed(seed)
+        .with_trace(cfg.trace_level)
+        .with_power(PowerSetup::Managed {
+            static_node_cap: None,
+            config: ManagerConfig::proportional(Watts(global_bound_w)),
+        })
+        .with_monitor(mon_cfg)
+        .build();
+    // invariant: a managed power setup loads, and returns, a cluster manager.
+    let cluster = cluster.expect("managed setup loads a cluster manager");
+    // 10 jobs total: A, B, 7 queue fillers, and the post-storm probe.
+    w.autostop_after = Some(10);
+    let last_tick_s = 40 + 5 * cfg.random_ticks.saturating_sub(1);
+    eng.set_horizon(SimTime::from_secs(last_tick_s + 300));
 
     // Per-link burst faults: lightly lossy default links plus a worse
     // profile on the root's first link; bursts spike loss to 50 %.
@@ -255,53 +320,7 @@ pub fn storm(cfg: &StormConfig) -> StormOutcome {
         });
     }
 
-    // Per-second invariants: epoch monotone, root attached and alive,
-    // every attached rank alive, routable, and on an acyclic parent
-    // chain.
-    let last_epoch = Rc::new(Cell::new(0u64));
-    let checks = Rc::new(Cell::new(0u64));
-    {
-        let last_epoch = Rc::clone(&last_epoch);
-        let checks = Rc::clone(&checks);
-        eng.schedule_every(
-            SimTime::from_secs(1),
-            SimDuration::from_secs(1),
-            move |w: &mut World, eng| {
-                if w.halted {
-                    return ControlFlow::Break(());
-                }
-                let now = eng.now();
-                let e = w.tbon.epoch();
-                assert!(
-                    e >= last_epoch.get(),
-                    "epoch went backwards at {now}: {} -> {e}",
-                    last_epoch.get()
-                );
-                last_epoch.set(e);
-                let root = w.tbon.root();
-                assert!(w.tbon.is_attached(root), "root detached at {now}");
-                assert!(w.broker_up(root), "root down at {now}");
-                let size = w.size();
-                for r in w.tbon.attached_ranks() {
-                    assert!(w.broker_up(r), "{r} attached but down at {now}");
-                    assert!(w.tbon.route(r, root).is_some(), "{r} unroutable at {now}");
-                    let mut probe = r;
-                    let mut hops = 0;
-                    while probe != root {
-                        probe = w
-                            .tbon
-                            .parent(probe)
-                            .unwrap_or_else(|| panic!("{probe} has no parent at {now}"));
-                        assert!(w.tbon.is_attached(probe), "parent chain of {r} detached");
-                        hops += 1;
-                        assert!(hops <= size, "cycle walking up from {r} at {now}");
-                    }
-                }
-                checks.set(checks.get() + 1);
-                ControlFlow::Continue(())
-            },
-        );
-    }
+    let checks = topology_invariants(&mut eng);
 
     // --- Scripted storm prefix -------------------------------------
     // t=15: a whole batch of interior ranks dies at once.
@@ -424,17 +443,17 @@ pub fn storm(cfg: &StormConfig) -> StormOutcome {
             SimTime::from_secs(settle_s + 15),
             move |w: &mut World, _eng| {
                 let limits = cluster.borrow().job_limits();
-                let f = f_slot.borrow().expect("probe job was submitted");
+                let probe = *f_slot.borrow();
                 assert!(
-                    limits.iter().any(|&(id, _)| id == f),
+                    limits.iter().any(|&(id, _)| Some(id) == probe),
                     "probe job must be budgeted after the storm: {limits:?}"
                 );
                 let mut sum = 0.0;
                 for &(id, watts) in &limits {
                     assert!(watts.get() > 0.0, "zero budget for {id:?}");
-                    let state = w.jobs.get(id).unwrap().state;
+                    let state = w.jobs.get(id).map(|j| j.state);
                     assert!(
-                        matches!(state, JobState::Running | JobState::Completed),
+                        matches!(state, Some(JobState::Running | JobState::Completed)),
                         "budget held by a {state:?} job {id:?}"
                     );
                     sum += watts.get();
@@ -449,26 +468,21 @@ pub fn storm(cfg: &StormConfig) -> StormOutcome {
     // --- Post-run convergence --------------------------------------
     assert!(w.halted, "every job must reach a terminal state");
     assert_eq!(w.pending_rpc_count(), 0, "leaked matchtags after the storm");
-    let f = f_slot.borrow().expect("probe job was submitted");
-    assert_eq!(w.jobs.get(f).unwrap().state, JobState::Completed);
-    assert_eq!(w.jobs.get(a).unwrap().state, JobState::Failed);
+    let state = |id: JobId| w.jobs.get(id).map(|j| j.state);
+    assert_eq!(f_slot.borrow().and_then(state), Some(JobState::Completed));
+    assert_eq!(state(a), Some(JobState::Failed));
 
     let live = w.tbon.attached_ranks().len() as u32;
     assert_eq!(live, nodes, "all ranks re-attached after the storm");
     assert!(w.tbon.is_balanced(), "overlay healed to fresh k-ary shape");
 
-    let stats = degraded
-        .borrow()
-        .clone()
-        .expect("degraded query issued")
-        .subtree_stats()
-        .expect("mid-storm reduction completed")
-        .expect("reduction replied");
+    // Dead ranks must not fabricate a complete window, and the
+    // surviving ranks carried data.
+    let stats = reduction(&degraded);
     assert!(
-        !stats.all_complete,
-        "dead ranks must not fabricate a complete window"
+        matches!(stats, Some(s) if !s.all_complete && s.samples > 0),
+        "mid-storm reduction: {stats:?}"
     );
-    assert!(stats.samples > 0, "surviving ranks carried data");
     assert!(
         w.fault_drops() > 0,
         "the burst plan actually dropped traffic"
@@ -504,14 +518,11 @@ pub fn storm(cfg: &StormConfig) -> StormOutcome {
                 ls.reparents
             );
         }
-        let stats = congested_q
-            .borrow()
-            .clone()
-            .expect("mid-congestion query issued")
-            .subtree_stats()
-            .expect("reduction completed under congestion")
-            .expect("reduction replied");
-        assert!(stats.samples > 0, "congested reduction carried data");
+        let stats = reduction(&congested_q);
+        assert!(
+            matches!(stats, Some(s) if s.samples > 0),
+            "congested reduction carried data: {stats:?}"
+        );
     }
 
     let mut trace_hash = 0xcbf2_9ce4_8422_2325u64;
@@ -563,6 +574,23 @@ mod tests {
     /// squeeze and still replays identically — congestion windows,
     /// bursty severity flaps, and the avoidance response all draw from
     /// seeded streams.
+    /// The sweep is not vacuous: a dead rank put back into the tree
+    /// without a recovery trips it at the next whole second.
+    #[test]
+    #[should_panic(expected = "rank3 attached but down at")]
+    fn topology_sweep_catches_an_attached_dead_rank() {
+        let (mut w, mut eng, _) = Scenario::new(MachineKind::Lassen, 4).build();
+        let checks = topology_invariants(&mut eng);
+        eng.schedule(SimTime::from_millis(1500), |w: &mut World, eng| {
+            w.fail_node(eng, NodeId(3));
+            let root = w.root();
+            w.tbon.attach(Rank(3), root);
+        });
+        eng.run_until(&mut w, SimTime::from_millis(1900));
+        assert_eq!(checks.get(), 1, "one clean sweep before the fault");
+        eng.run_until(&mut w, SimTime::from_secs(3));
+    }
+
     #[test]
     fn congested_storm_16_replays_identically() {
         let cfg = StormConfig::congested(16, 11);

@@ -19,12 +19,14 @@
 //! policy layer, so the two columns should (and do) degrade alike.
 
 use crate::report::Table;
+use crate::scenario::{PowerSetup, Scenario};
 use crate::write_artifact;
-use fluxpm_flux::{FaultPlan, FluxEngine, JobSpec, Rank, SharedModule, World};
+use fluxpm_flux::{FaultPlan, JobSpec, Rank, World};
 use fluxpm_hw::{MachineKind, Watts};
+use fluxpm_manager::node_mgr::NODE_MANAGER;
 use fluxpm_manager::{ManagerConfig, NodeLevelManager};
 use fluxpm_monitor::{MonitorConfig, MonitorQuery};
-use fluxpm_sim::{Engine, SimDuration, SimTime};
+use fluxpm_sim::{SimDuration, SimTime};
 use fluxpm_workloads::{laghos, App, JitterModel};
 use std::cell::RefCell;
 use std::fmt::Write as _;
@@ -47,8 +49,9 @@ pub const DEADLINE: SimDuration = SimDuration::from_millis(2);
 pub struct CongestionPoint {
     /// Severity on the 0–1 link.
     pub severity: f64,
-    /// Submit → node-limit-enforced on the probe rank, in µs.
-    pub cap_latency_us: u64,
+    /// Submit → node-limit-enforced on the probe rank, in µs; `None` if
+    /// the limit never reached it.
+    pub cap_latency_us: Option<u64>,
     /// Reductions that completed within [`DEADLINE`].
     pub completed: u32,
     /// Reductions issued.
@@ -64,48 +67,39 @@ pub struct CongestionPoint {
 /// Run one severity point under one manager policy.
 pub fn run_one(config: &ManagerConfig, severity: f64) -> CongestionPoint {
     const NODES: u32 = 16;
-    let mut w = World::new(MachineKind::Lassen, NODES, 42);
+    let (mut w, mut eng, _) = Scenario::new(MachineKind::Lassen, NODES)
+        .with_seed(42)
+        .with_power(PowerSetup::Managed {
+            static_node_cap: None,
+            config: config.clone(),
+        })
+        .with_monitor(MonitorConfig::default().with_push_interval(SimDuration::from_secs(1)))
+        .build();
     w.autostop_after = Some(1);
-    let mut eng: FluxEngine = Engine::new();
     eng.set_horizon(SimTime::from_secs(200));
 
-    // Manager + monitor stack. Keep a handle to the node-level manager
-    // of the deepest rank routed through the congested 0–1 link — its
-    // `node_limit()` flipping to `Some` is the enforcement instant.
+    // The probe is the deepest rank routed through the congested 0–1
+    // link: its node-level manager's `node_limit()` flipping to `Some`
+    // is the enforcement instant.
     let probe = Rank(NODES - 1);
     assert!(
         w.tbon
             .route(Rank(0), probe)
-            .expect("routable")
-            .windows(2)
-            .any(|hop| (hop[0], hop[1]) == (Rank(0), Rank(1))),
+            .is_some_and(|route| route
+                .windows(2)
+                .any(|hop| (hop[0], hop[1]) == (Rank(0), Rank(1)))),
         "probe rank must sit behind the congested link"
     );
-    let mut probe_mgr = None;
-    for rank in w.tbon.ranks().collect::<Vec<_>>() {
-        let m = NodeLevelManager::shared_with_target(
-            config.policy,
-            config.fpp.clone(),
-            config.fpp_target,
-        );
-        if rank == probe {
-            probe_mgr = Some(Rc::clone(&m));
-        }
-        w.load_module(&mut eng, rank, m as SharedModule);
-    }
-    let probe_mgr = probe_mgr.expect("probe rank exists");
-    w.load_module(&mut eng, Rank(0), fluxpm_manager::JobLevelManager::shared());
-    w.load_module(
-        &mut eng,
-        Rank(0),
-        fluxpm_manager::ClusterLevelManager::shared(config.clone()),
-    );
-    fluxpm_monitor::load(
-        &mut w,
-        &mut eng,
-        MonitorConfig::default().with_push_interval(SimDuration::from_secs(1)),
-    );
-    w.install_executor(&mut eng);
+    let enforced = move |w: &World| {
+        w.brokers[probe.index()]
+            .module(NODE_MANAGER)
+            .is_some_and(|m| {
+                m.borrow_mut()
+                    .as_any_mut()
+                    .and_then(|m| m.downcast_ref::<NodeLevelManager>())
+                    .is_some_and(|m| m.node_limit().is_some())
+            })
+    };
 
     // Squeeze the 0–1 link for the whole run; no loss, no jitter — the
     // only degradation is bandwidth.
@@ -134,12 +128,11 @@ pub fn run_one(config: &ManagerConfig, severity: f64) -> CongestionPoint {
     }
     {
         let cap_seen = Rc::clone(&cap_seen);
-        let probe_mgr = Rc::clone(&probe_mgr);
         eng.schedule_every(
             submit_at,
             SimDuration::from_micros(20),
-            move |_w: &mut World, eng| {
-                if probe_mgr.borrow().node_limit().is_some() {
+            move |w: &mut World, eng| {
+                if enforced(w) {
                     *cap_seen.borrow_mut() = Some(eng.now());
                     return ControlFlow::Break(());
                 }
@@ -163,6 +156,8 @@ pub fn run_one(config: &ManagerConfig, severity: f64) -> CongestionPoint {
                 if *issued.borrow() == REDUCTIONS {
                     return ControlFlow::Break(());
                 }
+                // invariant: the job is submitted at `submit_at`, 4 s
+                // before the first reduction.
                 let job = job_slot.borrow().expect("job submitted before t=5");
                 *issued.borrow_mut() += 1;
                 let t0 = eng.now();
@@ -189,8 +184,7 @@ pub fn run_one(config: &ManagerConfig, severity: f64) -> CongestionPoint {
 
     eng.run(&mut w);
 
-    let cap_latency_us =
-        (cap_seen.borrow().expect("cap reached the probe rank") - submit_at).as_micros();
+    let cap_latency_us = cap_seen.borrow().map(|t| (t - submit_at).as_micros());
     let mut lat = latencies.borrow().clone();
     lat.sort_unstable();
     let issued = *issued.borrow();
@@ -206,7 +200,7 @@ pub fn run_one(config: &ManagerConfig, severity: f64) -> CongestionPoint {
 }
 
 /// Run the sweep under both policies; returns the printed report.
-pub fn run() -> String {
+pub fn run() -> std::io::Result<String> {
     let mut out = String::from(
         "# Ablation — management plane vs congestion severity on the root 0\u{2013}1 link\n\n",
     );
@@ -228,9 +222,10 @@ pub fn run() -> String {
         ]);
         for &severity in SEVERITIES.iter() {
             let p = run_one(&config, severity);
+            let cap = p.cap_latency_us.map_or("-".into(), |us| us.to_string());
             table.row(vec![
                 format!("{severity}"),
-                format!("{}", p.cap_latency_us),
+                cap.clone(),
                 format!("{}/{}", p.completed, p.issued),
                 format!("{}", p.p50_us),
                 format!("{}", p.max_us),
@@ -238,8 +233,8 @@ pub fn run() -> String {
             ]);
             let _ = writeln!(
                 csv,
-                "{label},{severity},{},{},{},{},{},{}",
-                p.cap_latency_us, p.completed, p.issued, p.p50_us, p.max_us, p.drops
+                "{label},{severity},{cap},{},{},{},{},{}",
+                p.completed, p.issued, p.p50_us, p.max_us, p.drops
             );
         }
         let _ = writeln!(out, "## {label}\n");
@@ -255,9 +250,9 @@ pub fn run() -> String {
          lossy fault model could not express. The two policies degrade\n\
          identically — congestion lives below the policy layer.\n",
     );
-    let path = write_artifact("ablation_congestion.csv", &csv);
+    let path = write_artifact("ablation_congestion.csv", &csv)?;
     let _ = writeln!(out, "CSV: {}", path.display());
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -271,8 +266,8 @@ mod tests {
         let squeezed = run_one(&config, 0.999);
         assert_eq!(clean.completed, clean.issued, "clean tree misses nothing");
         assert!(
-            squeezed.cap_latency_us > clean.cap_latency_us,
-            "a 0.999 squeeze must slow cap propagation ({} vs {} µs)",
+            squeezed.cap_latency_us > clean.cap_latency_us && clean.cap_latency_us.is_some(),
+            "a 0.999 squeeze must slow cap propagation ({:?} vs {:?} µs)",
             squeezed.cap_latency_us,
             clean.cap_latency_us
         );

@@ -7,8 +7,8 @@
 //! (`P_reduce`) over the Table IV mix and reports per-configuration
 //! energy and GEMM slowdown relative to the proportional baseline.
 
-use super::table3::job_mix;
-use crate::report::{RunReport, Table};
+use super::table3::{job_mix, mix_energy, mix_results};
+use crate::report::Table;
 use crate::scenario::{run_many, PowerSetup, Scenario};
 use crate::write_artifact;
 use fluxpm_hw::{MachineKind, Watts};
@@ -39,14 +39,8 @@ fn scenario_with(fpp: FppConfig, label: String) -> Scenario {
     s
 }
 
-fn mix_energy(r: &RunReport) -> f64 {
-    let g = r.job("GEMM").unwrap();
-    let q = r.job("Quicksilver").unwrap();
-    (g.energy_per_node_kj * 6.0 + q.energy_per_node_kj * 2.0) / 8.0
-}
-
 /// Run the sweep; returns the printed report.
-pub fn run() -> String {
+pub fn run() -> std::io::Result<String> {
     let mut out = String::from("# Ablation — FPP parameter exploration (paper future work)\n\n");
 
     // Proportional baseline for the deltas.
@@ -63,7 +57,7 @@ pub fn run() -> String {
         s.run()
     };
     let e_base = mix_energy(&baseline);
-    let t_base = baseline.job("GEMM").unwrap().runtime_s;
+    let t_base = mix_results(&baseline).0.runtime_s;
 
     let (intervals, reduces) = grid();
     let mut scenarios = Vec::new();
@@ -92,7 +86,7 @@ pub fn run() -> String {
             let r = &reports[i];
             i += 1;
             let de = (mix_energy(r) - e_base) / e_base * 100.0;
-            let dt = (r.job("GEMM").unwrap().runtime_s - t_base) / t_base * 100.0;
+            let dt = (mix_results(r).0.runtime_s - t_base) / t_base * 100.0;
             table.row(vec![
                 format!("{interval:.0}"),
                 format!("{reduce:.0}"),
@@ -109,9 +103,9 @@ pub fn run() -> String {
          saves more per probe epoch at a higher transient slowdown. The paper's\n\
          90 s / 50 W default sits in the low-risk corner of the grid.\n",
     );
-    let path = write_artifact("ablation_fpp.csv", &csv);
+    let path = write_artifact("ablation_fpp.csv", &csv)?;
     let _ = writeln!(out, "CSV: {}", path.display());
-    out
+    Ok(out)
 }
 
 #[cfg(test)]

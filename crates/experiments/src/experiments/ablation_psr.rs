@@ -6,11 +6,10 @@
 //! reserve grows, the derived GPU cap falls, and GPU-bound GEMM slows —
 //! quantifying why PSR = 100 is the right setting for GPU-heavy mixes.
 
-use super::table3::job_mix;
+use super::table3::{job_mix, mix_results, opal_gpu_cap};
 use crate::report::Table;
 use crate::scenario::{run_many, PowerSetup, Scenario};
 use crate::write_artifact;
-use fluxpm_hw::{lassen, OpalState, Watts};
 use std::fmt::Write as _;
 
 /// PSR values swept.
@@ -18,10 +17,7 @@ pub const PSRS: [u8; 5] = [100, 75, 50, 25, 0];
 
 /// The derived GPU cap at a 1950 W node cap for a given PSR.
 pub fn derived_cap_at_psr(psr: u8) -> f64 {
-    let mut opal = OpalState::for_arch(&lassen()).expect("lassen has OPAL");
-    opal.set_psr(psr);
-    opal.set_node_cap(Watts(1950.0));
-    opal.derived_gpu_cap().expect("derived").get()
+    opal_gpu_cap(1950.0, psr)
 }
 
 fn scenario_for(psr: u8) -> Scenario {
@@ -36,7 +32,7 @@ fn scenario_for(psr: u8) -> Scenario {
 }
 
 /// Run the sweep; returns the printed report.
-pub fn run() -> String {
+pub fn run() -> std::io::Result<String> {
     let mut out = String::from("# Ablation — Power Shifting Ratio at the 1950 W node cap\n\n");
     let reports = run_many(PSRS.iter().map(|&p| scenario_for(p)).collect());
 
@@ -51,8 +47,7 @@ pub fn run() -> String {
     for (i, &psr) in PSRS.iter().enumerate() {
         let r = &reports[i];
         let cap = derived_cap_at_psr(psr);
-        let g = r.job("GEMM").expect("gemm ran");
-        let q = r.job("Quicksilver").expect("qs ran");
+        let (g, q) = mix_results(r);
         table.row(vec![
             psr.to_string(),
             format!("{cap:.0}"),
@@ -73,9 +68,9 @@ pub fn run() -> String {
          the paper's always-100 default is the only sensible setting for this\n\
          GPU-heavy mix.\n",
     );
-    let path = write_artifact("ablation_psr.csv", &csv);
+    let path = write_artifact("ablation_psr.csv", &csv)?;
     let _ = writeln!(out, "CSV: {}", path.display());
-    out
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -9,6 +9,7 @@
 //! budget" and "uses it".
 
 use crate::report::Table;
+use crate::scenario::Scenario;
 use crate::write_artifact;
 use fluxpm_hw::{lassen, MachineKind, Watts};
 use std::fmt::Write as _;
@@ -27,7 +28,7 @@ pub fn derived_cap(reserve: f64) -> f64 {
 }
 
 /// Run the sweep; returns the printed report.
-pub fn run() -> String {
+pub fn run() -> std::io::Result<String> {
     let mut out =
         String::from("# Ablation — GPU-cap derivation reserve at a 1200 W/node budget\n\n");
     let mut table = Table::new(&[
@@ -43,6 +44,8 @@ pub fn run() -> String {
         // (no node cap, so the reserve is the only variable).
         let cap = derived_cap(reserve);
         let report = run_with_uniform_gpu_cap(cap);
+        // invariant: a report lists every job its run submitted, GEMM
+        // among them.
         let gemm = report.job("GEMM").expect("gemm ran");
         let note = if reserve == 936.0 {
             "IBM OPAL (Table III)"
@@ -72,26 +75,26 @@ pub fn run() -> String {
          a 2x GEMM slowdown; the idle-floor reserve recovers nearly all of it —\n\
          the entire gap between rows 2 and 4 of paper Table IV.\n",
     );
-    let path = write_artifact("ablation_reserve.csv", &csv);
+    let path = write_artifact("ablation_reserve.csv", &csv)?;
     let _ = writeln!(out, "CSV: {}", path.display());
-    out
+    Ok(out)
 }
 
 /// Run the Table IV mix with a uniform explicit per-GPU cap.
 fn run_with_uniform_gpu_cap(cap: f64) -> crate::RunReport {
-    use fluxpm_flux::{FluxEngine, JobSpec, World};
-    use fluxpm_sim::{Engine, SimDuration};
+    use fluxpm_flux::JobSpec;
+    use fluxpm_sim::SimDuration;
     use fluxpm_workloads::{App, JitterModel};
 
-    let mut w = World::new(MachineKind::Lassen, 8, 77);
+    let (mut w, mut eng, _) = Scenario::new(MachineKind::Lassen, 8).with_seed(77).build();
     w.autostop_after = Some(2);
-    let mut eng: FluxEngine = Engine::new();
     for n in &mut w.nodes {
         for g in 0..4 {
+            // invariant: Lassen has four user-cappable GPUs, and
+            // `derived_cap` clamps into their settable range.
             n.set_gpu_cap(g, Watts(cap)).expect("cap in range");
         }
     }
-    w.install_executor(&mut eng);
 
     let timeline = crate::scenario::sample_timeline(&w, &mut eng, SimDuration::from_secs(2));
 

@@ -12,7 +12,7 @@ use fluxpm_hw::MachineKind;
 use std::fmt::Write as _;
 
 /// Run the experiment; returns the printed report.
-pub fn run() -> String {
+pub fn run() -> std::io::Result<String> {
     let mut out = String::from("# Fig. 1 — single-node power timelines (Lassen)\n\n");
 
     // The paper plots LAMMPS and Quicksilver and notes the others are
@@ -42,7 +42,7 @@ pub fn run() -> String {
                 s.power_gpu_watts.first().copied().unwrap_or(0.0),
             );
         }
-        let path = write_artifact(&format!("fig1_{}.csv", app.to_lowercase()), &csv);
+        let path = write_artifact(&format!("fig1_{}.csv", app.to_lowercase()), &csv)?;
 
         let job = &report.jobs[0];
         let window: Vec<f64> = report.node_series[0]
@@ -75,7 +75,7 @@ pub fn run() -> String {
             }
         );
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@ fn counts(machine: MachineKind) -> &'static [u32] {
 }
 
 /// Run the experiment; returns the printed report.
-pub fn run() -> String {
+pub fn run() -> std::io::Result<String> {
     let mut out = String::from("# Fig. 2 — per-component power vs node count\n\n");
     let mut csv = String::from("machine,app,nnodes,node_w,cpu_w,mem_w,gpu_w\n");
 
@@ -86,7 +86,7 @@ pub fn run() -> String {
         out.push('\n');
     }
 
-    let path = write_artifact("fig2_scaling.csv", &csv);
+    let path = write_artifact("fig2_scaling.csv", &csv)?;
     let _ = writeln!(out, "CSV: {}", path.display());
     out.push_str(
         "\npaper shape checks: weak apps hold per-node power across counts;\n\
@@ -94,7 +94,7 @@ pub fn run() -> String {
          memory/node sensor, and its conservative node estimate still exceeds\n\
          Lassen's for the same app (8 GCDs vs 4 GPUs).\n",
     );
-    out
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -57,7 +57,7 @@ pub fn overhead_matrix(machine: MachineKind) -> Vec<(&'static str, u32, f64)> {
 }
 
 /// Run the experiment; returns the printed report.
-pub fn run() -> String {
+pub fn run() -> std::io::Result<String> {
     let mut out = String::from("# Fig. 3 — flux-power-monitor overhead (6 reps each)\n\n");
     let mut csv = String::from("machine,app,nnodes,overhead_pct\n");
 
@@ -79,14 +79,14 @@ pub fn run() -> String {
         };
         let _ = writeln!(out, "\naverage overhead: {avg:+.2} % (paper: {paper} %)\n");
     }
-    let path = write_artifact("fig3_overhead.csv", &csv);
+    let path = write_artifact("fig3_overhead.csv", &csv)?;
     let _ = writeln!(out, "CSV: {}", path.display());
     out.push_str(
         "\npaper shape: low node counts on Lassen show inflated apparent overhead\n\
          for Laghos/Quicksilver, driven by run-to-run variability rather than\n\
          the monitor (see Fig. 4); steady-state cost is the OCC read.\n",
     );
-    out
+    Ok(out)
 }
 
 #[cfg(test)]

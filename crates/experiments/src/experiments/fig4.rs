@@ -43,7 +43,7 @@ fn summarize(xs: &[f64]) -> (f64, f64, f64) {
 }
 
 /// Run the experiment; returns the printed report.
-pub fn run() -> String {
+pub fn run() -> std::io::Result<String> {
     let mut out = String::from("# Fig. 4 — run-to-run variability (Lassen, 6 reps)\n\n");
     let mut csv = String::from("app,nnodes,monitor,rep,runtime_s\n");
     let mut table = Table::new(&[
@@ -72,13 +72,13 @@ pub fn run() -> String {
         }
     }
     out.push_str(&table.render());
-    let path = write_artifact("fig4_variability.csv", &csv);
+    let path = write_artifact("fig4_variability.csv", &csv)?;
     let _ = writeln!(
         out,
         "\npaper shape: spreads exceed 20 % at these node counts even with the\nmonitor unloaded — variability, not telemetry cost.\nCSV: {}",
         path.display()
     );
-    out
+    Ok(out)
 }
 
 #[cfg(test)]

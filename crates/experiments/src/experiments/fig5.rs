@@ -4,7 +4,7 @@
 //! when Quicksilver exits (~347 s), the cluster manager reclaims its
 //! power and GEMM's nodes jump from the 1200 W/node share to 1600 W.
 
-use super::table3::job_mix;
+use super::table3::{job_mix, mix_results};
 use crate::scenario::{PowerSetup, Scenario};
 use crate::write_artifact;
 use fluxpm_hw::{MachineKind, Watts};
@@ -26,13 +26,13 @@ pub fn run_scenario(config: ManagerConfig, label: &str) -> crate::RunReport {
 }
 
 /// Run the experiment; returns the printed report.
-pub fn run() -> String {
+pub fn run() -> std::io::Result<String> {
     let mut out = String::from("# Fig. 5 — proportional power sharing timeline\n\n");
     let report = run_scenario(ManagerConfig::proportional(Watts(9600.0)), "proportional");
 
     // GEMM runs on nodes 0-5, Quicksilver on 6-7.
-    let gemm_node = report.job("GEMM").unwrap().nodes[0];
-    let qs_node = report.job("Quicksilver").unwrap().nodes[0];
+    let (gemm, qs) = mix_results(&report);
+    let (gemm_node, qs_node) = (gemm.nodes[0], qs.nodes[0]);
     let mut csv = String::from("t_s,gemm_node_w,qs_node_w\n");
     for (g, q) in report.node_series[gemm_node]
         .iter()
@@ -46,9 +46,9 @@ pub fn run() -> String {
             q.node_power_estimate()
         );
     }
-    let path = write_artifact("fig5_proportional.csv", &csv);
+    let path = write_artifact("fig5_proportional.csv", &csv)?;
 
-    let qs_end = report.job("Quicksilver").unwrap().end_s;
+    let qs_end = qs.end_s;
     let gemm_before: Vec<f64> = report.node_series[gemm_node]
         .iter()
         .filter(|s| {
@@ -61,7 +61,7 @@ pub fn run() -> String {
         .iter()
         .filter(|s| {
             let t = s.timestamp_us as f64 / 1e6;
-            t > qs_end + 10.0 && t < report.job("GEMM").unwrap().end_s - 5.0
+            t > qs_end + 10.0 && t < gemm.end_s - 5.0
         })
         .map(|s| s.node_power_estimate())
         .collect();
@@ -77,7 +77,7 @@ pub fn run() -> String {
         "paper shape: GEMM receives additional power when Quicksilver is not executing.\n",
     );
     let _ = writeln!(out, "CSV: {}", path.display());
-    out
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -25,13 +25,15 @@ pub fn run_scenario() -> crate::RunReport {
 }
 
 /// Run the experiment; returns the printed report.
-pub fn run() -> String {
+pub fn run() -> std::io::Result<String> {
     let mut out = String::from("# Fig. 7 — proportional capping with a Charm++ (non-MPI) job\n\n");
     let report = run_scenario();
 
-    let gemm_node = report.job("GEMM").unwrap().nodes[0];
-    let nq = report.job("NQueens").unwrap().clone();
-    let nq_node = nq.nodes[0];
+    // invariant: a report lists every job its scenario submitted, and
+    // `run_scenario` submits one GEMM and one NQueens job.
+    let gemm = report.job("GEMM").expect("the scenario runs GEMM");
+    let nq = report.job("NQueens").expect("the scenario runs NQueens");
+    let (gemm_node, nq_node) = (gemm.nodes[0], nq.nodes[0]);
     let mut csv = String::from("t_s,gemm_node_w,nqueens_node_w\n");
     for (g, q) in report.node_series[gemm_node]
         .iter()
@@ -45,7 +47,7 @@ pub fn run() -> String {
             q.node_power_estimate()
         );
     }
-    let path = write_artifact("fig7_nonmpi.csv", &csv);
+    let path = write_artifact("fig7_nonmpi.csv", &csv)?;
 
     let mean_in = |node: usize, lo: f64, hi: f64| {
         let xs: Vec<f64> = report.node_series[node]
@@ -59,11 +61,7 @@ pub fn run() -> String {
         xs.iter().sum::<f64>() / xs.len().max(1) as f64
     };
     let before = mean_in(gemm_node, 20.0, nq.start_s - 5.0);
-    let during = mean_in(
-        gemm_node,
-        nq.start_s + 10.0,
-        nq.end_s.min(report.job("GEMM").unwrap().end_s) - 5.0,
-    );
+    let during = mean_in(gemm_node, nq.start_s + 10.0, nq.end_s.min(gemm.end_s) - 5.0);
     let _ = writeln!(
         out,
         "GEMM node power: {before:.0} W alone -> {during:.0} W once NQueens (Charm++, CPU-only) enters at {:.0} s",
@@ -71,7 +69,7 @@ pub fn run() -> String {
     );
     out.push_str("paper shape: GEMM power drops when the NQueens application enters.\n");
     let _ = writeln!(out, "CSV: {}", path.display());
-    out
+    Ok(out)
 }
 
 #[cfg(test)]

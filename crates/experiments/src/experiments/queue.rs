@@ -97,7 +97,7 @@ pub fn epochs_to_restore(staged: bool) -> u32 {
 }
 
 /// Run the experiment; returns the printed report.
-pub fn run() -> String {
+pub fn run() -> std::io::Result<String> {
     let mut out = String::from("# §IV-E — job queue impact (16-node Lassen, 10 jobs)\n\n");
     let _ = writeln!(out, "queue: {}\n", describe_jobs(&queue_jobs()));
 
@@ -167,9 +167,9 @@ pub fn run() -> String {
     for r in &gb {
         csv.push_str(&r.jobs_csv());
     }
-    let path = write_artifact("queue_experiment.csv", &csv);
+    let path = write_artifact("queue_experiment.csv", &csv)?;
     let _ = writeln!(out, "CSV: {}", path.display());
-    out
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -72,7 +72,7 @@ pub const PAPER: [PaperRow; 6] = [
 ];
 
 /// Run the experiment; returns the printed report.
-pub fn run() -> String {
+pub fn run() -> std::io::Result<String> {
     let mut out = String::from("# Table II — cross-machine performance (4 & 8 nodes)\n\n");
 
     let mut scenarios = Vec::new();
@@ -150,9 +150,9 @@ pub fn run() -> String {
         "\nLAMMPS 4-node energy: Tioga/Lassen = {:.2} (paper: 79.17/99.07 = 0.80, a 21.5 % reduction)",
         lam4_t / lam4_l
     );
-    let path = write_artifact("table2_cross_machine.csv", &csv);
+    let path = write_artifact("table2_cross_machine.csv", &csv)?;
     let _ = writeln!(out, "CSV: {}", path.display());
-    out
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! derivation is extremely conservative (6.05 kW peak under a 9.6 kW
 //! budget at 1200 W/node).
 
-use crate::report::Table;
+use crate::report::{JobResult, RunReport, Table};
 use crate::scenario::{run_many, JobRequest, PowerSetup, Scenario};
 use crate::write_artifact;
 use fluxpm_hw::{lassen, OpalState, Watts};
@@ -30,6 +30,34 @@ pub fn job_mix() -> Vec<JobRequest> {
     ]
 }
 
+/// The GEMM and Quicksilver results of a report over [`job_mix`].
+pub fn mix_results(r: &RunReport) -> (&JobResult, &JobResult) {
+    // invariant: a report lists every job its scenario submitted, and
+    // `job_mix` submits one GEMM and one Quicksilver job.
+    let gemm = r.job("GEMM").expect("the mix runs GEMM");
+    let qs = r.job("Quicksilver").expect("the mix runs Quicksilver");
+    (gemm, qs)
+}
+
+/// Average per-node energy over the whole mix: each job's per-node
+/// energy weighted by its node count.
+pub fn mix_energy(r: &RunReport) -> f64 {
+    let (g, q) = mix_results(r);
+    (g.energy_per_node_kj * 6.0 + q.energy_per_node_kj * 2.0) / 8.0
+}
+
+/// The per-GPU cap Lassen's OPAL firmware derives from a node cap at a
+/// Power Shifting Ratio.
+pub fn opal_gpu_cap(node_cap: f64, psr: u8) -> f64 {
+    let derived = OpalState::for_arch(&lassen()).and_then(|mut opal| {
+        opal.set_psr(psr);
+        opal.set_node_cap(Watts(node_cap));
+        opal.derived_gpu_cap()
+    });
+    // invariant: Lassen has OPAL and GPUs, and its node cap is set above.
+    derived.expect("Lassen's OPAL derives a GPU cap").get()
+}
+
 /// Build the scenario for one static node cap (None = unconstrained).
 fn scenario(cap: Option<f64>) -> Scenario {
     let mut s = Scenario::new(fluxpm_hw::MachineKind::Lassen, 8).with_label(
@@ -46,13 +74,12 @@ fn scenario(cap: Option<f64>) -> Scenario {
 }
 
 /// Run the experiment; returns the printed report.
-pub fn run() -> String {
+pub fn run() -> std::io::Result<String> {
     let mut out =
         String::from("# Table III — static IBM node-level power capping (8-node Lassen)\n\n");
     let caps = [None, Some(1200.0), Some(1800.0), Some(1950.0)];
     let reports = run_many(caps.iter().map(|c| scenario(*c)).collect());
 
-    let arch = lassen();
     let mut table = Table::new(&[
         "use case",
         "node cap (W)",
@@ -70,14 +97,7 @@ pub fn run() -> String {
             None => ("Unconstrained", 3050.0),
             Some(c) => ("Power-constr.", *c),
         };
-        let derived = match cap {
-            None => 300.0,
-            Some(c) => {
-                let mut opal = OpalState::for_arch(&arch).expect("lassen has OPAL");
-                opal.set_node_cap(Watts(*c));
-                opal.derived_gpu_cap().expect("derived cap").get()
-            }
-        };
+        let derived = cap.map_or(300.0, |c| opal_gpu_cap(c, 100));
         let (_, _, d_paper, max_paper, avg_paper) = PAPER[i];
         table.row(vec![
             label.into(),
@@ -103,9 +123,9 @@ pub fn run() -> String {
          third of the 9.6 kW budget unused; ~1950 W/node is needed to approach\n\
          the budget.\n",
     );
-    let path = write_artifact("table3_static.csv", &csv);
+    let path = write_artifact("table3_static.csv", &csv)?;
     let _ = writeln!(out, "CSV: {}", path.display());
-    out
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 //! default ≈ 19 % energy / 1.59x performance; FPP vs proportional ≈ 1 %
 //! energy).
 
-use super::table3::job_mix;
+use super::table3::{job_mix, mix_energy, mix_results};
 use crate::report::{RunReport, Table};
 use crate::scenario::{run_many, PowerSetup, Scenario};
 use crate::write_artifact;
@@ -84,7 +84,7 @@ pub fn run_all_configs() -> Vec<RunReport> {
 }
 
 /// Run the experiment; returns the printed report.
-pub fn run() -> String {
+pub fn run() -> std::io::Result<String> {
     let mut out = String::from("# Table IV — static vs dynamic power capping\n\n");
     let reports = run_all_configs();
 
@@ -108,8 +108,7 @@ pub fn run() -> String {
     for (i, r) in reports.iter().enumerate() {
         let (label, cap, g_max_p, g_t_p, g_e_p) = PAPER_GEMM[i];
         let (q_max_p, q_t_p, q_e_p) = PAPER_QS[i];
-        let g = r.job("GEMM").expect("gemm ran");
-        let q = r.job("Quicksilver").expect("qs ran");
+        let (g, q) = mix_results(r);
         table.row(vec![
             label.into(),
             format!("{cap:.0}"),
@@ -141,14 +140,8 @@ pub fn run() -> String {
     out.push_str(&table.render());
 
     // Headline deltas (the paper's §IV-D / abstract numbers). Energy is
-    // compared over the whole mix: average per-node energy weighted by
-    // node count.
-    let mix_energy = |r: &RunReport| {
-        let g = r.job("GEMM").unwrap();
-        let q = r.job("Quicksilver").unwrap();
-        (g.energy_per_node_kj * 6.0 + q.energy_per_node_kj * 2.0) / 8.0
-    };
-    let gemm_time = |r: &RunReport| r.job("GEMM").unwrap().runtime_s;
+    // compared over the whole mix.
+    let gemm_time = |r: &RunReport| mix_results(r).0.runtime_s;
     let e = [
         mix_energy(&reports[1]), // IBM default
         mix_energy(&reports[2]), // static 1950
@@ -178,9 +171,9 @@ pub fn run() -> String {
         (e[3] - e[0]) / e[0] * 100.0,
         gemm_time(&reports[1]) / gemm_time(&reports[4]),
     );
-    let path = write_artifact("table4_policies.csv", &csv);
+    let path = write_artifact("table4_policies.csv", &csv)?;
     let _ = writeln!(out, "CSV: {}", path.display());
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -190,11 +183,6 @@ mod tests {
     #[test]
     fn headline_deltas_have_paper_shape() {
         let reports = run_all_configs();
-        let mix_energy = |r: &RunReport| {
-            let g = r.job("GEMM").unwrap();
-            let q = r.job("Quicksilver").unwrap();
-            (g.energy_per_node_kj * 6.0 + q.energy_per_node_kj * 2.0) / 8.0
-        };
         let ibm = mix_energy(&reports[1]);
         let prop = mix_energy(&reports[3]);
         let fpp = mix_energy(&reports[4]);

@@ -2,7 +2,7 @@
 //! against the simulation with explicit tolerances. CI runs this to
 //! guarantee calibration drift cannot land silently.
 
-use super::table3;
+use super::table3::{mix_energy, mix_results, opal_gpu_cap};
 use super::table4;
 use crate::report::{RunReport, Table};
 use crate::scenario::{JobRequest, Scenario};
@@ -27,12 +27,6 @@ impl Check {
     pub fn passed(&self) -> bool {
         (self.accept.0..=self.accept.1).contains(&self.measured)
     }
-}
-
-fn mix_energy(r: &RunReport) -> f64 {
-    let g = r.job("GEMM").expect("gemm");
-    let q = r.job("Quicksilver").expect("qs");
-    (g.energy_per_node_kj * 6.0 + q.energy_per_node_kj * 2.0) / 8.0
 }
 
 /// Run every headline check. Expensive (~a dozen full scenarios).
@@ -72,6 +66,7 @@ pub fn run_checks() -> Vec<Check> {
     let stat = &reports[2];
     let prop = &reports[3];
     let fpp = &reports[4];
+    let gemm_time = |r: &RunReport| mix_results(r).0.runtime_s;
 
     checks.push(Check {
         claim: "unconstrained cluster peak of 24.4 kW provisioned (kW)",
@@ -88,7 +83,7 @@ pub fn run_checks() -> Vec<Check> {
     checks.push(Check {
         claim: "GEMM slowdown under IBM default (x)",
         paper: 1145.0 / 548.0,
-        measured: ibm.job("GEMM").unwrap().runtime_s / unconstrained.job("GEMM").unwrap().runtime_s,
+        measured: gemm_time(ibm) / gemm_time(unconstrained),
         accept: (1.8, 2.4),
     });
     checks.push(Check {
@@ -112,8 +107,7 @@ pub fn run_checks() -> Vec<Check> {
     checks.push(Check {
         claim: "FPP vs proportional GEMM slowdown (%)",
         paper: 0.8,
-        measured: (fpp.job("GEMM").unwrap().runtime_s / prop.job("GEMM").unwrap().runtime_s - 1.0)
-            * 100.0,
+        measured: (gemm_time(fpp) / gemm_time(prop) - 1.0) * 100.0,
         accept: (-0.5, 4.0),
     });
     checks.push(Check {
@@ -125,18 +119,13 @@ pub fn run_checks() -> Vec<Check> {
 
     // --- OPAL derivation (Table III column 2) ---------------------------
     for (node_cap, derived) in [(1200.0, 100.0), (1800.0, 216.0), (1950.0, 253.0)] {
-        let mut opal = fluxpm_hw::OpalState::for_arch(&fluxpm_hw::lassen()).expect("opal");
-        opal.set_node_cap(fluxpm_hw::Watts(node_cap));
         checks.push(Check {
             claim: "OPAL derived GPU cap (W)",
             paper: derived,
-            measured: opal.derived_gpu_cap().expect("derived").get(),
+            measured: opal_gpu_cap(node_cap, 100),
             accept: (derived - 1.0, derived + 1.0),
         });
     }
-
-    // --- §IV-E queue -----------------------------------------------------
-    let _ = table3::job_mix(); // (documented linkage; mix reused above)
     checks
 }
 

@@ -22,18 +22,17 @@
 //! congestion-avoidance link monitor stays off (it acts on per-shard
 //! delivery observations and would steer replicas apart).
 
+use crate::scenario::{PowerSetup, Scenario};
 use fluxpm_flux::{
-    run_world_sharded, CongestionBurst, FaultPlan, FluxEngine, GilbertElliott, JobId, JobProgram,
-    JobSpec, LinkProfile, Rank, ShardPlan, ShardRecord, ShardingError, StepCtx, StepOutcome, World,
-    WorldRunStats, WorldShard,
+    run_world_sharded, CongestionBurst, FaultPlan, GilbertElliott, JobProgram, JobSpec,
+    LinkProfile, Rank, ShardRecord, StepCtx, StepOutcome, World, WorldRunStats, WorldShard,
 };
 use fluxpm_hw::{Lanes, MachineKind, NodeId, PowerDemand, Watts};
 use fluxpm_manager::ManagerConfig;
 use fluxpm_monitor::{MonitorConfig, MonitorQuery, QueryHandle, SubscriptionFilter};
-use fluxpm_sim::{Engine, SimDuration, SimTime, Xoshiro256pp};
+use fluxpm_sim::{SimDuration, SimTime, Xoshiro256pp};
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// Shape of one full-fidelity sharded run. Every knob is part of the
 /// replicated scenario: two configs that compare traces must be
@@ -198,6 +197,8 @@ impl JobProgram for PhaseApp {
     }
 
     fn step(&mut self, ctx: &mut StepCtx<'_>) -> StepOutcome {
+        // invariant: the executor calls `on_start` when the job starts
+        // running, before it ever calls `step`.
         let start = self.started_at.expect("step before on_start");
         let t = (ctx.now - start).as_secs_f64();
         if t >= self.duration_s {
@@ -213,24 +214,6 @@ impl JobProgram for PhaseApp {
     }
 }
 
-/// Make `w` shard `shard` of `plan` and register the payload types that
-/// may cross a shard cut. Registration order is part of the wire
-/// contract: identical on every shard.
-fn enable_sharding(
-    w: &mut World,
-    shard: usize,
-    plan: Arc<ShardPlan>,
-    seed: u64,
-) -> Result<(), ShardingError> {
-    w.enable_sharding(shard, plan, seed)?;
-    w.register_wire_type::<fluxpm_monitor::MonitorRequest>()?;
-    w.register_wire_type::<fluxpm_monitor::MonitorReply>()?;
-    w.register_wire_type::<fluxpm_manager::ManagerRequest>()?;
-    w.register_wire_type::<fluxpm_manager::ManagerReply>()?;
-    w.register_wire_type::<JobId>()?;
-    w.register_wire_type::<()>()
-}
-
 /// Build one shard's replica world: the complete scripted scenario,
 /// with module loads and message sends confined to owned ranks by the
 /// sharding layer.
@@ -244,37 +227,25 @@ fn build_shard(cfg: &FullShardConfig, shard: usize) -> WorldShard {
     let wide = nodes / 2;
     let global_bound_w = f64::from(nodes) * 1500.0;
 
-    let mut w = World::new(MachineKind::Lassen, nodes, seed);
-    w.tbon.hop_latency = SimDuration::from_micros(cfg.hop_latency_us);
-    // Each shard computes its own plan copy: the plan is a pure
-    // function of the fresh k-ary tree, so every replica agrees.
-    let plan = Arc::new(ShardPlan::for_tbon(&w.tbon, cfg.shards));
-    if let Err(e) = enable_sharding(&mut w, shard, plan, seed) {
-        panic!(
-            "full_shard: cannot build shard {shard} of {}: {e}",
-            cfg.shards
-        );
-    }
-
-    w.autostop_after = Some(2 + cfg.filler_jobs);
-    let mut eng: FluxEngine = Engine::new();
-
-    // Manager stack: node-level everywhere, job- and cluster-level on
-    // the root. The load guard skips ranks this shard does not own.
-    fluxpm_manager::load(
-        &mut w,
-        &mut eng,
-        ManagerConfig::proportional(Watts(global_bound_w)),
-    );
-
     // Monitor stack at the configured cadences. Sample pushes are the
     // steady node -> root cross-shard traffic.
     let mut mon_cfg = MonitorConfig::default().with_sample_interval(cfg.sample_interval);
     if let Some(push) = cfg.push_interval {
         mon_cfg = mon_cfg.with_push_interval(push);
     }
-    fluxpm_monitor::load(&mut w, &mut eng, mon_cfg);
-    w.install_executor(&mut eng);
+    // Node-level managers everywhere, job- and cluster-level on the root;
+    // the load guard skips ranks this shard does not own.
+    let (mut w, mut eng, _) = Scenario::new(MachineKind::Lassen, nodes)
+        .with_seed(seed)
+        .with_shard(shard, cfg.shards)
+        .with_power(PowerSetup::Managed {
+            static_node_cap: None,
+            config: ManagerConfig::proportional(Watts(global_bound_w)),
+        })
+        .with_monitor(mon_cfg)
+        .build();
+    w.tbon.hop_latency = SimDuration::from_micros(cfg.hop_latency_us);
+    w.autostop_after = Some(2 + cfg.filler_jobs);
 
     // Per-link burst faults, deterministic mode: loss, jitter, and
     // congestion state are pure hashes of (seed, link, message, hop),

@@ -37,15 +37,15 @@ pub use scenario::{JobRequest, PowerSetup, Scenario};
 use std::path::{Path, PathBuf};
 
 /// Directory experiment CSVs are written to (created on demand).
-pub fn results_dir() -> PathBuf {
+pub fn results_dir() -> std::io::Result<PathBuf> {
     let dir = Path::new("results");
-    std::fs::create_dir_all(dir).expect("create results dir");
-    dir.to_path_buf()
+    std::fs::create_dir_all(dir)?;
+    Ok(dir.to_path_buf())
 }
 
 /// Write a CSV (or any text artifact) into the results directory.
-pub fn write_artifact(name: &str, contents: &str) -> PathBuf {
-    let path = results_dir().join(name);
-    std::fs::write(&path, contents).expect("write artifact");
-    path
+pub fn write_artifact(name: &str, contents: &str) -> std::io::Result<PathBuf> {
+    let path = results_dir()?.join(name);
+    std::fs::write(&path, contents)?;
+    Ok(path)
 }

@@ -3,18 +3,19 @@
 //! A [`Scenario`] is a declarative description of one experimental run:
 //! machine, cluster size, jobs (with submit times and work overrides),
 //! power setup (static OPAL caps and/or the manager stack), monitor
-//! on/off, jitter model, and seed. `run()` executes it to completion on
-//! the event engine and returns a [`RunReport`].
+//! on/off, jitter model, and seed. [`Scenario::build`] assembles its
+//! stack — the one place a world is put together — and `run()` executes
+//! it to completion on the event engine and returns a [`RunReport`].
 //!
 //! Scenarios are plain data (`Send`), so repetition sweeps can fan out
 //! across OS threads (see [`run_many`]).
 
 use crate::report::RunReport;
-use fluxpm_flux::{FluxEngine, JobSpec, World};
+use fluxpm_flux::{FluxEngine, JobId, JobSpec, ShardPlan, ShardingError, World};
 use fluxpm_hw::{MachineKind, Watts};
-use fluxpm_manager::ManagerConfig;
+use fluxpm_manager::{ClusterLevelManager, ManagerConfig};
 use fluxpm_monitor::MonitorConfig;
-use fluxpm_sim::{Engine, SimDuration, SimTime};
+use fluxpm_sim::{Engine, SimDuration, SimTime, Trace, TraceLevel};
 use fluxpm_variorum::NodePowerSample;
 use fluxpm_workloads::{App, JitterModel};
 use std::cell::RefCell;
@@ -115,6 +116,13 @@ pub struct Scenario {
     /// Optional IBM Power Shifting Ratio override (Lassen only; default
     /// firmware PSR is 100, the paper's setting).
     pub psr: Option<u8>,
+    /// Record a trace at this level (None = tracing off). Applied before
+    /// the modules load, since the loads themselves trace.
+    pub trace: Option<TraceLevel>,
+    /// Build shard `.0` of a `.1`-shard full-fidelity run (see
+    /// [`fluxpm_flux::world_shard`]). Applied before the modules load,
+    /// since a load is confined to the ranks its shard owns.
+    pub shard: Option<(usize, usize)>,
 }
 
 impl Scenario {
@@ -132,6 +140,8 @@ impl Scenario {
             sample_period_s: 2.0,
             label: "unconstrained".into(),
             psr: None,
+            trace: None,
+            shard: None,
         }
     }
 
@@ -177,6 +187,96 @@ impl Scenario {
         self
     }
 
+    /// Builder: record a trace at `level`.
+    pub fn with_trace(mut self, level: TraceLevel) -> Scenario {
+        self.trace = Some(level);
+        self
+    }
+
+    /// Builder: build shard `shard` of a `shards`-shard run.
+    pub fn with_shard(mut self, shard: usize, shards: usize) -> Scenario {
+        self.shard = Some((shard, shards));
+        self
+    }
+
+    /// Assemble the scenario's stack before any job is submitted: node
+    /// agents on every broker and root components on the root, as the
+    /// paper deploys its modules (§III-A, §III-B), in the order traces and
+    /// fingerprints depend on — world, trace level, shard context, PSR,
+    /// static caps, manager, monitor, executor. Also returns the
+    /// cluster-level manager when one is loaded. The caller sets what is
+    /// installed after the executor or read at run time: `autostop_after`,
+    /// the horizon, `tbon.hop_latency`, a fault plan, the link monitor.
+    ///
+    /// Panics when the world refuses a static cap or the shard context.
+    pub fn build(&self) -> (World, FluxEngine, Option<Rc<RefCell<ClusterLevelManager>>>) {
+        let mut world = World::new(self.machine, self.nnodes, self.seed);
+        let mut eng: FluxEngine = Engine::new();
+        if let Some(level) = self.trace {
+            world.trace = Trace::enabled(level);
+        }
+        if let Some((shard, shards)) = self.shard {
+            if let Err(e) = self.enable_sharding(&mut world, shard, shards) {
+                panic!("scenario: cannot build shard {shard} of {shards}: {e}");
+            }
+        }
+        if let Some(psr) = self.psr {
+            for n in &mut world.nodes {
+                if let Some(opal) = n.opal.as_mut() {
+                    opal.set_psr(psr);
+                }
+            }
+        }
+        let (static_cap, manager) = match &self.power {
+            PowerSetup::Unconstrained => (None, None),
+            PowerSetup::StaticNodeCap(cap) => (Some(*cap), None),
+            PowerSetup::Managed {
+                static_node_cap,
+                config,
+            } => (*static_node_cap, Some(config)),
+        };
+        if let Some(cap) = static_cap {
+            for n in &mut world.nodes {
+                if let Err(e) = n.set_node_cap(Watts(cap)) {
+                    panic!("scenario: static {cap} W node cap refused: {e}");
+                }
+            }
+        }
+        let cluster =
+            manager.map(|config| fluxpm_manager::load(&mut world, &mut eng, config.clone()));
+        if let Some(cfg) = &self.monitor {
+            // A fresh world has no modules, so no load can collide.
+            fluxpm_monitor::load(&mut world, &mut eng, cfg.clone());
+        }
+        world.install_executor(&mut eng);
+        (world, eng, cluster)
+    }
+
+    /// Make `world` shard `shard` and register the payload types of the
+    /// stacks `build` loads, which may cross a shard cut. Registration
+    /// order is part of the wire contract: identical on every shard.
+    fn enable_sharding(
+        &self,
+        world: &mut World,
+        shard: usize,
+        shards: usize,
+    ) -> Result<(), ShardingError> {
+        // The plan is a pure function of the fresh k-ary tree, so every
+        // replica computes the same one.
+        let plan = Arc::new(ShardPlan::for_tbon(&world.tbon, shards));
+        world.enable_sharding(shard, plan, self.seed)?;
+        if self.monitor.is_some() {
+            world.register_wire_type::<fluxpm_monitor::MonitorRequest>()?;
+            world.register_wire_type::<fluxpm_monitor::MonitorReply>()?;
+        }
+        if matches!(self.power, PowerSetup::Managed { .. }) {
+            world.register_wire_type::<fluxpm_manager::ManagerRequest>()?;
+            world.register_wire_type::<fluxpm_manager::ManagerReply>()?;
+        }
+        world.register_wire_type::<JobId>()?;
+        world.register_wire_type::<()>()
+    }
+
     /// Instantiate the `App` program for a job request.
     fn build_app(&self, req: &JobRequest, seed: u64) -> App {
         let model = match req.app.as_str() {
@@ -200,42 +300,8 @@ impl Scenario {
     /// Execute the scenario to completion.
     pub fn run(&self) -> RunReport {
         assert!(!self.jobs.is_empty(), "scenario needs at least one job");
-        let mut world = World::new(self.machine, self.nnodes, self.seed);
+        let (mut world, mut eng, _) = self.build();
         world.autostop_after = Some(self.jobs.len() as u64);
-        let mut eng: FluxEngine = Engine::new();
-
-        if let Some(psr) = self.psr {
-            for n in &mut world.nodes {
-                if let Some(opal) = n.opal.as_mut() {
-                    opal.set_psr(psr);
-                }
-            }
-        }
-        match &self.power {
-            PowerSetup::Unconstrained => {}
-            PowerSetup::StaticNodeCap(cap) => {
-                for n in &mut world.nodes {
-                    n.set_node_cap(Watts(*cap))
-                        .expect("static cap on cappable machine");
-                }
-            }
-            PowerSetup::Managed {
-                static_node_cap,
-                config,
-            } => {
-                if let Some(cap) = static_node_cap {
-                    for n in &mut world.nodes {
-                        n.set_node_cap(Watts(*cap))
-                            .expect("static cap on cappable machine");
-                    }
-                }
-                fluxpm_manager::load(&mut world, &mut eng, config.clone());
-            }
-        }
-        if let Some(cfg) = &self.monitor {
-            fluxpm_monitor::load(&mut world, &mut eng, cfg.clone());
-        }
-        world.install_executor(&mut eng);
 
         let period = SimDuration::from_secs_f64(self.sample_period_s);
         let timeline = sample_timeline(&world, &mut eng, period);
@@ -245,9 +311,7 @@ impl Scenario {
             let app = self.build_app(req, self.seed.wrapping_add(1000 + i as u64));
             let spec = JobSpec::new(req.app.clone(), req.nnodes);
             let at = SimTime::from_micros((req.submit_at_s * 1e6) as u64);
-            let mut slot = Some((spec, app));
             eng.schedule(at, move |w: &mut World, eng| {
-                let (spec, app) = slot.take().expect("submission fires once");
                 w.submit(eng, spec, Box::new(app));
             });
         }
@@ -304,35 +368,22 @@ pub(crate) fn sample_timeline(
 /// Run many scenarios in parallel OS threads (one per scenario, bounded
 /// by the machine's parallelism), returning reports in input order.
 pub fn run_many(scenarios: Vec<Scenario>) -> Vec<RunReport> {
-    let n = scenarios.len();
-    let reports: parking_lot::Mutex<Vec<Option<RunReport>>> =
-        parking_lot::Mutex::new((0..n).map(|_| None).collect());
-    let max_threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4);
-    crossbeam::thread::scope(|scope| {
-        for chunk in scenarios
+    let max_threads = std::thread::available_parallelism().map_or(4, |p| p.get());
+    let chunk = scenarios.len().div_ceil(max_threads).max(1);
+    std::thread::scope(|scope| {
+        let sweeps: Vec<_> = scenarios
+            .chunks(chunk)
+            .map(|chunk| scope.spawn(move || chunk.iter().map(Scenario::run).collect::<Vec<_>>()))
+            .collect();
+        sweeps
             .into_iter()
-            .enumerate()
-            .collect::<Vec<_>>()
-            .chunks((n + max_threads - 1) / max_threads.max(1))
-        {
-            let chunk: Vec<(usize, Scenario)> = chunk.to_vec();
-            let reports = &reports;
-            scope.spawn(move |_| {
-                for (i, sc) in chunk {
-                    let r = sc.run();
-                    reports.lock()[i] = Some(r);
-                }
-            });
-        }
+            .flat_map(|sweep| {
+                sweep
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p))
+            })
+            .collect()
     })
-    .expect("scenario sweep threads");
-    reports
-        .into_inner()
-        .into_iter()
-        .map(|r| r.expect("every scenario ran"))
-        .collect()
 }
 
 /// Descriptive one-line summary of a job mix (for experiment logs).
@@ -405,6 +456,22 @@ mod tests {
     #[should_panic(expected = "at least one job")]
     fn empty_scenario_rejected() {
         Scenario::new(MachineKind::Lassen, 1).run();
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot build shard 2 of 2")]
+    fn a_shard_outside_the_plan_is_refused() {
+        Scenario::new(MachineKind::Lassen, 16)
+            .with_shard(2, 2)
+            .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "node cap refused")]
+    fn a_static_cap_on_a_machine_that_cannot_cap_is_refused() {
+        Scenario::new(MachineKind::Tioga, 2)
+            .with_power(PowerSetup::StaticNodeCap(1200.0))
+            .build();
     }
 }
 

@@ -20,12 +20,12 @@ pub fn std_dev(xs: &[f64]) -> f64 {
     var.sqrt()
 }
 
-/// Linear-interpolated percentile, `p` in `[0, 100]`. Panics on empty
-/// input.
+/// Linear-interpolated percentile, `p` in `[0, 100]`; a NaN sample
+/// ranks above every number. Panics on empty input.
 pub fn percentile(xs: &[f64], p: f64) -> f64 {
     assert!(!xs.is_empty(), "percentile of empty sample");
     let mut s = xs.to_vec();
-    s.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
+    s.sort_by(f64::total_cmp);
     let rank = (p.clamp(0.0, 100.0) / 100.0) * (s.len() - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;

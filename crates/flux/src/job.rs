@@ -11,10 +11,9 @@
 use crate::tbon::Rank;
 use fluxpm_hw::{NodeHardware, NodeId};
 use fluxpm_sim::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Job identifier (monotonically increasing per instance).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JobId(pub u64);
 
 impl JobId {
@@ -25,7 +24,7 @@ impl JobId {
 }
 
 /// What a user submits: a name and a node count.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Job / application name (for reports).
     pub name: String,
@@ -44,7 +43,7 @@ impl JobSpec {
 }
 
 /// Job lifecycle states (a condensed version of Flux's state machine).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobState {
     /// Submitted, waiting for nodes.
     Pending,

@@ -14,7 +14,6 @@
 //! while in-flight messages keep the route they were launched on.
 
 use fluxpm_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
@@ -51,7 +50,7 @@ impl Hasher for IntHasher {
 pub(crate) type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
 
 /// A broker rank (one per node; rank 0 is the initial root).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Rank(pub u32);
 
 impl Rank {
@@ -90,7 +89,7 @@ impl fmt::Display for Rank {
 /// assert_eq!(t.hops(Rank(3), Rank(6)), 3);
 /// assert!(t.epoch() > epoch);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Tbon {
     size: u32,
     fanout: u32,
@@ -109,7 +108,6 @@ pub struct Tbon {
     /// RPC hop).
     pub hop_latency: SimDuration,
     /// Memoized routes for the *current* epoch; cleared on mutation.
-    #[serde(skip)]
     cache: RouteCache,
 }
 

@@ -12,10 +12,9 @@
 //!   enabled for users on the early-access system.
 
 use crate::units::Watts;
-use serde::{Deserialize, Serialize};
 
 /// Which machine a node belongs to (shorthand used across the stack).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MachineKind {
     /// IBM Power AC922 (Lassen).
     Lassen,
@@ -34,7 +33,7 @@ impl MachineKind {
 }
 
 /// What the node's sensors can measure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetrySupport {
     /// Direct node-level power measurement (includes uncore). True on
     /// Lassen (OCC), false on Tioga.
@@ -55,7 +54,7 @@ pub struct TelemetrySupport {
 }
 
 /// What the node's firmware allows the host to cap.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CappingSupport {
     /// Direct node-level power capping (OPAL on Lassen). When absent,
     /// Variorum's node capping becomes "best effort" socket distribution.
@@ -81,7 +80,7 @@ pub struct CappingSupport {
 }
 
 /// Static description of a node type.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeArch {
     /// Which machine this is.
     pub machine: MachineKind,

@@ -21,7 +21,6 @@
 use crate::arch::NodeArch;
 use crate::units::Watts;
 use fluxpm_sim::Xoshiro256pp;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The CPU/memory/uncore budget OPAL reserves before splitting the node
@@ -29,7 +28,7 @@ use std::fmt;
 pub const OPAL_GPU_RESERVE: Watts = Watts(936.0);
 
 /// Errors from capping operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CapError {
     /// The architecture has no such capping dial.
     Unsupported,
@@ -57,7 +56,7 @@ impl fmt::Display for CapError {
 impl std::error::Error for CapError {}
 
 /// What actually happened when a cap was requested (§V failure modes).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CapOutcome {
     /// The cap took effect as requested (possibly clamped into range).
     Applied(Watts),
@@ -84,7 +83,7 @@ impl CapOutcome {
 }
 
 /// IBM OPAL node-capping state for one node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OpalState {
     /// The current node power cap, if one has been set.
     node_cap: Option<Watts>,
@@ -283,7 +282,7 @@ impl NvmlState {
 /// Power9, HSMP on AMD). The paper's FPP is "device-agnostic from a
 /// logistical perspective" — this is the dial its socket-level variant
 /// drives.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RaplState {
     caps: Vec<Option<Watts>>,
     range: (Watts, Watts),
@@ -344,7 +343,7 @@ impl RaplState {
 /// Memory-subsystem (DRAM RAPL) capping state. The third device class
 /// the paper names for FPP ("socket-level or memory-level power
 /// capping", §III-B2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DramCapState {
     cap: Option<Watts>,
     range: (Watts, Watts),

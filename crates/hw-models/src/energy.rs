@@ -6,10 +6,9 @@
 
 use crate::power::PowerDraw;
 use crate::units::{Joules, Watts};
-use serde::{Deserialize, Serialize};
 
 /// Accumulated energy per component group, plus peak-power tracking.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EnergyMeter {
     /// Total node energy.
     pub total: Joules,

@@ -7,7 +7,6 @@
 //! through every executor slice and every sampling tick own no heap (see
 //! DESIGN.md §16).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 
@@ -23,7 +22,7 @@ const CAPACITY: usize = 8;
 /// assert_eq!(gpus.len(), 4);
 /// assert_eq!(gpus.iter().copied().sum::<Watts>(), Watts(1000.0));
 /// ```
-#[derive(Clone, Copy, Serialize, Deserialize)]
+#[derive(Clone, Copy)]
 pub struct Lanes<T> {
     len: u8,
     items: [T; CAPACITY],

@@ -12,10 +12,9 @@ use crate::power::{resolve, resolve_with_sockets, PowerDemand, PowerDraw};
 use crate::sensors::{SensorReading, Sensors};
 use crate::units::Watts;
 use fluxpm_sim::Xoshiro256pp;
-use serde::{Deserialize, Serialize};
 
 /// Dense node identifier within a cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 impl NodeId {

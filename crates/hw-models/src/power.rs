@@ -15,10 +15,9 @@
 use crate::arch::NodeArch;
 use crate::lanes::Lanes;
 use crate::units::Watts;
-use serde::{Deserialize, Serialize};
 
 /// Requested (uncapped) power per component, for one node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerDemand {
     /// Per-socket CPU demand.
     pub cpu: Lanes<Watts>,
@@ -67,7 +66,7 @@ impl PowerDemand {
 
 /// Per-component throttle factors in `(0, 1]`: the ratio of granted to
 /// demanded *dynamic* power (above idle). 1.0 means unthrottled.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Throttle {
     /// CPU throttle (uniform across sockets).
     pub cpu: f64,
@@ -87,7 +86,7 @@ impl Throttle {
 }
 
 /// Actual power drawn per component after capping.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerDraw {
     /// Per-socket CPU draw.
     pub cpu: Lanes<Watts>,

@@ -19,11 +19,10 @@ use crate::lanes::Lanes;
 use crate::power::PowerDraw;
 use crate::units::Watts;
 use fluxpm_sim::{SimDuration, Xoshiro256pp};
-use serde::{Deserialize, Serialize};
 
 /// Cost of a full node power read (all components), charged to the host
 /// CPU and therefore to any application sharing it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SensorReadCost {
     /// Host CPU time consumed by one full read.
     pub cpu_time: SimDuration,
@@ -46,7 +45,7 @@ impl SensorReadCost {
 }
 
 /// One full sensor scan of a node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SensorReading {
     /// Directly measured node power, if the hardware reports it
     /// (Lassen: yes, includes uncore; Tioga: no).

@@ -25,11 +25,10 @@
 use fluxpm_fft::{PeriodAnalyzer, Samples};
 use fluxpm_hw::Watts;
 use fluxpm_monitor::RingBuffer;
-use serde::{Deserialize, Serialize};
 
 /// FPP tuning constants (paper Algorithm 1 defaults; "these values are
 /// customizable").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FppConfig {
     /// Epoch length: how often the cap is reconsidered (line 32: 90 s).
     pub powercap_time_s: f64,
@@ -58,7 +57,6 @@ pub struct FppConfig {
     /// `powercap_levels` per epoch — instead of jumping straight back.
     /// Off by default: the paper's observed behavior is "instantly gives
     /// back the power".
-    #[serde(default)]
     pub staged_give_back: bool,
 }
 

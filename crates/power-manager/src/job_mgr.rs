@@ -136,6 +136,12 @@ impl Module for JobLevelManager {
         true
     }
 
+    /// Lets a caller holding only the root broker's module read the
+    /// mirrored limits.
+    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
+        Some(self)
+    }
+
     fn on_migrate(&mut self, ctx: &mut ModuleCtx<'_>) {
         // The cluster manager re-pushes every allocation after a
         // failover, but its values are usually unchanged — and the no-op

@@ -27,6 +27,9 @@ use fluxpm_sim::{SimDuration, TraceLevel};
 use std::cell::RefCell;
 use std::rc::Rc;
 
+/// Module name.
+pub const NODE_MANAGER: &str = "power-manager-node";
+
 /// Timer tags.
 const TIMER_SAMPLE: u64 = 0;
 const TIMER_EPOCH: u64 = 1;
@@ -368,7 +371,7 @@ impl NodeLevelManager {
 
 impl Module for NodeLevelManager {
     fn name(&self) -> &'static str {
-        "power-manager-node"
+        NODE_MANAGER
     }
 
     fn topics(&self) -> Vec<Topic> {
@@ -415,6 +418,12 @@ impl Module for NodeLevelManager {
             TIMER_EPOCH => self.on_epoch(ctx),
             _ => {}
         }
+    }
+
+    /// Lets a caller holding only the broker's module reach the
+    /// enforced limit (e.g. to time cap propagation).
+    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
+        Some(self)
     }
 }
 

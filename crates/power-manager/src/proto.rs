@@ -7,10 +7,9 @@
 
 use fluxpm_flux::{JobId, Protocol};
 use fluxpm_hw::Watts;
-use serde::{Deserialize, Serialize};
 
 /// Which power management policy the stack runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyKind {
     /// No cluster constraint: every node may draw its nameplate power.
     Unconstrained,
@@ -37,7 +36,7 @@ impl PolicyKind {
 /// Which device class the FPP controllers drive. The algorithm is
 /// device-agnostic (paper §III-B2); the paper evaluates GPUs and notes
 /// the socket-level extension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FppTarget {
     /// Per-GPU capping via NVML (the paper's evaluation).
     Gpu,

@@ -2,6 +2,11 @@
 
 use fluxpm_sim::SimDuration;
 
+/// Base per-RPC response deadline for aggregation fan-outs and sample
+/// pushes. The in-tree reduction scales this by subtree height so a
+/// parent never gives up before its children have had the chance to.
+pub const RPC_DEADLINE: SimDuration = SimDuration::from_secs(1);
+
 /// User-configurable monitor parameters (paper §III-A: "The size of the
 /// buffer, as well as the sampling rate, are configurable by the user").
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -16,10 +21,6 @@ pub struct MonitorConfig {
     /// experiment's "monitor unloaded" baseline simply does not load the
     /// module.
     pub charge_overhead: bool,
-    /// Base per-RPC response deadline for aggregation fan-outs. The
-    /// in-tree reduction scales this by subtree height so a parent never
-    /// gives up before its children have had the chance to.
-    pub rpc_deadline: SimDuration,
     /// When set, every node agent pushes its newest sample to the root
     /// agent on this cadence, feeding the subscription fan-out (see
     /// [`crate::subscription`]). `None` (the default) disables pushes —
@@ -44,7 +45,6 @@ impl Default for MonitorConfig {
             sample_interval: SimDuration::from_secs(2),
             buffer_capacity: 100_000,
             charge_overhead: true,
-            rpc_deadline: SimDuration::from_secs(1),
             push_interval: None,
             link_export_interval: None,
             subscriber_queue_capacity: 64,
@@ -65,13 +65,6 @@ impl MonitorConfig {
     pub fn with_buffer_capacity(mut self, capacity: usize) -> Self {
         assert!(capacity > 0);
         self.buffer_capacity = capacity;
-        self
-    }
-
-    /// Override the base aggregation RPC deadline.
-    pub fn with_rpc_deadline(mut self, deadline: SimDuration) -> Self {
-        assert!(!deadline.is_zero());
-        self.rpc_deadline = deadline;
         self
     }
 
@@ -133,11 +126,9 @@ mod tests {
     fn builders() {
         let c = MonitorConfig::default()
             .with_sample_interval(SimDuration::from_millis(500))
-            .with_buffer_capacity(10)
-            .with_rpc_deadline(SimDuration::from_millis(250));
+            .with_buffer_capacity(10);
         assert_eq!(c.sample_rate_hz(), 2.0);
         assert_eq!(c.buffer_capacity, 10);
-        assert_eq!(c.rpc_deadline, SimDuration::from_millis(250));
     }
 
     #[test]

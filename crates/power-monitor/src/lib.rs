@@ -45,7 +45,7 @@ pub use client::{
     job_data_rows, job_data_to_csv, link_stats_to_csv, rpc_stats_rows, rpc_stats_to_csv, JobRow,
     MonitorQuery, QueryHandle, QueryKind, TopicRow,
 };
-pub use config::MonitorConfig;
+pub use config::{MonitorConfig, RPC_DEADLINE};
 pub use log::{Records, RecordsIter};
 pub use node_agent::NodeAgent;
 pub use proto::{
@@ -92,7 +92,7 @@ pub fn load(world: &mut World, eng: &mut FluxEngine, config: MonitorConfig) -> b
     }
     let root = world.root();
     let build_root_agent = |config: &MonitorConfig| {
-        let mut agent = RootAgent::new(config.rpc_deadline);
+        let mut agent = RootAgent::new(RPC_DEADLINE);
         if let Some(every) = config.link_export_interval {
             agent = agent.with_link_export(every);
         }

@@ -11,7 +11,7 @@
 //! per-broker [`crate::TelemetryRelay`] plane — the node agent never
 //! sees any of it).
 
-use crate::config::MonitorConfig;
+use crate::config::{MonitorConfig, RPC_DEADLINE};
 use crate::log::PagedLog;
 use crate::proto::{
     MonitorReply, MonitorRequest, NodeDataReply, NodeDataRequest, NodeStats, PowerRecord,
@@ -250,7 +250,7 @@ impl NodeAgent {
         ctx.world
             .rpc(root, &self.topics.sample_push, req.encode())
             .from(from)
-            .deadline(self.config.rpc_deadline)
+            .deadline(RPC_DEADLINE)
             .send(ctx.eng, |_, _, _| {});
     }
 

@@ -247,7 +247,7 @@ pub struct RootAgent {
 
 impl Default for RootAgent {
     fn default() -> Self {
-        RootAgent::new(SimDuration::from_secs(1))
+        RootAgent::new(crate::RPC_DEADLINE)
     }
 }
 

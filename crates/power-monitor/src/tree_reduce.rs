@@ -274,7 +274,7 @@ pub fn handle_subtree_stats(
         request: msg.clone(),
         start_us: req.start_us,
         end_us: req.end_us,
-        base_deadline: agent.config().rpc_deadline,
+        base_deadline: crate::RPC_DEADLINE,
         acc: local,
         remaining: 0,
         refanned_epochs: std::collections::HashSet::new(),

@@ -11,7 +11,7 @@
 use fluxpm_flux::{FluxEngine, JobId, JobProgram, JobSpec, Rank, StepCtx, StepOutcome, World};
 use fluxpm_hw::{Lanes, MachineKind, PowerDemand, Watts};
 use fluxpm_monitor::{
-    JobDataReply, MonitorConfig, MonitorQuery, NodeAgent, PowerRecord, RootAgent,
+    JobDataReply, MonitorConfig, MonitorQuery, NodeAgent, PowerRecord, RootAgent, RPC_DEADLINE,
 };
 use fluxpm_sim::{Engine, SimDuration, SimTime};
 use fluxpm_variorum::NodePowerSample;
@@ -106,7 +106,7 @@ fn world_after_job(secs: f64) -> (World, JobId, Vec<Rc<RefCell<NodeAgent>>>) {
         })
         .collect();
     let root = w.root();
-    assert!(w.load_module(&mut eng, root, RootAgent::shared(config.rpc_deadline)));
+    assert!(w.load_module(&mut eng, root, RootAgent::shared(RPC_DEADLINE)));
     let job = w.submit(
         &mut eng,
         JobSpec::new("burn", NODES),

@@ -6,11 +6,10 @@
 //! logical thread, so no synchronization is needed.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Severity / verbosity of a trace record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TraceLevel {
     /// High-volume records (per-message, per-sample).
     Debug,
@@ -21,7 +20,7 @@ pub enum TraceLevel {
 }
 
 /// A single trace record.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TraceEntry {
     /// When the record was emitted.
     pub at: SimTime,

@@ -3,11 +3,10 @@
 use crate::error::VariorumError;
 use crate::json::NodePowerSample;
 use fluxpm_hw::{CapOutcome, NodeHardware, SensorReadCost, Watts};
-use serde::{Deserialize, Serialize};
 
 /// Static power-domain capabilities, as `variorum_get_node_power_domain_info`
 /// would report them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerDomainInfo {
     /// Whether a direct node-power dial exists (IBM) or node capping is
     /// best-effort (Intel/AMD).

@@ -17,7 +17,6 @@
 //! shape (string values for `hostname`, floats for everything else).
 
 use fluxpm_hw::{Lanes, SensorReading, Watts};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A parsed/constructed node power sample (the paper's telemetry record).
@@ -25,7 +24,7 @@ use std::sync::Arc;
 /// The sample owns no heap: the measurements are inline and the hostname
 /// is a handle to the node's one shared string, so a clone is a copy plus
 /// a reference count.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NodePowerSample {
     /// Node hostname, e.g. `"lassen12"`.
     pub hostname: Arc<str>,

@@ -5,10 +5,8 @@
 //! [`crate::apps`] are calibrated against runs with these inputs, and the
 //! experiment harness reports them alongside its results.
 
-use serde::{Deserialize, Serialize};
-
 /// A 3-D task partition `(x, y, z)` for rank-decomposed applications.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaskPartition(pub u32, pub u32, pub u32);
 
 impl TaskPartition {

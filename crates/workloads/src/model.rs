@@ -3,10 +3,8 @@
 //! An [`AppModel`] is a pure description — all constants, no state. The
 //! runnable job program lives in [`crate::program`].
 
-use serde::{Deserialize, Serialize};
-
 /// How the application scales with node count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scaling {
     /// Fixed global problem: more nodes → shorter runtime, lower per-node
     /// power (LAMMPS).
@@ -17,7 +15,7 @@ pub enum Scaling {
 }
 
 /// The shape of the power-demand signal over time (paper Fig. 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PhasePattern {
     /// Constant demand (LAMMPS, GEMM, NQueens).
     Flat,
@@ -51,7 +49,7 @@ impl PhasePattern {
 }
 
 /// Per-machine power/performance profile.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineProfile {
     /// Busy (high-phase) CPU demand per socket, watts.
     pub cpu_w: f64,
@@ -86,7 +84,7 @@ impl MachineProfile {
 }
 
 /// Full description of one application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppModel {
     /// Application name, as reported in job specs and CSVs.
     pub name: &'static str,

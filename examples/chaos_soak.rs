@@ -9,13 +9,12 @@
 //! cargo run --example chaos_soak [seed]
 //! ```
 
-use fluxpm::flux::{
-    Engine, FaultPlan, FluxEngine, GilbertElliott, JobSpec, JobState, LinkProfile, Rank, Tbon,
-    World,
-};
+use fluxpm::experiments::{PowerSetup, Scenario};
+use fluxpm::flux::{FaultPlan, GilbertElliott, JobSpec, JobState, LinkProfile, Rank, Tbon, World};
 use fluxpm::hw::{MachineKind, NodeId, Watts};
+use fluxpm::manager::ManagerConfig;
 use fluxpm::monitor::MonitorConfig;
-use fluxpm::sim::{SimDuration, SimTime, Trace, TraceLevel, Xoshiro256pp};
+use fluxpm::sim::{SimDuration, SimTime, TraceLevel, Xoshiro256pp};
 use fluxpm::workloads::{laghos, App, JitterModel};
 
 const NODES: u32 = 16;
@@ -26,19 +25,17 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(11);
 
-    let mut w = World::new(MachineKind::Lassen, NODES, seed);
-    w.trace = Trace::enabled(TraceLevel::Info);
+    let (mut w, mut eng, _) = Scenario::new(MachineKind::Lassen, NODES)
+        .with_seed(seed)
+        .with_trace(TraceLevel::Info)
+        .with_power(PowerSetup::Managed {
+            static_node_cap: None,
+            config: ManagerConfig::proportional(Watts(16.0 * 1500.0)),
+        })
+        .with_monitor(MonitorConfig::default())
+        .build();
     w.autostop_after = Some(3);
-    let mut eng: FluxEngine = Engine::new();
     eng.set_horizon(SimTime::from_secs(400));
-
-    fluxpm::manager::load(
-        &mut w,
-        &mut eng,
-        fluxpm::manager::ManagerConfig::proportional(Watts(16.0 * 1500.0)),
-    );
-    fluxpm::monitor::load(&mut w, &mut eng, MonitorConfig::default());
-    w.install_executor(&mut eng);
 
     let ge = GilbertElliott {
         p_good_to_bad: 0.01,

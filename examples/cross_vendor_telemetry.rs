@@ -10,18 +10,19 @@
 //!
 //! Run with: `cargo run --example cross_vendor_telemetry`
 
-use fluxpm::flux::{Engine, FluxEngine, JobSpec, World};
+use fluxpm::experiments::Scenario;
+use fluxpm::flux::{Engine, FluxEngine, JobSpec};
 use fluxpm::hw::MachineKind;
 use fluxpm::monitor::{MonitorConfig, MonitorQuery};
 use fluxpm::variorum::get_node_power_domain_info;
 use fluxpm::workloads::{lammps, App, JitterModel};
 
 fn run_on(machine: MachineKind) {
-    let mut world = World::new(machine, 4, 17);
+    let (mut world, mut eng, _) = Scenario::new(machine, 4)
+        .with_seed(17)
+        .with_monitor(MonitorConfig::default())
+        .build();
     world.autostop_after = Some(1);
-    let mut eng: FluxEngine = Engine::new();
-    fluxpm::monitor::load(&mut world, &mut eng, MonitorConfig::default());
-    world.install_executor(&mut eng);
 
     let info = get_node_power_domain_info(&world.nodes[0]);
     println!(

@@ -9,6 +9,7 @@
 //!
 //! Run with: `cargo run --example failure_injection`
 
+use fluxpm::experiments::{PowerSetup, Scenario};
 use fluxpm::prelude::*;
 use fluxpm::sim::SimTime;
 
@@ -32,16 +33,12 @@ fn main() {
     println!("(paper §V: \"NVIDIA GPU power capping failed intermittently, either picking\n up the last set power cap or defaulting to the maximum power cap\")\n");
 
     // --- 2. Buffer wrap -> partial data ---------------------------------
-    let mut world = World::new(MachineKind::Lassen, 2, 11);
-    world.autostop_after = Some(1);
-    let mut eng: FluxEngine = Engine::new();
     // A deliberately tiny 15-record buffer (30 s window at 2 s sampling).
-    fluxpm::monitor::load(
-        &mut world,
-        &mut eng,
-        MonitorConfig::default().with_buffer_capacity(15),
-    );
-    world.install_executor(&mut eng);
+    let (mut world, mut eng, _) = Scenario::new(MachineKind::Lassen, 2)
+        .with_seed(11)
+        .with_monitor(MonitorConfig::default().with_buffer_capacity(15))
+        .build();
+    world.autostop_after = Some(1);
     let app = App::with_jitter(laghos(), MachineKind::Lassen, 1, 3, JitterModel::none())
         .with_work_seconds(90.0);
     let id = world.submit(&mut eng, JobSpec::new("Laghos", 1), Box::new(app));
@@ -61,16 +58,15 @@ fn main() {
     println!("(the 'partial' flag is the paper's completeness column)\n");
 
     // --- 3. Node failure mid-job ----------------------------------------
-    let mut world = World::new(MachineKind::Lassen, 4, 13);
+    let (mut world, mut eng, _) = Scenario::new(MachineKind::Lassen, 4)
+        .with_seed(13)
+        .with_power(PowerSetup::Managed {
+            static_node_cap: None,
+            config: ManagerConfig::proportional(Watts(4800.0)),
+        })
+        .with_monitor(MonitorConfig::default())
+        .build();
     world.autostop_after = Some(2);
-    let mut eng: FluxEngine = Engine::new();
-    fluxpm::manager::load(
-        &mut world,
-        &mut eng,
-        ManagerConfig::proportional(Watts(4800.0)),
-    );
-    fluxpm::monitor::load(&mut world, &mut eng, MonitorConfig::default());
-    world.install_executor(&mut eng);
     let victim = world.submit(
         &mut eng,
         JobSpec::new("Laghos", 2),

@@ -4,22 +4,22 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use fluxpm::flux::{Engine, FluxEngine, JobSpec, World};
+use fluxpm::experiments::Scenario;
+use fluxpm::flux::{Engine, FluxEngine, JobSpec};
 use fluxpm::hw::MachineKind;
 use fluxpm::monitor::{job_data_to_csv, MonitorConfig, MonitorQuery};
 use fluxpm::workloads::{quicksilver, App, JitterModel};
 
 fn main() {
-    // A 4-node IBM AC922 (Lassen) cluster; seed 42 makes the run
-    // bit-reproducible.
-    let mut world = World::new(MachineKind::Lassen, 4, 42);
+    // A 4-node IBM AC922 (Lassen) cluster with the monitor loaded: a
+    // stateless node agent on every rank (2 s sampling into a
+    // 100k-record ring buffer) plus the root aggregator. Seed 42 makes
+    // the run bit-reproducible.
+    let (mut world, mut eng, _) = Scenario::new(MachineKind::Lassen, 4)
+        .with_seed(42)
+        .with_monitor(MonitorConfig::default())
+        .build();
     world.autostop_after = Some(1);
-    let mut eng: FluxEngine = Engine::new();
-
-    // Load the monitor: a stateless node agent on every rank (2 s
-    // sampling into a 100k-record ring buffer) plus the root aggregator.
-    fluxpm::monitor::load(&mut world, &mut eng, MonitorConfig::default());
-    world.install_executor(&mut eng);
 
     // Submit Quicksilver on 2 nodes (a 10x problem so the periodic phase
     // behaviour is clearly visible in the telemetry).

@@ -10,16 +10,15 @@
 //!
 //! Run with: `cargo run --example user_level_instance`
 
-use fluxpm::flux::{Engine, FluxEngine, InstancePowerPolicy, JobSpec, SubInstance, World};
+use fluxpm::experiments::Scenario;
+use fluxpm::flux::{InstancePowerPolicy, JobSpec, SubInstance};
 use fluxpm::hw::{MachineKind, Watts};
 use fluxpm::workloads::{gemm, quicksilver, App, JitterModel};
 
 fn main() {
     // The system instance: an 8-node cluster.
-    let mut world = World::new(MachineKind::Lassen, 8, 23);
+    let (mut world, mut eng, _) = Scenario::new(MachineKind::Lassen, 8).with_seed(23).build();
     world.autostop_after = Some(1);
-    let mut eng: FluxEngine = Engine::new();
-    world.install_executor(&mut eng);
 
     // The user's jobs, built with the normal application models.
     let g = App::with_jitter(gemm(), MachineKind::Lassen, 2, 1, JitterModel::none());

@@ -3,13 +3,13 @@
 # crates below (ROADMAP 4(c)). Each site outside tests and doc comments
 # either becomes a typed error or sits under a one-line
 # `// invariant: …` comment, at most three lines above it, stating why it
-# cannot fail in a way a reader can check. Every library crate but
-# crates/experiments is listed; add it once its sites are audited.
+# cannot fail in a way a reader can check. Every library crate is listed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 CRATES=(crates/fft crates/sim-core crates/hw-models crates/power-manager crates/flux
-        crates/power-monitor crates/variorum crates/workloads crates/bench)
+        crates/power-monitor crates/variorum crates/workloads crates/bench
+        crates/experiments)
 
 status=0
 while IFS= read -r file; do

@@ -21,18 +21,23 @@
 //!
 //! ## Quickstart
 //!
+//! [`experiments::Scenario::build`] assembles a world the way the
+//! paper deploys its modules: node-level agents on every broker, root
+//! components on the root.
+//!
 //! ```
-//! use fluxpm::flux::{Engine, FluxEngine, JobSpec, World};
+//! use fluxpm::experiments::Scenario;
+//! use fluxpm::flux::{Engine, FluxEngine, JobSpec};
 //! use fluxpm::hw::MachineKind;
 //! use fluxpm::monitor::MonitorConfig;
 //! use fluxpm::workloads::{quicksilver, App, JitterModel};
 //!
 //! // A 4-node Lassen cluster with job telemetry loaded.
-//! let mut world = World::new(MachineKind::Lassen, 4, 42);
+//! let (mut world, mut eng, _) = Scenario::new(MachineKind::Lassen, 4)
+//!     .with_seed(42)
+//!     .with_monitor(MonitorConfig::default())
+//!     .build();
 //! world.autostop_after = Some(1);
-//! let mut eng: FluxEngine = Engine::new();
-//! fluxpm::monitor::load(&mut world, &mut eng, MonitorConfig::default());
-//! world.install_executor(&mut eng);
 //!
 //! // Run Quicksilver on 2 nodes and fetch its power data afterwards.
 //! let app = App::with_jitter(quicksilver(), MachineKind::Lassen, 2, 1, JitterModel::none());
@@ -98,12 +103,11 @@ pub mod experiments {
 /// One-stop imports for downstream users.
 ///
 /// ```
+/// use fluxpm::experiments::Scenario;
 /// use fluxpm::prelude::*;
 ///
-/// let mut world = World::new(MachineKind::Lassen, 2, 7);
+/// let (mut world, mut eng, _) = Scenario::new(MachineKind::Lassen, 2).with_seed(7).build();
 /// world.autostop_after = Some(1);
-/// let mut eng: FluxEngine = Engine::new();
-/// world.install_executor(&mut eng);
 /// let app = App::with_jitter(laghos(), MachineKind::Lassen, 1, 1, JitterModel::none());
 /// let id = world.submit(&mut eng, JobSpec::new("Laghos", 1), Box::new(app));
 /// eng.run(&mut world);

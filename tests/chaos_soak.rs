@@ -13,16 +13,17 @@
 //! seed. The fixed seeds below are the CI matrix; keep the storm length
 //! capped so the suite stays fast.
 
+use fluxpm::experiments::chaos::topology_invariants;
+use fluxpm::experiments::{PowerSetup, Scenario};
 use fluxpm::flux::{
-    Engine, FaultPlan, FluxEngine, GilbertElliott, JobId, JobSpec, JobState, LinkProfile, Rank,
-    Tbon, World,
+    FaultPlan, GilbertElliott, JobId, JobSpec, JobState, LinkProfile, Rank, Tbon, World,
 };
 use fluxpm::hw::{MachineKind, NodeId, Watts};
+use fluxpm::manager::ManagerConfig;
 use fluxpm::monitor::{MonitorConfig, MonitorQuery};
-use fluxpm::sim::{SimDuration, SimTime, Trace, TraceLevel, Xoshiro256pp};
+use fluxpm::sim::{SimDuration, SimTime, TraceLevel, Xoshiro256pp};
 use fluxpm::workloads::{laghos, App, JitterModel};
-use std::cell::{Cell, RefCell};
-use std::ops::ControlFlow;
+use std::cell::RefCell;
 use std::rc::Rc;
 
 mod common;
@@ -60,19 +61,21 @@ fn two_node_app(seed: u64, work_seconds: f64) -> Box<App> {
 /// One full storm. Asserts invariants along the way and returns the
 /// deterministic outcome for byte-identical replay comparison.
 fn soak(seed: u64) -> Outcome {
-    let mut w = World::new(MachineKind::Lassen, NODES, seed);
-    w.trace = Trace::enabled(TraceLevel::Debug);
-    // 10 jobs total: A, B, 7 queue fillers, and the post-storm probe F.
-    w.autostop_after = Some(10);
-    let mut eng: FluxEngine = Engine::new();
-    eng.set_horizon(SimTime::from_secs(400));
-
     // The test keeps the cluster handle to watch budgets; root services
     // migrate as the same shared object.
-    let cfg = fluxpm::manager::ManagerConfig::proportional(Watts(GLOBAL_BOUND_W));
-    let cluster = fluxpm::manager::load(&mut w, &mut eng, cfg);
-    fluxpm::monitor::load(&mut w, &mut eng, MonitorConfig::default());
-    w.install_executor(&mut eng);
+    let (mut w, mut eng, cluster) = Scenario::new(MachineKind::Lassen, NODES)
+        .with_seed(seed)
+        .with_trace(TraceLevel::Debug)
+        .with_power(PowerSetup::Managed {
+            static_node_cap: None,
+            config: ManagerConfig::proportional(Watts(GLOBAL_BOUND_W)),
+        })
+        .with_monitor(MonitorConfig::default())
+        .build();
+    let cluster = cluster.expect("managed setup");
+    // 10 jobs total: A, B, 7 queue fillers, and the post-storm probe F.
+    w.autostop_after = Some(10);
+    eng.set_horizon(SimTime::from_secs(400));
 
     // Per-link burst faults: a lightly lossy default with Gilbert–Elliott
     // bursts, plus a worse dedicated profile on the root's first link.
@@ -115,53 +118,7 @@ fn soak(seed: u64) -> Outcome {
         });
     }
 
-    // Per-tick invariants: epoch monotone, root attached and alive, and
-    // every attached rank alive, routable, and on an acyclic parent
-    // chain.
-    let last_epoch = Rc::new(Cell::new(0u64));
-    let checks = Rc::new(Cell::new(0u64));
-    {
-        let last_epoch = Rc::clone(&last_epoch);
-        let checks = Rc::clone(&checks);
-        eng.schedule_every(
-            SimTime::from_secs(1),
-            SimDuration::from_secs(1),
-            move |w: &mut World, eng| {
-                if w.halted {
-                    return ControlFlow::Break(());
-                }
-                let now = eng.now();
-                let e = w.tbon.epoch();
-                assert!(
-                    e >= last_epoch.get(),
-                    "epoch went backwards at {now}: {} -> {e}",
-                    last_epoch.get()
-                );
-                last_epoch.set(e);
-                let root = w.tbon.root();
-                assert!(w.tbon.is_attached(root), "root detached at {now}");
-                assert!(w.broker_up(root), "root down at {now}");
-                let size = w.size();
-                for r in w.tbon.attached_ranks() {
-                    assert!(w.broker_up(r), "{r} attached but down at {now}");
-                    assert!(w.tbon.route(r, root).is_some(), "{r} unroutable at {now}");
-                    let mut probe = r;
-                    let mut hops = 0;
-                    while probe != root {
-                        probe = w
-                            .tbon
-                            .parent(probe)
-                            .unwrap_or_else(|| panic!("{probe} has no parent at {now}"));
-                        assert!(w.tbon.is_attached(probe), "parent chain of {r} detached");
-                        hops += 1;
-                        assert!(hops <= size, "cycle walking up from {r} at {now}");
-                    }
-                }
-                checks.set(checks.get() + 1);
-                ControlFlow::Continue(())
-            },
-        );
-    }
+    let checks = topology_invariants(&mut eng);
 
     // --- Scripted storm prefix -------------------------------------
     // t=15: two interior ranks die in ONE batch (overlapping failures).

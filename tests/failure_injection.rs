@@ -1,10 +1,11 @@
 //! Failure-injection integration tests: the production anomalies the
 //! paper reports in §V, reproduced end-to-end.
 
+use fluxpm::experiments::{PowerSetup, Scenario};
 use fluxpm::flux::{Engine, FaultPlan, FluxEngine, JobSpec, JobState, Rank, World};
 use fluxpm::hw::{MachineKind, NodeHardware, NodeId, Watts};
 use fluxpm::monitor::{MonitorConfig, MonitorQuery};
-use fluxpm::sim::{SimDuration, SimTime, Trace, TraceLevel};
+use fluxpm::sim::{SimDuration, SimTime, TraceLevel};
 use fluxpm::workloads::{laghos, App, JitterModel};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -50,13 +51,12 @@ fn nvml_intermittent_failures_at_low_node_cap() {
 /// longer than the buffer window loses its earliest samples.
 #[test]
 fn buffer_wrap_yields_partial_job_data() {
-    let mut world = World::new(MachineKind::Lassen, 2, 21);
-    world.autostop_after = Some(1);
-    let mut eng: FluxEngine = Engine::new();
     // Tiny buffer: 20 records at 2 s sampling = a 40 s retention window.
-    let cfg = MonitorConfig::default().with_buffer_capacity(20);
-    fluxpm::monitor::load(&mut world, &mut eng, cfg);
-    world.install_executor(&mut eng);
+    let (mut world, mut eng, _) = Scenario::new(MachineKind::Lassen, 2)
+        .with_seed(21)
+        .with_monitor(MonitorConfig::default().with_buffer_capacity(20))
+        .build();
+    world.autostop_after = Some(1);
     // A ~100 s job overflows the window.
     let app = App::with_jitter(laghos(), MachineKind::Lassen, 1, 1, JitterModel::none())
         .with_work_seconds(100.0);
@@ -106,16 +106,15 @@ fn node_agent_state_is_bounded_across_jobs() {
 /// early-access posture from §II-A.
 #[test]
 fn tioga_cap_refusal_does_not_break_management() {
-    let mut world = World::new(MachineKind::Tioga, 4, 55);
+    let (mut world, mut eng, _) = Scenario::new(MachineKind::Tioga, 4)
+        .with_seed(55)
+        .with_power(PowerSetup::Managed {
+            static_node_cap: None,
+            config: fluxpm::manager::ManagerConfig::proportional(Watts(4000.0)),
+        })
+        .with_monitor(MonitorConfig::default())
+        .build();
     world.autostop_after = Some(1);
-    let mut eng: FluxEngine = Engine::new();
-    fluxpm::manager::load(
-        &mut world,
-        &mut eng,
-        fluxpm::manager::ManagerConfig::proportional(Watts(4000.0)),
-    );
-    fluxpm::monitor::load(&mut world, &mut eng, MonitorConfig::default());
-    world.install_executor(&mut eng);
     let app = App::with_jitter(laghos(), MachineKind::Tioga, 2, 1, JitterModel::none());
     let id = world.submit(&mut eng, JobSpec::new("Laghos", 2), Box::new(app));
     eng.run(&mut world);
@@ -147,10 +146,8 @@ fn kripke_crashes_on_tioga_but_runs_on_lassen() {
     use fluxpm::workloads::kripke;
 
     // Lassen: runs fine.
-    let mut w = World::new(MachineKind::Lassen, 4, 3);
+    let (mut w, mut eng, _) = Scenario::new(MachineKind::Lassen, 4).with_seed(3).build();
     w.autostop_after = Some(1);
-    let mut eng: FluxEngine = Engine::new();
-    w.install_executor(&mut eng);
     let app = App::with_jitter(kripke(), MachineKind::Lassen, 4, 1, JitterModel::none());
     let id = w.submit(&mut eng, JobSpec::new("Kripke", 4), Box::new(app));
     eng.run(&mut w);
@@ -159,11 +156,11 @@ fn kripke_crashes_on_tioga_but_runs_on_lassen() {
     assert!((rt - 45.0).abs() < 3.0, "{rt}");
 
     // Tioga: crashes at the first slice; a queued job still runs after.
-    let mut w = World::new(MachineKind::Tioga, 4, 3);
-    w.trace = fluxpm::sim::Trace::enabled(fluxpm::sim::TraceLevel::Warn);
+    let (mut w, mut eng, _) = Scenario::new(MachineKind::Tioga, 4)
+        .with_seed(3)
+        .with_trace(TraceLevel::Warn)
+        .build();
     w.autostop_after = Some(2);
-    let mut eng: FluxEngine = Engine::new();
-    w.install_executor(&mut eng);
     let doomed = App::with_jitter(kripke(), MachineKind::Tioga, 4, 1, JitterModel::none());
     let a = w.submit(&mut eng, JobSpec::new("Kripke", 4), Box::new(doomed));
     let follow = App::with_jitter(laghos(), MachineKind::Tioga, 4, 2, JitterModel::none());
@@ -196,12 +193,12 @@ fn interior_rank_failure_mid_reduction_completes_incomplete() {
     let fail_at = SimTime::from_micros(30_000_050);
 
     let run = || {
-        let mut w = World::new(MachineKind::Lassen, 7, 99);
-        w.trace = Trace::enabled(TraceLevel::Debug);
+        let (mut w, mut eng, _) = Scenario::new(MachineKind::Lassen, 7)
+            .with_seed(99)
+            .with_trace(TraceLevel::Debug)
+            .with_monitor(MonitorConfig::default())
+            .build();
         w.autostop_after = Some(1);
-        let mut eng: FluxEngine = Engine::new();
-        fluxpm::monitor::load(&mut w, &mut eng, MonitorConfig::default());
-        w.install_executor(&mut eng);
         let app = App::with_jitter(laghos(), MachineKind::Lassen, 7, 1, JitterModel::none())
             .with_work_seconds(100.0);
         let id = w.submit(&mut eng, JobSpec::new("Laghos", 7), Box::new(app));
@@ -276,12 +273,12 @@ fn interior_rank_failure_mid_reduction_completes_incomplete() {
 #[test]
 fn chaos_faults_are_deterministic_and_aggregation_completes() {
     let run = |seed: u64| {
-        let mut w = World::new(MachineKind::Lassen, 8, seed);
-        w.trace = Trace::enabled(TraceLevel::Warn);
+        let (mut w, mut eng, _) = Scenario::new(MachineKind::Lassen, 8)
+            .with_seed(seed)
+            .with_trace(TraceLevel::Warn)
+            .with_monitor(MonitorConfig::default())
+            .build();
         w.autostop_after = Some(1);
-        let mut eng: FluxEngine = Engine::new();
-        fluxpm::monitor::load(&mut w, &mut eng, MonitorConfig::default());
-        w.install_executor(&mut eng);
         w.install_fault_plan(FaultPlan::uniform(0.25, SimDuration::from_micros(50)));
         let app = App::with_jitter(laghos(), MachineKind::Lassen, 8, seed, JitterModel::none())
             .with_work_seconds(60.0);

@@ -8,23 +8,28 @@ use fluxpm::manager::ManagerConfig;
 use fluxpm::monitor::{MonitorConfig, MonitorQuery};
 use fluxpm::workloads::{laghos, App, JitterModel};
 
+/// A Lassen world of `nodes` nodes with the monitor loaded.
+fn monitored(nodes: u32, seed: u64) -> (World, FluxEngine) {
+    let (world, eng, _) = Scenario::new(MachineKind::Lassen, nodes)
+        .with_seed(seed)
+        .with_monitor(MonitorConfig::default())
+        .build();
+    (world, eng)
+}
+
 /// Monitor and manager coexist: telemetry reflects the caps the manager
 /// sets, and both module stacks share the TBON without interfering.
 #[test]
 fn monitor_and_manager_together() {
-    let mut world = World::new(MachineKind::Lassen, 8, 5);
+    let (mut world, mut eng, _) = Scenario::new(MachineKind::Lassen, 8)
+        .with_seed(5)
+        .with_power(PowerSetup::Managed {
+            static_node_cap: Some(1950.0),
+            config: ManagerConfig::proportional(Watts(9600.0)),
+        })
+        .with_monitor(MonitorConfig::default())
+        .build();
     world.autostop_after = Some(2);
-    let mut eng: FluxEngine = Engine::new();
-    for n in &mut world.nodes {
-        n.set_node_cap(Watts(1950.0)).unwrap();
-    }
-    fluxpm::manager::load(
-        &mut world,
-        &mut eng,
-        ManagerConfig::proportional(Watts(9600.0)),
-    );
-    fluxpm::monitor::load(&mut world, &mut eng, MonitorConfig::default());
-    world.install_executor(&mut eng);
 
     let gemm = App::with_jitter(
         fluxpm::workloads::gemm(),
@@ -113,11 +118,8 @@ fn power_bound_invariant_under_random_queue() {
 /// aside): a Laghos node reads ~490 W through the whole stack.
 #[test]
 fn telemetry_matches_injected_demand() {
-    let mut world = World::new(MachineKind::Lassen, 2, 9);
+    let (mut world, mut eng) = monitored(2, 9);
     world.autostop_after = Some(1);
-    let mut eng: FluxEngine = Engine::new();
-    fluxpm::monitor::load(&mut world, &mut eng, MonitorConfig::default());
-    world.install_executor(&mut eng);
     let app = App::with_jitter(laghos(), MachineKind::Lassen, 1, 3, JitterModel::none())
         .with_work_scale(8.0);
     let id = world.submit(&mut eng, JobSpec::new("Laghos", 1), Box::new(app));
@@ -148,14 +150,17 @@ fn telemetry_matches_injected_demand() {
 #[test]
 fn scheduling_unaffected_by_power_modules() {
     let run = |with_modules: bool| {
-        let mut world = World::new(MachineKind::Lassen, 4, 13);
-        world.autostop_after = Some(3);
-        let mut eng: FluxEngine = Engine::new();
+        let mut scenario = Scenario::new(MachineKind::Lassen, 4).with_seed(13);
         if with_modules {
-            fluxpm::manager::load(&mut world, &mut eng, ManagerConfig::unconstrained());
-            fluxpm::monitor::load(&mut world, &mut eng, MonitorConfig::default());
+            scenario = scenario
+                .with_power(PowerSetup::Managed {
+                    static_node_cap: None,
+                    config: ManagerConfig::unconstrained(),
+                })
+                .with_monitor(MonitorConfig::default());
         }
-        world.install_executor(&mut eng);
+        let (mut world, mut eng, _) = scenario.build();
+        world.autostop_after = Some(3);
         for (i, n) in [3u32, 2, 2].into_iter().enumerate() {
             let app = App::with_jitter(
                 laghos(),
@@ -185,11 +190,8 @@ fn scheduling_unaffected_by_power_modules() {
 /// The light-weight stats query agrees with the full-record query.
 #[test]
 fn stats_query_agrees_with_full_records() {
-    let mut world = World::new(MachineKind::Lassen, 4, 31);
+    let (mut world, mut eng) = monitored(4, 31);
     world.autostop_after = Some(1);
-    let mut eng: FluxEngine = Engine::new();
-    fluxpm::monitor::load(&mut world, &mut eng, MonitorConfig::default());
-    world.install_executor(&mut eng);
     let app = App::with_jitter(laghos(), MachineKind::Lassen, 2, 9, JitterModel::none())
         .with_work_scale(6.0);
     let id = world.submit(&mut eng, JobSpec::new("Laghos", 2), Box::new(app));
@@ -219,16 +221,15 @@ fn stats_query_agrees_with_full_records() {
 #[test]
 fn node_failure_degrades_gracefully() {
     use fluxpm::hw::NodeId;
-    let mut world = World::new(MachineKind::Lassen, 4, 41);
+    let (mut world, mut eng, _) = Scenario::new(MachineKind::Lassen, 4)
+        .with_seed(41)
+        .with_power(PowerSetup::Managed {
+            static_node_cap: None,
+            config: ManagerConfig::proportional(Watts(4800.0)),
+        })
+        .with_monitor(MonitorConfig::default())
+        .build();
     world.autostop_after = Some(2);
-    let mut eng: FluxEngine = Engine::new();
-    fluxpm::manager::load(
-        &mut world,
-        &mut eng,
-        ManagerConfig::proportional(Watts(4800.0)),
-    );
-    fluxpm::monitor::load(&mut world, &mut eng, MonitorConfig::default());
-    world.install_executor(&mut eng);
     let a = world.submit(
         &mut eng,
         JobSpec::new("Laghos", 2),
@@ -272,11 +273,8 @@ fn node_failure_degrades_gracefully() {
 /// fan-out query, on a cluster large enough for a multi-level TBON.
 #[test]
 fn tree_reduction_agrees_with_direct_stats() {
-    let mut world = World::new(MachineKind::Lassen, 16, 61);
+    let (mut world, mut eng) = monitored(16, 61);
     world.autostop_after = Some(1);
-    let mut eng: FluxEngine = Engine::new();
-    fluxpm::monitor::load(&mut world, &mut eng, MonitorConfig::default());
-    world.install_executor(&mut eng);
     // A 10-node job spanning several subtrees of the binary TBON.
     let app = App::with_jitter(laghos(), MachineKind::Lassen, 10, 9, JitterModel::none())
         .with_work_scale(6.0);
@@ -337,20 +335,15 @@ fn tioga_queue_is_telemetry_only() {
 /// The trace plumbing captures manager decisions end-to-end.
 #[test]
 fn trace_records_manager_decisions() {
-    use fluxpm::sim::{Trace, TraceLevel};
-    let mut world = World::new(MachineKind::Lassen, 4, 3);
-    world.trace = Trace::enabled(TraceLevel::Info);
+    let (mut world, mut eng, _) = Scenario::new(MachineKind::Lassen, 4)
+        .with_seed(3)
+        .with_trace(fluxpm::sim::TraceLevel::Info)
+        .with_power(PowerSetup::Managed {
+            static_node_cap: Some(1950.0),
+            config: ManagerConfig::proportional(Watts(4800.0)),
+        })
+        .build();
     world.autostop_after = Some(2);
-    let mut eng: FluxEngine = Engine::new();
-    for n in &mut world.nodes {
-        n.set_node_cap(Watts(1950.0)).unwrap();
-    }
-    fluxpm::manager::load(
-        &mut world,
-        &mut eng,
-        ManagerConfig::proportional(Watts(4800.0)),
-    );
-    world.install_executor(&mut eng);
     for i in 0..2u64 {
         let app = App::with_jitter(laghos(), MachineKind::Lassen, 2, i, JitterModel::none())
             .with_work_seconds(30.0);
@@ -377,9 +370,7 @@ fn trace_records_manager_decisions() {
 /// for it is answered with an error, like a query for a pending job.
 #[test]
 fn query_for_a_job_cancelled_before_start_is_an_error() {
-    let mut world = World::new(MachineKind::Lassen, 2, 5);
-    let mut eng: FluxEngine = Engine::new();
-    fluxpm::monitor::load(&mut world, &mut eng, MonitorConfig::default());
+    let (mut world, mut eng) = monitored(2, 5);
     let app = || {
         Box::new(
             App::with_jitter(laghos(), MachineKind::Lassen, 2, 1, JitterModel::none())

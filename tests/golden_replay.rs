@@ -11,11 +11,12 @@
 //! `GOLDEN_REGEN=1 cargo test --test golden_replay` and review the diff
 //! like source code.
 
+use fluxpm::experiments::{PowerSetup, Scenario};
 use fluxpm::flux::{Engine, FaultPlan, FluxEngine, JobSpec, JobState, World};
 use fluxpm::hw::{MachineKind, Watts};
 use fluxpm::manager::ManagerConfig;
 use fluxpm::monitor::{job_data_to_csv, rpc_stats_to_csv, MonitorConfig, MonitorQuery};
-use fluxpm::sim::{SimDuration, Trace, TraceLevel};
+use fluxpm::sim::{SimDuration, TraceLevel};
 use fluxpm::workloads::{laghos, App, JitterModel};
 
 mod common;
@@ -25,20 +26,16 @@ mod common;
 /// the retry/timeout paths execute. Returns the world post-run plus the
 /// id of the first job.
 fn replay_world() -> (World, fluxpm::flux::JobId) {
-    let mut world = World::new(MachineKind::Lassen, 8, 1234);
-    world.trace = Trace::enabled(TraceLevel::Debug);
+    let (mut world, mut eng, _) = Scenario::new(MachineKind::Lassen, 8)
+        .with_seed(1234)
+        .with_trace(TraceLevel::Debug)
+        .with_power(PowerSetup::Managed {
+            static_node_cap: Some(1950.0),
+            config: ManagerConfig::proportional(Watts(9600.0)),
+        })
+        .with_monitor(MonitorConfig::default())
+        .build();
     world.autostop_after = Some(2);
-    let mut eng: FluxEngine = Engine::new();
-    for n in &mut world.nodes {
-        n.set_node_cap(Watts(1950.0)).unwrap();
-    }
-    fluxpm::manager::load(
-        &mut world,
-        &mut eng,
-        ManagerConfig::proportional(Watts(9600.0)),
-    );
-    fluxpm::monitor::load(&mut world, &mut eng, MonitorConfig::default());
-    world.install_executor(&mut eng);
     world.install_fault_plan(FaultPlan::uniform(0.03, SimDuration::from_micros(15)));
 
     let app_a = App::with_jitter(laghos(), MachineKind::Lassen, 4, 1, JitterModel::none())

@@ -5,10 +5,13 @@
 //! root-rank failover with the manager's budgets preserved across the
 //! migration.
 
+use fluxpm::experiments::{PowerSetup, Scenario};
 use fluxpm::flux::{Engine, FluxEngine, JobSpec, JobState, Rank, World};
 use fluxpm::hw::{MachineKind, NodeId, Watts};
+use fluxpm::manager::job_mgr::JOB_MANAGER;
+use fluxpm::manager::{JobLevelManager, ManagerConfig};
 use fluxpm::monitor::{rpc_stats_to_csv, MonitorConfig, MonitorQuery};
-use fluxpm::sim::{SimTime, Trace, TraceLevel};
+use fluxpm::sim::{SimTime, TraceLevel};
 use fluxpm::workloads::{laghos, App, JitterModel};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -24,12 +27,12 @@ fn fail_recover_cycle_restores_complete_aggregation() {
     let fail_at = SimTime::from_micros(30_000_050);
 
     let run = || {
-        let mut w = World::new(MachineKind::Lassen, 7, 11);
-        w.trace = Trace::enabled(TraceLevel::Debug);
+        let (mut w, mut eng, _) = Scenario::new(MachineKind::Lassen, 7)
+            .with_seed(11)
+            .with_trace(TraceLevel::Debug)
+            .with_monitor(MonitorConfig::default())
+            .build();
         w.autostop_after = Some(2);
-        let mut eng: FluxEngine = Engine::new();
-        fluxpm::monitor::load(&mut w, &mut eng, MonitorConfig::default());
-        w.install_executor(&mut eng);
         let app = App::with_jitter(laghos(), MachineKind::Lassen, 7, 1, JitterModel::none())
             .with_work_seconds(100.0);
         let a = w.submit(&mut eng, JobSpec::new("Laghos", 7), Box::new(app));
@@ -140,28 +143,19 @@ fn fail_recover_cycle_restores_complete_aggregation() {
 /// and a post-failover stats fetch through the new root succeeds.
 #[test]
 fn root_failure_promotes_successor_and_preserves_budgets() {
-    let mut w = World::new(MachineKind::Lassen, 4, 7);
-    w.trace = Trace::enabled(TraceLevel::Info);
+    // The test holds the cluster manager's handle and watches its state
+    // travel with the root.
+    let (mut w, mut eng, cluster) = Scenario::new(MachineKind::Lassen, 4)
+        .with_seed(7)
+        .with_trace(TraceLevel::Info)
+        .with_power(PowerSetup::Managed {
+            static_node_cap: None,
+            config: ManagerConfig::proportional(Watts(6000.0)),
+        })
+        .with_monitor(MonitorConfig::default())
+        .build();
+    let cluster = cluster.expect("managed setup");
     w.autostop_after = Some(2);
-    let mut eng: FluxEngine = Engine::new();
-
-    // Load the manager stack by hand so the test holds handles to the
-    // root services and can watch their state travel.
-    let cfg = fluxpm::manager::ManagerConfig::proportional(Watts(6000.0));
-    let cluster = fluxpm::manager::ClusterLevelManager::shared(cfg.clone());
-    let jobm = fluxpm::manager::JobLevelManager::shared();
-    for rank in w.tbon.ranks().collect::<Vec<_>>() {
-        let m = fluxpm::manager::NodeLevelManager::shared_with_target(
-            cfg.policy,
-            cfg.fpp.clone(),
-            cfg.fpp_target,
-        );
-        w.load_module(&mut eng, rank, m);
-    }
-    w.load_module(&mut eng, Rank(0), jobm.clone());
-    w.load_module(&mut eng, Rank(0), cluster.clone());
-    fluxpm::monitor::load(&mut w, &mut eng, MonitorConfig::default());
-    w.install_executor(&mut eng);
 
     // First-fit allocation: job A pins node 0 (the root), job B runs on
     // nodes 1-2 and survives the failover.
@@ -200,8 +194,18 @@ fn root_failure_promotes_successor_and_preserves_budgets() {
 
     // Cap enforcement continued: the re-push crossed the job manager's
     // cleared mirror and fanned out to job B's node managers.
-    assert_eq!(jobm.borrow().job_limit(b), Some(limits[0].1));
-    assert!(jobm.borrow().node_updates() >= 4, "initial + re-push fans");
+    {
+        let module = w.brokers[w.root().index()]
+            .module(JOB_MANAGER)
+            .expect("job manager migrated to the new root");
+        let mut guard = module.borrow_mut();
+        let jobm = guard
+            .as_any_mut()
+            .and_then(|m| m.downcast_mut::<JobLevelManager>())
+            .expect("concrete job manager");
+        assert_eq!(jobm.job_limit(b), Some(limits[0].1));
+        assert!(jobm.node_updates() >= 4, "initial + re-push fans");
+    }
 
     // All three root services migrated, and the managers re-pushed.
     let trace: String = w.trace.entries().iter().map(|e| format!("{e}\n")).collect();

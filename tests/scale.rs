@@ -3,7 +3,7 @@
 //! fan-out, and manager reallocation paths together.
 
 use fluxpm::experiments::{JobRequest, PowerSetup, Scenario};
-use fluxpm::flux::{Engine, FluxEngine, JobSpec, World};
+use fluxpm::flux::{Engine, FluxEngine, JobSpec};
 use fluxpm::hw::{MachineKind, Watts};
 use fluxpm::manager::ManagerConfig;
 use fluxpm::monitor::{MonitorConfig, MonitorQuery};
@@ -48,11 +48,11 @@ fn full_stack_at_128_nodes() {
 /// count and plausible power for a wide job.
 #[test]
 fn tree_reduction_on_deep_tbon() {
-    let mut world = World::new(MachineKind::Lassen, 96, 71);
+    let (mut world, mut eng, _) = Scenario::new(MachineKind::Lassen, 96)
+        .with_seed(71)
+        .with_monitor(MonitorConfig::default())
+        .build();
     world.autostop_after = Some(1);
-    let mut eng: FluxEngine = Engine::new();
-    fluxpm::monitor::load(&mut world, &mut eng, MonitorConfig::default());
-    world.install_executor(&mut eng);
     let app = App::with_jitter(laghos(), MachineKind::Lassen, 60, 9, JitterModel::none())
         .with_work_scale(5.0);
     let id = world.submit(&mut eng, JobSpec::new("Laghos", 60), Box::new(app));

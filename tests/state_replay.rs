@@ -14,14 +14,15 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
+use fluxpm::experiments::{PowerSetup, Scenario};
 use fluxpm::flux::{Engine, FluxEngine, JobSpec, Module, Rank, World};
 use fluxpm::hw::{MachineKind, NodeId, Watts};
 use fluxpm::manager::cluster::CLUSTER_MANAGER;
 use fluxpm::manager::job_mgr::JOB_MANAGER;
 use fluxpm::manager::{ClusterLevelManager, JobLevelManager, ManagerConfig};
 use fluxpm::monitor::root_agent::{RootAgent, ROOT_AGENT};
-use fluxpm::monitor::{MonitorConfig, MonitorQuery};
-use fluxpm::sim::{SimDuration, SimTime, Trace, TraceLevel};
+use fluxpm::monitor::{MonitorConfig, MonitorQuery, RPC_DEADLINE};
+use fluxpm::sim::{SimDuration, SimTime, TraceLevel};
 use fluxpm::workloads::{laghos, App, JitterModel};
 
 /// Debug-format a live root service's snapshot, fetched from the
@@ -56,13 +57,15 @@ fn replay_fingerprint<M: Module>(w: &World, module: &mut M) -> String {
 #[test]
 fn full_instance_death_replays_to_precrash_state() {
     let bound = Watts(4800.0);
-    let mut w = World::new(MachineKind::Lassen, 4, 23);
-    w.trace = Trace::enabled(TraceLevel::Info);
-    let mut eng: FluxEngine = Engine::new();
-    fluxpm::manager::load(&mut w, &mut eng, ManagerConfig::proportional(bound));
-    let mon_cfg = MonitorConfig::default();
-    fluxpm::monitor::load(&mut w, &mut eng, mon_cfg.clone());
-    w.install_executor(&mut eng);
+    let (mut w, mut eng, _) = Scenario::new(MachineKind::Lassen, 4)
+        .with_seed(23)
+        .with_trace(TraceLevel::Info)
+        .with_power(PowerSetup::Managed {
+            static_node_cap: None,
+            config: ManagerConfig::proportional(bound),
+        })
+        .with_monitor(MonitorConfig::default())
+        .build();
 
     // Periodic snapshots, so the crash-time replay exercises
     // restore(snapshot at t=20) + apply(tail), not a cold full-log fold.
@@ -165,7 +168,7 @@ fn full_instance_death_replays_to_precrash_state() {
         pre[JOB_MANAGER],
         "job-manager limit mirrors replay byte-identically"
     );
-    let mut agent = RootAgent::new(mon_cfg.rpc_deadline);
+    let mut agent = RootAgent::new(RPC_DEADLINE);
     assert_eq!(
         replay_fingerprint(&w, &mut agent),
         pre[ROOT_AGENT],
@@ -218,12 +221,15 @@ fn full_instance_death_replays_to_precrash_state() {
 /// or appends — so replay cannot feed back into the log).
 #[test]
 fn replay_is_idempotent_and_silent() {
-    let mut w = World::new(MachineKind::Lassen, 4, 29);
-    let mut eng: FluxEngine = Engine::new();
+    let (mut w, mut eng, _) = Scenario::new(MachineKind::Lassen, 4)
+        .with_seed(29)
+        .with_power(PowerSetup::Managed {
+            static_node_cap: None,
+            config: ManagerConfig::proportional(Watts(4800.0)),
+        })
+        .with_monitor(MonitorConfig::default())
+        .build();
     w.autostop_after = Some(1);
-    fluxpm::manager::load(&mut w, &mut eng, ManagerConfig::proportional(Watts(4800.0)));
-    fluxpm::monitor::load(&mut w, &mut eng, MonitorConfig::default());
-    w.install_executor(&mut eng);
     w.submit(
         &mut eng,
         JobSpec::new("Laghos", 2),

@@ -17,7 +17,8 @@ use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
-use fluxpm::flux::{Engine, FluxEngine, JobSpec, Rank, World};
+use fluxpm::experiments::Scenario;
+use fluxpm::flux::{FluxEngine, JobSpec, Rank, World};
 use fluxpm::hw::{MachineKind, NodeId};
 use fluxpm::monitor::{
     DeltaBatch, MonitorConfig, MonitorQuery, QueryHandle, SubscriptionFilter, TelemetryDelta,
@@ -29,10 +30,10 @@ use fluxpm::workloads::{laghos, App, JitterModel};
 /// A 4-node world (TBON: 0 -> {1, 2}, 1 -> {3}) with sample pushes
 /// every 2 s and one long job, so telemetry flows the whole window.
 fn pushing_world(config: MonitorConfig) -> (World, FluxEngine) {
-    let mut w = World::new(MachineKind::Lassen, 4, 37);
-    let mut eng: FluxEngine = Engine::new();
-    fluxpm::monitor::load(&mut w, &mut eng, config);
-    w.install_executor(&mut eng);
+    let (mut w, mut eng, _) = Scenario::new(MachineKind::Lassen, 4)
+        .with_seed(37)
+        .with_monitor(config)
+        .build();
     w.submit(
         &mut eng,
         JobSpec::new("Laghos", 4),
