@@ -30,9 +30,11 @@ pub trait Module: 'static {
     /// Handle a message addressed to one of this module's topics.
     fn handle(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message);
 
-    /// Periodic-timer callback, driven by
-    /// [`World::schedule_module_timer`](crate::World::schedule_module_timer).
-    /// `tag` distinguishes multiple timers on one module. Default: no-op.
+    /// Timer callback, driven by
+    /// [`World::schedule_module_timer`](crate::World::schedule_module_timer)
+    /// (periodic) or [`World::wake_module`](crate::World::wake_module)
+    /// (once). `tag` distinguishes multiple timers on one module.
+    /// Default: no-op.
     fn timer(&mut self, ctx: &mut ModuleCtx<'_>, tag: u64) {
         let _ = (ctx, tag);
     }

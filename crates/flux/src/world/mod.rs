@@ -52,9 +52,9 @@ use std::rc::Rc;
 pub type FluxEngine = Engine<World, FluxEvent>;
 
 /// The events the overlay schedules by the million, which the engine
-/// stores by value in its slab: a message in flight and an armed RPC
-/// deadline allocate nothing. Everything rarer — module timers, the
-/// executor, retry backoff — is a closure.
+/// stores by value in its slab: a message in flight, an armed RPC
+/// deadline and a module wake allocate nothing. Everything rarer —
+/// periodic module timers, the executor, retry backoff — is a closure.
 pub enum FluxEvent {
     /// A message in flight, with the route it was launched on;
     /// [`World::send`] schedules it for the instant it arrives.
@@ -79,6 +79,18 @@ pub enum FluxEvent {
         /// How long the requester waited.
         deadline: SimDuration,
     },
+    /// One [`Module::timer`](crate::Module::timer) call, armed by
+    /// [`World::wake_module`].
+    Wake {
+        /// The rank hosting the module.
+        rank: Rank,
+        /// The module, looked up by name when the wake fires.
+        module: &'static str,
+        /// The broker incarnation the wake was armed in.
+        incarnation: u64,
+        /// Handed to the module's `timer`.
+        tag: u64,
+    },
 }
 
 impl Event<World> for FluxEvent {
@@ -92,6 +104,14 @@ impl Event<World> for FluxEvent {
                 tag,
                 deadline,
             } => world.expire_rpc(eng, topic, from, to, tag, deadline),
+            FluxEvent::Wake {
+                rank,
+                module,
+                incarnation,
+                tag,
+            } => {
+                fire_module_timer(world, eng, rank, module, incarnation, tag);
+            }
         }
     }
 }
@@ -361,19 +381,38 @@ impl World {
     ) -> fluxpm_sim::EventId {
         let incarnation = self.brokers[rank.index()].incarnation();
         eng.schedule_every(start, interval, move |world: &mut World, eng| {
-            if world.halted {
+            if world.halted || !fire_module_timer(world, eng, rank, module_name, incarnation, tag) {
                 return ControlFlow::Break(());
             }
-            if world.brokers[rank.index()].incarnation() != incarnation {
-                return ControlFlow::Break(());
-            }
-            let Some(module) = world.brokers[rank.index()].module(module_name) else {
-                return ControlFlow::Break(());
-            };
-            let mut ctx = ModuleCtx { world, eng, rank };
-            module.borrow_mut().timer(&mut ctx, tag);
             ControlFlow::Continue(())
         })
+    }
+
+    /// Call a loaded module's [`Module::timer`](crate::Module::timer)
+    /// with `tag` once, at the end of the current instant: the wake is
+    /// queued at `now` behind every event already queued for it. In a
+    /// sharded replica, keyed deliveries run after an instant's plain
+    /// events, so a wake armed by one of them runs before that instant's
+    /// remaining deliveries. Like [`World::schedule_module_timer`], the
+    /// wake is pinned to the broker's incarnation and finds the module by
+    /// name when it fires, so a rank that failed in between is not woken;
+    /// unlike it, the wake is one-shot, fires in a halted world too, and is
+    /// a typed event, so arming it allocates nothing.
+    pub fn wake_module(
+        &mut self,
+        eng: &mut FluxEngine,
+        rank: Rank,
+        module: &'static str,
+        tag: u64,
+    ) {
+        let incarnation = self.brokers[rank.index()].incarnation();
+        let wake = FluxEvent::Wake {
+            rank,
+            module,
+            incarnation,
+            tag,
+        };
+        eng.schedule_event(eng.now(), 0, wake);
     }
 
     /// Send a message over the overlay; it is delivered after the TBON
@@ -887,6 +926,29 @@ fn pick_nodes<'a>(nodes: &'a mut [NodeHardware], ids: &[NodeId]) -> Vec<&'a mut 
         next = index + 1;
     }
     picked.into_iter().flatten().collect()
+}
+
+/// Run `module`'s timer on `rank` if the broker is still in the
+/// incarnation the timer was armed in and the module is loaded there;
+/// returns whether it ran.
+fn fire_module_timer(
+    world: &mut World,
+    eng: &mut FluxEngine,
+    rank: Rank,
+    module: &'static str,
+    incarnation: u64,
+    tag: u64,
+) -> bool {
+    let broker = &world.brokers[rank.index()];
+    if broker.incarnation() != incarnation {
+        return false;
+    }
+    let Some(module) = broker.module(module) else {
+        return false;
+    };
+    let mut ctx = ModuleCtx { world, eng, rank };
+    module.borrow_mut().timer(&mut ctx, tag);
+    true
 }
 
 /// Deliver a message at its destination rank. `route` is the TBON route

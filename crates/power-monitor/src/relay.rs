@@ -41,7 +41,29 @@
 //! The root rank's relay is a relay like any other: the co-located
 //! agent hands it each stamped delta through the same `ingest` that
 //! takes a batch off the wire. It differs only where the tree ends — it
-//! has no parent to climb to, so it asks the agent for the seed.
+//! has no parent to climb to, so it asks the agent for the seed — and
+//! in when it flushes.
+//!
+//! ## One flush per simulated instant
+//!
+//! A batch off the wire is forwarded before `ingest` returns. What the
+//! root agent hands over goes into the local subscribers' queues at
+//! once, but on the child edges it is only staged: the first hand-off
+//! of an instant arms a wake ([`World::wake_module`]) queued behind
+//! every event already pending for that instant, and the wake flushes
+//! the plane. The deltas of every push that lands in one instant
+//! therefore cross each edge as one batch, and a coalesced batch stays
+//! one message per edge all the way down, since every later hop passes
+//! on what it was handed. A batch still leaves in the instant its
+//! deltas were published. Two rules keep this exact: the root flushes
+//! before an edge batch would reach [`crate::DEFAULT_RELAY_BATCH_CAPACITY`]
+//! (a large instant is split, never coalesced or shed), and before it
+//! takes a seed from the agent (below). In a sharded replica the
+//! instant's keyed deliveries run after its plain events, so a wake
+//! armed by one of them runs before the rest and batches less; the
+//! stream is the same at every shard count.
+//!
+//! [`World::wake_module`]: fluxpm_flux::World::wake_module
 //!
 //! ## Gap-free subscription hand-off
 //!
@@ -54,10 +76,12 @@
 //! and floors its stream at `H`: a delta covered by the seed is never
 //! also delivered from the stream (no duplicates), and every delta
 //! published after the snapshot flows down the widened edges (no gaps).
-//! Every relay flushes what it ingests before it returns, so everything
-//! below `H` has passed a relay by the time the seed reaches it — which
-//! lets its ingest high-water mark jump to `H` without cutting into an
-//! earlier subscriber's stream.
+//! The root flushes what it has staged before it takes the seed, and
+//! every other relay forwards a batch before its `ingest` returns, so
+//! everything below `H` leaves the root ahead of the seed and is passed
+//! on as soon as it reaches a relay — which lets the origin's ingest
+//! high-water mark jump to `H` without cutting into an earlier
+//! subscriber's stream.
 
 use crate::proto::{
     DeltaBatch, MonitorReply, MonitorRequest, PollRequest, RelayAdvert, RelayDeltaBatch,
@@ -414,6 +438,18 @@ impl RelayPlane {
         }
     }
 
+    /// Whether some edge has a delta staged.
+    pub(crate) fn is_staged(&self) -> bool {
+        self.edges.values().any(|e| !e.batch.deltas.is_empty())
+    }
+
+    /// Whether some edge's batch is at the capacity, so that staging one
+    /// more delta there would coalesce or shed.
+    pub(crate) fn is_full(&self) -> bool {
+        let cap = self.batch_capacity;
+        self.edges.values().any(|e| e.batch.deltas.len() >= cap)
+    }
+
     /// [`RelayPlane::flush_with`] collected into a vector, for callers
     /// that inspect the batches rather than send them.
     pub fn flush(&mut self) -> Vec<(u32, RelayDeltaBatch)> {
@@ -464,7 +500,12 @@ pub struct TelemetryRelay {
     /// latest-state semantics make dropping the stale copy correct
     /// (and duplicate-free). A seed raises it to its horizon.
     next_ingest: u64,
+    /// Whether the end-of-instant flush of staged hand-offs is armed.
+    flush_armed: bool,
 }
+
+/// Module-timer tag of the end-of-instant flush.
+const TIMER_FLUSH: u64 = 0;
 
 /// The relay's topics, interned once when the relay is built: the seven
 /// it serves, four of which it also sends on.
@@ -503,6 +544,7 @@ impl TelemetryRelay {
             next_token: 1,
             advertised: None,
             next_ingest: 0,
+            flush_armed: false,
         }
     }
 
@@ -519,10 +561,12 @@ impl TelemetryRelay {
     /// The one way deltas enter a relay, whether as a `RelayDeltas`
     /// batch off the wire or handed over by the co-located root agent:
     /// into the local subscribers' queues, onto every interested child
-    /// edge, and out — one wire message per edge per call. `arrived` is
-    /// the batch `deltas` came in and the payload that carried it (none
-    /// at the root agent's hand-off): an edge that wants exactly that
-    /// batch is sent that payload ([`RelayPlane::flush_with`]).
+    /// edge, and out. `arrived` is the batch `deltas` came in and the
+    /// payload that carried it: the edges are flushed now, one wire
+    /// message each, and an edge that wants exactly that batch is sent
+    /// that payload ([`RelayPlane::flush_with`]). A hand-off (`None`)
+    /// stays staged until the end of the instant, unless an edge batch
+    /// is full first (see the module docs).
     pub(crate) fn ingest(
         &mut self,
         ctx: &mut ModuleCtx<'_>,
@@ -536,18 +580,31 @@ impl TelemetryRelay {
             }
             self.next_ingest = delta.seq + 1;
             self.hub.dispatch(delta);
+            if self.plane.is_full() {
+                self.flush(ctx, None);
+            }
             self.plane.offer(delta);
         }
+        if arrived.is_some() {
+            self.flush(ctx, arrived);
+        } else if !self.flush_armed && self.plane.is_staged() {
+            self.flush_armed = true;
+            ctx.world.wake_module(ctx.eng, ctx.rank, RELAY, TIMER_FLUSH);
+        }
+        if self.hub.evicted() != evicted_before {
+            // Evictions may have narrowed what this subtree wants.
+            self.maybe_advertise(ctx);
+        }
+    }
+
+    /// Send every staged edge batch, one wire message per edge.
+    fn flush(&mut self, ctx: &mut ModuleCtx<'_>, arrived: Option<(&RelayDeltaBatch, &Payload)>) {
         let topic = &self.topics.relay_deltas;
         self.plane.flush_with(
             arrived,
             |batch| MonitorRequest::RelayDeltas(batch).encode(),
             |child, payload| Self::send_event(ctx, Rank(child), topic, payload),
         );
-        if self.hub.evicted() != evicted_before {
-            // Evictions may have narrowed what this subtree wants.
-            self.maybe_advertise(ctx);
-        }
     }
 
     fn is_root(ctx: &ModuleCtx<'_>) -> bool {
@@ -556,11 +613,14 @@ impl TelemetryRelay {
 
     /// The co-located root agent's seed for `filter` — the only call a
     /// relay makes into the agent. `None` when this rank does not host
-    /// the root agent.
+    /// the root agent. What is staged is flushed first, so every delta
+    /// below the seed's horizon leaves this rank before the seed does.
     fn seed_from_agent(
+        &mut self,
         ctx: &mut ModuleCtx<'_>,
         filter: &SubscriptionFilter,
     ) -> Option<(Vec<Arc<TelemetryDelta>>, u64)> {
+        self.flush(ctx, None);
         let module = ctx.world.brokers[ctx.rank.index()].module(ROOT_AGENT)?;
         let mut guard = module.borrow_mut();
         let agent = guard.as_any_mut()?.downcast_mut::<RootAgent>()?;
@@ -623,7 +683,7 @@ impl TelemetryRelay {
         ctx.world.engage_topology_watch();
         if Self::is_root(ctx) {
             // The tree ends here: the sequencer is co-located.
-            let Some((seed, horizon)) = Self::seed_from_agent(ctx, &req.filter) else {
+            let Some((seed, horizon)) = self.seed_from_agent(ctx, &req.filter) else {
                 ctx.world
                     .respond_error(ctx.eng, msg, "monitor root agent not loaded");
                 return;
@@ -663,7 +723,7 @@ impl TelemetryRelay {
         // snapshot already flow through here on their way to the origin.
         self.plane.merge_child(msg.from.0, &req.filter);
         if Self::is_root(ctx) {
-            let Some((deltas, horizon)) = Self::seed_from_agent(ctx, &req.filter) else {
+            let Some((deltas, horizon)) = self.seed_from_agent(ctx, &req.filter) else {
                 return;
             };
             let seed = MonitorReply::RelaySeed(RelaySeedReply {
@@ -754,6 +814,13 @@ impl Module for TelemetryRelay {
     }
 
     fn load(&mut self, _ctx: &mut ModuleCtx<'_>) {}
+
+    fn timer(&mut self, ctx: &mut ModuleCtx<'_>, tag: u64) {
+        if tag == TIMER_FLUSH {
+            self.flush_armed = false;
+            self.flush(ctx, None);
+        }
+    }
 
     fn handle(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
         match msg.kind {
@@ -1161,5 +1228,87 @@ mod tests {
         plane.set_child(1, AggregateFilter::empty());
         assert!(plane.flush().is_empty(), "edge and pending batch gone");
         assert_eq!(plane.children().count(), 0);
+    }
+
+    #[test]
+    fn a_plane_is_staged_until_flushed_and_full_at_its_capacity() {
+        let mut plane = RelayPlane::new(2);
+        plane.offer(&delta(0, 1, 0, None));
+        assert!(!plane.is_staged(), "no edge to stage on");
+        let mut narrow = AggregateFilter::empty();
+        narrow.insert(&SubscriptionFilter::all().with_nodes(vec![1]));
+        plane.set_child(1, narrow);
+        plane.set_child(2, AggregateFilter::everything());
+        plane.offer(&delta(1, 5, 0, None));
+        assert!(plane.is_staged() && !plane.is_full());
+        plane.offer(&delta(2, 6, 0, None));
+        assert!(plane.is_full(), "edge 2 holds two");
+        plane.flush();
+        assert!(!plane.is_staged() && !plane.is_full());
+    }
+
+    /// Pushes that reach the root in one instant are in the root's local
+    /// queues as each is handed over, and on its edges only at the end
+    /// of the instant: one wake, one message per edge.
+    #[test]
+    fn the_root_relay_flushes_once_at_the_end_of_the_instant() {
+        use crate::proto::SamplePush;
+        use crate::subscription::TOPIC_SAMPLE_PUSH;
+        use crate::{MonitorConfig, MonitorQuery};
+        use fluxpm_flux::{FluxEngine, World};
+        use fluxpm_hw::MachineKind;
+        use fluxpm_sim::{Engine, SimDuration};
+
+        fn root_relay<R>(w: &World, f: impl FnOnce(&TelemetryRelay) -> R) -> R {
+            let module = w.brokers[0].module(RELAY).expect("relay loaded");
+            let mut guard = module.borrow_mut();
+            f(guard.as_any_mut().unwrap().downcast_mut().unwrap())
+        }
+
+        // Binary TBON: 0 → {1, 2}, 1 → {3}; subscribers at 0, 2 and 3.
+        let mut w = World::new(MachineKind::Lassen, 4, 3);
+        let mut eng: FluxEngine = Engine::new();
+        let quiet = MonitorConfig::default().with_sample_interval(SimDuration::from_secs(100_000));
+        assert!(crate::load(&mut w, &mut eng, quiet));
+        for rank in [0, 2, 3] {
+            MonitorQuery::subscribe(SubscriptionFilter::all())
+                .at(Rank(rank))
+                .send(&mut w, &mut eng);
+        }
+        let settled = eng.now() + SimDuration::from_millis(10);
+        eng.run_until(&mut w, settled);
+
+        const K: usize = 4;
+        for node in 0..K as u32 {
+            let push = SamplePush {
+                node,
+                timestamp_us: 1,
+                node_w: 1.0,
+            };
+            w.rpc(
+                Rank(0),
+                TOPIC_SAMPLE_PUSH,
+                MonitorRequest::PushSample(push).encode(),
+            )
+            .send(&mut eng, |_, _, _| {});
+        }
+        let instant = eng.now();
+        for _ in 0..K {
+            assert_eq!(eng.step(&mut w), Some(instant), "a push delivery");
+        }
+        root_relay(&w, |r| {
+            assert_eq!(r.hub.stats(1).map(|s| s.queued), Some(K), "queued at once");
+            assert_eq!(r.plane.egress_msgs(), 0, "nothing sent yet");
+            assert!(r.plane.is_staged() && r.flush_armed);
+        });
+        // The wake, queued behind the pushes of its instant.
+        assert_eq!(eng.step(&mut w), Some(instant));
+        root_relay(&w, |r| {
+            assert_eq!(
+                (r.plane.egress_msgs(), r.plane.egress_deltas()),
+                (2, 2 * K as u64)
+            );
+            assert!(!r.plane.is_staged() && !r.flush_armed);
+        });
     }
 }

@@ -19,8 +19,9 @@
 //! as the node's latest — then hands the stamped delta to the
 //! [`TelemetryRelay`] on its own rank, the root of the relay tree, which
 //! delivers it like any delta a relay ingests: to the subscribers
-//! attached at this rank and once per interested child edge (see
-//! [`crate::relay`]). The agent holds no subscriber, edge or batch.
+//! attached at this rank, and once per interested child edge in one
+//! batch per instant (see [`crate::relay`]). The agent holds no
+//! subscriber, edge or batch.
 
 use crate::log::Records;
 use crate::node_agent::{TOPIC_NODE_DATA, TOPIC_NODE_STATS};
@@ -318,9 +319,10 @@ impl RootAgent {
         self.sequencer.seed_for(filter)
     }
 
-    /// Hand one freshly stamped delta to the relay on this rank —
-    /// synchronously, so its edge batches leave in the same instant the
-    /// push arrived.
+    /// Hand one freshly stamped delta to the relay on this rank. Its
+    /// local subscribers have it when this returns; the relay stages it
+    /// on its child edges and sends them, with every other delta handed
+    /// over in this instant, at the end of the instant.
     fn hand_off(ctx: &mut ModuleCtx<'_>, delta: Arc<TelemetryDelta>) {
         if let Some(module) = ctx.world.brokers[ctx.rank.index()].module(RELAY) {
             let mut guard = module.borrow_mut();
@@ -479,6 +481,13 @@ impl RootAgent {
     }
 
     fn on_push(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message, push: SamplePush) {
+        // The sequencer's latest-per-node table is indexed by node: a
+        // push naming a node outside the instance must not size it.
+        if push.node >= ctx.world.size() {
+            ctx.world
+                .respond_error(ctx.eng, msg, format!("no such node {}", push.node));
+            return;
+        }
         self.pushes_received += 1;
         // Job attribution happens here: the node agent stays stateless,
         // and the instance's job registry is authoritative at the root.

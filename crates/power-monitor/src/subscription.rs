@@ -249,13 +249,25 @@ pub struct SubscriberStats {
 /// handed to a [`TelemetryHub`] for delivery.
 #[derive(Default)]
 pub struct TelemetrySequencer {
-    /// Latest delta per node — the snapshot a (re-)subscriber resumes
-    /// from.
-    latest: BTreeMap<u32, Arc<TelemetryDelta>>,
-    /// Latest link delta per child rank, kept apart from `latest` so a
-    /// link report never clobbers the same rank's power snapshot.
-    latest_links: BTreeMap<u32, Arc<TelemetryDelta>>,
+    /// Latest delta per node, indexed by node — the snapshot a
+    /// (re-)subscriber resumes from. Nodes are ranks, so the table is
+    /// dense.
+    latest: Vec<Option<Arc<TelemetryDelta>>>,
+    /// Latest link delta per child rank, indexed by rank and kept apart
+    /// from `latest` so a link report never clobbers the same rank's
+    /// power snapshot.
+    latest_links: Vec<Option<Arc<TelemetryDelta>>>,
     next_seq: u64,
+}
+
+/// Record `delta` as the latest in `slots` at `at`, growing the table to
+/// reach it.
+fn keep_latest(slots: &mut Vec<Option<Arc<TelemetryDelta>>>, at: u32, delta: &Arc<TelemetryDelta>) {
+    let at = at as usize;
+    if at >= slots.len() {
+        slots.resize(at + 1, None);
+    }
+    slots[at] = Some(Arc::clone(delta));
 }
 
 impl TelemetrySequencer {
@@ -276,7 +288,7 @@ impl TelemetrySequencer {
             link: None,
         });
         self.next_seq += 1;
-        self.latest.insert(node, Arc::clone(&delta));
+        keep_latest(&mut self.latest, node, &delta);
         delta
     }
 
@@ -300,7 +312,7 @@ impl TelemetrySequencer {
             link: Some(sample),
         });
         self.next_seq += 1;
-        self.latest_links.insert(child, Arc::clone(&delta));
+        keep_latest(&mut self.latest_links, child, &delta);
         delta
     }
 
@@ -313,8 +325,9 @@ impl TelemetrySequencer {
     pub fn seed_for(&self, filter: &SubscriptionFilter) -> (Vec<Arc<TelemetryDelta>>, u64) {
         let seed = self
             .latest
-            .values()
-            .chain(self.latest_links.values())
+            .iter()
+            .chain(&self.latest_links)
+            .flatten()
             .filter(|d| filter.matches(d))
             .cloned()
             .collect();
@@ -323,12 +336,12 @@ impl TelemetrySequencer {
 
     /// The latest known sample for a node, if any.
     pub fn latest(&self, node: u32) -> Option<&Arc<TelemetryDelta>> {
-        self.latest.get(&node)
+        self.latest.get(node as usize)?.as_ref()
     }
 
     /// The latest link-health delta for the edge under `child`, if any.
     pub fn latest_link(&self, child: u32) -> Option<&Arc<TelemetryDelta>> {
-        self.latest_links.get(&child)
+        self.latest_links.get(child as usize)?.as_ref()
     }
 }
 

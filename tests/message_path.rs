@@ -136,6 +136,25 @@ impl Rig {
         self.settle();
     }
 
+    /// Inject `k` pushes, for nodes `0..k` round the tree, that all reach
+    /// the root in one instant (the root sends them itself, so no hop
+    /// separates them), and run them out.
+    fn push_burst(&mut self, k: u32) {
+        let (root, ranks) = (self.w.root(), self.w.size());
+        for node in (0..k).map(|i| i % ranks) {
+            self.pushed += 1;
+            let req = MonitorRequest::PushSample(SamplePush {
+                node,
+                timestamp_us: self.pushed * 1_000_000,
+                node_w: 900.0,
+            });
+            self.w
+                .rpc(root, TOPIC_SAMPLE_PUSH, req.encode())
+                .send(&mut self.eng, |_, _, _| {});
+        }
+        self.settle();
+    }
+
     /// Poll every subscription dry.
     fn drain(&mut self) -> Vec<QueryHandle> {
         let polls: Vec<QueryHandle> = self
@@ -169,6 +188,23 @@ impl Rig {
         (allocs, self.egress_msgs() - egress_before)
     }
 
+    /// [`Rig::steady_push_allocs`] for a burst of `k` pushes in one
+    /// instant.
+    fn steady_burst_allocs(&mut self, k: u32) -> (u64, u64) {
+        for _ in 0..3 {
+            self.push_burst(k);
+            self.drain();
+        }
+        let egress_before = self.egress_msgs();
+        let (allocs, ()) = allocs_during(|| self.push_burst(k));
+        for poll in &self.drain() {
+            let batch = poll.deltas().expect("answered").expect("ok");
+            assert_eq!(batch.deltas.len(), k as usize, "the whole burst arrived");
+            assert!(batch.deltas.windows(2).all(|p| p[0].seq < p[1].seq));
+        }
+        (allocs, self.egress_msgs() - egress_before)
+    }
+
     /// Edge messages sent so far: the relay planes' egress over every
     /// rank, read from the modules.
     fn egress_msgs(&self) -> u64 {
@@ -188,13 +224,14 @@ impl Rig {
 /// Heap allocations per relayed edge message: none. The delivery event,
 /// which owns the message and its route, is a value in the engine's
 /// slab. The batch's shared slice and the payload that wraps it are
-/// built once per publish and passed down the tree, not once per edge;
-/// there is no `Rc` around the message, no per-flush vector, no
+/// built once per root flush and passed down the tree, not once per
+/// edge; there is no `Rc` around the message, no per-flush vector, no
 /// per-batch staging buffer, no topic.
 const ALLOCS_PER_EDGE_MESSAGE: u64 = 0;
 
-/// Heap allocations per publish that has any edge to cross: the one
-/// shared slice and the one payload around it.
+/// Heap allocations per root flush — one per instant in which deltas
+/// were published — that has any edge to cross: the one shared slice
+/// and the one payload around it.
 const ALLOCS_PER_PUBLISHED_BATCH: u64 = 2;
 
 #[test]
@@ -238,6 +275,28 @@ fn a_publish_builds_one_slice_and_one_payload_for_the_tree() {
     let (a1, _) = Rig::new(16, 4, &[4]).steady_push_allocs();
     let (a15, _) = Rig::new(16, 4, &leaves).steady_push_allocs();
     assert_eq!((a0, a1, a15), (3, 5, 5));
+}
+
+#[test]
+fn an_instant_of_pushes_builds_one_slice_and_one_payload_for_the_tree() {
+    // The root relay stages what one instant hands it and flushes once:
+    // k pushes cost their 3 blocks each, and the 15 edges below cost one
+    // batch between them, however many deltas it carries.
+    const K: u32 = 12;
+    const ALLOCS_PER_PUSH: u64 = 3;
+    let leaves: Vec<u32> = (4..16).collect();
+    let (a0, sent) = Rig::new(16, 4, &[0]).steady_burst_allocs(K);
+    assert_eq!(sent, 0);
+    let (a15, sent) = Rig::new(16, 4, &leaves).steady_burst_allocs(K);
+    assert_eq!(sent, 15, "one message per edge for the whole instant");
+    let per_pushes = K as u64 * ALLOCS_PER_PUSH;
+    assert_eq!(
+        (a0, a15),
+        (
+            per_pushes,
+            per_pushes + ALLOCS_PER_PUBLISHED_BATCH + 15 * ALLOCS_PER_EDGE_MESSAGE
+        )
+    );
 }
 
 /// A two-rank world with a service on rank 1 that echoes each request

@@ -11,18 +11,24 @@
 //! and exercise the two failure modes the design calls out: root
 //! failover (subscriptions at surviving relays resume, gap-checked,
 //! duplicate-free) and subscriber broker death (fresh relay,
-//! re-subscribe re-seeds from the latest snapshot).
+//! re-subscribe re-seeds from the latest snapshot). The last group lands
+//! many pushes in one simulated instant, which the root relay sends down
+//! each edge as one batch at the end of the instant: the split at the
+//! batch capacity, a subscribe racing the staged batch, and a root that
+//! dies before its flush.
 
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
 use fluxpm::experiments::Scenario;
-use fluxpm::flux::{FluxEngine, JobSpec, Rank, World};
+use fluxpm::flux::{FluxEngine, JobSpec, Protocol, Rank, Tbon, Topic, World};
 use fluxpm::hw::{MachineKind, NodeId};
+use fluxpm::monitor::relay::TOPIC_RELAY_DELTAS;
+use fluxpm::monitor::subscription::TOPIC_SAMPLE_PUSH;
 use fluxpm::monitor::{
-    DeltaBatch, MonitorConfig, MonitorQuery, QueryHandle, SubscriptionFilter, TelemetryDelta,
-    TelemetryRelay, RELAY,
+    DeltaBatch, MonitorConfig, MonitorQuery, MonitorRequest, QueryHandle, SamplePush, SubscriberId,
+    SubscriptionFilter, TelemetryDelta, TelemetryRelay, DEFAULT_RELAY_BATCH_CAPACITY, RELAY,
 };
 use fluxpm::sim::{SimDuration, SimTime};
 use fluxpm::workloads::{laghos, App, JitterModel};
@@ -549,5 +555,299 @@ fn broker_death_drops_local_subscribers_and_resubscribe_reseeds() {
     assert!(
         w.brokers[leaf.0 as usize].module(RELAY).is_some(),
         "recovered broker hosts a fresh relay"
+    );
+}
+
+// ---------------------------------------------------------------------
+// Many pushes in one instant
+// ---------------------------------------------------------------------
+
+/// A 16-rank world on a fanout-4 TBON — three levels, 0 → 1..=4 →
+/// 5..=15 — whose node agents never push: every delta is one a test
+/// injects, so the test decides which land at the root in one instant.
+fn quiet_tree() -> (World, FluxEngine) {
+    let config = MonitorConfig::default()
+        .with_sample_interval(SimDuration::from_secs(100_000))
+        .with_subscriber_queue_capacity(8192);
+    let (mut w, eng, _) = Scenario::new(MachineKind::Lassen, 16)
+        .with_seed(41)
+        .with_monitor(config)
+        .build();
+    w.tbon = Tbon::new(16, 4);
+    (w, eng)
+}
+
+/// Send one sample push per entry of `nodes` to the root, from `from`.
+/// Sent from the root itself, they all reach it in the current instant.
+fn push_from(w: &mut World, eng: &mut FluxEngine, from: Rank, nodes: impl Iterator<Item = u32>) {
+    let root = w.root();
+    for node in nodes {
+        let req = MonitorRequest::PushSample(SamplePush {
+            node,
+            timestamp_us: eng.now().as_micros(),
+            node_w: 900.0,
+        });
+        w.rpc(root, TOPIC_SAMPLE_PUSH, req.encode())
+            .from(from)
+            .send(eng, |_, _, _| {});
+    }
+}
+
+/// Run everything in flight out (10 simulated ms cover any route of this
+/// tree many times over).
+fn settle(w: &mut World, eng: &mut FluxEngine) {
+    let until = eng.now() + SimDuration::from_millis(10);
+    eng.run_until(w, until);
+}
+
+/// Subscribe to everything at each of `ranks` and run the seeds home.
+fn subscribe_everywhere(
+    w: &mut World,
+    eng: &mut FluxEngine,
+    ranks: &[u32],
+) -> Vec<(Rank, SubscriberId)> {
+    let handles: Vec<(Rank, QueryHandle)> = ranks
+        .iter()
+        .map(|&r| {
+            let q = MonitorQuery::subscribe(SubscriptionFilter::all()).at(Rank(r));
+            (Rank(r), q.send(w, eng))
+        })
+        .collect();
+    settle(w, eng);
+    handles
+        .into_iter()
+        .map(|(r, h)| (r, h.subscription().expect("answered").expect("subscribed")))
+        .collect()
+}
+
+/// Poll `sub` at `rank` dry.
+fn drain(w: &mut World, eng: &mut FluxEngine, (rank, sub): (Rank, SubscriberId)) -> DeltaBatch {
+    let q = MonitorQuery::poll(sub, 8192).at(rank).send(w, eng);
+    settle(w, eng);
+    q.deltas().expect("poll answered").expect("poll ok")
+}
+
+fn seqs(batch: &DeltaBatch) -> Vec<u64> {
+    batch.deltas.iter().map(|d| d.seq).collect()
+}
+
+/// Edge messages and the deltas they carried, over every relay.
+fn egress(w: &mut World) -> (u64, u64) {
+    let mut total = (0, 0);
+    for r in 0..w.size() {
+        if w.brokers[r as usize].module(RELAY).is_some() {
+            let (msgs, deltas) = with_relay(w, Rank(r), |relay| {
+                (relay.plane().egress_msgs(), relay.plane().egress_deltas())
+            });
+            total = (total.0 + msgs, total.1 + deltas);
+        }
+    }
+    total
+}
+
+/// k pushes landing in one instant cross each interested edge as one
+/// `RelayDeltas` message, and every subscriber — at the root and on
+/// every leaf, at depth 1 and 2 — gets all k in sequence order with
+/// nothing shed.
+#[test]
+fn pushes_in_one_instant_cross_each_edge_as_one_batch() {
+    const K: u64 = 40;
+    let (mut w, mut eng) = quiet_tree();
+    let ranks: Vec<u32> = std::iter::once(0).chain(4..16).collect();
+    let subs = subscribe_everywhere(&mut w, &mut eng, &ranks);
+    let before = egress(&mut w);
+
+    let root = w.root();
+    push_from(&mut w, &mut eng, root, (0..K as u32).map(|i| i % 16));
+    settle(&mut w, &mut eng);
+
+    let after = egress(&mut w);
+    // Subscribers on every leaf: all 15 edges want every delta.
+    assert_eq!(after.0 - before.0, 15, "one message per edge");
+    assert_eq!(after.1 - before.1, 15 * K, "nothing coalesced or shed");
+    for sub in subs {
+        let batch = drain(&mut w, &mut eng, sub);
+        assert_eq!(seqs(&batch), (0..K).collect::<Vec<_>>(), "at {}", sub.0);
+        assert_eq!(batch.dropped, 0);
+    }
+}
+
+/// An instant with more deltas than an edge batch holds is split across
+/// batches before the capacity is reached: nothing is coalesced or shed.
+#[test]
+fn an_instant_past_the_batch_capacity_is_split_not_coalesced() {
+    let k = DEFAULT_RELAY_BATCH_CAPACITY as u64 + 1;
+    let (mut w, mut eng) = quiet_tree();
+    // One subscriber at depth 2: the edges 0 → 1 and 1 → 5.
+    let subs = subscribe_everywhere(&mut w, &mut eng, &[5]);
+    let before = egress(&mut w);
+
+    let root = w.root();
+    // Sixteen nodes round and round: a full batch would have plenty to
+    // coalesce.
+    push_from(&mut w, &mut eng, root, (0..k as u32).map(|i| i % 16));
+    settle(&mut w, &mut eng);
+
+    let after = egress(&mut w);
+    assert_eq!(after.0 - before.0, 2 * 2, "two batches per edge");
+    assert_eq!(after.1 - before.1, 2 * k);
+    let batch = drain(&mut w, &mut eng, subs[0]);
+    assert_eq!(seqs(&batch), (0..k).collect::<Vec<_>>());
+    assert_eq!(batch.dropped, 0);
+}
+
+/// A subscribe served at the root in the instant deltas are staged
+/// there. Local queues take a delta at once, so a poll in that instant
+/// already holds it; the newcomer's seed covers the instant and its
+/// stream picks up at the horizon; a leaf's stream is whole.
+#[test]
+fn a_root_subscribe_in_the_instant_of_staged_deltas_is_gap_free() {
+    const K: u64 = 8;
+    let (mut w, mut eng) = quiet_tree();
+    let subs = subscribe_everywhere(&mut w, &mut eng, &[0, 5]);
+    let (a, leaf) = (subs[0], subs[1]);
+
+    // One instant at the root: K pushes, then B's subscribe and A's
+    // poll, all ahead of the relay's end-of-instant flush.
+    let root = w.root();
+    push_from(&mut w, &mut eng, root, 0..K as u32);
+    let b = MonitorQuery::subscribe(SubscriptionFilter::all())
+        .at(root)
+        .send(&mut w, &mut eng);
+    let a_first = MonitorQuery::poll(a.1, 8192)
+        .at(root)
+        .send(&mut w, &mut eng);
+    settle(&mut w, &mut eng);
+    let a_first = a_first.deltas().expect("answered").expect("ok");
+    assert_eq!(seqs(&a_first), (0..K).collect::<Vec<_>>(), "queued at once");
+    let b = (
+        root,
+        b.subscription().expect("answered").expect("subscribed"),
+    );
+
+    push_from(&mut w, &mut eng, root, K as u32..2 * K as u32);
+    settle(&mut w, &mut eng);
+
+    let a_rest = drain(&mut w, &mut eng, a);
+    assert_eq!(seqs(&a_rest), (K..2 * K).collect::<Vec<_>>());
+    // B's seed is the latest per node of the first instant; its stream
+    // starts at the horizon: every delta once.
+    let b_all = drain(&mut w, &mut eng, b);
+    assert_eq!(seqs(&b_all), (0..2 * K).collect::<Vec<_>>());
+    let leaf_all = drain(&mut w, &mut eng, leaf);
+    assert_eq!(seqs(&leaf_all), (0..2 * K).collect::<Vec<_>>());
+}
+
+/// A climbing subscribe that reaches the root in the instant deltas are
+/// staged there. The root flushes before it takes the seed, so the
+/// staged batch leaves ahead of the seed: the origin relay passes it to
+/// its earlier subscriber before the seed raises its high-water mark.
+#[test]
+fn a_climbing_subscribe_in_the_instant_of_staged_deltas_is_gap_free() {
+    const K: u64 = 8;
+    let (mut w, mut eng) = quiet_tree();
+    let subs = subscribe_everywhere(&mut w, &mut eng, &[1]);
+    let a = subs[0];
+
+    // B's subscribe reaches rank 1 one hop from now and climbs to the
+    // root one hop later; the pushes, sent now from rank 5 two hops
+    // below the root, reach it in that same instant and ahead of it.
+    let b = MonitorQuery::subscribe(SubscriptionFilter::all())
+        .at(Rank(1))
+        .send(&mut w, &mut eng);
+    push_from(&mut w, &mut eng, Rank(5), 0..K as u32);
+    settle(&mut w, &mut eng);
+    let b = (
+        Rank(1),
+        b.subscription().expect("answered").expect("subscribed"),
+    );
+
+    let root = w.root();
+    push_from(&mut w, &mut eng, root, K as u32..2 * K as u32);
+    settle(&mut w, &mut eng);
+
+    let a_all = drain(&mut w, &mut eng, a);
+    assert_eq!(seqs(&a_all), (0..2 * K).collect::<Vec<_>>(), "A has a hole");
+    let b_all = drain(&mut w, &mut eng, b);
+    assert_eq!(
+        seqs(&b_all),
+        (0..2 * K).collect::<Vec<_>>(),
+        "B: seed, then stream"
+    );
+}
+
+/// A root that dies between a hand-off and its end-of-instant flush
+/// sends nothing from the dead rank: its staged deltas die with it, as
+/// a batch in flight through it would. The successor's streams resume
+/// with the next deltas, in order and without duplicates.
+#[test]
+fn a_root_that_dies_before_its_flush_sends_nothing_and_the_successor_resumes() {
+    const K: u64 = 6;
+    let (mut w, mut eng) = quiet_tree();
+    // The successor itself, a leaf below it, and a leaf whose parent
+    // re-parents under it.
+    let subs = subscribe_everywhere(&mut w, &mut eng, &[1, 5, 9]);
+    let root = w.root();
+    push_from(&mut w, &mut eng, root, 1..=K as u32);
+    settle(&mut w, &mut eng);
+
+    // Stamped and staged, then the root dies in the same instant.
+    let dead = w.brokers[0].module(RELAY).expect("root relay");
+    let sent_before = with_relay(&mut w, root, |r| r.plane().egress_msgs());
+    push_from(&mut w, &mut eng, root, 1..=K as u32);
+    eng.schedule(eng.now(), |w: &mut World, eng| w.fail_node(eng, NodeId(0)));
+    settle(&mut w, &mut eng);
+    let sent_after = {
+        let mut guard = dead.borrow_mut();
+        let relay = guard
+            .as_any_mut()
+            .and_then(|a| a.downcast_mut::<TelemetryRelay>());
+        relay.expect("concrete relay").plane().egress_msgs()
+    };
+    assert_eq!(sent_after, sent_before, "the dead relay flushed");
+    let relay_topic = Topic::intern(TOPIC_RELAY_DELTAS);
+    let drops = w.rpc_stats().get(&relay_topic).map_or(0, |s| s.drops);
+    assert_eq!(drops, 0, "a batch was sent from the dead rank");
+
+    let successor = w.root();
+    assert_eq!(successor, Rank(1));
+    push_from(&mut w, &mut eng, successor, 1..=K as u32);
+    settle(&mut w, &mut eng);
+
+    // Sequence numbers K..2K died staged with the old root.
+    let want: Vec<u64> = (0..K).chain(2 * K..3 * K).collect();
+    for sub in subs {
+        let batch = drain(&mut w, &mut eng, sub);
+        assert_eq!(seqs(&batch), want, "at {}", sub.0);
+    }
+}
+
+/// The sequencer's latest-per-node table is indexed by node, so a push
+/// naming a node outside the instance is refused before it is stamped.
+#[test]
+fn a_push_for_a_node_outside_the_instance_is_refused() {
+    let (mut w, mut eng) = quiet_tree();
+    let subs = subscribe_everywhere(&mut w, &mut eng, &[0]);
+    let root = w.root();
+    let req = MonitorRequest::PushSample(SamplePush {
+        node: 1_000,
+        timestamp_us: 0,
+        node_w: 1.0,
+    });
+    let accepted = Rc::new(RefCell::new(None));
+    let out = Rc::clone(&accepted);
+    w.rpc(root, TOPIC_SAMPLE_PUSH, req.encode())
+        .send(&mut eng, move |_, _, resp| {
+            *out.borrow_mut() = Some(resp.is_ok())
+        });
+    settle(&mut w, &mut eng);
+    assert_eq!(*accepted.borrow(), Some(false));
+
+    push_from(&mut w, &mut eng, root, std::iter::once(3));
+    settle(&mut w, &mut eng);
+    assert_eq!(
+        seqs(&drain(&mut w, &mut eng, subs[0])),
+        vec![0],
+        "nothing stamped"
     );
 }
