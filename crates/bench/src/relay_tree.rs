@@ -129,20 +129,21 @@ impl RelayTree {
             deliveries += self.nodes[0].hub.dispatch(&delta) as u64;
             self.nodes[0].plane.offer(&delta);
             // What `TelemetryRelay::ingest` does at every hop: the root
-            // was handed a bare delta, every relay below it the batch
-            // its edge was sent — which it passes on as it is when its
-            // own edges want exactly that.
+            // was handed a bare delta and flushes it, every relay below
+            // it passes on the batch its edge was sent — whole to every
+            // edge that wants all of it.
             self.nodes[0]
                 .plane
-                .flush_with(None, |b| b, |c, b| queue.push_back((c as usize, b)));
+                .flush_with(|b| b, |c, b| queue.push_back((c as usize, b)));
             while let Some((at, batch)) = queue.pop_front() {
                 let n = &mut self.nodes[at];
-                for d in &batch.deltas {
+                for d in batch.deltas.iter() {
                     deliveries += n.hub.dispatch(d) as u64;
-                    n.plane.offer(d);
                 }
-                n.plane.flush_with(
-                    Some((&batch, &batch)),
+                n.plane.pass_on(
+                    &batch,
+                    &batch,
+                    0,
                     |b| b,
                     |c, b| queue.push_back((c as usize, b)),
                 );

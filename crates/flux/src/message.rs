@@ -67,21 +67,16 @@ pub struct Message {
     pub error: Option<String>,
     /// Wire size in bytes, charged against per-link bandwidth when the
     /// message crosses the overlay. Payloads are typed values rather
-    /// than encoded frames, so this is declared, not measured; the
-    /// default models a small control message.
+    /// than encoded frames, so this is declared, not measured: every
+    /// message is [`Message::DEFAULT_SIZE_BYTES`].
     pub size_bytes: u32,
 }
 
 impl Message {
-    /// Default wire size for messages that don't declare one (a typical
-    /// encoded control/telemetry frame).
+    /// The wire size of every message (a typical encoded
+    /// control/telemetry frame).
     pub const DEFAULT_SIZE_BYTES: u32 = 1024;
 
-    /// Declare the message's wire size (builder-style).
-    pub fn with_size(mut self, size_bytes: u32) -> Message {
-        self.size_bytes = size_bytes;
-        self
-    }
     /// Build a request message. `topic` is a [`Topic`] handle (or a
     /// reference to one) on any path that sends more than once — a
     /// refcount bump; a string is interned here, which hashes it.
@@ -266,11 +261,9 @@ mod tests {
     fn wire_size_defaults_and_overrides() {
         let m = Message::request(Rank(0), Rank(1), "t", payload(()));
         assert_eq!(m.size_bytes, Message::DEFAULT_SIZE_BYTES);
-        let big = Message::event(Rank(0), Rank(1), "t", payload(())).with_size(1 << 20);
-        assert_eq!(big.size_bytes, 1 << 20);
-        // Responses are control-sized unless the service says otherwise.
+        // Responses are control-sized too.
         assert_eq!(
-            Message::respond_to(&big, payload(())).size_bytes,
+            Message::respond_to(&m, payload(())).size_bytes,
             Message::DEFAULT_SIZE_BYTES
         );
     }

@@ -30,23 +30,25 @@
 //! modules that rebuild the filter lattice after every topology change
 //! via [`Module::on_topology_change`].
 //!
-//! A batch is built once **for the tree**, not once per edge: a relay
-//! whose edge staged exactly the batch it was just handed, under the
-//! same cumulative `shed`, sends the payload that batch arrived in, and
-//! sibling edges share the first batch built — so a delta published
-//! through match-everything edges is one slice and one payload however
-//! many edges it crosses ([`RelayPlane::flush_with`] has the rule and
-//! what falls back to building).
+//! A batch is built once **for the tree**, not once per edge: a batch
+//! off the wire is passed on whole — the payload it arrived in, a
+//! reference-count bump — to every edge that wants all of it, and only
+//! the other edges stage its deltas and build; sibling edges share the
+//! first batch built. A delta published through match-everything edges
+//! is therefore one slice and one payload however many edges it
+//! crosses, and no relay below the root stages it at all
+//! ([`RelayPlane::pass_on`] has the rule and what falls back to
+//! building).
 //!
 //! The root rank's relay is a relay like any other: the co-located
-//! agent hands it each stamped delta through the same `ingest` that
-//! takes a batch off the wire. It differs only where the tree ends — it
-//! has no parent to climb to, so it asks the agent for the seed — and
-//! in when it flushes.
+//! agent hands it each stamped delta, and the relay puts it into its
+//! local queues and onto its edges as it does a batch off the wire. It
+//! differs only where the tree ends — it has no parent to climb to, so
+//! it asks the agent for the seed — and in when it flushes.
 //!
 //! ## One flush per simulated instant
 //!
-//! A batch off the wire is forwarded before `ingest` returns. What the
+//! A batch off the wire is passed on before `ingest` returns. What the
 //! root agent hands over goes into the local subscribers' queues at
 //! once, but on the child edges it is only staged: the first hand-off
 //! of an instant arms a wake ([`World::wake_module`]) queued behind
@@ -260,17 +262,18 @@ impl EdgeBatch {
         self.deltas.push_back(Arc::clone(delta));
     }
 
-    /// Whether what is staged here *is* `sent`: the same deltas — the
-    /// same allocations, one for one, not equal values — under the same
-    /// cumulative `shed`, so that sending `sent` again says exactly what
-    /// a batch built from this edge would.
-    fn is(&self, sent: &RelayDeltaBatch) -> bool {
-        self.shed == sent.shed
-            && self.deltas.len() == sent.deltas.len()
+    /// Whether what is staged here *is* `built`, the batch a sibling
+    /// edge was just sent: the same deltas — the same allocations, one
+    /// for one, not equal values — under the same cumulative `shed`, so
+    /// that sending `built` again says exactly what a batch built from
+    /// this edge would.
+    fn is(&self, built: &RelayDeltaBatch) -> bool {
+        self.shed == built.shed
+            && self.deltas.len() == built.deltas.len()
             && self
                 .deltas
                 .iter()
-                .zip(&sent.deltas)
+                .zip(&built.deltas)
                 .all(|(a, b)| Arc::ptr_eq(a, b))
     }
 }
@@ -312,14 +315,59 @@ struct Edge {
 #[derive(Debug, Default)]
 pub struct RelayPlane {
     edges: BTreeMap<u32, Edge>,
-    /// Where a flushed batch is lined up before its one allocation (a
-    /// `Vec` drain knows its length, so the shared slice is built in
-    /// place); kept so a flush allocates nothing else.
-    lineup: Vec<Arc<TelemetryDelta>>,
+    egress: Egress,
     batch_capacity: usize,
-    egress_msgs: u64,
-    egress_deltas: u64,
     offered: u64,
+}
+
+/// What leaves a plane, and how a staged edge is turned into a batch.
+#[derive(Debug, Default)]
+struct Egress {
+    /// Where a batch is lined up before its one allocation (a `Vec`
+    /// drain knows its length, so the shared slice is built in place);
+    /// kept so building allocates nothing else.
+    lineup: Vec<Arc<TelemetryDelta>>,
+    msgs: u64,
+    deltas: u64,
+}
+
+impl Egress {
+    /// Count one message of `deltas` deltas.
+    fn count(&mut self, deltas: usize) {
+        self.msgs += 1;
+        self.deltas += deltas as u64;
+    }
+
+    /// Drain what `staged` holds into the form it travels in, or `None`
+    /// when it holds nothing. An edge that *is* `last` — the batch last
+    /// built in this flush ([`EdgeBatch::is`]) — is sent that batch's
+    /// `W` again; any other costs one allocation for its shared slice
+    /// plus whatever `wrap` allocates, and becomes `last`. The edge
+    /// keeps its buffer.
+    fn take<W: Clone>(
+        &mut self,
+        staged: &mut EdgeBatch,
+        last: &mut Option<(RelayDeltaBatch, W)>,
+        wrap: &mut impl FnMut(RelayDeltaBatch) -> W,
+    ) -> Option<W> {
+        if staged.deltas.is_empty() {
+            return None;
+        }
+        staged.distinct = None;
+        self.count(staged.deltas.len());
+        if let Some((_, wire)) = last.as_ref().filter(|(built, _)| staged.is(built)) {
+            staged.deltas.clear();
+            return Some(wire.clone());
+        }
+        self.lineup.extend(staged.deltas.drain(..));
+        let batch = RelayDeltaBatch {
+            deltas: self.lineup.drain(..).collect(),
+            shed: staged.shed,
+        };
+        let wire = wrap(batch.clone());
+        *last = Some((batch, wire.clone()));
+        Some(wire)
+    }
 }
 
 impl RelayPlane {
@@ -390,51 +438,80 @@ impl RelayPlane {
     /// wire message per edge per flush, regardless of how many
     /// subscribers sit below it. `W` is the form a batch travels in (a
     /// relay's wire payload; the batch itself for a caller that inspects
-    /// it) and `wrap` builds it.
+    /// it) and `wrap` builds it. This serves what was staged by
+    /// [`offer`](RelayPlane::offer) — the root's hand-offs; a batch off
+    /// the wire goes through [`pass_on`](RelayPlane::pass_on).
     ///
-    /// **A batch is built once for the tree.** The flush remembers the
-    /// last batch it sent — to begin with `arrived`, the batch this
-    /// relay was handed and the `W` it came in — and an edge that staged
-    /// exactly that batch (the same deltas, [`Arc::ptr_eq`] one for one,
-    /// and the same cumulative `shed`) is sent that `W` again: a
-    /// reference-count bump. Any other edge — a narrower aggregate, a
-    /// delta skipped or left over, a coalesce or a shed, a different
-    /// `shed` — costs one allocation for its shared slice plus whatever
-    /// `wrap` allocates, and becomes the remembered one, so sibling
-    /// edges share with each other too. The edges keep their buffers.
+    /// Sibling edges share the first batch built: an edge that staged
+    /// exactly the batch last built in this flush (the same deltas,
+    /// [`Arc::ptr_eq`] one for one, and the same cumulative `shed`) is
+    /// sent that `W` again, a reference-count bump. Any other edge — a
+    /// narrower aggregate, a coalesce or a shed, a different `shed` —
+    /// costs one allocation for its shared slice plus whatever `wrap`
+    /// allocates, and becomes the one its later siblings are compared
+    /// with. The edges keep their buffers.
     pub fn flush_with<W: Clone>(
         &mut self,
-        arrived: Option<(&RelayDeltaBatch, &W)>,
         mut wrap: impl FnMut(RelayDeltaBatch) -> W,
         mut send: impl FnMut(u32, W),
     ) {
-        let mut built: Option<(RelayDeltaBatch, W)> = None;
+        let mut last = None;
+        for (&child, edge) in self.edges.iter_mut() {
+            if let Some(wire) = self.egress.take(&mut edge.batch, &mut last, &mut wrap) {
+                send(child, wire);
+            }
+        }
+    }
+
+    /// Pass on `arrived`, a batch off the wire that came in `wire`, to
+    /// every interested edge in child order, and send each edge what it
+    /// has staged: one wire message per edge. The first `skip` deltas
+    /// fell below the relay's ingest high-water mark and are not
+    /// forwarded.
+    ///
+    /// **A batch off the wire is passed on whole to every edge that
+    /// wants all of it.** An edge is sent `wire` itself — a
+    /// reference-count bump, no delta touched — when nothing is staged
+    /// on it, its cumulative `shed` is `arrived.shed`, no delta was
+    /// skipped, the batch is non-empty and no longer than the plane's
+    /// capacity, and its aggregate matches every delta (O(1) for a
+    /// match-everything edge). Only the other edges stage the fresh
+    /// deltas they match, coalescing or shedding at the capacity as
+    /// [`offer`](RelayPlane::offer) does, and are built as in
+    /// [`flush_with`](RelayPlane::flush_with), sharing the first batch
+    /// built among them.
+    pub fn pass_on<W: Clone>(
+        &mut self,
+        arrived: &RelayDeltaBatch,
+        wire: &W,
+        skip: usize,
+        mut wrap: impl FnMut(RelayDeltaBatch) -> W,
+        mut send: impl FnMut(u32, W),
+    ) {
+        let fresh = arrived.deltas.get(skip..).unwrap_or_default();
+        self.offered += fresh.len() as u64;
+        let cap = self.batch_capacity;
+        let whole = skip == 0 && !fresh.is_empty() && fresh.len() <= cap;
+        let mut last = None;
         for (&child, edge) in self.edges.iter_mut() {
             let staged = &mut edge.batch;
-            if staged.deltas.is_empty() {
+            if whole
+                && staged.deltas.is_empty()
+                && staged.shed == arrived.shed
+                && (edge.aggregate.is_all() || fresh.iter().all(|d| edge.aggregate.matches(d)))
+            {
+                self.egress.count(fresh.len());
+                send(child, wire.clone());
                 continue;
             }
-            staged.distinct = None;
-            self.egress_msgs += 1;
-            self.egress_deltas += staged.deltas.len() as u64;
-            let last = built.as_ref().map(|(batch, wire)| (batch, wire));
-            let wire = match last.or(arrived).filter(|(sent, _)| staged.is(sent)) {
-                Some((_, wire)) => {
-                    staged.deltas.clear();
-                    wire.clone()
+            for delta in fresh {
+                if edge.aggregate.matches(delta) {
+                    staged.stage(delta, cap);
                 }
-                None => {
-                    self.lineup.extend(staged.deltas.drain(..));
-                    let batch = RelayDeltaBatch {
-                        deltas: self.lineup.drain(..).collect(),
-                        shed: staged.shed,
-                    };
-                    let wire = wrap(batch.clone());
-                    built = Some((batch, wire.clone()));
-                    wire
-                }
-            };
-            send(child, wire);
+            }
+            if let Some(wire) = self.egress.take(staged, &mut last, &mut wrap) {
+                send(child, wire);
+            }
         }
     }
 
@@ -454,18 +531,18 @@ impl RelayPlane {
     /// that inspect the batches rather than send them.
     pub fn flush(&mut self) -> Vec<(u32, RelayDeltaBatch)> {
         let mut out = Vec::new();
-        self.flush_with(None, |batch| batch, |child, batch| out.push((child, batch)));
+        self.flush_with(|batch| batch, |child, batch| out.push((child, batch)));
         out
     }
 
     /// Wire messages sent downstream so far.
     pub fn egress_msgs(&self) -> u64 {
-        self.egress_msgs
+        self.egress.msgs
     }
 
     /// Deltas carried by those messages.
     pub fn egress_deltas(&self) -> u64 {
-        self.egress_deltas
+        self.egress.deltas
     }
 
     /// Deltas offered to this plane so far.
@@ -506,6 +583,14 @@ pub struct TelemetryRelay {
 
 /// Module-timer tag of the end-of-instant flush.
 const TIMER_FLUSH: u64 = 0;
+
+/// Where deltas entering a relay come from ([`TelemetryRelay::ingest`]).
+pub(crate) enum Ingest<'a> {
+    /// One delta, handed over by the co-located root agent.
+    HandOff(&'a Arc<TelemetryDelta>),
+    /// A `RelayDeltas` batch off the wire, and the payload it came in.
+    Arrived(&'a RelayDeltaBatch, &'a Payload),
+}
 
 /// The relay's topics, interned once when the relay is built: the seven
 /// it serves, four of which it also sends on.
@@ -558,38 +643,59 @@ impl TelemetryRelay {
         &self.plane
     }
 
-    /// The one way deltas enter a relay, whether as a `RelayDeltas`
-    /// batch off the wire or handed over by the co-located root agent:
-    /// into the local subscribers' queues, onto every interested child
-    /// edge, and out. `arrived` is the batch `deltas` came in and the
-    /// payload that carried it: the edges are flushed now, one wire
-    /// message each, and an edge that wants exactly that batch is sent
-    /// that payload ([`RelayPlane::flush_with`]). A hand-off (`None`)
-    /// stays staged until the end of the instant, unless an edge batch
-    /// is full first (see the module docs).
-    pub(crate) fn ingest(
-        &mut self,
-        ctx: &mut ModuleCtx<'_>,
-        deltas: &[Arc<TelemetryDelta>],
-        arrived: Option<(&RelayDeltaBatch, &Payload)>,
-    ) {
+    /// How deltas enter a relay, by source. Either way every fresh
+    /// delta — one at or above the ingest high-water mark — goes into
+    /// the local subscribers' queues first.
+    ///
+    /// * A hand-off from the co-located root agent is staged on every
+    ///   interested child edge and stays there until the end of the
+    ///   instant, unless an edge batch is full first (see the module
+    ///   docs).
+    /// * A `RelayDeltas` batch off the wire, with the payload that
+    ///   carried it, is passed on now ([`RelayPlane::pass_on`]): whole
+    ///   to every edge that wants all of it, built for the rest. Its
+    ///   deltas are in strictly increasing `seq` order, so the stale
+    ///   ones form a prefix. A relay that still has hand-offs staged —
+    ///   only a promoted root hit by a batch its old parent sent — sends
+    ///   them first, so no edge mixes the two sources and each edge's
+    ///   deltas stay in `seq` order (the mark puts every fresh arrival
+    ///   above every staged hand-off).
+    pub(crate) fn ingest(&mut self, ctx: &mut ModuleCtx<'_>, source: Ingest<'_>) {
         let evicted_before = self.hub.evicted();
-        for delta in deltas {
-            if delta.seq < self.next_ingest {
-                continue;
+        match source {
+            Ingest::HandOff(delta) => {
+                if self.admit(delta) {
+                    if self.plane.is_full() {
+                        self.flush(ctx);
+                    }
+                    self.plane.offer(delta);
+                    if !self.flush_armed && self.plane.is_staged() {
+                        self.flush_armed = true;
+                        ctx.world.wake_module(ctx.eng, ctx.rank, RELAY, TIMER_FLUSH);
+                    }
+                }
             }
-            self.next_ingest = delta.seq + 1;
-            self.hub.dispatch(delta);
-            if self.plane.is_full() {
-                self.flush(ctx, None);
+            Ingest::Arrived(arrived, wire) => {
+                debug_assert!(
+                    arrived.deltas.windows(2).all(|w| w[0].seq < w[1].seq),
+                    "a relay batch is in strictly increasing seq order"
+                );
+                let skip = arrived.deltas.partition_point(|d| d.seq < self.next_ingest);
+                for delta in &arrived.deltas[skip..] {
+                    self.admit(delta);
+                }
+                if self.plane.is_staged() {
+                    self.flush(ctx);
+                }
+                let topic = &self.topics.relay_deltas;
+                self.plane.pass_on(
+                    arrived,
+                    wire,
+                    skip,
+                    |batch| MonitorRequest::RelayDeltas(batch).encode(),
+                    |child, payload| Self::send_event(ctx, Rank(child), topic, payload),
+                );
             }
-            self.plane.offer(delta);
-        }
-        if arrived.is_some() {
-            self.flush(ctx, arrived);
-        } else if !self.flush_armed && self.plane.is_staged() {
-            self.flush_armed = true;
-            ctx.world.wake_module(ctx.eng, ctx.rank, RELAY, TIMER_FLUSH);
         }
         if self.hub.evicted() != evicted_before {
             // Evictions may have narrowed what this subtree wants.
@@ -597,11 +703,21 @@ impl TelemetryRelay {
         }
     }
 
+    /// Raise the ingest high-water mark past `delta` and put it into the
+    /// local subscribers' queues, unless it is below the mark already.
+    fn admit(&mut self, delta: &Arc<TelemetryDelta>) -> bool {
+        if delta.seq < self.next_ingest {
+            return false;
+        }
+        self.next_ingest = delta.seq + 1;
+        self.hub.dispatch(delta);
+        true
+    }
+
     /// Send every staged edge batch, one wire message per edge.
-    fn flush(&mut self, ctx: &mut ModuleCtx<'_>, arrived: Option<(&RelayDeltaBatch, &Payload)>) {
+    fn flush(&mut self, ctx: &mut ModuleCtx<'_>) {
         let topic = &self.topics.relay_deltas;
         self.plane.flush_with(
-            arrived,
             |batch| MonitorRequest::RelayDeltas(batch).encode(),
             |child, payload| Self::send_event(ctx, Rank(child), topic, payload),
         );
@@ -620,7 +736,7 @@ impl TelemetryRelay {
         ctx: &mut ModuleCtx<'_>,
         filter: &SubscriptionFilter,
     ) -> Option<(Vec<Arc<TelemetryDelta>>, u64)> {
-        self.flush(ctx, None);
+        self.flush(ctx);
         let module = ctx.world.brokers[ctx.rank.index()].module(ROOT_AGENT)?;
         let mut guard = module.borrow_mut();
         let agent = guard.as_any_mut()?.downcast_mut::<RootAgent>()?;
@@ -818,7 +934,7 @@ impl Module for TelemetryRelay {
     fn timer(&mut self, ctx: &mut ModuleCtx<'_>, tag: u64) {
         if tag == TIMER_FLUSH {
             self.flush_armed = false;
-            self.flush(ctx, None);
+            self.flush(ctx);
         }
     }
 
@@ -846,7 +962,7 @@ impl Module for TelemetryRelay {
                         self.on_relay_advert(ctx, msg, advert.clone())
                     }
                     Ok(MonitorRequest::RelayDeltas(batch)) => {
-                        self.ingest(ctx, &batch.deltas, Some((batch, &msg.payload)))
+                        self.ingest(ctx, Ingest::Arrived(batch, &msg.payload))
                     }
                     _ => {}
                 }
@@ -900,415 +1016,4 @@ impl Module for TelemetryRelay {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use fluxpm_flux::JobId;
-
-    fn delta(seq: u64, node: u32, ts: u64, job: Option<JobId>) -> Arc<TelemetryDelta> {
-        Arc::new(TelemetryDelta {
-            seq,
-            node,
-            timestamp_us: ts,
-            node_w: 1.0,
-            job,
-            link: None,
-        })
-    }
-
-    #[test]
-    fn aggregate_unions_and_dedupes_terms() {
-        let mut agg = AggregateFilter::empty();
-        assert!(agg.is_empty());
-        agg.insert(&SubscriptionFilter::all().with_nodes(vec![3, 1]));
-        agg.insert(&SubscriptionFilter::all().with_nodes(vec![1, 3, 3]));
-        assert_eq!(agg.term_count(), 1, "normalized node sets dedupe");
-        agg.insert(&SubscriptionFilter::all().with_job(JobId(7)));
-        assert_eq!(agg.term_count(), 2);
-
-        assert!(agg.matches(&delta(0, 1, 0, None)));
-        assert!(agg.matches(&delta(0, 9, 0, Some(JobId(7)))));
-        assert!(!agg.matches(&delta(0, 9, 0, Some(JobId(8)))));
-
-        // Cadence floors never narrow the aggregate.
-        let mut slow = AggregateFilter::empty();
-        slow.insert(&SubscriptionFilter::all().with_min_interval_us(1_000_000));
-        assert!(slow.is_all(), "cadence-only filter widens to everything");
-    }
-
-    #[test]
-    fn aggregate_collapses_to_everything_past_term_cap() {
-        let mut agg = AggregateFilter::empty();
-        for n in 0..(MAX_AGGREGATE_TERMS as u32 + 1) {
-            agg.insert(&SubscriptionFilter::all().with_nodes(vec![n]));
-        }
-        assert!(agg.is_all());
-        assert!(agg.matches(&delta(0, 10_000, 0, None)));
-    }
-
-    #[test]
-    fn plane_routes_by_edge_aggregate_and_batches_per_flush() {
-        let mut plane = RelayPlane::new(64);
-        let mut left = AggregateFilter::empty();
-        left.insert(&SubscriptionFilter::all().with_nodes(vec![1]));
-        plane.set_child(1, left);
-        plane.set_child(2, AggregateFilter::everything());
-
-        plane.offer(&delta(0, 1, 0, None));
-        plane.offer(&delta(1, 5, 0, None));
-        let flushed = plane.flush();
-        // Edge 1 wanted only node 1; edge 2 wanted both — yet each edge
-        // got exactly one wire message.
-        assert_eq!(flushed.len(), 2);
-        assert_eq!(flushed[0].0, 1);
-        assert_eq!(flushed[0].1.deltas.len(), 1);
-        assert_eq!(flushed[1].1.deltas.len(), 2);
-        assert_eq!(plane.egress_msgs(), 2);
-        assert_eq!(plane.egress_deltas(), 3);
-        assert!(plane.flush().is_empty(), "drained");
-    }
-
-    #[test]
-    fn full_edge_batch_coalesces_to_latest_per_node_then_sheds_oldest() {
-        let mut plane = RelayPlane::new(4);
-        plane.set_child(1, AggregateFilter::everything());
-        // 8 deltas over 2 nodes: the batch fills at 4, coalesces to the
-        // latest per node, and keeps absorbing.
-        for i in 0..8u64 {
-            plane.offer(&delta(i, (i % 2) as u32, i, None));
-        }
-        let flushed = plane.flush();
-        let seqs: Vec<u64> = flushed[0].1.deltas.iter().map(|d| d.seq).collect();
-        // Survivors stay in sequence order and end with the newest of
-        // each node.
-        assert!(seqs.windows(2).all(|w| w[0] < w[1]), "in order: {seqs:?}");
-        assert!(seqs.contains(&6) && seqs.contains(&7), "{seqs:?}");
-        assert!(flushed[0].1.shed > 0, "coalescing was reported");
-
-        // All-distinct keys: coalescing cannot help, so the oldest is
-        // shed instead (shed-oldest semantics preserved).
-        let mut plane = RelayPlane::new(2);
-        plane.set_child(1, AggregateFilter::everything());
-        for i in 0..3u64 {
-            plane.offer(&delta(i, i as u32, i, None));
-        }
-        let flushed = plane.flush();
-        let seqs: Vec<u64> = flushed[0].1.deltas.iter().map(|d| d.seq).collect();
-        assert_eq!(seqs, vec![1, 2]);
-        assert_eq!(flushed[0].1.shed, 1);
-    }
-
-    /// Sustained backpressure over distinct keys: nothing coalesces, so
-    /// every delta past the capacity sheds exactly the oldest — the same
-    /// counts and survivors as coalescing the batch before every shed.
-    #[test]
-    fn sustained_distinct_backpressure_sheds_one_oldest_per_delta() {
-        const CAP: usize = 8;
-        let mut plane = RelayPlane::new(CAP);
-        plane.set_child(1, AggregateFilter::everything());
-        for i in 0..(10 * CAP as u64) {
-            plane.offer(&delta(i, i as u32, i, None));
-        }
-        // A repeated key ends the distinct stretch: the next full batch
-        // coalesces again (node 75's older delta goes) instead of
-        // shedding the oldest.
-        plane.offer(&delta(80, 75, 80, None));
-        plane.offer(&delta(81, 1_000, 81, None));
-        let flushed = plane.flush();
-        let seqs: Vec<u64> = flushed[0].1.deltas.iter().map(|d| d.seq).collect();
-        assert_eq!(seqs, vec![73, 74, 76, 77, 78, 79, 80, 81]);
-        assert_eq!(flushed[0].1.shed, 9 * CAP as u64 + 1 + 1);
-
-        // The flush forgot the stretch: a refilled batch coalesces first.
-        for i in 0..=CAP as u64 {
-            plane.offer(&delta(100 + i, 7, i, None));
-        }
-        let flushed = plane.flush();
-        assert_eq!(flushed[0].1.deltas.len(), 2, "7 merged, then one more");
-        assert_eq!(flushed[0].1.shed, 9 * CAP as u64 + 2 + 7);
-    }
-
-    /// A batch off the wire, as the parent's edge built it.
-    fn batch(shed: u64, deltas: &[&Arc<TelemetryDelta>]) -> RelayDeltaBatch {
-        RelayDeltaBatch {
-            deltas: deltas.iter().map(|d| Arc::clone(d)).collect(),
-            shed,
-        }
-    }
-
-    /// What `ingest` does with `arrived` once the first `skip` of its
-    /// deltas fell below the high-water mark: offer the rest, flush with
-    /// the batch as the remembered one. Returns what each edge was sent.
-    fn relay(
-        plane: &mut RelayPlane,
-        arrived: &RelayDeltaBatch,
-        skip: usize,
-    ) -> Vec<(u32, RelayDeltaBatch)> {
-        for d in arrived.deltas.iter().skip(skip) {
-            plane.offer(d);
-        }
-        let mut out = Vec::new();
-        plane.flush_with(Some((arrived, arrived)), |b| b, |c, b| out.push((c, b)));
-        out
-    }
-
-    fn same_slice(a: &RelayDeltaBatch, b: &RelayDeltaBatch) -> bool {
-        std::ptr::eq(a.deltas.as_ptr(), b.deltas.as_ptr())
-    }
-
-    fn seqs(b: &RelayDeltaBatch) -> Vec<u64> {
-        b.deltas.iter().map(|d| d.seq).collect()
-    }
-
-    fn everything_plane(cap: usize, children: &[u32]) -> RelayPlane {
-        let mut plane = RelayPlane::new(cap);
-        for &c in children {
-            plane.set_child(c, AggregateFilter::everything());
-        }
-        plane
-    }
-
-    #[test]
-    fn an_edge_that_wants_the_arrived_batch_is_sent_the_arrived_batch() {
-        let mut plane = everything_plane(8, &[1, 2, 3]);
-        let (d0, d1) = (delta(0, 1, 0, None), delta(1, 5, 0, None));
-        let arrived = batch(0, &[&d0, &d1]);
-        let sent = relay(&mut plane, &arrived, 0);
-        assert_eq!(sent.len(), 3);
-        for (_, b) in &sent {
-            assert!(same_slice(b, &arrived), "passed on, not rebuilt");
-            assert_eq!(b, &arrived);
-        }
-        assert_eq!((plane.egress_msgs(), plane.egress_deltas()), (3, 6));
-        assert!(plane.flush().is_empty(), "drained");
-    }
-
-    #[test]
-    fn sibling_edges_share_the_first_batch_built() {
-        // The root's case: a bare delta was handed over, nothing arrived.
-        let mut plane = everything_plane(8, &[1, 2, 3]);
-        plane.offer(&delta(0, 1, 0, None));
-        let sent = plane.flush();
-        assert_eq!(sent.len(), 3);
-        assert!(same_slice(&sent[0].1, &sent[1].1) && same_slice(&sent[1].1, &sent[2].1));
-    }
-
-    #[test]
-    fn a_narrower_edge_builds_its_own_batch() {
-        let mut plane = RelayPlane::new(8);
-        let mut narrow = AggregateFilter::empty();
-        narrow.insert(&SubscriptionFilter::all().with_nodes(vec![1]));
-        plane.set_child(1, AggregateFilter::everything());
-        plane.set_child(2, narrow);
-        let (d0, d1) = (delta(0, 1, 0, None), delta(1, 5, 0, None));
-        let arrived = batch(0, &[&d0, &d1]);
-        let sent = relay(&mut plane, &arrived, 0);
-        assert!(same_slice(&sent[0].1, &arrived));
-        assert!(!same_slice(&sent[1].1, &arrived));
-        assert_eq!(seqs(&sent[1].1), vec![0]);
-    }
-
-    #[test]
-    fn a_skipped_delta_or_a_leftover_means_a_new_batch() {
-        let (d0, d1, d2) = (
-            delta(0, 1, 0, None),
-            delta(1, 5, 0, None),
-            delta(2, 5, 0, None),
-        );
-        // d0 was already ingested here (a seed raised the mark past it).
-        let mut plane = everything_plane(8, &[1]);
-        let arrived = batch(0, &[&d0, &d1]);
-        let sent = relay(&mut plane, &arrived, 1);
-        assert!(!same_slice(&sent[0].1, &arrived));
-        assert_eq!(seqs(&sent[0].1), vec![1]);
-
-        // d0 was staged earlier and never flushed.
-        let mut plane = everything_plane(8, &[1]);
-        plane.offer(&d0);
-        let arrived = batch(0, &[&d2]);
-        let sent = relay(&mut plane, &arrived, 0);
-        assert!(!same_slice(&sent[0].1, &arrived));
-        assert_eq!(seqs(&sent[0].1), vec![0, 2]);
-    }
-
-    #[test]
-    fn a_coalesced_or_shed_batch_is_a_new_batch_with_a_truthful_shed() {
-        // Node 1 twice, then node 2, through a batch of two: the older
-        // node-1 delta is coalesced away.
-        let (a, b, c) = (
-            delta(0, 1, 0, None),
-            delta(1, 1, 1, None),
-            delta(2, 2, 2, None),
-        );
-        let mut plane = everything_plane(2, &[1]);
-        let arrived = batch(0, &[&a, &b, &c]);
-        let sent = relay(&mut plane, &arrived, 0);
-        assert!(!same_slice(&sent[0].1, &arrived));
-        assert_eq!((seqs(&sent[0].1), sent[0].1.shed), (vec![1, 2], 1));
-
-        // Three distinct nodes: the oldest is shed.
-        let (a, b, c) = (
-            delta(0, 1, 0, None),
-            delta(1, 2, 1, None),
-            delta(2, 3, 2, None),
-        );
-        let mut plane = everything_plane(2, &[1]);
-        let arrived = batch(0, &[&a, &b, &c]);
-        let sent = relay(&mut plane, &arrived, 0);
-        assert!(!same_slice(&sent[0].1, &arrived));
-        assert_eq!((seqs(&sent[0].1), sent[0].1.shed), (vec![1, 2], 1));
-    }
-
-    #[test]
-    fn the_same_deltas_under_a_different_shed_are_a_different_batch() {
-        // Edge 1 has shed one delta in its past; edge 2 never has.
-        let mut plane = everything_plane(1, &[1]);
-        plane.offer(&delta(0, 1, 0, None));
-        plane.offer(&delta(1, 2, 1, None));
-        assert_eq!(plane.flush()[0].1.shed, 1);
-        plane.set_child(2, AggregateFilter::everything());
-
-        let d = delta(2, 3, 2, None);
-        let arrived = batch(0, &[&d]);
-        let sent = relay(&mut plane, &arrived, 0);
-        // Both staged exactly the arrived delta. Edge 1 must still say 1
-        // (so it cannot pass on a batch that says 0), and edge 2 must
-        // still say 0 (so it cannot share edge 1's).
-        assert_eq!((sent[0].0, sent[0].1.shed), (1, 1));
-        assert_eq!((sent[1].0, sent[1].1.shed), (2, 0));
-        assert!(!same_slice(&sent[0].1, &arrived));
-        assert!(!same_slice(&sent[1].1, &sent[0].1));
-        assert!(Arc::ptr_eq(&sent[0].1.deltas[0], &sent[1].1.deltas[0]));
-
-        // And an arrived batch that itself says 1 is edge 1's to pass on.
-        let d = delta(3, 3, 3, None);
-        let arrived = batch(1, &[&d]);
-        let sent = relay(&mut plane, &arrived, 0);
-        assert!(same_slice(&sent[0].1, &arrived));
-        assert_eq!(sent[1].1.shed, 0);
-    }
-
-    #[test]
-    fn equal_deltas_in_other_allocations_are_not_the_arrived_batch() {
-        // Same values, different `Arc`s: the rule goes by identity, so
-        // what it passes on is what it was handed and nothing else.
-        let mut plane = everything_plane(8, &[1]);
-        let arrived = batch(0, &[&delta(0, 1, 0, None)]);
-        plane.offer(&delta(0, 1, 0, None));
-        let mut sent = Vec::new();
-        plane.flush_with(Some((&arrived, &arrived)), |b| b, |c, b| sent.push((c, b)));
-        assert!(!same_slice(&sent[0].1, &arrived));
-        assert_eq!(sent[0].1, arrived, "equal by value all the same");
-    }
-
-    #[test]
-    fn an_edge_is_one_entry() {
-        let mut plane = everything_plane(8, &[1, 2]);
-        plane.offer(&delta(0, 1, 0, None));
-        // Replacing an aggregate keeps what the edge had staged...
-        let mut narrow = AggregateFilter::empty();
-        narrow.insert(&SubscriptionFilter::all().with_nodes(vec![9]));
-        plane.set_child(1, narrow.clone());
-        assert_eq!(plane.children().collect::<Vec<_>>()[0], (1, &narrow));
-        // ...widening an unknown child opens its edge...
-        plane.merge_child(3, &SubscriptionFilter::all().with_nodes(vec![7]));
-        assert_eq!(plane.children().count(), 3);
-        // ...and an edge that goes takes its staged batch with it.
-        plane.retain_children(|c| c != 2);
-        let sent = plane.flush();
-        assert_eq!(sent.len(), 1);
-        assert_eq!((sent[0].0, seqs(&sent[0].1)), (1, vec![0]));
-        assert!(!plane.aggregate().is_all());
-    }
-
-    #[test]
-    fn empty_advert_removes_edge() {
-        let mut plane = RelayPlane::new(8);
-        plane.set_child(1, AggregateFilter::everything());
-        plane.offer(&delta(0, 0, 0, None));
-        plane.set_child(1, AggregateFilter::empty());
-        assert!(plane.flush().is_empty(), "edge and pending batch gone");
-        assert_eq!(plane.children().count(), 0);
-    }
-
-    #[test]
-    fn a_plane_is_staged_until_flushed_and_full_at_its_capacity() {
-        let mut plane = RelayPlane::new(2);
-        plane.offer(&delta(0, 1, 0, None));
-        assert!(!plane.is_staged(), "no edge to stage on");
-        let mut narrow = AggregateFilter::empty();
-        narrow.insert(&SubscriptionFilter::all().with_nodes(vec![1]));
-        plane.set_child(1, narrow);
-        plane.set_child(2, AggregateFilter::everything());
-        plane.offer(&delta(1, 5, 0, None));
-        assert!(plane.is_staged() && !plane.is_full());
-        plane.offer(&delta(2, 6, 0, None));
-        assert!(plane.is_full(), "edge 2 holds two");
-        plane.flush();
-        assert!(!plane.is_staged() && !plane.is_full());
-    }
-
-    /// Pushes that reach the root in one instant are in the root's local
-    /// queues as each is handed over, and on its edges only at the end
-    /// of the instant: one wake, one message per edge.
-    #[test]
-    fn the_root_relay_flushes_once_at_the_end_of_the_instant() {
-        use crate::proto::SamplePush;
-        use crate::subscription::TOPIC_SAMPLE_PUSH;
-        use crate::{MonitorConfig, MonitorQuery};
-        use fluxpm_flux::{FluxEngine, World};
-        use fluxpm_hw::MachineKind;
-        use fluxpm_sim::{Engine, SimDuration};
-
-        fn root_relay<R>(w: &World, f: impl FnOnce(&TelemetryRelay) -> R) -> R {
-            let module = w.brokers[0].module(RELAY).expect("relay loaded");
-            let mut guard = module.borrow_mut();
-            f(guard.as_any_mut().unwrap().downcast_mut().unwrap())
-        }
-
-        // Binary TBON: 0 → {1, 2}, 1 → {3}; subscribers at 0, 2 and 3.
-        let mut w = World::new(MachineKind::Lassen, 4, 3);
-        let mut eng: FluxEngine = Engine::new();
-        let quiet = MonitorConfig::default().with_sample_interval(SimDuration::from_secs(100_000));
-        assert!(crate::load(&mut w, &mut eng, quiet));
-        for rank in [0, 2, 3] {
-            MonitorQuery::subscribe(SubscriptionFilter::all())
-                .at(Rank(rank))
-                .send(&mut w, &mut eng);
-        }
-        let settled = eng.now() + SimDuration::from_millis(10);
-        eng.run_until(&mut w, settled);
-
-        const K: usize = 4;
-        for node in 0..K as u32 {
-            let push = SamplePush {
-                node,
-                timestamp_us: 1,
-                node_w: 1.0,
-            };
-            w.rpc(
-                Rank(0),
-                TOPIC_SAMPLE_PUSH,
-                MonitorRequest::PushSample(push).encode(),
-            )
-            .send(&mut eng, |_, _, _| {});
-        }
-        let instant = eng.now();
-        for _ in 0..K {
-            assert_eq!(eng.step(&mut w), Some(instant), "a push delivery");
-        }
-        root_relay(&w, |r| {
-            assert_eq!(r.hub.stats(1).map(|s| s.queued), Some(K), "queued at once");
-            assert_eq!(r.plane.egress_msgs(), 0, "nothing sent yet");
-            assert!(r.plane.is_staged() && r.flush_armed);
-        });
-        // The wake, queued behind the pushes of its instant.
-        assert_eq!(eng.step(&mut w), Some(instant));
-        root_relay(&w, |r| {
-            assert_eq!(
-                (r.plane.egress_msgs(), r.plane.egress_deltas()),
-                (2, 2 * K as u64)
-            );
-            assert!(!r.plane.is_staged() && !r.flush_armed);
-        });
-    }
-}
+mod tests;

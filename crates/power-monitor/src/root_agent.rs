@@ -29,7 +29,7 @@ use crate::proto::{
     JobDataReply, JobDataRequest, JobStatsReply, JobStatsRequest, MonitorReply, MonitorRequest,
     NodeDataReply, NodeDataRequest, NodeStats, SamplePush,
 };
-use crate::relay::{TelemetryRelay, RELAY};
+use crate::relay::{Ingest, TelemetryRelay, RELAY};
 use crate::subscription::{
     LinkSample, SubscriptionFilter, TelemetryDelta, TelemetrySequencer, TOPIC_SAMPLE_PUSH,
 };
@@ -330,7 +330,7 @@ impl RootAgent {
                 .as_any_mut()
                 .and_then(|a| a.downcast_mut::<TelemetryRelay>())
             {
-                relay.ingest(ctx, std::slice::from_ref(&delta), None);
+                relay.ingest(ctx, Ingest::HandOff(&delta));
             }
         }
     }

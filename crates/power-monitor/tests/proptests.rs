@@ -580,31 +580,86 @@ impl RelayTreeModel {
         }
     }
 
-    /// `TelemetryRelay::ingest` at relay `at`, checked edge by edge
-    /// against the model. Returns what each child was sent.
-    fn ingest(
+    /// `TelemetryRelay::ingest` of the root agent's hand-offs at the
+    /// root, then the end-of-instant flush. Returns what each child was
+    /// sent.
+    fn hand_off(
         &mut self,
-        at: usize,
         deltas: &[Arc<TelemetryDelta>],
-        arrived: Option<&Wire>,
     ) -> Result<Vec<(usize, Wire)>, TestCaseError> {
         for delta in deltas {
-            if delta.seq < self.nodes[at].next_ingest {
+            if delta.seq < self.nodes[0].next_ingest {
                 continue;
             }
-            self.nodes[at].next_ingest = delta.seq + 1;
-            self.offer(at, delta);
+            self.nodes[0].next_ingest = delta.seq + 1;
+            self.offer(0, delta);
         }
+        self.flush(0)
+    }
+
+    /// `TelemetryRelay::ingest` of a batch off the wire at relay `at`:
+    /// what is staged there leaves first, then the batch is passed on,
+    /// both checked edge by edge against the model. Returns what each
+    /// child was sent.
+    fn arrive(&mut self, at: usize, wire: &Wire) -> Result<Vec<(usize, Wire)>, TestCaseError> {
+        let mut sent = if self.nodes[at].edges.iter().any(|e| !e.staged.is_empty()) {
+            self.flush(at)?
+        } else {
+            Vec::new()
+        };
+        let cap = self.cap;
+        let node = &mut self.nodes[at];
+        let skip = wire.deltas.partition_point(|d| d.seq < node.next_ingest);
+        for delta in &wire.deltas[skip..] {
+            node.next_ingest = delta.seq + 1;
+            for edge in &mut node.edges {
+                if edge.want.matches(delta) {
+                    edge.stage(delta, cap);
+                }
+            }
+        }
+        let mut passed: Vec<(usize, Wire)> = Vec::new();
+        let mut built = 0;
+        node.plane.pass_on(
+            wire,
+            wire,
+            skip,
+            |batch| {
+                built += 1;
+                Rc::new(batch)
+            },
+            |child, wire| passed.push((child as usize, wire)),
+        );
+        self.check(at, &passed, Some(wire), built)?;
+        sent.extend(passed);
+        Ok(sent)
+    }
+
+    /// `TelemetryRelay::flush` at relay `at`, checked edge by edge
+    /// against the model. Returns what each child was sent.
+    fn flush(&mut self, at: usize) -> Result<Vec<(usize, Wire)>, TestCaseError> {
         let mut sent: Vec<(usize, Wire)> = Vec::new();
         let mut built = 0;
         self.nodes[at].plane.flush_with(
-            arrived.map(|wire| (&**wire, wire)),
             |batch| {
                 built += 1;
                 Rc::new(batch)
             },
             |child, wire| sent.push((child as usize, wire)),
         );
+        self.check(at, &sent, None, built)?;
+        Ok(sent)
+    }
+
+    /// Whether what relay `at` just `sent`, having built `built` batches
+    /// and been handed `arrived`, is what the naive edges staged.
+    fn check(
+        &mut self,
+        at: usize,
+        sent: &[(usize, Wire)],
+        arrived: Option<&Wire>,
+        built: usize,
+    ) -> Result<(), TestCaseError> {
         self.built += built;
         // By value, every edge says what the naive edge says (the model
         // holds a relay's edges in child order, as the plane does).
@@ -625,22 +680,22 @@ impl RelayTreeModel {
         // One allocation, one value — and nothing was built that could
         // have been passed on.
         let mut distinct: Vec<&Wire> = arrived.into_iter().collect();
-        for (_, wire) in &sent {
+        for (_, wire) in sent {
             if !distinct.iter().any(|w| Rc::ptr_eq(w, wire)) {
                 prop_assert!(!distinct.last().is_some_and(|w| ***w == **wire));
                 distinct.push(wire);
             }
         }
         prop_assert_eq!(distinct.len(), built + arrived.iter().count());
-        Ok(sent)
+        Ok(())
     }
 
     /// Hand `deltas` to the root and run the batches down the tree.
     fn publish(&mut self, deltas: &[Arc<TelemetryDelta>]) -> Result<Vec<Wire>, TestCaseError> {
         let mut all = Vec::new();
-        let mut queue: VecDeque<(usize, Wire)> = self.ingest(0, deltas, None)?.into();
+        let mut queue: VecDeque<(usize, Wire)> = self.hand_off(deltas)?.into();
         while let Some((at, wire)) = queue.pop_front() {
-            queue.extend(self.ingest(at, &wire.deltas, Some(&wire))?);
+            queue.extend(self.arrive(at, &wire)?);
             all.push(wire);
         }
         Ok(all)
