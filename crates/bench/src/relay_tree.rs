@@ -130,16 +130,15 @@ impl RelayTree {
             self.nodes[0].plane.offer(&delta);
             // What `TelemetryRelay::ingest` does at every hop: the root
             // was handed a bare delta and flushes it, every relay below
-            // it passes on the batch its edge was sent — whole to every
-            // edge that wants all of it.
+            // it hands the batch its edge was sent to its hub as one
+            // page and passes it on — whole to every edge that wants all
+            // of it.
             self.nodes[0]
                 .plane
                 .flush_with(|b| b, |c, b| queue.push_back((c as usize, b)));
             while let Some((at, batch)) = queue.pop_front() {
                 let n = &mut self.nodes[at];
-                for d in batch.deltas.iter() {
-                    deliveries += n.hub.dispatch(d) as u64;
-                }
+                deliveries += n.hub.dispatch_batch(&batch.deltas, 0) as u64;
                 n.plane.pass_on(
                     &batch,
                     &batch,

@@ -427,11 +427,6 @@ impl World {
         self.rpcs.pending.len()
     }
 
-    /// Messages dropped for any reason (downed ranks + injected loss).
-    pub fn dropped_message_count(&self) -> u64 {
-        self.rpcs.topic_stats.values().map(|s| s.drops).sum()
-    }
-
     /// RPC deadlines that expired before a response arrived.
     pub fn rpc_timeout_count(&self) -> u64 {
         self.rpcs.topic_stats.values().map(|s| s.timeouts).sum()
@@ -447,5 +442,13 @@ impl World {
     /// record their first incident.
     pub fn rpc_stats(&self) -> BTreeMap<Topic, TopicStats> {
         self.rpcs.topic_stats.clone()
+    }
+}
+
+#[cfg(test)]
+impl World {
+    /// Messages dropped for any reason (downed ranks + injected loss).
+    pub(crate) fn dropped_message_count(&self) -> u64 {
+        self.rpcs.topic_stats.values().map(|s| s.drops).sum()
     }
 }

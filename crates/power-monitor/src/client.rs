@@ -300,8 +300,8 @@ impl QueryHandle {
         extract!(self.slot, "unsubscribe", MonitorReply::Unsubscribed(b) => b)
     }
 
-    /// The deltas drained by a [`MonitorQuery::poll`]: the relay's own
-    /// slice, shared (no per-delta work however large the batch).
+    /// The deltas drained by a [`MonitorQuery::poll`]: the runs the
+    /// relay built, shared (no per-delta work however large the batch).
     pub fn deltas(&self) -> Option<Result<DeltaBatch, String>> {
         extract!(self.slot, "poll", MonitorReply::Deltas(b) => b)
     }

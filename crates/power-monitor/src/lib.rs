@@ -46,7 +46,7 @@ pub use client::{
     MonitorQuery, QueryHandle, QueryKind, TopicRow,
 };
 pub use config::{MonitorConfig, RPC_DEADLINE};
-pub use log::{Records, RecordsIter};
+pub use log::{Records, RecordsIter, Runs, RunsIter};
 pub use node_agent::NodeAgent;
 pub use proto::{
     DeltaBatch, JobDataReply, JobDataRequest, JobStatsReply, JobStatsRequest, MonitorReply,

@@ -1,14 +1,20 @@
-//! The node agent's record log, and the window a reply shares out of it.
+//! The node agent's record log, and the window of shared pages a reply
+//! carries ([`Runs`]).
 //!
 //! The paper's node agent keeps a circular buffer of Variorum JSON
 //! objects (§III-A). Here that buffer is a log of sealed, immutable pages
 //! of [`PAGE`] records plus one open page being filled, so a window query
 //! shares whole pages — one reference-count bump per page — instead of
-//! one per record. Eviction stays exact per record: a logical head counts
-//! the evicted records at the front of the oldest page, and a page is
-//! dropped with its last live record. The log holds at most
-//! `capacity + 2 × PAGE` records: the live ones, an evicted prefix of the
-//! oldest page, and the open page.
+//! one per record. Every four records are packed into one block while
+//! their bytes are still warm, so a log holds a block per four records
+//! rather than one per record. Eviction stays exact per record: a
+//! logical head counts the evicted records at the front of the oldest
+//! page, and a page is dropped with its last live record. The log holds
+//! at most `capacity + 2 × PAGE` records: the live ones, an evicted
+//! prefix of the oldest page, and the open page.
+//!
+//! [`Runs`] is generic over what the pages hold: a subscriber hub's poll
+//! reply is runs of the relay batches it was sent.
 
 use crate::proto::PowerRecord;
 use std::collections::VecDeque;
@@ -18,6 +24,11 @@ use std::sync::Arc;
 
 /// Records per sealed page.
 const PAGE: usize = 16;
+
+/// Records packed into one block ([`PowerRecord::pack`]), a quarter
+/// page: a log holds four blocks per page instead of sixteen, and
+/// records are packed while their bytes are still warm.
+const PACK: usize = PAGE / 4;
 
 /// A sealed page: exactly [`PAGE`] records, never written again.
 type Page = Arc<[PowerRecord]>;
@@ -99,7 +110,16 @@ impl PagedLog {
     /// returned.
     pub(crate) fn push(&mut self, record: PowerRecord) -> Option<usize> {
         self.pushed += 1;
+        if self.open.len() == self.open.capacity() {
+            // A quarter page at a time: most agents of a large fleet never
+            // fill one.
+            self.open.reserve_exact(PACK);
+        }
         self.open.push(record);
+        if self.open.len().is_multiple_of(PACK) {
+            let group = self.open.len() - PACK;
+            PowerRecord::pack(&mut self.open[group..]);
+        }
         if self.open.len() == PAGE {
             self.seal();
         }
@@ -179,7 +199,7 @@ impl PagedLog {
             })
             .chain(open.iter().cloned().map(Run::One))
             .collect();
-        Records { runs, len }
+        Runs { runs, len }
     }
 
     /// Positions (counted from the first record of the oldest page) of
@@ -236,85 +256,117 @@ impl PagedLog {
     }
 }
 
-/// A run of a [`Records`] window, never empty: a shared page's
-/// `page[start..end]`, or one record cloned out of the open page.
+/// A run of a [`Runs`] window, never empty: a shared page's
+/// `page[start..end]`, or one element cloned out of a page still being
+/// filled.
 #[derive(Clone)]
-enum Run {
+pub(crate) enum Run<T> {
     Page {
-        page: Page,
+        page: Arc<[T]>,
         start: usize,
         end: usize,
     },
-    One(PowerRecord),
+    One(T),
 }
 
-impl Run {
-    fn records(&self) -> &[PowerRecord] {
+impl<T> Run<T> {
+    fn items(&self) -> &[T] {
         match self {
             Run::Page { page, start, end } => &page[*start..*end],
-            Run::One(record) => std::slice::from_ref(record),
+            Run::One(item) => std::slice::from_ref(item),
         }
     }
 }
 
-/// The records of one node's reply window, oldest first, as runs of the
-/// node agent's pages. Built once by the node agent; every later holder —
-/// the root's aggregation, the client, a cross-shard message — shares
-/// the run list, so cloning a window is one reference-count bump however
-/// many records it holds. Reads like the slice it replaces: `len()`,
-/// indexing, `first()`/`last()`, `for r in &records`.
-#[derive(Clone, Default)]
-pub struct Records {
-    runs: Arc<[Run]>,
+/// A window of shared pages, oldest first: the elements of a reply as
+/// runs of the pages its sender keeps. Built once by the sender; every
+/// later holder — the root's aggregation, the client, a cross-shard
+/// message — shares the run list, so cloning a window is one
+/// reference-count bump however many elements it holds. Reads like the
+/// slice it replaces: `len()`, indexing, `first()`/`last()`,
+/// `for x in &runs`.
+///
+/// Two senders build them: the node agent's record log ([`Records`])
+/// and a relay's subscriber hub, whose poll reply shares the pages of
+/// the relay batches it was sent
+/// ([`DeltaBatch::deltas`](crate::DeltaBatch::deltas)).
+pub struct Runs<T> {
+    runs: Arc<[Run<T>]>,
     len: usize,
 }
 
-impl Records {
-    /// Records in the window.
+/// What [`Runs::sharing`] reports.
+#[cfg(test)]
+pub(crate) type Sharing<'a, T> = (Vec<(&'a Arc<[T]>, usize)>, usize);
+
+/// The records of one node's reply window, as runs of the node agent's
+/// pages.
+pub type Records = Runs<PowerRecord>;
+
+/// Iterator over a [`Records`] window.
+pub type RecordsIter<'a> = RunsIter<'a, PowerRecord>;
+
+impl<T> Runs<T> {
+    /// The window `lineup` describes, built in one allocation (a `Vec`
+    /// drain knows its length); `lineup` is left empty with its storage.
+    pub(crate) fn from_lineup(lineup: &mut Vec<Run<T>>) -> Runs<T> {
+        let len = lineup.iter().map(|run| run.items().len()).sum();
+        Runs {
+            runs: lineup.drain(..).collect(),
+            len,
+        }
+    }
+
+    /// Elements in the window.
     pub fn len(&self) -> usize {
         self.len
     }
 
-    /// True if the window holds no record.
+    /// True if the window holds no element.
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 
-    /// The records, oldest first.
-    pub fn iter(&self) -> RecordsIter<'_> {
-        RecordsIter {
+    /// The elements, oldest first.
+    pub fn iter(&self) -> RunsIter<'_, T> {
+        RunsIter {
             runs: self.runs.iter(),
             run: Default::default(),
             left: self.len,
         }
     }
 
-    /// The oldest record.
-    pub fn first(&self) -> Option<&PowerRecord> {
-        self.runs.first()?.records().first()
+    /// The oldest element.
+    pub fn first(&self) -> Option<&T> {
+        self.runs.first()?.items().first()
     }
 
-    /// The newest record.
-    pub fn last(&self) -> Option<&PowerRecord> {
-        self.runs.last()?.records().last()
+    /// The newest element.
+    pub fn last(&self) -> Option<&T> {
+        self.runs.last()?.items().last()
     }
 
-    /// The record at `index`, oldest first (a walk over the runs).
-    pub fn get(&self, mut index: usize) -> Option<&PowerRecord> {
+    /// The element at `index`, oldest first (a walk over the runs).
+    pub fn get(&self, mut index: usize) -> Option<&T> {
         for run in self.runs.iter() {
-            let records = run.records();
-            if index < records.len() {
-                return Some(&records[index]);
+            let items = run.items();
+            if index < items.len() {
+                return Some(&items[index]);
             }
-            index -= records.len();
+            index -= items.len();
         }
         None
     }
 
-    /// The pages this window shares, each with how many of its records
-    /// the window holds; and how many records it holds cloned.
+    /// Whether both share one run list (one is a clone of the other).
+    pub fn ptr_eq(&self, other: &Runs<T>) -> bool {
+        Arc::ptr_eq(&self.runs, &other.runs)
+    }
+
+    /// The pages this window shares, each with how many of its elements
+    /// the window holds; and how many elements it holds cloned.
     #[cfg(test)]
-    fn sharing(&self) -> (Vec<(&Page, usize)>, usize) {
+    pub(crate) fn sharing(&self) -> Sharing<'_, T> {
         let mut pages = Vec::new();
         let mut cloned = 0;
         for run in self.runs.iter() {
@@ -327,82 +379,108 @@ impl Records {
     }
 }
 
-impl Index<usize> for Records {
-    type Output = PowerRecord;
-
-    fn index(&self, index: usize) -> &PowerRecord {
-        match self.get(index) {
-            Some(record) => record,
-            None => panic!("index {index} out of a window of {} records", self.len),
+impl<T> Clone for Runs<T> {
+    fn clone(&self) -> Runs<T> {
+        Runs {
+            runs: Arc::clone(&self.runs),
+            len: self.len,
         }
     }
 }
 
-/// One run holding the records.
-impl From<Vec<PowerRecord>> for Records {
-    fn from(records: Vec<PowerRecord>) -> Records {
-        if records.is_empty() {
-            return Records::default();
+/// The empty window.
+impl<T> Default for Runs<T> {
+    fn default() -> Runs<T> {
+        Runs {
+            runs: Arc::new([]),
+            len: 0,
         }
-        let len = records.len();
+    }
+}
+
+impl<T> Index<usize> for Runs<T> {
+    type Output = T;
+
+    fn index(&self, index: usize) -> &T {
+        match self.get(index) {
+            Some(item) => item,
+            None => panic!("index {index} out of a window of {} elements", self.len),
+        }
+    }
+}
+
+/// One run: the page whole.
+impl<T> From<Arc<[T]>> for Runs<T> {
+    fn from(page: Arc<[T]>) -> Runs<T> {
+        if page.is_empty() {
+            return Runs::default();
+        }
+        let len = page.len();
         let run = Run::Page {
-            page: Arc::from(records),
+            page,
             start: 0,
             end: len,
         };
-        Records {
+        Runs {
             runs: Arc::new([run]),
             len,
         }
     }
 }
 
-impl FromIterator<PowerRecord> for Records {
-    fn from_iter<I: IntoIterator<Item = PowerRecord>>(iter: I) -> Records {
-        Records::from(iter.into_iter().collect::<Vec<_>>())
+/// One run holding the elements.
+impl<T> From<Vec<T>> for Runs<T> {
+    fn from(items: Vec<T>) -> Runs<T> {
+        Runs::from(Arc::<[T]>::from(items))
     }
 }
 
-impl<'a> IntoIterator for &'a Records {
-    type Item = &'a PowerRecord;
-    type IntoIter = RecordsIter<'a>;
+impl<T> FromIterator<T> for Runs<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Runs<T> {
+        Runs::from(iter.into_iter().collect::<Vec<_>>())
+    }
+}
 
-    fn into_iter(self) -> RecordsIter<'a> {
+impl<'a, T> IntoIterator for &'a Runs<T> {
+    type Item = &'a T;
+    type IntoIter = RunsIter<'a, T>;
+
+    fn into_iter(self) -> RunsIter<'a, T> {
         self.iter()
     }
 }
 
-/// Equal when they hold equal records in the same order, however the
-/// records are split into runs.
-impl PartialEq for Records {
-    fn eq(&self, other: &Records) -> bool {
+/// Equal when they hold equal elements in the same order, however the
+/// elements are split into runs.
+impl<T: PartialEq> PartialEq for Runs<T> {
+    fn eq(&self, other: &Runs<T>) -> bool {
         self.len == other.len && self.iter().eq(other)
     }
 }
 
-impl fmt::Debug for Records {
+impl<T: fmt::Debug> fmt::Debug for Runs<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list().entries(self).finish()
     }
 }
 
-/// Iterator over a [`Records`] window, oldest first.
-pub struct RecordsIter<'a> {
-    runs: std::slice::Iter<'a, Run>,
-    run: std::slice::Iter<'a, PowerRecord>,
+/// Iterator over a [`Runs`] window, oldest first.
+pub struct RunsIter<'a, T> {
+    runs: std::slice::Iter<'a, Run<T>>,
+    run: std::slice::Iter<'a, T>,
     left: usize,
 }
 
-impl<'a> Iterator for RecordsIter<'a> {
-    type Item = &'a PowerRecord;
+impl<'a, T> Iterator for RunsIter<'a, T> {
+    type Item = &'a T;
 
-    fn next(&mut self) -> Option<&'a PowerRecord> {
+    fn next(&mut self) -> Option<&'a T> {
         loop {
-            if let Some(record) = self.run.next() {
+            if let Some(item) = self.run.next() {
                 self.left -= 1;
-                return Some(record);
+                return Some(item);
             }
-            self.run = self.runs.next()?.records().iter();
+            self.run = self.runs.next()?.items().iter();
         }
     }
 
@@ -411,7 +489,7 @@ impl<'a> Iterator for RecordsIter<'a> {
     }
 }
 
-impl ExactSizeIterator for RecordsIter<'_> {}
+impl<T> ExactSizeIterator for RunsIter<'_, T> {}
 
 #[cfg(test)]
 mod tests {
@@ -483,9 +561,9 @@ mod tests {
     proptest! {
         /// The log keeps exactly what a ring of the same capacity keeps:
         /// every count, the oldest and newest record, what each push
-        /// evicts, and every window — by value and by the very block the
-        /// ring holds. Capacities sit below, at and across multiples of
-        /// `PAGE`.
+        /// evicts, and every window — by value, and shared out of the
+        /// log's own blocks. Capacities sit below, at and across
+        /// multiples of `PAGE`.
         #[test]
         fn log_matches_a_ring_oracle(
             capacity in 1usize..48,
@@ -515,8 +593,9 @@ mod tests {
                         let got: Vec<&PowerRecord> = shared.iter().collect();
                         prop_assert_eq!(&got, &scanned);
                         prop_assert_eq!(shared.len(), scanned.len());
-                        for (got, want) in got.iter().zip(&scanned) {
-                            prop_assert!(std::ptr::eq(got.raw_json(), want.raw_json()));
+                        // A reply holds the very bytes the log keeps.
+                        for (got, kept) in got.iter().zip(log.window(lo, hi)) {
+                            prop_assert!(std::ptr::eq(got.raw_json(), kept.raw_json()));
                         }
                         prop_assert_eq!(log.window(lo, hi).collect::<Vec<_>>(), scanned);
                     }
@@ -562,6 +641,77 @@ mod tests {
                     .collect();
                 prop_assert_eq!(timestamps(log.window(start, end)), scanned.clone());
                 prop_assert_eq!(timestamps(&log.share(start, end)), scanned);
+            }
+        }
+    }
+
+    /// A run of a test window: a page of `len` elements shared in part,
+    /// from `skip` and `keep` short of its end, or one element alone.
+    #[derive(Debug, Clone)]
+    enum Piece {
+        Page {
+            len: usize,
+            skip: usize,
+            keep: usize,
+        },
+        One,
+    }
+
+    fn piece() -> impl Strategy<Value = Piece> {
+        prop_oneof![
+            3 => (1usize..9, 0usize..9, 0usize..9).prop_map(|(len, skip, keep)| Piece::Page {
+                len,
+                skip: skip % len,
+                keep: keep % len,
+            }),
+            1 => Just(Piece::One),
+        ]
+    }
+
+    proptest! {
+        /// Whatever its runs, a window reads exactly as the flat vector of
+        /// its elements: `len`, `iter` (and its exact size), `get`,
+        /// indexing, `first`, `last` and equality.
+        #[test]
+        fn runs_read_like_a_flat_vec(pieces in prop::collection::vec(piece(), 0..12)) {
+            let mut next = 0u32;
+            let mut flat = Vec::new();
+            let mut lineup = Vec::new();
+            for piece in &pieces {
+                match *piece {
+                    Piece::Page { len, skip, keep } => {
+                        let page: Arc<[u32]> = (next..next + len as u32).collect();
+                        next += len as u32;
+                        let end = len.saturating_sub(keep).max(skip + 1).min(len);
+                        flat.extend_from_slice(&page[skip..end]);
+                        lineup.push(Run::Page { page, start: skip, end });
+                    }
+                    Piece::One => {
+                        flat.push(next);
+                        lineup.push(Run::One(next));
+                        next += 1;
+                    }
+                }
+            }
+            let runs = Runs::from_lineup(&mut lineup);
+            prop_assert!(lineup.is_empty());
+            prop_assert_eq!(runs.len(), flat.len());
+            prop_assert_eq!(runs.is_empty(), flat.is_empty());
+            prop_assert_eq!(runs.iter().len(), flat.len());
+            prop_assert_eq!(runs.iter().copied().collect::<Vec<_>>(), flat.clone());
+            for i in 0..flat.len() + 2 {
+                prop_assert_eq!(runs.get(i), flat.get(i));
+                if i < flat.len() {
+                    prop_assert_eq!(runs[i], flat[i]);
+                }
+            }
+            prop_assert_eq!(runs.first(), flat.first());
+            prop_assert_eq!(runs.last(), flat.last());
+            prop_assert_eq!(&runs, &Runs::from(flat.clone()));
+            let mut it = runs.iter();
+            for left in (0..flat.len()).rev() {
+                it.next();
+                prop_assert_eq!(it.len(), left);
             }
         }
     }

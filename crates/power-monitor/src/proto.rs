@@ -6,7 +6,7 @@
 //! topic). All monitor traffic travels as these two enums — handlers
 //! decode them instead of downcasting raw payloads.
 
-use crate::log::Records;
+use crate::log::{Records, Runs};
 use crate::subscription::TelemetryDelta;
 use fluxpm_flux::{JobId, Protocol};
 use fluxpm_variorum::NodePowerSample;
@@ -19,19 +19,26 @@ use std::sync::Arc;
 /// 43.4 MB") plus the few numbers queries read, so answering one never
 /// parses.
 ///
-/// A record is a handle to one immutable heap block, written once at
-/// sample time, plus the two numbers every query reads — timestamp and
-/// node power — so a window search or a statistic walks the node agent's
-/// own pages and touches no block. The agent's log owns the sample; a
-/// reply shares the log's sealed pages whole ([`Records`]) and clones a
-/// record only from the page still being filled, so the root's
-/// aggregation and the client hold the very blocks the node agent wrote.
+/// A record is a handle to its bytes in an immutable heap block, written
+/// once at sample time, plus the two numbers every query reads —
+/// timestamp and node power — so a window search or a statistic walks
+/// the node agent's own pages and touches no block. The agent's log owns
+/// the sample. It packs every four records' bytes into one block as they
+/// arrive (`PowerRecord::pack`), so a log holds a block per four
+/// records, not one per record. A reply shares the log's sealed
+/// pages whole ([`Records`]) and clones a record only from the page
+/// still being filled, so the root's aggregation and the client hold the
+/// very bytes the node agent keeps.
 /// The per-socket and per-GPU values live only in the JSON:
 /// [`PowerRecord::sample`] decodes them on demand.
 #[derive(Clone)]
 pub struct PowerRecord {
-    /// `[stored JSON][TRAILER bytes of little-endian numbers]`.
+    /// `block[start..end]` is `[stored JSON][TRAILER bytes of
+    /// little-endian numbers]`: the whole of the record's own block, or
+    /// its part of a block it was packed into.
     block: Arc<[u8]>,
+    start: u32,
+    end: u32,
     /// Kept beside the pointer, not behind it: see the type's docs.
     timestamp_us: u64,
     node_w: f64,
@@ -85,21 +92,51 @@ impl PowerRecord {
             buf.push(flags);
             PowerRecord {
                 block: Arc::from(&buf[..]),
+                start: 0,
+                // invariant: a Variorum JSON object is some hundred bytes.
+                end: u32::try_from(buf.len()).expect("a record under 4 GiB"),
                 timestamp_us: sample.timestamp_us,
                 node_w: sample.node_power_estimate(),
             }
         })
     }
 
+    /// Move the bytes of `records` into one new block, in order: one
+    /// allocation for the lot, and each record's own block is released.
+    pub(crate) fn pack(records: &mut [PowerRecord]) {
+        let block: Arc<[u8]> = ENCODE_BUF.with_borrow_mut(|buf| {
+            buf.clear();
+            for record in records.iter() {
+                buf.extend_from_slice(record.bytes());
+            }
+            Arc::from(&buf[..])
+        });
+        let mut at = 0;
+        for record in records {
+            let len = record.end - record.start;
+            record.block = Arc::clone(&block);
+            record.start = at;
+            record.end = at + len;
+            at += len;
+        }
+    }
+
+    /// The record's `[stored JSON][trailer]`.
+    fn bytes(&self) -> &[u8] {
+        &self.block[self.start as usize..self.end as usize]
+    }
+
     /// Trailer number `index` (0 = CPU total, 1 = GPU total, 2 = memory).
     fn number(&self, index: usize) -> f64 {
-        let at = self.block.len() - TRAILER + 8 * index;
+        let bytes = self.bytes();
+        let at = bytes.len() - TRAILER + 8 * index;
         // invariant: a slice `at..at + 8` is eight bytes long.
-        f64::from_le_bytes(self.block[at..at + 8].try_into().expect("8-byte slice"))
+        f64::from_le_bytes(bytes[at..at + 8].try_into().expect("8-byte slice"))
     }
 
     fn flag(&self, flag: u8) -> bool {
-        self.block[self.block.len() - 1] & flag != 0
+        let bytes = self.bytes();
+        bytes[bytes.len() - 1] & flag != 0
     }
 
     /// Timestamp in microseconds.
@@ -138,12 +175,12 @@ impl PowerRecord {
 
     /// Size of the stored JSON encoding in bytes.
     pub fn stored_bytes(&self) -> usize {
-        self.block.len() - TRAILER
+        (self.end - self.start) as usize - TRAILER
     }
 
     /// The stored JSON encoding.
     pub fn raw_json(&self) -> &[u8] {
-        &self.block[..self.stored_bytes()]
+        &self.bytes()[..self.stored_bytes()]
     }
 
     /// The full typed sample, decoded from the stored JSON (so its
@@ -161,7 +198,7 @@ impl PartialEq for PowerRecord {
     fn eq(&self, other: &PowerRecord) -> bool {
         self.timestamp_us == other.timestamp_us
             && self.node_w.to_bits() == other.node_w.to_bits()
-            && self.block == other.block
+            && self.bytes() == other.bytes()
     }
 }
 
@@ -372,15 +409,22 @@ pub struct SamplePush {
     pub node_w: f64,
 }
 
-/// The deltas of one batch: an immutable slice built once by whoever
-/// fills the batch and shared by every later holder — the wire message,
-/// the client's [`QueryHandle`](crate::QueryHandle), each call to
-/// [`QueryHandle::deltas`](crate::QueryHandle::deltas) — so cloning a
-/// batch of 4,096 deltas is one reference-count bump, the same as a
-/// batch of one. Reads like `&[Arc<TelemetryDelta>]`: `len()`,
-/// indexing, `for d in &batch.deltas`.
+/// The deltas of one relay batch: an immutable slice built once by the
+/// relay that fills the batch and shared by every later holder — the
+/// wire message on each edge it is passed on to, and the subscriber hub
+/// of every relay it reaches, which keeps it as a page of its log — so
+/// cloning a batch of 4,096 deltas is one reference-count bump, the
+/// same as a batch of one. Reads like `&[Arc<TelemetryDelta>]`:
+/// `len()`, indexing, `for d in &batch.deltas`.
 #[derive(Clone, PartialEq, Default)]
 pub struct SharedDeltas(Arc<[Arc<TelemetryDelta>]>);
+
+impl SharedDeltas {
+    /// The shared slice itself: the page a subscriber hub adopts.
+    pub(crate) fn page(&self) -> &Arc<[Arc<TelemetryDelta>]> {
+        &self.0
+    }
+}
 
 impl std::ops::Deref for SharedDeltas {
     type Target = [Arc<TelemetryDelta>];
@@ -411,13 +455,18 @@ impl fmt::Debug for SharedDeltas {
     }
 }
 
-/// Root → client reply to a poll: the drained deltas ([`std::sync::Arc`]-shared
-/// with the hub — fan-out never copies sample payloads) plus the
+/// Relay → client reply to a poll: the drained deltas plus the
 /// subscriber's cumulative shed count for backpressure visibility.
+///
+/// The deltas are runs of the serving hub's pages ([`Runs`]): a
+/// match-everything subscriber's stream is read straight out of the
+/// relay batches its hub was sent, one reference-count bump per page,
+/// and only its seed (and a filtered subscriber's queue) is a page of
+/// its own. Cloning the reply is one bump however many deltas it holds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeltaBatch {
     /// Drained deltas, oldest first.
-    pub deltas: SharedDeltas,
+    pub deltas: Runs<Arc<TelemetryDelta>>,
     /// Deltas this subscriber has lost to its bounded queue so far.
     pub dropped: u64,
 }
@@ -610,11 +659,37 @@ mod tests {
     }
 
     #[test]
-    fn a_record_is_a_32_byte_handle_to_json_plus_25() {
-        assert_eq!(std::mem::size_of::<PowerRecord>(), 32);
+    fn a_record_is_a_40_byte_handle_to_json_plus_25() {
+        assert_eq!(std::mem::size_of::<PowerRecord>(), 40);
         let r = record(7, 100.0);
         assert_eq!(r.block.len(), r.raw_json().len() + 25);
+        assert_eq!(r.bytes().len(), r.block.len());
         assert_eq!(r.stored_bytes(), r.raw_json().len());
+    }
+
+    #[test]
+    fn packed_records_share_one_block_and_keep_their_values() {
+        let records: Vec<PowerRecord> = (0..5)
+            .map(|i| record(i * 1_000, 100.0 + i as f64))
+            .collect();
+        let mut packed = records.clone();
+        PowerRecord::pack(&mut packed);
+        assert_eq!(packed, records);
+        for (p, r) in packed.iter().zip(&records) {
+            assert!(Arc::ptr_eq(&p.block, &packed[0].block), "one block");
+            assert_eq!(p.raw_json(), r.raw_json());
+            assert_eq!(
+                (p.cpu_total(), p.gpu_total(), p.mem_watts()),
+                (r.cpu_total(), r.gpu_total(), r.mem_watts())
+            );
+            assert_eq!(p.sample(), r.sample());
+        }
+        let total: usize = records.iter().map(|r| r.block.len()).sum();
+        assert_eq!(
+            packed[0].block.len(),
+            total,
+            "nothing but the records' bytes"
+        );
     }
 
     #[test]

@@ -95,6 +95,7 @@ use crate::subscription::{
     TOPIC_SUBSCRIBE, TOPIC_UNSUBSCRIBE,
 };
 use fluxpm_flux::{Message, Module, ModuleCtx, MsgKind, Payload, Protocol, Rank, Topic};
+use fluxpm_sim::TraceLevel;
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::Arc;
 
@@ -156,11 +157,6 @@ impl AggregateFilter {
     /// Whether every delta matches.
     pub fn is_all(&self) -> bool {
         self.all
-    }
-
-    /// Number of distinct terms (0 when collapsed to top or bottom).
-    pub fn term_count(&self) -> usize {
-        self.terms.len()
     }
 
     /// Widen by one member filter. The cadence floor is dropped (it
@@ -555,6 +551,37 @@ impl RelayPlane {
 // The broker-resident relay module
 // ---------------------------------------------------------------------------
 
+/// Why a relay refused what reached it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RelayError {
+    /// A relay batch whose deltas are not in strictly increasing `seq`
+    /// order: the delta at `at` does not follow the one before it. No
+    /// relay builds one; the batch is dropped whole, since both the
+    /// stale-prefix cut and the subscriber hubs' logs rest on the order.
+    UnorderedBatch {
+        /// Index of the first delta out of order.
+        at: usize,
+    },
+}
+
+impl std::fmt::Display for RelayError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RelayError::UnorderedBatch { at } => {
+                write!(f, "relay batch out of seq order at delta {at}")
+            }
+        }
+    }
+}
+
+/// Check that `batch` is in strictly increasing `seq` order.
+fn ordered(batch: &RelayDeltaBatch) -> Result<(), RelayError> {
+    match batch.deltas.windows(2).position(|w| w[0].seq >= w[1].seq) {
+        Some(i) => Err(RelayError::UnorderedBatch { at: i + 1 }),
+        None => Ok(()),
+    }
+}
+
 /// The per-broker relay. See the module docs for the architecture; in
 /// short: local subscriber queues in [`TelemetryHub`], downstream
 /// fan-out in [`RelayPlane`], and an upward [`AggregateFilter`] advert
@@ -653,13 +680,16 @@ impl TelemetryRelay {
     ///   docs).
     /// * A `RelayDeltas` batch off the wire, with the payload that
     ///   carried it, is passed on now ([`RelayPlane::pass_on`]): whole
-    ///   to every edge that wants all of it, built for the rest. Its
-    ///   deltas are in strictly increasing `seq` order, so the stale
-    ///   ones form a prefix. A relay that still has hand-offs staged —
-    ///   only a promoted root hit by a batch its old parent sent — sends
-    ///   them first, so no edge mixes the two sources and each edge's
-    ///   deltas stay in `seq` order (the mark puts every fresh arrival
-    ///   above every staged hand-off).
+    ///   to every edge that wants all of it, built for the rest. The
+    ///   local hub takes its fresh part as one page
+    ///   ([`TelemetryHub::dispatch_batch`]). Its deltas must be in
+    ///   strictly increasing `seq` order, so the stale ones form a
+    ///   prefix; a batch that is not is dropped whole, with one `Warn`
+    ///   trace line ([`RelayError::UnorderedBatch`]). A relay that still has
+    ///   hand-offs staged — only a promoted root hit by a batch its old
+    ///   parent sent — sends them first, so no edge mixes the two
+    ///   sources and each edge's deltas stay in `seq` order (the mark
+    ///   puts every fresh arrival above every staged hand-off).
     pub(crate) fn ingest(&mut self, ctx: &mut ModuleCtx<'_>, source: Ingest<'_>) {
         let evicted_before = self.hub.evicted();
         match source {
@@ -676,13 +706,23 @@ impl TelemetryRelay {
                 }
             }
             Ingest::Arrived(arrived, wire) => {
-                debug_assert!(
-                    arrived.deltas.windows(2).all(|w| w[0].seq < w[1].seq),
-                    "a relay batch is in strictly increasing seq order"
-                );
+                if let Err(e) = ordered(arrived) {
+                    ctx.world.trace.emit(
+                        ctx.eng.now(),
+                        TraceLevel::Warn,
+                        "monitor",
+                        format!("relay at {} dropped a batch: {e}", ctx.rank),
+                    );
+                    return;
+                }
                 let skip = arrived.deltas.partition_point(|d| d.seq < self.next_ingest);
-                for delta in &arrived.deltas[skip..] {
-                    self.admit(delta);
+                if let Some(newest) = arrived
+                    .deltas
+                    .last()
+                    .filter(|_| skip < arrived.deltas.len())
+                {
+                    self.next_ingest = newest.seq + 1;
+                    self.hub.dispatch_batch(&arrived.deltas, skip);
                 }
                 if self.plane.is_staged() {
                     self.flush(ctx);
@@ -703,8 +743,9 @@ impl TelemetryRelay {
         }
     }
 
-    /// Raise the ingest high-water mark past `delta` and put it into the
-    /// local subscribers' queues, unless it is below the mark already.
+    /// Raise the ingest high-water mark past a hand-off and put it into
+    /// the local subscribers' queues, unless it is below the mark
+    /// already.
     fn admit(&mut self, delta: &Arc<TelemetryDelta>) -> bool {
         if delta.seq < self.next_ingest {
             return false;
@@ -883,10 +924,7 @@ impl TelemetryRelay {
     fn on_poll(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message, req: PollRequest) {
         match self.hub.poll(req.sub, req.max) {
             Some((deltas, dropped)) => {
-                let batch = DeltaBatch {
-                    deltas: deltas.into_iter().collect(),
-                    dropped,
-                };
+                let batch = DeltaBatch { deltas, dropped };
                 ctx.world
                     .respond(ctx.eng, msg, MonitorReply::Deltas(batch).encode());
             }
@@ -1012,6 +1050,14 @@ impl Module for TelemetryRelay {
 
     fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
         Some(self)
+    }
+}
+
+#[cfg(test)]
+impl AggregateFilter {
+    /// Number of distinct terms (0 when collapsed to top or bottom).
+    pub(crate) fn term_count(&self) -> usize {
+        self.terms.len()
     }
 }
 

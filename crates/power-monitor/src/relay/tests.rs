@@ -9,7 +9,7 @@ use crate::subscription::{SubscriberId, TOPIC_SAMPLE_PUSH};
 use crate::{MonitorConfig, MonitorQuery, QueryHandle};
 use fluxpm_flux::{FluxEngine, JobId, World};
 use fluxpm_hw::MachineKind;
-use fluxpm_sim::{Engine, SimDuration};
+use fluxpm_sim::{Engine, SimDuration, Trace, TraceLevel};
 
 fn delta(seq: u64, node: u32, ts: u64, job: Option<JobId>) -> Arc<TelemetryDelta> {
     Arc::new(TelemetryDelta {
@@ -561,5 +561,75 @@ fn staged_hand_offs_leave_before_an_arrived_batch_is_passed_on() {
         assert_eq!(seqs.len(), K as usize + 2, "at {rank}: {seqs:?}");
         assert!(seqs.windows(2).all(|p| p[0] < p[1]), "at {rank}: {seqs:?}");
         assert_eq!(seqs[K as usize..], [next, next + 1], "at {rank}");
+    }
+}
+
+/// A batch whose `seq` repeats or falls is refused whole, in release
+/// builds too: no delta reaches the local subscribers or an edge, the
+/// ingest mark stays, and the relay says why in one `Warn` line.
+#[test]
+fn a_batch_out_of_seq_order_is_dropped_with_one_warning() {
+    let (mut w, mut eng, subs) = subscribed_world();
+    w.trace = Trace::enabled(TraceLevel::Warn);
+    let next = with_relay(&w, 0, |r| r.next_ingest);
+    let repeated = [delta(next, 0, 2, None), delta(next, 1, 2, None)];
+    let falling = [
+        delta(next + 2, 0, 2, None),
+        delta(next + 3, 1, 2, None),
+        delta(next + 1, 2, 2, None),
+    ];
+    for (deltas, at) in [(&repeated[..], 1), (&falling[..], 2)] {
+        let arrived = RelayDeltaBatch {
+            deltas: deltas.iter().cloned().collect(),
+            shed: 0,
+        };
+        assert_eq!(ordered(&arrived), Err(RelayError::UnorderedBatch { at }));
+        let wire = MonitorRequest::RelayDeltas(arrived.clone()).encode();
+        for rank in [1, 2] {
+            let module = w.brokers[rank as usize]
+                .module(RELAY)
+                .expect("relay loaded");
+            let mut guard = module.borrow_mut();
+            let relay: &mut TelemetryRelay = guard.as_any_mut().unwrap().downcast_mut().unwrap();
+            let before = (
+                relay.next_ingest,
+                relay.plane.egress_msgs(),
+                relay.hub.fanned_out(),
+            );
+            let mut ctx = ModuleCtx {
+                world: &mut w,
+                eng: &mut eng,
+                rank: Rank(rank),
+            };
+            relay.ingest(&mut ctx, Ingest::Arrived(&arrived, &wire));
+            let after = (
+                relay.next_ingest,
+                relay.plane.egress_msgs(),
+                relay.hub.fanned_out(),
+            );
+            assert_eq!(after, before, "rank {rank} took nothing of it");
+        }
+    }
+    let warnings: Vec<&str> = w
+        .trace
+        .entries()
+        .iter()
+        .filter(|e| e.level == TraceLevel::Warn)
+        .map(|e| e.message.as_str())
+        .collect();
+    assert_eq!(warnings.len(), 4, "{warnings:?}");
+    assert!(
+        warnings[0].contains("out of seq order at delta 1"),
+        "{warnings:?}"
+    );
+    assert!(
+        warnings[3].contains("out of seq order at delta 2"),
+        "{warnings:?}"
+    );
+    settle(&mut w, &mut eng);
+    for (rank, handle) in &subs {
+        let sub = id(handle);
+        let (deltas, _) = with_relay(&w, *rank, |r| r.hub.poll(sub, 64)).expect("polled");
+        assert!(deltas.is_empty(), "rank {rank} got {deltas:?}");
     }
 }

@@ -23,9 +23,24 @@
 //! Both are pure (no simulation types beyond ids), which is what lets
 //! tests and stackbench's `RelayTree` rig drive them at thousands of
 //! subscribers without an event engine.
+//!
+//! A hub stores a delta once, not once per subscriber. It keeps one log
+//! of what it admitted, as runs of shared pages: a relay batch off the
+//! wire is kept as the page it arrived in, and the root's hand-offs fill
+//! an open tail. A match-everything subscriber with no cadence floor is
+//! a position in that log plus what is left of its seed; its queue
+//! length, its drops and the dispatch that evicts it are arithmetic, and
+//! a poll hands out runs of the log's pages. The log is trimmed to the
+//! oldest such position, and never holds more than a queue's capacity
+//! behind the newest delta. A filtered or cadence-floored subscriber
+//! keeps a queue of its own, filled delta by delta. Both kinds answer
+//! every call exactly as a queue per subscriber would (the proptest in
+//! `subscription/tests.rs` holds them to one).
 
+use crate::log::{Run, Runs};
+use crate::proto::SharedDeltas;
 use fluxpm_flux::JobId;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Overlay topic: register a subscription with the serving rank's relay.
@@ -209,9 +224,9 @@ impl Default for SubscriptionConfig {
     }
 }
 
-/// Per-subscriber state: the filter, the bounded queue, and loss
-/// accounting.
-struct Subscriber {
+/// A subscriber with a job or node filter, or a cadence floor: its own
+/// bounded queue, filled delta by delta as each one is dispatched.
+struct Queued {
     filter: SubscriptionFilter,
     queue: VecDeque<Arc<TelemetryDelta>>,
     /// Last delivered timestamp per node (cadence floor); allocated only
@@ -229,6 +244,57 @@ struct Subscriber {
     /// see a stream copy of a delta its seed already covers (a delta in
     /// flight on the tree edge when the subscription widened it).
     floor_seq: u64,
+}
+
+/// A match-everything subscriber with no cadence floor: what is left of
+/// its seed, and a position in the hub's log. Its queue is the seed
+/// followed by the log from `from` to the head, cut to the newest
+/// `queue_capacity` — exactly what a [`Queued`] subscriber with the
+/// same filter would hold — so what it has shed is arithmetic.
+struct Cursor {
+    seed: VecDeque<Arc<TelemetryDelta>>,
+    /// Log position of its oldest undelivered stream delta; `None` while
+    /// the stream is still below `floor_seq`.
+    from: Option<u64>,
+    floor_seq: u64,
+    /// Deltas shed as of the last [`Cursor::settle`].
+    dropped: u64,
+    delivered: u64,
+    /// Log position of the delta whose arrival evicts it, as of the last
+    /// settle.
+    evict_at: u64,
+}
+
+impl Cursor {
+    /// Queue length and cumulative drops with the log's head at `head`:
+    /// each delta past the capacity shed the oldest one held.
+    fn backlog(&self, head: u64, cap: usize) -> (u64, u64) {
+        let stream = self.from.map_or(0, |from| head - from);
+        let held = self.seed.len() as u64 + stream;
+        let over = held.saturating_sub(cap as u64);
+        (held - over, self.dropped + over)
+    }
+
+    /// Shed what [`Cursor::backlog`] counts: the seed's front first,
+    /// then the stream's.
+    fn settle(&mut self, head: u64, cap: usize) {
+        let Some(from) = self.from else { return };
+        let (_, dropped) = self.backlog(head, cap);
+        let over = dropped - self.dropped;
+        let from_seed = over.min(self.seed.len() as u64);
+        self.seed.drain(..from_seed as usize);
+        self.from = Some(from + over - from_seed);
+        self.dropped = dropped;
+    }
+
+    /// The log position of the delta whose arrival takes the drops past
+    /// `evict_after_drops`, counted from `head`: the room left in the
+    /// queue, then the drops left before the threshold.
+    fn eviction(&self, head: u64, config: &SubscriptionConfig) -> u64 {
+        let (queued, dropped) = self.backlog(head, config.queue_capacity);
+        head.saturating_add(config.queue_capacity as u64 - queued)
+            .saturating_add(config.evict_after_drops.saturating_sub(dropped))
+    }
 }
 
 /// Per-subscriber counters returned by [`TelemetryHub::stats`].
@@ -347,20 +413,39 @@ impl TelemetrySequencer {
 
 /// A relay's half of the plane: the bounded queues of the subscribers
 /// attached at one broker. See the module docs.
+///
+/// Deltas reach a hub in strictly increasing `seq` order (the relay's
+/// ingest mark sees to it); that is what lets a subscriber's
+/// `floor_seq` cut its stream at one log position.
 pub struct TelemetryHub {
     config: SubscriptionConfig,
-    subs: BTreeMap<SubscriberId, Subscriber>,
+    queued: BTreeMap<SubscriberId, Queued>,
+    /// The log and its cursor subscribers, built by the first cursor
+    /// subscribe: most relays never serve one, and a fleet has one relay
+    /// per rank.
+    cursors: Option<Box<Cursors>>,
+    /// One past the newest dispatched delta's `seq` (0 before the first).
+    next_seq: u64,
     next_id: SubscriberId,
     fanned_out: u64,
     evicted: u64,
 }
+
+/// The filter of every cursor subscriber.
+static ALL: SubscriptionFilter = SubscriptionFilter {
+    job: None,
+    nodes: None,
+    min_interval_us: 0,
+};
 
 impl TelemetryHub {
     /// An empty hub.
     pub fn new(config: SubscriptionConfig) -> TelemetryHub {
         TelemetryHub {
             config,
-            subs: BTreeMap::new(),
+            queued: BTreeMap::new(),
+            cursors: None,
+            next_seq: 0,
             next_id: 1,
             fanned_out: 0,
             evicted: 0,
@@ -373,6 +458,9 @@ impl TelemetryHub {
     /// nothing permanent by re-subscribing. Dispatch is floored at
     /// `floor_seq`: stream deltas below it are skipped because the seed
     /// already covers them.
+    ///
+    /// A match-everything subscriber with no cadence floor is a position
+    /// in the hub's log; any other keeps a queue of its own.
     pub fn subscribe(
         &mut self,
         filter: SubscriptionFilter,
@@ -381,35 +469,60 @@ impl TelemetryHub {
     ) -> SubscriberId {
         let id = self.next_id;
         self.next_id += 1;
-        let mut sub = Subscriber {
-            filter,
-            queue: VecDeque::new(),
-            last_us: HashMap::new(),
-            last_link_us: HashMap::new(),
+        let cap = self.config.queue_capacity;
+        // Seed sheds do not count toward eviction: a consumer whose
+        // queue is smaller than the snapshot would otherwise start life
+        // with a drop balance and be evicted on its first slow stretch —
+        // or instantly, for small queues — making re-subscribe useless.
+        let mut queue = VecDeque::new();
+        for delta in seed.iter().filter(|d| filter.matches(d)) {
+            if queue.len() >= cap {
+                queue.pop_front();
+            }
+            queue.push_back(Arc::clone(delta));
+        }
+        // A zero-capacity queue still holds the newest delta, which no
+        // cut of the log describes.
+        if filter != ALL || cap == 0 {
+            let sub = Queued {
+                filter,
+                queue,
+                last_us: HashMap::new(),
+                last_link_us: HashMap::new(),
+                dropped: 0,
+                delivered: 0,
+                floor_seq,
+            };
+            self.queued.insert(id, sub);
+            return id;
+        }
+        let cursors = self.cursors.get_or_insert_default();
+        let cursor = Cursor {
+            seed: queue,
+            from: None,
+            floor_seq,
             dropped: 0,
             delivered: 0,
-            floor_seq,
+            evict_at: 0,
         };
-        for delta in seed {
-            if sub.filter.matches(delta) {
-                // Seed sheds do not count toward eviction: a consumer
-                // whose queue is smaller than the snapshot would
-                // otherwise start life with a drop balance and be
-                // evicted on its first slow stretch — or instantly,
-                // for small queues — making re-subscribe useless.
-                if sub.queue.len() >= self.config.queue_capacity {
-                    sub.queue.pop_front();
-                }
-                sub.queue.push_back(Arc::clone(delta));
-            }
+        cursors.subs.insert(id, cursor);
+        // Every later delta is at or above the next seq.
+        if floor_seq <= self.next_seq {
+            cursors.reach(id, cursors.log.head, &self.config);
+        } else {
+            cursors.waiting.push(id);
         }
-        self.subs.insert(id, sub);
         id
     }
 
     /// Remove a subscriber. Returns whether it existed.
     pub fn unsubscribe(&mut self, id: SubscriberId) -> bool {
-        self.subs.remove(&id).is_some()
+        if self.queued.remove(&id).is_some() {
+            return true;
+        }
+        self.cursors
+            .as_mut()
+            .is_some_and(|c| c.unsubscribe(id, &self.config))
     }
 
     /// Fan one stamped delta out to every matching subscriber, applying
@@ -417,9 +530,56 @@ impl TelemetryHub {
     /// enqueued). Subscribers whose cumulative shed count crosses the
     /// eviction threshold are removed.
     pub fn dispatch(&mut self, delta: &Arc<TelemetryDelta>) -> usize {
-        let mut fanout = 0usize;
+        self.admit(std::slice::from_ref(delta), |log, keep| {
+            log.push(delta, keep)
+        })
+    }
+
+    /// [`dispatch`](TelemetryHub::dispatch) each delta of
+    /// `batch[skip..]`, a relay batch off the wire, in order, and return
+    /// the summed fan-out. The log keeps the batch's page whole — one
+    /// reference-count bump, however many deltas and cursor subscribers
+    /// — and only the filtered and cadence-floored subscribers are
+    /// walked delta by delta.
+    pub fn dispatch_batch(&mut self, batch: &SharedDeltas, skip: usize) -> usize {
+        let fresh = batch.get(skip..).unwrap_or_default();
+        if fresh.is_empty() {
+            return 0;
+        }
+        self.admit(fresh, |log, keep| log.adopt(batch.page(), skip, keep))
+    }
+
+    /// Fan `fresh` out: to the cursor subscribers through the log, which
+    /// `append` puts it into, and to each queued subscriber delta by
+    /// delta.
+    fn admit(
+        &mut self,
+        fresh: &[Arc<TelemetryDelta>],
+        append: impl FnOnce(&mut DeltaLog, bool),
+    ) -> usize {
+        let mut fanout = 0;
+        if let Some(cursors) = &mut self.cursors {
+            let (taken, evicted) = cursors.admit(fresh, append, &self.config);
+            fanout += taken;
+            self.evicted += evicted;
+        }
+        if let Some(newest) = fresh.last() {
+            self.next_seq = newest.seq + 1;
+        }
+        if !self.queued.is_empty() {
+            for delta in fresh {
+                fanout += self.dispatch_queued(delta);
+            }
+        }
+        self.fanned_out += fanout;
+        fanout as usize
+    }
+
+    /// The queued subscribers' half of a dispatch.
+    fn dispatch_queued(&mut self, delta: &Arc<TelemetryDelta>) -> u64 {
+        let mut fanout = 0;
         let mut evict: Vec<SubscriberId> = Vec::new();
-        for (&id, sub) in self.subs.iter_mut() {
+        for (&id, sub) in self.queued.iter_mut() {
             if delta.seq < sub.floor_seq || !sub.filter.matches(delta) {
                 continue;
             }
@@ -436,61 +596,70 @@ impl TelemetryHub {
                 }
                 budget.insert(delta.node, delta.timestamp_us);
             }
-            Self::enqueue(&self.config, sub, delta);
+            if sub.queue.len() >= self.config.queue_capacity {
+                sub.queue.pop_front();
+                sub.dropped += 1;
+            }
+            sub.queue.push_back(Arc::clone(delta));
             fanout += 1;
             if sub.dropped > self.config.evict_after_drops {
                 evict.push(id);
             }
         }
         for id in evict {
-            self.subs.remove(&id);
+            self.queued.remove(&id);
             self.evicted += 1;
         }
-        self.fanned_out += fanout as u64;
         fanout
     }
 
-    fn enqueue(config: &SubscriptionConfig, sub: &mut Subscriber, delta: &Arc<TelemetryDelta>) {
-        if sub.queue.len() >= config.queue_capacity {
-            sub.queue.pop_front();
-            sub.dropped += 1;
-        }
-        sub.queue.push_back(Arc::clone(delta));
-    }
-
-    /// Drain up to `max` pending deltas for a subscriber, oldest first.
-    /// `None` when the subscriber is unknown — never registered, already
-    /// unsubscribed, or evicted for slowness (the caller re-subscribes
-    /// and resumes from the latest snapshot).
+    /// Drain up to `max` pending deltas for a subscriber, oldest first,
+    /// with its cumulative shed count. `None` when the subscriber is
+    /// unknown — never registered, already unsubscribed, or evicted for
+    /// slowness (the caller re-subscribes and resumes from the latest
+    /// snapshot). A cursor subscriber's deltas are runs of the log's
+    /// pages.
     pub fn poll(
         &mut self,
         id: SubscriberId,
         max: usize,
-    ) -> Option<(Vec<Arc<TelemetryDelta>>, u64)> {
-        let sub = self.subs.get_mut(&id)?;
+    ) -> Option<(Runs<Arc<TelemetryDelta>>, u64)> {
+        let Some(sub) = self.queued.get_mut(&id) else {
+            return self.cursors.as_mut()?.poll(id, max, &self.config);
+        };
         let n = max.min(sub.queue.len());
-        let deltas: Vec<Arc<TelemetryDelta>> = sub.queue.drain(..n).collect();
-        sub.delivered += deltas.len() as u64;
-        Some((deltas, sub.dropped))
+        sub.delivered += n as u64;
+        let page: Arc<[_]> = sub.queue.drain(..n).collect();
+        Some((Runs::from(page), sub.dropped))
     }
 
     /// Live subscriber count.
     pub fn subscriber_count(&self) -> usize {
-        self.subs.len()
+        self.queued.len() + self.cursors.as_ref().map_or(0, |c| c.subs.len())
     }
 
-    /// The live subscribers' filters — what a relay unions (with child
-    /// aggregates) into the filter it advertises up its TBON edge.
+    /// The live subscribers' filters, in subscription order — what a
+    /// relay unions (with child aggregates) into the filter it
+    /// advertises up its TBON edge.
     pub fn filters(&self) -> impl Iterator<Item = &SubscriptionFilter> {
-        self.subs.values().map(|s| &s.filter)
+        let mut queued = self.queued.iter().peekable();
+        let mut cursors = self.cursors.iter().flat_map(|c| c.subs.keys()).peekable();
+        std::iter::from_fn(move || match (queued.peek(), cursors.peek()) {
+            (Some(&(q, _)), Some(&c)) if c < q => cursors.next().map(|_| &ALL),
+            (None, Some(_)) => cursors.next().map(|_| &ALL),
+            _ => queued.next().map(|(_, sub)| &sub.filter),
+        })
     }
 
     /// Counters for one subscriber.
     pub fn stats(&self, id: SubscriberId) -> Option<SubscriberStats> {
-        self.subs.get(&id).map(|s| SubscriberStats {
-            queued: s.queue.len(),
-            dropped: s.dropped,
-            delivered: s.delivered,
+        let Some(sub) = self.queued.get(&id) else {
+            return self.cursors.as_ref()?.stats(id, &self.config);
+        };
+        Some(SubscriberStats {
+            queued: sub.queue.len(),
+            dropped: sub.dropped,
+            delivered: sub.delivered,
         })
     }
 
@@ -511,290 +680,275 @@ impl Default for TelemetryHub {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+/// A hub's cursor subscribers and the log they read.
+#[derive(Default)]
+struct Cursors {
+    subs: BTreeMap<SubscriberId, Cursor>,
+    log: DeltaLog,
+    /// `(evict_at, id)` of every subscriber the stream has reached,
+    /// soonest first.
+    evictions: BTreeSet<(u64, SubscriberId)>,
+    /// `(from, id)` of the same subscribers: the oldest position one of
+    /// them may still read.
+    positions: BTreeSet<(u64, SubscriberId)>,
+    /// Subscribers whose `floor_seq` the stream has not reached.
+    waiting: Vec<SubscriberId>,
+    /// Where a poll reply's runs are lined up before their one
+    /// allocation.
+    lineup: Vec<Run<Arc<TelemetryDelta>>>,
+}
 
-    /// The root's sequencer feeding one hub, the way the root agent
-    /// feeds its co-located relay: stamp, then dispatch; a subscriber is
-    /// seeded from the sequencer and floored at its horizon.
-    #[derive(Default)]
-    struct Fed {
-        seq: TelemetrySequencer,
-        hub: TelemetryHub,
+impl Cursors {
+    /// Start subscriber `id`'s stream at log position `at`.
+    fn reach(&mut self, id: SubscriberId, at: u64, config: &SubscriptionConfig) {
+        let Some(cursor) = self.subs.get_mut(&id) else {
+            return;
+        };
+        cursor.from = Some(at);
+        cursor.evict_at = cursor.eviction(at, config);
+        self.positions.insert((at, id));
+        self.evictions.insert((cursor.evict_at, id));
     }
 
-    impl Fed {
-        fn subscribe(&mut self, filter: SubscriptionFilter) -> SubscriberId {
-            let (seed, horizon) = self.seq.seed_for(&filter);
-            self.hub.subscribe(filter, &seed, horizon)
+    fn unsubscribe(&mut self, id: SubscriberId, config: &SubscriptionConfig) -> bool {
+        let Some(cursor) = self.subs.remove(&id) else {
+            return false;
+        };
+        match cursor.from {
+            Some(from) => {
+                self.positions.remove(&(from, id));
+                self.evictions.remove(&(cursor.evict_at, id));
+                self.trim(config);
+            }
+            None => self.waiting.retain(|&w| w != id),
         }
-
-        fn publish(&mut self, node: u32, ts: u64, node_w: f64, job: Option<JobId>) -> usize {
-            let delta = self.seq.publish(node, ts, node_w, job);
-            self.hub.dispatch(&delta)
-        }
-
-        fn publish_link(&mut self, child: u32, ts: u64, sample: LinkSample) -> usize {
-            let delta = self.seq.publish_link(child, ts, sample);
-            self.hub.dispatch(&delta)
-        }
+        true
     }
 
-    fn hub(cap: usize, evict: u64) -> Fed {
-        Fed {
-            seq: TelemetrySequencer::default(),
-            hub: TelemetryHub::new(SubscriptionConfig {
-                queue_capacity: cap,
-                evict_after_drops: evict,
-            }),
+    /// Append `fresh` to the log with `append` and count what the
+    /// subscribers take of it: all of it for one the stream had reached,
+    /// the part from its floor on for one it reaches now, each up to the
+    /// delta that evicts it. Returns the fan-out and the evictions.
+    fn admit(
+        &mut self,
+        fresh: &[Arc<TelemetryDelta>],
+        append: impl FnOnce(&mut DeltaLog, bool),
+        config: &SubscriptionConfig,
+    ) -> (u64, u64) {
+        let mut fanout = self.positions.len() as u64 * fresh.len() as u64;
+        if !self.waiting.is_empty() {
+            fanout += self.reach_waiting(fresh, config);
         }
-    }
-
-    #[test]
-    fn filters_route_deltas() {
-        let mut h = Fed::default();
-        let all = h.subscribe(SubscriptionFilter::all());
-        let job1 = h.subscribe(SubscriptionFilter::all().with_job(JobId(1)));
-        let node2 = h.subscribe(SubscriptionFilter::all().with_nodes(vec![2]));
-
-        assert_eq!(h.publish(0, 1_000, 100.0, None), 1); // all only
-        assert_eq!(h.publish(2, 2_000, 200.0, Some(JobId(1))), 3); // everyone
-        assert_eq!(h.publish(3, 3_000, 300.0, Some(JobId(9))), 1); // all only
-
-        assert_eq!(h.hub.poll(all, usize::MAX).unwrap().0.len(), 3);
-        assert_eq!(h.hub.poll(job1, usize::MAX).unwrap().0.len(), 1);
-        let (d, dropped) = h.hub.poll(node2, usize::MAX).unwrap();
-        assert_eq!(dropped, 0);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].node, 2);
-        assert_eq!(d[0].job, Some(JobId(1)));
-    }
-
-    #[test]
-    fn cadence_floor_downsamples_per_node() {
-        let mut h = Fed::default();
-        let slow = h.subscribe(SubscriptionFilter::all().with_min_interval_us(10_000));
-        // Node 0 samples every 2 ms: only every 5th delivered.
-        for i in 0..10u64 {
-            h.publish(0, i * 2_000, 1.0, None);
+        append(&mut self.log, !self.subs.is_empty());
+        let head = self.log.head;
+        let mut evicted = 0;
+        while let Some(&(at, id)) = self.evictions.first().filter(|(at, _)| *at < head) {
+            self.evictions.pop_first();
+            if let Some(from) = self.subs.remove(&id).and_then(|c| c.from) {
+                self.positions.remove(&(from, id));
+            }
+            evicted += 1;
+            // It took every delta up to the one that evicted it.
+            fanout -= head - 1 - at;
         }
-        // Cadence is per node: node 1 gets its own budget.
-        h.publish(1, 1_000, 2.0, None);
-        let (d, _) = h.hub.poll(slow, usize::MAX).unwrap();
-        let node0: Vec<u64> = d
-            .iter()
-            .filter(|x| x.node == 0)
-            .map(|x| x.timestamp_us)
-            .collect();
-        assert_eq!(node0, vec![0, 10_000], "next slot would be 20 ms");
-        assert_eq!(d.iter().filter(|x| x.node == 1).count(), 1);
+        self.trim(config);
+        (fanout, evicted)
     }
 
-    #[test]
-    fn bounded_queue_sheds_oldest_then_evicts() {
-        let mut h = hub(4, 6);
-        let lazy = h.subscribe(SubscriptionFilter::all());
-        // Never polled: 4 queued, then every publish sheds the oldest.
-        for i in 0..10u64 {
-            h.publish(0, i, 1.0, None);
+    /// Start the waiting subscribers whose floor `fresh` reaches, at the
+    /// position it does; returns the deltas of `fresh` they take.
+    fn reach_waiting(&mut self, fresh: &[Arc<TelemetryDelta>], config: &SubscriptionConfig) -> u64 {
+        let mut taken = 0;
+        let head = self.log.head;
+        let mut waiting = std::mem::take(&mut self.waiting);
+        waiting.retain(|&id| {
+            let floor = self.subs.get(&id).map_or(0, |c| c.floor_seq);
+            let skip = fresh.partition_point(|d| d.seq < floor);
+            if skip == fresh.len() {
+                return true;
+            }
+            taken += (fresh.len() - skip) as u64;
+            self.reach(id, head + skip as u64, config);
+            false
+        });
+        self.waiting = waiting;
+        taken
+    }
+
+    /// Drop what no subscriber can read any more: everything before the
+    /// oldest position, and everything more than a queue's capacity
+    /// behind the head.
+    fn trim(&mut self, config: &SubscriptionConfig) {
+        let head = self.log.head;
+        let to = self.positions.first().map_or(head, |&(from, _)| {
+            from.max(head.saturating_sub(config.queue_capacity as u64))
+        });
+        self.log.trim(to);
+    }
+
+    fn poll(
+        &mut self,
+        id: SubscriberId,
+        max: usize,
+        config: &SubscriptionConfig,
+    ) -> Option<(Runs<Arc<TelemetryDelta>>, u64)> {
+        let head = self.log.head;
+        let cursor = self.subs.get_mut(&id)?;
+        if let Some(from) = cursor.from {
+            self.positions.remove(&(from, id));
+            self.evictions.remove(&(cursor.evict_at, id));
+            cursor.settle(head, config.queue_capacity);
         }
-        let s = h.hub.stats(lazy).unwrap();
-        assert_eq!(s.queued, 4);
-        assert_eq!(s.dropped, 6, "10 published, 4 retained");
-        // Crossing the eviction threshold removes the subscriber.
-        h.publish(0, 10, 1.0, None);
-        assert_eq!(h.hub.subscriber_count(), 0);
-        assert_eq!(h.hub.evicted(), 1);
-        assert!(
-            h.hub.poll(lazy, 1).is_none(),
-            "evicted subscriber is unknown"
-        );
-    }
-
-    #[test]
-    fn resubscribe_resumes_from_latest_snapshot() {
-        let mut h = hub(2, 1);
-        let lazy = h.subscribe(SubscriptionFilter::all());
-        for node in 0..3u32 {
-            for t in 0..4u64 {
-                h.publish(node, 100 * node as u64 + t, node as f64, None);
+        let from_seed = max.min(cursor.seed.len());
+        if from_seed > 0 {
+            let page = cursor.seed.drain(..from_seed).collect();
+            self.lineup.push(Run::Page {
+                page,
+                start: 0,
+                end: from_seed,
+            });
+            if cursor.seed.is_empty() {
+                // A seed is read once: its storage need not outlive it.
+                cursor.seed = VecDeque::new();
             }
         }
-        assert!(h.hub.poll(lazy, 1).is_none(), "evicted");
-        // A fresh subscription starts from the latest sample per node,
-        // not an empty stream and not the full history.
-        let again = h.subscribe(SubscriptionFilter::all().with_nodes(vec![0, 2]));
-        let (d, _) = h.hub.poll(again, usize::MAX).unwrap();
-        let seen: Vec<(u32, u64)> = d.iter().map(|x| (x.node, x.timestamp_us)).collect();
-        assert_eq!(seen, vec![(0, 3), (2, 203)]);
-    }
-
-    #[test]
-    fn poll_drains_in_order_with_max() {
-        let mut h = Fed::default();
-        let s = h.subscribe(SubscriptionFilter::all());
-        for i in 0..5u64 {
-            h.publish(0, i, i as f64, None);
+        let mut taken = from_seed as u64;
+        if let Some(from) = cursor.from {
+            let n = ((max - from_seed) as u64).min(head - from);
+            self.log.read(from, n, &mut self.lineup);
+            cursor.from = Some(from + n);
+            cursor.evict_at = cursor.eviction(head, config);
+            self.positions.insert((from + n, id));
+            self.evictions.insert((cursor.evict_at, id));
+            taken += n;
         }
-        let (first, _) = h.hub.poll(s, 2).unwrap();
-        assert_eq!(
-            first.iter().map(|d| d.timestamp_us).collect::<Vec<_>>(),
-            vec![0, 1]
-        );
-        let (rest, _) = h.hub.poll(s, usize::MAX).unwrap();
-        assert_eq!(rest.len(), 3);
-        assert_eq!(h.hub.stats(s).unwrap().delivered, 5);
-        assert_eq!(h.hub.fanned_out(), 5);
+        cursor.delivered += taken;
+        let dropped = cursor.dropped;
+        self.trim(config);
+        Some((Runs::from_lineup(&mut self.lineup), dropped))
     }
 
-    fn link(parent: u32, delay: f64) -> LinkSample {
-        LinkSample {
-            parent,
-            ewma_delay_us: delay,
-            ewma_depth: 0.5,
-            delivered: 10,
-            congestion_drops: 2,
-            reparents: 0,
-        }
-    }
-
-    #[test]
-    fn link_deltas_fan_out_but_skip_job_filtered_subscribers() {
-        let mut h = Fed::default();
-        let all = h.subscribe(SubscriptionFilter::all());
-        let job1 = h.subscribe(SubscriptionFilter::all().with_job(JobId(1)));
-        let node2 = h.subscribe(SubscriptionFilter::all().with_nodes(vec![2]));
-
-        // A job-scoped dashboard asked for job power, not network
-        // internals — only the unfiltered and node-scoped consumers see
-        // link health.
-        assert_eq!(h.publish_link(2, 1_000, link(0, 140.0)), 2);
-        let (d, _) = h.hub.poll(all, usize::MAX).unwrap();
-        assert_eq!(d[0].link.unwrap().parent, 0);
-        assert_eq!((d[0].node, d[0].job), (2, None));
-        assert_eq!(h.hub.poll(job1, usize::MAX).unwrap().0.len(), 0);
-        assert_eq!(h.hub.poll(node2, usize::MAX).unwrap().0.len(), 1);
-    }
-
-    #[test]
-    fn link_snapshot_lives_apart_from_power_snapshot() {
-        let mut h = Fed::default();
-        h.publish(1, 1_000, 950.0, Some(JobId(7)));
-        h.publish_link(1, 2_000, link(0, 80.0));
-
-        // Rank 1 now has both a power and a link snapshot; neither
-        // clobbered the other.
-        assert_eq!(h.seq.latest(1).unwrap().node_w, 950.0);
-        assert_eq!(h.seq.latest_link(1).unwrap().link.unwrap().parent, 0);
-
-        // A fresh subscriber is seeded with both kinds.
-        let s = h.subscribe(SubscriptionFilter::all());
-        let (d, _) = h.hub.poll(s, usize::MAX).unwrap();
-        let kinds: Vec<bool> = d.iter().map(|x| x.link.is_some()).collect();
-        assert_eq!(kinds, vec![false, true]);
-    }
-
-    #[test]
-    fn cadence_floor_budgets_power_and_link_streams_separately() {
-        let mut h = Fed::default();
-        let slow = h.subscribe(SubscriptionFilter::all().with_min_interval_us(10_000));
-        // Interleaved power and link reports for the same rank within
-        // one cadence window: one of each is delivered, because a link
-        // report must not consume the power stream's budget.
-        h.publish(3, 0, 1.0, None);
-        h.publish_link(3, 1_000, link(0, 5.0));
-        h.publish(3, 2_000, 1.0, None);
-        h.publish_link(3, 3_000, link(0, 5.0));
-        let (d, _) = h.hub.poll(slow, usize::MAX).unwrap();
-        assert_eq!(d.len(), 2);
-        assert!(d[0].link.is_none());
-        assert!(d[1].link.is_some());
-    }
-
-    #[test]
-    fn unsubscribe_stops_fanout() {
-        let mut h = Fed::default();
-        let s = h.subscribe(SubscriptionFilter::all());
-        assert!(h.hub.unsubscribe(s));
-        assert!(!h.hub.unsubscribe(s));
-        assert_eq!(h.publish(0, 1, 1.0, None), 0);
-    }
-
-    #[test]
-    fn empty_node_set_is_rejected_with_typed_error() {
-        assert_eq!(
-            SubscriptionFilter::all().try_with_nodes(vec![]),
-            Err(FilterError::EmptyNodeSet)
-        );
-        assert_eq!(
-            SubscriptionFilter::all().with_nodes(vec![]).validate(),
-            Err(FilterError::EmptyNodeSet)
-        );
-        assert!(SubscriptionFilter::all()
-            .try_with_nodes(vec![3])
-            .unwrap()
-            .validate()
-            .is_ok());
-    }
-
-    #[test]
-    fn non_positive_cadence_is_rejected_with_typed_error() {
-        assert_eq!(
-            SubscriptionFilter::all().try_with_min_interval_us(0),
-            Err(FilterError::NonPositiveCadence)
-        );
-        assert_eq!(
-            SubscriptionFilter::all().try_with_min_interval_us(-5),
-            Err(FilterError::NonPositiveCadence)
-        );
-        let f = SubscriptionFilter::all()
-            .try_with_min_interval_us(10)
-            .unwrap();
-        assert_eq!(f.min_interval_us, 10);
-    }
-
-    #[test]
-    fn seeding_sheds_do_not_count_toward_eviction() {
-        // Queue capacity 1, eviction after 2 cumulative drops, and 4
-        // nodes of snapshot state: seeding sheds 3 entries. Those sheds
-        // must not pre-charge the drop balance, or the re-subscriber
-        // would be evicted after its first two slow publishes.
-        let mut h = hub(1, 2);
-        for node in 0..4u32 {
-            h.publish(node, 1_000 + node as u64, 1.0, None);
-        }
-        let s = h.subscribe(SubscriptionFilter::all());
-        assert_eq!(h.hub.stats(s).unwrap().dropped, 0, "seed sheds are free");
-        // Two unpolled publishes shed two queued deltas — at the
-        // threshold but not over it; the subscriber survives.
-        h.publish(0, 2_000, 1.0, None);
-        h.publish(1, 2_001, 1.0, None);
-        assert_eq!(h.hub.stats(s).unwrap().dropped, 2);
-        assert_eq!(h.hub.subscriber_count(), 1);
-        // The next shed crosses the threshold for real slowness.
-        h.publish(2, 2_002, 1.0, None);
-        assert_eq!(h.hub.subscriber_count(), 0);
-    }
-
-    #[test]
-    fn ingest_updates_snapshots_and_respects_floor_seq() {
-        let mut root = TelemetrySequencer::default();
-        let mut relay = hub(8, 64).hub;
-        // Root publishes two deltas; a relay subscriber seeded at the
-        // horizon skips stream copies below it but sees later ones.
-        let d0 = root.publish(0, 1_000, 10.0, None);
-        let d1 = root.publish(1, 1_001, 11.0, None);
-        let (seed, horizon) = root.seed_for(&SubscriptionFilter::all());
-        assert_eq!(seed.len(), 2);
-        let s = relay.subscribe(SubscriptionFilter::all(), &seed, horizon);
-        // In-flight duplicates of the seeded deltas arrive late.
-        relay.dispatch(&d0);
-        relay.dispatch(&d1);
-        let d2 = root.publish(0, 2_000, 12.0, None);
-        relay.dispatch(&d2);
-        let (got, _) = relay.poll(s, usize::MAX).unwrap();
-        let seqs: Vec<u64> = got.iter().map(|d| d.seq).collect();
-        assert_eq!(seqs, vec![0, 1, 2], "seed, then only post-horizon stream");
+    fn stats(&self, id: SubscriberId, config: &SubscriptionConfig) -> Option<SubscriberStats> {
+        let cursor = self.subs.get(&id)?;
+        let (queued, dropped) = cursor.backlog(self.log.head, config.queue_capacity);
+        Some(SubscriberStats {
+            queued: queued as usize,
+            dropped,
+            delivered: cursor.delivered,
+        })
     }
 }
+
+/// A hub's log: the deltas it admitted while it had a cursor subscriber,
+/// oldest first, as ranges of shared pages. A relay batch off the wire
+/// is kept as the page it arrived in; the root's hand-offs collect in an
+/// open tail that becomes a page of its own when a poll reads into it.
+/// Positions count every delta the hub admitted, kept or not.
+#[derive(Default)]
+struct DeltaLog {
+    pages: VecDeque<LogPage>,
+    /// Hand-offs not yet in a page, newest last.
+    open: VecDeque<Arc<TelemetryDelta>>,
+    /// One past the newest delta's position.
+    head: u64,
+}
+
+/// `page[start..end]`, the deltas at positions `at..`.
+struct LogPage {
+    at: u64,
+    page: Arc<[Arc<TelemetryDelta>]>,
+    start: usize,
+    end: usize,
+}
+
+impl LogPage {
+    fn end_at(&self) -> u64 {
+        self.at + (self.end - self.start) as u64
+    }
+}
+
+impl DeltaLog {
+    /// Append one hand-off; `keep` is false when no subscriber reads the
+    /// log, and only the positions move.
+    fn push(&mut self, delta: &Arc<TelemetryDelta>, keep: bool) {
+        if keep {
+            self.open.push_back(Arc::clone(delta));
+        }
+        self.head += 1;
+    }
+
+    /// Append `page[skip..]`, a relay batch, non-empty, as a page.
+    fn adopt(&mut self, page: &Arc<[Arc<TelemetryDelta>]>, skip: usize, keep: bool) {
+        if keep {
+            self.seal();
+            self.pages.push_back(LogPage {
+                at: self.head,
+                page: Arc::clone(page),
+                start: skip,
+                end: page.len(),
+            });
+        }
+        self.head += (page.len() - skip) as u64;
+    }
+
+    /// Turn the open tail into a page (its storage is kept).
+    fn seal(&mut self) {
+        let n = self.open.len();
+        if n == 0 {
+            return;
+        }
+        let page = self.open.drain(..).collect();
+        self.pages.push_back(LogPage {
+            at: self.head - n as u64,
+            page,
+            start: 0,
+            end: n,
+        });
+    }
+
+    /// Drop every delta before position `to`.
+    fn trim(&mut self, to: u64) {
+        while let Some(page) = self.pages.front_mut() {
+            if page.end_at() <= to {
+                self.pages.pop_front();
+                continue;
+            }
+            if page.at < to {
+                page.start += (to - page.at) as usize;
+                page.at = to;
+            }
+            break;
+        }
+        let open_at = self.head - self.open.len() as u64;
+        if to > open_at {
+            let n = (to - open_at).min(self.open.len() as u64);
+            self.open.drain(..n as usize);
+        }
+    }
+
+    /// Line up the `n` deltas from position `from` as runs of pages,
+    /// sealing the open tail first if they reach into it.
+    fn read(&mut self, from: u64, n: u64, lineup: &mut Vec<Run<Arc<TelemetryDelta>>>) {
+        let end = from + n;
+        if end > self.head - self.open.len() as u64 {
+            self.seal();
+        }
+        let mut i = self.pages.partition_point(|p| p.end_at() <= from);
+        let mut at = from;
+        while at < end {
+            let page = &self.pages[i];
+            let start = page.start + (at - page.at) as usize;
+            let stop = page.end.min(start + (end - at) as usize);
+            lineup.push(Run::Page {
+                page: Arc::clone(&page.page),
+                start,
+                end: stop,
+            });
+            at += (stop - start) as u64;
+            i += 1;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests;

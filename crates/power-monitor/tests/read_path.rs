@@ -199,11 +199,12 @@ fn a_sampling_tick_allocates_a_fixed_number_of_blocks() {
     assert!(std::ptr::eq(copy.raw_json(), record.raw_json()));
 
     // A whole tick through the engine. The sensor scan is `hw-models`'
-    // and its reading is inline; the monitor adds the record, and every
-    // sixteenth tick also seals the page it filled (DESIGN.md §14) — the
-    // same count every sixteen ticks once the log is past its second
-    // page (until then its open page grows a logarithmic number of
-    // times) and at capacity.
+    // and its reading is inline; the monitor adds the record, every
+    // fourth tick packs the last four records' bytes into one block, and
+    // every sixteenth tick also seals the page it filled (DESIGN.md §14).
+    // The same count every sixteen ticks once the log is past its second
+    // page (until then its open page grows a quarter page at a time) and
+    // at capacity.
     let mut w = World::new(MachineKind::Lassen, 1, 3);
     let (sensor_scan, _) = allocs_during(|| w.nodes[0].read_sensors());
     assert_eq!(sensor_scan, 0, "a sensor scan owns no heap");
@@ -222,8 +223,9 @@ fn a_sampling_tick_allocates_a_fixed_number_of_blocks() {
         let (allocs, _) = allocs_during(|| eng.run_until(&mut w, until));
         let after = agent.borrow().samples_taken();
         assert_eq!(after - before, ticks);
+        let packs = after / 4 - before / 4;
         let pages = after / 16 - before / 16;
-        assert_eq!(allocs, ticks + pages, "over {ticks} tick(s)");
+        assert_eq!(allocs, ticks + packs + pages, "over {ticks} tick(s)");
     }
 }
 

@@ -796,902 +796,12 @@ impl<W, E: Event<W>> Engine<W, E> {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    type World = Vec<(u64, &'static str)>;
-
-    fn t(s: u64) -> SimTime {
-        SimTime::from_secs(s)
-    }
-
-    #[test]
-    fn events_fire_in_time_order() {
-        let mut eng: Engine<World> = Engine::new();
-        eng.schedule(t(3), |w, e| w.push((e.now().as_micros(), "c")));
-        eng.schedule(t(1), |w, e| w.push((e.now().as_micros(), "a")));
-        eng.schedule(t(2), |w, e| w.push((e.now().as_micros(), "b")));
-        let mut w = Vec::new();
-        eng.run(&mut w);
-        let labels: Vec<_> = w.iter().map(|(_, l)| *l).collect();
-        assert_eq!(labels, vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn same_time_events_fire_fifo() {
-        let mut eng: Engine<World> = Engine::new();
-        for label in ["first", "second", "third"] {
-            eng.schedule(t(5), move |w, _| w.push((0, label)));
-        }
-        let mut w = Vec::new();
-        eng.run(&mut w);
-        let labels: Vec<_> = w.iter().map(|(_, l)| *l).collect();
-        assert_eq!(labels, vec!["first", "second", "third"]);
-    }
-
-    #[test]
-    fn scheduling_in_past_clamps_to_now() {
-        let mut eng: Engine<World> = Engine::new();
-        eng.schedule(t(10), |w, e| {
-            e.schedule(t(1), |w, e| {
-                assert_eq!(e.now(), t(10));
-                w.push((0, "clamped"));
-            });
-            w.push((0, "outer"));
-        });
-        let mut w = Vec::new();
-        eng.run(&mut w);
-        assert_eq!(w.len(), 2);
-    }
-
-    #[test]
-    fn nested_scheduling_from_events() {
-        let mut eng: Engine<World> = Engine::new();
-        eng.schedule(t(1), |_, e| {
-            e.schedule_in(SimDuration::from_secs(2), |w, e| {
-                assert_eq!(e.now(), t(3));
-                w.push((e.now().as_micros(), "nested"));
-            });
-        });
-        let mut w = Vec::new();
-        let end = eng.run(&mut w);
-        assert_eq!(end, t(3));
-        assert_eq!(w.len(), 1);
-    }
-
-    #[test]
-    fn cancel_prevents_execution() {
-        let mut eng: Engine<World> = Engine::new();
-        let id = eng.schedule(t(1), |w, _| w.push((0, "no")));
-        assert!(eng.cancel(id));
-        assert!(!eng.cancel(id), "double-cancel is a no-op");
-        let mut w = Vec::new();
-        eng.run(&mut w);
-        assert!(w.is_empty());
-    }
-
-    #[test]
-    fn periodic_fires_until_break() {
-        let mut eng: Engine<Vec<u64>> = Engine::new();
-        let mut count = 0;
-        eng.schedule_every(t(0), SimDuration::from_secs(2), move |w, e| {
-            count += 1;
-            w.push(e.now().as_micros());
-            if count == 4 {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        });
-        let mut w = Vec::new();
-        eng.run(&mut w);
-        assert_eq!(
-            w,
-            vec![0, 2_000_000, 4_000_000, 6_000_000],
-            "fires at 0,2,4,6s then stops"
-        );
-    }
-
-    #[test]
-    fn periodic_can_be_cancelled_externally() {
-        let mut eng: Engine<Vec<u64>> = Engine::new();
-        let id = eng.schedule_every(t(0), SimDuration::from_secs(1), |w, e| {
-            w.push(e.now().as_micros());
-            ControlFlow::Continue(())
-        });
-        eng.schedule(t(3), move |_, e| {
-            e.cancel(id);
-        });
-        let mut w = Vec::new();
-        eng.run(&mut w);
-        // Fires at 0,1,2,3 — the cancel event at t=3 was scheduled after
-        // the periodic task, so the periodic firing at t=3 happens first.
-        assert_eq!(w.len(), 4);
-    }
-
-    #[test]
-    fn run_until_leaves_later_events_queued() {
-        let mut eng: Engine<Vec<u64>> = Engine::new();
-        eng.schedule(t(1), |w, _| w.push(1));
-        eng.schedule(t(5), |w, _| w.push(5));
-        let mut w = Vec::new();
-        eng.run_until(&mut w, t(3));
-        assert_eq!(w, vec![1]);
-        assert_eq!(eng.pending(), 1);
-        eng.run(&mut w);
-        assert_eq!(w, vec![1, 5]);
-    }
-
-    #[test]
-    fn horizon_stops_execution() {
-        let mut eng: Engine<Vec<u64>> = Engine::new();
-        eng.set_horizon(t(2));
-        eng.schedule(t(1), |w, _| w.push(1));
-        eng.schedule(t(3), |w, _| w.push(3));
-        let mut w = Vec::new();
-        eng.run(&mut w);
-        assert_eq!(w, vec![1]);
-    }
-
-    #[test]
-    fn executed_counter() {
-        let mut eng: Engine<Vec<u64>> = Engine::new();
-        for s in 0..10 {
-            eng.schedule(t(s), |_, _| {});
-        }
-        let mut w = Vec::new();
-        eng.run(&mut w);
-        assert_eq!(eng.executed(), 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "periodic interval must be > 0")]
-    fn zero_interval_rejected() {
-        let mut eng: Engine<Vec<u64>> = Engine::new();
-        eng.schedule_every(t(0), SimDuration::ZERO, |_, _| ControlFlow::Continue(()));
-    }
-}
-
+mod lane_tests;
 #[cfg(test)]
-mod more_tests {
-    use super::*;
-
-    fn t(s: u64) -> SimTime {
-        SimTime::from_secs(s)
-    }
-
-    #[test]
-    fn next_event_time_skips_cancelled() {
-        let mut eng: Engine<Vec<u64>> = Engine::new();
-        let early = eng.schedule(t(1), |_, _| {});
-        eng.schedule(t(5), |_, _| {});
-        assert_eq!(eng.next_event_time(), Some(t(1)));
-        eng.cancel(early);
-        assert_eq!(eng.next_event_time(), Some(t(5)));
-    }
-
-    #[test]
-    fn next_event_time_empty() {
-        let eng: Engine<Vec<u64>> = Engine::new();
-        assert_eq!(eng.next_event_time(), None);
-    }
-
-    #[test]
-    fn periodic_self_cancel_via_break_frees_slot() {
-        let mut eng: Engine<u64> = Engine::new();
-        let id = eng.schedule_every(t(0), SimDuration::from_secs(1), |w, _| {
-            *w += 1;
-            ControlFlow::Break(())
-        });
-        let mut w = 0u64;
-        eng.run(&mut w);
-        assert_eq!(w, 1);
-        assert!(!eng.cancel(id), "task already gone after Break");
-        assert_eq!(eng.pending(), 0);
-    }
-
-    #[test]
-    fn events_scheduled_during_run_until_respect_cutoff() {
-        let mut eng: Engine<Vec<u64>> = Engine::new();
-        eng.schedule(t(1), |w, e| {
-            w.push(1);
-            e.schedule(t(2), |w, _| w.push(2));
-            e.schedule(t(10), |w, _| w.push(10));
-        });
-        let mut w = Vec::new();
-        eng.run_until(&mut w, t(5));
-        assert_eq!(w, vec![1, 2], "the t=10 event waits");
-        eng.run(&mut w);
-        assert_eq!(w, vec![1, 2, 10]);
-    }
-
-    #[test]
-    fn interleaved_oneshot_and_periodic_order() {
-        let mut eng: Engine<Vec<&'static str>> = Engine::new();
-        eng.schedule_every(t(2), SimDuration::from_secs(2), |w, e| {
-            w.push("periodic");
-            if e.now() >= t(6) {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        });
-        eng.schedule(t(3), |w, _| w.push("oneshot"));
-        let mut w = Vec::new();
-        eng.run(&mut w);
-        assert_eq!(w, vec!["periodic", "oneshot", "periodic", "periodic"]);
-    }
-}
-
+mod more_tests;
 #[cfg(test)]
-mod slab_tests {
-    use super::*;
-
-    fn t(s: u64) -> SimTime {
-        SimTime::from_secs(s)
-    }
-
-    #[test]
-    fn pending_excludes_cancelled_immediately() {
-        let mut eng: Engine<Vec<u64>> = Engine::new();
-        let a = eng.schedule(t(1), |_, _| {});
-        let _b = eng.schedule(t(2), |_, _| {});
-        assert_eq!(eng.pending(), 2);
-        eng.cancel(a);
-        assert_eq!(eng.pending(), 1, "cancelled events leave the queue eagerly");
-    }
-
-    #[test]
-    fn stale_id_cannot_cancel_slot_reuser() {
-        let mut eng: Engine<Vec<u64>> = Engine::new();
-        let a = eng.schedule(t(1), |_, _| {});
-        assert!(eng.cancel(a));
-        // The freed slot is reused by the next schedule; the stale
-        // handle must miss it.
-        let _b = eng.schedule(t(2), |w, _| w.push(2));
-        assert!(!eng.cancel(a), "stale id is generation-checked");
-        let mut w = Vec::new();
-        eng.run(&mut w);
-        assert_eq!(w, vec![2], "the reuser still fired");
-    }
-
-    #[test]
-    fn a_drained_slab_fills_again_from_the_bottom() {
-        let mut eng: Engine<Vec<u64>> = Engine::new();
-        let indices = |ids: &[EventId]| ids.iter().map(|id| id.unpack().1).collect::<Vec<_>>();
-        let first: Vec<_> = (0..4).map(|i| eng.schedule(t(4 - i), |_, _| {})).collect();
-        assert_eq!(indices(&first), [0, 1, 2, 3]);
-        // While anything is pending, the slot freed last is reused first.
-        assert!(eng.cancel(first[1]) && eng.cancel(first[2]));
-        let refill: Vec<_> = (0..3).map(|_| eng.schedule(t(9), |_, _| {})).collect();
-        assert_eq!(indices(&refill), [2, 1, 4]);
-        // Fired in an order unrelated to the indices; once the last one
-        // is gone the next burst lies in schedule order again, and no id
-        // from before it names one of its events.
-        let mut w = Vec::new();
-        eng.run(&mut w);
-        let second: Vec<_> = (0..5)
-            .map(|i| eng.schedule(t(20), move |w: &mut Vec<u64>, _| w.push(i)))
-            .collect();
-        assert_eq!(indices(&second), [0, 1, 2, 3, 4]);
-        for stale in first.iter().chain(&refill) {
-            assert!(!eng.cancel(*stale));
-        }
-        eng.run(&mut w);
-        assert_eq!(w, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn slot_reuse_does_not_perturb_order() {
-        // Fill, drain, and refill the slab: ordering is governed by
-        // (time, schedule order) alone, never by slot index.
-        let mut eng: Engine<Vec<u64>> = Engine::new();
-        let ids: Vec<_> = (0..8).map(|i| eng.schedule(t(50 + i), |_, _| {})).collect();
-        for id in ids {
-            assert!(eng.cancel(id));
-        }
-        // Schedule in reverse time order so freed slots are claimed by
-        // late events first.
-        for i in (0..8u64).rev() {
-            eng.schedule(t(1 + i), move |w: &mut Vec<u64>, _| w.push(i));
-        }
-        let mut w = Vec::new();
-        eng.run(&mut w);
-        assert_eq!(w, vec![0, 1, 2, 3, 4, 5, 6, 7]);
-    }
-
-    #[test]
-    fn periodic_keeps_original_seq_across_rearms() {
-        // A periodic armed before a one-shot must keep firing before it
-        // when their instants collide, on every re-arm — the re-armed
-        // entry keeps the original sequence number.
-        let mut eng: Engine<Vec<&'static str>> = Engine::new();
-        eng.schedule_every(t(1), SimDuration::from_secs(1), |w, e| {
-            w.push("periodic");
-            if e.now() >= t(3) {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        });
-        for s in 1..=3 {
-            eng.schedule(t(s), |w: &mut Vec<&'static str>, _| w.push("oneshot"));
-        }
-        let mut w = Vec::new();
-        eng.run(&mut w);
-        assert_eq!(
-            w,
-            vec!["periodic", "oneshot", "periodic", "oneshot", "periodic", "oneshot"]
-        );
-    }
-
-    #[test]
-    fn periodic_self_cancel_from_callback_misses() {
-        // The entry is off the queue while the body runs, so a
-        // self-cancel returns false and the re-arm stands; Break is the
-        // way to stop from inside.
-        use std::cell::Cell;
-        use std::rc::Rc;
-        let mut eng: Engine<Vec<u64>> = Engine::new();
-        let slot: Rc<Cell<Option<EventId>>> = Rc::new(Cell::new(None));
-        let slot2 = Rc::clone(&slot);
-        let id = eng.schedule_every(t(1), SimDuration::from_secs(1), move |w, e| {
-            w.push(e.now().as_micros());
-            assert!(!e.cancel(slot2.get().unwrap()), "self-cancel misses");
-            if w.len() == 2 {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        });
-        slot.set(Some(id));
-        let mut w = Vec::new();
-        eng.run(&mut w);
-        assert_eq!(w.len(), 2, "re-arm survived the self-cancel");
-    }
-
-    #[test]
-    fn heavy_cancel_storm_keeps_heap_consistent() {
-        // Interleave schedules and cancels at scale; every survivor
-        // fires exactly once, in order.
-        let mut eng: Engine<Vec<u64>> = Engine::new();
-        let mut keep = Vec::new();
-        let mut drop_ids = Vec::new();
-        for i in 0..500u64 {
-            // Spread times so the heap actually reshuffles on removal.
-            let at = t(1 + (i * 37) % 101);
-            let id = eng.schedule(at, move |w: &mut Vec<u64>, _| w.push((i * 37) % 101));
-            if i % 3 == 0 {
-                keep.push(((i * 37) % 101, id));
-            } else {
-                drop_ids.push(id);
-            }
-        }
-        for id in drop_ids {
-            assert!(eng.cancel(id));
-        }
-        assert_eq!(eng.pending(), keep.len());
-        let mut w = Vec::new();
-        eng.run(&mut w);
-        let mut expect: Vec<u64> = keep.iter().map(|&(s, _)| s).collect();
-        expect.sort_unstable();
-        let mut got = w.clone();
-        got.sort_unstable();
-        assert_eq!(got, expect);
-        let mut sorted = w.clone();
-        sorted.sort_unstable();
-        assert_eq!(w, sorted, "fired in time order");
-    }
-
-    #[test]
-    fn keyed_events_order_by_key_then_seq() {
-        // At one instant: key-0 events first in schedule order, then
-        // keyed events by ascending key — regardless of schedule order.
-        let mut eng: Engine<Vec<&'static str>> = Engine::new();
-        eng.schedule_keyed(t(5), 30, |w, _| w.push("k30"));
-        eng.schedule(t(5), |w, _| w.push("plain-a"));
-        eng.schedule_keyed(t(5), 10, |w, _| w.push("k10"));
-        eng.schedule_keyed(t(5), 20, |w, _| w.push("k20"));
-        eng.schedule(t(5), |w, _| w.push("plain-b"));
-        let mut w = Vec::new();
-        eng.run(&mut w);
-        assert_eq!(w, vec!["plain-a", "plain-b", "k10", "k20", "k30"]);
-    }
-
-    #[test]
-    fn keyed_order_is_schedule_order_invariant() {
-        // The execution order of same-instant keyed events depends only
-        // on their keys: two engines that schedule the same keyed set
-        // in different orders run them identically. This is the
-        // property sharded Worlds rely on for partition invariance.
-        let run_with = |perm: &[u64]| -> Vec<u64> {
-            let mut eng: Engine<Vec<u64>> = Engine::new();
-            for &k in perm {
-                eng.schedule_keyed(t(1), k, move |w, _| w.push(k));
-            }
-            let mut w = Vec::new();
-            eng.run(&mut w);
-            w
-        };
-        assert_eq!(run_with(&[3, 1, 4, 2]), vec![1, 2, 3, 4]);
-        assert_eq!(run_with(&[4, 3, 2, 1]), vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn keyed_ties_fall_back_to_schedule_order() {
-        let mut eng: Engine<Vec<&'static str>> = Engine::new();
-        eng.schedule_keyed(t(1), 7, |w, _| w.push("first"));
-        eng.schedule_keyed(t(1), 7, |w, _| w.push("second"));
-        let mut w = Vec::new();
-        eng.run(&mut w);
-        assert_eq!(w, vec!["first", "second"]);
-    }
-
-    #[test]
-    fn keyed_events_respect_time_before_key() {
-        let mut eng: Engine<Vec<&'static str>> = Engine::new();
-        eng.schedule_keyed(t(1), u64::MAX, |w, _| w.push("early-big-key"));
-        eng.schedule(t(2), |w, _| w.push("late-plain"));
-        let mut w = Vec::new();
-        eng.run(&mut w);
-        assert_eq!(w, vec!["early-big-key", "late-plain"]);
-    }
-
-    #[test]
-    fn keyed_events_can_be_cancelled() {
-        let mut eng: Engine<Vec<u64>> = Engine::new();
-        let id = eng.schedule_keyed(t(1), 5, |w, _| w.push(5));
-        eng.schedule_keyed(t(1), 6, |w, _| w.push(6));
-        assert!(eng.cancel(id));
-        let mut w = Vec::new();
-        eng.run(&mut w);
-        assert_eq!(w, vec![6]);
-    }
-
-    #[test]
-    fn horizon_clear_resets_slab() {
-        let mut eng: Engine<Vec<u64>> = Engine::new();
-        eng.set_horizon(t(2));
-        eng.schedule(t(1), |w, _| w.push(1));
-        eng.schedule(t(5), |_, _| {});
-        eng.schedule_every(t(4), SimDuration::from_secs(1), |_, _| {
-            ControlFlow::Continue(())
-        });
-        let mut w = Vec::new();
-        eng.run(&mut w);
-        assert_eq!(w, vec![1]);
-        assert_eq!(eng.pending(), 0, "horizon clears everything");
-        // The engine still works after the clear.
-        eng.schedule(t(2), |w, _| w.push(2));
-        eng.run(&mut w);
-        assert_eq!(w, vec![1, 2]);
-    }
-
-    #[test]
-    fn an_id_from_before_the_horizon_cannot_cancel_a_later_event() {
-        let mut eng: Engine<Vec<u64>> = Engine::new();
-        eng.set_horizon(t(2));
-        let early = eng.schedule(t(1), |w, _| w.push(1));
-        let dropped = eng.schedule(t(5), |_, _| {});
-        let mut w = Vec::new();
-        eng.run(&mut w);
-        assert_eq!(eng.pending(), 0, "the horizon cleared the queue");
-        // The slab hands the same two indices out again.
-        let a = eng.schedule(t(2), |w, _| w.push(2));
-        let b = eng.schedule(t(2), |w, _| w.push(3));
-        let reused = [a.unpack().1, b.unpack().1];
-        assert!(reused.contains(&early.unpack().1) && reused.contains(&dropped.unpack().1));
-        assert!(!eng.cancel(early), "fired before the clear");
-        assert!(!eng.cancel(dropped), "dropped by the clear");
-        assert_eq!(eng.pending(), 2);
-        eng.run(&mut w);
-        assert_eq!(w, vec![1, 2, 3]);
-    }
-}
-
+mod slab_tests;
 #[cfg(test)]
-mod typed_tests {
-    use super::*;
-
-    fn t(s: u64) -> SimTime {
-        SimTime::from_secs(s)
-    }
-
-    /// Logs its label; a `Chain` schedules its successor a second later.
-    enum Ev {
-        Log(u64),
-        Chain(u64),
-    }
-
-    impl Event<Vec<u64>> for Ev {
-        fn fire(self, w: &mut Vec<u64>, eng: &mut Engine<Vec<u64>, Ev>) {
-            match self {
-                Ev::Log(label) => w.push(label),
-                Ev::Chain(label) => {
-                    w.push(label);
-                    let at = eng.now() + SimDuration::from_secs(1);
-                    eng.schedule_event(at, 0, Ev::Log(label + 1));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn typed_events_and_closures_pop_in_one_total_order() {
-        let mut eng: Engine<Vec<u64>, Ev> = Engine::new();
-        eng.schedule_event(t(2), 9, Ev::Log(5));
-        eng.schedule(t(2), |w, _| w.push(3));
-        eng.schedule_event(t(2), 0, Ev::Log(4));
-        eng.schedule_keyed(t(2), 9, |w, _| w.push(6));
-        eng.schedule_event(t(1), 7, Ev::Chain(1));
-        eng.schedule_every(t(2), SimDuration::from_secs(5), |w, _| {
-            w.push(7);
-            ControlFlow::Break(())
-        });
-        assert_eq!(eng.pending(), 6);
-        let mut w = Vec::new();
-        eng.run(&mut w);
-        // t=1: the chain; t=2: its successor was scheduled last of the
-        // key-0 events, the two key-9 events tie on key and fall back
-        // to schedule order.
-        assert_eq!(w, vec![1, 3, 4, 7, 2, 5, 6]);
-        assert_eq!((eng.executed(), eng.pending()), (7, 0));
-    }
-
-    #[test]
-    fn an_id_from_one_slab_cannot_cancel_the_same_index_in_the_other() {
-        let mut eng: Engine<Vec<u64>, Ev> = Engine::new();
-        let closure = eng.schedule(t(1), |w, _| w.push(1));
-        let typed = eng.schedule_event(t(1), 0, Ev::Log(2));
-        assert_eq!(closure.unpack(), (0, 0));
-        assert_eq!(typed.unpack(), (0, TYPED), "same index, same generation");
-        assert!(eng.cancel(closure));
-        assert!(!eng.cancel(closure), "and only once");
-        assert_eq!(eng.pending(), 1, "the typed event at index 0 stands");
-        let closure = eng.schedule(t(1), |w, _| w.push(3));
-        assert!(eng.cancel(typed));
-        assert!(!eng.cancel(typed));
-        assert_eq!(closure.unpack(), (1, 0), "the closure slot was reused");
-        let mut w = Vec::new();
-        eng.run(&mut w);
-        assert_eq!(w, vec![3]);
-    }
-
-    #[test]
-    fn a_typed_event_is_cancelled_from_a_lane_and_from_the_heap() {
-        let mut eng: Engine<Vec<u64>, Ev> = Engine::new();
-        let ids: Vec<_> = (0..6)
-            .map(|i| eng.schedule_event(t(1), 0, Ev::Log(i)))
-            .collect();
-        let keyed = eng.schedule_event(t(1), 4, Ev::Log(9));
-        assert_eq!((eng.heap.len(), eng.laned), (2, 5));
-        assert!(eng.cancel(ids[0]), "the heap root");
-        assert!(eng.cancel(ids[3]), "mid-lane: a tombstone");
-        assert!(eng.cancel(keyed));
-        // The freed slots go to the next typed events, whose ids differ
-        // from the stale ones by generation alone.
-        let again = eng.schedule_event(t(1), 0, Ev::Log(6));
-        assert_eq!(again.unpack().1, keyed.unpack().1);
-        assert!(!eng.cancel(keyed));
-        let mut w = Vec::new();
-        eng.run(&mut w);
-        assert_eq!(w, vec![1, 2, 4, 5, 6]);
-        assert_eq!(eng.slabs.events.slots.len(), 7);
-        assert!(eng.slabs.closures.slots.is_empty());
-    }
-
-    #[test]
-    fn the_horizon_frees_both_slabs() {
-        let mut eng: Engine<Vec<u64>, Ev> = Engine::new();
-        eng.set_horizon(t(2));
-        eng.schedule_event(t(1), 0, Ev::Chain(1));
-        let late_typed = eng.schedule_event(t(5), 0, Ev::Log(0));
-        let late_closure = eng.schedule(t(5), |w, _| w.push(0));
-        let mut w = Vec::new();
-        eng.run(&mut w);
-        assert_eq!(w, vec![1, 2]);
-        assert_eq!(eng.pending(), 0);
-        // Both slabs hand out the old indices again, under new
-        // generations: the ids from before the clear stay stale.
-        let typed = [3, 4].map(|l| eng.schedule_event(t(2), 0, Ev::Log(l)));
-        let closure = eng.schedule(t(2), |w, _| w.push(5));
-        assert!(typed
-            .iter()
-            .any(|id| id.unpack().1 == late_typed.unpack().1));
-        assert_eq!(closure.unpack().1, late_closure.unpack().1);
-        assert!(!eng.cancel(late_typed) && !eng.cancel(late_closure));
-        assert_eq!(eng.pending(), 3);
-        eng.run(&mut w);
-        assert_eq!(w, vec![1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn a_closure_slot_is_forty_bytes_whatever_the_typed_event() {
-        assert_eq!(std::mem::size_of::<Slot<Closure<u64, NoEvent>>>(), 40);
-        assert_eq!(std::mem::size_of::<Slot<Closure<u64, [u64; 12]>>>(), 40);
-    }
-}
-
+mod tests;
 #[cfg(test)]
-mod lane_tests {
-    use super::*;
-
-    fn t(s: u64) -> SimTime {
-        SimTime::from_secs(s)
-    }
-
-    /// Entries (live or dead) held in lanes.
-    fn laned_entries<W, E>(eng: &Engine<W, E>) -> usize {
-        eng.lanes.iter().map(|l| l.q.len()).sum()
-    }
-
-    #[test]
-    fn an_offset_earns_a_lane_by_repeating() {
-        let mut eng: Engine<Vec<u64>> = Engine::new();
-        // Offsets that never repeat never see a lane.
-        for i in 0..100 {
-            eng.schedule(t(100 + i), |_, _| {});
-        }
-        assert_eq!((eng.laned, eng.heap.len()), (0, 100));
-        // Two offsets missing in turn are both still remembered.
-        for _ in 0..3 {
-            eng.schedule(t(1), |w, _| w.push(1));
-            eng.schedule(t(2), |w, _| w.push(2));
-        }
-        assert_eq!((eng.laned, eng.heap.len()), (4, 102));
-        let mut w = Vec::new();
-        eng.run(&mut w);
-        assert_eq!(w, vec![1, 1, 1, 2, 2, 2]);
-    }
-
-    #[test]
-    fn mid_lane_cancel_keeps_counts_and_head_exact() {
-        let mut eng: Engine<Vec<u64>> = Engine::new();
-        let ids: Vec<_> = (0..6u64)
-            .map(|i| eng.schedule(t(1), move |w: &mut Vec<u64>, _| w.push(i)))
-            .collect();
-        assert_eq!((eng.heap.len(), eng.laned), (1, 5));
-        assert!(eng.cancel(ids[3]));
-        assert_eq!(eng.pending(), 5);
-        assert_eq!(eng.next_event_time(), Some(t(1)));
-        assert_eq!(laned_entries(&eng), 5, "the tombstone stays mid-lane");
-        assert!(!eng.cancel(ids[3]), "double cancel misses");
-        let mut w = Vec::new();
-        eng.run(&mut w);
-        assert_eq!(w, vec![0, 1, 2, 4, 5]);
-        assert_eq!((eng.pending(), laned_entries(&eng)), (0, 0));
-    }
-
-    #[test]
-    fn cancelling_the_head_exposes_the_next_live_entry() {
-        let mut eng: Engine<Vec<u64>> = Engine::new();
-        let sec = SimDuration::from_secs(1);
-        // One lane of offset 1 s: [a @1 s, b @1 s, c @1.5 s]; the heap
-        // holds 1.2 s.
-        let first = eng.schedule_in(sec, |w, _| w.push(0));
-        let a = eng.schedule_in(sec, |w, _| w.push(0));
-        let b = eng.schedule_in(sec, |w, _| w.push(0));
-        eng.cancel(first);
-        eng.schedule(SimTime::from_millis(500), move |_, e| {
-            e.schedule_in(sec, |w: &mut Vec<u64>, _| w.push(15));
-        });
-        eng.schedule(SimTime::from_millis(1_200), |w, _| w.push(12));
-        let mut w = Vec::new();
-        eng.run_until(&mut w, SimTime::from_millis(500));
-        assert_eq!((eng.laned, eng.heap.len()), (3, 1));
-        assert!(eng.cancel(b), "mid-lane: a tombstone");
-        assert!(eng.cancel(a), "the head: it and the tombstone behind it go");
-        assert_eq!(eng.pending(), 2);
-        assert_eq!(laned_entries(&eng), 1);
-        assert_eq!(eng.next_event_time(), Some(SimTime::from_millis(1_200)));
-        eng.run_until(&mut w, SimTime::from_millis(1_200));
-        assert_eq!(w, vec![12], "run_until stops at the cut-off, not past it");
-        eng.run(&mut w);
-        assert_eq!(w, vec![12, 15]);
-    }
-
-    #[test]
-    fn tombstones_are_bounded_by_the_live_entries() {
-        let mut eng: Engine<Vec<u64>> = Engine::new();
-        let hour = SimDuration::from_secs(3_600);
-        // Live entries at the lane's head keep it from draining by
-        // trimming alone.
-        for _ in 0..5 {
-            eng.schedule_in(hour, |w, _| w.push(1));
-        }
-        assert_eq!(eng.laned, 4);
-        for _ in 0..100_000 {
-            let id = eng.schedule_in(hour, |w, _| w.push(0));
-            assert!(eng.cancel(id));
-            assert!(laned_entries(&eng) <= 2 * eng.laned + 1);
-        }
-        assert_eq!(eng.pending(), 5);
-        assert_eq!(
-            eng.slabs.closures.slots.len(),
-            6,
-            "cancelled slots are reused at once"
-        );
-        let mut w = Vec::new();
-        eng.run(&mut w);
-        assert_eq!(w, vec![1; 5]);
-    }
-
-    #[test]
-    fn horizon_clears_populated_lanes_and_the_engine_is_reusable() {
-        let mut eng: Engine<Vec<u64>> = Engine::new();
-        eng.set_horizon(t(2));
-        eng.schedule(t(1), |w, _| w.push(1));
-        let late: Vec<_> = (0..4).map(|_| eng.schedule(t(5), |_, _| {})).collect();
-        eng.cancel(late[2]);
-        eng.schedule_every(t(3), SimDuration::from_secs(1), |_, _| {
-            ControlFlow::Continue(())
-        });
-        assert!(eng.laned == 2 && eng.lanes.iter().any(|l| l.dead == 1));
-        let mut w = Vec::new();
-        eng.run(&mut w);
-        assert_eq!(w, vec![1]);
-        assert_eq!((eng.pending(), eng.next_event_time()), (0, None));
-        assert_eq!(laned_entries(&eng), 0);
-        assert!(eng.lanes.iter().all(|l| l.dead == 0));
-        assert!(!eng.cancel(late[0]), "ids from before the clear are gone");
-        for i in 2..5 {
-            eng.schedule(t(2), move |w: &mut Vec<u64>, _| w.push(i));
-        }
-        assert_eq!(eng.laned, 2);
-        eng.run(&mut w);
-        assert_eq!(w, vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn nested_run_to_the_horizon_drops_the_laned_rearm() {
-        // The periodic is popped from a lane; a nested `run` inside its
-        // callback reaches the horizon and frees its slot under it —
-        // whichever way the callback then answers, the slot is not its
-        // to re-arm or to free.
-        for answer in [ControlFlow::Continue(()), ControlFlow::Break(())] {
-            let mut eng: Engine<u64> = Engine::new();
-            eng.set_horizon(t(3));
-            eng.schedule_every(t(1), SimDuration::from_secs(1), move |w, e| {
-                *w += 1;
-                if *w == 2 {
-                    e.schedule(t(10), |_, _| {});
-                    e.run(w);
-                    return answer;
-                }
-                ControlFlow::Continue(())
-            });
-            let mut w = 0;
-            eng.run_until(&mut w, t(1));
-            assert_eq!((w, eng.laned), (1, 1), "re-armed onto a lane");
-            eng.run(&mut w);
-            assert_eq!(w, 2);
-            assert_eq!((eng.pending(), laned_entries(&eng)), (0, 0));
-        }
-    }
-
-    #[test]
-    fn stale_id_of_a_laned_entry_misses_the_slots_next_tenant() {
-        let mut eng: Engine<Vec<u64>> = Engine::new();
-        eng.schedule(t(1), |w, _| w.push(1));
-        eng.schedule(t(1), |w, _| w.push(2));
-        let a = eng.schedule(t(1), |w, _| w.push(0));
-        assert!(eng.cancel(a));
-        let b = eng.schedule(t(1), |w, _| w.push(3));
-        assert_eq!(a.unpack().1, b.unpack().1, "the slot was reused");
-        assert_eq!(laned_entries(&eng), 3, "tombstone and tenant share a lane");
-        assert!(!eng.cancel(a), "stale id is generation-checked");
-        assert_eq!(eng.pending(), 3);
-        let mut w = Vec::new();
-        eng.run(&mut w);
-        assert_eq!(w, vec![1, 2, 3], "the tombstone does not fire the tenant");
-    }
-
-    #[test]
-    fn a_rearm_behind_a_fresh_one_shot_opens_a_second_lane() {
-        // Same period, same instant: the deadline scheduled from the
-        // first task's callback has a fresh seq, the second task's
-        // re-arm an old one — it must not queue behind the deadline.
-        let mut eng: Engine<Vec<&'static str>> = Engine::new();
-        let sec = SimDuration::from_secs(1);
-        eng.schedule_every(t(1), sec, move |w, e| {
-            w.push("a");
-            e.schedule_in(sec, |w: &mut Vec<&'static str>, _| w.push("deadline"));
-            ControlFlow::Continue(())
-        });
-        eng.schedule_every(t(1), sec, |w, _| {
-            w.push("b");
-            ControlFlow::Continue(())
-        });
-        let mut w = Vec::new();
-        eng.run_until(&mut w, t(3));
-        assert_eq!(
-            w,
-            ["a", "b", "a", "b", "deadline", "a", "b", "deadline"],
-            "(at, key, seq): both tasks before the deadline at every instant"
-        );
-        assert!(eng.heap.is_empty(), "two lanes of one offset, no heap");
-        assert_eq!(eng.lanes.iter().filter(|l| l.offset == sec).count(), 2);
-    }
-
-    #[test]
-    fn offsets_are_measured_after_clamping() {
-        let mut eng: Engine<Vec<u64>> = Engine::new();
-        eng.schedule(t(10), |w, e| {
-            w.push(0);
-            // In the past and at now: both are offset 0 once clamped.
-            e.schedule(t(1), |w: &mut Vec<u64>, _| w.push(1));
-            e.schedule(t(10), |w: &mut Vec<u64>, _| w.push(2));
-            let zero = e.lanes.iter().find(|l| !l.q.is_empty()).expect("laned");
-            assert_eq!((zero.offset, zero.q.len()), (SimDuration::ZERO, 2));
-            assert_eq!(e.next_event_time(), Some(t(10)));
-        });
-        let mut w = Vec::new();
-        eng.run(&mut w);
-        assert_eq!(w, vec![0, 1, 2]);
-        // A saturated re-arm is keyed by where it landed, not by the
-        // interval that sent it there.
-        let mut eng: Engine<Vec<u64>> = Engine::new();
-        for i in 0..3 {
-            eng.schedule_every(t(1), SimDuration::MAX, move |w, _| {
-                w.push(i);
-                ControlFlow::Continue(())
-            });
-        }
-        eng.run_until(&mut w, t(20));
-        assert_eq!(w, vec![0, 1, 2, 0, 1, 2]);
-        let far = SimTime(u64::MAX);
-        assert_eq!((eng.pending(), eng.next_event_time()), (3, Some(far)));
-        let lane = eng.lanes.iter().find(|l| !l.q.is_empty()).expect("laned");
-        assert_eq!((lane.offset, lane.q.len()), (far - t(1), 2));
-    }
-
-    #[test]
-    fn with_every_lane_queueing_a_new_offset_goes_to_the_heap() {
-        let mut eng: Engine<Vec<u64>> = Engine::new();
-        let n = LANES as u64 + 4;
-        // Three entries per offset — the first on the heap, two queueing
-        // — fill the lanes with the first LANES offsets; the rest find
-        // none to take over.
-        for i in (1..=n).rev() {
-            for _ in 0..3 {
-                eng.schedule(t(i), move |w: &mut Vec<u64>, _| w.push(i));
-            }
-        }
-        assert_eq!((eng.laned, eng.heap.len()), (2 * LANES, LANES + 12));
-        let mut w = Vec::new();
-        eng.run(&mut w);
-        let want: Vec<u64> = (1..=n).flat_map(|i| [i, i, i]).collect();
-        assert_eq!(w, want);
-    }
-
-    #[test]
-    fn a_lone_entry_does_not_hold_a_lane() {
-        // Every lane holds one far-off timer when the hot traffic
-        // starts: it takes a lane over, the displaced timer fires in
-        // order from the heap.
-        let mut eng: Engine<Vec<u64>> = Engine::new();
-        for i in 0..LANES as u64 {
-            for _ in 0..2 {
-                eng.schedule(t(10 + i), move |w: &mut Vec<u64>, _| w.push(10 + i));
-            }
-        }
-        assert_eq!((eng.laned, eng.heap.len()), (LANES, LANES));
-        for i in 0..100u64 {
-            eng.schedule(t(1), move |w: &mut Vec<u64>, _| w.push(i));
-        }
-        assert_eq!((eng.laned, eng.heap.len()), (LANES + 98, LANES + 2));
-        let hot = eng.lanes.iter().find(|l| l.q.len() == 99).expect("laned");
-        assert_eq!(hot.offset, SimDuration::from_secs(1));
-        let mut w = Vec::new();
-        eng.run(&mut w);
-        let want: Vec<u64> = (0..100)
-            .chain((10..10 + LANES as u64).flat_map(|i| [i, i]))
-            .collect();
-        assert_eq!(w, want);
-    }
-
-    #[test]
-    fn an_entry_is_thirty_two_bytes() {
-        assert_eq!(std::mem::size_of::<HeapEntry>(), 32);
-    }
-}
+mod typed_tests;

@@ -152,7 +152,11 @@ fn subscription_lifecycle_over_rpc() {
     assert!(!batch.deltas.is_empty(), "deltas flowed by t=15");
     assert_eq!(batch.dropped, 0, "no loss at this cadence");
     assert!(
-        batch.deltas.windows(2).all(|p| p[0].seq < p[1].seq),
+        batch
+            .deltas
+            .iter()
+            .zip(batch.deltas.iter().skip(1))
+            .all(|(a, b)| a.seq < b.seq),
         "deltas arrive in publication order"
     );
     let nodes: BTreeSet<u32> = batch.deltas.iter().map(|d| d.node).collect();
