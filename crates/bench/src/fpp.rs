@@ -4,9 +4,9 @@
 //! arena).
 //!
 //! The per-epoch rig mirrors production shape: one node manager's
-//! per-GPU controllers running Welch-mode period detection over a 90 s
-//! epoch at 1 Hz sampling, ring-backed buffers read through two-slice
-//! [`Samples`] views, batched through a single analyzer.
+//! per-GPU controllers running single-window period detection over a
+//! 90 s epoch at 1 Hz sampling, ring-backed buffers read through
+//! two-slice [`Samples`] views, batched through a single analyzer.
 
 use fluxpm_fft::{PeriodAnalyzer, Samples};
 use fluxpm_monitor::RingBuffer;
@@ -46,12 +46,10 @@ pub fn planned_estimate(analyzer: &mut PeriodAnalyzer, samples: &[f64]) -> Optio
 pub struct FppEpochRig {
     rings: Vec<RingBuffer<f64>>,
     analyzer: PeriodAnalyzer,
-    segment_len: usize,
 }
 
 impl FppEpochRig {
-    /// `gpus` buffers of `n` samples each; `segment_len` follows FPP's
-    /// production rule `(n / 2).max(8)`.
+    /// `gpus` buffers of `n` samples each.
     pub fn new(gpus: usize, n: usize, seed: u64) -> FppEpochRig {
         let mut rings = Vec::with_capacity(gpus);
         for gpu in 0..gpus {
@@ -72,25 +70,21 @@ impl FppEpochRig {
         FppEpochRig {
             rings,
             analyzer: PeriodAnalyzer::new(),
-            segment_len: (n / 2).max(8),
         }
     }
 
-    /// Per-epoch analysis: Welch with single-window fallback, as
-    /// `FppController::on_epoch` runs it, on zero-copy ring views through
-    /// the one shared analyzer. Returns the number of GPUs with a
-    /// detected period.
+    /// Per-epoch analysis, as `FppController::on_epoch` runs it: one
+    /// `estimate_period` per GPU on a zero-copy ring view through the one
+    /// shared analyzer. Returns the number of GPUs with a detected
+    /// period.
     pub fn planned_epoch(&mut self) -> usize {
         let analyzer = &mut self.analyzer;
-        let segment_len = self.segment_len;
         self.rings
             .iter()
             .filter(|ring| {
                 let (head, tail) = ring.as_slices();
-                let view = Samples::new(head, tail);
                 analyzer
-                    .welch_estimate_period(view, SAMPLE_RATE_HZ, segment_len)
-                    .or_else(|| analyzer.estimate_period(view, SAMPLE_RATE_HZ))
+                    .estimate_period(Samples::new(head, tail), SAMPLE_RATE_HZ)
                     .is_some()
             })
             .count()

@@ -2,23 +2,21 @@
 //! spectrum set reused across every GPU and every epoch.
 //!
 //! [`PeriodAnalyzer`] bundles everything the per-epoch FPP analysis
-//! needs — an [`FftPlanner`] (cached twiddle/bit-reversal/chirp/window
-//! tables), an [`FftScratch`] arena, and two reusable [`Periodogram`]
-//! outputs — behind `estimate_period` / `welch_estimate_period`, reading
-//! from a zero-copy [`Samples`] view. A node-level manager owns exactly
-//! one analyzer and walks its 4–8 GPU controllers through it each epoch,
-//! so every GPU after the first hits warm plan caches and warm buffers:
-//! the steady state performs **zero allocations** (`tests/alloc_free.rs`).
+//! needs — an `FftPlanner` (cached twiddle/bit-reversal/chirp/window
+//! tables), an `FftScratch` arena, and a reusable `Periodogram` output —
+//! behind `estimate_period`, reading from a zero-copy [`Samples`] view.
+//! A node-level manager owns exactly one analyzer and walks its 4–8 GPU
+//! controllers through it each epoch, so every GPU after the first hits
+//! warm plan caches and warm buffers: the steady state performs **zero
+//! allocations** (`tests/alloc_free.rs`).
 //!
-//! The tests check both estimates against the oracle's
-//! (`tests/oracle/mod.rs`; [`crate::plan`] has the accuracy contract).
+//! The tests check the estimate against the oracle's
+//! (`tests/oracle/mod.rs`; `plan.rs` has the accuracy contract).
 
 use crate::period::{peak_estimate, PeriodEstimate};
 use crate::periodogram::Periodogram;
 use crate::plan::{FftPlanner, FftScratch};
 use crate::samples::Samples;
-use crate::welch::welch_into;
-use crate::window::Window;
 
 /// Reusable planned-analysis state: planner, scratch arena, and spectrum
 /// buffers. Create once, share across all per-GPU analyses.
@@ -40,18 +38,12 @@ pub struct PeriodAnalyzer {
     planner: FftPlanner,
     scratch: FftScratch,
     psd: Periodogram,
-    seg_psd: Periodogram,
 }
 
 impl PeriodAnalyzer {
     /// A fresh analyzer with empty caches; everything warms on first use.
     pub fn new() -> PeriodAnalyzer {
-        PeriodAnalyzer {
-            planner: FftPlanner::new(),
-            scratch: FftScratch::new(),
-            psd: Periodogram::empty(),
-            seg_psd: Periodogram::empty(),
-        }
+        PeriodAnalyzer::default()
     }
 
     /// The dominant period of `samples` captured at `sample_rate_hz`:
@@ -59,8 +51,9 @@ impl PeriodAnalyzer {
     /// from `samples` without copying it.
     ///
     /// Returns `None` when the signal is too short (< 8 samples), has no
-    /// variance, holds a NaN or infinite sample, or the spectral peak is
-    /// too weak to be meaningful (concentration below 5 %).
+    /// variance, or holds a NaN or infinite sample; when the rate is not
+    /// a finite number above 0; or when the spectral peak is too weak to
+    /// be meaningful (concentration below 5 %).
     pub fn estimate_period(
         &mut self,
         samples: Samples<'_>,
@@ -72,33 +65,8 @@ impl PeriodAnalyzer {
         if !Periodogram::compute_into(
             samples,
             sample_rate_hz,
-            Window::Hann,
             &mut self.planner,
             &mut self.scratch,
-            &mut self.psd,
-        ) {
-            return None;
-        }
-        peak_estimate(&self.psd)
-    }
-
-    /// The dominant period over Welch's averaged periodogram
-    /// ([`crate::welch_into`]: 50 %-overlapped Hann segments of
-    /// `segment_len`), with the same peak extraction and gates as
-    /// [`PeriodAnalyzer::estimate_period`].
-    pub fn welch_estimate_period(
-        &mut self,
-        samples: Samples<'_>,
-        sample_rate_hz: f64,
-        segment_len: usize,
-    ) -> Option<PeriodEstimate> {
-        if !welch_into(
-            samples,
-            sample_rate_hz,
-            segment_len,
-            &mut self.planner,
-            &mut self.scratch,
-            &mut self.seg_psd,
             &mut self.psd,
         ) {
             return None;
@@ -107,7 +75,8 @@ impl PeriodAnalyzer {
     }
 
     /// Number of distinct transform plans currently cached.
-    pub fn plans_cached(&self) -> usize {
+    #[cfg(test)]
+    fn plans_cached(&self) -> usize {
         self.planner.plans_cached()
     }
 }
@@ -155,18 +124,6 @@ mod tests {
     }
 
     #[test]
-    fn planned_welch_matches_unplanned_closely() {
-        let mut a = PeriodAnalyzer::new();
-        let x = noisy_sine(512, 2.0, 10.0, 40.0, 7);
-        let old = oracle::welch_estimate_period(&x, 2.0, 128).expect("welch");
-        let new = a
-            .welch_estimate_period(Samples::contiguous(&x), 2.0, 128)
-            .expect("planned welch");
-        assert!((old.period_seconds - new.period_seconds).abs() < 1e-9);
-        assert!((old.confidence - new.confidence).abs() < 1e-9);
-    }
-
-    #[test]
     fn wrapped_view_matches_contiguous() {
         let mut a = PeriodAnalyzer::new();
         let x = noisy_sine(90, 1.0, 9.0, 1.0, 3);
@@ -189,17 +146,17 @@ mod tests {
     fn gates_match_unplanned() {
         let mut a = PeriodAnalyzer::new();
         let x = noisy_sine(64, 2.0, 8.0, 0.0, 1);
-        // Too short, flat, bad rate; Welch needs a full segment.
-        for (samples, rate) in [(&[1.0; 6][..], 2.0), (&[300.0; 64], 2.0), (&x, 0.0)] {
-            assert!(oracle::estimate_period(samples, rate).is_none());
+        // Too short, flat, and every rate that is not finite and > 0.
+        let mut cases = vec![(&[1.0; 6][..], 2.0), (&[300.0; 64], 2.0)];
+        for rate in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            cases.push((&x[..], rate));
+        }
+        for (samples, rate) in cases {
+            assert!(oracle::estimate_period(samples, rate).is_none(), "{rate}");
             assert!(a
                 .estimate_period(Samples::contiguous(samples), rate)
                 .is_none());
         }
-        assert!(oracle::welch_estimate_period(&x, 2.0, 128).is_none());
-        assert!(a
-            .welch_estimate_period(Samples::contiguous(&x), 2.0, 128)
-            .is_none());
     }
 
     #[test]
@@ -221,7 +178,6 @@ mod tests {
                 x[at] = bad;
                 let view = Samples::new(&x[..45], &x[45..]);
                 assert!(a.estimate_period(view, 1.0).is_none(), "{bad} at {at}");
-                assert!(a.welch_estimate_period(view, 1.0, 45).is_none());
             }
         }
         assert!(a

@@ -2,23 +2,22 @@
 //!
 //! The paper's FPP algorithm (Algorithm 1) detects the *period* of an
 //! application's power signal: `FINDPERIOD(buf)` runs an FFT over a window
-//! of power samples and reports the dominant period. This crate implements
-//! the whole signal path with no external dependencies:
+//! of power samples and reports the dominant period. This crate is that
+//! one chain, with no external dependencies: mean removal, a Hann taper,
+//! a forward real FFT (radix-2 for power-of-two lengths, Bluestein
+//! chirp-z for the rest, such as a 90-sample epoch), the one-sided
+//! periodogram, its strongest non-DC bin refined by parabolic
+//! interpolation, and a 5 % peak-concentration gate.
 //!
-//! * [`Complex64`] — a minimal complex number type,
-//! * [`plan`] — the transforms: [`FftPlanner::fft_into`] /
-//!   [`FftPlanner::ifft_into`] / [`FftPlanner::rfft_into`], radix-2 for
-//!   power-of-two lengths and Bluestein chirp-z for the rest, on cached
-//!   per-length plans and an allocation-free [`FftScratch`] arena,
-//! * [`window`] — Hann / Hamming / rectangular tapers,
-//! * [`Periodogram`] and [`welch_into`] — power spectral density
-//!   estimates,
+//! The public surface is what FPP calls:
+//!
+//! * [`PeriodAnalyzer`] — `FINDPERIOD`, reused per GPU per epoch on
+//!   cached per-length plans and an allocation-free scratch arena,
 //! * [`Samples`] — a two-run zero-copy view so ring-buffered traces are
 //!   analyzed in place,
-//! * [`PeriodAnalyzer`] — `FINDPERIOD`: the dominant period with
-//!   parabolic peak interpolation, reused per GPU per epoch,
-//! * [`autocorr_period`] — an autocorrelation estimate, a different
-//!   algorithm kept for policy experiments and cross-checks.
+//! * [`PeriodEstimate`] — the result,
+//! * [`Complex64`] — the minimal complex type the transforms (and the
+//!   test oracle) compute in.
 //!
 //! The tests check the transforms and the estimate against an O(n²) DFT
 //! oracle that lives in `tests/oracle/mod.rs`.
@@ -38,25 +37,20 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-pub mod analyzer;
-pub mod complex;
+mod analyzer;
+mod complex;
 #[cfg(test)]
 mod fft;
 #[cfg(test)]
 #[path = "../tests/oracle/mod.rs"]
 mod oracle;
-pub mod period;
-pub mod periodogram;
-pub mod plan;
-pub mod samples;
-pub mod welch;
-pub mod window;
+mod period;
+mod periodogram;
+mod plan;
+mod samples;
+mod window;
 
 pub use analyzer::PeriodAnalyzer;
 pub use complex::Complex64;
-pub use period::{autocorr_period, PeriodEstimate};
-pub use periodogram::Periodogram;
-pub use plan::{BluesteinPlan, FftPlanner, FftScratch, Radix2Plan, WindowTable};
+pub use period::PeriodEstimate;
 pub use samples::Samples;
-pub use welch::welch_into;
-pub use window::Window;

@@ -1,13 +1,7 @@
-//! Dominant-period estimation — the `FINDPERIOD` primitive of FPP.
-//!
-//! Two independent estimators:
-//!
-//! * the periodogram peak with parabolic interpolation between bins,
-//!   extracted here from a spectrum and run by
-//!   [`crate::PeriodAnalyzer::estimate_period`]. This is the production
-//!   path.
-//! * [`autocorr_period`] — first significant autocorrelation peak. Used as
-//!   a cross-check in tests and exposed for policy experiments.
+//! Dominant-period estimation — the `FINDPERIOD` primitive of FPP: the
+//! periodogram peak with parabolic interpolation between bins, extracted
+//! here from a spectrum and run by
+//! [`crate::PeriodAnalyzer::estimate_period`].
 //!
 //! Aperiodic (flat or monotone) signals return `None`; FPP interprets that
 //! as "no detectable phase" and leaves the power cap alone.
@@ -29,8 +23,7 @@ pub struct PeriodEstimate {
 /// Extract a [`PeriodEstimate`] from a computed spectrum: dominant bin,
 /// concentration gate (`None` below 5 %), and parabolic interpolation
 /// over log-power of the three bins around the peak to refine the
-/// frequency beyond bin resolution. Both of
-/// [`crate::PeriodAnalyzer`]'s estimators end here.
+/// frequency beyond bin resolution.
 pub(crate) fn peak_estimate(p: &Periodogram) -> Option<PeriodEstimate> {
     let k = p.dominant_bin()?;
     let confidence = p.peak_concentration(k);
@@ -54,7 +47,7 @@ pub(crate) fn peak_estimate(p: &Periodogram) -> Option<PeriodEstimate> {
         k as f64
     };
 
-    let frequency_hz = refined_k * p.sample_rate_hz / p.n as f64;
+    let frequency_hz = p.freq_hz(refined_k);
     if frequency_hz <= 0.0 {
         return None;
     }
@@ -63,49 +56,6 @@ pub(crate) fn peak_estimate(p: &Periodogram) -> Option<PeriodEstimate> {
         frequency_hz,
         confidence,
     })
-}
-
-/// Estimate the dominant period by autocorrelation: the lag of the first
-/// local maximum of the (unbiased, mean-removed) autocorrelation whose
-/// value exceeds `threshold` times the zero-lag energy.
-pub fn autocorr_period(samples: &[f64], sample_rate_hz: f64, threshold: f64) -> Option<f64> {
-    let n = samples.len();
-    if n < 8 || sample_rate_hz <= 0.0 {
-        return None;
-    }
-    let mean = samples.iter().sum::<f64>() / n as f64;
-    let x: Vec<f64> = samples.iter().map(|&v| v - mean).collect();
-    let energy: f64 = x.iter().map(|v| v * v).sum::<f64>() / n as f64;
-    if energy <= f64::EPSILON {
-        return None;
-    }
-
-    // Unbiased autocorrelation for lags 1 .. n/2.
-    let max_lag = n / 2;
-    let mut ac = Vec::with_capacity(max_lag + 1);
-    ac.push(1.0); // lag 0, normalized
-    for lag in 1..=max_lag {
-        let mut acc = 0.0;
-        for t in 0..n - lag {
-            acc += x[t] * x[t + lag];
-        }
-        ac.push(acc / ((n - lag) as f64 * energy));
-    }
-
-    // First local maximum above threshold, skipping the initial decay.
-    let mut in_dip = false;
-    for lag in 1..max_lag {
-        if !in_dip {
-            if ac[lag] < threshold {
-                in_dip = true;
-            }
-            continue;
-        }
-        if ac[lag] > threshold && ac[lag] >= ac[lag - 1] && ac[lag] >= ac[lag + 1] {
-            return Some(lag as f64 / sample_rate_hz);
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -220,19 +170,6 @@ mod tests {
     fn too_short_returns_none() {
         let x = sine(6, 2.0, 3.0);
         assert!(estimate(&x, 2.0).is_none());
-    }
-
-    #[test]
-    fn autocorr_agrees_with_fft_on_sine() {
-        let x = sine(200, 2.0, 10.0);
-        let fft_est = estimate(&x, 2.0).unwrap().period_seconds;
-        let ac_est = autocorr_period(&x, 2.0, 0.3).unwrap();
-        assert!((fft_est - ac_est).abs() < 1.5, "fft={fft_est} ac={ac_est}");
-    }
-
-    #[test]
-    fn autocorr_none_on_flat() {
-        assert!(autocorr_period(&[5.0; 64], 2.0, 0.3).is_none());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! Iteration order is oldest → newest (`head` first, then `tail`), and
 //! every reduction ([`Samples::mean`], the windowed copy in
-//! [`crate::Periodogram::compute_into`]) visits elements in exactly
+//! `Periodogram::compute_into`) visits elements in exactly
 //! that order — so results are bit-identical to the same computation
 //! over a contiguous copy.
 
@@ -74,9 +74,8 @@ impl<'a> Samples<'a> {
         self.head.iter().chain(self.tail.iter()).copied()
     }
 
-    /// Sub-view of `len` samples starting at logical index `start` —
-    /// what Welch segmentation uses to walk overlapping windows without
-    /// copying. Panics when the range is out of bounds.
+    /// Sub-view of `len` samples starting at logical index `start`,
+    /// without copying. Panics when the range is out of bounds.
     pub fn segment(&self, start: usize, len: usize) -> Samples<'a> {
         // Saturated, an overflowing range still fails the bound below.
         let end = start.saturating_add(len);

@@ -1,33 +1,44 @@
-//! Window (taper) functions.
+//! The Hann taper.
 //!
-//! FPP's 30-second analysis windows are short, so spectral leakage from the
-//! rectangular window would smear the phase peak; the period estimator
-//! defaults to Hann.
+//! FPP's analysis windows are short, so spectral leakage from an untapered
+//! window would smear the phase peak; the periodogram applies Hann.
 
-/// A window function applied to a sample buffer before the FFT.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Window {
-    /// No taper (all ones).
-    Rectangular,
-    /// Hann: `0.5 - 0.5 cos(2 pi n / (N-1))`. The default.
-    #[default]
-    Hann,
-    /// Hamming: `0.54 - 0.46 cos(2 pi n / (N-1))`.
-    Hamming,
+/// The Hann coefficient at index `i` of an `n`-point window:
+/// `0.5 - 0.5 cos(2 pi i / (n-1))`, and 1 for `n <= 1`.
+pub(crate) fn hann(i: usize, n: usize) -> f64 {
+    if n <= 1 {
+        return 1.0;
+    }
+    let x = 2.0 * std::f64::consts::PI * i as f64 / (n - 1) as f64;
+    0.5 - 0.5 * x.cos()
 }
 
-impl Window {
-    /// The window coefficient at index `i` of an `n`-point window.
-    pub fn coefficient(self, i: usize, n: usize) -> f64 {
-        if n <= 1 {
-            return 1.0;
+/// A cached `n`-point Hann coefficient table plus its coherent gain, the
+/// mean coefficient.
+#[derive(Debug)]
+pub(crate) struct WindowTable {
+    coeffs: Vec<f64>,
+    coherent_gain: f64,
+}
+
+impl WindowTable {
+    pub(crate) fn new(n: usize) -> WindowTable {
+        let coeffs: Vec<f64> = (0..n).map(|i| hann(i, n)).collect();
+        let coherent_gain = coeffs.iter().sum::<f64>() / n.max(1) as f64;
+        WindowTable {
+            coeffs,
+            coherent_gain,
         }
-        let x = 2.0 * std::f64::consts::PI * i as f64 / (n - 1) as f64;
-        match self {
-            Window::Rectangular => 1.0,
-            Window::Hann => 0.5 - 0.5 * x.cos(),
-            Window::Hamming => 0.54 - 0.46 * x.cos(),
-        }
+    }
+
+    /// Coefficient vector (`len() == n`).
+    pub(crate) fn coeffs(&self) -> &[f64] {
+        &self.coeffs
+    }
+
+    /// Mean coefficient: what normalizes a windowed spectrum's amplitude.
+    pub(crate) fn coherent_gain(&self) -> f64 {
+        self.coherent_gain
     }
 }
 
@@ -36,16 +47,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rectangular_is_identity() {
-        for i in 0..3 {
-            assert_eq!(Window::Rectangular.coefficient(i, 3), 1.0);
-        }
-    }
-
-    #[test]
     fn hann_endpoints_are_zero_and_symmetric() {
         let n = 33;
-        let w: Vec<f64> = (0..n).map(|i| Window::Hann.coefficient(i, n)).collect();
+        let w: Vec<f64> = (0..n).map(|i| hann(i, n)).collect();
         assert!(w[0].abs() < 1e-12);
         assert!(w[n - 1].abs() < 1e-12);
         assert!((w[n / 2] - 1.0).abs() < 1e-12, "peak at center");
@@ -55,24 +59,17 @@ mod tests {
     }
 
     #[test]
-    fn hamming_endpoints_nonzero() {
-        let w0 = Window::Hamming.coefficient(0, 21);
-        assert!((w0 - 0.08).abs() < 1e-9);
-    }
-
-    #[test]
     fn coherent_gain_in_unit_interval() {
-        let mut planner = crate::FftPlanner::new();
-        for w in [Window::Rectangular, Window::Hann, Window::Hamming] {
-            let g = planner.window(w, 64).coherent_gain();
-            assert!(g > 0.0 && g <= 1.0, "{w:?}: {g}");
+        for n in [15usize, 64, 90] {
+            let g = WindowTable::new(n).coherent_gain();
+            assert!(g > 0.0 && g <= 1.0, "n={n}: {g}");
         }
-        assert_eq!(planner.window(Window::Rectangular, 64).coherent_gain(), 1.0);
+        assert_eq!(WindowTable::new(1).coherent_gain(), 1.0);
     }
 
     #[test]
     fn degenerate_lengths() {
-        assert_eq!(Window::Hann.coefficient(0, 0), 1.0);
-        assert_eq!(Window::Hann.coefficient(0, 1), 1.0);
+        assert_eq!(hann(0, 0), 1.0);
+        assert_eq!(hann(0, 1), 1.0);
     }
 }

@@ -5,11 +5,11 @@
 //! * [`dft`] — O(n²), each phase indexed exactly (`k·t mod n` into a
 //!   phasor table) and each bin summed with Kahan compensation: accurate
 //!   enough to be ground truth at n = 4096;
-//! * [`periodogram`], [`welch`], [`peak`] and [`estimate_period`] /
-//!   [`welch_estimate_period`] — the period estimate on top of it: mean
-//!   removed, Hann taper, one-sided power, strongest non-DC bin, the
-//!   share of energy around it, parabolic refinement over log power, and
-//!   the 5 % gate ([`period_peak`] / [`welch_peak`]: before the gate).
+//! * [`periodogram`], [`peak`] and [`estimate_period`] — the period
+//!   estimate on top of it: mean removed, Hann taper, one-sided power,
+//!   strongest non-DC bin, the share of energy around it, parabolic
+//!   refinement over log power, and the 5 % gate ([`period_peak`]: before
+//!   the gate).
 //!
 //! `fluxpm-fft`'s unit tests, its integration tests and
 //! `fluxpm-manager`'s `fpp_equivalence.rs` include this file with
@@ -54,10 +54,11 @@ pub fn dft(x: &[Complex64], inverse: bool) -> Vec<Complex64> {
 
 /// One-sided power of `x` captured at `rate` Hz: mean removed, Hann
 /// taper, `|X_k|²` over the squared taper sum, interior bins doubled.
-/// `None` below 4 samples or at a rate ≤ 0.
+/// `None` below 4 samples or at a rate that is not a finite number
+/// above 0.
 pub fn periodogram(x: &[f64], rate: f64) -> Option<Vec<f64>> {
     let n = x.len();
-    if n < 4 || rate <= 0.0 {
+    if n < 4 || !(rate.is_finite() && rate > 0.0) {
         return None;
     }
     let mean = x.iter().sum::<f64>() / n as f64;
@@ -78,26 +79,6 @@ pub fn periodogram(x: &[f64], rate: f64) -> Option<Vec<f64>> {
         }
     });
     Some(power.collect())
-}
-
-/// Welch: the periodograms of `seg`-sample segments at 50 % overlap,
-/// averaged bin by bin. `None` for a segment under 8 samples, longer
-/// than `x`, or a rate ≤ 0.
-pub fn welch(x: &[f64], rate: f64, seg: usize) -> Option<Vec<f64>> {
-    if seg < 8 || x.len() < seg || rate <= 0.0 {
-        return None;
-    }
-    let segments = (0..=x.len() - seg)
-        .step_by(seg / 2)
-        .map(|start| periodogram(&x[start..start + seg], rate))
-        .collect::<Option<Vec<_>>>()?;
-    let m = segments.len() as f64;
-    let bins = segments[0].len();
-    Some(
-        (0..bins)
-            .map(|k| segments.iter().map(|p| p[k]).sum::<f64>() / m)
-            .collect(),
-    )
 }
 
 /// A spectrum's dominant period.
@@ -146,18 +127,7 @@ pub fn period_peak(x: &[f64], rate: f64) -> Option<Peak> {
     peak(&periodogram(x, rate)?, x.len(), rate)
 }
 
-/// The peak of Welch's averaged spectrum.
-pub fn welch_peak(x: &[f64], rate: f64, seg: usize) -> Option<Peak> {
-    peak(&welch(x, rate, seg)?, seg, rate)
-}
-
 /// `FINDPERIOD` on one window: [`period_peak`] through the gate.
 pub fn estimate_period(x: &[f64], rate: f64) -> Option<Peak> {
     period_peak(x, rate).filter(|p| p.confidence >= MIN_CONFIDENCE)
-}
-
-/// `FINDPERIOD` over Welch's averaged spectrum: [`welch_peak`] through
-/// the gate.
-pub fn welch_estimate_period(x: &[f64], rate: f64, seg: usize) -> Option<Peak> {
-    welch_peak(x, rate, seg).filter(|p| p.confidence >= MIN_CONFIDENCE)
 }

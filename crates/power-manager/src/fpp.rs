@@ -49,10 +49,6 @@ pub struct FppConfig {
     /// Mean-draw-to-cap distance below which the cap counts as binding
     /// (the no-period fallback).
     pub binding_margin: Watts,
-    /// Use Welch's averaged periodogram (segments of half the epoch,
-    /// 50 % overlap) instead of the single-window estimate — more robust
-    /// on noisy power traces at slightly coarser resolution.
-    pub use_welch: bool,
     /// Restore the pre-probe cap gradually — one level-scaled step from
     /// `powercap_levels` per epoch — instead of jumping straight back.
     /// Off by default: the paper's observed behavior is "instantly gives
@@ -72,7 +68,6 @@ impl Default for FppConfig {
             max_gpu_cap: Watts(300.0),
             min_gpu_cap: Watts(100.0),
             binding_margin: Watts(5.0),
-            use_welch: false,
             staged_give_back: false,
         }
     }
@@ -175,9 +170,8 @@ impl FppController {
         assert!(min_cap <= max_cap_bound);
         let cap = max_cap_bound.min(power_lim).max(min_cap);
         // 4× the expected epoch sample count: generous enough that a
-        // healthy epoch (even Welch callers feeding double-length
-        // traces) never wraps, while bounding per-device memory if the
-        // epoch timer stalls.
+        // healthy epoch never wraps, while bounding per-device memory if
+        // the epoch timer stalls.
         let expected = if config.sample_period_s > 0.0 && config.powercap_time_s.is_finite() {
             (config.powercap_time_s / config.sample_period_s).ceil() as usize
         } else {
@@ -266,17 +260,9 @@ impl FppController {
         let rate = 1.0 / self.config.sample_period_s;
         let (head, tail) = self.buffer.as_slices();
         let view = Samples::new(head, tail);
-        let t_cur = if self.config.use_welch {
-            let seg = (view.len() / 2).max(8);
-            analyzer
-                .welch_estimate_period(view, rate, seg)
-                .or_else(|| analyzer.estimate_period(view, rate))
-                .map(|e| e.period_seconds)
-        } else {
-            analyzer
-                .estimate_period(view, rate)
-                .map(|e| e.period_seconds)
-        };
+        let t_cur = analyzer
+            .estimate_period(view, rate)
+            .map(|e| e.period_seconds);
         let mean = view.mean();
         self.buffer.clear();
         self.decide(t_cur, mean)
@@ -558,34 +544,6 @@ mod tests {
         assert_eq!(c.cap(), Watts(300.0));
         c.rebase(Watts(200.0));
         assert_eq!(c.cap(), Watts(200.0));
-    }
-
-    #[test]
-    fn welch_mode_converges_on_noisy_periodic_signal() {
-        let cfg = FppConfig {
-            use_welch: true,
-            ..FppConfig::default()
-        };
-        let mut c = FppController::new(cfg, Watts(253.5));
-        let mut state = 0xD00Du64;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        };
-        for _ in 0..2 {
-            for t in 0..180 {
-                // Noisy Quicksilver-like square wave.
-                let base = if (t as f64 / 10.0).fract() < 0.3 {
-                    140.0
-                } else {
-                    55.0
-                };
-                c.store_power_sample(Watts(base + 10.0 * next()));
-            }
-            epoch(&mut c);
-        }
-        assert!(c.converged(), "noisy periodic signal converges under Welch");
-        assert_eq!(c.cap(), Watts(203.5), "probe kept (cap not binding)");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! cleared by more than [`MARGIN`]. Together the two mean a controller
 //! deciding on the oracle's estimates would take every decision it
 //! takes here. Scenarios: chaos-soak-style seeded signals, the §IV-E
-//! queue restore loop, Welch mode, and the decision-space battery.
+//! queue restore loop, and the decision-space battery.
 
 #[path = "../../fft/tests/oracle/mod.rs"]
 mod oracle;
@@ -82,20 +82,11 @@ impl Checked {
         decision
     }
 
-    /// The estimate the controller's epoch computes — Welch first in
-    /// Welch mode, the single window when that finds none — against the
-    /// oracle's, step by step. Returns the oracle's period.
+    /// The estimate the controller's epoch computes against the
+    /// oracle's. Returns the oracle's period.
     fn check_estimate(&mut self, epoch: u64, x: &[f64]) -> Option<f64> {
         let rate = 1.0 / self.config.sample_period_s;
         let view = Samples::contiguous(x);
-        if self.config.use_welch {
-            let seg = (x.len() / 2).max(8);
-            let planned = self.analyzer.welch_estimate_period(view, rate, seg);
-            let period = self.agree(epoch, planned, oracle::welch_peak(x, rate, seg));
-            if period.is_some() {
-                return period;
-            }
-        }
         let planned = self.analyzer.estimate_period(view, rate);
         self.agree(epoch, planned, oracle::period_peak(x, rate))
     }
@@ -213,46 +204,23 @@ fn mild_shrink_reduces_further() {
 fn chaos_seed_style_signals() {
     // The chaos-soak harness drives node demand from small-integer
     // seeds; mirror that here: per-seed LCG noise over drifting square
-    // waves, long horizon, both estimator modes.
+    // waves, long horizon.
     for seed in [11u64, 29, 47] {
-        for use_welch in [false, true] {
-            let cfg = FppConfig {
-                use_welch,
-                ..FppConfig::default()
-            };
-            let mut noise = lcg_noise(seed);
-            run_checked(
-                &format!("chaos seed {seed} welch={use_welch}"),
-                cfg,
-                Watts(253.5),
-                8,
-                move |epoch| {
-                    let period = 8.0 + (seed % 7) as f64 + (epoch % 3) as f64;
-                    square_wave(90, period, 150.0, 60.0)
-                        .into_iter()
-                        .map(|v| v + 5.0 * noise())
-                        .collect()
-                },
-            );
-        }
+        let mut noise = lcg_noise(seed);
+        run_checked(
+            &format!("chaos seed {seed}"),
+            FppConfig::default(),
+            Watts(253.5),
+            8,
+            move |epoch| {
+                let period = 8.0 + (seed % 7) as f64 + (epoch % 3) as f64;
+                square_wave(90, period, 150.0, 60.0)
+                    .into_iter()
+                    .map(|v| v + 5.0 * noise())
+                    .collect()
+            },
+        );
     }
-}
-
-#[test]
-fn welch_mode_long_epochs() {
-    // The Welch-mode unit scenario: 180 samples per epoch, noisy
-    // square wave.
-    let cfg = FppConfig {
-        use_welch: true,
-        ..FppConfig::default()
-    };
-    let mut noise = lcg_noise(0xD00D);
-    run_checked("welch-long", cfg, Watts(253.5), 3, move |_| {
-        square_wave(180, 10.0, 140.0, 55.0)
-            .into_iter()
-            .map(|v| v + 10.0 * noise())
-            .collect()
-    });
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --example fpp_phase_detection`
 
 use fluxpm::experiments::{JobRequest, PowerSetup, Scenario};
-use fluxpm::fft::{autocorr_period, PeriodAnalyzer, Samples};
+use fluxpm::fft::{PeriodAnalyzer, Samples};
 use fluxpm::hw::{MachineKind, Watts};
 use fluxpm::manager::{FppConfig, FppController, FppDecision, ManagerConfig};
 
@@ -32,8 +32,6 @@ fn main() {
         "FFT period estimate: {:.1} s (truth 10.0 s), confidence {:.2}",
         est.period_seconds, est.confidence
     );
-    let ac = autocorr_period(&signal, 1.0, 0.3).expect("autocorrelation agrees");
-    println!("autocorrelation cross-check: {ac:.1} s");
 
     // --- 2. GET-GPU-CAP: one controller's lifecycle ---------------------
     let mut controller = FppController::new(FppConfig::default(), Watts(253.5));

@@ -58,9 +58,9 @@ pub mod sim {
     pub use fluxpm_sim::*;
 }
 
-/// FFT and period detection (re-export of `fluxpm-fft`).
+/// FFT period detection, FPP's `FINDPERIOD` (re-export of `fluxpm-fft`).
 pub mod fft {
-    pub use fluxpm_fft::*;
+    pub use fluxpm_fft::{PeriodAnalyzer, PeriodEstimate, Samples};
 }
 
 /// Simulated node hardware (re-export of `fluxpm-hw`).
