@@ -4,8 +4,8 @@
 //! circular buffer. A wrapped ring exposes its contents as two
 //! contiguous runs; [`Samples`] stitches them back into one logical
 //! sequence so the planned analytics ([`crate::PeriodAnalyzer`]) can
-//! window, segment, and reduce the trace without materializing a `Vec`
-//! per GPU per epoch.
+//! window and reduce the trace without materializing a `Vec` per GPU
+//! per epoch.
 //!
 //! Iteration order is oldest → newest (`head` first, then `tail`), and
 //! every reduction ([`Samples::mean`], the windowed copy in
@@ -22,8 +22,8 @@
 /// // A wrapped ring holding logically [1., 2., 3., 4.]:
 /// let v = Samples::new(&[1.0, 2.0], &[3.0, 4.0]);
 /// assert_eq!(v.len(), 4);
-/// assert_eq!(v.get(2), 3.0);
-/// assert_eq!(v.iter().sum::<f64>(), 10.0);
+/// assert_eq!(v.iter().collect::<Vec<_>>(), [1.0, 2.0, 3.0, 4.0]);
+/// assert_eq!(v.mean(), 2.5);
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct Samples<'a> {
@@ -55,43 +55,9 @@ impl<'a> Samples<'a> {
         self.head.is_empty() && self.tail.is_empty()
     }
 
-    /// The two underlying runs, in logical order.
-    pub fn as_slices(&self) -> (&'a [f64], &'a [f64]) {
-        (self.head, self.tail)
-    }
-
-    /// The sample at logical index `i`. Panics when out of bounds.
-    pub fn get(&self, i: usize) -> f64 {
-        if i < self.head.len() {
-            self.head[i]
-        } else {
-            self.tail[i - self.head.len()]
-        }
-    }
-
     /// Iterate oldest → newest.
     pub fn iter(&self) -> impl Iterator<Item = f64> + 'a {
         self.head.iter().chain(self.tail.iter()).copied()
-    }
-
-    /// Sub-view of `len` samples starting at logical index `start`,
-    /// without copying. Panics when the range is out of bounds.
-    pub fn segment(&self, start: usize, len: usize) -> Samples<'a> {
-        // Saturated, an overflowing range still fails the bound below.
-        let end = start.saturating_add(len);
-        assert!(
-            end <= self.len(),
-            "segment {start}..{end} out of bounds for {} samples",
-            self.len()
-        );
-        let h = self.head.len();
-        if end <= h {
-            Samples::contiguous(&self.head[start..end])
-        } else if start >= h {
-            Samples::contiguous(&self.tail[start - h..end - h])
-        } else {
-            Samples::new(&self.head[start..], &self.tail[..end - h])
-        }
     }
 
     /// Arithmetic mean over the view, summed oldest → newest — the same
@@ -130,36 +96,14 @@ mod tests {
         assert!(!v.is_empty());
         let collected: Vec<f64> = v.iter().collect();
         assert_eq!(collected, vec![1.0, 2.0, 3.0, 4.0, 5.0]);
-        for (i, want) in collected.iter().enumerate() {
-            assert_eq!(v.get(i), *want);
-        }
     }
 
     #[test]
     fn contiguous_has_empty_tail() {
         let xs = [7.0, 8.0];
         let v = Samples::contiguous(&xs);
-        assert_eq!(v.as_slices(), (&xs[..], &[][..]));
+        assert_eq!((v.head, v.tail), (&xs[..], &[][..]));
         assert_eq!(v.len(), 2);
-    }
-
-    #[test]
-    fn segment_within_head_within_tail_and_spanning() {
-        let v = Samples::new(&[0.0, 1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]);
-        let all: Vec<f64> = v.iter().collect();
-        for start in 0..all.len() {
-            for len in 0..=(all.len() - start) {
-                let seg = v.segment(start, len);
-                let got: Vec<f64> = seg.iter().collect();
-                assert_eq!(got, &all[start..start + len], "seg {start}+{len}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn segment_rejects_overrun() {
-        Samples::new(&[1.0], &[2.0]).segment(1, 2);
     }
 
     #[test]

@@ -46,9 +46,6 @@ pub struct NodeAgent {
     /// The retained samples: the paper's circular buffer, kept in pages a
     /// reply can share.
     log: PagedLog,
-    /// Bytes of encoded JSON currently retained (the paper sizes the
-    /// default buffer at ~43.4 MB for 100k records).
-    buffer_bytes: usize,
     /// When this agent started sampling (set at load time). A freshly
     /// reloaded agent on a recovered node starts *here*, not at t=0, so
     /// windows reaching before it are flagged partial — this is how the
@@ -66,8 +63,8 @@ pub struct NodeAgent {
     last_pushed_us: u64,
     /// Samples pushed to the root agent (diagnostics).
     pushes_sent: u64,
-    /// The sample each tick refills and encodes, so a tick allocates
-    /// only the record it retains. Its hostname (set at load) is this
+    /// The sample each tick refills and writes into the log, so a tick
+    /// allocates nothing of its own. Its hostname (set at load) is this
     /// node's one shared string: the JSON writer reads it and every
     /// reply holds a reference to it.
     scratch: NodePowerSample,
@@ -86,7 +83,6 @@ impl NodeAgent {
             },
             config,
             log,
-            buffer_bytes: 0,
             since_us: None,
             gaps: Vec::new(),
             last_pushed_us: 0,
@@ -116,9 +112,10 @@ impl NodeAgent {
         self.log.len()
     }
 
-    /// The retained records, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = &PowerRecord> {
-        self.log.iter()
+    /// The retained records, oldest first: handles into the blocks the
+    /// log keeps (it shares the records still pending first).
+    pub fn records(&mut self) -> impl Iterator<Item = &PowerRecord> {
+        self.log.records()
     }
 
     /// Records lost to buffer wrap or to an outage.
@@ -126,9 +123,10 @@ impl NodeAgent {
         self.log.overwritten()
     }
 
-    /// Bytes of encoded Variorum JSON currently retained.
+    /// Bytes of encoded Variorum JSON currently retained (the paper
+    /// sizes the default buffer at ~43.4 MB for 100k records).
     pub fn buffer_bytes(&self) -> usize {
-        self.buffer_bytes
+        self.log.json_bytes()
     }
 
     /// When this agent started sampling (microseconds), if loaded.
@@ -155,8 +153,8 @@ impl NodeAgent {
         if self.gaps.iter().any(|&(_, end)| end > start_us) {
             return false;
         }
-        match self.log.oldest() {
-            Some(oldest) => self.log.overwritten() == 0 || oldest.timestamp_us() <= start_us,
+        match self.log.oldest_timestamp() {
+            Some(oldest) => self.log.overwritten() == 0 || oldest <= start_us,
             None => false,
         }
     }
@@ -172,12 +170,8 @@ impl NodeAgent {
             ctx.world
                 .charge_overhead(node_id, cost.cpu_time.as_secs_f64());
         }
-        let record = PowerRecord::encode(&self.scratch);
-        let node_w = record.node_power_estimate();
-        self.buffer_bytes += record.stored_bytes();
-        if let Some(evicted_bytes) = self.log.push(record) {
-            self.buffer_bytes -= evicted_bytes;
-        }
+        self.log.push_sample(&self.scratch);
+        let node_w = self.scratch.node_power_estimate();
         // Canonical record for sharded byte-equality checks (no-op on
         // classic worlds): buffered count + node draw in milliwatts.
         ctx.world.record(
@@ -196,12 +190,18 @@ impl NodeAgent {
         let mut sum = 0.0;
         let mut max = f64::NEG_INFINITY;
         let mut min = f64::INFINITY;
-        for r in self.log.window(start_us, end_us) {
-            let p = r.node_power_estimate();
+        let mut add = |p: f64| {
             samples += 1;
             sum += p;
             max = max.max(p);
             min = min.min(p);
+        };
+        let (packed, pending) = self.log.window_power(start_us, end_us);
+        for p in packed {
+            add(p);
+        }
+        for &p in pending {
+            add(p);
         }
         let complete = self.window_complete(start_us);
         NodeStats {
@@ -230,10 +230,9 @@ impl NodeAgent {
     /// single-attempt deadline so a push or ack lost to a faulty or
     /// congested link reaps its matchtag instead of leaking it.
     fn push_newest(&mut self, ctx: &mut ModuleCtx<'_>) {
-        let Some(newest) = self.log.newest() else {
+        let Some((ts, node_w)) = self.log.newest() else {
             return;
         };
-        let ts = newest.timestamp_us();
         if ts <= self.last_pushed_us {
             return;
         }
@@ -242,7 +241,7 @@ impl NodeAgent {
         let push = crate::proto::SamplePush {
             node: ctx.rank.0,
             timestamp_us: ts,
-            node_w: newest.node_power_estimate(),
+            node_w,
         };
         let req = MonitorRequest::PushSample(push);
         let root = ctx.world.root();
@@ -261,11 +260,12 @@ impl NodeAgent {
             .respond(ctx.eng, msg, MonitorReply::NodeStats(stats).encode());
     }
 
-    fn answer(&self, ctx: &mut ModuleCtx<'_>, msg: &Message, req: NodeDataRequest) {
+    fn answer(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message, req: NodeDataRequest) {
         // The one place a reply's records are gathered: the window's
         // sealed pages are shared whole (a reference-count bump per page of
         // 16 samples), only the part in the page still being filled is
-        // cloned, and every later hop shares the result.
+        // cloned (its pending records shared first), and every later hop
+        // shares the result.
         let records = self.log.share(req.start_us, req.end_us);
         // Partial iff data from the window start was lost: overwritten
         // by wrap, or never sampled (the agent loaded after the window
@@ -325,7 +325,7 @@ impl Module for NodeAgent {
             let gap_start = self
                 .log
                 .newest()
-                .map(|r| r.timestamp_us())
+                .map(|(ts, _)| ts)
                 .unwrap_or_else(|| self.since_us.unwrap_or(0));
             if now_us > gap_start {
                 self.gaps.push((gap_start, now_us));

@@ -12,6 +12,7 @@ use fluxpm_flux::{JobId, Protocol};
 use fluxpm_variorum::NodePowerSample;
 use std::cell::RefCell;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// One stored telemetry record: the Variorum JSON object as the node
@@ -19,23 +20,23 @@ use std::sync::Arc;
 /// 43.4 MB") plus the few numbers queries read, so answering one never
 /// parses.
 ///
-/// A record is a handle to its bytes in an immutable heap block, written
-/// once at sample time, plus the two numbers every query reads —
-/// timestamp and node power — so a window search or a statistic walks
-/// the node agent's own pages and touches no block. The agent's log owns
-/// the sample. It packs every four records' bytes into one block as they
-/// arrive (`PowerRecord::pack`), so a log holds a block per four
-/// records, not one per record. A reply shares the log's sealed
-/// pages whole ([`Records`]) and clones a record only from the page
-/// still being filled, so the root's aggregation and the client hold the
-/// very bytes the node agent keeps.
+/// A record is a handle to its bytes in an immutable heap block plus
+/// the two numbers every query reads — timestamp and node power — so a
+/// window search or a statistic walks the node agent's own pages and
+/// touches no block. The agent's log writes each sample's bytes once,
+/// straight into storage it keeps, and turns every four of them into one
+/// block (DESIGN.md §14), so a log holds a block per four records. A
+/// reply shares the log's sealed pages whole ([`Records`]) and clones a
+/// record only from the page still being filled, so the root's
+/// aggregation and the client hold the very bytes the node agent keeps.
 /// The per-socket and per-GPU values live only in the JSON:
 /// [`PowerRecord::sample`] decodes them on demand.
 #[derive(Clone)]
 pub struct PowerRecord {
     /// `block[start..end]` is `[stored JSON][TRAILER bytes of
-    /// little-endian numbers]`: the whole of the record's own block, or
-    /// its part of a block it was packed into.
+    /// little-endian numbers]`: its part of the block its log packed it
+    /// into, or the whole of a block of its own
+    /// ([`PowerRecord::encode`]).
     block: Arc<[u8]>,
     start: u32,
     end: u32,
@@ -46,15 +47,16 @@ pub struct PowerRecord {
 
 /// Bytes behind the JSON: CPU total, GPU total and memory power (8 bytes
 /// each), then one flags byte.
-const TRAILER: usize = 25;
+pub(crate) const TRAILER: usize = 25;
 /// Flag: the node power is a direct measurement, not a component sum.
 const NODE_MEASURED: u8 = 1;
 /// Flag: the platform reported memory power.
 const MEM_REPORTED: u8 = 2;
 
 thread_local! {
-    /// Where a record is assembled before its one allocation, so that
-    /// encoding allocates nothing else once the buffer has grown.
+    /// Where [`PowerRecord::encode`] assembles a record before its one
+    /// allocation, so that it allocates nothing else once the buffer has
+    /// grown.
     static ENCODE_BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -64,61 +66,65 @@ impl PowerRecord {
         PowerRecord::encode(&sample)
     }
 
-    /// [`PowerRecord::new`] from a borrowed sample (the node agent refills
-    /// one sample per tick and never gives it away).
+    /// [`PowerRecord::new`] from a borrowed sample: a record in a block
+    /// of its own.
     pub fn encode(sample: &NodePowerSample) -> PowerRecord {
         ENCODE_BUF.with_borrow_mut(|buf| {
-            // An empty `Vec<u8>` is a valid `String`: the JSON writer gets
-            // the buffer's storage without a UTF-8 scan or a copy.
             buf.clear();
-            // invariant: `buf` was just cleared, and no bytes are valid UTF-8.
-            let mut json = String::from_utf8(std::mem::take(buf)).expect("empty buffer");
-            sample.write_json(&mut json);
-            *buf = json.into_bytes();
-            let mut flags = 0;
-            if sample.power_node_watts.is_some() {
-                flags |= NODE_MEASURED;
-            }
-            if sample.power_mem_watts.is_some() {
-                flags |= MEM_REPORTED;
-            }
-            for w in [
-                sample.cpu_total(),
-                sample.gpu_total(),
-                sample.power_mem_watts.unwrap_or(0.0),
-            ] {
-                buf.extend_from_slice(&w.to_le_bytes());
-            }
-            buf.push(flags);
-            PowerRecord {
-                block: Arc::from(&buf[..]),
-                start: 0,
-                // invariant: a Variorum JSON object is some hundred bytes.
-                end: u32::try_from(buf.len()).expect("a record under 4 GiB"),
-                timestamp_us: sample.timestamp_us,
-                node_w: sample.node_power_estimate(),
-            }
+            PowerRecord::write(sample, buf);
+            PowerRecord::in_block(
+                Arc::from(&buf[..]),
+                0..buf.len(),
+                sample.timestamp_us,
+                sample.node_power_estimate(),
+            )
         })
     }
 
-    /// Move the bytes of `records` into one new block, in order: one
-    /// allocation for the lot, and each record's own block is released.
-    pub(crate) fn pack(records: &mut [PowerRecord]) {
-        let block: Arc<[u8]> = ENCODE_BUF.with_borrow_mut(|buf| {
-            buf.clear();
-            for record in records.iter() {
-                buf.extend_from_slice(record.bytes());
-            }
-            Arc::from(&buf[..])
-        });
-        let mut at = 0;
-        for record in records {
-            let len = record.end - record.start;
-            record.block = Arc::clone(&block);
-            record.start = at;
-            record.end = at + len;
-            at += len;
+    /// Append a record's bytes for `sample` to `out`: its stored JSON,
+    /// then the trailer.
+    pub(crate) fn write(sample: &NodePowerSample, out: &mut Vec<u8>) {
+        sample.write_json(out);
+        let mut flags = 0;
+        if sample.power_node_watts.is_some() {
+            flags |= NODE_MEASURED;
         }
+        if sample.power_mem_watts.is_some() {
+            flags |= MEM_REPORTED;
+        }
+        for w in [
+            sample.cpu_total(),
+            sample.gpu_total(),
+            sample.power_mem_watts.unwrap_or(0.0),
+        ] {
+            out.extend_from_slice(&w.to_le_bytes());
+        }
+        out.push(flags);
+    }
+
+    /// The record whose bytes ([`PowerRecord::write`]) are
+    /// `block[bytes]`, with the timestamp and node power of its sample.
+    pub(crate) fn in_block(
+        block: Arc<[u8]>,
+        bytes: Range<usize>,
+        timestamp_us: u64,
+        node_w: f64,
+    ) -> PowerRecord {
+        // invariant: a Variorum JSON object is some hundred bytes.
+        let offset = |at: usize| u32::try_from(at).expect("a block under 4 GiB");
+        PowerRecord {
+            block,
+            start: offset(bytes.start),
+            end: offset(bytes.end),
+            timestamp_us,
+            node_w,
+        }
+    }
+
+    /// The block the record's bytes live in.
+    #[cfg(test)]
+    pub(crate) fn block(&self) -> &Arc<[u8]> {
+        &self.block
     }
 
     /// The record's `[stored JSON][trailer]`.
@@ -639,15 +645,19 @@ impl Protocol for MonitorReply {
 mod tests {
     use super::*;
 
-    fn record(ts: u64, node_w: f64) -> PowerRecord {
-        PowerRecord::new(NodePowerSample {
+    fn sample(ts: u64, node_w: f64) -> NodePowerSample {
+        NodePowerSample {
             hostname: "h".into(),
             timestamp_us: ts,
             power_node_watts: Some(node_w),
             power_cpu_watts: Default::default(),
             power_mem_watts: None,
             power_gpu_watts: Default::default(),
-        })
+        }
+    }
+
+    fn record(ts: u64, node_w: f64) -> PowerRecord {
+        PowerRecord::new(sample(ts, node_w))
     }
 
     fn reply(records: Vec<PowerRecord>, complete: bool) -> NodeDataReply {
@@ -669,11 +679,37 @@ mod tests {
 
     #[test]
     fn packed_records_share_one_block_and_keep_their_values() {
-        let records: Vec<PowerRecord> = (0..5)
-            .map(|i| record(i * 1_000, 100.0 + i as f64))
+        let samples: Vec<NodePowerSample> = (0..5)
+            .map(|i| NodePowerSample {
+                power_cpu_watts: [150.0 + i as f64, 149.5].into(),
+                power_mem_watts: (i % 2 == 0).then_some(80.0),
+                power_gpu_watts: [250.25; 4].into(),
+                ..sample(i * 1_000, 100.0 + i as f64)
+            })
             .collect();
-        let mut packed = records.clone();
-        PowerRecord::pack(&mut packed);
+        let records: Vec<PowerRecord> = samples.iter().map(PowerRecord::encode).collect();
+        // Written back to back into one buffer, as a log's pending bytes
+        // are, then made one block.
+        let mut bytes = Vec::new();
+        let mut spans = Vec::new();
+        for s in &samples {
+            let start = bytes.len();
+            PowerRecord::write(s, &mut bytes);
+            spans.push(start..bytes.len());
+        }
+        let block: Arc<[u8]> = Arc::from(bytes);
+        let packed: Vec<PowerRecord> = samples
+            .iter()
+            .zip(spans)
+            .map(|(s, span)| {
+                PowerRecord::in_block(
+                    Arc::clone(&block),
+                    span,
+                    s.timestamp_us,
+                    s.node_power_estimate(),
+                )
+            })
+            .collect();
         assert_eq!(packed, records);
         for (p, r) in packed.iter().zip(&records) {
             assert!(Arc::ptr_eq(&p.block, &packed[0].block), "one block");
