@@ -19,8 +19,8 @@ impl Module for BenchEcho {
     fn name(&self) -> &'static str {
         "bench-echo"
     }
-    fn topics(&self) -> Vec<Topic> {
-        vec![self.echo.clone()]
+    fn topics(&self) -> Rc<[Topic]> {
+        Rc::from([self.echo.clone()])
     }
     fn load(&mut self, _ctx: &mut ModuleCtx<'_>) {}
     fn handle(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {

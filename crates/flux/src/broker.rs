@@ -142,14 +142,13 @@ pub struct Broker {
     /// Node hostname (e.g. `"lassen12"`): the node's one copy of the
     /// string, which samplers and replies hold references to.
     pub hostname: Arc<str>,
-    /// Loaded modules by name, in load order. A vector scanned by
-    /// `lookup`: a broker holds a handful of modules.
-    modules: Vec<(&'static str, SharedModule)>,
-    /// Topic → module dispatch table (exact match; one entry per topic,
-    /// the latest registration wins). A vector scanned by `lookup`: a
-    /// broker serves a dozen-odd topics, and a message's interned topic
-    /// resolves on the address pass without touching the text.
-    routes: Vec<(Topic, SharedModule)>,
+    /// Loaded modules, in load order, each with the topics it serves: the
+    /// broker's whole dispatch table. A vector scanned by `route` and
+    /// `module`: a broker holds a handful of modules, and a message's
+    /// interned topic resolves on the address pass without touching the
+    /// text. Sized exactly, as it only changes when a module loads or
+    /// unloads.
+    modules: Vec<Loaded>,
     /// Liveness: a downed broker neither originates, receives, nor
     /// relays overlay traffic. [`crate::World::fail_node`] takes it
     /// down; [`crate::World::recover_node`] brings it back.
@@ -164,6 +163,18 @@ pub struct Broker {
     pub uplink: LinkDetector,
 }
 
+/// One loaded module and the topics it serves.
+struct Loaded {
+    name: &'static str,
+    module: SharedModule,
+    /// The module type's topic list ([`Module::topics`](crate::Module::topics)),
+    /// shared with every other broker on this thread. Exact-match, and the
+    /// latest registration of a topic wins: a module that loses a topic
+    /// to a later one gets a list of its own without it, so unloading the
+    /// winner leaves the topic unserved.
+    topics: Rc<[Topic]>,
+}
+
 impl Broker {
     /// Create an empty broker.
     pub fn new(rank: Rank, hostname: String) -> Broker {
@@ -171,7 +182,6 @@ impl Broker {
             rank,
             hostname: hostname.into(),
             modules: Vec::new(),
-            routes: Vec::new(),
             up: true,
             incarnation: 0,
             uplink: LinkDetector::default(),
@@ -213,33 +223,43 @@ impl Broker {
 
     /// Register a module and its topic routes. Returns `false` (and
     /// changes nothing) if a module with the same name is already loaded
-    /// or the broker is down.
+    /// or the broker is down. A topic some loaded module already serves
+    /// moves to this one.
     pub fn register(&mut self, module: SharedModule) -> bool {
         let (name, topics) = {
             let m = module.borrow();
             (m.name(), m.topics())
         };
-        if !self.up || lookup(&self.modules, name).is_some() {
+        if !self.up || self.position(name).is_some() {
             return false;
         }
-        self.modules.push((name, Rc::clone(&module)));
-        for t in topics {
-            match self.routes.iter_mut().find(|(have, _)| *have == t) {
-                Some((_, serving)) => *serving = Rc::clone(&module),
-                None => self.routes.push((t, Rc::clone(&module))),
+        for loaded in &mut self.modules {
+            if loaded.topics.iter().any(|t| topics.contains(t)) {
+                loaded.topics = loaded
+                    .topics
+                    .iter()
+                    .filter(|t| !topics.contains(t))
+                    .cloned()
+                    .collect();
             }
         }
+        self.modules.reserve_exact(1);
+        self.modules.push(Loaded {
+            name,
+            module,
+            topics,
+        });
         true
     }
 
     /// Unload a module by name, removing the routes it serves. Returns
     /// true if it was loaded.
     pub fn unregister(&mut self, name: &str) -> bool {
-        let Some(at) = self.modules.iter().position(|(have, _)| *have == name) else {
+        let Some(at) = self.position(name) else {
             return false;
         };
-        let (_, module) = self.modules.remove(at);
-        self.routes.retain(|(_, m)| !Rc::ptr_eq(m, &module));
+        self.modules.remove(at);
+        self.modules.shrink_to_fit();
         true
     }
 
@@ -248,31 +268,48 @@ impl Broker {
     /// addresses; any other string is compared by text and never
     /// interned.
     pub fn route(&self, topic: &str) -> Option<SharedModule> {
-        lookup(&self.routes, topic).cloned()
+        by_address_then_text(|same| {
+            self.modules
+                .iter()
+                .find(|m| m.topics.iter().any(|t| same(t, topic)))
+        })
+        .map(|m| Rc::clone(&m.module))
     }
 
     /// A loaded module by name.
     pub fn module(&self, name: &str) -> Option<SharedModule> {
-        lookup(&self.modules, name).cloned()
+        self.position(name)
+            .map(|at| Rc::clone(&self.modules[at].module))
     }
 
     /// Names of loaded modules (sorted, for deterministic iteration).
     pub fn module_names(&self) -> Vec<&'static str> {
-        let mut names: Vec<_> = self.modules.iter().map(|(name, _)| *name).collect();
+        let mut names: Vec<_> = self.modules.iter().map(|m| m.name).collect();
         names.sort_unstable();
         names
     }
+
+    /// The topic list the broker routes to a loaded module: the module
+    /// type's own list unless a later module took some of its topics.
+    #[cfg(test)]
+    fn served(&self, name: &str) -> Option<&Rc<[Topic]>> {
+        self.position(name).map(|at| &self.modules[at].topics)
+    }
+
+    /// Where the module `name` is loaded.
+    fn position(&self, name: &str) -> Option<usize> {
+        by_address_then_text(|same| self.modules.iter().position(|m| same(m.name, name)))
+    }
 }
 
-/// Find `key` in a small table: by address first — an interned topic or
-/// a `'static` module name is the very string the table holds — and by
-/// text only when no address matches (a handle interned on another
-/// shard thread, a string built at run time).
-fn lookup<'t, K: AsRef<str>, V>(table: &'t [(K, V)], key: &str) -> Option<&'t V> {
-    let by_address = table.iter().find(|(k, _)| std::ptr::eq(k.as_ref(), key));
-    by_address
-        .or_else(|| table.iter().find(|(k, _)| k.as_ref() == key))
-        .map(|(_, v)| v)
+/// Run a search of a broker's table with strings compared by address
+/// first — an interned topic or a `'static` module name is the very
+/// string the table holds — and by text only when no address matches (a
+/// handle interned on another shard thread, a string built at run time).
+fn by_address_then_text<T>(
+    mut search: impl FnMut(fn(&str, &str) -> bool) -> Option<T>,
+) -> Option<T> {
+    search(|a, b| std::ptr::eq(a, b)).or_else(|| search(|a, b| a == b))
 }
 
 #[cfg(test)]
@@ -284,15 +321,15 @@ mod tests {
 
     struct Dummy {
         name: &'static str,
-        topics: Vec<Topic>,
+        topics: Rc<[Topic]>,
     }
 
     impl Module for Dummy {
         fn name(&self) -> &'static str {
             self.name
         }
-        fn topics(&self) -> Vec<Topic> {
-            self.topics.clone()
+        fn topics(&self) -> Rc<[Topic]> {
+            Rc::clone(&self.topics)
         }
         fn load(&mut self, _ctx: &mut ModuleCtx<'_>) {}
         fn handle(&mut self, _ctx: &mut ModuleCtx<'_>, _msg: &Message) {}
@@ -417,6 +454,70 @@ mod tests {
         // After cooldown, the streak must be rebuilt from scratch.
         assert_eq!(d.observe(&cfg, 10, 10, 0), LinkVerdict::Hot);
         assert_eq!(d.observe(&cfg, 10, 10, 0), LinkVerdict::Degraded);
+    }
+
+    #[test]
+    fn latest_registration_of_a_topic_wins() {
+        let mut b = Broker::new(Rank(0), "h".into());
+        assert!(b.register(dummy("early", &["t.shared", "t.early"])));
+        assert!(b.register(dummy("late", &["t.shared"])));
+        let served_by = |b: &Broker, t: &str| b.route(t).map(|m| m.borrow().name());
+        assert_eq!(served_by(&b, "t.shared"), Some("late"));
+        assert_eq!(served_by(&b, "t.early"), Some("early"));
+        // A third registration takes it again.
+        assert!(b.register(dummy("later", &["t.shared"])));
+        assert_eq!(served_by(&b, "t.shared"), Some("later"));
+    }
+
+    #[test]
+    fn unloading_the_winner_leaves_its_topic_unserved() {
+        let mut b = Broker::new(Rank(0), "h".into());
+        assert!(b.register(dummy("early", &["t.shared", "t.early"])));
+        assert!(b.register(dummy("late", &["t.shared"])));
+        assert!(b.unregister("late"));
+        assert!(
+            b.route("t.shared").is_none(),
+            "the loser does not get it back"
+        );
+        assert!(b.route("t.early").is_some());
+        // Reloading the loser gives it back.
+        assert!(b.unregister("early"));
+        assert!(b.register(dummy("early", &["t.shared", "t.early"])));
+        assert!(b.route("t.shared").is_some());
+    }
+
+    /// A module type whose topic list is made once per thread.
+    struct Fixed;
+
+    impl Module for Fixed {
+        fn name(&self) -> &'static str {
+            "fixed"
+        }
+        fn topics(&self) -> Rc<[Topic]> {
+            crate::topic_list!["fixed.get", "fixed.put"]
+        }
+        fn load(&mut self, _ctx: &mut ModuleCtx<'_>) {}
+        fn handle(&mut self, _ctx: &mut ModuleCtx<'_>, _msg: &Message) {}
+    }
+
+    #[test]
+    fn brokers_share_one_topic_list_per_module_type() {
+        let mut brokers: Vec<Broker> = (0..2).map(|r| Broker::new(Rank(r), "h".into())).collect();
+        for b in &mut brokers {
+            assert!(b.register(Rc::new(RefCell::new(Fixed))));
+        }
+        let (first, second) = (
+            brokers[0].served("fixed").unwrap(),
+            brokers[1].served("fixed").unwrap(),
+        );
+        assert!(Rc::ptr_eq(first, second), "one list, not a copy per rank");
+        assert!(brokers[1].route("fixed.put").is_some());
+        // A broker whose module lost a topic holds a list of its own.
+        assert!(brokers[1].register(dummy("taker", &["fixed.put"])));
+        let narrowed = brokers[1].served("fixed").unwrap();
+        assert!(!Rc::ptr_eq(brokers[0].served("fixed").unwrap(), narrowed));
+        assert_eq!(narrowed.len(), 1);
+        assert_eq!(brokers[0].served("fixed").unwrap().len(), 2);
     }
 
     #[test]

@@ -20,8 +20,10 @@ pub trait Module: 'static {
     fn name(&self) -> &'static str;
 
     /// Topics this module's handlers serve (exact-match). Registered at
-    /// load time.
-    fn topics(&self) -> Vec<Topic>;
+    /// load time. Every instance of a module type returns the same list,
+    /// made once per thread ([`topic_list!`](crate::topic_list)): each
+    /// rank's broker points at it instead of holding a copy.
+    fn topics(&self) -> Rc<[Topic]>;
 
     /// Called once after the module is registered on a rank. Typical use:
     /// start periodic work (sampling loops) via `ctx.eng`.
@@ -109,6 +111,29 @@ pub trait Module: 'static {
     fn apply_event(&mut self, event: &StateEvent) {
         let _ = event;
     }
+}
+
+/// The calling module type's topic list: `topics` interned once per
+/// thread — so once per shard replica — and shared by every instance on
+/// it. Use it as the body of [`Module::topics`]:
+///
+/// ```
+/// # use fluxpm_flux::{topic_list, Topic};
+/// # use std::rc::Rc;
+/// fn topics() -> Rc<[Topic]> {
+///     topic_list!["svc.get", "svc.put"]
+/// }
+/// assert!(Rc::ptr_eq(&topics(), &topics()));
+/// ```
+#[macro_export]
+macro_rules! topic_list {
+    ($($topic:expr),* $(,)?) => {{
+        ::std::thread_local! {
+            static LIST: ::std::rc::Rc<[$crate::Topic]> =
+                ::std::rc::Rc::from([$($crate::Topic::intern($topic)),*]);
+        }
+        LIST.with(::std::rc::Rc::clone)
+    }};
 }
 
 /// Shared handle to a loaded module.

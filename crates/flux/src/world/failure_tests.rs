@@ -143,8 +143,8 @@ impl crate::module::Module for SlowEcho {
     fn name(&self) -> &'static str {
         "slow-echo"
     }
-    fn topics(&self) -> Vec<Topic> {
-        vec!["slow.ping".into()]
+    fn topics(&self) -> Rc<[Topic]> {
+        crate::topic_list!["slow.ping"]
     }
     fn load(&mut self, _ctx: &mut ModuleCtx<'_>) {}
     fn handle(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
@@ -470,8 +470,8 @@ impl crate::module::Module for RootCounter {
     fn name(&self) -> &'static str {
         "root-counter"
     }
-    fn topics(&self) -> Vec<Topic> {
-        vec!["root.count".into()]
+    fn topics(&self) -> Rc<[Topic]> {
+        crate::topic_list!["root.count"]
     }
     fn load(&mut self, _ctx: &mut ModuleCtx<'_>) {}
     fn handle(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {

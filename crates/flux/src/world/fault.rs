@@ -57,8 +57,10 @@ pub struct GilbertElliott {
 }
 
 impl GilbertElliott {
-    /// The long-run stationary loss rate of this channel.
-    pub fn stationary_loss(&self) -> f64 {
+    /// The long-run stationary loss rate of this channel (the oracle a
+    /// failure test holds the sampled loss to).
+    #[cfg(test)]
+    pub(crate) fn stationary_loss(&self) -> f64 {
         let denom = self.p_good_to_bad + self.p_bad_to_good;
         if denom == 0.0 {
             return self.good_drop_prob;

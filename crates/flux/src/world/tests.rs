@@ -163,12 +163,8 @@ impl Module for Echo {
     fn name(&self) -> &'static str {
         "echo"
     }
-    fn topics(&self) -> Vec<Topic> {
-        vec![
-            "echo.ping".into(),
-            EVENT_JOB_START.into(),
-            EVENT_JOB_FINISH.into(),
-        ]
+    fn topics(&self) -> Rc<[Topic]> {
+        crate::topic_list!["echo.ping", EVENT_JOB_START, EVENT_JOB_FINISH]
     }
     fn load(&mut self, _ctx: &mut ModuleCtx<'_>) {}
     fn handle(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {

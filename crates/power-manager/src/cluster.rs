@@ -183,12 +183,8 @@ impl Module for ClusterLevelManager {
         CLUSTER_MANAGER
     }
 
-    fn topics(&self) -> Vec<Topic> {
-        vec![
-            EVENT_JOB_START.into(),
-            EVENT_JOB_FINISH.into(),
-            EVENT_JOB_EXCEPTION.into(),
-        ]
+    fn topics(&self) -> Rc<[Topic]> {
+        fluxpm_flux::topic_list![EVENT_JOB_START, EVENT_JOB_FINISH, EVENT_JOB_EXCEPTION]
     }
 
     fn load(&mut self, _ctx: &mut ModuleCtx<'_>) {}

@@ -115,8 +115,8 @@ impl Module for JobLevelManager {
         JOB_MANAGER
     }
 
-    fn topics(&self) -> Vec<Topic> {
-        vec![TOPIC_JOB_LIMIT.into()]
+    fn topics(&self) -> Rc<[Topic]> {
+        fluxpm_flux::topic_list![TOPIC_JOB_LIMIT]
     }
 
     fn load(&mut self, _ctx: &mut ModuleCtx<'_>) {}

@@ -37,21 +37,88 @@ const TIMER_EPOCH: u64 = 1;
 /// The `flux-power-manager` node-level component.
 pub struct NodeLevelManager {
     policy: PolicyKind,
-    fpp_config: FppConfig,
-    fpp_target: FppTarget,
     /// The node-level power limit currently enforced.
     node_limit: Option<Watts>,
-    /// Per-GPU FPP controllers (policy == Fpp only).
+    /// Cap-set operations that failed (NVML §V failures).
+    cap_failures: u64,
+    /// FPP's state, present only when the policy is FPP: a proportional
+    /// or unconstrained manager on every rank of a large fleet never
+    /// reads it.
+    fpp: Option<Box<Fpp>>,
+}
+
+/// What a node manager keeps to run FPP (paper Algorithm 1).
+struct Fpp {
+    config: FppConfig,
+    target: FppTarget,
+    /// One controller per device of `target`, built when the first limit
+    /// is applied.
     controllers: Vec<FppController>,
     /// One planned-analysis state shared by every controller on this
     /// node: all 4–8 per-GPU epoch analyses reuse the same cached FFT
     /// plans, window tables, scratch arena, and spectrum buffers.
     analyzer: PeriodAnalyzer,
-    /// Cap-set operations that failed (NVML §V failures).
-    cap_failures: u64,
-    /// The job last seen on this node; FPP controllers reset when a new
+    /// The job last seen on this node; the controllers reset when a new
     /// job arrives (each job gets its own probe/converge cycle).
     current_job: Option<fluxpm_flux::JobId>,
+}
+
+impl Fpp {
+    /// Build the controller set for the configured target.
+    fn make_controllers(&self, arch: &fluxpm_hw::NodeArch, limit: Watts) -> Vec<FppController> {
+        match self.target {
+            FppTarget::Gpu => {
+                let derived = NodeLevelManager::derive_gpu_cap(arch, limit);
+                (0..arch.gpus)
+                    .map(|_| FppController::new(self.config.clone(), derived))
+                    .collect()
+            }
+            FppTarget::Socket => {
+                let derived = NodeLevelManager::derive_socket_cap(arch, limit);
+                (0..arch.sockets)
+                    .map(|_| {
+                        FppController::with_bounds(
+                            self.config.clone(),
+                            derived,
+                            arch.cpu_idle,
+                            arch.cpu_peak,
+                        )
+                    })
+                    .collect()
+            }
+            FppTarget::Memory => {
+                let derived = NodeLevelManager::derive_memory_cap(arch, limit);
+                vec![FppController::with_bounds(
+                    self.config.clone(),
+                    derived,
+                    arch.mem_idle,
+                    arch.mem_peak,
+                )]
+            }
+        }
+    }
+
+    /// Apply one controller decision to the hardware dial it targets.
+    fn apply_decision(
+        &self,
+        ctx: &mut ModuleCtx<'_>,
+        cap_failures: &mut u64,
+        device: usize,
+        cap: Watts,
+    ) {
+        match self.target {
+            FppTarget::Gpu => set_gpu_cap(ctx, cap_failures, device, cap),
+            FppTarget::Socket => set_socket_cap(ctx, device, cap),
+            FppTarget::Memory => set_memory_cap(ctx, cap),
+        }
+    }
+
+    /// Apply every controller's current cap.
+    fn apply_caps(&self, ctx: &mut ModuleCtx<'_>, cap_failures: &mut u64) {
+        for (device, c) in self.controllers.iter().enumerate() {
+            self.apply_decision(ctx, cap_failures, device, c.cap());
+        }
+    }
 }
 
 impl NodeLevelManager {
@@ -61,6 +128,8 @@ impl NodeLevelManager {
     }
 
     /// Create an unloaded manager with an explicit FPP device target.
+    /// The FPP configuration and target are kept only under the FPP
+    /// policy.
     pub fn with_target(
         policy: PolicyKind,
         fpp_config: FppConfig,
@@ -68,13 +137,17 @@ impl NodeLevelManager {
     ) -> NodeLevelManager {
         NodeLevelManager {
             policy,
-            fpp_config,
-            fpp_target,
             node_limit: None,
-            controllers: Vec::new(),
-            analyzer: PeriodAnalyzer::new(),
             cap_failures: 0,
-            current_job: None,
+            fpp: (policy == PolicyKind::Fpp).then(|| {
+                Box::new(Fpp {
+                    config: fpp_config,
+                    target: fpp_target,
+                    controllers: Vec::new(),
+                    analyzer: PeriodAnalyzer::new(),
+                    current_job: None,
+                })
+            }),
         }
     }
 
@@ -107,7 +180,7 @@ impl NodeLevelManager {
     /// FPP controllers (empty unless the FPP policy is active and a
     /// limit has been applied).
     pub fn controllers(&self) -> &[FppController] {
-        &self.controllers
+        self.fpp.as_ref().map_or(&[], |fpp| &fpp.controllers)
     }
 
     /// Derive the per-GPU cap from a node limit (see module docs).
@@ -136,73 +209,6 @@ impl NodeLevelManager {
         budget.clamp(arch.mem_idle, arch.mem_peak)
     }
 
-    /// Build the controller set for the configured target.
-    fn make_controllers(&self, arch: &fluxpm_hw::NodeArch, limit: Watts) -> Vec<FppController> {
-        match self.fpp_target {
-            FppTarget::Gpu => {
-                let derived = Self::derive_gpu_cap(arch, limit);
-                (0..arch.gpus)
-                    .map(|_| FppController::new(self.fpp_config.clone(), derived))
-                    .collect()
-            }
-            FppTarget::Socket => {
-                let derived = Self::derive_socket_cap(arch, limit);
-                (0..arch.sockets)
-                    .map(|_| {
-                        FppController::with_bounds(
-                            self.fpp_config.clone(),
-                            derived,
-                            arch.cpu_idle,
-                            arch.cpu_peak,
-                        )
-                    })
-                    .collect()
-            }
-            FppTarget::Memory => {
-                let derived = Self::derive_memory_cap(arch, limit);
-                vec![FppController::with_bounds(
-                    self.fpp_config.clone(),
-                    derived,
-                    arch.mem_idle,
-                    arch.mem_peak,
-                )]
-            }
-        }
-    }
-
-    /// Apply one controller decision to the hardware dial it targets.
-    fn apply_decision(&mut self, ctx: &mut ModuleCtx<'_>, device: usize, cap: Watts) {
-        match self.fpp_target {
-            FppTarget::Gpu => self.set_gpu_cap(ctx, device, cap),
-            FppTarget::Socket => self.set_socket_cap(ctx, device, cap),
-            FppTarget::Memory => self.set_memory_cap(ctx, cap),
-        }
-    }
-
-    fn set_memory_cap(&mut self, ctx: &mut ModuleCtx<'_>, cap: Watts) {
-        let node = &mut ctx.world.nodes[ctx.rank.index()];
-        if let Err(e) = fluxpm_variorum::cap_memory_power_limit(node, cap) {
-            ctx.world.trace.emit(
-                ctx.eng.now(),
-                TraceLevel::Warn,
-                "node-mgr",
-                format!("{}: memory cap failed: {e}", ctx.rank),
-            );
-        }
-    }
-
-    fn set_socket_cap(&mut self, ctx: &mut ModuleCtx<'_>, socket: usize, cap: Watts) {
-        let node = &mut ctx.world.nodes[ctx.rank.index()];
-        if let Err(e) = fluxpm_variorum::cap_socket_power_limit(node, socket, cap) {
-            ctx.world.trace.emit(
-                ctx.eng.now(),
-                TraceLevel::Warn,
-                "node-mgr",
-                format!("{}: socket {socket} cap failed: {e}", ctx.rank),
-            );
-        }
-    }
-
     fn apply_limit(&mut self, ctx: &mut ModuleCtx<'_>, limit: Watts) {
         self.node_limit = Some(limit);
         let rank = ctx.rank;
@@ -227,78 +233,31 @@ impl NodeLevelManager {
             (derived.get() * 1000.0).round() as u64,
         );
 
-        match self.policy {
-            PolicyKind::Unconstrained => {}
-            PolicyKind::Proportional => {
-                self.set_all_gpu_caps(ctx, derived);
-            }
-            PolicyKind::Fpp => {
-                let target_derived = match self.fpp_target {
+        match self.fpp.as_deref_mut() {
+            Some(fpp) => {
+                let target_derived = match fpp.target {
                     FppTarget::Gpu => derived,
                     FppTarget::Socket => Self::derive_socket_cap(&arch, limit),
                     FppTarget::Memory => Self::derive_memory_cap(&arch, limit),
                 };
-                if self.controllers.is_empty() {
-                    self.controllers = self.make_controllers(&arch, limit);
+                if fpp.controllers.is_empty() {
+                    fpp.controllers = fpp.make_controllers(&arch, limit);
                 } else {
-                    for c in &mut self.controllers {
+                    for c in &mut fpp.controllers {
                         c.rebase(target_derived);
                     }
                 }
-                let caps: Vec<Watts> = self.controllers.iter().map(|c| c.cap()).collect();
-                for (device, cap) in caps.into_iter().enumerate() {
-                    self.apply_decision(ctx, device, cap);
-                }
+                fpp.apply_caps(ctx, &mut self.cap_failures);
                 // Non-GPU FPP targets still honour the proportional node
                 // limit on the GPU side with a static derived cap.
-                if self.fpp_target != FppTarget::Gpu {
-                    self.set_all_gpu_caps(ctx, derived);
+                if fpp.target != FppTarget::Gpu {
+                    set_all_gpu_caps(ctx, &mut self.cap_failures, derived);
                 }
             }
-        }
-    }
-
-    fn set_all_gpu_caps(&mut self, ctx: &mut ModuleCtx<'_>, cap: Watts) {
-        let node = &mut ctx.world.nodes[ctx.rank.index()];
-        match fluxpm_variorum::cap_each_gpu_power_limit(node, cap) {
-            Ok(outcomes) => {
-                self.cap_failures += outcomes.iter().filter(|o| !o.succeeded()).count() as u64;
+            None if self.policy == PolicyKind::Proportional => {
+                set_all_gpu_caps(ctx, &mut self.cap_failures, derived);
             }
-            Err(e) => {
-                ctx.world.trace.emit(
-                    ctx.eng.now(),
-                    TraceLevel::Warn,
-                    "node-mgr",
-                    format!("{}: cap_each_gpu failed: {e}", ctx.rank),
-                );
-            }
-        }
-    }
-
-    fn set_gpu_cap(&mut self, ctx: &mut ModuleCtx<'_>, gpu: usize, cap: Watts) {
-        let node = &mut ctx.world.nodes[ctx.rank.index()];
-        match fluxpm_variorum::cap_gpu_power_limit(node, gpu, cap) {
-            Ok(outcome) if !outcome.succeeded() => {
-                self.cap_failures += 1;
-                ctx.world.trace.emit(
-                    ctx.eng.now(),
-                    TraceLevel::Warn,
-                    "node-mgr",
-                    format!(
-                        "{}: GPU {gpu} cap {cap} not applied ({outcome:?})",
-                        ctx.rank
-                    ),
-                );
-            }
-            Ok(_) => {}
-            Err(e) => {
-                ctx.world.trace.emit(
-                    ctx.eng.now(),
-                    TraceLevel::Warn,
-                    "node-mgr",
-                    format!("{}: GPU {gpu} cap failed: {e}", ctx.rank),
-                );
-            }
+            None => {}
         }
     }
 
@@ -306,18 +265,18 @@ impl NodeLevelManager {
     /// detects job turnover on this node and resets the controllers so
     /// every job gets a fresh probe/converge cycle.
     fn on_sample(&mut self, ctx: &mut ModuleCtx<'_>) {
+        let Some(fpp) = self.fpp.as_deref_mut() else {
+            return;
+        };
         let rank = ctx.rank;
         let job_now = ctx.world.jobs.job_on_node(NodeId(rank.0));
-        if job_now != self.current_job {
-            self.current_job = job_now;
-            if job_now.is_some() && !self.controllers.is_empty() {
+        if job_now != fpp.current_job {
+            fpp.current_job = job_now;
+            if job_now.is_some() && !fpp.controllers.is_empty() {
                 if let Some(limit) = self.node_limit {
                     let arch = ctx.world.nodes[rank.index()].arch.clone();
-                    self.controllers = self.make_controllers(&arch, limit);
-                    let caps: Vec<Watts> = self.controllers.iter().map(|c| c.cap()).collect();
-                    for (device, cap) in caps.into_iter().enumerate() {
-                        self.apply_decision(ctx, device, cap);
-                    }
+                    fpp.controllers = fpp.make_controllers(&arch, limit);
+                    fpp.apply_caps(ctx, &mut self.cap_failures);
                 }
             }
         }
@@ -325,19 +284,22 @@ impl NodeLevelManager {
         // per-device feed is a slice of it — nothing is copied on the
         // 1 Hz sampling tick.
         let draw = ctx.world.nodes[rank.index()].draw();
-        let feed: &[Watts] = match self.fpp_target {
+        let feed: &[Watts] = match fpp.target {
             FppTarget::Gpu => &draw.gpu,
             FppTarget::Socket => &draw.cpu,
             FppTarget::Memory => std::slice::from_ref(&draw.memory),
         };
-        for (c, &g) in self.controllers.iter_mut().zip(feed.iter()) {
+        for (c, &g) in fpp.controllers.iter_mut().zip(feed.iter()) {
             c.store_power_sample(g);
         }
     }
 
     /// FPP epoch tick: step each controller and apply its decision.
     fn on_epoch(&mut self, ctx: &mut ModuleCtx<'_>) {
-        if self.controllers.is_empty() {
+        let Some(fpp) = self.fpp.as_deref_mut() else {
+            return;
+        };
+        if fpp.controllers.is_empty() {
             return;
         }
         // Only act while a job occupies this node; an idle node's
@@ -346,8 +308,8 @@ impl NodeLevelManager {
         // Every controller's analysis runs through the one shared
         // analyzer, so the whole per-GPU batch reuses a single warm
         // plan/scratch set.
-        let analyzer = &mut self.analyzer;
-        let decisions: Vec<FppDecision> = self
+        let analyzer = &mut fpp.analyzer;
+        let decisions: Vec<FppDecision> = fpp
             .controllers
             .iter_mut()
             .map(|c| c.on_epoch(analyzer))
@@ -357,14 +319,82 @@ impl NodeLevelManager {
         }
         for (device, d) in decisions.into_iter().enumerate() {
             if let FppDecision::Set(cap) = d {
-                self.apply_decision(ctx, device, cap);
+                fpp.apply_decision(ctx, &mut self.cap_failures, device, cap);
                 ctx.world.trace.emit(
                     ctx.eng.now(),
                     TraceLevel::Info,
                     "fpp",
-                    format!("{}: {:?} {device} -> {cap}", ctx.rank, self.fpp_target),
+                    format!("{}: {:?} {device} -> {cap}", ctx.rank, fpp.target),
                 );
             }
+        }
+    }
+}
+
+fn set_memory_cap(ctx: &mut ModuleCtx<'_>, cap: Watts) {
+    let node = &mut ctx.world.nodes[ctx.rank.index()];
+    if let Err(e) = fluxpm_variorum::cap_memory_power_limit(node, cap) {
+        ctx.world.trace.emit(
+            ctx.eng.now(),
+            TraceLevel::Warn,
+            "node-mgr",
+            format!("{}: memory cap failed: {e}", ctx.rank),
+        );
+    }
+}
+
+fn set_socket_cap(ctx: &mut ModuleCtx<'_>, socket: usize, cap: Watts) {
+    let node = &mut ctx.world.nodes[ctx.rank.index()];
+    if let Err(e) = fluxpm_variorum::cap_socket_power_limit(node, socket, cap) {
+        ctx.world.trace.emit(
+            ctx.eng.now(),
+            TraceLevel::Warn,
+            "node-mgr",
+            format!("{}: socket {socket} cap failed: {e}", ctx.rank),
+        );
+    }
+}
+
+fn set_all_gpu_caps(ctx: &mut ModuleCtx<'_>, cap_failures: &mut u64, cap: Watts) {
+    let node = &mut ctx.world.nodes[ctx.rank.index()];
+    match fluxpm_variorum::cap_each_gpu_power_limit(node, cap) {
+        Ok(outcomes) => {
+            *cap_failures += outcomes.iter().filter(|o| !o.succeeded()).count() as u64;
+        }
+        Err(e) => {
+            ctx.world.trace.emit(
+                ctx.eng.now(),
+                TraceLevel::Warn,
+                "node-mgr",
+                format!("{}: cap_each_gpu failed: {e}", ctx.rank),
+            );
+        }
+    }
+}
+
+fn set_gpu_cap(ctx: &mut ModuleCtx<'_>, cap_failures: &mut u64, gpu: usize, cap: Watts) {
+    let node = &mut ctx.world.nodes[ctx.rank.index()];
+    match fluxpm_variorum::cap_gpu_power_limit(node, gpu, cap) {
+        Ok(outcome) if !outcome.succeeded() => {
+            *cap_failures += 1;
+            ctx.world.trace.emit(
+                ctx.eng.now(),
+                TraceLevel::Warn,
+                "node-mgr",
+                format!(
+                    "{}: GPU {gpu} cap {cap} not applied ({outcome:?})",
+                    ctx.rank
+                ),
+            );
+        }
+        Ok(_) => {}
+        Err(e) => {
+            ctx.world.trace.emit(
+                ctx.eng.now(),
+                TraceLevel::Warn,
+                "node-mgr",
+                format!("{}: GPU {gpu} cap failed: {e}", ctx.rank),
+            );
         }
     }
 }
@@ -374,20 +404,20 @@ impl Module for NodeLevelManager {
         NODE_MANAGER
     }
 
-    fn topics(&self) -> Vec<Topic> {
-        vec![TOPIC_SET_NODE_LIMIT.into()]
+    fn topics(&self) -> Rc<[Topic]> {
+        fluxpm_flux::topic_list![TOPIC_SET_NODE_LIMIT]
     }
 
     /// A periodic event must name its reader: only FPP's controllers
     /// consume a sample or an epoch, so a proportional or unconstrained
     /// manager arms no timer at all.
     fn load(&mut self, ctx: &mut ModuleCtx<'_>) {
-        if self.policy != PolicyKind::Fpp {
+        let Some(fpp) = &self.fpp else {
             return;
-        }
+        };
         for (period_s, tag) in [
-            (self.fpp_config.sample_period_s, TIMER_SAMPLE),
-            (self.fpp_config.powercap_time_s, TIMER_EPOCH),
+            (fpp.config.sample_period_s, TIMER_SAMPLE),
+            (fpp.config.powercap_time_s, TIMER_EPOCH),
         ] {
             let period = SimDuration::from_secs_f64(period_s);
             ctx.world.schedule_module_timer(
@@ -466,6 +496,16 @@ mod tests {
             NodeLevelManager::derive_memory_cap(&arch, Watts(300.0)),
             Watts(40.0)
         );
+    }
+
+    #[test]
+    fn only_an_fpp_manager_holds_fpp_state() {
+        for policy in [PolicyKind::Proportional, PolicyKind::Unconstrained] {
+            let m = NodeLevelManager::new(policy, FppConfig::default());
+            assert!(m.fpp.is_none(), "{policy:?} holds FPP state");
+        }
+        let m = NodeLevelManager::new(PolicyKind::Fpp, FppConfig::default());
+        assert!(m.fpp.is_some());
     }
 
     #[test]

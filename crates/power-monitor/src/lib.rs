@@ -85,8 +85,9 @@ pub fn load(world: &mut World, eng: &mut FluxEngine, config: MonitorConfig) -> b
             config.subscription_config(),
         )))
     };
+    let agent_config = std::rc::Rc::new(config.clone());
     for rank in world.tbon.ranks().collect::<Vec<_>>() {
-        let agent = NodeAgent::shared(config.clone());
+        let agent = NodeAgent::shared(std::rc::Rc::clone(&agent_config));
         ok &= world.load_module(eng, rank, agent);
         ok &= world.load_module(eng, rank, build_relay(&config));
     }
@@ -112,6 +113,7 @@ pub fn load(world: &mut World, eng: &mut FluxEngine, config: MonitorConfig) -> b
         let config = config.clone();
         world.register_module_factory(move |_rank| build_relay(&config));
     }
-    world.register_module_factory(move |_rank| NodeAgent::shared(config.clone()));
+    world
+        .register_module_factory(move |_rank| NodeAgent::shared(std::rc::Rc::clone(&agent_config)));
     ok
 }

@@ -30,19 +30,31 @@ pub const TOPIC_NODE_DATA: &str = "power-monitor.node-data";
 /// (computed locally; only a few numbers cross the overlay).
 pub const TOPIC_NODE_STATS: &str = "power-monitor.node-stats";
 
-/// The node agent's topics, interned once when the agent is built: the
-/// three it serves and the one it pushes on.
+/// The node agent's topics, interned once per thread and shared by
+/// every agent on it: the three it serves and the one it pushes on.
 struct NodeAgentTopics {
-    node_data: Topic,
-    node_stats: Topic,
-    subtree_stats: Topic,
+    served: Rc<[Topic]>,
     sample_push: Topic,
+}
+
+thread_local! {
+    static TOPICS: Rc<NodeAgentTopics> = Rc::new(NodeAgentTopics {
+        served: [
+            TOPIC_NODE_DATA,
+            TOPIC_NODE_STATS,
+            crate::tree_reduce::TOPIC_SUBTREE_STATS,
+        ]
+        .map(Topic::intern)
+        .into(),
+        sample_push: Topic::intern(crate::subscription::TOPIC_SAMPLE_PUSH),
+    });
 }
 
 /// The `flux-power-monitor` node agent.
 pub struct NodeAgent {
-    topics: NodeAgentTopics,
-    config: MonitorConfig,
+    topics: Rc<NodeAgentTopics>,
+    /// The configuration, shared by every agent [`crate::load`] builds.
+    config: Rc<MonitorConfig>,
     /// The retained samples: the paper's circular buffer, kept in pages a
     /// reply can share.
     log: PagedLog,
@@ -71,16 +83,13 @@ pub struct NodeAgent {
 }
 
 impl NodeAgent {
-    /// Create an unloaded agent.
-    pub fn new(config: MonitorConfig) -> NodeAgent {
+    /// Create an unloaded agent. Pass an `Rc` to share one
+    /// configuration among many agents.
+    pub fn new(config: impl Into<Rc<MonitorConfig>>) -> NodeAgent {
+        let config = config.into();
         let log = PagedLog::new(config.buffer_capacity);
         NodeAgent {
-            topics: NodeAgentTopics {
-                node_data: Topic::intern(TOPIC_NODE_DATA),
-                node_stats: Topic::intern(TOPIC_NODE_STATS),
-                subtree_stats: Topic::intern(crate::tree_reduce::TOPIC_SUBTREE_STATS),
-                sample_push: Topic::intern(crate::subscription::TOPIC_SAMPLE_PUSH),
-            },
+            topics: TOPICS.with(Rc::clone),
             config,
             log,
             since_us: None,
@@ -93,7 +102,7 @@ impl NodeAgent {
 
     /// Create as a shared module handle ready for
     /// [`fluxpm_flux::World::load_module`].
-    pub fn shared(config: MonitorConfig) -> Rc<RefCell<NodeAgent>> {
+    pub fn shared(config: impl Into<Rc<MonitorConfig>>) -> Rc<RefCell<NodeAgent>> {
         Rc::new(RefCell::new(NodeAgent::new(config)))
     }
 
@@ -285,13 +294,8 @@ impl Module for NodeAgent {
         "power-monitor-node-agent"
     }
 
-    fn topics(&self) -> Vec<Topic> {
-        let t = &self.topics;
-        vec![
-            t.node_data.clone(),
-            t.node_stats.clone(),
-            t.subtree_stats.clone(),
-        ]
+    fn topics(&self) -> Rc<[Topic]> {
+        Rc::clone(&self.topics.served)
     }
 
     fn load(&mut self, ctx: &mut ModuleCtx<'_>) {

@@ -97,6 +97,7 @@ use crate::subscription::{
 use fluxpm_flux::{Message, Module, ModuleCtx, MsgKind, Payload, Protocol, Rank, Topic};
 use fluxpm_sim::TraceLevel;
 use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Module name of the per-broker relay.
@@ -587,7 +588,7 @@ fn ordered(batch: &RelayDeltaBatch) -> Result<(), RelayError> {
 /// fan-out in [`RelayPlane`], and an upward [`AggregateFilter`] advert
 /// kept current across unsubscribes, evictions, and topology changes.
 pub struct TelemetryRelay {
-    topics: RelayTopics,
+    topics: Rc<RelayTopics>,
     hub: TelemetryHub,
     plane: RelayPlane,
     /// Client subscribes parked until the root's seed arrives, by
@@ -619,37 +620,41 @@ pub(crate) enum Ingest<'a> {
     Arrived(&'a RelayDeltaBatch, &'a Payload),
 }
 
-/// The relay's topics, interned once when the relay is built: the seven
-/// it serves, four of which it also sends on.
+/// The relay's topics, interned once per thread and shared by every
+/// relay on it: the seven it serves, four of which it also sends on.
 struct RelayTopics {
-    subscribe: Topic,
-    unsubscribe: Topic,
-    poll: Topic,
+    served: Rc<[Topic]>,
     relay_subscribe: Topic,
     relay_seed: Topic,
     relay_advert: Topic,
     relay_deltas: Topic,
 }
 
-impl RelayTopics {
-    fn intern() -> RelayTopics {
-        RelayTopics {
-            subscribe: Topic::intern(TOPIC_SUBSCRIBE),
-            unsubscribe: Topic::intern(TOPIC_UNSUBSCRIBE),
-            poll: Topic::intern(TOPIC_POLL),
-            relay_subscribe: Topic::intern(TOPIC_RELAY_SUBSCRIBE),
-            relay_seed: Topic::intern(TOPIC_RELAY_SEED),
-            relay_advert: Topic::intern(TOPIC_RELAY_ADVERT),
-            relay_deltas: Topic::intern(TOPIC_RELAY_DELTAS),
-        }
-    }
+thread_local! {
+    static TOPICS: Rc<RelayTopics> = Rc::new(RelayTopics {
+        served: [
+            TOPIC_SUBSCRIBE,
+            TOPIC_UNSUBSCRIBE,
+            TOPIC_POLL,
+            TOPIC_RELAY_SUBSCRIBE,
+            TOPIC_RELAY_SEED,
+            TOPIC_RELAY_ADVERT,
+            TOPIC_RELAY_DELTAS,
+        ]
+        .map(Topic::intern)
+        .into(),
+        relay_subscribe: Topic::intern(TOPIC_RELAY_SUBSCRIBE),
+        relay_seed: Topic::intern(TOPIC_RELAY_SEED),
+        relay_advert: Topic::intern(TOPIC_RELAY_ADVERT),
+        relay_deltas: Topic::intern(TOPIC_RELAY_DELTAS),
+    });
 }
 
 impl TelemetryRelay {
     /// A relay with the given subscriber bounds.
     pub fn new(subs: SubscriptionConfig) -> TelemetryRelay {
         TelemetryRelay {
-            topics: RelayTopics::intern(),
+            topics: TOPICS.with(Rc::clone),
             hub: TelemetryHub::new(subs),
             plane: RelayPlane::new(crate::DEFAULT_RELAY_BATCH_CAPACITY),
             pending_subs: BTreeMap::new(),
@@ -954,17 +959,8 @@ impl Module for TelemetryRelay {
         RELAY
     }
 
-    fn topics(&self) -> Vec<Topic> {
-        let t = &self.topics;
-        vec![
-            t.subscribe.clone(),
-            t.unsubscribe.clone(),
-            t.poll.clone(),
-            t.relay_subscribe.clone(),
-            t.relay_seed.clone(),
-            t.relay_advert.clone(),
-            t.relay_deltas.clone(),
-        ]
+    fn topics(&self) -> Rc<[Topic]> {
+        Rc::clone(&self.topics.served)
     }
 
     fn load(&mut self, _ctx: &mut ModuleCtx<'_>) {}

@@ -210,11 +210,10 @@ fn finish_inflight(world: &mut World, eng: &FluxEngine, inflight: &InflightMap, 
 }
 
 /// The root agent's topics, interned once when the agent is built: the
-/// three it serves and the two it sends on.
+/// one of the three it serves that a snapshot compares against, and the
+/// two it sends on.
 struct RootAgentTopics {
-    get_job_data: Topic,
     get_job_stats: Topic,
-    sample_push: Topic,
     node_data: Topic,
     node_stats: Topic,
 }
@@ -257,9 +256,7 @@ impl RootAgent {
     pub fn new(deadline: SimDuration) -> RootAgent {
         RootAgent {
             topics: RootAgentTopics {
-                get_job_data: Topic::intern(TOPIC_GET_JOB_DATA),
                 get_job_stats: Topic::intern(TOPIC_GET_JOB_STATS),
-                sample_push: Topic::intern(TOPIC_SAMPLE_PUSH),
                 node_data: Topic::intern(TOPIC_NODE_DATA),
                 node_stats: Topic::intern(TOPIC_NODE_STATS),
             },
@@ -506,15 +503,10 @@ impl Module for RootAgent {
         ROOT_AGENT
     }
 
-    fn topics(&self) -> Vec<Topic> {
+    fn topics(&self) -> Rc<[Topic]> {
         // Subscribe/unsubscribe/poll are served by the per-broker
         // relays (uniformly, including on the root rank).
-        let t = &self.topics;
-        vec![
-            t.get_job_data.clone(),
-            t.get_job_stats.clone(),
-            t.sample_push.clone(),
-        ]
+        fluxpm_flux::topic_list![TOPIC_GET_JOB_DATA, TOPIC_GET_JOB_STATS, TOPIC_SAMPLE_PUSH]
     }
 
     fn load(&mut self, ctx: &mut ModuleCtx<'_>) {

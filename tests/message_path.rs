@@ -308,7 +308,7 @@ fn service(answers: bool) -> (World, FluxEngine, Topic) {
     let topic = Topic::intern("svc.op");
     let module = Rc::new(RefCell::new(Dummy {
         name: "svc",
-        topics: vec![topic.clone()],
+        topics: Rc::from([topic.clone()]),
         answers,
     }));
     assert!(w.load_module(&mut eng, Rank(1), module));
@@ -433,7 +433,7 @@ fn a_poll_reply_costs_the_client_the_same_for_one_delta_as_for_4096() {
 
 struct Dummy {
     name: &'static str,
-    topics: Vec<Topic>,
+    topics: Rc<[Topic]>,
     /// Answer every request with its own payload.
     answers: bool,
 }
@@ -442,8 +442,8 @@ impl Module for Dummy {
     fn name(&self) -> &'static str {
         self.name
     }
-    fn topics(&self) -> Vec<Topic> {
-        self.topics.clone()
+    fn topics(&self) -> Rc<[Topic]> {
+        Rc::clone(&self.topics)
     }
     fn load(&mut self, _ctx: &mut ModuleCtx<'_>) {}
     fn handle(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
@@ -497,6 +497,30 @@ fn vector_tables_dispatch_like_the_maps_did() {
     let (allocs, hit) = allocs_during(|| b.route(&unknown).is_some());
     assert!(!hit);
     assert_eq!(allocs, 0);
+}
+
+#[test]
+fn every_rank_routes_through_one_topic_list_per_module_type() {
+    let mut w = World::new(MachineKind::Lassen, 4, 5);
+    let mut eng: FluxEngine = Engine::new();
+    assert!(fluxpm::monitor::load(
+        &mut w,
+        &mut eng,
+        MonitorConfig::default()
+    ));
+    fluxpm::manager::load(
+        &mut w,
+        &mut eng,
+        fluxpm::manager::ManagerConfig::proportional(fluxpm::hw::Watts(4000.0)),
+    );
+    let topics = |rank: usize, name: &str| w.brokers[rank].module(name).unwrap().borrow().topics();
+    let names = w.brokers[1].module_names();
+    assert_eq!(names.len(), 3, "node agent, relay, node manager: {names:?}");
+    for name in names {
+        for rank in [2, 3] {
+            assert!(Rc::ptr_eq(&topics(1, name), &topics(rank, name)), "{name}");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
