@@ -358,6 +358,8 @@ fn storm_128_ranks_converges_and_replays() {
     let first = storm(&cfg);
     assert!(first.invariant_checks >= 90);
     assert_eq!(first, storm(&cfg), "same-seed 128-rank storms must agree");
+    let pin = (first.trace_hash, first.trace_lines, first.halted_at_us);
+    assert_eq!(pin, (0xb337_224f_9a8f_a369, 1005, 140_000_000));
 }
 
 /// Network-realism acceptance: the 128-rank storm with congestion
@@ -380,6 +382,8 @@ fn congestion_storm_128_ranks_converges_and_replays() {
         "congestion avoidance engaged: {first:?}"
     );
     assert_eq!(first, storm(&cfg), "same-seed congestion storms must agree");
+    let pin = (first.trace_hash, first.trace_lines, first.halted_at_us);
+    assert_eq!(pin, (0x4ecb_eae1_e12e_1a22, 5425, 140_000_000));
 }
 
 /// Long-horizon soak: ten minutes of simulated churn at 128 ranks.
