@@ -29,6 +29,7 @@ pub mod experiments;
 pub mod full_shard;
 pub mod report;
 pub mod scenario;
+mod script;
 pub mod stats;
 
 pub use report::{JobResult, RunReport};

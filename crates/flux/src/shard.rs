@@ -242,9 +242,79 @@ pub fn records_hash(records: &[ShardRecord]) -> u64 {
     h
 }
 
+/// Where two record streams part: the first index at which they
+/// differ, the shared records just before it, and the record each
+/// stream holds there (`None` where a stream has already ended).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Divergence<'a> {
+    /// The first differing index.
+    pub index: usize,
+    /// Up to three shared records before `index`, oldest first.
+    pub context: &'a [ShardRecord],
+    /// The left stream's record at `index`.
+    pub left: Option<&'a ShardRecord>,
+    /// The right stream's record at `index`.
+    pub right: Option<&'a ShardRecord>,
+}
+
+impl std::fmt::Display for Divergence<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        writeln!(f, "record streams diverge at index {}", self.index)?;
+        for r in self.context {
+            writeln!(f, "    {r:?}")?;
+        }
+        writeln!(f, "  - {:?}", self.left)?;
+        write!(f, "  + {:?}", self.right)
+    }
+}
+
+/// The first place `left` and `right` differ, or `None` when they are
+/// equal. A stream that is a strict prefix of the other diverges where
+/// it ends.
+pub fn first_divergence<'a>(
+    left: &'a [ShardRecord],
+    right: &'a [ShardRecord],
+) -> Option<Divergence<'a>> {
+    let index = left
+        .iter()
+        .zip(right)
+        .position(|(l, r)| l != r)
+        .or_else(|| (left.len() != right.len()).then(|| left.len().min(right.len())))?;
+    Some(Divergence {
+        index,
+        context: &left[index.saturating_sub(3)..index],
+        left: left.get(index),
+        right: right.get(index),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn first_divergence_names_the_index_its_context_and_both_records() {
+        let mk = |at: u64, a: u64| ShardRecord {
+            at_us: at,
+            rank: 1,
+            code: rec::POWER_SAMPLE,
+            a,
+            b: 0,
+        };
+        let left: Vec<ShardRecord> = (0..6).map(|i| mk(i, 0)).collect();
+        assert_eq!(first_divergence(&left, &left), None);
+        let mut right = left.clone();
+        right[4].a = 9;
+        let d = first_divergence(&left, &right).expect("streams differ");
+        assert_eq!(d.index, 4);
+        assert_eq!(d.context, &left[1..4]);
+        assert_eq!((d.left, d.right), (Some(&left[4]), Some(&right[4])));
+        assert!(d.to_string().contains("diverge at index 4"));
+        // A shorter stream diverges where it ends, with what context it has.
+        let d = first_divergence(&left[..1], &left).expect("lengths differ");
+        assert_eq!((d.index, d.context), (1, &left[..1]));
+        assert_eq!((d.left, d.right), (None, Some(&left[1])));
+    }
 
     #[test]
     fn plan_covers_every_rank_exactly_once() {

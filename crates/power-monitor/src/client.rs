@@ -9,10 +9,11 @@
 //! [`retry`] policy, and [`send`] it for a [`QueryHandle`] that yields
 //! the typed [`MonitorReply`] once the simulation delivers it.
 //!
-//! CSV rendering is split in two layers: [`job_data_rows`] /
-//! [`rpc_stats_rows`] flatten replies into typed row structs, and the
-//! `*_to_csv` functions are thin serializers over those rows (RFC 4180
-//! quoting lives in exactly one place, the private `csv_field` helper).
+//! CSV rendering is split in two layers: [`job_data_rows`] flattens a
+//! reply into typed row structs, and the `*_to_csv` functions are thin
+//! serializers over those rows or over the world's own stats maps
+//! (RFC 4180 quoting lives in exactly one place, the private `csv_field`
+//! helper).
 //!
 //! [`deadline`]: MonitorQuery::deadline
 //! [`retry`]: MonitorQuery::retry
@@ -358,36 +359,6 @@ pub fn job_data_rows(reply: &JobDataReply) -> Vec<JobRow> {
     rows
 }
 
-/// One row of the overlay's per-topic RPC health report (see
-/// [`rpc_stats_rows`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TopicRow {
-    /// The overlay topic (free text; quoted on render).
-    pub topic: String,
-    /// Requests that hit their response deadline.
-    pub timeouts: u64,
-    /// Attempts re-sent by the retry machinery.
-    pub retries: u64,
-    /// Messages dropped by the overlay.
-    pub drops: u64,
-}
-
-/// The overlay's per-topic RPC health counters as typed rows, one per
-/// topic that saw a timeout, retry, or drop (see
-/// [`fluxpm_flux::World::rpc_stats`]).
-pub fn rpc_stats_rows(world: &World) -> Vec<TopicRow> {
-    world
-        .rpc_stats()
-        .iter()
-        .map(|(topic, s)| TopicRow {
-            topic: topic.as_str().to_owned(),
-            timeouts: s.timeouts,
-            retries: s.retries,
-            drops: s.drops,
-        })
-        .collect()
-}
-
 /// Quote a free-text CSV field per RFC 4180: fields containing a
 /// comma, double quote, or line break are wrapped in double quotes,
 /// with embedded quotes doubled. Clean fields pass through unchanged,
@@ -435,21 +406,22 @@ pub fn job_data_to_csv(reply: &JobDataReply) -> String {
     csv
 }
 
-/// Render the overlay's per-topic RPC health counters as CSV. A thin
-/// serializer over [`rpc_stats_rows`]. Operators ship this next to the
+/// Render the overlay's per-topic RPC health counters as CSV, one row
+/// per topic that saw a timeout, retry, or drop. A thin serializer over
+/// [`fluxpm_flux::World::rpc_stats`]. Operators ship this next to the
 /// telemetry CSV to tell "the data is partial because the buffer
 /// wrapped" apart from "the data is partial because the overlay lost
 /// messages".
 pub fn rpc_stats_to_csv(world: &World) -> String {
     let mut csv = String::from("topic,timeouts,retries,drops\n");
-    for row in rpc_stats_rows(world) {
+    for (topic, s) in world.rpc_stats() {
         let _ = writeln!(
             csv,
             "{},{},{},{}",
-            csv_field(&row.topic),
-            row.timeouts,
-            row.retries,
-            row.drops
+            csv_field(topic.as_str()),
+            s.timeouts,
+            s.retries,
+            s.drops
         );
     }
     csv
@@ -572,7 +544,7 @@ mod tests {
         assert_eq!(csv.lines().count(), 1 + reply.sample_count());
 
         // A healthy run has no per-topic RPC incidents to report.
-        assert!(rpc_stats_rows(&w).is_empty());
+        assert!(w.rpc_stats().is_empty());
         let stats_csv = rpc_stats_to_csv(&w);
         assert_eq!(stats_csv, "topic,timeouts,retries,drops\n");
     }
@@ -680,9 +652,9 @@ mod tests {
         eng.run(&mut w);
         assert!(w.rpc_stats().contains_key(hostile), "topic recorded");
 
-        let rows = rpc_stats_rows(&w);
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].topic, hostile);
+        let stats = w.rpc_stats();
+        assert_eq!(stats.len(), 1);
+        assert_eq!(stats.keys().next().map(|t| t.as_str()), Some(hostile));
 
         let csv = rpc_stats_to_csv(&w);
         let mut lines = csv.lines();

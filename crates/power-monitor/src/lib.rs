@@ -42,8 +42,8 @@ pub mod tree_reduce;
 pub const DEFAULT_RELAY_BATCH_CAPACITY: usize = 1024;
 
 pub use client::{
-    job_data_rows, job_data_to_csv, link_stats_to_csv, rpc_stats_rows, rpc_stats_to_csv, JobRow,
-    MonitorQuery, QueryHandle, QueryKind, TopicRow,
+    job_data_rows, job_data_to_csv, link_stats_to_csv, rpc_stats_to_csv, JobRow, MonitorQuery,
+    QueryHandle, QueryKind,
 };
 pub use config::{MonitorConfig, RPC_DEADLINE};
 pub use log::{Records, RecordsIter, Runs, RunsIter};

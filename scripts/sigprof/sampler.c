@@ -7,7 +7,10 @@
  * addresses per sample.
  * `symbolize.py` turns that file into tables. Nothing here allocates or
  * takes a lock after start-up, so the profiled program's own counters
- * (allocations, simulated work) are those of an unprofiled run.
+ * (allocations, simulated work) are those of an unprofiled run. Only
+ * the process it is preloaded into is profiled: it takes LD_PRELOAD out
+ * of the environment at start-up, so a child the program spawns cannot
+ * overwrite the file, and a wrapper (`timeout`) profiles only itself.
  *
  *   gcc -O2 -shared -fPIC -o sampler.so sampler.c
  *   LD_PRELOAD=$PWD/sampler.so SIGPROF_OUT=queue.prof  <program> <args>
@@ -105,6 +108,7 @@ static void dump(void) {
 }
 
 __attribute__((constructor)) static void start(void) {
+    unsetenv("LD_PRELOAD");
     samples = mmap(NULL, sizeof(struct sample) * MAX_SAMPLES, PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
     if (samples == MAP_FAILED) {
