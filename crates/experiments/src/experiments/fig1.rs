@@ -32,7 +32,7 @@ pub fn run() -> std::io::Result<String> {
 
         // Timeline CSV: node power, socket 0, GPU 0 (the paper's series).
         let mut csv = String::from("t_s,node_w,cpu0_w,gpu0_w\n");
-        for s in &report.node_series[0] {
+        for s in report.timeline.node(0) {
             let _ = writeln!(
                 csv,
                 "{:.1},{:.1},{:.1},{:.1}",
@@ -45,8 +45,9 @@ pub fn run() -> std::io::Result<String> {
         let path = write_artifact(&format!("fig1_{}.csv", app.to_lowercase()), &csv)?;
 
         let job = &report.jobs[0];
-        let window: Vec<f64> = report.node_series[0]
-            .iter()
+        let window: Vec<f64> = report
+            .timeline
+            .node(0)
             .filter(|s| {
                 let t = s.timestamp_us as f64 / 1e6;
                 t >= job.start_s && t <= job.end_s
@@ -93,8 +94,9 @@ mod tests {
             .run();
         let swing = |r: &crate::RunReport| {
             let j = &r.jobs[0];
-            let xs: Vec<f64> = r.node_series[0]
-                .iter()
+            let xs: Vec<f64> = r
+                .timeline
+                .node(0)
                 .filter(|s| {
                     let t = s.timestamp_us as f64 / 1e6;
                     t >= j.start_s + 2.0 && t <= j.end_s - 2.0

@@ -34,9 +34,10 @@ pub fn run() -> std::io::Result<String> {
     let (gemm, qs) = mix_results(&report);
     let (gemm_node, qs_node) = (gemm.nodes[0], qs.nodes[0]);
     let mut csv = String::from("t_s,gemm_node_w,qs_node_w\n");
-    for (g, q) in report.node_series[gemm_node]
-        .iter()
-        .zip(report.node_series[qs_node].iter())
+    for (g, q) in report
+        .timeline
+        .node(gemm_node)
+        .zip(report.timeline.node(qs_node))
     {
         let _ = writeln!(
             csv,
@@ -49,16 +50,18 @@ pub fn run() -> std::io::Result<String> {
     let path = write_artifact("fig5_proportional.csv", &csv)?;
 
     let qs_end = qs.end_s;
-    let gemm_before: Vec<f64> = report.node_series[gemm_node]
-        .iter()
+    let gemm_before: Vec<f64> = report
+        .timeline
+        .node(gemm_node)
         .filter(|s| {
             let t = s.timestamp_us as f64 / 1e6;
             t > 60.0 && t < qs_end - 10.0
         })
         .map(|s| s.node_power_estimate())
         .collect();
-    let gemm_after: Vec<f64> = report.node_series[gemm_node]
-        .iter()
+    let gemm_after: Vec<f64> = report
+        .timeline
+        .node(gemm_node)
         .filter(|s| {
             let t = s.timestamp_us as f64 / 1e6;
             t > qs_end + 10.0 && t < gemm.end_s - 5.0
@@ -91,8 +94,9 @@ mod tests {
         let qs_end = report.job("Quicksilver").unwrap().end_s;
         let node = gemm.nodes[0];
         let mean_in = |lo: f64, hi: f64| {
-            let xs: Vec<f64> = report.node_series[node]
-                .iter()
+            let xs: Vec<f64> = report
+                .timeline
+                .node(node)
                 .filter(|s| {
                     let t = s.timestamp_us as f64 / 1e6;
                     t > lo && t < hi

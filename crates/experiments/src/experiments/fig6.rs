@@ -22,9 +22,10 @@ pub fn run() -> std::io::Result<String> {
     let (gemm, qs) = mix_results(&report);
     let (gemm_node, qs_node) = (gemm.nodes[0], qs.nodes[0]);
     let mut csv = String::from("t_s,gemm_node_w,qs_node_w\n");
-    for (g, q) in report.node_series[gemm_node]
-        .iter()
-        .zip(report.node_series[qs_node].iter())
+    for (g, q) in report
+        .timeline
+        .node(gemm_node)
+        .zip(report.timeline.node(qs_node))
     {
         let _ = writeln!(
             csv,
@@ -39,8 +40,9 @@ pub fn run() -> std::io::Result<String> {
     // The probe epoch is visible as a dip in GEMM node power during
     // t in [90, 180).
     let mean_in = |lo: f64, hi: f64| {
-        let xs: Vec<f64> = report.node_series[gemm_node]
-            .iter()
+        let xs: Vec<f64> = report
+            .timeline
+            .node(gemm_node)
             .filter(|s| {
                 let t = s.timestamp_us as f64 / 1e6;
                 t >= lo && t < hi
@@ -75,8 +77,9 @@ mod tests {
         let report = run_scenario(ManagerConfig::fpp(Watts(9600.0)), "fpp");
         let gemm_node = report.job("GEMM").unwrap().nodes[0];
         let mean_in = |lo: f64, hi: f64| {
-            let xs: Vec<f64> = report.node_series[gemm_node]
-                .iter()
+            let xs: Vec<f64> = report
+                .timeline
+                .node(gemm_node)
                 .filter(|s| {
                     let t = s.timestamp_us as f64 / 1e6;
                     t >= lo && t < hi

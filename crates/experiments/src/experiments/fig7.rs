@@ -35,9 +35,10 @@ pub fn run() -> std::io::Result<String> {
     let nq = report.job("NQueens").expect("the scenario runs NQueens");
     let (gemm_node, nq_node) = (gemm.nodes[0], nq.nodes[0]);
     let mut csv = String::from("t_s,gemm_node_w,nqueens_node_w\n");
-    for (g, q) in report.node_series[gemm_node]
-        .iter()
-        .zip(report.node_series[nq_node].iter())
+    for (g, q) in report
+        .timeline
+        .node(gemm_node)
+        .zip(report.timeline.node(nq_node))
     {
         let _ = writeln!(
             csv,
@@ -50,8 +51,9 @@ pub fn run() -> std::io::Result<String> {
     let path = write_artifact("fig7_nonmpi.csv", &csv)?;
 
     let mean_in = |node: usize, lo: f64, hi: f64| {
-        let xs: Vec<f64> = report.node_series[node]
-            .iter()
+        let xs: Vec<f64> = report
+            .timeline
+            .node(node)
             .filter(|s| {
                 let t = s.timestamp_us as f64 / 1e6;
                 t >= lo && t < hi
@@ -84,8 +86,9 @@ mod tests {
         assert!(nq.start_s >= 120.0, "NQueens enters late");
         let node = gemm.nodes[0];
         let mean_in = |lo: f64, hi: f64| {
-            let xs: Vec<f64> = report.node_series[node]
-                .iter()
+            let xs: Vec<f64> = report
+                .timeline
+                .node(node)
                 .filter(|s| {
                     let t = s.timestamp_us as f64 / 1e6;
                     t >= lo && t < hi

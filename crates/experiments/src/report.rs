@@ -2,8 +2,10 @@
 //! figure series.
 
 use fluxpm_flux::{JobState, World};
+use fluxpm_hw::SensorReading;
 use fluxpm_variorum::NodePowerSample;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Per-job results.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,8 +50,9 @@ pub struct RunReport {
     pub cluster_avg_w: f64,
     /// Timeline sampling period (s).
     pub sample_period_s: f64,
-    /// Per-node sample series (telemetry view: Tioga omits node/memory).
-    pub node_series: Vec<Vec<NodePowerSample>>,
+    /// Every node's sensor scans (telemetry view: Tioga omits
+    /// node/memory).
+    pub timeline: Timeline,
 }
 
 impl RunReport {
@@ -58,7 +61,7 @@ impl RunReport {
         world: &World,
         label: String,
         sample_period_s: f64,
-        node_series: Vec<Vec<NodePowerSample>>,
+        timeline: Timeline,
     ) -> RunReport {
         let mut jobs = Vec::new();
         for job in world.jobs.all() {
@@ -71,10 +74,9 @@ impl RunReport {
             let mut count = 0usize;
             let mut max = 0.0f64;
             for &ni in &nodes {
-                for s in &node_series[ni] {
-                    let t = s.timestamp_us as f64 / 1e6;
+                for (timestamp_us, p) in timeline.node_power(ni) {
+                    let t = timestamp_us as f64 / 1e6;
                     if t >= start_s && t <= end_s {
-                        let p = s.node_power_estimate();
                         sum += p;
                         count += 1;
                         max = max.max(p);
@@ -98,18 +100,18 @@ impl RunReport {
             });
         }
 
-        // Cluster power per sample instant.
-        let mut per_instant: std::collections::BTreeMap<u64, f64> = Default::default();
-        for series in &node_series {
-            for s in series {
-                *per_instant.entry(s.timestamp_us).or_insert(0.0) += s.node_power_estimate();
+        // Cluster power per scan, summed in node order.
+        let mut per_instant = vec![0.0; timeline.timestamps_us.len()];
+        for node in 0..timeline.node_count() {
+            for (sum, (_, p)) in per_instant.iter_mut().zip(timeline.node_power(node)) {
+                *sum += p;
             }
         }
-        let cluster_max_w = per_instant.values().copied().fold(0.0, f64::max);
+        let cluster_max_w = per_instant.iter().copied().fold(0.0, f64::max);
         let cluster_avg_w = if per_instant.is_empty() {
             0.0
         } else {
-            per_instant.values().sum::<f64>() / per_instant.len() as f64
+            per_instant.iter().sum::<f64>() / per_instant.len() as f64
         };
 
         RunReport {
@@ -119,7 +121,7 @@ impl RunReport {
             cluster_max_w,
             cluster_avg_w,
             sample_period_s,
-            node_series,
+            timeline,
         }
     }
 
@@ -139,7 +141,7 @@ impl RunReport {
         let mut gpu = 0.0;
         let mut n = 0usize;
         for &ni in &job.nodes {
-            for s in &self.node_series[ni] {
+            for s in self.timeline.node(ni) {
                 let t = s.timestamp_us as f64 / 1e6;
                 if t >= job.start_s && t <= job.end_s {
                     node += s.node_power_estimate();
@@ -160,7 +162,7 @@ impl RunReport {
     /// Render one node's timeline as CSV (`t_s,node_w,cpu_w,mem_w,gpu_w`).
     pub fn node_timeline_csv(&self, node: usize) -> String {
         let mut out = String::from("t_s,node_w,cpu_w,mem_w,gpu_w\n");
-        for s in &self.node_series[node] {
+        for s in self.timeline.node(node) {
             let _ = writeln!(
                 out,
                 "{:.1},{:.1},{:.1},{:.1},{:.1}",
@@ -197,6 +199,160 @@ impl RunReport {
             );
         }
         out
+    }
+}
+
+/// The run's sensor scans, held as columns: one timestamp per scan,
+/// shared by every node, and per node one flat run of values, the same
+/// count each scan.
+///
+/// A node's values are laid out scan after scan in the order of a
+/// [`NodePowerSample`]: the node reading (if the node has one), one per
+/// socket, memory (if it has one), one per GPU group. How many of each
+/// is the node's *shape*, fixed by its first reading. A Lassen scan is
+/// therefore 8 values, 64 bytes, where a [`NodePowerSample`] is 200.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Timeline {
+    /// When each scan was taken (µs on the simulation clock).
+    timestamps_us: Vec<u64>,
+    /// One column per node, in node order.
+    nodes: Vec<NodeColumn>,
+}
+
+/// One node's scans.
+#[derive(Debug, Clone, PartialEq)]
+struct NodeColumn {
+    hostname: Arc<str>,
+    /// What each of the node's readings holds; `None` until the first.
+    shape: Option<Shape>,
+    /// `shape.width()` values per scan.
+    values: Vec<f64>,
+}
+
+/// Which values a node's sensor reading holds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Shape {
+    node: bool,
+    sockets: usize,
+    memory: bool,
+    gpus: usize,
+}
+
+impl Shape {
+    fn of(r: &SensorReading) -> Shape {
+        Shape {
+            node: r.node.is_some(),
+            sockets: r.cpu.len(),
+            memory: r.memory.is_some(),
+            gpus: r.gpu.len(),
+        }
+    }
+
+    /// Values per scan.
+    fn width(self) -> usize {
+        usize::from(self.node) + self.sockets + usize::from(self.memory) + self.gpus
+    }
+
+    /// The node power a client reports from one scan's values, by the
+    /// same expression as [`NodePowerSample::node_power_estimate`].
+    fn node_power(self, scan: &[f64]) -> f64 {
+        if self.node {
+            return scan[0];
+        }
+        let (cpu, rest) = scan.split_at(self.sockets);
+        let gpu = &rest[usize::from(self.memory)..];
+        cpu.iter().sum::<f64>() + gpu.iter().sum::<f64>()
+    }
+}
+
+impl Timeline {
+    /// An empty timeline for nodes with these hostnames, in node order.
+    pub(crate) fn new(hostnames: impl IntoIterator<Item = Arc<str>>) -> Timeline {
+        Timeline {
+            timestamps_us: Vec::new(),
+            nodes: hostnames
+                .into_iter()
+                .map(|hostname| NodeColumn {
+                    hostname,
+                    shape: None,
+                    values: Vec::new(),
+                })
+                .collect(),
+        }
+    }
+
+    /// Append one scan: a reading for every node, in node order.
+    ///
+    /// Panics when the readings do not cover every node, or when a
+    /// node's reading holds other values than its first one did.
+    pub(crate) fn record(
+        &mut self,
+        timestamp_us: u64,
+        readings: impl IntoIterator<Item = SensorReading>,
+    ) {
+        self.timestamps_us.push(timestamp_us);
+        let mut count = 0;
+        for (column, r) in self.nodes.iter_mut().zip(readings) {
+            let shape = Shape::of(&r);
+            let first = *column.shape.get_or_insert(shape);
+            assert!(
+                first == shape,
+                "{}: a reading's shape changed mid-run, from {first:?} to {shape:?}",
+                column.hostname
+            );
+            column.values.extend(r.node.map(|w| w.get()));
+            column.values.extend(r.cpu.iter().map(|w| w.get()));
+            column.values.extend(r.memory.map(|w| w.get()));
+            column.values.extend(r.gpu.iter().map(|w| w.get()));
+            count += 1;
+        }
+        assert_eq!(count, self.nodes.len(), "a scan reads every node");
+    }
+
+    /// Number of nodes.
+    pub fn node_count(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Node `i`'s samples, oldest first, each rebuilt from its column.
+    pub fn node(&self, i: usize) -> impl ExactSizeIterator<Item = NodePowerSample> + '_ {
+        let column = &self.nodes[i];
+        let shape = column.shape.unwrap_or_default();
+        self.scans(column).map(move |(timestamp_us, scan)| {
+            let (node, rest) = scan.split_at(usize::from(shape.node));
+            let (cpu, rest) = rest.split_at(shape.sockets);
+            let (memory, gpu) = rest.split_at(usize::from(shape.memory));
+            NodePowerSample {
+                hostname: Arc::clone(&column.hostname),
+                timestamp_us,
+                power_node_watts: node.first().copied(),
+                power_cpu_watts: cpu.iter().copied().collect(),
+                power_mem_watts: memory.first().copied(),
+                power_gpu_watts: gpu.iter().copied().collect(),
+            }
+        })
+    }
+
+    /// Node `i`'s `(timestamp_us, node power estimate)` per scan.
+    fn node_power(&self, i: usize) -> impl Iterator<Item = (u64, f64)> + '_ {
+        let column = &self.nodes[i];
+        let shape = column.shape.unwrap_or_default();
+        self.scans(column)
+            .map(move |(timestamp_us, scan)| (timestamp_us, shape.node_power(scan)))
+    }
+
+    /// A column's values cut into scans, each with its timestamp.
+    fn scans<'a>(
+        &'a self,
+        column: &'a NodeColumn,
+    ) -> impl ExactSizeIterator<Item = (u64, &'a [f64])> + 'a {
+        // A node has a shape from the first scan on: with no scan there
+        // is nothing to cut.
+        let width = column.shape.unwrap_or_default().width();
+        self.timestamps_us
+            .iter()
+            .enumerate()
+            .map(move |(k, &t)| (t, &column.values[k * width..(k + 1) * width]))
     }
 }
 
@@ -335,5 +491,94 @@ mod report_tests {
         let r = tiny_report();
         assert!(r.job("Laghos").is_some());
         assert!(r.job("GEMM").is_none());
+    }
+}
+
+#[cfg(test)]
+mod timeline_tests {
+    use super::Timeline;
+    use fluxpm_hw::{lassen, tioga, NodeArch, NodeHardware, NodeId, SensorReading};
+    use fluxpm_variorum::NodePowerSample;
+    use std::sync::Arc;
+
+    /// `scans` sensor scans of one node of `arch` (with sensor noise, so
+    /// every value differs).
+    fn readings(arch: NodeArch, scans: usize) -> Vec<SensorReading> {
+        let mut node = NodeHardware::new(NodeId(0), arch, 3);
+        (0..scans).map(|_| node.read_sensors()).collect()
+    }
+
+    /// A Lassen node and a Tioga node, `scans` scans 2 s apart.
+    fn two_nodes(scans: usize) -> (Timeline, [Vec<SensorReading>; 2]) {
+        let nodes = [readings(lassen(), scans), readings(tioga(), scans)];
+        let mut timeline = Timeline::new(["lassen1", "tioga1"].map(Arc::from));
+        for (k, (&a, &b)) in nodes[0].iter().zip(&nodes[1]).enumerate() {
+            timeline.record(2_000_000 * (k as u64 + 1), [a, b]);
+        }
+        (timeline, nodes)
+    }
+
+    #[test]
+    fn samples_come_back_as_built_from_the_readings() {
+        let (timeline, nodes) = two_nodes(5);
+        assert_eq!(timeline.node_count(), 2);
+        for (i, (hostname, node)) in ["lassen1", "tioga1"].iter().zip(&nodes).enumerate() {
+            let want: Vec<NodePowerSample> = node
+                .iter()
+                .enumerate()
+                .map(|(k, r)| {
+                    NodePowerSample::from_reading(hostname, 2_000_000 * (k as u64 + 1), r)
+                })
+                .collect();
+            let got: Vec<NodePowerSample> = timeline.node(i).collect();
+            assert_eq!(got, want, "{hostname}");
+        }
+        // Tioga: no node or memory value, four OAM groups.
+        let tioga = timeline.node(1).next().unwrap();
+        assert_eq!(
+            (tioga.power_node_watts, tioga.power_mem_watts),
+            (None, None)
+        );
+        assert_eq!(tioga.power_gpu_watts.len(), 4);
+    }
+
+    #[test]
+    fn a_lassen_scan_is_eight_values_and_one_timestamp() {
+        let (timeline, _) = two_nodes(7);
+        assert_eq!(timeline.timestamps_us.len(), 7);
+        assert_eq!(timeline.nodes[0].values.len(), 7 * 8, "Lassen");
+        // Tioga: one socket and four OAM groups.
+        assert_eq!(timeline.nodes[1].values.len(), 7 * 5, "Tioga");
+    }
+
+    #[test]
+    fn node_power_is_the_sample_estimate() {
+        let (timeline, _) = two_nodes(4);
+        for i in 0..timeline.node_count() {
+            for ((t, p), s) in timeline.node_power(i).zip(timeline.node(i)) {
+                assert_eq!(t, s.timestamp_us);
+                assert_eq!(p.to_bits(), s.node_power_estimate().to_bits());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "lassen1: a reading's shape changed mid-run")]
+    fn a_reading_that_changes_shape_is_refused() {
+        let mut timeline = Timeline::new([Arc::from("lassen1")]);
+        let first = readings(lassen(), 1)[0];
+        timeline.record(2_000_000, [first]);
+        let no_memory = SensorReading {
+            memory: None,
+            ..first
+        };
+        timeline.record(4_000_000, [no_memory]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a scan reads every node")]
+    fn a_scan_that_misses_a_node_is_refused() {
+        let mut timeline = Timeline::new(["a", "b"].map(Arc::from));
+        timeline.record(2_000_000, readings(lassen(), 1));
     }
 }

@@ -10,13 +10,12 @@
 //! Scenarios are plain data (`Send`), so repetition sweeps can fan out
 //! across OS threads (see [`run_many`]).
 
-use crate::report::RunReport;
+use crate::report::{RunReport, Timeline};
 use fluxpm_flux::{FluxEngine, JobId, JobSpec, ShardPlan, ShardingError, World};
 use fluxpm_hw::{MachineKind, Watts};
 use fluxpm_manager::{ClusterLevelManager, ManagerConfig};
 use fluxpm_monitor::MonitorConfig;
 use fluxpm_sim::{Engine, SimDuration, SimTime, Trace, TraceLevel};
-use fluxpm_variorum::NodePowerSample;
 use fluxpm_workloads::{App, JitterModel};
 use std::cell::RefCell;
 use std::ops::ControlFlow;
@@ -329,40 +328,26 @@ impl Scenario {
 }
 
 /// Install the timeline sampler — a full sensor scan of every node each
-/// `period`, until the world halts — and return the per-node series it
-/// fills; the caller `take`s them once the engine has run.
-///
-/// The sampler keeps one sample per node (it holds a reference to the
-/// node's hostname), refills it in place each period and pushes a copy,
-/// so a scan costs no allocation beyond the series' own growth.
+/// `period`, until the world halts — and return the [`Timeline`] it
+/// fills; the caller `take`s it once the engine has run.
 pub(crate) fn sample_timeline(
     world: &World,
     eng: &mut FluxEngine,
     period: SimDuration,
-) -> Rc<RefCell<Vec<Vec<NodePowerSample>>>> {
-    let series = Rc::new(RefCell::new(vec![Vec::new(); world.nodes.len()]));
-    let sink = Rc::clone(&series);
-    let mut kept: Vec<NodePowerSample> = world
-        .brokers
-        .iter()
-        .map(|b| NodePowerSample {
-            hostname: Arc::clone(&b.hostname),
-            ..NodePowerSample::default()
-        })
-        .collect();
+) -> Rc<RefCell<Timeline>> {
+    let hostnames = world.brokers.iter().map(|b| Arc::clone(&b.hostname));
+    let timeline = Rc::new(RefCell::new(Timeline::new(hostnames)));
+    let sink = Rc::clone(&timeline);
     eng.schedule_every(SimTime::ZERO + period, period, move |w: &mut World, eng| {
         if w.halted {
             return ControlFlow::Break(());
         }
         let ts = eng.now().as_micros();
-        let mut series = sink.borrow_mut();
-        for ((node, sample), out) in w.nodes.iter_mut().zip(&mut kept).zip(series.iter_mut()) {
-            sample.refill(ts, &node.read_sensors());
-            out.push(sample.clone());
-        }
+        let readings = w.nodes.iter_mut().map(|node| node.read_sensors());
+        sink.borrow_mut().record(ts, readings);
         ControlFlow::Continue(())
     });
-    series
+    timeline
 }
 
 /// Run many scenarios in parallel OS threads (one per scenario, bounded

@@ -5,10 +5,10 @@
 //! needs — an `FftPlanner` (cached twiddle/bit-reversal/chirp/window
 //! tables), an `FftScratch` arena, and a reusable `Periodogram` output —
 //! behind `estimate_period`, reading from a zero-copy [`Samples`] view.
-//! A node-level manager owns exactly one analyzer and walks its 4–8 GPU
-//! controllers through it each epoch, so every GPU after the first hits
-//! warm plan caches and warm buffers: the steady state performs **zero
-//! allocations** (`tests/alloc_free.rs`).
+//! The node-level managers hold one analyzer per thread and walk every
+//! node's 4–8 GPU controllers through it each epoch, so every analysis
+//! after the first hits warm plan caches and warm buffers: the steady
+//! state performs **zero allocations** (`tests/alloc_free.rs`).
 //!
 //! The tests check the estimate against the oracle's
 //! (`tests/oracle/mod.rs`; `plan.rs` has the accuracy contract).

@@ -250,9 +250,10 @@ impl FppController {
     ///
     /// The samples are read through a two-slice zero-copy view of the
     /// ring and the period estimate runs on `analyzer` — zero
-    /// steady-state allocation. One analyzer is meant to serve every
-    /// controller of a node (its plan caches are keyed by length, so 4–8
-    /// GPUs feeding the same epoch geometry share one warm plan set).
+    /// steady-state allocation. One analyzer is meant to serve many
+    /// controllers (its plan caches are keyed by length, so every GPU
+    /// feeding the same epoch geometry shares one warm plan set); the
+    /// node managers share one per thread.
     pub fn on_epoch(&mut self, analyzer: &mut PeriodAnalyzer) -> FppDecision {
         if let Some(d) = self.epoch_shortcut() {
             return d;

@@ -34,6 +34,14 @@ pub const NODE_MANAGER: &str = "power-manager-node";
 const TIMER_SAMPLE: u64 = 0;
 const TIMER_EPOCH: u64 = 1;
 
+thread_local! {
+    /// The FFT analysis state every node manager on this thread runs its
+    /// epochs through: one set of cached plans, window tables, scratch
+    /// arena and spectrum buffers, warm after the first epoch, for every
+    /// GPU of every node (DESIGN.md §18).
+    static ANALYZER: RefCell<PeriodAnalyzer> = RefCell::new(PeriodAnalyzer::new());
+}
+
 /// The `flux-power-manager` node-level component.
 pub struct NodeLevelManager {
     policy: PolicyKind,
@@ -54,10 +62,6 @@ struct Fpp {
     /// One controller per device of `target`, built when the first limit
     /// is applied.
     controllers: Vec<FppController>,
-    /// One planned-analysis state shared by every controller on this
-    /// node: all 4–8 per-GPU epoch analyses reuse the same cached FFT
-    /// plans, window tables, scratch arena, and spectrum buffers.
-    analyzer: PeriodAnalyzer,
     /// The job last seen on this node; the controllers reset when a new
     /// job arrives (each job gets its own probe/converge cycle).
     current_job: Option<fluxpm_flux::JobId>,
@@ -144,7 +148,6 @@ impl NodeLevelManager {
                     config: fpp_config,
                     target: fpp_target,
                     controllers: Vec::new(),
-                    analyzer: PeriodAnalyzer::new(),
                     current_job: None,
                 })
             }),
@@ -305,15 +308,12 @@ impl NodeLevelManager {
         // Only act while a job occupies this node; an idle node's
         // controllers sit on stale buffers.
         let busy = ctx.world.jobs.job_on_node(NodeId(ctx.rank.0)).is_some();
-        // Every controller's analysis runs through the one shared
-        // analyzer, so the whole per-GPU batch reuses a single warm
-        // plan/scratch set.
-        let analyzer = &mut fpp.analyzer;
-        let decisions: Vec<FppDecision> = fpp
-            .controllers
-            .iter_mut()
-            .map(|c| c.on_epoch(analyzer))
-            .collect();
+        let decisions: Vec<FppDecision> = ANALYZER.with_borrow_mut(|analyzer| {
+            fpp.controllers
+                .iter_mut()
+                .map(|c| c.on_epoch(analyzer))
+                .collect()
+        });
         if !busy {
             return;
         }

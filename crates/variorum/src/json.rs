@@ -52,9 +52,9 @@ impl NodePowerSample {
     }
 
     /// Overwrite the measurements with a new sensor scan, keeping the
-    /// hostname: a sampler that owns one `NodePowerSample` per node
-    /// refills it every tick instead of building a fresh one (and a
-    /// fresh hostname) each time.
+    /// hostname: the node agent owns one `NodePowerSample` and refills it
+    /// every tick instead of building a fresh one (and a fresh hostname)
+    /// each time.
     pub fn refill(&mut self, timestamp_us: u64, r: &SensorReading) {
         self.timestamp_us = timestamp_us;
         self.power_node_watts = r.node.map(Watts::get);
@@ -173,13 +173,6 @@ impl NodePowerSample {
             power_mem_watts: mem,
             power_gpu_watts: gpu.values,
         })
-    }
-
-    /// Approximate in-memory size of the JSON encoding, used for the
-    /// monitor's buffer accounting (the paper sizes its ring buffer as
-    /// "100,000 instances of the Variorum JSON object" ≈ 43.4 MB).
-    pub fn json_size_bytes(&self) -> usize {
-        self.to_json().len()
     }
 }
 
@@ -614,7 +607,6 @@ mod tests {
             sample.write_json(&mut out);
             prop_assert_eq!(std::str::from_utf8(&out), Ok(oracle.as_str()));
             prop_assert_eq!(sample.to_json(), oracle.clone());
-            prop_assert_eq!(sample.json_size_bytes(), oracle.len());
         }
     }
 
@@ -623,7 +615,7 @@ mod tests {
         // The paper stores 100,000 records in 43.4 MB => ~434 bytes per
         // record (full JSON with more keys than we carry). Ours should be
         // the same order of magnitude.
-        let sz = lassen_sample().json_size_bytes();
+        let sz = lassen_sample().to_json().len();
         assert!((100..600).contains(&sz), "record size {sz}");
     }
 }

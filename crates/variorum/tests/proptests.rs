@@ -263,10 +263,10 @@ proptest! {
         prop_assert!(est >= 0.0);
     }
 
-    /// Encoded size is bounded and grows with device count.
+    /// Encoded size is bounded.
     #[test]
     fn json_size_bounded(sample in any_sample()) {
-        let sz = sample.json_size_bytes();
+        let sz = sample.to_json().len();
         prop_assert!((30..1024).contains(&sz), "size {sz}");
     }
 }

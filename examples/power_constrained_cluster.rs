@@ -42,8 +42,9 @@ fn main() {
     let qs_end = report.job("Quicksilver").unwrap().end_s;
     let gemm = report.job("GEMM").unwrap();
     let mean_in = |lo: f64, hi: f64| {
-        let xs: Vec<f64> = report.node_series[gemm.nodes[0]]
-            .iter()
+        let xs: Vec<f64> = report
+            .timeline
+            .node(gemm.nodes[0])
             .filter(|s| {
                 let t = s.timestamp_us as f64 / 1e6;
                 t >= lo && t < hi

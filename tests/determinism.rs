@@ -34,10 +34,8 @@ fn same_seed_same_everything() {
     }
     assert_eq!(a.cluster_max_w, b.cluster_max_w);
     assert_eq!(a.makespan_s, b.makespan_s);
-    // Full telemetry identical, sample by sample.
-    for (sa, sb) in a.node_series.iter().zip(b.node_series.iter()) {
-        assert_eq!(sa, sb);
-    }
+    // Full telemetry identical: every timestamp, every value.
+    assert_eq!(a.timeline, b.timeline);
 }
 
 #[test]
@@ -45,9 +43,10 @@ fn different_seeds_differ_in_noise_not_shape() {
     let a = scenario(1).run();
     let b = scenario(2).run();
     // Sensor noise and jitter differ...
-    let diff = a.node_series[0]
-        .iter()
-        .zip(b.node_series[0].iter())
+    let diff = a
+        .timeline
+        .node(0)
+        .zip(b.timeline.node(0))
         .filter(|(x, y)| x.node_power_estimate() != y.node_power_estimate())
         .count();
     assert!(diff > 0, "different seeds must perturb telemetry");
