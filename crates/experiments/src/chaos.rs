@@ -1,17 +1,18 @@
 //! Nodes-parameterized chaos storm harness.
 //!
-//! [`storm`] drives an `n`-node instance through the scripted failure
-//! storm of the 16-node chaos-soak suite — an interior batch kill, a
-//! node re-failing 50 µs into its own recovery, the root dying
-//! mid-storm, Gilbert–Elliott burst loss on every link, seeded random
-//! fail/recover ticks — with every knob (batch size, random-kill width,
-//! live floor, global power bound) scaled from the node count. Its end
-//! differs: the storm recovers every node 15 s after its last random
-//! tick (`t = 100 s` at the standard ten ticks), where the soak
-//! recovers at `t = 95 s`.
-//! Both the 128-rank soak tests and stackbench's
-//! `storm_congested_1024` workload drive this one code path, so what CI
-//! soaks is exactly what the benchmark times.
+//! [`storm`] drives an `n`-node instance through a scripted failure
+//! storm — an interior batch kill, a node re-failing 50 µs into its own
+//! recovery, the root dying mid-storm, Gilbert–Elliott burst loss on
+//! every link, seeded random fail/recover ticks, every node recovered
+//! 15 s after the last tick — with every knob (batch size, random-kill
+//! width, live floor, global power bound) scaled from the node count.
+//! It is the repository's one plain-world storm, with three callers:
+//! - `tests/chaos_soak.rs`: the 16-rank soaks (through [`storm_trace`],
+//!   whose debug trace is pinned to a golden) and the 128-rank pins;
+//! - `examples/chaos_soak.rs`, which prints one [`StormOutcome`];
+//! - stackbench's `storm_congested_1024` workload.
+//!
+//! So what CI soaks is exactly what the benchmark times.
 //!
 //! The storm is data: [`StormConfig`] becomes a list of timed actions
 //! and a fault profile, and the crate's one script runner schedules
@@ -119,7 +120,7 @@ pub struct StormOutcome {
     pub congestion_drops: u64,
     /// Subtrees re-parented away from sustained congestion.
     pub congestion_reparents: u64,
-    /// Jobs that reached `Completed` / `Failed`.
+    /// Jobs that reached `Completed`.
     pub completed: usize,
     /// Jobs that reached `Failed`.
     pub failed: usize,
@@ -140,8 +141,8 @@ fn fnv1a(hash: &mut u64, bytes: &[u8]) {
 /// Each sweep panics, naming the rank and the instant, when the topology
 /// epoch went backwards, the root is detached or down, or an attached
 /// rank is down, unroutable, or on a parent chain that is detached or
-/// cycles. Both storm harnesses — [`storm`] and the 16-node chaos-soak
-/// suite — schedule it at the same point of their script.
+/// cycles. Both storm runs — [`storm`] and every replica of the sharded
+/// storm — arm it through the script's `Sweep` action.
 pub fn topology_invariants(eng: &mut FluxEngine) -> Rc<Cell<u64>> {
     let checks = Rc::new(Cell::new(0u64));
     let count = Rc::clone(&checks);
@@ -192,7 +193,7 @@ pub fn topology_invariants(eng: &mut FluxEngine) -> Rc<Cell<u64>> {
 fn script(cfg: &StormConfig) -> Script {
     use Action::*;
     let nodes = cfg.nodes;
-    let batch = (nodes / 8).max(2);
+    let batch = batch(nodes);
     let extra = batch + 2;
     let last_tick_s = last_tick_s(cfg);
     let settle_s = last_tick_s + 15;
@@ -289,6 +290,11 @@ fn script(cfg: &StormConfig) -> Script {
     }
 }
 
+/// Ranks 1 to `batch` die together at `t = 15 s`.
+fn batch(nodes: u32) -> u32 {
+    (nodes / 8).max(2)
+}
+
 /// The last random tick: one every 5 s from `t = 40 s`.
 fn last_tick_s(cfg: &StormConfig) -> u64 {
     40 + 5 * cfg.random_ticks.saturating_sub(1)
@@ -298,9 +304,27 @@ fn last_tick_s(cfg: &StormConfig) -> u64 {
 ///
 /// Panics if any storm invariant breaks: the topology epoch going
 /// backwards, an attached rank that is dead or unroutable, a cycle in
-/// the parent chain, the post-storm probe job not completing, or the
-/// overlay failing to heal back to fresh k-ary shape.
+/// the parent chain, the mid-storm reduction counting a dead rank, the
+/// post-storm probe job not completing, or the overlay failing to heal
+/// back to fresh k-ary shape.
 pub fn storm(cfg: &StormConfig) -> StormOutcome {
+    run_storm(cfg, |_| {})
+}
+
+/// [`storm`], also returning the finished trace as text, one formatted
+/// entry per line.
+pub fn storm_trace(cfg: &StormConfig) -> (StormOutcome, String) {
+    let mut text = String::new();
+    let outcome = run_storm(cfg, |line| {
+        text.push_str(line);
+        text.push('\n');
+    });
+    (outcome, text)
+}
+
+/// The body of [`storm`]; `each_line` is handed every formatted trace
+/// entry once the world halts.
+fn run_storm(cfg: &StormConfig, mut each_line: impl FnMut(&str)) -> StormOutcome {
     assert!(cfg.nodes >= 16, "the storm script needs at least 16 ranks");
     let script = script(cfg);
     let (mut w, mut eng, cluster) = script.scenario().with_trace(cfg.trace_level).build();
@@ -338,13 +362,15 @@ pub fn storm(cfg: &StormConfig) -> StormOutcome {
     assert_eq!(live, cfg.nodes, "all ranks re-attached after the storm");
     assert!(w.tbon.is_balanced(), "overlay healed to fresh k-ary shape");
 
-    // Dead ranks must not fabricate a complete window, and the
-    // surviving ranks carried data.
+    // Dead ranks must not fabricate a complete window or contribute to
+    // it, and the surviving ranks carried data. Job A holds the bottom
+    // half of the machine, and the batch kill took `batch` of it.
     let reductions = run.reductions.borrow();
     let reduction = |i: usize| reductions.get(i)?.subtree_stats()?.ok();
     let stats = reduction(0);
+    let reachable = (cfg.nodes / 2 - batch(cfg.nodes)) as usize;
     assert!(
-        matches!(stats, Some(s) if !s.all_complete && s.samples > 0),
+        matches!(stats, Some(s) if !s.all_complete && s.samples > 0 && s.nodes <= reachable),
         "mid-storm reduction: {stats:?}"
     );
     assert!(
@@ -397,6 +423,7 @@ pub fn storm(cfg: &StormConfig) -> StormOutcome {
         let _ = write!(line, "{e}");
         fnv1a(&mut trace_hash, line.as_bytes());
         fnv1a(&mut trace_hash, b"\n");
+        each_line(&line);
     }
     let (completed, failed) = w.jobs.all().iter().fold((0, 0), |(c, f), j| match j.state {
         JobState::Completed => (c + 1, f),

@@ -242,24 +242,25 @@ pub fn records_hash(records: &[ShardRecord]) -> u64 {
     h
 }
 
-/// Where two record streams part: the first index at which they
-/// differ, the shared records just before it, and the record each
-/// stream holds there (`None` where a stream has already ended).
+/// Where two streams part: the first index at which they differ, the
+/// shared items just before it, and the item each stream holds there
+/// (`None` where a stream has already ended). The items are records by
+/// default; a golden check compares lines.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Divergence<'a> {
+pub struct Divergence<'a, T = ShardRecord> {
     /// The first differing index.
     pub index: usize,
-    /// Up to three shared records before `index`, oldest first.
-    pub context: &'a [ShardRecord],
-    /// The left stream's record at `index`.
-    pub left: Option<&'a ShardRecord>,
-    /// The right stream's record at `index`.
-    pub right: Option<&'a ShardRecord>,
+    /// Up to three shared items before `index`, oldest first.
+    pub context: &'a [T],
+    /// The left stream's item at `index`.
+    pub left: Option<&'a T>,
+    /// The right stream's item at `index`.
+    pub right: Option<&'a T>,
 }
 
-impl std::fmt::Display for Divergence<'_> {
+impl<T: std::fmt::Debug> std::fmt::Display for Divergence<'_, T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "record streams diverge at index {}", self.index)?;
+        writeln!(f, "streams diverge at index {}", self.index)?;
         for r in self.context {
             writeln!(f, "    {r:?}")?;
         }
@@ -271,10 +272,10 @@ impl std::fmt::Display for Divergence<'_> {
 /// The first place `left` and `right` differ, or `None` when they are
 /// equal. A stream that is a strict prefix of the other diverges where
 /// it ends.
-pub fn first_divergence<'a>(
-    left: &'a [ShardRecord],
-    right: &'a [ShardRecord],
-) -> Option<Divergence<'a>> {
+pub fn first_divergence<'a, T: PartialEq>(
+    left: &'a [T],
+    right: &'a [T],
+) -> Option<Divergence<'a, T>> {
     let index = left
         .iter()
         .zip(right)

@@ -633,3 +633,39 @@ fn a_batch_out_of_seq_order_is_dropped_with_one_warning() {
         assert!(deltas.is_empty(), "rank {rank} got {deltas:?}");
     }
 }
+
+/// A hand-off below the ingest mark — a promoted root's own delta that
+/// a batch from its old parent already carried — is dropped: nothing is
+/// staged, the mark stays, and the root's subscriber sees each delta
+/// once.
+#[test]
+fn a_hand_off_below_the_ingest_mark_is_dropped() {
+    let (mut w, mut eng, subs) = subscribed_world();
+    let next = with_relay(&w, 0, |r| r.next_ingest);
+    let arrived = RelayDeltaBatch {
+        deltas: [delta(next, 0, 2, None), delta(next + 1, 1, 2, None)]
+            .into_iter()
+            .collect(),
+        shed: 0,
+    };
+    let wire = MonitorRequest::RelayDeltas(arrived.clone()).encode();
+    let stale = delta(next + 1, 1, 2, None);
+    let module = w.brokers[0].module(RELAY).expect("relay loaded");
+    {
+        let mut guard = module.borrow_mut();
+        let relay: &mut TelemetryRelay = guard.as_any_mut().unwrap().downcast_mut().unwrap();
+        let mut ctx = ModuleCtx {
+            world: &mut w,
+            eng: &mut eng,
+            rank: Rank(0),
+        };
+        relay.ingest(&mut ctx, Ingest::Arrived(&arrived, &wire));
+        relay.ingest(&mut ctx, Ingest::HandOff(&stale));
+        assert!(!relay.plane.is_staged(), "the stale hand-off was staged");
+        assert_eq!(relay.next_ingest, next + 2);
+    }
+    let root_sub = id(&subs[0].1);
+    let (deltas, _) = with_relay(&w, 0, |r| r.hub.poll(root_sub, 64)).expect("polled");
+    let seqs: Vec<u64> = deltas.iter().map(|d| d.seq).collect();
+    assert_eq!(seqs, [next, next + 1]);
+}
