@@ -22,10 +22,10 @@
 //! RNG stream, the congestion-avoidance link monitor in congestion mode,
 //! and the checks it makes once the world halts.
 //!
-//! The returned [`StormOutcome`] folds the full trace into an FNV-1a
-//! hash instead of keeping the text: at 128 ranks the debug trace runs
-//! to millions of lines, and a hash comparison is just as strict for
-//! the replay-equality gate.
+//! The returned [`StormOutcome`] carries an FNV-1a hash of the trace's
+//! text instead of the text: at 128 ranks the debug trace runs to
+//! millions of lines, and a hash comparison is just as strict for the
+//! replay-equality gate.
 
 use crate::script::{storm_congestion, ticks, Action, FaultProfile, Script};
 use fluxpm_flux::{
@@ -33,7 +33,7 @@ use fluxpm_flux::{
 };
 use fluxpm_hw::MachineKind;
 use fluxpm_monitor::MonitorConfig;
-use fluxpm_sim::{SimDuration, SimTime, TraceLevel};
+use fluxpm_sim::{SimDuration, SimTime, Trace, TraceLevel};
 use fluxpm_workloads::{laghos, App, JitterModel};
 use std::cell::Cell;
 use std::ops::ControlFlow;
@@ -102,7 +102,7 @@ impl StormConfig {
 /// exactly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StormOutcome {
-    /// FNV-1a hash over every formatted trace line.
+    /// FNV-1a hash of the trace's text, every rendered line.
     pub trace_hash: u64,
     /// Number of trace entries behind the hash.
     pub trace_lines: usize,
@@ -128,11 +128,11 @@ pub struct StormOutcome {
     pub halted_at_us: u64,
 }
 
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
+/// 64-bit FNV-1a of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
 }
 
 /// Schedule the per-second topology sweep, from `t = 1 s` until the
@@ -308,23 +308,18 @@ fn last_tick_s(cfg: &StormConfig) -> u64 {
 /// post-storm probe job not completing, or the overlay failing to heal
 /// back to fresh k-ary shape.
 pub fn storm(cfg: &StormConfig) -> StormOutcome {
-    run_storm(cfg, |_| {})
+    run_storm(cfg).0
 }
 
-/// [`storm`], also returning the finished trace as text, one formatted
-/// entry per line.
+/// [`storm`], also returning a copy of the finished trace's text, one
+/// rendered entry per line.
 pub fn storm_trace(cfg: &StormConfig) -> (StormOutcome, String) {
-    let mut text = String::new();
-    let outcome = run_storm(cfg, |line| {
-        text.push_str(line);
-        text.push('\n');
-    });
-    (outcome, text)
+    let (outcome, trace) = run_storm(cfg);
+    (outcome, trace.text().to_owned())
 }
 
-/// The body of [`storm`]; `each_line` is handed every formatted trace
-/// entry once the world halts.
-fn run_storm(cfg: &StormConfig, mut each_line: impl FnMut(&str)) -> StormOutcome {
+/// The body of [`storm`]; it hands back the world's trace as well.
+fn run_storm(cfg: &StormConfig) -> (StormOutcome, Trace) {
     assert!(cfg.nodes >= 16, "the storm script needs at least 16 ranks");
     let script = script(cfg);
     let (mut w, mut eng, cluster) = script.scenario().with_trace(cfg.trace_level).build();
@@ -389,7 +384,6 @@ fn run_storm(cfg: &StormConfig, mut each_line: impl FnMut(&str)) -> StormOutcome
         let early = w
             .trace
             .entries()
-            .iter()
             .filter(|e| {
                 e.subsystem == "link"
                     && e.at < SimTime::from_secs(15)
@@ -415,25 +409,15 @@ fn run_storm(cfg: &StormConfig, mut each_line: impl FnMut(&str)) -> StormOutcome
         );
     }
 
-    let mut trace_hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut line = String::new();
-    for e in w.trace.entries() {
-        use std::fmt::Write as _;
-        line.clear();
-        let _ = write!(line, "{e}");
-        fnv1a(&mut trace_hash, line.as_bytes());
-        fnv1a(&mut trace_hash, b"\n");
-        each_line(&line);
-    }
     let (completed, failed) = w.jobs.all().iter().fold((0, 0), |(c, f), j| match j.state {
         JobState::Completed => (c + 1, f),
         JobState::Failed => (c, f + 1),
         _ => (c, f),
     });
 
-    StormOutcome {
-        trace_hash,
-        trace_lines: w.trace.entries().len(),
+    let outcome = StormOutcome {
+        trace_hash: fnv1a(w.trace.text().as_bytes()),
+        trace_lines: w.trace.len(),
         drops: w.fault_drops(),
         timeouts: w.rpc_timeout_count(),
         retries: w.rpc_retry_count(),
@@ -444,7 +428,8 @@ fn run_storm(cfg: &StormConfig, mut each_line: impl FnMut(&str)) -> StormOutcome
         completed,
         failed,
         halted_at_us: eng.now().as_micros(),
-    }
+    };
+    (outcome, std::mem::take(&mut w.trace))
 }
 
 #[cfg(test)]

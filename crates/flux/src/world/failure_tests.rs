@@ -352,7 +352,7 @@ fn fault_injection_is_deterministic_and_drops_traffic() {
             }
         }
         eng.run(&mut w);
-        let trace: Vec<String> = w.trace.entries().iter().map(|e| e.to_string()).collect();
+        let trace = w.trace.text().to_owned();
         (
             trace,
             w.fault_drops(),
@@ -648,7 +648,7 @@ fn dead_instance_resurrects_with_first_recovered_rank_as_root() {
     let (mut w, mut eng) = world(3);
     w.trace = fluxpm_sim::Trace::enabled(TraceLevel::Debug);
     w.fail_nodes(&mut eng, &[NodeId(0), NodeId(1), NodeId(2)]);
-    let all: String = w.trace.entries().iter().map(|e| format!("{e}\n")).collect();
+    let all = w.trace.text();
     assert!(
         all.contains("failed with no live successor"),
         "instance death traced"
@@ -657,7 +657,7 @@ fn dead_instance_resurrects_with_first_recovered_rank_as_root() {
     assert!(w.recover_node(&mut eng, NodeId(2)));
     assert_eq!(w.root(), Rank(2));
     assert!(!w.tbon.is_attached(Rank(0)), "dead ex-root displaced");
-    let all: String = w.trace.entries().iter().map(|e| format!("{e}\n")).collect();
+    let all = w.trace.text();
     assert!(all.contains("instance resurrected with rank2 as root"));
     // Later recoveries rejoin under the resurrected root.
     assert!(w.recover_node(&mut eng, NodeId(1)));

@@ -121,7 +121,7 @@ impl World {
                     eng.now(),
                     TraceLevel::Info,
                     "tbon",
-                    format!("resurrected {name} on {rank} from state log"),
+                    format_args!("resurrected {name} on {rank} from state log"),
                 );
                 revived.push(m);
             }
@@ -213,7 +213,7 @@ impl World {
                 eng.now(),
                 TraceLevel::Warn,
                 "node",
-                format!("{node:?} failed"),
+                format_args!("{node:?} failed"),
             );
             self.brokers[node.index()].set_down();
             let names: Vec<&'static str> = self.brokers[node.index()].module_names();
@@ -231,7 +231,7 @@ impl World {
                     eng.now(),
                     TraceLevel::Info,
                     "node",
-                    format!("{rank}: cancelled {cancelled} pending rpc(s)"),
+                    format_args!("{rank}: cancelled {cancelled} pending rpc(s)"),
                 );
             }
         }
@@ -252,7 +252,7 @@ impl World {
                     eng.now(),
                     TraceLevel::Info,
                     "tbon",
-                    format!(
+                    format_args!(
                         "re-parented {} orphan(s) of {rank} under {parent} (epoch {})",
                         orphans.len(),
                         self.tbon.epoch()
@@ -309,7 +309,7 @@ impl World {
                 eng.now(),
                 TraceLevel::Warn,
                 "tbon",
-                format!("{old_root} failed with no live successor; instance is dead"),
+                format_args!("{old_root} failed with no live successor; instance is dead"),
             );
             return;
         };
@@ -318,7 +318,7 @@ impl World {
             eng.now(),
             TraceLevel::Warn,
             "tbon",
-            format!(
+            format_args!(
                 "root failover: {old_root} -> {successor} (epoch {})",
                 self.tbon.epoch()
             ),
@@ -335,7 +335,7 @@ impl World {
                     eng.now(),
                     TraceLevel::Info,
                     "tbon",
-                    format!("migrated {name} to {successor}"),
+                    format_args!("migrated {name} to {successor}"),
                 );
                 migrated.push(m);
             }
@@ -366,7 +366,8 @@ impl World {
         self.brokers[node.index()].set_up();
         let cur_root = self.tbon.root();
         let resurrected = !self.tbon.is_attached(rank) && !self.brokers[cur_root.index()].is_up();
-        let (level, line) = if resurrected {
+        let now = eng.now();
+        if resurrected {
             // The instance died entirely (the root failed with no live
             // successor, so it kept the root role while down). The
             // first rank to recover resurrects the instance as its new
@@ -376,9 +377,15 @@ impl World {
             // replayed from the event log to their pre-crash state.
             self.tbon.attach(rank, cur_root);
             self.tbon.promote_root(rank);
-            let epoch = self.tbon.epoch();
-            let line = format!("{node:?} recovered; instance resurrected with {rank} as root");
-            (TraceLevel::Warn, format!("{line} (epoch {epoch})"))
+            self.trace.emit(
+                now,
+                TraceLevel::Warn,
+                "tbon",
+                format_args!(
+                    "{node:?} recovered; instance resurrected with {rank} as root (epoch {})",
+                    self.tbon.epoch()
+                ),
+            );
         } else if !self.tbon.is_attached(rank) {
             // Nearest live ancestor in the original k-ary shape; the
             // current root catches everything else (including an
@@ -395,14 +402,23 @@ impl World {
             }
             let parent = parent.unwrap_or_else(|| self.tbon.root());
             self.tbon.attach(rank, parent);
-            let epoch = self.tbon.epoch();
-            let line =
-                format!("{node:?} recovered; {rank} rejoined under {parent} (epoch {epoch})");
-            (TraceLevel::Info, line)
+            self.trace.emit(
+                now,
+                TraceLevel::Info,
+                "tbon",
+                format_args!(
+                    "{node:?} recovered; {rank} rejoined under {parent} (epoch {})",
+                    self.tbon.epoch()
+                ),
+            );
         } else {
-            (TraceLevel::Info, format!("{node:?} recovered"))
-        };
-        self.trace.emit(eng.now(), level, "tbon", line);
+            self.trace.emit(
+                now,
+                TraceLevel::Info,
+                "tbon",
+                format_args!("{node:?} recovered"),
+            );
+        }
         // Return the node to the free pool (it was withheld at failure)
         // unless something already holds it.
         if !self.sched.is_free(node) && self.jobs.job_on_node(node).is_none() {
@@ -443,7 +459,7 @@ impl World {
                 eng.now(),
                 TraceLevel::Info,
                 "tbon",
-                format!(
+                format_args!(
                     "re-balanced: depth {before} -> {} over {} live rank(s) (epoch {})",
                     self.tbon.max_depth(),
                     self.tbon.attached_ranks().len(),

@@ -281,7 +281,7 @@ impl World {
                 eng.now(),
                 TraceLevel::Warn,
                 "link",
-                format!(
+                format_args!(
                     "congestion: re-parented {child} (subtree) from {parent} to {new_parent} (epoch {})",
                     self.tbon.epoch()
                 ),

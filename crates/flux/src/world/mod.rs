@@ -511,17 +511,15 @@ impl World {
                 }
             }
             _ => {
-                if self.trace.accepts(TraceLevel::Debug) {
-                    self.trace.emit(
-                        eng.now(),
-                        TraceLevel::Debug,
-                        "tbon",
-                        format!(
-                            "{:?} {} -> {} topic {}",
-                            msg.kind, msg.from, msg.to, msg.topic
-                        ),
-                    );
-                }
+                self.trace.emit(
+                    eng.now(),
+                    TraceLevel::Debug,
+                    "tbon",
+                    format_args!(
+                        "{:?} {} -> {} topic {}",
+                        msg.kind, msg.from, msg.to, msg.topic
+                    ),
+                );
                 eng.schedule_event(at, 0, FluxEvent::Deliver { msg, route });
             }
         }
@@ -593,9 +591,6 @@ impl World {
     /// Count a dropped message against its topic and trace why.
     fn drop_message(&mut self, now: SimTime, msg: &Message, cause: DropCause) {
         self.rpcs.note_drop(&msg.topic);
-        if !self.trace.accepts(TraceLevel::Warn) {
-            return;
-        }
         let Message {
             kind,
             from,
@@ -603,31 +598,42 @@ impl World {
             topic,
             ..
         } = msg;
-        let (subsystem, line) = match cause {
-            DropCause::DownedOrigin => (
+        match cause {
+            DropCause::DownedOrigin => self.trace.emit(
+                now,
+                TraceLevel::Warn,
                 "tbon",
-                format!("drop from downed {from}: {kind:?} -> {to} topic {topic}"),
+                format_args!("drop from downed {from}: {kind:?} -> {to} topic {topic}"),
             ),
-            DropCause::NoRoute(epoch) => (
+            DropCause::NoRoute(epoch) => self.trace.emit(
+                now,
+                TraceLevel::Warn,
                 "tbon",
-                format!("sever: no route {kind:?} {from} -> {to} topic {topic} (epoch {epoch})"),
+                format_args!(
+                    "sever: no route {kind:?} {from} -> {to} topic {topic} (epoch {epoch})"
+                ),
             ),
-            DropCause::Lost => (
+            DropCause::Lost => self.trace.emit(
+                now,
+                TraceLevel::Warn,
                 "fault",
-                format!("lost {kind:?} {from} -> {to} topic {topic}"),
+                format_args!("lost {kind:?} {from} -> {to} topic {topic}"),
             ),
-            DropCause::TailDrop(a, b) => (
+            DropCause::TailDrop(a, b) => self.trace.emit(
+                now,
+                TraceLevel::Warn,
                 "link",
-                format!(
+                format_args!(
                     "congested: tail-drop {kind:?} {from} -> {to} topic {topic} at link {a}-{b}"
                 ),
             ),
-            DropCause::DeadHop(dead) => (
+            DropCause::DeadHop(dead) => self.trace.emit(
+                now,
+                TraceLevel::Warn,
                 "tbon",
-                format!("sever: {kind:?} {from} -> {to} topic {topic} dropped at {dead}"),
+                format_args!("sever: {kind:?} {from} -> {to} topic {topic} dropped at {dead}"),
             ),
-        };
-        self.trace.emit(now, TraceLevel::Warn, subsystem, line);
+        }
     }
 
     /// Charge stolen host-CPU time to a node; the executor converts it
@@ -655,8 +661,12 @@ impl World {
             self.size()
         );
         let id = self.jobs.add(spec, program, eng.now());
-        self.trace
-            .emit(eng.now(), TraceLevel::Info, "job", format!("submit {id:?}"));
+        self.trace.emit(
+            eng.now(),
+            TraceLevel::Info,
+            "job",
+            format_args!("submit {id:?}"),
+        );
         self.announce_job(eng, id, 0, EVENT_JOB_SUBMIT);
         self.try_schedule(eng);
         id
@@ -686,7 +696,7 @@ impl World {
                 now,
                 TraceLevel::Info,
                 "job",
-                format!("start {head:?} on {alloc:?}"),
+                format_args!("start {head:?} on {alloc:?}"),
             );
             self.announce_job(eng, head, 1, EVENT_JOB_START);
         }
@@ -760,7 +770,7 @@ impl World {
                     now,
                     TraceLevel::Warn,
                     "job",
-                    format!("{id:?} crashed: {reason}"),
+                    format_args!("{id:?} crashed: {reason}"),
                 );
                 self.finish_job(eng, id, now, JobState::Failed, &[]);
             }
@@ -802,8 +812,12 @@ impl World {
         } else {
             ("exception", EVENT_JOB_EXCEPTION, 3)
         };
-        self.trace
-            .emit(eng.now(), TraceLevel::Info, "job", format!("{word} {id:?}"));
+        self.trace.emit(
+            eng.now(),
+            TraceLevel::Info,
+            "job",
+            format_args!("{word} {id:?}"),
+        );
         self.announce_job(eng, id, outcome, topic);
         self.try_schedule(eng);
     }
@@ -880,8 +894,12 @@ impl World {
         if let Some(n) = self.autostop_after {
             if self.jobs.all().len() as u64 >= n && self.jobs.all_complete() {
                 self.halted = true;
-                self.trace
-                    .emit(now, TraceLevel::Info, "exec", "halt: all jobs complete");
+                self.trace.emit(
+                    now,
+                    TraceLevel::Info,
+                    "exec",
+                    format_args!("halt: all jobs complete"),
+                );
                 return ControlFlow::Break(());
             }
         }
@@ -967,17 +985,15 @@ fn deliver(world: &mut World, eng: &mut FluxEngine, msg: Message, route: &[Rank]
     {
         return world.drop_message(eng.now(), &msg, DropCause::DeadHop(dead));
     }
-    if world.trace.accepts(TraceLevel::Debug) {
-        world.trace.emit(
-            eng.now(),
-            TraceLevel::Debug,
-            "tbon",
-            format!(
-                "deliver {} -> {} {:?} topic {}",
-                msg.from, msg.to, msg.kind, msg.topic
-            ),
-        );
-    }
+    world.trace.emit(
+        eng.now(),
+        TraceLevel::Debug,
+        "tbon",
+        format_args!(
+            "deliver {} -> {} {:?} topic {}",
+            msg.from, msg.to, msg.kind, msg.topic
+        ),
+    );
     if msg.kind == MsgKind::Response {
         return world.resolve_rpc(eng, &msg);
     }

@@ -308,7 +308,9 @@ fn retry_attempt(world: &mut World, eng: &mut FluxEngine, mut st: RetryState) {
             eng.now(),
             TraceLevel::Warn,
             "rpc",
-            format!("retrying {topic} {from} -> {to} in {delay} (attempt {attempt} timed out)"),
+            format_args!(
+                "retrying {topic} {from} -> {to} in {delay} (attempt {attempt} timed out)"
+            ),
         );
         st.attempt += 1;
         st.prev_delay_us = delay_us;
@@ -416,7 +418,7 @@ impl World {
             eng.now(),
             TraceLevel::Warn,
             "rpc",
-            format!("timeout after {deadline}: {from} -> {to} topic {topic} (matchtag {tag})"),
+            format_args!("timeout after {deadline}: {from} -> {to} topic {topic} (matchtag {tag})"),
         );
         let resp = Message::timeout_response(&topic, from, to, tag);
         (pending.callback)(self, eng, &resp);

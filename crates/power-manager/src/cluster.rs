@@ -111,7 +111,7 @@ impl ClusterLevelManager {
                             eng.now(),
                             TraceLevel::Warn,
                             "manager",
-                            format!("job-limit push for {job:?} gave up: {:?}", resp.error),
+                            format_args!("job-limit push for {job:?} gave up: {:?}", resp.error),
                         );
                     }
                 });
@@ -145,7 +145,7 @@ impl ClusterLevelManager {
                 ctx.eng.now(),
                 TraceLevel::Info,
                 "manager",
-                format!("admit {job:?} ({nnodes} nodes) -> {per_node}/node"),
+                format_args!("admit {job:?} ({nnodes} nodes) -> {per_node}/node"),
             );
         }
         self.push_all_limits(ctx);
@@ -164,7 +164,7 @@ impl ClusterLevelManager {
                 ctx.eng.now(),
                 TraceLevel::Info,
                 "manager",
-                format!("reclaim {job:?} -> {per_node}/node"),
+                format_args!("reclaim {job:?} -> {per_node}/node"),
             );
             self.push_all_limits(ctx);
         }
@@ -216,7 +216,7 @@ impl Module for ClusterLevelManager {
             ctx.eng.now(),
             TraceLevel::Info,
             "manager",
-            format!(
+            format_args!(
                 "cluster manager migrated to {}; re-pushing {} job limit(s)",
                 ctx.rank,
                 self.job_limits().len()

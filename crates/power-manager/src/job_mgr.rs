@@ -101,7 +101,7 @@ impl JobLevelManager {
                             eng.now(),
                             TraceLevel::Warn,
                             "job-mgr",
-                            format!("node-limit push to {rank} gave up: {:?}", resp.error),
+                            format_args!("node-limit push to {rank} gave up: {:?}", resp.error),
                         );
                     }
                 });
@@ -153,7 +153,7 @@ impl Module for JobLevelManager {
             ctx.eng.now(),
             TraceLevel::Info,
             "job-mgr",
-            format!(
+            format_args!(
                 "job manager migrated to {}; clearing {} mirrored limit(s) for re-push",
                 ctx.rank,
                 self.limits.len()

@@ -221,7 +221,7 @@ impl NodeLevelManager {
                 ctx.eng.now(),
                 TraceLevel::Warn,
                 "node-mgr",
-                format!("{rank}: capping unavailable; limit {limit} not enforceable"),
+                format_args!("{rank}: capping unavailable; limit {limit} not enforceable"),
             );
             return;
         }
@@ -324,7 +324,7 @@ impl NodeLevelManager {
                     ctx.eng.now(),
                     TraceLevel::Info,
                     "fpp",
-                    format!("{}: {:?} {device} -> {cap}", ctx.rank, fpp.target),
+                    format_args!("{}: {:?} {device} -> {cap}", ctx.rank, fpp.target),
                 );
             }
         }
@@ -338,7 +338,7 @@ fn set_memory_cap(ctx: &mut ModuleCtx<'_>, cap: Watts) {
             ctx.eng.now(),
             TraceLevel::Warn,
             "node-mgr",
-            format!("{}: memory cap failed: {e}", ctx.rank),
+            format_args!("{}: memory cap failed: {e}", ctx.rank),
         );
     }
 }
@@ -350,7 +350,7 @@ fn set_socket_cap(ctx: &mut ModuleCtx<'_>, socket: usize, cap: Watts) {
             ctx.eng.now(),
             TraceLevel::Warn,
             "node-mgr",
-            format!("{}: socket {socket} cap failed: {e}", ctx.rank),
+            format_args!("{}: socket {socket} cap failed: {e}", ctx.rank),
         );
     }
 }
@@ -366,7 +366,7 @@ fn set_all_gpu_caps(ctx: &mut ModuleCtx<'_>, cap_failures: &mut u64, cap: Watts)
                 ctx.eng.now(),
                 TraceLevel::Warn,
                 "node-mgr",
-                format!("{}: cap_each_gpu failed: {e}", ctx.rank),
+                format_args!("{}: cap_each_gpu failed: {e}", ctx.rank),
             );
         }
     }
@@ -381,7 +381,7 @@ fn set_gpu_cap(ctx: &mut ModuleCtx<'_>, cap_failures: &mut u64, gpu: usize, cap:
                 ctx.eng.now(),
                 TraceLevel::Warn,
                 "node-mgr",
-                format!(
+                format_args!(
                     "{}: GPU {gpu} cap {cap} not applied ({outcome:?})",
                     ctx.rank
                 ),
@@ -393,7 +393,7 @@ fn set_gpu_cap(ctx: &mut ModuleCtx<'_>, cap_failures: &mut u64, gpu: usize, cap:
                 ctx.eng.now(),
                 TraceLevel::Warn,
                 "node-mgr",
-                format!("{}: GPU {gpu} cap failed: {e}", ctx.rank),
+                format_args!("{}: GPU {gpu} cap failed: {e}", ctx.rank),
             );
         }
     }

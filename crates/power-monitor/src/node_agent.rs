@@ -349,7 +349,7 @@ impl Module for NodeAgent {
             ctx.eng.now(),
             TraceLevel::Info,
             "monitor",
-            format!("node-agent loaded on {rank}"),
+            format_args!("node-agent loaded on {rank}"),
         );
     }
 

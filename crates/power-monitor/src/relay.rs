@@ -716,7 +716,7 @@ impl TelemetryRelay {
                         ctx.eng.now(),
                         TraceLevel::Warn,
                         "monitor",
-                        format!("relay at {} dropped a batch: {e}", ctx.rank),
+                        format_args!("relay at {} dropped a batch: {e}", ctx.rank),
                     );
                     return;
                 }

@@ -613,9 +613,8 @@ fn a_batch_out_of_seq_order_is_dropped_with_one_warning() {
     let warnings: Vec<&str> = w
         .trace
         .entries()
-        .iter()
         .filter(|e| e.level == TraceLevel::Warn)
-        .map(|e| e.message.as_str())
+        .map(|e| e.message)
         .collect();
     assert_eq!(warnings.len(), 4, "{warnings:?}");
     assert!(

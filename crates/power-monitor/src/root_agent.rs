@@ -579,7 +579,7 @@ impl Module for RootAgent {
                 ctx.eng.now(),
                 TraceLevel::Info,
                 "monitor",
-                format!(
+                format_args!(
                     "root-agent migrated to {}; re-issuing {} in-flight aggregation(s)",
                     ctx.rank,
                     stalled.len()

@@ -217,7 +217,7 @@ fn interior_rank_failure_mid_reduction_completes_incomplete() {
 
         let outer = slot.borrow().clone().unwrap();
         let stats = outer.subtree_stats().unwrap().unwrap();
-        let trace: String = w.trace.entries().iter().map(|e| format!("{e}\n")).collect();
+        let trace = w.trace.text().to_owned();
         (w, id, stats, trace)
     };
 
@@ -290,7 +290,7 @@ fn chaos_faults_are_deterministic_and_aggregation_completes() {
         let query = MonitorQuery::job_stats(id).send(&mut w, &mut eng2);
         eng2.run(&mut w);
         let reply = query.job_stats();
-        let trace: String = w.trace.entries().iter().map(|e| format!("{e}\n")).collect();
+        let trace = w.trace.text().to_owned();
         (
             trace,
             w.fault_drops(),

@@ -59,14 +59,8 @@ fn replay_world() -> (World, fluxpm::flux::JobId) {
 #[test]
 fn event_trace_matches_golden() {
     let (world, _) = replay_world();
-    let trace: String = world
-        .trace
-        .entries()
-        .iter()
-        .map(|e| format!("{e}\n"))
-        .collect();
     common::check_golden(
-        &trace,
+        world.trace.text(),
         "tests/golden/replay_8node.trace",
         include_str!("golden/replay_8node.trace"),
     );

@@ -88,7 +88,7 @@ fn fail_recover_cycle_restores_complete_aggregation() {
         let mid_stats = mid_inner.subtree_stats().unwrap().unwrap();
         let down_inner = down.borrow().clone().expect("down query was issued");
         let down_stats = down_inner.subtree_stats().unwrap().unwrap();
-        let trace: String = w.trace.entries().iter().map(|e| format!("{e}\n")).collect();
+        let trace = w.trace.text().to_owned();
         (w, mid_stats, down_stats, complete, trace)
     };
 
@@ -208,7 +208,7 @@ fn root_failure_promotes_successor_and_preserves_budgets() {
     }
 
     // All three root services migrated, and the managers re-pushed.
-    let trace: String = w.trace.entries().iter().map(|e| format!("{e}\n")).collect();
+    let trace = w.trace.text();
     assert!(trace.contains("migrated power-manager-cluster to rank1"));
     assert!(trace.contains("migrated power-manager-job to rank1"));
     assert!(trace.contains("migrated power-monitor-root-agent to rank1"));

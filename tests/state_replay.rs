@@ -147,7 +147,7 @@ fn full_instance_death_replays_to_precrash_state() {
         w.state.snapshots_taken() >= 1,
         "t=20 periodic snapshot landed before the crash"
     );
-    let trace: String = w.trace.entries().iter().map(|e| format!("{e}\n")).collect();
+    let trace = w.trace.text();
     assert!(
         trace.contains("failed with no live successor"),
         "instance death traced:\n{trace}"
@@ -179,7 +179,7 @@ fn full_instance_death_replays_to_precrash_state() {
     let mut eng2: FluxEngine = Engine::new();
     assert!(w.recover_node(&mut eng2, NodeId(1)));
     assert_eq!(w.root(), Rank(1), "first recovered rank becomes root");
-    let trace: String = w.trace.entries().iter().map(|e| format!("{e}\n")).collect();
+    let trace = w.trace.text();
     assert!(trace.contains("instance resurrected with rank1 as root"));
     for name in [CLUSTER_MANAGER, JOB_MANAGER, ROOT_AGENT] {
         assert!(
