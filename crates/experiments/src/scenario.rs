@@ -209,11 +209,18 @@ impl Scenario {
     ///
     /// Panics when the world refuses a static cap or the shard context.
     pub fn build(&self) -> (World, FluxEngine, Option<Rc<RefCell<ClusterLevelManager>>>) {
+        self.build_with(self.trace.map_or_else(Trace::disabled, Trace::enabled))
+    }
+
+    /// [`Scenario::build`], recording into `trace` in place of the trace
+    /// `self.trace` names: the storm's hashed trace keeps no text.
+    pub(crate) fn build_with(
+        &self,
+        trace: Trace,
+    ) -> (World, FluxEngine, Option<Rc<RefCell<ClusterLevelManager>>>) {
         let mut world = World::new(self.machine, self.nnodes, self.seed);
         let mut eng: FluxEngine = Engine::new();
-        if let Some(level) = self.trace {
-            world.trace = Trace::enabled(level);
-        }
+        world.trace = trace;
         if let Some((shard, shards)) = self.shard {
             if let Err(e) = self.enable_sharding(&mut world, shard, shards) {
                 panic!("scenario: cannot build shard {shard} of {shards}: {e}");

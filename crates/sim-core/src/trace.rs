@@ -1,10 +1,14 @@
 //! Lightweight simulation tracing.
 //!
-//! The trace is its text: one `String` of rendered lines, each
-//! `[{at} {level:?} {subsystem}] {message}\n`, beside a compact index of
-//! where each line sits. Debugging the broker/TBON layer relies on it,
-//! the goldens under `tests/golden/` pin its bytes, and the chaos storm
-//! hashes them. [`Trace::emit`] takes [`fmt::Arguments`] and formats
+//! A trace renders each kept record as one line,
+//! `[{at} {level:?} {subsystem}] {message}\n`, and folds the line's bytes
+//! into a running 64-bit FNV-1a digest. A kept trace
+//! ([`Trace::enabled`]) also keeps the text, beside a compact index of
+//! where each line sits: debugging the broker/TBON layer relies on it,
+//! and the goldens under `tests/golden/` pin its bytes. A hashed trace
+//! ([`Trace::hashed`]) renders each line into one reused buffer, folds
+//! it, counts it and drops it, so a long run that only compares digests
+//! holds no text. [`Trace::emit`] takes [`fmt::Arguments`] and formats
 //! nothing for a level the filter drops, so a world that keeps no trace
 //! builds no strings. Events already execute on one logical thread, so
 //! no synchronization is needed.
@@ -59,12 +63,42 @@ struct Line {
     level: TraceLevel,
 }
 
-/// An append-only trace buffer with a level filter.
-#[derive(Debug, Default)]
+/// 64-bit FNV-1a offset basis: the digest of no bytes.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold `bytes` into the 64-bit FNV-1a digest `hash`.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// An append-only trace with a level filter. Every kept line is folded
+/// into [`Trace::digest`] and counted by [`Trace::len`]; only a trace
+/// built by [`Trace::enabled`] also keeps the text.
+#[derive(Debug)]
 pub struct Trace {
+    /// Every kept line, or, in the hashed form, the line being rendered.
     text: String,
+    /// One record per line of `text`; empty in the hashed form.
     lines: Vec<Line>,
     min_level: Option<TraceLevel>,
+    keep_text: bool,
+    digest: u64,
+    count: usize,
+}
+
+impl Default for Trace {
+    fn default() -> Self {
+        Trace {
+            text: String::new(),
+            lines: Vec::new(),
+            min_level: None,
+            keep_text: true,
+            digest: FNV_OFFSET,
+            count: 0,
+        }
+    }
 }
 
 impl Trace {
@@ -73,11 +107,21 @@ impl Trace {
         Trace::default()
     }
 
-    /// A trace recording entries at or above `level`.
+    /// A trace keeping the text of every entry at or above `level`.
     pub fn enabled(level: TraceLevel) -> Self {
         Trace {
             min_level: Some(level),
             ..Trace::default()
+        }
+    }
+
+    /// A trace that accepts what [`Trace::enabled`] does and renders
+    /// every line the same way, but keeps only its digest and count:
+    /// [`Trace::text`] stays empty and [`Trace::entries`] yields nothing.
+    pub fn hashed(level: TraceLevel) -> Self {
+        Trace {
+            keep_text: false,
+            ..Trace::enabled(level)
         }
     }
 
@@ -86,12 +130,13 @@ impl Trace {
         self.min_level.is_some_and(|min| level >= min)
     }
 
-    /// Record a line, written straight into the text; `message` is not
-    /// formatted at all when the level is filtered out or tracing is off.
+    /// Record a line: render it, fold it into the digest and, in a kept
+    /// trace, leave it in the text. `message` is not formatted at all
+    /// when the level is filtered out or tracing is off.
     ///
     /// # Panics
     ///
-    /// If one line exceeds 4 GiB or its subsystem tag 64 KiB.
+    /// If a kept trace's line exceeds 4 GiB or its subsystem tag 64 KiB.
     pub fn emit(
         &mut self,
         at: SimTime,
@@ -109,6 +154,12 @@ impl Trace {
         let prefix = self.text.len() - start;
         let _ = self.text.write_fmt(message);
         self.text.push('\n');
+        self.digest = fnv1a(self.digest, &self.text.as_bytes()[start..]);
+        self.count += 1;
+        if !self.keep_text {
+            self.text.clear();
+            return;
+        }
         let (Ok(prefix), Ok(len)) = (
             u16::try_from(prefix),
             u32::try_from(self.text.len() - start),
@@ -127,13 +178,25 @@ impl Trace {
         });
     }
 
-    /// Every recorded line, one rendered entry per line, in emission
-    /// order.
+    /// Every kept line, one rendered entry per line, in emission order;
+    /// empty for a hashed trace.
     pub fn text(&self) -> &str {
         &self.text
     }
 
-    /// Views of every recorded entry, in emission order.
+    /// The kept text, moved out of the trace.
+    pub fn into_text(self) -> String {
+        self.text
+    }
+
+    /// 64-bit FNV-1a over every line recorded, in emission order: in a
+    /// kept trace, the digest of [`Trace::text`].
+    pub fn digest(&self) -> u64 {
+        self.digest
+    }
+
+    /// Views of every kept entry, in emission order; none for a hashed
+    /// trace.
     pub fn entries(&self) -> impl Iterator<Item = TraceEntry<'_>> + '_ {
         let mut start = 0;
         self.lines.iter().map(move |l| {
@@ -149,28 +212,22 @@ impl Trace {
         })
     }
 
-    /// Number of recorded entries.
+    /// Number of recorded entries, kept or hashed.
     pub fn len(&self) -> usize {
-        self.lines.len()
+        self.count
     }
 
     /// True if nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.lines.is_empty()
+        self.count == 0
     }
 
-    /// Entries from a given subsystem.
+    /// Kept entries from a given subsystem.
     pub fn for_subsystem<'a>(
         &'a self,
         subsystem: &'a str,
     ) -> impl Iterator<Item = TraceEntry<'a>> + 'a {
         self.entries().filter(move |e| e.subsystem == subsystem)
-    }
-
-    /// Drop all entries (keeps the filter).
-    pub fn clear(&mut self) {
-        self.text.clear();
-        self.lines.clear();
     }
 }
 
@@ -215,25 +272,118 @@ mod tests {
         );
         assert_eq!(calls.get(), 0, "a disabled trace formats nothing");
 
-        let mut tr = Trace::enabled(TraceLevel::Info);
-        tr.emit(
-            SimTime::ZERO,
-            TraceLevel::Debug,
-            "x",
-            format_args!("{}", Counted(&calls)),
-        );
-        assert_eq!(calls.get(), 0, "a filtered level formats nothing");
+        for (mut tr, text) in [
+            (Trace::enabled(TraceLevel::Info), "[0.000000s Info x] x\n"),
+            (Trace::hashed(TraceLevel::Info), ""),
+        ] {
+            calls.set(0);
+            tr.emit(
+                SimTime::ZERO,
+                TraceLevel::Debug,
+                "x",
+                format_args!("{}", Counted(&calls)),
+            );
+            assert_eq!(calls.get(), 0, "a filtered level formats nothing");
 
-        tr.emit(
-            SimTime::ZERO,
+            tr.emit(
+                SimTime::ZERO,
+                TraceLevel::Info,
+                "x",
+                format_args!("{}", Counted(&calls)),
+            );
+            assert_eq!(calls.get(), 1, "a kept line formats once");
+            assert_eq!(tr.text(), text);
+            assert_eq!(tr.digest(), oracle_fnv1a(b"[0.000000s Info x] x\n"));
+            assert_eq!(tr.entries().count(), text.lines().count());
+            assert_eq!(calls.get(), 1, "reading the trace formats nothing");
+        }
+    }
+
+    /// FNV-1a written out byte by byte, apart from the trace's fold.
+    fn oracle_fnv1a(bytes: &[u8]) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+        for &b in bytes {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        hash
+    }
+
+    /// An empty message, multi-byte UTF-8, a message holding `"] "`, an
+    /// empty subsystem, and one record the `Info` filter drops.
+    const EMITTED: [(SimTime, TraceLevel, &str, &str); 6] = [
+        (
+            SimTime::from_micros(1_500_000),
             TraceLevel::Info,
-            "x",
-            format_args!("{}", Counted(&calls)),
-        );
-        assert_eq!(calls.get(), 1, "a kept line formats once");
-        assert_eq!(tr.text(), "[0.000000s Info x] x\n");
-        assert_eq!(tr.entries().count(), 1);
-        assert_eq!(calls.get(), 1, "reading the trace formats nothing");
+            "tbon",
+            "",
+        ),
+        (
+            SimTime::from_micros(1_600_000),
+            TraceLevel::Debug,
+            "tbon",
+            "filtered out",
+        ),
+        (
+            SimTime::from_secs(2),
+            TraceLevel::Warn,
+            "opal",
+            "cap failed: 1200 W",
+        ),
+        (
+            SimTime::from_micros(7),
+            TraceLevel::Info,
+            "fpp",
+            "héllo — ✓ 🚀 über",
+        ),
+        (
+            SimTime::from_secs(3),
+            TraceLevel::Info,
+            "link",
+            "[x] ] then [y] ok]",
+        ),
+        (SimTime::from_secs(3), TraceLevel::Warn, "", "tagless"),
+    ];
+
+    #[test]
+    fn a_hashed_trace_keeps_the_kept_texts_digest_and_count() {
+        // The oracle against published FNV-1a 64 vectors.
+        assert_eq!(oracle_fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(oracle_fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+        let mut kept = Trace::enabled(TraceLevel::Info);
+        let mut hashed = Trace::hashed(TraceLevel::Info);
+        for tr in [&mut kept, &mut hashed] {
+            assert_eq!(tr.digest(), oracle_fnv1a(b""));
+            for (at, level, subsystem, message) in EMITTED {
+                tr.emit(at, level, subsystem, format_args!("{message}"));
+            }
+        }
+        assert_eq!(kept.len(), EMITTED.len() - 1);
+        assert_eq!(kept.digest(), oracle_fnv1a(kept.text().as_bytes()));
+        assert_eq!(hashed.digest(), kept.digest());
+        assert_eq!(hashed.len(), kept.len());
+        assert!(!hashed.is_empty());
+        assert_eq!(hashed.text(), "");
+        assert_eq!(hashed.entries().count(), 0);
+        assert_eq!(hashed.for_subsystem("tbon").count(), 0);
+        assert_eq!(hashed.into_text(), "");
+    }
+
+    #[test]
+    fn a_hashed_traces_line_buffer_is_bounded_by_its_longest_line() {
+        let mut tr = Trace::hashed(TraceLevel::Debug);
+        let pad = "y".repeat(300);
+        let mut longest = 0;
+        for i in 0..10_000_usize {
+            let message = &pad[..(i * 7919) % pad.len()];
+            let at = SimTime::from_micros(i as u64 * 1_000_003);
+            longest = longest.max(format!("[{at} Debug x] {message}\n").len());
+            tr.emit(at, TraceLevel::Debug, "x", format_args!("{message}"));
+            assert!(tr.text.capacity() <= 2 * longest, "after emit {i}");
+        }
+        assert_eq!(tr.len(), 10_000);
+        assert_eq!(tr.text(), "");
+        assert!(tr.lines.is_empty() && tr.lines.capacity() == 0);
     }
 
     #[test]
@@ -334,24 +484,5 @@ mod tests {
         assert!(tr.for_subsystem("tbon").all(|e| e.subsystem == "tbon"));
         assert_eq!(tr.for_subsystem("fpp").count(), 1);
         assert_eq!(tr.for_subsystem("opal").count(), 0);
-    }
-
-    #[test]
-    fn clear_keeps_filter() {
-        let mut tr = Trace::enabled(TraceLevel::Info);
-        tr.emit(SimTime::ZERO, TraceLevel::Info, "x", format_args!("a"));
-        tr.clear();
-        assert!(tr.is_empty());
-        assert_eq!(tr.text(), "");
-        assert!(tr.accepts(TraceLevel::Info));
-        assert!(!tr.accepts(TraceLevel::Debug));
-        tr.emit(
-            SimTime::ZERO,
-            TraceLevel::Debug,
-            "x",
-            format_args!("dropped"),
-        );
-        tr.emit(SimTime::ZERO, TraceLevel::Warn, "x", format_args!("b"));
-        assert_eq!(tr.text(), "[0.000000s Warn x] b\n");
     }
 }

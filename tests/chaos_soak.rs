@@ -10,8 +10,9 @@
 //! `storm` asserts its invariants every simulated second (root attached
 //! and alive, every attached rank reachable and acyclic, topology epoch
 //! monotone) and once the world halts. The tests below add what only the
-//! trace text shows, pin outcomes, and demand that a storm replay
-//! byte-for-byte from its seed.
+//! trace text shows, pin outcomes, demand that a storm replay
+//! byte-for-byte from its seed, and hold the hashed trace `storm` keeps
+//! to the text `storm_trace` keeps.
 
 use fluxpm::experiments::chaos::{storm, storm_trace, StormConfig, StormOutcome};
 use fluxpm::sim::TraceLevel;
@@ -105,6 +106,34 @@ fn congestion_storm_128_ranks_converges_and_replays() {
     assert_eq!(first, storm(&cfg), "same-seed congestion storms must agree");
     let pin = (first.trace_hash, first.trace_lines, first.halted_at_us);
     assert_eq!(pin, (0x4ecb_eae1_e12e_1a22, 5425, 140_000_000));
+}
+
+/// 64-bit FNV-1a of `text`, written out apart from the trace's digest.
+fn fnv1a(text: &str) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    for &b in text.as_bytes() {
+        hash = (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+    }
+    hash
+}
+
+/// `storm` keeps only its trace's digest and `storm_trace` keeps the
+/// text: both must return the same outcome, and the digest must be the
+/// FNV-1a of that text. The 16-rank soaks at `Debug` (every hop) and the
+/// 128-rank congested storm pinned above; CI's release congestion step
+/// runs this test through the `congestion` in its name.
+#[test]
+fn hashed_storm_matches_kept_text_plain_and_under_congestion() {
+    let soaks = [11, 29, 47, 64].map(|seed| StormConfig {
+        trace_level: TraceLevel::Debug,
+        ..StormConfig::new(16, seed)
+    });
+    for cfg in soaks.into_iter().chain([StormConfig::congested(128, 7)]) {
+        let (kept, text) = storm_trace(&cfg);
+        assert_eq!(storm(&cfg), kept, "{cfg:?}");
+        assert_eq!(fnv1a(&text), kept.trace_hash, "{cfg:?}");
+        assert_eq!(text.lines().count(), kept.trace_lines, "{cfg:?}");
+    }
 }
 
 /// Long-horizon soak: ten minutes of simulated churn at 128 ranks.
