@@ -203,8 +203,8 @@ impl RunReport {
 }
 
 /// The run's sensor scans, held as columns: one timestamp per scan,
-/// shared by every node, and per node one flat run of values, the same
-/// count each scan.
+/// shared by every node, and per node a run of values, the same count
+/// each scan, in chunks of 64 scans.
 ///
 /// A node's values are laid out scan after scan in the order of a
 /// [`NodePowerSample`]: the node reading (if the node has one), one per
@@ -219,14 +219,21 @@ pub struct Timeline {
     nodes: Vec<NodeColumn>,
 }
 
+/// Scans per chunk of a node's column. A column grows a chunk at a
+/// time, so it never copies what it holds and keeps at most one chunk's
+/// spare room (4 KiB for a Lassen node) where a doubling `Vec` kept up to
+/// half of all it held.
+const CHUNK_SCANS: usize = 64;
+
 /// One node's scans.
 #[derive(Debug, Clone, PartialEq)]
 struct NodeColumn {
     hostname: Arc<str>,
     /// What each of the node's readings holds; `None` until the first.
     shape: Option<Shape>,
-    /// `shape.width()` values per scan.
-    values: Vec<f64>,
+    /// `shape.width()` values per scan, [`CHUNK_SCANS`] scans per chunk:
+    /// scan `k` is in chunk `k / CHUNK_SCANS`.
+    chunks: Vec<Vec<f64>>,
 }
 
 /// Which values a node's sensor reading holds.
@@ -275,7 +282,7 @@ impl Timeline {
                 .map(|hostname| NodeColumn {
                     hostname,
                     shape: None,
-                    values: Vec::new(),
+                    chunks: Vec::new(),
                 })
                 .collect(),
         }
@@ -290,6 +297,7 @@ impl Timeline {
         timestamp_us: u64,
         readings: impl IntoIterator<Item = SensorReading>,
     ) {
+        let new_chunk = self.timestamps_us.len().is_multiple_of(CHUNK_SCANS);
         self.timestamps_us.push(timestamp_us);
         let mut count = 0;
         for (column, r) in self.nodes.iter_mut().zip(readings) {
@@ -300,10 +308,17 @@ impl Timeline {
                 "{}: a reading's shape changed mid-run, from {first:?} to {shape:?}",
                 column.hostname
             );
-            column.values.extend(r.node.map(|w| w.get()));
-            column.values.extend(r.cpu.iter().map(|w| w.get()));
-            column.values.extend(r.memory.map(|w| w.get()));
-            column.values.extend(r.gpu.iter().map(|w| w.get()));
+            if new_chunk {
+                column
+                    .chunks
+                    .push(Vec::with_capacity(CHUNK_SCANS * shape.width()));
+            }
+            // invariant: the first scan opens a chunk.
+            let values = column.chunks.last_mut().expect("a chunk per scan");
+            values.extend(r.node.map(|w| w.get()));
+            values.extend(r.cpu.iter().map(|w| w.get()));
+            values.extend(r.memory.map(|w| w.get()));
+            values.extend(r.gpu.iter().map(|w| w.get()));
             count += 1;
         }
         assert_eq!(count, self.nodes.len(), "a scan reads every node");
@@ -349,10 +364,10 @@ impl Timeline {
         // A node has a shape from the first scan on: with no scan there
         // is nothing to cut.
         let width = column.shape.unwrap_or_default().width();
-        self.timestamps_us
-            .iter()
-            .enumerate()
-            .map(move |(k, &t)| (t, &column.values[k * width..(k + 1) * width]))
+        self.timestamps_us.iter().enumerate().map(move |(k, &t)| {
+            let at = k % CHUNK_SCANS * width;
+            (t, &column.chunks[k / CHUNK_SCANS][at..at + width])
+        })
     }
 }
 
@@ -496,7 +511,7 @@ mod report_tests {
 
 #[cfg(test)]
 mod timeline_tests {
-    use super::Timeline;
+    use super::{Timeline, CHUNK_SCANS};
     use fluxpm_hw::{lassen, tioga, NodeArch, NodeHardware, NodeId, SensorReading};
     use fluxpm_variorum::NodePowerSample;
     use std::sync::Arc;
@@ -546,9 +561,38 @@ mod timeline_tests {
     fn a_lassen_scan_is_eight_values_and_one_timestamp() {
         let (timeline, _) = two_nodes(7);
         assert_eq!(timeline.timestamps_us.len(), 7);
-        assert_eq!(timeline.nodes[0].values.len(), 7 * 8, "Lassen");
+        let values = |i: usize| timeline.nodes[i].chunks.iter().map(Vec::len).sum::<usize>();
+        assert_eq!(values(0), 7 * 8, "Lassen");
         // Tioga: one socket and four OAM groups.
-        assert_eq!(timeline.nodes[1].values.len(), 7 * 5, "Tioga");
+        assert_eq!(values(1), 7 * 5, "Tioga");
+    }
+
+    #[test]
+    fn a_column_grows_a_chunk_at_a_time_and_never_moves() {
+        let scans = 2 * CHUNK_SCANS + 3;
+        let (timeline, nodes) = two_nodes(scans);
+        for (i, width) in [(0, 8), (1, 5)] {
+            let chunks = &timeline.nodes[i].chunks;
+            assert_eq!(chunks.len(), 3);
+            assert!(chunks.iter().all(|c| c.capacity() == CHUNK_SCANS * width));
+            assert_eq!(chunks[2].len(), 3 * width, "the last chunk holds the rest");
+        }
+        // Scans read back across chunk ends as they were recorded.
+        let got: Vec<NodePowerSample> = timeline.node(0).collect();
+        for (k, (sample, r)) in got.iter().zip(&nodes[0]).enumerate() {
+            let want = NodePowerSample::from_reading("lassen1", 2_000_000 * (k as u64 + 1), r);
+            assert_eq!(*sample, want, "scan {k}");
+        }
+        // A new chunk leaves the ones before it where they were.
+        let mut timeline = Timeline::new([Arc::from("lassen1")]);
+        let lassen = readings(lassen(), CHUNK_SCANS + 1);
+        timeline.record(0, [lassen[0]]);
+        let first = timeline.nodes[0].chunks[0].as_ptr();
+        for (k, &r) in lassen.iter().enumerate().skip(1) {
+            timeline.record(k as u64, [r]);
+        }
+        assert_eq!(timeline.nodes[0].chunks.len(), 2);
+        assert_eq!(timeline.nodes[0].chunks[0].as_ptr(), first);
     }
 
     #[test]

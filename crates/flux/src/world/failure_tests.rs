@@ -924,3 +924,64 @@ fn link_monitor_reparents_sustained_congestion_exactly_once() {
         uplink.ewma_delay_us
     );
 }
+
+#[test]
+fn link_monitor_waits_out_its_cooldown_before_a_second_reparent() {
+    let (mut w, mut eng) = world(7);
+    w.trace = fluxpm_sim::Trace::enabled(TraceLevel::Warn);
+    // Congest rank 3's uplink (the 1–3 edge) and the one it re-parents
+    // onto (0–3, the grandparent's), so the new uplink turns hot too.
+    let hot = SimTime::ZERO..SimTime::from_secs(5);
+    w.install_fault_plan(
+        FaultPlan::uniform(0.0, SimDuration::ZERO)
+            .with_congestion(Rank(1), Rank(3), hot.clone(), 0.999)
+            .with_congestion(Rank(0), Rank(3), hot, 0.999),
+    );
+    let cfg = LinkHealthConfig {
+        window: SimDuration::from_millis(100),
+        hot_delay_us: 50,
+        min_crossings: 2,
+        trigger_windows: 3,
+        cooldown_windows: 5,
+        ..LinkHealthConfig::default()
+    };
+    w.schedule_link_monitor(&mut eng, cfg);
+    eng.schedule_every(
+        SimTime::ZERO,
+        SimDuration::from_millis(10),
+        |w: &mut World, eng| {
+            if eng.now() >= SimTime::from_secs(3) {
+                return ControlFlow::Break(());
+            }
+            let m = Message::event(Rank(3), Rank(0), "e.tick", payload(()));
+            w.send(eng, m);
+            ControlFlow::Continue(())
+        },
+    );
+    eng.schedule(SimTime::from_secs(4), |w: &mut World, _| w.halted = true);
+    eng.run(&mut w);
+    let reparents: Vec<SimTime> = w
+        .trace
+        .for_subsystem("link")
+        .filter(|e| e.message.starts_with("congestion: re-parented rank3"))
+        .map(|e| e.at)
+        .collect();
+    assert!(
+        reparents.len() >= 2,
+        "the new uplink is congested too, so it is left in turn: {reparents:?}"
+    );
+    assert_eq!(w.congestion_reparent_count(), reparents.len() as u64);
+    // After a re-parent the detector sits out `cooldown_windows` windows
+    // and then needs `trigger_windows` hot ones before the next.
+    let quiet = SimDuration::from_micros(
+        cfg.window.as_micros() * u64::from(cfg.cooldown_windows + cfg.trigger_windows),
+    );
+    for pair in reparents.windows(2) {
+        assert!(
+            pair[1] - pair[0] >= quiet,
+            "re-parented at {} and again at {}, inside the cooldown",
+            pair[0],
+            pair[1]
+        );
+    }
+}

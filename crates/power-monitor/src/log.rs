@@ -14,6 +14,10 @@
 //! holds at most `capacity + 2 × PAGE` records: the live ones, an evicted
 //! prefix of the oldest page, and the open page.
 //!
+//! A stats query folds its window's node power ([`PagedLog::window_fold`]).
+//! A sealed log keeps the fold of the last window it summed, so a job's
+//! growing window adds only the records past it.
+//!
 //! [`Runs`] is generic over what the pages hold: a subscriber hub's poll
 //! reply is runs of the relay batches it was sent.
 
@@ -46,17 +50,53 @@ type Page = Arc<[PowerRecord]>;
 /// No sealed page yet.
 static NO_PAGES: VecDeque<(u64, Page)> = VecDeque::new();
 
+/// What a log keeps once it has sealed a page.
+#[derive(Default)]
+struct Sealed {
+    /// Sealed pages, oldest first, each beside its newest timestamp so a
+    /// search over pages reads this deque alone.
+    pages: VecDeque<(u64, Page)>,
+    /// The fold of the last window summed, by absolute record number
+    /// (records ever pushed before it): `start..end` and its fold.
+    last: Option<(Range<u64>, Fold)>,
+}
+
+/// The node power of a window's records, folded oldest first.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Fold {
+    pub(crate) samples: usize,
+    pub(crate) sum: f64,
+    pub(crate) max: f64,
+    pub(crate) min: f64,
+}
+
+impl Fold {
+    /// Nothing folded yet.
+    pub(crate) const EMPTY: Fold = Fold {
+        samples: 0,
+        sum: 0.0,
+        max: f64::NEG_INFINITY,
+        min: f64::INFINITY,
+    };
+
+    /// Fold in the next record's node power.
+    pub(crate) fn add(&mut self, p: f64) {
+        self.samples += 1;
+        self.sum += p;
+        self.max = self.max.max(p);
+        self.min = self.min.min(p);
+    }
+}
+
 /// A fixed-capacity log of power records with overwrite accounting: the
 /// same contract as a [`crate::RingBuffer`] of records, stored in shared
 /// pages (see the module docs).
 pub(crate) struct PagedLog {
-    /// Sealed pages, oldest first, each beside its newest timestamp so a
-    /// search over pages reads this deque alone. Absent until the first
-    /// seal: most agents of a large fleet never fill one, and an empty
-    /// deque inline would cost each of them 24 bytes more than this
+    /// The sealed pages and the last window's fold. Absent until the
+    /// first seal: most agents of a large fleet never fill a page, and
+    /// both inline would cost each of them 80 bytes more than this
     /// pointer.
-    #[allow(clippy::box_collection)]
-    sealed: Option<Box<VecDeque<(u64, Page)>>>,
+    sealed: Option<Box<Sealed>>,
     /// The open page's records, oldest first; it is sealed on reaching
     /// [`PAGE`] records.
     open: Vec<PowerRecord>,
@@ -138,7 +178,7 @@ impl PagedLog {
     }
 
     fn pages(&self) -> &VecDeque<(u64, Page)> {
-        self.sealed.as_deref().unwrap_or(&NO_PAGES)
+        self.sealed.as_deref().map_or(&NO_PAGES, |s| &s.pages)
     }
 
     /// Records held as records, ahead of the unshared pending ones,
@@ -227,7 +267,8 @@ impl PagedLog {
     fn evict(&mut self) {
         let at = self.head;
         self.head += 1;
-        let bytes = match self.sealed.as_deref_mut().filter(|p| !p.is_empty()) {
+        let pages = self.sealed.as_deref_mut().map(|s| &mut s.pages);
+        let bytes = match pages.filter(|p| !p.is_empty()) {
             Some(pages) => {
                 let bytes = pages[0].1[at].stored_bytes();
                 if self.head == PAGE {
@@ -310,6 +351,7 @@ impl PagedLog {
         let newest = page[PAGE - 1].timestamp_us();
         self.sealed
             .get_or_insert_default()
+            .pages
             .push_back((newest, page));
     }
 
@@ -347,17 +389,52 @@ impl PagedLog {
             .map(|r| (r.timestamp_us(), r.node_power_estimate()))
     }
 
-    /// The node power of the live records whose timestamp lies in
-    /// `lo..=hi`, oldest first, read beside the records without sharing
-    /// any: the packed records' first, then the pending ones'. Two parts,
-    /// not one chained iterator, so a caller walks each in a loop of its
-    /// own.
-    pub(crate) fn window_power(
-        &self,
-        lo: u64,
-        hi: u64,
-    ) -> (impl Iterator<Item = f64> + '_, &[f64]) {
+    /// The fold of the node power of the live records whose timestamp
+    /// lies in `lo..=hi`, oldest first.
+    ///
+    /// A sealed log keeps the fold of the last window it summed. A window
+    /// that starts at the same record and ends at or past that one's end
+    /// adds only the records past it, in the same order, so the fold has
+    /// the same bits as one from scratch. Any other window — a new start,
+    /// an evicted one, an earlier end — is folded from scratch.
+    pub(crate) fn window_fold(&mut self, lo: u64, hi: u64) -> Fold {
         let window = self.find(lo, hi);
+        // Position `p` is record number `dropped + p`: every record ever
+        // pushed is held but for the pages dropped whole.
+        let held = self.packed() + self.pending.unshared().len();
+        let dropped = self.pushed - held as u64;
+        let span = dropped + window.start as u64..dropped + window.end as u64;
+        let (from, fold) = match self.sealed.as_deref().and_then(|s| s.last.clone()) {
+            Some((last, fold)) if last.start == span.start && last.end <= span.end => {
+                ((last.end - dropped) as usize, fold)
+            }
+            _ => (window.start, Fold::EMPTY),
+        };
+        let fold = self.fold_in(from..window.end, fold);
+        if let Some(sealed) = self.sealed.as_deref_mut() {
+            sealed.last = Some((span, fold));
+        }
+        fold
+    }
+
+    /// `fold` with the node power of the records at the positions
+    /// `window` added, oldest first: the packed records', then the
+    /// pending ones', each read in a loop of its own.
+    fn fold_in(&self, window: Range<usize>, mut fold: Fold) -> Fold {
+        let (packed, pending) = self.power_in(window);
+        for p in packed {
+            fold.add(p);
+        }
+        for &p in pending {
+            fold.add(p);
+        }
+        fold
+    }
+
+    /// The node power of the live records at the positions `window`,
+    /// oldest first, read beside the records without sharing any: the
+    /// packed records' first, then the pending ones'.
+    fn power_in(&self, window: Range<usize>) -> (impl Iterator<Item = f64> + '_, &[f64]) {
         let p = &self.pending;
         let unshared = part(&window, self.packed(), self.packed() + p.unshared().len());
         let pending = &p.node_w[unshared.start + p.shared..unshared.end + p.shared];
@@ -726,9 +803,9 @@ mod tests {
         log
     }
 
-    /// Both parts of [`PagedLog::window_power`], in order.
+    /// Both parts of [`PagedLog::power_in`] for a window, in order.
     fn window_power(log: &PagedLog, lo: u64, hi: u64) -> Vec<f64> {
-        let (packed, pending) = log.window_power(lo, hi);
+        let (packed, pending) = log.power_in(log.find(lo, hi));
         packed.chain(pending.iter().copied()).collect()
     }
 
@@ -880,6 +957,88 @@ mod tests {
                 let power: Vec<f64> = scanned.iter().map(|t| (t % 1000) as f64).collect();
                 prop_assert_eq!(window_power(&log, start, end), power);
                 prop_assert_eq!(timestamps(&log.share(start, end)), scanned);
+            }
+        }
+    }
+
+    /// A job's stats query as its life drives it: samples arrive, and the
+    /// window keeps its start while its end moves on or back, or starts
+    /// afresh elsewhere.
+    #[derive(Debug, Clone)]
+    enum FoldOp {
+        Tick(u64),
+        /// This many samples, a microsecond apart: enough, between two
+        /// queries, to drop a page and move the head back to where the
+        /// last window started.
+        Burst(u64),
+        Extend(u64),
+        Shrink(u64),
+        Restart(u64, u64),
+    }
+
+    fn fold_op_strategy() -> impl Strategy<Value = FoldOp> {
+        prop_oneof![
+            8 => (0u64..5).prop_map(FoldOp::Tick),
+            2 => (0u64..40).prop_map(FoldOp::Burst),
+            4 => (0u64..12).prop_map(FoldOp::Extend),
+            1 => (1u64..12).prop_map(FoldOp::Shrink),
+            1 => (0u64..200, 0u64..40).prop_map(|(lo, width)| FoldOp::Restart(lo, lo + width)),
+        ]
+    }
+
+    /// A sample whose node power is not a whole number of watts, so a sum
+    /// taken in another order would show in its bits.
+    fn fractional(ts: u64) -> NodePowerSample {
+        NodePowerSample {
+            power_node_watts: Some((ts * 7919 % 1000) as f64 / 7.0 + 0.1),
+            ..sample(ts)
+        }
+    }
+
+    proptest! {
+        /// Whatever the log kept of the last window it summed, every stats
+        /// fold has the bits of a fresh sequential fold of the records a
+        /// ring of the same capacity holds in the window: over a growing
+        /// end, a shrinking end, a moved start, and a start evicted
+        /// between two queries (capacities a page or two, so pages are
+        /// sealed and dropped).
+        #[test]
+        fn a_kept_fold_matches_a_fresh_one(
+            capacity in 1usize..40,
+            ops in prop::collection::vec(fold_op_strategy(), 0..300),
+        ) {
+            let mut log = PagedLog::new(capacity);
+            let mut ring: RingBuffer<PowerRecord> = RingBuffer::new(capacity);
+            let (mut now, mut lo, mut hi) = (0u64, 0u64, 0u64);
+            for op in &ops {
+                let mut push = |dt: u64| {
+                    now += dt;
+                    log.push_sample(&fractional(now));
+                    ring.push(PowerRecord::new(fractional(now)));
+                };
+                match *op {
+                    FoldOp::Tick(dt) => {
+                        push(dt);
+                        continue;
+                    }
+                    FoldOp::Burst(n) => {
+                        (0..n).for_each(|_| push(1));
+                        continue;
+                    }
+                    FoldOp::Extend(d) => hi += d,
+                    FoldOp::Shrink(d) => hi = hi.saturating_sub(d),
+                    FoldOp::Restart(l, h) => (lo, hi) = (l, h),
+                }
+                let mut fresh = Fold::EMPTY;
+                for r in ring.iter().filter(|r| (lo..=hi).contains(&r.timestamp_us())) {
+                    fresh.add(r.node_power_estimate());
+                }
+                let got = log.window_fold(lo, hi);
+                let bits = |f: Fold| {
+                    let mean = f.sum / f.samples as f64;
+                    (f.samples, mean.to_bits(), f.max.to_bits(), f.min.to_bits())
+                };
+                prop_assert_eq!(bits(got), bits(fresh), "window {}..={}", lo, hi);
             }
         }
     }

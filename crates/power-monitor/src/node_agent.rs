@@ -193,36 +193,22 @@ impl NodeAgent {
     }
 
     /// Summary statistics for a window from this agent's buffer (shared
-    /// by the direct stats query and the in-tree reduction).
-    pub(crate) fn local_stats(&self, start_us: u64, end_us: u64) -> NodeStats {
-        let mut samples = 0usize;
-        let mut sum = 0.0;
-        let mut max = f64::NEG_INFINITY;
-        let mut min = f64::INFINITY;
-        let mut add = |p: f64| {
-            samples += 1;
-            sum += p;
-            max = max.max(p);
-            min = min.min(p);
-        };
-        let (packed, pending) = self.log.window_power(start_us, end_us);
-        for p in packed {
-            add(p);
-        }
-        for &p in pending {
-            add(p);
-        }
+    /// by the direct stats query and the in-tree reduction). The log
+    /// folds a job's growing window once per record.
+    pub(crate) fn local_stats(&mut self, start_us: u64, end_us: u64) -> NodeStats {
+        let fold = self.log.window_fold(start_us, end_us);
         let complete = self.window_complete(start_us);
+        let samples = fold.samples;
         NodeStats {
             hostname: Arc::clone(&self.scratch.hostname),
             samples,
             mean_w: if samples == 0 {
                 0.0
             } else {
-                sum / samples as f64
+                fold.sum / samples as f64
             },
-            max_w: if samples == 0 { 0.0 } else { max },
-            min_w: if samples == 0 { 0.0 } else { min },
+            max_w: if samples == 0 { 0.0 } else { fold.max },
+            min_w: if samples == 0 { 0.0 } else { fold.min },
             complete,
         }
     }
@@ -263,7 +249,7 @@ impl NodeAgent {
     }
 
     /// Answer a window stats query.
-    fn answer_stats(&self, ctx: &mut ModuleCtx<'_>, msg: &Message, req: NodeDataRequest) {
+    fn answer_stats(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message, req: NodeDataRequest) {
         let stats = self.local_stats(req.start_us, req.end_us);
         ctx.world
             .respond(ctx.eng, msg, MonitorReply::NodeStats(stats).encode());

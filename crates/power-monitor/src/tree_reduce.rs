@@ -237,7 +237,7 @@ fn issue_child(
 /// deadline handler re-fans to the re-parented children); only its own
 /// samples stay missing.
 pub fn handle_subtree_stats(
-    agent: &NodeAgent,
+    agent: &mut NodeAgent,
     ctx: &mut ModuleCtx<'_>,
     msg: &Message,
     req: &SubtreeStatsRequest,

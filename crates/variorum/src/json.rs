@@ -17,6 +17,7 @@
 //! shape (string values for `hostname`, floats for everything else).
 
 use fluxpm_hw::{Lanes, SensorReading, Watts};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A parsed/constructed node power sample (the paper's telemetry record).
@@ -131,48 +132,266 @@ impl NodePowerSample {
     /// order (and however sparsely) the keys appear; an object with more
     /// than [`Lanes::CAPACITY`] socket or GPU keys is not a node this
     /// stack models and parses to `None`.
+    ///
+    /// A member runs to the first comma outside double quotes, and its
+    /// key to the member's first colon; blanks (`char::is_whitespace`)
+    /// around either are dropped, and double quotes around a key or the
+    /// hostname. It is one scan over bytes: a member as the writer writes
+    /// it is read where it stands, its key matched as a byte literal and
+    /// its value read digit by digit; any other member is cut out first.
+    /// Every reading has the bits `str::parse::<f64>` gives.
     pub fn from_json(s: &str) -> Option<NodePowerSample> {
-        let body = s.trim().strip_prefix('{')?.strip_suffix('}')?;
-        let mut hostname = "";
+        let b = s.as_bytes();
+        let object = trim(s, 0..b.len());
+        if object.len() < 2 || b[object.start] != b'{' || b[object.end - 1] != b'}' {
+            return None;
+        }
+        let body = &b[..object.end - 1];
+        let mut hostname = 0..0;
         let mut timestamp_us = 0u64;
         let mut node = None;
         let mut mem = None;
         let mut cpu = IndexedLanes::default();
         let mut gpu = IndexedLanes::default();
 
-        for pair in split_top_level(body) {
-            let (k, v) = pair.split_once(':')?;
-            let key = k.trim().trim_matches('"');
-            let val = v.trim();
-            match key {
-                "hostname" => hostname = val.trim_matches('"'),
-                "timestamp_us" => {
-                    // Accept both integer (current writer) and float
-                    // (older encodings) forms.
-                    timestamp_us = match val.parse::<u64>() {
-                        Ok(t) => t,
-                        Err(_) => val.parse::<f64>().ok()? as u64,
-                    }
-                }
-                "power_node_watts" => node = Some(val.parse().ok()?),
-                "power_mem_watts" => mem = Some(val.parse().ok()?),
-                _ => {
-                    if let Some(idx) = key.strip_prefix("power_cpu_watts_socket_") {
-                        cpu.insert(idx.parse().ok()?, val.parse().ok()?)?;
-                    } else if let Some(idx) = key.strip_prefix("power_gpu_watts_") {
-                        gpu.insert(idx.parse().ok()?, val.parse().ok()?)?;
-                    }
-                }
+        // A comma that ends the body ends no empty member after it.
+        let mut at = object.start + 1;
+        while at < body.len() {
+            let (field, next) = match written(body, at) {
+                Some(read) => read,
+                None => member(&s[..body.len()], at)?,
+            };
+            match field {
+                Field::Hostname(range) => hostname = range,
+                Field::Timestamp(t) => timestamp_us = t,
+                Field::Node(w) => node = Some(w),
+                Field::Mem(w) => mem = Some(w),
+                Field::Cpu(i, w) => cpu.insert(i, w)?,
+                Field::Gpu(i, w) => gpu.insert(i, w)?,
+                Field::Other => {}
             }
+            at = next;
         }
         Some(NodePowerSample {
-            hostname: Arc::from(hostname),
+            hostname: Arc::from(&s[hostname]),
             timestamp_us,
             power_node_watts: node,
             power_cpu_watts: cpu.values,
             power_mem_watts: mem,
             power_gpu_watts: gpu.values,
         })
+    }
+}
+
+/// One member of an object, read.
+enum Field {
+    /// Where the hostname's bytes are.
+    Hostname(Range<usize>),
+    Timestamp(u64),
+    Node(f64),
+    Mem(f64),
+    Cpu(usize, f64),
+    Gpu(usize, f64),
+    /// A key this stack does not read.
+    Other,
+}
+
+/// The member of `body` at `at` if it is as the writer writes it — a
+/// key of the writer's as a literal in double quotes, a colon, and a
+/// value [`fixed`] or [`digits`] reads whole or a hostname in double
+/// quotes, then a comma or the end — read where it stands; and where the
+/// next member starts. `None` for any other member, which [`member`]
+/// reads; what this reads, [`member`] reads the same.
+fn written(body: &[u8], at: usize) -> Option<(Field, usize)> {
+    let after = |at: usize, literal: &[u8]| {
+        body.get(at..)?
+            .starts_with(literal)
+            .then_some(at + literal.len())
+    };
+    let key = after(at, b"\"")?;
+    let (field, to) = if let Some(at) = after(key, b"power_") {
+        if let Some(at) = after(at, b"cpu_watts_socket_") {
+            let (i, at) = digits(body, at)?;
+            let (w, to) = fixed(body, after(at, b"\":")?)?;
+            (Field::Cpu(usize::try_from(i).ok()?, w), to)
+        } else if let Some(at) = after(at, b"gpu_watts_") {
+            let (i, at) = digits(body, at)?;
+            let (w, to) = fixed(body, after(at, b"\":")?)?;
+            (Field::Gpu(usize::try_from(i).ok()?, w), to)
+        } else if let Some(at) = after(at, b"node_watts\":") {
+            let (w, to) = fixed(body, at)?;
+            (Field::Node(w), to)
+        } else {
+            let (w, to) = fixed(body, after(at, b"mem_watts\":")?)?;
+            (Field::Mem(w), to)
+        }
+    } else if let Some(at) = after(key, b"timestamp_us\":") {
+        let (t, to) = digits(body, at)?;
+        (Field::Timestamp(t), to)
+    } else {
+        let at = after(key, b"hostname\":\"")?;
+        let end = at + body[at..].iter().position(|&c| c == b'"')?;
+        (Field::Hostname(at..end), end + 1)
+    };
+    match body.get(to) {
+        None => Some((field, to)),
+        Some(b',') => Some((field, to + 1)),
+        Some(_) => None,
+    }
+}
+
+/// The member of `body` at `at`, cut out: it runs to the first comma
+/// outside double quotes, its key to its first colon. `None` without a
+/// colon, or when a value of a key this stack reads does not parse.
+fn member(body: &str, at: usize) -> Option<(Field, usize)> {
+    let b = body.as_bytes();
+    let mut colon = None;
+    let mut quoted = false;
+    let mut end = at;
+    while end < b.len() {
+        match b[end] {
+            b'"' => quoted = !quoted,
+            b',' if !quoted => break,
+            b':' if colon.is_none() => colon = Some(end),
+            _ => {}
+        }
+        end += 1;
+    }
+    let colon = colon?;
+    let key = unquote(b, trim(body, at..colon));
+    let val = trim(body, colon + 1..end);
+    let text = &body[val.clone()];
+    // A family key's index: what follows its (ASCII) prefix.
+    let index =
+        |prefix: &[u8]| usize::try_from(whole(&body[key.start + prefix.len()..key.end])?).ok();
+    let field = match &b[key.clone()] {
+        b"hostname" => Field::Hostname(unquote(b, val)),
+        // Accept both integer (current writer) and float (older
+        // encodings) forms.
+        b"timestamp_us" => Field::Timestamp(match whole(text) {
+            Some(t) => t,
+            None => decimal(text)? as u64,
+        }),
+        b"power_node_watts" => Field::Node(decimal(text)?),
+        b"power_mem_watts" => Field::Mem(decimal(text)?),
+        k if k.starts_with(CPU_PREFIX) => Field::Cpu(index(CPU_PREFIX)?, decimal(text)?),
+        k if k.starts_with(GPU_PREFIX) => Field::Gpu(index(GPU_PREFIX)?, decimal(text)?),
+        _ => Field::Other,
+    };
+    Some((field, end + 1))
+}
+
+/// `s[range]` without the blanks `str::trim` drops at either end. Every
+/// end it stops at is a character boundary; a non-ASCII character is
+/// decoded only where it touches one.
+fn trim(s: &str, range: Range<usize>) -> Range<usize> {
+    let b = s.as_bytes();
+    let Range { mut start, mut end } = range;
+    while start < end {
+        start += match b[start] {
+            b'\t'..=b'\r' | b' ' => 1,
+            0..=0x7f => break,
+            _ => match s[start..end].chars().next() {
+                Some(c) if c.is_whitespace() => c.len_utf8(),
+                _ => break,
+            },
+        };
+    }
+    while start < end {
+        end -= match b[end - 1] {
+            b'\t'..=b'\r' | b' ' => 1,
+            0..=0x7f => break,
+            _ => match s[start..end].chars().next_back() {
+                Some(c) if c.is_whitespace() => c.len_utf8(),
+                _ => break,
+            },
+        };
+    }
+    start..end
+}
+
+/// `range` of `b` without the double quotes at either end.
+fn unquote(b: &[u8], range: Range<usize>) -> Range<usize> {
+    let Range { mut start, mut end } = range;
+    while start < end && b[start] == b'"' {
+        start += 1;
+    }
+    while start < end && b[end - 1] == b'"' {
+        end -= 1;
+    }
+    start..end
+}
+
+/// The run of 1 to 19 digits at `at` of `b` (not followed by a 20th) as
+/// an integer, and where it ends.
+fn digits(b: &[u8], at: usize) -> Option<(u64, usize)> {
+    let run = b[at..]
+        .iter()
+        .take(20)
+        .take_while(|c| c.is_ascii_digit())
+        .count();
+    if !(1..=19).contains(&run) {
+        return None;
+    }
+    let n = b[at..at + run]
+        .iter()
+        .fold(0, |n, &d| n * 10 + u64::from(d - b'0'));
+    Some((n, at + run))
+}
+
+/// The integer `text` is, as `str::parse::<u64>` reads it: [`digits`]
+/// reads it when they take it whole, `parse` otherwise.
+fn whole(text: &str) -> Option<u64> {
+    match digits(text.as_bytes(), 0) {
+        Some((n, end)) if end == text.len() => Some(n),
+        _ => text.parse().ok(),
+    }
+}
+
+/// `10^k` for the decimals a reading is written with.
+const POW10: [f64; 4] = [1.0, 10.0, 100.0, 1000.0];
+
+/// The plain decimal at `at` of `b`, the form [`write_fixed3`] writes —
+/// an optional `-`, then at most 15 digits, at most 3 of them after a
+/// point that has one at least on each side — and where it ends; `None`
+/// unless that form ends at a byte that is neither a digit nor a point.
+///
+/// Its value is `mantissa / 10^k`. Both are exact in an f64, so the
+/// quotient is the correctly rounded value of the decimal: the bits
+/// `str::parse::<f64>` gives.
+fn fixed(b: &[u8], at: usize) -> Option<(f64, usize)> {
+    let negative = b.get(at) == Some(&b'-');
+    let int = at + usize::from(negative);
+    let run = |from: usize| b[from..].iter().take_while(|c| c.is_ascii_digit()).count();
+    let mut end = int + run(int);
+    let mut k = 0;
+    if b.get(end) == Some(&b'.') {
+        k = run(end + 1);
+        if k == 0 {
+            return None;
+        }
+        end += 1 + k;
+    }
+    let count = end - int - usize::from(k > 0);
+    if end == int || count > 15 || k > 3 || b.get(end) == Some(&b'.') {
+        return None;
+    }
+    let mantissa = b[int..end]
+        .iter()
+        .filter(|&&c| c != b'.')
+        .fold(0, |m, &d| m * 10 + u64::from(d - b'0'));
+    let v = mantissa as f64 / POW10[k];
+    Some((if negative { -v } else { v }, end))
+}
+
+/// The number `text` is, as `str::parse::<f64>` reads it, with the same
+/// bits: [`fixed`] reads it when it takes it whole — the written form —
+/// and `parse` anything else (a `+`, an exponent, more digits or
+/// decimals, `NaN`, `inf`).
+fn decimal(text: &str) -> Option<f64> {
+    match fixed(text.as_bytes(), 0) {
+        Some((v, end)) if end == text.len() => Some(v),
+        _ => text.parse().ok(),
     }
 }
 
@@ -197,6 +416,12 @@ impl IndexedLanes {
         Some(())
     }
 }
+
+/// The key of socket `<i>` is this and `<i>`.
+const CPU_PREFIX: &[u8] = b"power_cpu_watts_socket_";
+
+/// The key of GPU `<i>` is this and `<i>`.
+const GPU_PREFIX: &[u8] = b"power_gpu_watts_";
 
 /// `,"power_cpu_watts_socket_<i>":` for each socket a sample can hold.
 const CPU_KEYS: [&[u8]; Lanes::<f64>::CAPACITY] = [
@@ -291,18 +516,6 @@ fn write_fixed3(out: &mut Vec<u8>, val: f64) {
     out.push(b'.');
     out.push(b'0' + (milli / 100) as u8);
     out.extend_from_slice(digit_pair(milli % 100));
-}
-
-/// Split `a:1,b:"x,y"` on commas not inside strings.
-fn split_top_level(s: &str) -> impl Iterator<Item = &str> {
-    let mut in_quotes = false;
-    // Like the loop it replaces, a trailing comma (or an empty body)
-    // yields no empty last part; an empty part anywhere else is kept and
-    // fails the parse.
-    s.split_terminator(move |c| {
-        in_quotes ^= c == '"';
-        c == ',' && !in_quotes
-    })
 }
 
 #[cfg(test)]
@@ -607,6 +820,58 @@ mod tests {
             sample.write_json(&mut out);
             prop_assert_eq!(std::str::from_utf8(&out), Ok(oracle.as_str()));
             prop_assert_eq!(sample.to_json(), oracle.clone());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// A reading is decoded with the bits `str::parse` gives, on the
+        /// mantissa-over-power-of-ten path (up to 15 digits, 3 of them
+        /// decimals, either sign, leading zeros) and just past it.
+        #[test]
+        fn decimal_has_the_bits_of_parse(
+            mantissa in prop_oneof![0u64..1_000_000_000_000_000, 0u64..10_000_000],
+            decimals in 0usize..5,
+            zeros in 0usize..3,
+            negative in any::<bool>(),
+        ) {
+            let digits = format!("{}{mantissa}", "0".repeat(zeros));
+            let digits = format!("{digits:0>width$}", width = decimals + 1);
+            let (int, frac) = digits.split_at(digits.len() - decimals);
+            let sign = if negative { "-" } else { "" };
+            let text = if decimals == 0 {
+                format!("{sign}{int}")
+            } else {
+                format!("{sign}{int}.{frac}")
+            };
+            let want = text.parse::<f64>().map(f64::to_bits).ok();
+            prop_assert_eq!(decimal(&text).map(f64::to_bits), want, "{}", text);
+        }
+    }
+
+    #[test]
+    fn decimal_reads_what_parse_reads_and_refuses_the_rest() {
+        for text in [
+            "0",
+            "-0",
+            "-0.000",
+            "981.200",
+            "999999999999.999",
+            "1e3",
+            "1.",
+            ".5",
+            "+1.5",
+            "inf",
+            "NaN",
+            "0000000000000001.5",
+            "1234567890123456",
+        ] {
+            let want = text.parse::<f64>().map(f64::to_bits).ok();
+            assert_eq!(decimal(text).map(f64::to_bits), want, "{text}");
+        }
+        for text in ["", "-", ".", "1.2.3", "--1", "1_0", " 1", "0x10"] {
+            assert_eq!(decimal(text), None, "{text:?}");
         }
     }
 

@@ -5,6 +5,9 @@ use fluxpm_variorum::NodePowerSample;
 use proptest::prelude::*;
 
 prop_compose! {
+    /// A telemetry-scale sample, whose readings are node power: used where
+    /// a property holds only for such readings (a non-negative estimate, a
+    /// bounded record).
     fn any_sample()(
         hostname in "[a-z][a-z0-9]{0,15}",
         timestamp_us in 0u64..u64::MAX / 2,
@@ -12,6 +15,53 @@ prop_compose! {
         cpu in prop::collection::vec(0.0f64..1_000.0, 0..4),
         mem in prop::option::of(0.0f64..500.0),
         gpu in prop::collection::vec(0.0f64..600.0, 0..9),
+    ) -> NodePowerSample {
+        NodePowerSample {
+            hostname: hostname.into(),
+            timestamp_us,
+            power_node_watts: node,
+            power_cpu_watts: cpu.into_iter().collect(),
+            power_mem_watts: mem,
+            power_gpu_watts: gpu.into_iter().collect(),
+        }
+    }
+}
+
+/// Any reading the writer can be handed: telemetry-scale values of
+/// either sign, signed zeros, NaN and both infinities, values from 4e12 on
+/// (written by `{:.3}`, not the fixed-point path), and any bit pattern.
+fn any_reading() -> impl Strategy<Value = f64> {
+    let special = (0usize..8).prop_map(|i| {
+        [
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            4.0e12,
+            -4.0e12,
+        ][i]
+    });
+    prop_oneof![
+        6 => -5_000.0f64..5_000.0,
+        2 => special,
+        1 => 4.0e12f64..1.0e20,
+        1 => -1.0e20f64..-4.0e12,
+        1 => any::<u64>().prop_map(f64::from_bits),
+    ]
+}
+
+prop_compose! {
+    /// A sample of any readings (see [`any_reading`]), as many per family
+    /// as a sample holds.
+    fn wide_sample()(
+        hostname in "[a-z][a-z0-9]{0,15}",
+        timestamp_us in any::<u64>(),
+        node in prop::option::of(any_reading()),
+        cpu in prop::collection::vec(any_reading(), 0..=Lanes::<f64>::CAPACITY),
+        mem in prop::option::of(any_reading()),
+        gpu in prop::collection::vec(any_reading(), 0..=Lanes::<f64>::CAPACITY),
     ) -> NodePowerSample {
         NodePowerSample {
             hostname: hostname.into(),
@@ -124,10 +174,32 @@ fn assert_same_decode(json: &str) -> Result<(), TestCaseError> {
 /// possibly repeated indices; a few values are not numbers at all.
 fn any_member() -> impl Strategy<Value = (u8, String)> {
     let value = prop_oneof![
-        8 => (0.0f64..5_000.0).prop_map(|v| format!("{v:.3}")),
+        8 => (-5_000.0f64..5_000.0).prop_map(|v| format!("{v:.3}")),
+        1 => (4.0e12f64..1.0e20).prop_map(|v| format!("{v:.3}")),
+        // More than three decimals.
+        2 => (-5_000.0f64..5_000.0, 4usize..12).prop_map(|(v, d)| format!("{v:.d$}")),
+        // Exponents.
+        1 => (-5_000.0f64..5_000.0, 0usize..3).prop_map(|(v, form)| match form {
+            0 => format!("{v:e}"),
+            1 => format!("{v:E}"),
+            _ => format!("{:.2}e+{}", v / 1000.0, 3),
+        }),
+        // Leading zeros, and 16 or more digits.
+        1 => (0u64..5_000_000, 1usize..4).prop_map(|(v, zeros)| {
+            format!("{}{}.{:03}", "0".repeat(zeros), v / 1000, v % 1000)
+        }),
+        1 => (1_000_000_000_000_000u64..u64::MAX, 0usize..5).prop_map(|(v, point)| {
+            let digits = v.to_string();
+            let at = digits.len() - point;
+            format!("{}.{}", &digits[..at], &digits[at..])
+        }),
         1 => (0u64..1u64 << 40).prop_map(|v| v.to_string()),
-        1 => (0usize..7).prop_map(|i| {
-            ["NaN", "inf", "-1e3", "abc", "\"7\"", " 12.5 ", ""][i].to_owned()
+        2 => (0usize..22).prop_map(|i| {
+            [
+                "NaN", "inf", "-inf", "infinity", "-0.000", "-0", "+1.5", "-1e3", "abc", "\"7\"",
+                " 12.5 ", "", "1.", ".5", "-.5", "-", ".", "1.2.3", "1e", "0x10", "1_000", "--1",
+            ][i]
+                .to_owned()
         }),
     ];
     (0u8..8, 0usize..24, value, "[ ]?").prop_map(|(kind, index, value, pad)| {
@@ -152,27 +224,35 @@ fn any_member() -> impl Strategy<Value = (u8, String)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Every sample round-trips through the JSON encoding with values
-    /// preserved to the writer's 3-decimal precision.
+    /// Every sample round-trips through the JSON encoding: the writer's
+    /// own output decodes to what the parser it replaced decoded, bit for
+    /// bit, and each reading comes back to the writer's 3-decimal
+    /// precision (a NaN as a NaN, an infinity as itself).
     #[test]
-    fn json_round_trip(sample in any_sample()) {
+    fn json_round_trip(sample in wide_sample()) {
         let json = sample.to_json();
+        assert_same_decode(&json)?;
         let parsed = NodePowerSample::from_json(&json).expect("parses");
         prop_assert_eq!(&parsed.hostname, &sample.hostname);
         prop_assert_eq!(parsed.timestamp_us, sample.timestamp_us);
         prop_assert_eq!(parsed.power_cpu_watts.len(), sample.power_cpu_watts.len());
         prop_assert_eq!(parsed.power_gpu_watts.len(), sample.power_gpu_watts.len());
-        let close = |a: f64, b: f64| (a - b).abs() < 0.001;
-        match (parsed.power_node_watts, sample.power_node_watts) {
-            (Some(a), Some(b)) => prop_assert!(close(a, b)),
-            (None, None) => {}
-            other => prop_assert!(false, "node mismatch {other:?}"),
+        let close = |a: f64, b: f64| a == b || (a - b).abs() < 0.001 || a.is_nan() && b.is_nan();
+        for (a, b) in [
+            (parsed.power_node_watts, sample.power_node_watts),
+            (parsed.power_mem_watts, sample.power_mem_watts),
+        ] {
+            match (a, b) {
+                (Some(a), Some(b)) => prop_assert!(close(a, b), "{a} from {b}"),
+                (None, None) => {}
+                other => prop_assert!(false, "presence mismatch {other:?}"),
+            }
         }
         for (a, b) in parsed.power_cpu_watts.iter().zip(sample.power_cpu_watts.iter()) {
-            prop_assert!(close(*a, *b));
+            prop_assert!(close(*a, *b), "{a} from {b}");
         }
         for (a, b) in parsed.power_gpu_watts.iter().zip(sample.power_gpu_watts.iter()) {
-            prop_assert!(close(*a, *b));
+            prop_assert!(close(*a, *b), "{a} from {b}");
         }
     }
 
@@ -230,7 +310,7 @@ proptest! {
     #[test]
     fn from_json_never_panics_on_arbitrary_bytes(
         noise in prop::collection::vec(any::<u8>(), 0..64),
-        sample in any_sample(),
+        sample in wide_sample(),
         at in any::<prop::sample::Index>(),
     ) {
         let noise = String::from_utf8_lossy(&noise).into_owned();
