@@ -83,7 +83,7 @@ impl StormConfig {
     }
 
     /// Long-horizon soak: an extended random storm (ten minutes of
-    /// simulated churn) for the `#[ignore]`d nightly test.
+    /// simulated churn), run by `tests/chaos_soak.rs`.
     pub fn long(nodes: u32, seed: u64) -> Self {
         Self {
             random_ticks: 120,
@@ -163,7 +163,7 @@ pub fn topology_invariants(eng: &mut FluxEngine) -> Rc<Cell<u64>> {
             assert!(w.tbon.is_attached(root), "root detached at {now}");
             assert!(w.broker_up(root), "root down at {now}");
             let size = w.size();
-            for r in w.tbon.attached_ranks() {
+            for r in w.tbon.attached() {
                 assert!(w.broker_up(r), "{r} attached but down at {now}");
                 assert!(w.tbon.route(r, root).is_some(), "{r} unroutable at {now}");
                 let mut probe = r;
@@ -361,7 +361,7 @@ fn run_storm(cfg: &StormConfig, trace: fn(TraceLevel) -> Trace) -> (StormOutcome
     );
     assert_eq!(state(jobs[0]), Some(JobState::Failed));
 
-    let live = w.tbon.attached_ranks().len() as u32;
+    let live = w.tbon.attached().count() as u32;
     assert_eq!(live, cfg.nodes, "all ranks re-attached after the storm");
     assert!(w.tbon.is_balanced(), "overlay healed to fresh k-ary shape");
 

@@ -9,9 +9,16 @@
 //! orphaned children onto the nearest live ancestor, [`Tbon::attach`]
 //! re-admits a recovered rank as a leaf, and [`Tbon::promote_root`]
 //! migrates the root role to a successor when rank 0 dies. Every mutation
-//! bumps the topology [`Tbon::epoch`] and invalidates the internal route
-//! cache, so routes computed after a failure reflect the healed tree
-//! while in-flight messages keep the route they were launched on.
+//! bumps the topology [`Tbon::epoch`] and empties the route memo, so
+//! routes computed after a failure reflect the healed tree while
+//! in-flight messages keep the route they were launched on.
+//!
+//! **A route is an index** (DESIGN.md §15.2). Most routes have the root
+//! at one end, so a route up to the root and a route down from it each
+//! sit in a per-rank slot, read without hashing; every other pair sits
+//! in a map. A miss walks the parent array into one reused buffer and
+//! allocates only the route itself. A mutation empties the map and the
+//! slots filled since the last mutation, and nothing else.
 
 use fluxpm_sim::SimDuration;
 use std::cell::RefCell;
@@ -101,22 +108,133 @@ pub struct Tbon {
     attached: Vec<bool>,
     /// The current root (rank 0 until a failover promotes a successor).
     root: Rank,
-    /// Topology version; bumped by every mutation. Route caches keyed on
-    /// a stale epoch must be discarded.
+    /// Topology version; bumped by every mutation, which empties the
+    /// route memo.
     epoch: u64,
     /// One-hop message latency (default 20 µs, a typical intra-cluster
     /// RPC hop).
     pub hop_latency: SimDuration,
-    /// Memoized routes for the *current* epoch; cleared on mutation.
-    cache: RouteCache,
+    /// Memoized routes for the *current* epoch; emptied on mutation.
+    memo: RefCell<RouteMemo>,
 }
 
-/// Memoized `(from, to) -> route` table for the current epoch.
-type RouteCache = RefCell<IntMap<(u32, u32), Rc<[Rank]>>>;
+/// The routes taken in the current epoch. A route with the root at one
+/// end sits in a per-rank slot, every other pair in `pairs`.
+#[derive(Debug, Clone, Default)]
+struct RouteMemo {
+    /// `up[r]`: the route from `r` up to the root. Sized on first use.
+    up: Vec<Option<Rc<[Rank]>>>,
+    /// `down[r]`: the route from the root down to `r`. Sized on first use.
+    down: Vec<Option<Rc<[Rank]>>>,
+    /// The ranks whose `up` or `down` slot was filled this epoch: what
+    /// the next mutation empties.
+    filled: Vec<u32>,
+    /// Routes with the root at neither end.
+    pairs: IntMap<(u32, u32), Rc<[Rank]>>,
+    /// The buffer a miss walks into.
+    scratch: Vec<Rank>,
+}
+
+impl RouteMemo {
+    /// The memoized route `from -> to`, walked and memoized on a miss.
+    /// Both ends are attached.
+    fn get(
+        &mut self,
+        parents: &[Option<Rank>],
+        root: Rank,
+        from: Rank,
+        to: Rank,
+    ) -> Option<Rc<[Rank]>> {
+        let (slots, at) = if to == root {
+            (&mut self.up, from)
+        } else if from == root {
+            (&mut self.down, to)
+        } else {
+            if let Some(hit) = self.pairs.get(&(from.0, to.0)) {
+                return Some(Rc::clone(hit));
+            }
+            let route = walk(parents, from, to, &mut self.scratch)?;
+            self.pairs.insert((from.0, to.0), Rc::clone(&route));
+            return Some(route);
+        };
+        if slots.is_empty() {
+            slots.resize(parents.len(), None);
+        }
+        if let Some(hit) = &slots[at.index()] {
+            return Some(Rc::clone(hit));
+        }
+        let route = walk(parents, from, to, &mut self.scratch)?;
+        slots[at.index()] = Some(Rc::clone(&route));
+        self.filled.push(at.0);
+        Some(route)
+    }
+
+    /// Forget every route: the map, and the slots filled since the last
+    /// call.
+    fn clear(&mut self) {
+        for r in self.filled.drain(..) {
+            for slots in [&mut self.up, &mut self.down] {
+                if let Some(slot) = slots.get_mut(r as usize) {
+                    *slot = None;
+                }
+            }
+        }
+        self.pairs.clear();
+    }
+}
+
+/// The route from `from` up to the lowest common ancestor and down to
+/// `to`, walked over `parents` into `buf`, or `None` when the two ends
+/// lie in different components. The one allocation is the route itself.
+fn walk(parents: &[Option<Rank>], from: Rank, to: Rank, buf: &mut Vec<Rank>) -> Option<Rc<[Rank]>> {
+    let up = |r: Rank| parents[r.index()];
+    let climb = |mut r: Rank| {
+        let mut depth = 0u32;
+        while let Some(p) = up(r) {
+            r = p;
+            depth += 1;
+        }
+        (depth, r)
+    };
+    let (from_depth, from_top) = climb(from);
+    let (to_depth, to_top) = climb(to);
+    if from_top != to_top {
+        return None;
+    }
+    // Bring the deeper end up to the other's depth; then both climb in
+    // step until they meet at the common ancestor.
+    let (mut a, mut b) = (from, to);
+    for _ in to_depth..from_depth {
+        a = up(a)?;
+    }
+    for _ in from_depth..to_depth {
+        b = up(b)?;
+    }
+    while a != b {
+        a = up(a)?;
+        b = up(b)?;
+    }
+    buf.clear();
+    let mut r = from;
+    buf.push(r);
+    while r != a {
+        r = up(r)?;
+        buf.push(r);
+    }
+    // The way down, gathered bottom-up and turned around in place.
+    let mid = buf.len();
+    let mut r = to;
+    while r != a {
+        buf.push(r);
+        r = up(r)?;
+    }
+    buf[mid..].reverse();
+    Some(Rc::from(&buf[..]))
+}
 
 impl PartialEq for Tbon {
     fn eq(&self, other: &Tbon) -> bool {
-        // The route cache is a pure memo of the rest of the state and is
+        // The route memo is a pure memo of the rest of the state and is
         // deliberately excluded from equality.
         self.size == other.size
             && self.fanout == other.fanout
@@ -164,7 +282,7 @@ impl Tbon {
             root: Rank::ROOT,
             epoch: 0,
             hop_latency: SimDuration::from_micros(Self::DEFAULT_HOP_LATENCY_US),
-            cache: RouteCache::default(),
+            memo: RefCell::default(),
         }
     }
 
@@ -205,8 +323,8 @@ impl Tbon {
     }
 
     /// Ranks currently attached to the overlay, in rank order.
-    pub fn attached_ranks(&self) -> Vec<Rank> {
-        self.ranks().filter(|&r| self.is_attached(r)).collect()
+    pub fn attached(&self) -> impl Iterator<Item = Rank> + '_ {
+        self.ranks().filter(|&r| self.is_attached(r))
     }
 
     /// The parent of `rank`, or `None` for the root (and for detached
@@ -261,45 +379,42 @@ impl Tbon {
 
     /// The full route between two ranks under the current topology,
     /// inclusive of both endpoints, or `None` if either endpoint is
-    /// detached. Routes are memoized per epoch.
+    /// detached. Routes are memoized per epoch; a debug build checks
+    /// every answer, memoized or not, against the plain parent walk.
     pub fn route(&self, from: Rank, to: Rank) -> Option<Rc<[Rank]>> {
         if !self.is_attached(from) || !self.is_attached(to) {
             return None;
         }
-        if let Some(hit) = self.cache.borrow().get(&(from.0, to.0)) {
-            return Some(Rc::clone(hit));
-        }
-        let route: Rc<[Rank]> = self.route_uncached(from, to)?.into();
-        self.cache
+        let route = self
+            .memo
             .borrow_mut()
-            .insert((from.0, to.0), Rc::clone(&route));
-        Some(route)
+            .get(&self.parents, self.root, from, to);
+        debug_assert!(
+            match (&route, self.route_walk(from, to)) {
+                (Some(route), Some(walk)) => route.iter().copied().eq(walk),
+                (memo, walk) => memo.is_none() && walk.is_none(),
+            },
+            "route memo disagrees with the parent walk: {from} -> {to}"
+        );
+        route
     }
 
-    /// Up from `from` to the lowest common ancestor, then down to `to`.
-    fn route_uncached(&self, from: Rank, to: Rank) -> Option<Vec<Rank>> {
-        let chain = |start: Rank| {
-            let mut c = vec![start];
-            let mut r = start;
-            while let Some(p) = self.parent(r) {
-                c.push(p);
-                r = p;
-            }
-            c
-        };
-        let mut up = chain(from);
-        let mut down = chain(to);
-        if up.last() != down.last() {
-            return None; // different components: no route
+    /// [`Tbon::route`] without the memo: up the parents from `from` to
+    /// the first rank that is also an ancestor of `to`, then down that
+    /// rank's line to `to`. `None` where the ends are detached or share
+    /// no ancestor. It allocates nothing, so a debug build holds every
+    /// route to it without moving an allocation count.
+    fn route_walk(&self, from: Rank, to: Rank) -> Option<impl Iterator<Item = Rank> + '_> {
+        if !self.is_attached(from) || !self.is_attached(to) {
+            return None;
         }
-        // Strip the common suffix; the last shared element is the LCA.
-        while up.len() >= 2 && down.len() >= 2 && up[up.len() - 2] == down[down.len() - 2] {
-            up.pop();
-            down.pop();
-        }
-        down.pop(); // drop the duplicated LCA
-        up.extend(down.into_iter().rev());
-        Some(up)
+        let line = move |r: Rank| std::iter::successors(Some(r), move |&r| self.parent(r));
+        let lca = line(from).find(|&a| self.is_ancestor(a, to))?;
+        let up = line(from).take_while(move |&r| r != lca);
+        let (lca_depth, to_depth) = (self.depth(lca), self.depth(to));
+        let down =
+            (lca_depth..=to_depth).filter_map(move |d| line(to).nth((to_depth - d) as usize));
+        Some(up.chain(down))
     }
 
     /// The full route between two ranks, inclusive of both endpoints —
@@ -332,7 +447,7 @@ impl Tbon {
     /// Bump the topology version and drop every memoized route.
     fn invalidate(&mut self) {
         self.epoch += 1;
-        self.cache.borrow_mut().clear();
+        self.memo.get_mut().clear();
     }
 
     /// Remove a failed rank from the overlay. Its orphaned children
@@ -444,11 +559,7 @@ impl Tbon {
 
     /// Depth of the deepest attached rank (root = 0).
     pub fn max_depth(&self) -> u32 {
-        self.attached_ranks()
-            .into_iter()
-            .map(|r| self.depth(r))
-            .max()
-            .unwrap_or(0)
+        self.attached().map(|r| self.depth(r)).max().unwrap_or(0)
     }
 
     /// Depth of a *freshly built* k-ary tree over `live` ranks — the
@@ -473,11 +584,10 @@ impl Tbon {
     /// re-parented to the nearest live ancestor overload its fanout —
     /// and [`Tbon::rebalance`] restores both.
     pub fn is_balanced(&self) -> bool {
-        let live = self.attached_ranks().len() as u32;
+        let live = self.attached().count() as u32;
         self.max_depth() <= Self::ideal_depth(live, self.fanout)
             && self
-                .attached_ranks()
-                .into_iter()
+                .attached()
                 .all(|r| self.children[r.index()].len() <= self.fanout as usize)
     }
 
@@ -487,29 +597,25 @@ impl Tbon {
     /// `order[i]` parenting under `order[(i-1)/fanout]` — exactly the
     /// fresh-tree shape, so afterwards `max_depth() ==
     /// ideal_depth(live, fanout)`. Bumps the epoch (dropping the route
-    /// cache) only if the shape actually changed; returns whether it
+    /// memo) only if the shape actually changed; returns whether it
     /// did. In-flight messages keep their launch-time routes, which
     /// still transit only live ranks, so nothing already sent is lost.
     pub fn rebalance(&mut self) -> bool {
         let order: Vec<Rank> = std::iter::once(self.root)
-            .chain(
-                self.attached_ranks()
-                    .into_iter()
-                    .filter(|&r| r != self.root),
-            )
+            .chain(self.attached().filter(|&r| r != self.root))
             .collect();
-        let mut new_parents = self.parents.clone();
-        for (i, &r) in order.iter().enumerate() {
-            new_parents[r.index()] = if i == 0 {
-                None
-            } else {
-                Some(order[(i - 1) / self.fanout as usize])
-            };
-        }
-        if new_parents == self.parents {
+        let fanout = self.fanout as usize;
+        let parent_at = |i: usize| i.checked_sub(1).map(|i| order[i / fanout]);
+        if order
+            .iter()
+            .enumerate()
+            .all(|(i, &r)| self.parents[r.index()] == parent_at(i))
+        {
             return false;
         }
-        self.parents = new_parents;
+        for (i, &r) in order.iter().enumerate() {
+            self.parents[r.index()] = parent_at(i);
+        }
         for c in &mut self.children {
             c.clear();
         }
@@ -529,6 +635,7 @@ impl Tbon {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn binary_tree_structure() {
@@ -859,9 +966,8 @@ mod tests {
         t.promote_root(Rank(1));
         t.rebalance();
         assert_eq!(t.root(), Rank(1), "re-balance never moves the root");
-        let live = t.attached_ranks();
-        assert_eq!(live.len(), 6);
-        for &r in &live {
+        assert_eq!(t.attached().count(), 6);
+        for r in t.attached() {
             assert!(t.route(r, t.root()).is_some());
         }
         assert!(!t.is_attached(Rank(3)));
@@ -870,5 +976,67 @@ mod tests {
         // Detached ranks stay fully detached: no parent, no children.
         assert_eq!(t.parent(Rank(3)), None);
         assert_eq!(t.children(Rank(3)), vec![]);
+    }
+
+    /// One topology mutation, as a property draw picks it: `kind`
+    /// chooses among detach, attach, root promotion, re-balance and a
+    /// subtree re-parent, applied only where its preconditions hold.
+    fn mutate(t: &mut Tbon, kind: u32, a: Rank, b: Rank) {
+        match kind {
+            0 if a != t.root() => {
+                t.detach(a);
+            }
+            1 if !t.is_attached(a) && t.is_attached(b) => t.attach(a, b),
+            2 if a != t.root() && t.is_attached(a) => t.promote_root(a),
+            3 => {
+                t.rebalance();
+            }
+            4 => {
+                t.reattach(a, b);
+            }
+            _ => {}
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Every route the memo answers — a miss that walks, a hit, the
+        /// root at either end or at neither, `None` included — is the
+        /// parent walk's route under the current topology, through any
+        /// sequence of mutations; and a route taken before a mutation
+        /// keeps its ranks after it.
+        #[test]
+        fn memo_matches_the_parent_walk(
+            size in 1u32..65,
+            fanout in 1u32..5,
+            ops in prop::collection::vec((0u32..5, 0u32..64, 0u32..64), 0..24),
+        ) {
+            let mut t = Tbon::new(size, fanout);
+            let mut taken: Vec<(Rc<[Rank]>, Vec<Rank>)> = Vec::new();
+            for step in 0..=ops.len() {
+                if let Some(&(kind, a, b)) = step.checked_sub(1).and_then(|i| ops.get(i)) {
+                    mutate(&mut t, kind, Rank(a % size), Rank(b % size));
+                }
+                for (route, ranks) in &taken {
+                    prop_assert_eq!(&route[..], &ranks[..], "a route in flight changed");
+                }
+                taken.clear();
+                for from in t.ranks() {
+                    for to in t.ranks() {
+                        let walked: Option<Vec<Rank>> =
+                            t.route_walk(from, to).map(Iterator::collect);
+                        let first = t.route(from, to);
+                        let again = t.route(from, to);
+                        prop_assert_eq!(first.as_deref(), walked.as_deref(), "{} -> {} at step {}", from, to, step);
+                        prop_assert_eq!(again.as_deref(), walked.as_deref(), "{} -> {} at step {}", from, to, step);
+                        if let Some(route) = again {
+                            let ranks = route.to_vec();
+                            taken.push((route, ranks));
+                        }
+                    }
+                }
+            }
+        }
     }
 }

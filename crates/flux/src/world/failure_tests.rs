@@ -555,7 +555,7 @@ fn assert_converged(w: &World) {
     assert!(w.tbon.is_attached(root), "root attached");
     assert!(w.broker_up(root), "root alive");
     let size = w.tbon.ranks().count();
-    for r in w.tbon.attached_ranks() {
+    for r in w.tbon.attached() {
         assert!(w.broker_up(r), "{r} attached but down");
         assert!(w.tbon.route(r, root).is_some(), "{r} unroutable");
         let mut probe = r;
@@ -583,7 +583,7 @@ fn overlapping_interior_failures_converge_in_one_batch() {
     assert_eq!(w.tbon.parent(Rank(7)), Some(Rank(0)));
     assert_eq!(w.tbon.parent(Rank(8)), Some(Rank(0)));
     assert_converged(&w);
-    assert_eq!(w.tbon.attached_ranks().len(), 13);
+    assert_eq!(w.tbon.attached().count(), 13);
     // Re-running the same batch is a no-op (all members down).
     let epoch = w.tbon.epoch();
     w.fail_nodes(&mut eng, &[NodeId(1), NodeId(3)]);
@@ -605,7 +605,7 @@ fn batch_with_dying_root_elects_a_surviving_rank() {
     assert_eq!(*migrations.borrow(), 1);
     assert!(w.brokers[2].module("root-counter").is_some());
     assert_converged(&w);
-    assert_eq!(w.tbon.attached_ranks().len(), 5);
+    assert_eq!(w.tbon.attached().count(), 5);
 }
 
 #[test]
@@ -679,7 +679,7 @@ fn world_rebalance_restores_depth_and_bumps_epoch_once() {
         .map(NodeId)
         .collect();
     w.fail_nodes(&mut eng, &dead);
-    assert_eq!(w.tbon.attached_ranks().len(), 4);
+    assert_eq!(w.tbon.attached().count(), 4);
     assert_eq!(w.tbon.max_depth(), 3, "spine survives at full depth");
     assert!(!w.tbon.is_balanced());
 
@@ -984,4 +984,93 @@ fn link_monitor_waits_out_its_cooldown_before_a_second_reparent() {
             pair[1]
         );
     }
+}
+
+/// Records every `sub.event` it is handed, by rank: a per-rank
+/// subscriber, or the root-service one when `root` is set.
+struct Subscriber {
+    root: bool,
+    got: Rc<std::cell::RefCell<Vec<Rank>>>,
+}
+
+impl crate::module::Module for Subscriber {
+    fn name(&self) -> &'static str {
+        if self.root {
+            "root-subscriber"
+        } else {
+            "subscriber"
+        }
+    }
+    fn topics(&self) -> Rc<[Topic]> {
+        crate::topic_list!["sub.event"]
+    }
+    fn load(&mut self, _ctx: &mut ModuleCtx<'_>) {}
+    fn handle(&mut self, ctx: &mut ModuleCtx<'_>, _msg: &Message) {
+        self.got.borrow_mut().push(ctx.rank);
+    }
+    fn root_service(&self) -> bool {
+        self.root
+    }
+}
+
+/// Publish `sub.event` from the root and check that the subscriber
+/// index names exactly the ranks a scan of every broker finds, in rank
+/// order, and that exactly those ranks receive the event.
+fn publish_reaches_the_scan(
+    w: &mut World,
+    eng: &mut FluxEngine,
+    got: &std::cell::RefCell<Vec<Rank>>,
+) {
+    let topic = Topic::intern("sub.event");
+    let root = w.root();
+    w.publish(eng, root, topic.clone(), payload(()));
+    let scan: Vec<Rank> = w.serving(&topic).collect();
+    let indexed = w
+        .subscribers
+        .iter()
+        .find(|(t, _)| *t == topic)
+        .map(|(_, r)| r);
+    assert_eq!(indexed, Some(&scan), "the index is the scan, in rank order");
+    eng.run(w);
+    let mut reached = std::mem::take(&mut *got.borrow_mut());
+    reached.sort_unstable();
+    assert_eq!(reached, scan, "the publish reached the scan's ranks");
+}
+
+#[test]
+fn publish_index_follows_failure_recovery_and_failover() {
+    let (mut w, mut eng) = world(16);
+    let got = Rc::new(std::cell::RefCell::new(Vec::new()));
+    let subscriber = |root: bool, got: &Rc<std::cell::RefCell<Vec<Rank>>>| -> SharedModule {
+        Rc::new(std::cell::RefCell::new(Subscriber {
+            root,
+            got: Rc::clone(got),
+        }))
+    };
+    assert!(w.load_module(&mut eng, Rank::ROOT, subscriber(true, &got)));
+    for r in [3, 5, 9, 12] {
+        assert!(w.load_module(&mut eng, Rank(r), subscriber(false, &got)));
+    }
+    let factory_got = Rc::clone(&got);
+    w.register_module_factory(move |_| subscriber(false, &factory_got));
+    publish_reaches_the_scan(&mut w, &mut eng, &got);
+
+    // A subscriber dies: it drops out of the index.
+    w.fail_node(&mut eng, NodeId(5));
+    publish_reaches_the_scan(&mut w, &mut eng, &got);
+    // It recovers and its factory reloads it: back in, in rank order.
+    assert!(w.recover_node(&mut eng, NodeId(5)));
+    publish_reaches_the_scan(&mut w, &mut eng, &got);
+    // The root dies and its subscribing service migrates to rank 1.
+    w.fail_node(&mut eng, NodeId(0));
+    assert_eq!(w.root(), Rank(1));
+    assert!(w.brokers[1].module("root-subscriber").is_some());
+    publish_reaches_the_scan(&mut w, &mut eng, &got);
+    // A subscriber loads on a rank that never had one.
+    assert!(w.load_module(&mut eng, Rank(14), subscriber(false, &got)));
+    publish_reaches_the_scan(&mut w, &mut eng, &got);
+    assert_eq!(
+        w.serving(&Topic::intern("sub.event")).collect::<Vec<_>>(),
+        vec![Rank(1), Rank(3), Rank(5), Rank(9), Rank(12), Rank(14)]
+    );
 }

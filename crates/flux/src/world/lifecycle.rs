@@ -108,6 +108,7 @@ impl World {
             let m = f();
             let name = m.borrow().name();
             if self.brokers[rank.index()].register(Rc::clone(&m)) {
+                self.subscribe(rank, &m);
                 {
                     let mut module = m.borrow_mut();
                     if let Some(v) = self.state.snapshot().and_then(|s| s.modules.get(name)) {
@@ -220,6 +221,7 @@ impl World {
             for name in names {
                 self.brokers[node.index()].unregister(name);
             }
+            self.unsubscribe(Rank(node.0));
         }
         // Cancel the dead ranks' pending outbound RPCs so reductions
         // they were driving cannot complete from the grave.
@@ -301,8 +303,7 @@ impl World {
     fn fail_root(&mut self, eng: &mut FluxEngine, old_root: Rank, migrants: Vec<SharedModule>) {
         let successor = self
             .tbon
-            .attached_ranks()
-            .into_iter()
+            .attached()
             .find(|&r| r != old_root && self.brokers[r.index()].is_up());
         let Some(successor) = successor else {
             self.trace.emit(
@@ -331,6 +332,7 @@ impl World {
         for m in migrants {
             let name = m.borrow().name();
             if self.brokers[successor.index()].register(Rc::clone(&m)) {
+                self.subscribe(successor, &m);
                 self.trace.emit(
                     eng.now(),
                     TraceLevel::Info,
@@ -462,7 +464,7 @@ impl World {
                 format_args!(
                     "re-balanced: depth {before} -> {} over {} live rank(s) (epoch {})",
                     self.tbon.max_depth(),
-                    self.tbon.attached_ranks().len(),
+                    self.tbon.attached().count(),
                     self.tbon.epoch()
                 ),
             );

@@ -183,6 +183,12 @@ pub struct World {
     links: link::Links,
     /// The lifecycle layer's module factories and topology watch.
     lifecycle: lifecycle::Lifecycle,
+    /// The ranks serving each indexed topic, in rank order: the four
+    /// job-event topics the world publishes itself from the start, any
+    /// other topic from its first [`World::publish`]. Every change to a
+    /// broker's module table keeps it in step ([`World::subscribe`],
+    /// [`World::unsubscribe`]).
+    subscribers: Vec<(Topic, Vec<Rank>)>,
     /// End of the last executor slice.
     last_exec: SimTime,
     executor_installed: bool,
@@ -232,6 +238,15 @@ impl World {
             rpcs: rpc::RpcTable::new(retry_rng),
             links: link::Links::new(nnodes as usize),
             lifecycle: lifecycle::Lifecycle::default(),
+            subscribers: Vec::from(
+                [
+                    EVENT_JOB_SUBMIT,
+                    EVENT_JOB_START,
+                    EVENT_JOB_FINISH,
+                    EVENT_JOB_EXCEPTION,
+                ]
+                .map(|t| (Topic::intern(t), Vec::new())),
+            ),
             last_exec: SimTime::ZERO,
             executor_installed: false,
             slice_jobs: Vec::new(),
@@ -348,6 +363,7 @@ impl World {
         if !self.brokers[rank.index()].register(Rc::clone(&module)) {
             return false;
         }
+        self.subscribe(rank, &module);
         let mut ctx = ModuleCtx {
             world: self,
             eng,
@@ -537,9 +553,11 @@ impl World {
         self.send(eng, resp);
     }
 
-    /// Publish an event: delivered to every rank whose broker has a
-    /// handler registered for the topic. The topic is interned once;
-    /// each subscriber's copy shares it (and the payload).
+    /// Publish an event: delivered, in rank order, to every rank whose
+    /// broker has a handler registered for the topic. The topic is
+    /// interned once; each subscriber's copy shares it (and the
+    /// payload). The subscribers are read from an index, not found by a
+    /// scan of every broker (DESIGN.md §15.2).
     pub fn publish(
         &mut self,
         eng: &mut FluxEngine,
@@ -548,11 +566,19 @@ impl World {
         p: Payload,
     ) {
         let topic = topic.into();
-        let subscribers: Vec<Rank> = self
-            .tbon
-            .ranks()
-            .filter(|r| self.brokers[r.index()].route(&topic).is_some())
-            .collect();
+        let at = match self.subscribers.iter().position(|(t, _)| *t == topic) {
+            Some(at) => at,
+            None => {
+                let serving = self.serving(&topic).collect();
+                self.subscribers.push((topic.clone(), serving));
+                self.subscribers.len() - 1
+            }
+        };
+        let subscribers = self.subscribers[at].1.clone();
+        debug_assert!(
+            self.serving(&topic).eq(subscribers.iter().copied()),
+            "subscriber index of {topic} is out of step"
+        );
         // Sharded replicas only see their own subscribers (modules load
         // owner-only), and sends from unowned publishers are suppressed
         // — so pub/sub works exactly when every subscriber is co-sharded
@@ -569,6 +595,38 @@ impl World {
         for rank in subscribers {
             let msg = Message::event(from, rank, topic.clone(), Rc::clone(&p));
             self.send(eng, msg);
+        }
+    }
+
+    /// Every rank that serves `topic`, in rank order: a scan of every
+    /// broker's module table.
+    fn serving<'a>(&'a self, topic: &'a Topic) -> impl Iterator<Item = Rank> + 'a {
+        self.tbon
+            .ranks()
+            .filter(|r| self.brokers[r.index()].route(topic).is_some())
+    }
+
+    /// `rank`'s broker just registered `module`: add the rank to every
+    /// indexed topic the module serves. A registration only adds to what
+    /// a broker serves; a topic it takes from another module stays
+    /// served.
+    fn subscribe(&mut self, rank: Rank, module: &SharedModule) {
+        let served = module.borrow().topics();
+        for (topic, ranks) in &mut self.subscribers {
+            if served.contains(topic) {
+                if let Err(at) = ranks.binary_search(&rank) {
+                    ranks.insert(at, rank);
+                }
+            }
+        }
+    }
+
+    /// `rank`'s broker just lost every module: it serves no topic.
+    fn unsubscribe(&mut self, rank: Rank) {
+        for (_, ranks) in &mut self.subscribers {
+            if let Ok(at) = ranks.binary_search(&rank) {
+                ranks.remove(at);
+            }
         }
     }
 

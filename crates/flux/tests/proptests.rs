@@ -74,11 +74,10 @@ proptest! {
                     t.attach(r, parent.unwrap_or_else(|| t.root()));
                 }
             } else if kind < 6 {
-                if t.is_attached(r) && t.attached_ranks().len() > 1 {
+                if t.is_attached(r) && t.attached().nth(1).is_some() {
                     if t.root() == r {
                         let succ = t
-                            .attached_ranks()
-                            .into_iter()
+                            .attached()
                             .find(|&x| x != r)
                             .expect("another rank is attached");
                         t.promote_root(succ);
@@ -95,7 +94,7 @@ proptest! {
                     prop_assert!(t.rebalance(), "unbalanced tree must change");
                 }
                 prop_assert!(t.is_balanced(), "re-balance restores k-ary shape");
-                let live = t.attached_ranks().len() as u32;
+                let live = t.attached().count() as u32;
                 prop_assert!(t.max_depth() <= Tbon::ideal_depth(live, fanout));
             }
             prop_assert!(t.epoch() >= last_epoch, "epoch is monotonic");
@@ -103,7 +102,7 @@ proptest! {
 
             let root = t.root();
             prop_assert!(t.is_attached(root), "the root is attached");
-            for a in t.attached_ranks() {
+            for a in t.attached() {
                 // Walks up to the current root without cycling.
                 let mut cur = a;
                 let mut hops = 0u32;

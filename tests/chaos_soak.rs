@@ -136,11 +136,10 @@ fn hashed_storm_matches_kept_text_plain_and_under_congestion() {
     }
 }
 
-/// Long-horizon soak: ten minutes of simulated churn at 128 ranks.
-/// Too slow for the CI fast matrix — run explicitly with
-/// `cargo test -- --ignored` (nightly soak lane).
+/// Long-horizon soak: ten minutes of simulated churn at 128 ranks, the
+/// suite's longest topology churn (120 random ticks, so the most route
+/// memo invalidations). Under half a second in a debug build.
 #[test]
-#[ignore = "long-horizon soak; run with --ignored"]
 fn storm_128_ranks_long_horizon_soak() {
     let out = storm(&StormConfig::long(128, 21));
     assert!(out.invariant_checks >= 600, "checker ran through the soak");
